@@ -2,17 +2,24 @@
 sup-bound composition, and the rank-scaled index bound.
 
 The m = 2 case has a quadratic closed form that pins the integrator and
-root search independently; the composition is re-derived inline from the
-c_of_b value so the report fields are checked against plain arithmetic.
+root search independently, and mpmath roots pin every m up to 12; the
+composition is re-derived inline from the c_of_b value so the report fields
+are checked against plain arithmetic.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genus_forge
 from genus_forge.bounds import (
     BoundParams,
     IndexBoundReport,
+    _sin_power_integral,
     berard_dim_bound,
     c_of_b,
     index_bound_report,
@@ -39,6 +46,55 @@ def test_c_of_b_goldens():
     assert abs(c_of_b(4, 1.0) - 0.42196507263133753) < 1e-10
 
 
+# bisection outputs of the scipy.integrate.quad implementation this module
+# replaced; the quadrature changed, the bisection path's bits did not
+BISECTION_BITS = {
+    2: ("24.715330210405227", "3.489657598337544", "1.1210593734163012", "0.4182274787594906"),
+    3: ("15.744332993555872", "2.195707606734686", "0.6395053554037986", "0.1566686817363916"),
+    5: ("9.413066212702688", "1.2803659748292375", "0.29735884997671747", "0.02020975310324502"),
+    8: ("6.05145351959618", "0.7927267947320615", "0.12000896589552212", "0.0005667500686286076"),
+    12: ("4.191936529214217", "0.5219670643286918", "0.03605082488093103", "3.633829237514874e-06"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(BISECTION_BITS))
+def test_c_of_b_bisection_bits(m):
+    got = tuple(repr(c_of_b(m, b)) for b in (0.05, 0.35, 1.0, 2.0))
+    assert got == BISECTION_BITS[m]
+
+
+def test_sin_power_integral_wallis():
+    assert _sin_power_integral(2) == 2.0
+    assert _sin_power_integral(3) == math.pi / 2
+    assert _sin_power_integral(4) == 4 / 3
+    assert _sin_power_integral(5) == 3 * math.pi / 8
+
+
+def _mpmath_root(m, b, hi=50):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        rhs = mp.sqrt(mp.pi) * mp.gamma(mp.mpf(m) / 2) / mp.gamma(mp.mpf(m + 1) / 2)
+
+        def g(x):
+            return x * mp.quad(lambda t: (mp.cosh(t) + x * mp.sinh(t)) ** (m - 1), [0, b]) - rhs
+
+        return float(mp.findroot(g, (mp.mpf("0.001"), mp.mpf(hi)), solver="anderson"))
+
+
+def test_c_of_b_secant_matches_mpmath():
+    for m in range(2, 13):
+        ref = _mpmath_root(m, 1.0)
+        assert abs(c_of_b(m, 1.0, "secant") - ref) <= 1e-10 * ref, m
+
+
+def test_c_of_b_large_m_matches_mpmath():
+    # at m = 300, b = 1e-6 the top coefficient of the unscaled polynomial in x,
+    # about b^300 / 300, is far below the binary64 range
+    for m, b, hi in ((50, 0.1, 1), (300, 1e-6, 1e5)):
+        ref = _mpmath_root(m, b, hi)
+        assert abs(c_of_b(m, b) - ref) <= 1e-10 * ref, m
+
+
 def test_secant_agrees_with_bisection():
     for m, b in ((2, 1.0), (4, 1.0), (5, 2.5), (3, 0.7)):
         assert abs(c_of_b(m, b, "secant") - c_of_b(m, b, "bisection")) < 1e-9
@@ -59,12 +115,23 @@ def test_c_of_b_validation():
         c_of_b(2, 0.0)
     with pytest.raises(DomainError):
         c_of_b(2, 1.0, method="newton")
+    with pytest.raises(DomainError):
+        c_of_b(301, 1e-3)
 
 
 def test_c_of_b_overflow_reports_bracketing_failure():
-    # cosh overflows binary64 past ~709.8
-    with pytest.raises(RootNotBracketed):
-        c_of_b(2, 710.0)
+    # e^((m-1) b) overflows binary64 past (m-1) b ~ 709.8
+    for m, b in ((2, 710.0), (12, 70.0)):
+        with pytest.raises(RootNotBracketed):
+            c_of_b(m, b)
+
+
+def test_cli_import_skips_scipy_and_numpy():
+    probe = "import sys, genus_forge.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
+    src = str(Path(genus_forge.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_exponent_sums():
