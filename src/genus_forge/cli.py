@@ -2,7 +2,9 @@
 Eisenstein fits, the numeric S-transformation check, analytic bound reports,
 and covering-graph simulations.
 
-Exit codes: 0 success, 1 usage, 2 invalid data, 3 numerical failure.
+Exit codes: 0 success, 1 usage, 2 invalid data (including the size caps),
+3 numerical failure, 4 internal error (any other exception, reported as one
+line).
 """
 
 from __future__ import annotations
@@ -18,12 +20,20 @@ from .bounds import BoundParams, c_of_b, index_bound_report
 from .catalog import entry_to_dict, load_default_catalog, resolve
 from .covering import cover_diameter, l2_betti_ratio, tower
 from .elliptic import EllKind, elliptic_genus, twisted_indices
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, TooLarge
 from .genera import genus_source, genus_value
 from .manifolds import GenusKind
 from .modular import modular_relation_check, witten_fit
 
 DEFAULT_ORDER = 24  # q-series commands keep coefficients through q^24
+# Largest --order, and largest `indices --max` (W_k sits at q^k), that the
+# q-series commands accept; beyond it they raise TooLarge (exit 2).
+MAX_ORDER = 100
+
+
+def _check_order(value: int, flag: str) -> None:
+    if value > MAX_ORDER:
+        raise TooLarge(f"{flag} {value} exceeds the cap of {MAX_ORDER}")
 
 
 def _trunc(order: int) -> int:
@@ -151,6 +161,7 @@ def compute(manifold, kind, as_json):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def elliptic(manifold, kind, order, as_json):
     """q-expansion of an elliptic or Witten genus."""
+    _check_order(order, "--order")
     entry = resolve(manifold)
     result = elliptic_genus(entry, EllKind(kind), q_trunc=_trunc(order))
     if as_json:
@@ -173,6 +184,7 @@ def elliptic(manifold, kind, order, as_json):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def indices(manifold, family, max_k, as_json):
     """Twisted Dirac indices for bundle steps 0..max."""
+    _check_order(max_k, "--max")
     entry = resolve(manifold)
     values = twisted_indices(entry, family, max_k)
     if as_json:
@@ -203,6 +215,7 @@ def modular():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def modular_fit(manifold, order, as_json):
     """Fit the Witten series against weight-matched E4^i * E6^j monomials."""
+    _check_order(order, "--order")
     entry = resolve(manifold)
     fit = witten_fit(entry, q_trunc=_trunc(order))
     mismatch = None
@@ -238,6 +251,7 @@ def modular_fit(manifold, order, as_json):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def modular_check(manifold, tau_im, order, tol, as_json):
     """Compare both sides of the inversion relation numerically."""
+    _check_order(order, "--order")
     entry = resolve(manifold)
     check = modular_relation_check(entry, tau_im=tau_im, q_trunc=_trunc(order), tol=tol)
     if as_json:
@@ -396,7 +410,8 @@ def cover_l2(k_rank, p_deg, depth, as_json):
 
 
 def main(argv=None) -> int:
-    """Console entry point; maps the error taxonomy onto exit codes."""
+    """Console entry point; maps the error taxonomy onto exit codes, and any
+    other exception onto exit code 4 with one `internal error: ...` line."""
     try:
         cli.main(args=argv, prog_name="genus-forge", standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -416,6 +431,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
+    except Exception as exc:  # a defect, not bad input: one line, no traceback
+        click.echo(f"internal error: {exc!r}", err=True)
+        return 4
     return 0
 
 

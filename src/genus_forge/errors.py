@@ -2,7 +2,8 @@
 
 Everything derives from GenusForgeError so callers can catch one base
 class.  The split into Usage / Data / Numerical branches mirrors the
-CLI exit codes (1, 2, 3).
+CLI exit codes (1, 2, 3).  Any other exception reaching the CLI is a
+defect: it exits with code 4 and one `internal error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class DomainError(DataError):
 # -- covering lab --------------------------------------------------------------
 
 class TooLarge(DataError):
-    """Requested discrete model exceeds the vertex cap."""
+    """Requested model or series exceeds a documented size cap (the BFS
+    vertex cap, the tower depth and rank caps, the CLI order cap)."""
 
 
 # -- catalog -------------------------------------------------------------------

@@ -169,6 +169,14 @@ def test_data_errors_exit_2(run):
          "--diam", "1", "--b", "1"),
         ("elliptic", "--manifold", "T2", "--kind", "witten"),
         ("indices", "--manifold", "B8", "--family", "B", "--max", "2"),
+        # size caps, each one past its limit (nothing is computed)
+        ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "101"),
+        ("indices", "--manifold", "K3", "--family", "W", "--max", "101"),
+        ("modular", "fit", "--manifold", "K3", "--order", "101"),
+        ("modular", "check", "--manifold", "HP2", "--order", "101"),
+        ("cover", "tower", "--k", "1", "--depth", "65"),
+        ("cover", "tower", "--k", "65", "--depth", "1"),
+        ("cover", "l2", "--k", "1", "--p", "0", "--depth", "65"),
     ):
         code, _, err = run(*args)
         assert code == 2, args
@@ -183,6 +191,17 @@ def test_numerical_errors_exit_3(run):
         code, _, err = run(*args)
         assert code == 3, args
         assert err.startswith("error:"), args
+
+
+def test_internal_errors_exit_4(run, monkeypatch):
+    def boom(*args, **kwargs):
+        raise OverflowError("integer division result too large for a float")
+
+    monkeypatch.setattr("genus_forge.cli.c_of_b", boom)
+    code, out, err = run("bound", "cb", "--m", "2", "--b", "1.0")
+    assert code == 4 and out == ""
+    assert err == ("internal error: OverflowError("
+                   "'integer division result too large for a float')\n")
 
 
 def test_env_catalog_override(run, tmp_path, monkeypatch):

@@ -6,12 +6,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from genus_forge.covering import (
     DEFAULT_VERTEX_CAP,
+    MAX_TOWER_DEPTH,
+    MAX_TOWER_RANK,
     CoverDiameter,
     TorusQuotientGraph,
     Tower,
+    _bitset_eccentricity,
+    _deque_eccentricity,
     cover_diameter,
     l2_betti_ratio,
     tower,
@@ -36,6 +42,39 @@ def test_bfs_matches_closed_form_spots():
     for moduli in ((9999,), (99, 101), (100, 100), (21, 21, 21), (4, 50, 50)):
         g = TorusQuotientGraph(moduli)
         assert g.diameter() == g.closed_form_diameter()
+
+
+@st.composite
+def _torus_moduli(draw, max_vertices=40_000):
+    """k = 1..6 moduli in 1..40 with at most max_vertices vertices, in a
+    drawn order so that small moduli land on every axis."""
+    budget = max_vertices
+    moduli = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, min(40, budget)))
+        budget //= n
+        moduli.append(n)
+    return tuple(draw(st.permutations(moduli)))
+
+
+@settings(deadline=None)
+@given(_torus_moduli())
+@example((1,))
+@example((2,))
+@example((2, 1, 2))
+@example((1, 40, 2, 1))
+def test_bfs_matches_closed_form_property(moduli):
+    g = TorusQuotientGraph(moduli)
+    assert g.diameter() == g.closed_form_diameter()
+
+
+def test_bfs_kernels_agree_across_threshold():
+    # both kernels on shapes either side of the modulus at which diameter()
+    # switches from the bitset kernel to the deque loop
+    for moduli in ((4096,), (4097,), (2, 5000), (3, 3, 4000), (1,), (1, 1, 1), (2,) * 10):
+        want = TorusQuotientGraph(moduli).closed_form_diameter()
+        assert _bitset_eccentricity(moduli) == want, moduli
+        assert _deque_eccentricity(moduli) == want, moduli
 
 
 def test_vertex_count_and_cap():
@@ -76,6 +115,10 @@ def test_tower_validation():
         tower(0, 3)
     with pytest.raises(DomainError):
         tower(2, 0)
+    with pytest.raises(TooLarge):
+        tower(1, MAX_TOWER_DEPTH + 1)
+    with pytest.raises(TooLarge):
+        tower(MAX_TOWER_RANK + 1, 1)
 
 
 def test_cover_diameter_goldens():
@@ -155,6 +198,10 @@ def test_l2_ratio_validation():
         l2_betti_ratio(2, -1, 2)
     with pytest.raises(DomainError):
         l2_betti_ratio(2, 1, 0)
+    with pytest.raises(TooLarge):
+        l2_betti_ratio(1, 0, MAX_TOWER_DEPTH + 1)
+    with pytest.raises(TooLarge):
+        l2_betti_ratio(MAX_TOWER_RANK + 1, 0, 1)
 
 
 def test_default_cap_value():
