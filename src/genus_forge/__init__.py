@@ -1,199 +1,44 @@
 """genus-forge: exact multiplicative genera, elliptic and Witten genus
 q-expansions, twisted Dirac index series, Eisenstein fits, analytic index
 bounds, and covering-space simulations over a manifold catalog.
+
+The package exports the entry points the README and the CLI use; every
+other function lives in its module (`genus_forge.genera`,
+`genus_forge.elliptic`, ...).
 """
 
-from .bounds import (
-    BoundParams,
-    BoundReport,
-    IndexBoundReport,
-    berard_dim_bound,
-    c_of_b,
-    index_bound_report,
-    moser_constant,
-)
-from .catalog import (
-    CatalogFile,
-    build_default_catalog,
-    load_catalog,
-    load_default_catalog,
-    resolve,
-    save_catalog,
-)
-from .charpoly import CharClassPoly, monomial_to_partition, partition_to_monomial
-from .covering import (
-    CoverDiameter,
-    TorusQuotientGraph,
-    Tower,
-    cover_diameter,
-    l2_betti_ratio,
-    tower,
-)
-from .elliptic import (
-    DEFAULT_Q_TRUNC,
-    CharSeries,
-    EllKind,
-    GenusSeries,
-    ThetaKind,
-    WittenBundle,
-    elliptic_factor,
-    elliptic_genus,
-    theta_ratio,
-    twisted_index,
-    twisted_index_series,
-    twisted_indices,
-    witten_bundle_ch,
-)
-from .errors import (
-    CatalogError,
-    ConvergenceRisk,
-    DataError,
-    DimensionError,
-    DivergentEvaluation,
-    DomainError,
-    ExponentDomainError,
-    FitError,
-    GenusForgeError,
-    InconsistentData,
-    InsufficientData,
-    NonIntegralIndexWarning,
-    NonNilpotentExp,
-    NonUnitDivisor,
-    NonUnitLog,
-    NumericalError,
-    ParityError,
-    RootNotBracketed,
-    TooLarge,
-    TruncMismatch,
-    UnknownManifold,
-)
-from .genera import (
-    ahat_factor,
-    genus_class,
-    genus_source,
-    genus_value,
-    hypersurface_todd,
-    lhat_factor,
-    multiplicative_class,
-    paired_value,
-    signature_factor,
-    todd_factor,
-)
-from .manifolds import (
-    GenusKind,
-    ManifoldData,
-    builtin,
-    chern_to_pontryagin,
-    connected_sum,
-    cp,
-    hp2,
-    k3,
-    product,
-    sphere,
-    torus,
-)
-from .modular import (
-    ModularCheck,
-    ModularFit,
-    eisenstein,
-    modular_relation_check,
-    witten_fit,
-)
-from .qseries import QSeries
+from .bounds import BoundParams, c_of_b, index_bound_report
+from .catalog import entry_to_dict, load_default_catalog, resolve
+from .covering import cover_diameter, l2_betti_ratio, tower
+from .elliptic import EllKind, elliptic_genus, twisted_indices
+from .errors import DataError, GenusForgeError, NumericalError, TooLarge
+from .genera import genus_source, genus_value
+from .manifolds import GenusKind
+from .modular import modular_relation_check, witten_fit
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # series rings
-    "QSeries",
-    "CharSeries",
-    "CharClassPoly",
-    "monomial_to_partition",
-    "partition_to_monomial",
-    # manifolds and catalog
+    "BoundParams",
+    "DataError",
+    "EllKind",
+    "GenusForgeError",
     "GenusKind",
-    "ManifoldData",
-    "builtin",
-    "chern_to_pontryagin",
-    "connected_sum",
-    "cp",
-    "hp2",
-    "k3",
-    "product",
-    "sphere",
-    "torus",
-    "CatalogFile",
-    "build_default_catalog",
-    "load_catalog",
-    "load_default_catalog",
-    "resolve",
-    "save_catalog",
-    # genera
-    "ahat_factor",
-    "signature_factor",
-    "lhat_factor",
-    "todd_factor",
-    "genus_class",
+    "NumericalError",
+    "TooLarge",
+    "c_of_b",
+    "cover_diameter",
+    "elliptic_genus",
+    "entry_to_dict",
     "genus_source",
     "genus_value",
-    "hypersurface_todd",
-    "multiplicative_class",
-    "paired_value",
-    # elliptic and Witten
-    "DEFAULT_Q_TRUNC",
-    "EllKind",
-    "ThetaKind",
-    "WittenBundle",
-    "GenusSeries",
-    "elliptic_factor",
-    "elliptic_genus",
-    "theta_ratio",
-    "twisted_index",
-    "twisted_index_series",
-    "twisted_indices",
-    "witten_bundle_ch",
-    # modular
-    "ModularCheck",
-    "ModularFit",
-    "eisenstein",
-    "modular_relation_check",
-    "witten_fit",
-    # bounds
-    "BoundParams",
-    "BoundReport",
-    "IndexBoundReport",
-    "berard_dim_bound",
-    "c_of_b",
     "index_bound_report",
-    "moser_constant",
-    # covering lab
-    "CoverDiameter",
-    "TorusQuotientGraph",
-    "Tower",
-    "cover_diameter",
     "l2_betti_ratio",
+    "load_default_catalog",
+    "modular_relation_check",
+    "resolve",
     "tower",
-    # errors
-    "GenusForgeError",
-    "DataError",
-    "NumericalError",
-    "TruncMismatch",
-    "NonUnitDivisor",
-    "NonUnitLog",
-    "NonNilpotentExp",
-    "DivergentEvaluation",
-    "ParityError",
-    "InsufficientData",
-    "DimensionError",
-    "InconsistentData",
-    "UnknownManifold",
-    "FitError",
-    "ConvergenceRisk",
-    "RootNotBracketed",
-    "ExponentDomainError",
-    "DomainError",
-    "TooLarge",
-    "CatalogError",
-    "NonIntegralIndexWarning",
+    "twisted_indices",
+    "witten_fit",
 ]

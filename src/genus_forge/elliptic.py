@@ -1,18 +1,25 @@
-"""Theta-product genera and twisted Dirac index series.
+"""Elliptic genera, the Witten genus and twisted Dirac index series.
 
-The per-root building block is a CharSeries: an even truncated series in
-the root variable y whose coefficients are exact q-series.  Theta
-quotients are computed directly from the Jacobi triple products, using
-sin(pi x) -> sinh(y/2)/i and cos(pi x) -> cosh(y/2) under y = 2 pi i x;
-the q^(1/8) prefactors cancel in every ratio.  The reduced product
-formulas for the three genus factors are implemented separately and
-kept equal to the theta route under test.
+Every per-root factor here is a classical factor times a product of
+terms (1 - t e^y)(1 - t e^-y) / (1 - t)^2, or their inverses, with
+t = eps q^(h/2).  The y^(2k) coefficient of the logarithm of one such
+term, summed over h in a set H, is the twisted divisor sum
 
-Ell1 carries one normalization subtlety: the plain theta quotient has
-constant term 1 per root, but the genus that starts at the signature
-(and satisfies the (2 tau)^(2m) transformation) needs twice that per
-root.  elliptic_factor therefore returns the doubled factor, constant
-term 2, and the genus evaluation compensates exactly.
+    D_k(H, eps) = -(2/(2k)!) sum_(h in H) sum_(r >= 1) eps^r r^(2k-1) q^(rh/2)
+
+(`divisor_sum` is the double sum).  With H_even = {2, 4, ...} and
+H_odd = {1, 3, ...} on the half-exponent keys of QSeries, the log
+coefficients are
+
+    Witten, family W:  Ahat - D(H_even, +1)          (= 2 G_2k / (2k)!)
+    Ell2, family B:    Ahat - D(H_even, +1) + D(H_odd, +1)
+    Ell1:              big-L/2 - D(H_even, +1) + D(H_even, -1)
+
+and `genera.pair_logs` turns them into the genus.  Ell1 carries the
+per-root constant 2 of big-L, so that its q^0 term is the signature and
+it satisfies the (2 tau)^(2m) transformation; `elliptic_genus` passes
+that constant to `pair_logs`, which multiplies by 2^(2m).  The theta
+products these logs replace are kept as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -23,16 +30,10 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .charpoly import CharClassPoly
-from .errors import (
-    DimensionError,
-    NonIntegralIndexWarning,
-    NonUnitDivisor,
-    TruncMismatch,
-)
-from .genera import ahat_factor, multiplicative_class, paired_value
-from .manifolds import ManifoldData
-from .qseries import QSeries, Scalar
+from .errors import DimensionError, NonIntegralIndexWarning, TruncMismatch
+from .genera import log_coeffs, pair_logs
+from .manifolds import GenusKind, ManifoldData
+from .qseries import QSeries
 
 
 class EllKind(str, Enum):
@@ -41,361 +42,36 @@ class EllKind(str, Enum):
     WITTEN = "witten"
 
 
-class ThetaKind(str, Enum):
-    THETA = "theta"
-    THETA1 = "theta1"
-    THETA2 = "theta2"
+def divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
+    """sum over h = h_first, h_first + 2, ... and r >= 1 of eps^r r^power q^(rh/2)."""
+    coeffs: dict[int, int] = {}
+    for h in range(h_first, q_trunc, 2):
+        for r in range(1, (q_trunc - 1) // h + 1):
+            coeffs[r * h] = coeffs.get(r * h, 0) + eps**r * r**power
+    return QSeries(coeffs, q_trunc)
 
 
-class WittenBundle(str, Enum):
-    """The three q-graded tangent-twist bundles.
-
-    SYM:      tensor over m >= 1 of S_{q^m} of the reduced tangent bundle
-    EXT:      tensor over m >= 1 of Lambda_{q^m} of it
-    EXT_HALF: tensor over m >= 1 of Lambda_{-q^(m-1/2)} of it
-    """
-
-    SYM = "sym"
-    EXT = "ext"
-    EXT_HALF = "ext_half"
+# (first h, eps, sign): l_k = classical l_k + sum of sign * D_k(H, eps)
+_TWISTS = {
+    EllKind.WITTEN: ((2, 1, -1),),
+    EllKind.ELL2: ((2, 1, -1), (1, 1, 1)),
+    EllKind.ELL1: ((2, 1, -1), (2, -1, 1)),
+}
 
 
-class CharSeries:
-    """Even truncated series in y with QSeries coefficients."""
-
-    __slots__ = ("coeffs", "y_cap", "q_trunc")
-
-    def __init__(self, coeffs: dict[int, QSeries], y_cap: int, q_trunc: int):
-        if y_cap < 0:
-            raise ValueError("y_cap must be nonnegative")
-        clean: dict[int, QSeries] = {}
-        for n, c in coeffs.items():
-            if n % 2:
-                raise ValueError(f"odd power y^{n} in an even series")
-            if n > y_cap:
-                continue
-            if not isinstance(c, QSeries):
-                raise TypeError("coefficients must be QSeries")
-            if c.trunc != q_trunc:
-                raise TruncMismatch(
-                    f"coefficient truncation {c.trunc} != series q_trunc {q_trunc}"
-                )
-            if c:
-                clean[n] = c
-        self.coeffs = clean
-        self.y_cap = y_cap
-        self.q_trunc = q_trunc
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def one(cls, y_cap: int, q_trunc: int) -> "CharSeries":
-        return cls({0: QSeries.one(q_trunc)}, y_cap, q_trunc)
-
-    @classmethod
-    def const(cls, c: QSeries | Scalar, y_cap: int, q_trunc: int) -> "CharSeries":
-        if not isinstance(c, QSeries):
-            c = QSeries.constant(c, q_trunc)
-        return cls({0: c}, y_cap, q_trunc)
-
-    @classmethod
-    def from_rational_even(
-        cls, coeffs: dict[int, Fraction], y_cap: int, q_trunc: int
-    ) -> "CharSeries":
-        return cls(
-            {n: QSeries.constant(c, q_trunc) for n, c in coeffs.items()},
-            y_cap,
-            q_trunc,
-        )
-
-    # -- inspection ----------------------------------------------------------
-
-    def y_coeff(self, n: int) -> QSeries:
-        return self.coeffs.get(n, QSeries.zero(self.q_trunc))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CharSeries):
-            return NotImplemented
-        return (
-            self.y_cap == other.y_cap
-            and self.q_trunc == other.q_trunc
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"({c})*y^{n}" if n else f"({c})" for n, c in sorted(self.coeffs.items())
-        )
-
-    def _check(self, other: "CharSeries") -> None:
-        if self.y_cap != other.y_cap or self.q_trunc != other.q_trunc:
-            raise TruncMismatch("CharSeries truncation parameters differ")
-
-    # -- arithmetic --------------------------------------------------------------
-
-    def __add__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
-            other = CharSeries.const(other, self.y_cap, self.q_trunc)
-        if not isinstance(other, CharSeries):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            s = out.get(n)
-            s = c if s is None else s + c
-            if s:
-                out[n] = s
-            else:
-                out.pop(n, None)
-        return CharSeries(out, self.y_cap, self.q_trunc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CharSeries":
-        return CharSeries({n: -c for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc)
-
-    def __sub__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
-            other = CharSeries.const(other, self.y_cap, self.q_trunc)
-        if not isinstance(other, CharSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "CharSeries":
-        return (-self) + other
-
-    def __mul__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
-            if not other:
-                return CharSeries({}, self.y_cap, self.q_trunc)
-            return CharSeries(
-                {n: c * other for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc
-            )
-        if not isinstance(other, CharSeries):
-            return NotImplemented
-        self._check(other)
-        out: dict[int, QSeries] = {}
-        for n, a in self.coeffs.items():
-            for m, b in other.coeffs.items():
-                k = n + m
-                if k > self.y_cap:
-                    continue
-                prod = a * b
-                prev = out.get(k)
-                s = prod if prev is None else prev + prod
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return CharSeries(out, self.y_cap, self.q_trunc)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
-            return CharSeries(
-                {n: c / other for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc
-            )
-        if not isinstance(other, CharSeries):
-            return NotImplemented
-        self._check(other)
-        b0 = other.coeffs.get(0)
-        if b0 is None or not b0.constant_term():
-            raise NonUnitDivisor("CharSeries divisor is not a unit at (y^0, q^0)")
-        out: dict[int, QSeries] = {}
-        for n in range(0, self.y_cap + 1, 2):
-            acc = self.coeffs.get(n)
-            for m in range(2, n + 1, 2):
-                b = other.coeffs.get(m)
-                c = out.get(n - m)
-                if b is None or c is None:
-                    continue
-                term = b * c
-                acc = -term if acc is None else acc - term
-            if acc is not None and acc:
-                out[n] = acc / b0
-        return CharSeries(out, self.y_cap, self.q_trunc)
-
-    def __rtruediv__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
-            return CharSeries.const(other, self.y_cap, self.q_trunc) / self
-        return NotImplemented
-
-
-# -- per-root series pieces -----------------------------------------------------
-
-
-def _cosh_char(y_cap: int, q_trunc: int, half: bool) -> CharSeries:
-    scale = 4 if half else 1
-    return CharSeries.from_rational_even(
-        {
-            2 * t: Fraction(1, scale**t * factorial(2 * t))
-            for t in range(y_cap // 2 + 1)
-        },
-        y_cap,
-        q_trunc,
-    )
-
-
-def _sinh_half_over_arg(y_cap: int, q_trunc: int) -> CharSeries:
-    # sinh(y/2)/(y/2)
-    return CharSeries.from_rational_even(
-        {
-            2 * t: Fraction(1, 4**t * factorial(2 * t + 1))
-            for t in range(y_cap // 2 + 1)
-        },
-        y_cap,
-        q_trunc,
-    )
-
-
-def _pair_product(t: QSeries, y_cap: int, plus: bool) -> CharSeries:
-    """(1 -+ t e^y)(1 -+ t e^{-y}) = 1 -+ 2 t cosh(y) + t^2, which is even."""
-    sign = 1 if plus else -1
-    q_trunc = t.trunc
-    two_t = t * 2
-    coeffs: dict[int, QSeries] = {0: QSeries.one(q_trunc) + two_t * sign + t * t}
-    for r in range(1, y_cap // 2 + 1):
-        coeffs[2 * r] = two_t * Fraction(sign, factorial(2 * r))
-    return CharSeries(coeffs, y_cap, q_trunc)
-
-
-def _qpow(j2: int, q_trunc: int) -> QSeries | None:
-    """q^(j2/2) as a QSeries, or None when it falls past the truncation."""
-    if j2 >= q_trunc:
-        return None
-    return QSeries.q_power(j2, q_trunc)
-
-
-def theta_ratio(kind: ThetaKind, y_cap: int, q_trunc: int) -> CharSeries:
-    """One theta quotient as an even y-series with exact q-coefficients.
-
-    theta:  y theta'(0, tau) / theta(x, tau)   (y-rescaled derivative)
-    theta1: theta_1(x, tau) / theta_1(0, tau)
-    theta2: theta_2(x, tau) / theta_2(0, tau)
-
-    Each is computed from the triple-product form directly, truncating
-    the product over j once q^j (or q^(j-1/2)) leaves the window.
-    """
-    kind = ThetaKind(kind)
-    one_q = QSeries.one(q_trunc)
-
-    if kind == ThetaKind.THETA:
-        # y theta'(0)/theta(x): prefactors and the i from sin(pi x) cancel,
-        # leaving prod (1-q^j)^3 over sinh(y/2)/(y/2) * prod (1-q^j)(1 - 2 q^j cosh y + q^{2j})
-        num_q = one_q
-        den = _sinh_half_over_arg(y_cap, q_trunc)
-        j = 1
-        while True:
-            t = _qpow(2 * j, q_trunc)
-            if t is None:
-                break
-            one_minus = one_q - t
-            num_q = num_q * one_minus**3
-            den = den * (CharSeries.const(one_minus, y_cap, q_trunc)
-                         * _pair_product(t, y_cap, plus=False))
-            j += 1
-        return CharSeries.const(num_q, y_cap, q_trunc) / den
-
-    if kind == ThetaKind.THETA1:
-        num = _cosh_char(y_cap, q_trunc, half=True)
-        den_q = one_q
-        j = 1
-        while True:
-            t = _qpow(2 * j, q_trunc)
-            if t is None:
-                break
-            one_minus = one_q - t
-            num = num * (CharSeries.const(one_minus, y_cap, q_trunc)
-                         * _pair_product(t, y_cap, plus=True))
-            den_q = den_q * (one_minus * (one_q + t) ** 2)
-            j += 1
-        return num / CharSeries.const(den_q, y_cap, q_trunc)
-
-    # theta2: half-integer steps
-    num = CharSeries.one(y_cap, q_trunc)
-    den_q = one_q
-    j = 1
-    while True:
-        th = _qpow(2 * j - 1, q_trunc)  # q^(j - 1/2)
-        if th is None:
-            break
-        t_int = _qpow(2 * j, q_trunc)
-        one_minus_int = one_q - t_int if t_int is not None else one_q
-        num = num * (CharSeries.const(one_minus_int, y_cap, q_trunc)
-                     * _pair_product(th, y_cap, plus=False))
-        den_q = den_q * (one_minus_int * (one_q - th) ** 2)
-        j += 1
-    return num / CharSeries.const(den_q, y_cap, q_trunc)
-
-
-def elliptic_factor(kind: EllKind, y_cap: int, q_trunc: int) -> CharSeries:
-    """Reduced per-root factor of Ell1/Ell2/Witten.
-
-    These are the closed product forms; each equals the matching
-    combination of theta quotients (Ell1 with constant term 2 per root,
-    so that its genus starts at the signature).
-    """
+def elliptic_logs(kind: EllKind, weight: int, q_trunc: int) -> list[QSeries]:
+    """l_1 .. l_weight of the per-root factor, Ell1 halved."""
     kind = EllKind(kind)
-    one_q = QSeries.one(q_trunc)
-    sinh_half = _sinh_half_over_arg(y_cap, q_trunc)
-
-    if kind == EllKind.WITTEN:
-        num_q = one_q
-        den = sinh_half
-        j = 1
-        while True:
-            t = _qpow(2 * j, q_trunc)
-            if t is None:
-                break
-            num_q = num_q * (one_q - t) ** 2
-            den = den * _pair_product(t, y_cap, plus=False)
-            j += 1
-        return CharSeries.const(num_q, y_cap, q_trunc) / den
-
-    if kind == EllKind.ELL2:
-        num_q = one_q
-        den_q = one_q
-        num = CharSeries.one(y_cap, q_trunc)
-        den = sinh_half
-        j = 1
-        while True:
-            t = _qpow(2 * j, q_trunc)
-            th = _qpow(2 * j - 1, q_trunc)
-            if t is None and th is None:
-                break
-            if t is not None:
-                num_q = num_q * (one_q - t) ** 2
-                den = den * _pair_product(t, y_cap, plus=False)
-            if th is not None:
-                num = num * _pair_product(th, y_cap, plus=False)
-                den_q = den_q * (one_q - th) ** 2
-            j += 1
-        return (num * num_q) / (den * den_q)
-
-    # Ell1: doubled so the q^0 term of the genus is the signature
-    num = _cosh_char(y_cap, q_trunc, half=True) * 2
-    den = sinh_half
-    num_q = one_q
-    den_q = one_q
-    j = 1
-    while True:
-        t = _qpow(2 * j, q_trunc)
-        if t is None:
-            break
-        num_q = num_q * (one_q - t) ** 2
-        num = num * _pair_product(t, y_cap, plus=True)
-        den_q = den_q * (one_q + t) ** 2
-        den = den * _pair_product(t, y_cap, plus=False)
-        j += 1
-    return (num * num_q) / (den * den_q)
+    base = log_coeffs(GenusKind.LHAT if kind == EllKind.ELL1 else GenusKind.AHAT, weight)
+    logs = []
+    for k, classical in enumerate(base, start=1):
+        series = QSeries.constant(classical, q_trunc)
+        for h_first, eps, sign in _TWISTS[kind]:
+            series = series + divisor_sum(h_first, eps, 2 * k - 1, q_trunc) * Fraction(
+                -2 * sign, factorial(2 * k)
+            )
+        logs.append(series)
+    return logs
 
 
 # -- genus series ------------------------------------------------------------------
@@ -409,18 +85,22 @@ class GenusSeries:
     kind: str
     series: QSeries
     q_trunc: int
-    input_kind: str = "full"
 
 
 DEFAULT_Q_TRUNC = 49  # keeps every coefficient through q^24
 
 
-def _pontryagin_setup(m: ManifoldData) -> tuple[int, dict]:
+def _series(m: ManifoldData, kind: EllKind, q_trunc: int) -> QSeries:
     if m.real_dim % 4:
         raise DimensionError(
             f"{m.name}: elliptic genera need dimension divisible by 4, got {m.real_dim}"
         )
-    return m.real_dim // 4, m.pontryagin_or_converted()
+    mm = m.real_dim // 4
+    numbers = m.pontryagin_or_converted()
+    const = 2 if kind == EllKind.ELL1 else 1
+    return pair_logs(
+        numbers, mm, elliptic_logs(kind, mm, q_trunc), QSeries.zero(q_trunc), const
+    )
 
 
 def elliptic_genus(
@@ -428,18 +108,7 @@ def elliptic_genus(
 ) -> GenusSeries:
     """Evaluate Ell1, Ell2 or the Witten genus as an exact q-series."""
     kind = EllKind(kind)
-    mm, numbers = _pontryagin_setup(m)
-    factor = elliptic_factor(kind, 2 * mm, q_trunc)
-    c0 = factor.y_coeff(0)
-    if not c0.is_constant():
-        raise NonUnitDivisor("factor constant coefficient is q-dependent")
-    const = c0.constant_term()
-    if const != 1:
-        factor = factor / const
-    poly = multiplicative_class(factor, "pontryagin", mm)
-    series = paired_value(poly, numbers, mm, QSeries.zero(q_trunc))
-    if const != 1:
-        series = series * const ** (2 * mm)
+    series = _series(m, kind, q_trunc)
     if kind in (EllKind.ELL1, EllKind.WITTEN) and not series.integer_powers_only():
         raise DimensionError(
             f"{kind.value} series left the integer power grid; this is a bug"
@@ -447,58 +116,7 @@ def elliptic_genus(
     return GenusSeries(m.name, kind.value, series, q_trunc)
 
 
-# -- Witten bundles and twisted indices -----------------------------------------------
-
-
-def _bundle_factor(kind: WittenBundle, y_cap: int, q_trunc: int) -> CharSeries:
-    one_q = QSeries.one(q_trunc)
-    kind = WittenBundle(kind)
-    num = CharSeries.one(y_cap, q_trunc)
-    den = CharSeries.one(y_cap, q_trunc)
-    num_q = one_q
-    den_q = one_q
-    j = 1
-    while True:
-        if kind == WittenBundle.EXT_HALF:
-            t = _qpow(2 * j - 1, q_trunc)
-            if t is None:
-                break
-            t = -t
-            num = num * _pair_product(t, y_cap, plus=True)
-            den_q = den_q * (one_q + t) ** 2
-        else:
-            t = _qpow(2 * j, q_trunc)
-            if t is None:
-                break
-            if kind == WittenBundle.SYM:
-                num_q = num_q * (one_q - t) ** 2
-                den = den * _pair_product(t, y_cap, plus=False)
-            else:
-                num = num * _pair_product(t, y_cap, plus=True)
-                den_q = den_q * (one_q + t) ** 2
-        j += 1
-    return (num * num_q) / (den * den_q)
-
-
-def witten_bundle_ch(
-    kind: WittenBundle, weight_cap: int, q_trunc: int = DEFAULT_Q_TRUNC
-) -> CharClassPoly:
-    """Chern character of one q-graded twist bundle, in Pontryagin classes.
-
-    The reduction by the trivial bundle of matching rank is folded in per
-    root pair, so the q^0 term is 1 and every coefficient has weight-0
-    part zero.
-    """
-    factor = _bundle_factor(kind, 2 * weight_cap, q_trunc)
-    return multiplicative_class(factor, "pontryagin", weight_cap)
-
-
-def _lift_to_qseries(poly: CharClassPoly, q_trunc: int) -> CharClassPoly:
-    return CharClassPoly(
-        poly.label,
-        poly.weight_cap,
-        {m: QSeries.constant(c, q_trunc) for m, c in poly.terms.items()},
-    )
+# -- twisted indices ------------------------------------------------------------------
 
 
 def twisted_index_series(
@@ -506,26 +124,28 @@ def twisted_index_series(
 ) -> GenusSeries:
     """Index series of the Dirac operator twisted by one bundle family.
 
-    family "W": Ahat * ch(SYM), indices on the integer grid.
-    family "B": Ahat * ch(SYM x EXT_HALF), indices on the half grid.
+    family "W": Ahat * ch(tensor over n >= 1 of S_(q^n) of the reduced
+    tangent bundle), indices on the integer grid; its per-root factor is
+    the Witten factor.
+    family "B": the W bundle tensored with the product over n >= 1 of
+    Lambda_(-q^(n-1/2)) of it, indices on the half grid; its per-root
+    factor is the Ell2 factor.
     """
     if family not in ("B", "W"):
         raise ValueError(f"family must be 'B' or 'W', got {family!r}")
-    mm, numbers = _pontryagin_setup(m)
-    ahat = _lift_to_qseries(
-        multiplicative_class(ahat_factor(2 * mm), "pontryagin", mm), q_trunc
-    )
-    ch = witten_bundle_ch(WittenBundle.SYM, mm, q_trunc)
-    if family == "B":
-        ch = ch * witten_bundle_ch(WittenBundle.EXT_HALF, mm, q_trunc)
-    series = paired_value(ahat * ch, numbers, mm, QSeries.zero(q_trunc))
-    return GenusSeries(m.name, f"index-{family}", series, q_trunc)
+    kind = EllKind.ELL2 if family == "B" else EllKind.WITTEN
+    return GenusSeries(m.name, f"index-{family}", _series(m, kind, q_trunc), q_trunc)
 
 
 def twisted_indices(
     m: ManifoldData, family: str, k_max: int, q_trunc: int | None = None
 ) -> list[Fraction]:
-    """Indices for steps 0..k_max from a single series evaluation."""
+    """Indices for steps 0..k_max: the q^(k/2) coefficients for family B,
+    q^k for W, from a single series evaluation.
+
+    Spin manifolds must give integers; a non-integral value signals data
+    corruption and raises a NonIntegralIndexWarning.
+    """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     half_max = k_max if family == "B" else 2 * k_max
@@ -544,27 +164,3 @@ def twisted_indices(
             )
         out.append(value)
     return out
-
-
-def twisted_index(
-    m: ManifoldData, family: str, k: int, q_trunc: int | None = None
-) -> Fraction:
-    """One twisted index: the q^(k/2) coefficient for family B, q^k for W.
-
-    Spin manifolds must give integers; a non-integral value signals data
-    corruption and raises a NonIntegralIndexWarning.
-    """
-    if k < 0:
-        raise ValueError("index step k must be nonnegative")
-    half_exp = k if family == "B" else 2 * k
-    if q_trunc is None:
-        q_trunc = half_exp + 1
-    elif q_trunc <= half_exp:
-        raise TruncMismatch(f"q_trunc {q_trunc} does not reach step {k}")
-    value = twisted_index_series(m, family, q_trunc).series.coeff(half_exp)
-    if m.spin and value.denominator != 1:
-        warnings.warn(
-            f"{m.name} is spin but index {family}_{k} = {value} is not integral",
-            NonIntegralIndexWarning,
-        )
-    return value

@@ -1,226 +1,178 @@
-"""Multiplicative sequences and the classical genera they evaluate.
+"""Multiplicative genera through one route: log coefficients times power-sum
+numbers.
 
-Given a factor series Q with Q(0) = 1, the multiplicative class of a
-bundle with formal roots y_1, ..., y_N is prod_j Q(y_j) rewritten in the
-elementary symmetric functions of the roots: Pontryagin classes are the
-elementary symmetric functions of the y_j^2, Chern classes those of the
-roots themselves.  The rewrite goes through log Q, power sums and the
-Newton identities, then a graded exponential; with at least weight_cap
-roots the answer does not depend on the root count.
+A multiplicative genus is fixed by the logarithm of its per-root factor
+Q.  Write log Q = sum_k l_k u^k, with u = y^2 for the Pontryagin-type
+genera (roots +-y_j) and u = x, the root itself, for Todd.  Summed over
+the roots this is sum_k l_k P_k, where P_k are the Newton power sums of
+the roots, and the weight-m part of its exponential is
+
+    sum over mu |- m of  prod_i l_{mu_i} P_{mu_i} / prod_k a_k(mu)!
+
+with a_k(mu) the number of parts of mu equal to k.  Pairing with the
+fundamental class turns prod_i P_{mu_i} into the power-sum number
+s_mu[M], an integer combination of the Pontryagin (or Chern) numbers;
+`s_numbers` reads it off a p(m) x p(m) integer matrix whose rows are
+built on demand and cached per weight.  `pair_logs` is the pairing loop.
+Only the coefficients l_k change from one genus to the next; the
+coefficient ring may be Fraction or QSeries, so the elliptic genera take
+the same route (see elliptic.py).
 
 All root variables are normalized so that the Ahat factor is
 (y/2)/sinh(y/2); the signature factor is then y/tanh(y) and the big-L
-factor y/tanh(y/2).  The big-L factor has constant term 2, which the
-genus evaluation compensates with a factor 2 per root; the resulting
-value equals the signature, and that equality is kept under test rather
-than normalized away.
+factor y/tanh(y/2).  With S_k = 2^(2k) B_(2k) / (2k (2k)!), the y^(2k)
+coefficient of log(sinh(y)/y), `log_coeffs` gives
+
+    Ahat         l_k = -S_k / 4^k
+    signature    l_k = (4^k - 2) S_k
+    big-L / 2    l_k = S_k - 2 S_k / 4^k
+    Todd         l_1 = 1/2, l_2k = -S_k / 4^k, other odd l_k = 0
+
+The big-L factor has constant term 2.  Its logarithm is taken of the
+factor halved, and `pair_logs` multiplies the genus of a 4m-manifold by
+the per-root constant to the power 2m, the number of roots; the value
+equals the signature, and that equality is kept under test rather than
+normalized away.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, prod
 from typing import Mapping
 
-from .charpoly import CharClassPoly, partition_to_monomial
-from .errors import (
-    DimensionError,
-    InsufficientData,
-    NonUnitLog,
-    ParityError,
-)
-from .manifolds import GenusKind, ManifoldData, partitions_of
+from .charpoly import CharClassPoly, monomial_to_partition
+from .errors import DimensionError, InsufficientData
+from .manifolds import GenusKind, ManifoldData, Partition, partitions_of
 from .qseries import QSeries
 
-_LABELS = {"pontryagin": "p", "chern": "c"}
+_BERNOULLI = [Fraction(1)]
 
 
-def _series_coeffs(factor) -> Mapping[int, object]:
-    coeffs = getattr(factor, "coeffs", factor)
-    if not isinstance(coeffs, Mapping):
-        raise TypeError("factor must be a series object or a power->coeff mapping")
-    return coeffs
+def _bernoulli(n: int) -> Fraction:
+    """B_n (B_1 = -1/2), extending the cached list on demand."""
+    while len(_BERNOULLI) <= n:
+        j = len(_BERNOULLI)
+        acc = sum(comb(j + 1, i) * b for i, b in enumerate(_BERNOULLI))
+        _BERNOULLI.append(-acc / (j + 1))
+    return _BERNOULLI[n]
 
 
-def _graded_log(coeffs: Mapping[int, object], cap: int) -> dict[int, object]:
-    """log of 1 + sum a_n u^n through u^cap, over any exact coefficient ring.
+def _log_sinh(k: int) -> Fraction:
+    """S_k, the y^(2k) coefficient of log(sinh(y)/y)."""
+    return 4**k * _bernoulli(2 * k) / (2 * k * factorial(2 * k))
 
-    l_n = a_n - (1/n) sum_{k<n} k l_k a_{n-k}; only scalar rational
-    multiplications are needed, so QSeries coefficients work unchanged.
+
+def log_coeffs(kind: GenusKind, weight: int) -> list[Fraction]:
+    """l_1 .. l_weight of the classical factor, big-L halved."""
+    kind = GenusKind(kind)
+    if kind == GenusKind.TODD:
+        # x/(1 - e^-x) = e^(x/2) (x/2)/sinh(x/2): l_1 = 1/2, then Ahat in x
+        logs = [Fraction(0)] * weight
+        logs[0] = Fraction(1, 2)
+        for k, ahat in enumerate(log_coeffs(GenusKind.AHAT, weight // 2), start=1):
+            logs[2 * k - 1] = ahat
+        return logs
+    closed = {
+        GenusKind.AHAT: lambda s, k: -s / 4**k,
+        GenusKind.SIGNATURE: lambda s, k: (4**k - 2) * s,
+        GenusKind.LHAT: lambda s, k: s - 2 * s / 4**k,
+    }[kind]
+    return [closed(_log_sinh(k), k) for k in range(1, weight + 1)]
+
+
+# -- power-sum numbers ------------------------------------------------------------
+
+
+def _power_sums(cap: int) -> list[CharClassPoly]:
+    """Power sums P_1..P_cap in the elementary symmetric functions e_i.
+
+    The Newton identities P_k = sum_{i<k} (-1)^(i-1) e_i P_(k-i)
+    + (-1)^(k-1) k e_k.  The e_i are the Pontryagin classes for the
+    squared roots and the Chern classes for the roots themselves, so one
+    set of integer polynomials serves both.
     """
-    out: dict[int, object] = {}
-    for n in range(1, cap + 1):
-        acc = coeffs.get(n)
-        corr = None
-        for k, lk in out.items():
-            ank = coeffs.get(n - k)
-            if ank is None or not ank:
-                continue
-            term = (lk * ank) * k
-            corr = term if corr is None else corr + term
-        if corr is not None:
-            corr = corr * Fraction(1, n)
-            acc = -corr if acc is None else acc - corr
-        if acc is not None and acc:
-            out[n] = acc
-    return out
-
-
-def _power_sums(label: str, cap: int, n_roots: int, one) -> list[CharClassPoly]:
-    """Power sums P_1..P_cap in the generators via the Newton identities.
-
-    e_i vanishes for i > n_roots; with n_roots >= cap every e_i through
-    the cap survives and the result is root-count independent.
-    """
-    e = [None] * (cap + 1)
-    for i in range(1, cap + 1):
-        if i <= n_roots:
-            e[i] = CharClassPoly.generator(label, cap, i, one)
-    zero = CharClassPoly.zero(label, cap)
-    p: list[CharClassPoly] = [zero]
+    e = [None] + [CharClassPoly.generator("e", cap, i, 1) for i in range(1, cap + 1)]
+    p = [CharClassPoly.zero("e", cap)]
     for k in range(1, cap + 1):
-        acc = e[k].scale(Fraction((-1) ** (k - 1) * k)) if e[k] is not None else zero
+        acc = e[k].scale((-1) ** (k - 1) * k)
         for i in range(1, k):
-            if e[i] is None:
-                continue
-            term = e[i] * p[k - i]
-            acc = acc + term.scale(Fraction((-1) ** (i - 1)))
+            acc = acc + (e[i] * p[k - i]).scale((-1) ** (i - 1))
         p.append(acc)
     return p
 
 
-def multiplicative_class(
-    factor,
-    kind: str,
-    weight_cap: int,
-    n_roots: int | None = None,
-) -> CharClassPoly:
-    """prod over roots of Q(root), expanded in Pontryagin or Chern classes.
+class _SMatrix:
+    """Rows mu -> {lambda: coefficient of e_lambda in prod_i P_(mu_i)} of
+    one weight, each built on first use from products memoized on the
+    tail of mu."""
 
-    `factor` is a one-variable series with constant term 1: a QSeries on
-    the integer power grid, a CharSeries, or a plain power->coefficient
-    mapping.  For the Pontryagin kind the factor must be even in its
-    variable, and powers are halved so u = y^2 carries weight 1.
+    def __init__(self, weight: int):
+        self.power_sums = _power_sums(weight)
+        self.products: dict[Partition, CharClassPoly] = {}
+        self.rows: dict[Partition, dict[Partition, int]] = {}
+
+    def _product(self, mu: Partition) -> CharClassPoly:
+        poly = self.products.get(mu)
+        if poly is None:
+            head = self.power_sums[mu[0]]
+            poly = head if len(mu) == 1 else head * self._product(mu[1:])
+            self.products[mu] = poly
+        return poly
+
+    def row(self, mu: Partition) -> dict[Partition, int]:
+        row = self.rows.get(mu)
+        if row is None:
+            row = {monomial_to_partition(m): c for m, c in self._product(mu).terms.items()}
+            self.rows[mu] = row
+        return row
+
+
+@lru_cache(maxsize=None)
+def _s_matrix(weight: int) -> _SMatrix:
+    return _SMatrix(weight)
+
+
+def s_numbers(numbers: Mapping[Partition, int], partitions) -> dict[Partition, int]:
+    """Power-sum numbers s_mu[M] = <prod_i P_(mu_i), [M]> for each mu given.
+
+    `numbers` are the Pontryagin or Chern numbers of M, keyed by
+    partitions of the same weight as every mu.
     """
-    if kind not in _LABELS:
-        raise ValueError(f"kind must be one of {sorted(_LABELS)}, got {kind!r}")
-    coeffs = _series_coeffs(factor)
-    c0 = coeffs.get(0)
-    if c0 is None or c0 != 1:
-        raise NonUnitLog("factor series must have constant term 1")
-    if kind == "pontryagin":
-        if any(n % 2 for n, c in coeffs.items() if c):
-            raise ParityError("Pontryagin-type factor must be even in its variable")
-        u_coeffs = {n // 2: c for n, c in coeffs.items() if n > 0 and c}
-    else:
-        u_coeffs = {n: c for n, c in coeffs.items() if n > 0 and c}
-
-    if n_roots is None:
-        n_roots = 2 * weight_cap
-    if n_roots < 1:
-        raise ValueError("n_roots must be positive")
-
-    label = _LABELS[kind]
-    if weight_cap == 0:
-        return CharClassPoly.constant(label, 0, c0)
-
-    logs = _graded_log(u_coeffs, weight_cap)
-    psums = _power_sums(label, weight_cap, n_roots, c0)
-
-    total = CharClassPoly.zero(label, weight_cap)
-    for k, lk in logs.items():
-        total = total + psums[k].scale(lk)
-
-    result = CharClassPoly.constant(label, weight_cap, c0)
-    term = result
-    for j in range(1, weight_cap + 1):
-        term = term * total
-        if not term:
-            break
-        result = result + term.scale(Fraction(1, factorial(j)))
-    return result
+    out = {}
+    for mu in partitions:
+        row = _s_matrix(sum(mu)).row(mu)
+        out[mu] = sum(n * row.get(lam, 0) for lam, n in numbers.items())
+    return out
 
 
-def paired_value(poly: CharClassPoly, numbers: Mapping, weight: int, zero):
-    """Pair the weight-`weight` part of a class with characteristic numbers."""
+def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, zero, const: int = 1):
+    """const^(2 weight) * sum over mu |- weight of s_mu[M] prod_i l_(mu_i) / prod_k a_k(mu)!.
+
+    `logs[k - 1]` is l_k, a Fraction or a QSeries; `zero` is the zero of
+    that ring.  Partitions with a vanishing l_(mu_i) are never formed.
+    """
+    needed = [mu for mu in partitions_of(weight) if all(logs[k - 1] for k in mu)]
+    products: dict[Partition, object] = {}
+
+    def log_product(mu):
+        value = products.get(mu)
+        if value is None:
+            head = logs[mu[0] - 1]
+            value = head if len(mu) == 1 else head * log_product(mu[1:])
+            products[mu] = value
+        return value
+
     total = zero
-    for lam in partitions_of(weight):
-        coeff = poly.coeff(partition_to_monomial(lam, poly.weight_cap))
-        if not coeff:
-            continue
-        num = numbers.get(lam, 0)
-        if num:
-            total = total + coeff * num
-    return total
+    for mu, s in s_numbers(numbers, needed).items():
+        if s:
+            multiplicities = prod(factorial(mu.count(k)) for k in set(mu))
+            total = total + log_product(mu) * Fraction(s, multiplicities)
+    return total * const ** (2 * weight)
 
 
-# -- factor series of the classical genera ------------------------------------
-#
-# Builders return QSeries on the *integer* power grid (key = power of the
-# root variable); the q^(1/2) reading of QSeries keys plays no role here,
-# only the exact ring structure does.
-
-
-def _cosh_series(y_cap: int, half: bool) -> QSeries:
-    trunc = y_cap + 1
-    scale = 4 if half else 1
-    return QSeries(
-        {2 * t: Fraction(1, scale**t * factorial(2 * t)) for t in range(0, trunc // 2 + 1) if 2 * t < trunc},
-        trunc,
-    )
-
-
-def _sinh_over_arg(y_cap: int, half: bool) -> QSeries:
-    # sinh(y)/y, or sinh(y/2)/(y/2) when half is set
-    trunc = y_cap + 1
-    scale = 4 if half else 1
-    return QSeries(
-        {2 * t: Fraction(1, scale**t * factorial(2 * t + 1)) for t in range(0, trunc // 2 + 1) if 2 * t < trunc},
-        trunc,
-    )
-
-
-def ahat_factor(y_cap: int) -> QSeries:
-    """(y/2)/sinh(y/2)."""
-    return 1 / _sinh_over_arg(y_cap, half=True)
-
-
-def signature_factor(y_cap: int) -> QSeries:
-    """y/tanh(y)."""
-    return _cosh_series(y_cap, half=False) / _sinh_over_arg(y_cap, half=False)
-
-
-def lhat_factor(y_cap: int) -> QSeries:
-    """y/tanh(y/2); note the constant term 2."""
-    return 2 * _cosh_series(y_cap, half=True) / _sinh_over_arg(y_cap, half=True)
-
-
-def todd_factor(z_cap: int) -> QSeries:
-    """z/(1 - exp(-z))."""
-    trunc = z_cap + 2
-    em = QSeries({1: -1}, trunc).exp()
-    return (1 / ((1 - em).shift(-1))).truncate(z_cap + 1)
-
-
-def genus_class(kind: GenusKind, weight_cap: int) -> tuple[CharClassPoly, Fraction]:
-    """The multiplicative class of a genus and its per-root constant.
-
-    The genus of a 4m-manifold is const^(2m) times the pairing of the
-    class with the Pontryagin numbers (const is 1 except for the big-L
-    factor, whose constant term 2 is divided out before expanding).
-    """
-    if kind == GenusKind.TODD:
-        return multiplicative_class(todd_factor(weight_cap), "chern", weight_cap), Fraction(1)
-    builders = {
-        GenusKind.AHAT: ahat_factor,
-        GenusKind.LHAT: lhat_factor,
-        GenusKind.SIGNATURE: signature_factor,
-    }
-    factor = builders[kind](2 * weight_cap)
-    const = factor.constant_term()
-    if const != 1:
-        factor = factor / const
-    return multiplicative_class(factor, "pontryagin", weight_cap), const
+# -- genus values --------------------------------------------------------------------
 
 
 def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
@@ -233,8 +185,7 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     if kind == GenusKind.TODD:
         if m.chern_numbers is not None:
             n = m.complex_dim
-            poly, _ = genus_class(kind, n)
-            return paired_value(poly, m.chern_numbers, n, Fraction(0))
+            return pair_logs(m.chern_numbers, n, log_coeffs(kind, n), Fraction(0))
         return _asserted(m, kind)
 
     if m.real_dim % 4:
@@ -247,9 +198,8 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     except InsufficientData:
         return _asserted(m, kind)
     mm = m.real_dim // 4
-    poly, const = genus_class(kind, mm)
-    value = paired_value(poly, numbers, mm, Fraction(0))
-    return value * const ** (2 * mm)
+    const = 2 if kind == GenusKind.LHAT else 1
+    return pair_logs(numbers, mm, log_coeffs(kind, mm), Fraction(0), const)
 
 
 def genus_source(m: ManifoldData, kind: GenusKind) -> str:

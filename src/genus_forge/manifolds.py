@@ -4,8 +4,10 @@ A ManifoldData row stores the top characteristic numbers of a closed
 manifold: Chern numbers indexed by partitions of the complex dimension,
 Pontryagin numbers indexed by partitions of real_dim/4, or, for
 manifolds whose numbers are not available, directly asserted genus
-values.  Number dicts are sparse: a missing partition key means the
-number is zero, while a missing dict (None) means no data of that kind.
+values.  Number mappings are sparse: a missing partition key means the
+number is zero, while a missing mapping (None) means no data of that
+kind.  They are stored read-only (`types.MappingProxyType`), so entries
+shared through a catalog cannot be edited in place.
 
 The partition key for a monomial like p1^2*p2 is the descending tuple
 (2, 1, 1).
@@ -17,7 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .charpoly import CharClassPoly, monomial_to_partition
 from .errors import (
@@ -75,12 +78,12 @@ class ManifoldData:
 
     name: str
     real_dim: int
-    pontryagin_numbers: dict[Partition, int] | None = None
-    chern_numbers: dict[Partition, int] | None = None
+    pontryagin_numbers: Mapping[Partition, int] | None = None
+    chern_numbers: Mapping[Partition, int] | None = None
     complex_dim: int | None = None
     spin: bool = False
     string: bool = False
-    asserted_genera: dict[str, Fraction] | None = None
+    asserted_genera: Mapping[str, Fraction] | None = None
 
     def __post_init__(self):
         if self.real_dim <= 0 or self.real_dim % 2:
@@ -137,6 +140,11 @@ class ManifoldData:
         ):
             raise InsufficientData(f"{self.name}: no characteristic data at all")
 
+        for fld in ("pontryagin_numbers", "chern_numbers", "asserted_genera"):
+            value = getattr(self, fld)
+            if value is not None:
+                object.__setattr__(self, fld, MappingProxyType(value))
+
     # -- data access -------------------------------------------------------
 
     def has_pontryagin(self) -> bool:
@@ -145,7 +153,7 @@ class ManifoldData:
     def has_chern(self) -> bool:
         return self.chern_numbers is not None
 
-    def pontryagin_or_converted(self) -> dict[Partition, int]:
+    def pontryagin_or_converted(self) -> Mapping[Partition, int]:
         """Pontryagin numbers, deriving them from Chern data if needed."""
         if self.pontryagin_numbers is not None:
             return self.pontryagin_numbers
@@ -174,7 +182,7 @@ def _pontryagin_class_polys(n: int) -> list[CharClassPoly]:
     return [prod.weight_part(2 * i) * Fraction((-1) ** i) for i in range(1, n // 2 + 1)]
 
 
-def _pair_with_chern(poly: CharClassPoly, chern: dict[Partition, int], n: int) -> Fraction:
+def _pair_with_chern(poly: CharClassPoly, chern: Mapping[Partition, int], n: int) -> Fraction:
     total = Fraction(0)
     for mono, coeff in poly.weight_part(n).terms.items():
         num = chern.get(monomial_to_partition(mono))
@@ -233,8 +241,8 @@ def chern_to_pontryagin(m: ManifoldData) -> ManifoldData:
 
 
 def _convolve_numbers(
-    a_nums: dict[Partition, int],
-    b_nums: dict[Partition, int],
+    a_nums: Mapping[Partition, int],
+    b_nums: Mapping[Partition, int],
     a_total: int,
     b_total: int,
 ) -> dict[Partition, int]:

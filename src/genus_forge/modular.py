@@ -15,37 +15,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import EllKind, elliptic_genus
+from .elliptic import EllKind, divisor_sum, elliptic_genus
 from .errors import ConvergenceRisk, FitError
 from .manifolds import ManifoldData
 from .qseries import QSeries
 
 
-def _divisor_power_sum(n: int, k: int) -> int:
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-        d += 1
-    return total
-
-
 def eisenstein(kind: str, q_trunc: int) -> QSeries:
-    """E4 or E6 on the integer power grid, exact."""
+    """E4 = 1 + 240 sum sigma_3(n) q^n or E6 = 1 - 504 sum sigma_5(n) q^n, exact."""
     if kind == "E4":
         scale, power = 240, 3
     elif kind == "E6":
         scale, power = -504, 5
     else:
         raise ValueError(f"kind must be 'E4' or 'E6', got {kind!r}")
-    coeffs = {0: Fraction(1)}
-    for n in range(1, (q_trunc - 1) // 2 + 1):
-        coeffs[2 * n] = Fraction(scale * _divisor_power_sum(n, power))
-    return QSeries(coeffs, q_trunc)
+    return 1 + divisor_sum(2, 1, power, q_trunc) * scale
 
 
 @dataclass(frozen=True)

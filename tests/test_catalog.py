@@ -175,3 +175,22 @@ def test_resolve():
     with pytest.raises(UnknownManifold) as err:
         resolve("E8", small)
     assert "E8" in str(err.value)
+
+
+def test_resolved_numbers_are_read_only():
+    catalog = load_default_catalog()
+    for name, field in (("HP2", "pontryagin_numbers"), ("CP3", "chern_numbers"),
+                        ("B8", "asserted_genera")):
+        entry = resolve(name, catalog)
+        numbers = getattr(entry, field)
+        key = next(iter(numbers))
+        before = numbers[key]
+        with pytest.raises(TypeError):
+            numbers[key] = before + 1
+        with pytest.raises(TypeError):
+            del numbers[key]
+        assert getattr(resolve(name, catalog), field)[key] == before
+    # the read-only mappings still serialize, sum and multiply
+    hp2 = resolve("HP2", catalog)
+    assert entry_to_dict(hp2)["pontryagin_numbers"] == {"2": 7, "1,1": 4}
+    assert dumps_catalog(loads_catalog(_packaged_text())) == _packaged_text()

@@ -1,27 +1,25 @@
-"""Theta-quotient factors, elliptic/Witten genus q-expansions, and the
-twisted Dirac index families.
+"""Elliptic/Witten log coefficients, genus q-expansions, and the twisted
+Dirac index families.
 
-The factor identities are checked both ways: the reduced product forms
-against the theta-quotient route, and their q^0 parts against the
-classical one-variable factors.
+The closed-form log coefficients are checked both ways: against the
+logarithms of the theta-quotient products of the test oracle, and their
+q^0 parts against the classical log coefficients.  The oracle's own
+product pieces (CharSeries, the twist-bundle characters) are checked
+here too.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from genus_forge.elliptic import (
-    CharSeries,
     EllKind,
-    ThetaKind,
-    WittenBundle,
-    elliptic_factor,
+    divisor_sum,
     elliptic_genus,
-    theta_ratio,
-    twisted_index,
+    elliptic_logs,
     twisted_index_series,
     twisted_indices,
-    witten_bundle_ch,
 )
 from genus_forge.errors import (
     DimensionError,
@@ -30,46 +28,62 @@ from genus_forge.errors import (
     NonUnitDivisor,
     TruncMismatch,
 )
-from genus_forge.genera import GenusKind, ahat_factor, genus_value, lhat_factor
+from genus_forge.genera import GenusKind, genus_value, log_coeffs
 from genus_forge.manifolds import ManifoldData, hp2, k3, product, torus
 from genus_forge.qseries import QSeries
+from theta_oracle import (
+    CharSeries,
+    ThetaKind,
+    WittenBundle,
+    _graded_log,
+    theta_ratio,
+    witten_bundle_ch,
+)
 
 Y_CAP = 8
 TRUNC = 9
 
 
+def _log_of(factor: CharSeries, weight: int) -> list[QSeries]:
+    """u^k coefficients (u = y^2) of the log of a factor, halved to
+    constant term 1 first."""
+    factor = factor / factor.y_coeff(0).constant_term()
+    logs = _graded_log({n // 2: c for n, c in factor.coeffs.items() if n}, weight)
+    return [logs.get(k, QSeries.zero(factor.q_trunc)) for k in range(1, weight + 1)]
+
+
 def test_factor_equals_theta_route():
+    weight = Y_CAP // 2
+    theta = theta_ratio(ThetaKind.THETA, Y_CAP, TRUNC)
     # Witten: the plain derivative quotient
-    assert elliptic_factor(EllKind.WITTEN, Y_CAP, TRUNC) == theta_ratio(
-        ThetaKind.THETA, Y_CAP, TRUNC
-    )
+    assert elliptic_logs(EllKind.WITTEN, weight, TRUNC) == _log_of(theta, weight)
     # Ell2: derivative quotient times the half-step quotient
-    assert elliptic_factor(EllKind.ELL2, Y_CAP, TRUNC) == theta_ratio(
-        ThetaKind.THETA, Y_CAP, TRUNC
-    ) * theta_ratio(ThetaKind.THETA2, Y_CAP, TRUNC)
+    assert elliptic_logs(EllKind.ELL2, weight, TRUNC) == _log_of(
+        theta * theta_ratio(ThetaKind.THETA2, Y_CAP, TRUNC), weight
+    )
     # Ell1: doubled product of the derivative and cosine quotients
-    assert elliptic_factor(EllKind.ELL1, Y_CAP, TRUNC) == (
-        theta_ratio(ThetaKind.THETA, Y_CAP, TRUNC)
-        * theta_ratio(ThetaKind.THETA1, Y_CAP, TRUNC)
-        * 2
+    assert elliptic_logs(EllKind.ELL1, weight, TRUNC) == _log_of(
+        theta * theta_ratio(ThetaKind.THETA1, Y_CAP, TRUNC) * 2, weight
     )
 
 
 def test_factor_q0_specializations():
-    witten = elliptic_factor(EllKind.WITTEN, Y_CAP, TRUNC)
-    ahat = ahat_factor(Y_CAP)
-    assert all(
-        witten.y_coeff(n).constant_term() == ahat.coeff(n) for n in range(0, Y_CAP + 1, 2)
-    )
-    ell2 = elliptic_factor(EllKind.ELL2, Y_CAP, TRUNC)
-    assert all(
-        ell2.y_coeff(n).constant_term() == ahat.coeff(n) for n in range(0, Y_CAP + 1, 2)
-    )
-    ell1 = elliptic_factor(EllKind.ELL1, Y_CAP, TRUNC)
-    lhat = lhat_factor(Y_CAP)
-    assert all(
-        ell1.y_coeff(n).constant_term() == lhat.coeff(n) for n in range(0, Y_CAP + 1, 2)
-    )
+    weight = Y_CAP // 2
+    ahat = log_coeffs(GenusKind.AHAT, weight)
+    for kind in (EllKind.WITTEN, EllKind.ELL2):
+        logs = elliptic_logs(kind, weight, TRUNC)
+        assert [c.constant_term() for c in logs] == ahat
+    lhat = log_coeffs(GenusKind.LHAT, weight)
+    assert [c.constant_term() for c in elliptic_logs(EllKind.ELL1, weight, TRUNC)] == lhat
+
+
+def test_witten_logs_are_eisenstein():
+    # l_k = 2 G_2k / (2k)!, G_2k = -B_2k/(4k) + sum sigma_(2k-1)(n) q^n
+    for k, log in enumerate(elliptic_logs(EllKind.WITTEN, 4, 13), start=1):
+        for n in range(1, 7):
+            sigma = sum(d ** (2 * k - 1) for d in range(1, n + 1) if n % d == 0)
+            assert log.coeff(2 * n) == Fraction(2 * sigma, factorial(2 * k))
+    assert divisor_sum(1, -1, 1, 7) == QSeries({1: -1, 2: 2, 3: -4, 4: 4, 5: -6, 6: 8}, 7)
 
 
 def test_k3_series_goldens():
@@ -157,22 +171,22 @@ def test_bundle_ch_q0_is_one():
 
 
 def test_twisted_index_goldens():
-    assert twisted_index(k3(), "B", 0) == 2
-    assert twisted_index(k3(), "B", 1) == 48
-    assert twisted_index(k3(), "W", 1) == -48
+    assert twisted_indices(k3(), "B", 0) == [2]
+    assert twisted_indices(k3(), "B", 1) == [2, 48]
+    assert twisted_indices(k3(), "W", 1) == [2, -48]
     assert twisted_indices(k3(), "B", 3) == [2, 48, 48, 192]
     assert twisted_indices(k3(), "W", 2) == [2, -48, -144]
 
 
 def test_twisted_index_validation():
     with pytest.raises(ValueError):
-        twisted_index(k3(), "X", 0)
+        twisted_indices(k3(), "X", 0)
     with pytest.raises(ValueError):
-        twisted_index(k3(), "B", -1)
+        twisted_indices(k3(), "B", -1)
     with pytest.raises(ValueError):
         twisted_indices(k3(), "B", -2)
     with pytest.raises(TruncMismatch):
-        twisted_index(k3(), "W", 3, q_trunc=6)
+        twisted_indices(k3(), "W", 3, q_trunc=6)
     with pytest.raises(TruncMismatch):
         twisted_indices(k3(), "B", 5, q_trunc=5)
 
@@ -181,8 +195,8 @@ def test_non_integral_index_warns():
     fake = ManifoldData(name="fake-spin", real_dim=4, spin=True,
                         pontryagin_numbers={(1,): -47})
     with pytest.warns(NonIntegralIndexWarning):
-        value = twisted_index(fake, "W", 0)
-    assert value == Fraction(47, 24)
+        values = twisted_indices(fake, "W", 0)
+    assert values == [Fraction(47, 24)]
     with pytest.warns(NonIntegralIndexWarning):
         twisted_indices(fake, "B", 1)
 
@@ -211,7 +225,7 @@ def test_dimension_and_data_requirements():
     with pytest.raises(InsufficientData):
         elliptic_genus(asserted_only, EllKind.WITTEN, 5)
     with pytest.raises(InsufficientData):
-        twisted_index(asserted_only, "B", 1)
+        twisted_indices(asserted_only, "B", 1)
 
 
 def test_char_series_contracts():

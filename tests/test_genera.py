@@ -1,5 +1,6 @@
-"""Multiplicative classes against an explicit-root expansion oracle, class
-polynomial goldens, and rational genus values."""
+"""The Newton-route oracle against an explicit-root expansion, class
+polynomial goldens read through genus_value, the closed-form log
+coefficients, and rational genus values."""
 
 import itertools
 from fractions import Fraction
@@ -8,19 +9,23 @@ import pytest
 
 from genus_forge.errors import DimensionError, InsufficientData, NonUnitLog, ParityError
 from genus_forge.genera import (
-    ahat_factor,
-    genus_class,
     genus_source,
     genus_value,
     hypersurface_todd,
-    lhat_factor,
-    multiplicative_class,
-    paired_value,
-    signature_factor,
-    todd_factor,
+    log_coeffs,
+    pair_logs,
+    s_numbers,
 )
 from genus_forge.manifolds import GenusKind, ManifoldData, cp, hp2, k3
 from genus_forge.qseries import QSeries
+from theta_oracle import (
+    _graded_log,
+    ahat_factor,
+    lhat_factor,
+    multiplicative_class,
+    signature_factor,
+    todd_factor,
+)
 
 # -- explicit-root oracle -------------------------------------------------------
 #
@@ -143,40 +148,48 @@ def test_factor_validation():
 
 
 # -- class polynomial goldens ----------------------------------------------------
+#
+# The genus of numbers {lambda: 1} is the coefficient of p_lambda (or
+# c_lambda) in the class of the genus.
+
+
+def _pontryagin_coeff(kind, partition):
+    weight = sum(partition)
+    unit = ManifoldData(name="unit", real_dim=4 * weight, pontryagin_numbers={partition: 1})
+    return genus_value(unit, kind)
+
+
+def _chern_coeff(partition):
+    n = sum(partition)
+    unit = ManifoldData(name="unit", real_dim=2 * n, chern_numbers={partition: 1})
+    return genus_value(unit, GenusKind.TODD)
 
 
 def test_ahat_class_weight_two():
-    poly, const = genus_class(GenusKind.AHAT, 2)
-    assert const == 1
-    assert poly.coeff(()) == 1
-    assert poly.coeff((1,)) == Fraction(-1, 24)
-    assert poly.coeff((2, 0)) == Fraction(7, 5760)
-    assert poly.coeff((0, 1)) == Fraction(-4, 5760)
+    assert _pontryagin_coeff(GenusKind.AHAT, (1,)) == Fraction(-1, 24)
+    assert _pontryagin_coeff(GenusKind.AHAT, (1, 1)) == Fraction(7, 5760)
+    assert _pontryagin_coeff(GenusKind.AHAT, (2,)) == Fraction(-4, 5760)
 
 
 def test_signature_class_weight_two():
-    poly, const = genus_class(GenusKind.SIGNATURE, 2)
-    assert const == 1
-    assert poly.coeff((1,)) == Fraction(1, 3)
-    assert poly.coeff((0, 1)) == Fraction(7, 45)
-    assert poly.coeff((2, 0)) == Fraction(-1, 45)
+    assert _pontryagin_coeff(GenusKind.SIGNATURE, (1,)) == Fraction(1, 3)
+    assert _pontryagin_coeff(GenusKind.SIGNATURE, (2,)) == Fraction(7, 45)
+    assert _pontryagin_coeff(GenusKind.SIGNATURE, (1, 1)) == Fraction(-1, 45)
 
 
 def test_todd_class_weights():
-    poly, const = genus_class(GenusKind.TODD, 3)
-    assert const == 1
-    assert poly.coeff((1, 0, 0)) == Fraction(1, 2)
-    assert poly.coeff((2, 0, 0)) == Fraction(1, 12)
-    assert poly.coeff((0, 1, 0)) == Fraction(1, 12)
-    assert poly.coeff((1, 1, 0)) == Fraction(1, 24)
-    assert poly.coeff((3, 0, 0)) == 0
+    assert _chern_coeff((1,)) == Fraction(1, 2)
+    assert _chern_coeff((1, 1)) == Fraction(1, 12)
+    assert _chern_coeff((2,)) == Fraction(1, 12)
+    assert _chern_coeff((2, 1)) == Fraction(1, 24)
+    assert _chern_coeff((1, 1, 1)) == 0
 
 
 def test_lhat_factor_constant_two():
-    factor = lhat_factor(6)
-    assert factor.coeff(0) == 2
-    _, const = genus_class(GenusKind.LHAT, 2)
-    assert const == 2
+    assert lhat_factor(6).coeff(0) == 2
+    # logs are of the halved factor; the genus restores 2 per root
+    assert log_coeffs(GenusKind.LHAT, 1) == [Fraction(1, 12)]
+    assert _pontryagin_coeff(GenusKind.LHAT, (1,)) == 4 * Fraction(1, 12)
 
 
 def test_todd_factor_leading_terms():
@@ -185,6 +198,29 @@ def test_todd_factor_leading_terms():
     assert factor.coeff(1) == Fraction(1, 2)
     assert factor.coeff(2) == Fraction(1, 12)
     assert factor.coeff(3) == 0
+    assert log_coeffs(GenusKind.TODD, 4) == [
+        Fraction(1, 2), Fraction(-1, 24), 0, Fraction(1, 2880)
+    ]
+
+
+@pytest.mark.parametrize("kind, factor", [
+    (GenusKind.AHAT, ahat_factor),
+    (GenusKind.SIGNATURE, signature_factor),
+    (GenusKind.LHAT, lhat_factor),
+])
+def test_log_coeffs_match_factor_logs(kind, factor):
+    weight = 8
+    series = factor(2 * weight)
+    series = series / series.coeff(0)
+    logs = _graded_log({n // 2: c for n, c in series.coeffs.items() if n}, weight)
+    assert log_coeffs(kind, weight) == [logs.get(k, 0) for k in range(1, weight + 1)]
+
+
+def test_todd_log_coeffs_match_factor_log():
+    weight = 9
+    series = todd_factor(weight)
+    logs = _graded_log({n: c for n, c in series.coeffs.items() if n}, weight)
+    assert log_coeffs(GenusKind.TODD, weight) == [logs.get(k, 0) for k in range(1, weight + 1)]
 
 
 # -- genus values ------------------------------------------------------------------
@@ -211,9 +247,11 @@ def test_lhat_equals_signature():
 
 
 def test_paired_value_spot_check():
-    poly, _ = genus_class(GenusKind.AHAT, 1)
-    value = paired_value(poly, {(1,): -48}, 1, Fraction(0))
-    assert value == 2
+    # s_(1) = p1; s_(2) = p1^2 - 2 p2 and s_(1,1) = p1^2 on HP2
+    assert s_numbers({(1,): -48}, [(1,)]) == {(1,): -48}
+    assert s_numbers(hp2().pontryagin_numbers, [(2,), (1, 1)]) == {(2,): -10, (1, 1): 4}
+    ahat = log_coeffs(GenusKind.AHAT, 1)
+    assert pair_logs({(1,): -48}, 1, ahat, Fraction(0)) == 2
 
 
 def test_genus_source_and_asserted_fallback():

@@ -1,0 +1,625 @@
+"""The product route to every genus, kept as an independent test oracle.
+
+Per-root factors are built as products: Jacobi theta quotients from
+their triple products (`theta_ratio`), the q-graded twist bundles from
+(1 -+ t e^y)(1 -+ t e^-y) pairs (`witten_bundle_ch`), and the classical
+factors as quotients of cosh and sinh series.  A factor is expanded by
+log, Newton power sums and a graded exponential into a class polynomial
+(`multiplicative_class`), which is then paired with the characteristic
+numbers.  None of this goes through the package's closed-form log
+coefficients or power-sum numbers: the oracle shares only QSeries,
+CharClassPoly and partitions_of with the package, and has its own copy
+of the Newton power sums.
+
+The top-level helpers at the end (`genus_value`, `elliptic_genus`,
+`twisted_index_series`) mirror the package functions of the same names
+and return plain values: a Fraction, or the QSeries.
+"""
+
+from __future__ import annotations
+
+from enum import Enum
+from fractions import Fraction
+from math import factorial
+from typing import Mapping
+
+from genus_forge.charpoly import CharClassPoly, partition_to_monomial
+from genus_forge.errors import NonUnitDivisor, NonUnitLog, ParityError, TruncMismatch
+from genus_forge.manifolds import GenusKind, ManifoldData, partitions_of
+from genus_forge.qseries import QSeries, Scalar
+
+DEFAULT_Q_TRUNC = 49
+
+_LABELS = {"pontryagin": "p", "chern": "c"}
+
+
+class ThetaKind(str, Enum):
+    THETA = "theta"
+    THETA1 = "theta1"
+    THETA2 = "theta2"
+
+
+class WittenBundle(str, Enum):
+    """The three q-graded tangent-twist bundles.
+
+    SYM:      tensor over m >= 1 of S_{q^m} of the reduced tangent bundle
+    EXT:      tensor over m >= 1 of Lambda_{q^m} of it
+    EXT_HALF: tensor over m >= 1 of Lambda_{-q^(m-1/2)} of it
+    """
+
+    SYM = "sym"
+    EXT = "ext"
+    EXT_HALF = "ext_half"
+
+
+class CharSeries:
+    """Even truncated series in y with QSeries coefficients."""
+
+    __slots__ = ("coeffs", "y_cap", "q_trunc")
+
+    def __init__(self, coeffs: dict[int, QSeries], y_cap: int, q_trunc: int):
+        if y_cap < 0:
+            raise ValueError("y_cap must be nonnegative")
+        clean: dict[int, QSeries] = {}
+        for n, c in coeffs.items():
+            if n % 2:
+                raise ValueError(f"odd power y^{n} in an even series")
+            if n > y_cap:
+                continue
+            if not isinstance(c, QSeries):
+                raise TypeError("coefficients must be QSeries")
+            if c.trunc != q_trunc:
+                raise TruncMismatch(
+                    f"coefficient truncation {c.trunc} != series q_trunc {q_trunc}"
+                )
+            if c:
+                clean[n] = c
+        self.coeffs = clean
+        self.y_cap = y_cap
+        self.q_trunc = q_trunc
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def one(cls, y_cap: int, q_trunc: int) -> "CharSeries":
+        return cls({0: QSeries.one(q_trunc)}, y_cap, q_trunc)
+
+    @classmethod
+    def const(cls, c: QSeries | Scalar, y_cap: int, q_trunc: int) -> "CharSeries":
+        if not isinstance(c, QSeries):
+            c = QSeries.constant(c, q_trunc)
+        return cls({0: c}, y_cap, q_trunc)
+
+    @classmethod
+    def from_rational_even(
+        cls, coeffs: dict[int, Fraction], y_cap: int, q_trunc: int
+    ) -> "CharSeries":
+        return cls(
+            {n: QSeries.constant(c, q_trunc) for n, c in coeffs.items()},
+            y_cap,
+            q_trunc,
+        )
+
+    # -- inspection ----------------------------------------------------------
+
+    def y_coeff(self, n: int) -> QSeries:
+        return self.coeffs.get(n, QSeries.zero(self.q_trunc))
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CharSeries):
+            return NotImplemented
+        return (
+            self.y_cap == other.y_cap
+            and self.q_trunc == other.q_trunc
+            and self.coeffs == other.coeffs
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(
+            f"({c})*y^{n}" if n else f"({c})" for n, c in sorted(self.coeffs.items())
+        )
+
+    def _check(self, other: "CharSeries") -> None:
+        if self.y_cap != other.y_cap or self.q_trunc != other.q_trunc:
+            raise TruncMismatch("CharSeries truncation parameters differ")
+
+    # -- arithmetic --------------------------------------------------------------
+
+    def __add__(self, other) -> "CharSeries":
+        if isinstance(other, (int, Fraction, QSeries)):
+            other = CharSeries.const(other, self.y_cap, self.q_trunc)
+        if not isinstance(other, CharSeries):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.coeffs)
+        for n, c in other.coeffs.items():
+            s = out.get(n)
+            s = c if s is None else s + c
+            if s:
+                out[n] = s
+            else:
+                out.pop(n, None)
+        return CharSeries(out, self.y_cap, self.q_trunc)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "CharSeries":
+        return CharSeries({n: -c for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc)
+
+    def __sub__(self, other) -> "CharSeries":
+        if isinstance(other, (int, Fraction, QSeries)):
+            other = CharSeries.const(other, self.y_cap, self.q_trunc)
+        if not isinstance(other, CharSeries):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "CharSeries":
+        return (-self) + other
+
+    def __mul__(self, other) -> "CharSeries":
+        if isinstance(other, (int, Fraction, QSeries)):
+            if not other:
+                return CharSeries({}, self.y_cap, self.q_trunc)
+            return CharSeries(
+                {n: c * other for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc
+            )
+        if not isinstance(other, CharSeries):
+            return NotImplemented
+        self._check(other)
+        out: dict[int, QSeries] = {}
+        for n, a in self.coeffs.items():
+            for m, b in other.coeffs.items():
+                k = n + m
+                if k > self.y_cap:
+                    continue
+                prod = a * b
+                prev = out.get(k)
+                s = prod if prev is None else prev + prod
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return CharSeries(out, self.y_cap, self.q_trunc)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "CharSeries":
+        if isinstance(other, (int, Fraction, QSeries)):
+            return CharSeries(
+                {n: c / other for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc
+            )
+        if not isinstance(other, CharSeries):
+            return NotImplemented
+        self._check(other)
+        b0 = other.coeffs.get(0)
+        if b0 is None or not b0.constant_term():
+            raise NonUnitDivisor("CharSeries divisor is not a unit at (y^0, q^0)")
+        out: dict[int, QSeries] = {}
+        for n in range(0, self.y_cap + 1, 2):
+            acc = self.coeffs.get(n)
+            for m in range(2, n + 1, 2):
+                b = other.coeffs.get(m)
+                c = out.get(n - m)
+                if b is None or c is None:
+                    continue
+                term = b * c
+                acc = -term if acc is None else acc - term
+            if acc is not None and acc:
+                out[n] = acc / b0
+        return CharSeries(out, self.y_cap, self.q_trunc)
+
+    def __rtruediv__(self, other) -> "CharSeries":
+        if isinstance(other, (int, Fraction, QSeries)):
+            return CharSeries.const(other, self.y_cap, self.q_trunc) / self
+        return NotImplemented
+
+
+# -- per-root series pieces -----------------------------------------------------
+
+
+def _cosh_char(y_cap: int, q_trunc: int, half: bool) -> CharSeries:
+    scale = 4 if half else 1
+    return CharSeries.from_rational_even(
+        {
+            2 * t: Fraction(1, scale**t * factorial(2 * t))
+            for t in range(y_cap // 2 + 1)
+        },
+        y_cap,
+        q_trunc,
+    )
+
+
+def _sinh_half_over_arg(y_cap: int, q_trunc: int) -> CharSeries:
+    # sinh(y/2)/(y/2)
+    return CharSeries.from_rational_even(
+        {
+            2 * t: Fraction(1, 4**t * factorial(2 * t + 1))
+            for t in range(y_cap // 2 + 1)
+        },
+        y_cap,
+        q_trunc,
+    )
+
+
+def _pair_product(t: QSeries, y_cap: int, plus: bool) -> CharSeries:
+    """(1 -+ t e^y)(1 -+ t e^{-y}) = 1 -+ 2 t cosh(y) + t^2, which is even."""
+    sign = 1 if plus else -1
+    q_trunc = t.trunc
+    two_t = t * 2
+    coeffs: dict[int, QSeries] = {0: QSeries.one(q_trunc) + two_t * sign + t * t}
+    for r in range(1, y_cap // 2 + 1):
+        coeffs[2 * r] = two_t * Fraction(sign, factorial(2 * r))
+    return CharSeries(coeffs, y_cap, q_trunc)
+
+
+def _qpow(j2: int, q_trunc: int) -> QSeries | None:
+    """q^(j2/2) as a QSeries, or None when it falls past the truncation."""
+    if j2 >= q_trunc:
+        return None
+    return QSeries.q_power(j2, q_trunc)
+
+
+def theta_ratio(kind: ThetaKind, y_cap: int, q_trunc: int) -> CharSeries:
+    """One theta quotient as an even y-series with exact q-coefficients.
+
+    theta:  y theta'(0, tau) / theta(x, tau)   (y-rescaled derivative)
+    theta1: theta_1(x, tau) / theta_1(0, tau)
+    theta2: theta_2(x, tau) / theta_2(0, tau)
+
+    Each is computed from the triple-product form directly, truncating
+    the product over j once q^j (or q^(j-1/2)) leaves the window.
+    """
+    kind = ThetaKind(kind)
+    one_q = QSeries.one(q_trunc)
+
+    if kind == ThetaKind.THETA:
+        # y theta'(0)/theta(x): prefactors and the i from sin(pi x) cancel,
+        # leaving prod (1-q^j)^3 over sinh(y/2)/(y/2) * prod (1-q^j)(1 - 2 q^j cosh y + q^{2j})
+        num_q = one_q
+        den = _sinh_half_over_arg(y_cap, q_trunc)
+        j = 1
+        while True:
+            t = _qpow(2 * j, q_trunc)
+            if t is None:
+                break
+            one_minus = one_q - t
+            num_q = num_q * one_minus**3
+            den = den * (CharSeries.const(one_minus, y_cap, q_trunc)
+                         * _pair_product(t, y_cap, plus=False))
+            j += 1
+        return CharSeries.const(num_q, y_cap, q_trunc) / den
+
+    if kind == ThetaKind.THETA1:
+        num = _cosh_char(y_cap, q_trunc, half=True)
+        den_q = one_q
+        j = 1
+        while True:
+            t = _qpow(2 * j, q_trunc)
+            if t is None:
+                break
+            one_minus = one_q - t
+            num = num * (CharSeries.const(one_minus, y_cap, q_trunc)
+                         * _pair_product(t, y_cap, plus=True))
+            den_q = den_q * (one_minus * (one_q + t) ** 2)
+            j += 1
+        return num / CharSeries.const(den_q, y_cap, q_trunc)
+
+    # theta2: half-integer steps
+    num = CharSeries.one(y_cap, q_trunc)
+    den_q = one_q
+    j = 1
+    while True:
+        th = _qpow(2 * j - 1, q_trunc)  # q^(j - 1/2)
+        if th is None:
+            break
+        t_int = _qpow(2 * j, q_trunc)
+        one_minus_int = one_q - t_int if t_int is not None else one_q
+        num = num * (CharSeries.const(one_minus_int, y_cap, q_trunc)
+                     * _pair_product(th, y_cap, plus=False))
+        den_q = den_q * (one_minus_int * (one_q - th) ** 2)
+        j += 1
+    return num / CharSeries.const(den_q, y_cap, q_trunc)
+
+# -- Witten bundles -------------------------------------------------------------------
+
+
+def _bundle_factor(kind: WittenBundle, y_cap: int, q_trunc: int) -> CharSeries:
+    one_q = QSeries.one(q_trunc)
+    kind = WittenBundle(kind)
+    num = CharSeries.one(y_cap, q_trunc)
+    den = CharSeries.one(y_cap, q_trunc)
+    num_q = one_q
+    den_q = one_q
+    j = 1
+    while True:
+        if kind == WittenBundle.EXT_HALF:
+            t = _qpow(2 * j - 1, q_trunc)
+            if t is None:
+                break
+            t = -t
+            num = num * _pair_product(t, y_cap, plus=True)
+            den_q = den_q * (one_q + t) ** 2
+        else:
+            t = _qpow(2 * j, q_trunc)
+            if t is None:
+                break
+            if kind == WittenBundle.SYM:
+                num_q = num_q * (one_q - t) ** 2
+                den = den * _pair_product(t, y_cap, plus=False)
+            else:
+                num = num * _pair_product(t, y_cap, plus=True)
+                den_q = den_q * (one_q + t) ** 2
+        j += 1
+    return (num * num_q) / (den * den_q)
+
+
+def witten_bundle_ch(
+    kind: WittenBundle, weight_cap: int, q_trunc: int = DEFAULT_Q_TRUNC
+) -> CharClassPoly:
+    """Chern character of one q-graded twist bundle, in Pontryagin classes.
+
+    The reduction by the trivial bundle of matching rank is folded in per
+    root pair, so the q^0 term is 1 and every coefficient has weight-0
+    part zero.
+    """
+    factor = _bundle_factor(kind, 2 * weight_cap, q_trunc)
+    return multiplicative_class(factor, "pontryagin", weight_cap)
+
+
+def _lift_to_qseries(poly: CharClassPoly, q_trunc: int) -> CharClassPoly:
+    return CharClassPoly(
+        poly.label,
+        poly.weight_cap,
+        {m: QSeries.constant(c, q_trunc) for m, c in poly.terms.items()},
+    )
+
+
+# -- Newton route: log, power sums, graded exponential -------------------------------
+
+
+def _series_coeffs(factor) -> Mapping[int, object]:
+    coeffs = getattr(factor, "coeffs", factor)
+    if not isinstance(coeffs, Mapping):
+        raise TypeError("factor must be a series object or a power->coeff mapping")
+    return coeffs
+
+
+def _graded_log(coeffs: Mapping[int, object], cap: int) -> dict[int, object]:
+    """log of 1 + sum a_n u^n through u^cap, over any exact coefficient ring.
+
+    l_n = a_n - (1/n) sum_{k<n} k l_k a_{n-k}; only scalar rational
+    multiplications are needed, so QSeries coefficients work unchanged.
+    """
+    out: dict[int, object] = {}
+    for n in range(1, cap + 1):
+        acc = coeffs.get(n)
+        corr = None
+        for k, lk in out.items():
+            ank = coeffs.get(n - k)
+            if ank is None or not ank:
+                continue
+            term = (lk * ank) * k
+            corr = term if corr is None else corr + term
+        if corr is not None:
+            corr = corr * Fraction(1, n)
+            acc = -corr if acc is None else acc - corr
+        if acc is not None and acc:
+            out[n] = acc
+    return out
+
+
+def _power_sums(label: str, cap: int, n_roots: int, one) -> list[CharClassPoly]:
+    """Power sums P_1..P_cap in the generators via the Newton identities.
+
+    e_i vanishes for i > n_roots; with n_roots >= cap every e_i through
+    the cap survives and the result is root-count independent.
+    """
+    e = [None] * (cap + 1)
+    for i in range(1, cap + 1):
+        if i <= n_roots:
+            e[i] = CharClassPoly.generator(label, cap, i, one)
+    zero = CharClassPoly.zero(label, cap)
+    p: list[CharClassPoly] = [zero]
+    for k in range(1, cap + 1):
+        acc = e[k].scale(Fraction((-1) ** (k - 1) * k)) if e[k] is not None else zero
+        for i in range(1, k):
+            if e[i] is None:
+                continue
+            term = e[i] * p[k - i]
+            acc = acc + term.scale(Fraction((-1) ** (i - 1)))
+        p.append(acc)
+    return p
+
+
+def multiplicative_class(
+    factor,
+    kind: str,
+    weight_cap: int,
+    n_roots: int | None = None,
+) -> CharClassPoly:
+    """prod over roots of Q(root), expanded in Pontryagin or Chern classes.
+
+    `factor` is a one-variable series with constant term 1: a QSeries on
+    the integer power grid, a CharSeries, or a plain power->coefficient
+    mapping.  For the Pontryagin kind the factor must be even in its
+    variable, and powers are halved so u = y^2 carries weight 1.
+    """
+    if kind not in _LABELS:
+        raise ValueError(f"kind must be one of {sorted(_LABELS)}, got {kind!r}")
+    coeffs = _series_coeffs(factor)
+    c0 = coeffs.get(0)
+    if c0 is None or c0 != 1:
+        raise NonUnitLog("factor series must have constant term 1")
+    if kind == "pontryagin":
+        if any(n % 2 for n, c in coeffs.items() if c):
+            raise ParityError("Pontryagin-type factor must be even in its variable")
+        u_coeffs = {n // 2: c for n, c in coeffs.items() if n > 0 and c}
+    else:
+        u_coeffs = {n: c for n, c in coeffs.items() if n > 0 and c}
+
+    if n_roots is None:
+        n_roots = 2 * weight_cap
+    if n_roots < 1:
+        raise ValueError("n_roots must be positive")
+
+    label = _LABELS[kind]
+    if weight_cap == 0:
+        return CharClassPoly.constant(label, 0, c0)
+
+    logs = _graded_log(u_coeffs, weight_cap)
+    psums = _power_sums(label, weight_cap, n_roots, c0)
+
+    total = CharClassPoly.zero(label, weight_cap)
+    for k, lk in logs.items():
+        total = total + psums[k].scale(lk)
+
+    result = CharClassPoly.constant(label, weight_cap, c0)
+    term = result
+    for j in range(1, weight_cap + 1):
+        term = term * total
+        if not term:
+            break
+        result = result + term.scale(Fraction(1, factorial(j)))
+    return result
+
+
+def paired_value(poly: CharClassPoly, numbers: Mapping, weight: int, zero):
+    """Pair the weight-`weight` part of a class with characteristic numbers."""
+    total = zero
+    for lam in partitions_of(weight):
+        coeff = poly.coeff(partition_to_monomial(lam, poly.weight_cap))
+        if not coeff:
+            continue
+        num = numbers.get(lam, 0)
+        if num:
+            total = total + coeff * num
+    return total
+
+
+# -- factor series of the classical genera ------------------------------------
+#
+# Builders return QSeries on the *integer* power grid (key = power of the
+# root variable); the q^(1/2) reading of QSeries keys plays no role here,
+# only the exact ring structure does.
+
+
+def _cosh_series(y_cap: int, half: bool) -> QSeries:
+    trunc = y_cap + 1
+    scale = 4 if half else 1
+    return QSeries(
+        {2 * t: Fraction(1, scale**t * factorial(2 * t)) for t in range(0, trunc // 2 + 1) if 2 * t < trunc},
+        trunc,
+    )
+
+
+def _sinh_over_arg(y_cap: int, half: bool) -> QSeries:
+    # sinh(y)/y, or sinh(y/2)/(y/2) when half is set
+    trunc = y_cap + 1
+    scale = 4 if half else 1
+    return QSeries(
+        {2 * t: Fraction(1, scale**t * factorial(2 * t + 1)) for t in range(0, trunc // 2 + 1) if 2 * t < trunc},
+        trunc,
+    )
+
+
+def ahat_factor(y_cap: int) -> QSeries:
+    """(y/2)/sinh(y/2)."""
+    return 1 / _sinh_over_arg(y_cap, half=True)
+
+
+def signature_factor(y_cap: int) -> QSeries:
+    """y/tanh(y)."""
+    return _cosh_series(y_cap, half=False) / _sinh_over_arg(y_cap, half=False)
+
+
+def lhat_factor(y_cap: int) -> QSeries:
+    """y/tanh(y/2); note the constant term 2."""
+    return 2 * _cosh_series(y_cap, half=True) / _sinh_over_arg(y_cap, half=True)
+
+
+def todd_factor(z_cap: int) -> QSeries:
+    """z/(1 - exp(-z))."""
+    trunc = z_cap + 2
+    em = QSeries({1: -1}, trunc).exp()
+    return (1 / ((1 - em).shift(-1))).truncate(z_cap + 1)
+
+
+def genus_class(kind: GenusKind, weight_cap: int) -> tuple[CharClassPoly, Fraction]:
+    """The multiplicative class of a genus and its per-root constant.
+
+    The genus of a 4m-manifold is const^(2m) times the pairing of the
+    class with the Pontryagin numbers (const is 1 except for the big-L
+    factor, whose constant term 2 is divided out before expanding).
+    """
+    if kind == GenusKind.TODD:
+        return multiplicative_class(todd_factor(weight_cap), "chern", weight_cap), Fraction(1)
+    builders = {
+        GenusKind.AHAT: ahat_factor,
+        GenusKind.LHAT: lhat_factor,
+        GenusKind.SIGNATURE: signature_factor,
+    }
+    factor = builders[kind](2 * weight_cap)
+    const = factor.constant_term()
+    if const != 1:
+        factor = factor / const
+    return multiplicative_class(factor, "pontryagin", weight_cap), const
+
+
+# -- genera of manifolds -----------------------------------------------------------
+
+
+def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
+    """A classical genus by the Newton-route class and its pairing."""
+    kind = GenusKind(kind)
+    if kind == GenusKind.TODD:
+        poly, _ = genus_class(kind, m.complex_dim)
+        return paired_value(poly, m.chern_numbers, m.complex_dim, Fraction(0))
+    mm = m.real_dim // 4
+    poly, const = genus_class(kind, mm)
+    value = paired_value(poly, m.pontryagin_or_converted(), mm, Fraction(0))
+    return value * const ** (2 * mm)
+
+
+def _pontryagin_series(m: ManifoldData, factor: CharSeries, q_trunc: int) -> QSeries:
+    mm = m.real_dim // 4
+    const = factor.y_coeff(0).constant_term()
+    poly = multiplicative_class(factor / const, "pontryagin", mm)
+    series = paired_value(poly, m.pontryagin_or_converted(), mm, QSeries.zero(q_trunc))
+    return series * const ** (2 * mm)
+
+
+def elliptic_genus(m: ManifoldData, kind: str, q_trunc: int) -> QSeries:
+    """Ell1, Ell2 or Witten from theta quotients: Witten is the derivative
+    quotient, Ell2 that times the half-step quotient, Ell1 twice the
+    derivative quotient times the cosine quotient."""
+    y_cap = m.real_dim // 2
+    factor = theta_ratio(ThetaKind.THETA, y_cap, q_trunc)
+    if kind == "ell2":
+        factor = factor * theta_ratio(ThetaKind.THETA2, y_cap, q_trunc)
+    elif kind == "ell1":
+        factor = factor * theta_ratio(ThetaKind.THETA1, y_cap, q_trunc) * 2
+    elif kind != "witten":
+        raise ValueError(f"unknown elliptic genus {kind!r}")
+    return _pontryagin_series(m, factor, q_trunc)
+
+
+def twisted_index_series(m: ManifoldData, family: str, q_trunc: int) -> QSeries:
+    """Ahat * ch(SYM) for family W, Ahat * ch(SYM) * ch(EXT_HALF) for B,
+    paired with the Pontryagin numbers."""
+    mm = m.real_dim // 4
+    ahat = _lift_to_qseries(
+        multiplicative_class(ahat_factor(2 * mm), "pontryagin", mm), q_trunc
+    )
+    ch = witten_bundle_ch(WittenBundle.SYM, mm, q_trunc)
+    if family == "B":
+        ch = ch * witten_bundle_ch(WittenBundle.EXT_HALF, mm, q_trunc)
+    elif family != "W":
+        raise ValueError(f"family must be 'B' or 'W', got {family!r}")
+    return paired_value(ahat * ch, m.pontryagin_or_converted(), mm, QSeries.zero(q_trunc))
