@@ -4,41 +4,50 @@ bounds, and covering-space simulations over a manifold catalog.
 
 The package exports the entry points the README and the CLI use; every
 other function lives in its module (`genus_forge.genera`,
-`genus_forge.elliptic`, ...).
+`genus_forge.elliptic`, ...).  Only the error classes are imported with
+the package.  Every other exported name imports its module on first use
+(PEP 562) and is then cached here, so `genus_forge.resolve` costs one
+import the first time and a plain attribute read afterwards.
 """
 
-from .bounds import BoundParams, c_of_b, index_bound_report
-from .catalog import entry_to_dict, load_default_catalog, resolve
-from .covering import cover_diameter, l2_betti_ratio, tower
-from .elliptic import EllKind, elliptic_genus, twisted_indices
+from importlib import import_module
+
 from .errors import DataError, GenusForgeError, NumericalError, TooLarge
-from .genera import genus_source, genus_value
-from .manifolds import GenusKind
-from .modular import modular_relation_check, witten_fit
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BoundParams",
-    "DataError",
-    "EllKind",
-    "GenusForgeError",
-    "GenusKind",
-    "NumericalError",
-    "TooLarge",
-    "c_of_b",
-    "cover_diameter",
-    "elliptic_genus",
-    "entry_to_dict",
-    "genus_source",
-    "genus_value",
-    "index_bound_report",
-    "l2_betti_ratio",
-    "load_default_catalog",
-    "modular_relation_check",
-    "resolve",
-    "tower",
-    "twisted_indices",
-    "witten_fit",
-]
+# exported name -> the module that defines it
+_LAZY = {
+    "BoundParams": "bounds",
+    "c_of_b": "bounds",
+    "index_bound_report": "bounds",
+    "entry_to_dict": "catalog",
+    "load_default_catalog": "catalog",
+    "resolve": "catalog",
+    "cover_diameter": "covering",
+    "l2_betti_ratio": "covering",
+    "tower": "covering",
+    "EllKind": "elliptic",
+    "elliptic_genus": "elliptic",
+    "twisted_indices": "elliptic",
+    "genus_source": "genera",
+    "genus_value": "genera",
+    "GenusKind": "manifolds",
+    "modular_relation_check": "modular",
+    "witten_fit": "modular",
+}
+
+__all__ = ["__version__", "DataError", "GenusForgeError", "NumericalError", "TooLarge", *_LAZY]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

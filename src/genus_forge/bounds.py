@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, ExponentDomainError, RootNotBracketed
 
@@ -159,8 +158,9 @@ _LOG_MAX = math.log(sys.float_info.max)
 def _sin_power_integral(m):
     # Wallis: int_0^pi sin^n = (n-1)!!/n!! times 2 for odd n, pi for even n
     n = m - 1
-    ratio = Fraction(math.prod(range(n - 1, 0, -2)), math.prod(range(n, 0, -2)))
-    return float(ratio) * (2.0 if n % 2 else math.pi)
+    # int / int rounds the exact ratio correctly, however large the products
+    ratio = math.prod(range(n - 1, 0, -2)) / math.prod(range(n, 0, -2))
+    return ratio * (2.0 if n % 2 else math.pi)
 
 
 def _lhs_polynomial(m, b):

@@ -9,21 +9,20 @@ line).
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import sys
-from fractions import Fraction
 
 import click
 
-from .bounds import BoundParams, c_of_b, index_bound_report
-from .catalog import entry_to_dict, load_default_catalog, resolve
-from .covering import cover_diameter, l2_betti_ratio, tower
-from .elliptic import EllKind, elliptic_genus, twisted_indices
 from .errors import DataError, NumericalError, TooLarge
-from .genera import genus_source, genus_value
-from .manifolds import GenusKind
-from .modular import modular_relation_check, witten_fit
+
+# Each command imports the modules it runs inside its body, so a process
+# loads only what its command needs: `cover tower` never loads the genus
+# engine, and `bound cb` never loads the catalog.
+
+# The values of manifolds.GenusKind and elliptic.EllKind, in their order,
+# spelled out so that declaring the options imports neither module.
+GENUS_CHOICES = ("todd", "ahat", "lhat", "signature")
+ELL_CHOICES = ("ell1", "ell2", "witten")
 
 DEFAULT_ORDER = 24  # q-series commands keep coefficients through q^24
 # Largest --order, and largest `indices --max` (W_k sits at q^k), that the
@@ -50,6 +49,8 @@ def _series_payload(series) -> dict:
 
 
 def _emit(payload: dict) -> None:
+    import json
+
     click.echo(json.dumps(payload, indent=2))
 
 
@@ -96,6 +97,8 @@ def catalog():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def catalog_list(as_json):
     """Names and basic data of every catalog entry."""
+    from .catalog import entry_to_dict, load_default_catalog
+
     cat = load_default_catalog()
     if as_json:
         _emit({
@@ -120,6 +123,10 @@ def catalog_list(as_json):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def catalog_show(name, as_json):
     """Full stored data of one entry (builtins included)."""
+    import json
+
+    from .catalog import entry_to_dict, resolve
+
     entry = resolve(name)
     payload = entry_to_dict(entry)
     if as_json:
@@ -135,10 +142,14 @@ def catalog_show(name, as_json):
 @cli.command()
 @click.option("--manifold", required=True, help="catalog entry or builtin name")
 @click.option("--genus", "kind", required=True,
-              type=click.Choice([k.value for k in GenusKind]))
+              type=click.Choice(GENUS_CHOICES))
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def compute(manifold, kind, as_json):
     """One rational genus of one manifold."""
+    from .catalog import resolve
+    from .genera import genus_source, genus_value
+    from .manifolds import GenusKind
+
     entry = resolve(manifold)
     kind = GenusKind(kind)
     value = genus_value(entry, kind)
@@ -155,12 +166,15 @@ def compute(manifold, kind, as_json):
 
 @cli.command()
 @click.option("--manifold", required=True, help="catalog entry or builtin name")
-@click.option("--kind", required=True, type=click.Choice([k.value for k in EllKind]))
+@click.option("--kind", required=True, type=click.Choice(ELL_CHOICES))
 @click.option("--order", default=DEFAULT_ORDER, show_default=True,
               type=click.IntRange(min=0), help="keep coefficients through q^ORDER")
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def elliptic(manifold, kind, order, as_json):
     """q-expansion of an elliptic or Witten genus."""
+    from .catalog import resolve
+    from .elliptic import EllKind, elliptic_genus
+
     _check_order(order, "--order")
     entry = resolve(manifold)
     result = elliptic_genus(entry, EllKind(kind), q_trunc=_trunc(order))
@@ -184,6 +198,9 @@ def elliptic(manifold, kind, order, as_json):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def indices(manifold, family, max_k, as_json):
     """Twisted Dirac indices for bundle steps 0..max."""
+    from .catalog import resolve
+    from .elliptic import twisted_indices
+
     _check_order(max_k, "--max")
     entry = resolve(manifold)
     values = twisted_indices(entry, family, max_k)
@@ -215,6 +232,9 @@ def modular():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def modular_fit(manifold, order, as_json):
     """Fit the Witten series against weight-matched E4^i * E6^j monomials."""
+    from .catalog import resolve
+    from .modular import witten_fit
+
     _check_order(order, "--order")
     entry = resolve(manifold)
     fit = witten_fit(entry, q_trunc=_trunc(order))
@@ -251,6 +271,9 @@ def modular_fit(manifold, order, as_json):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def modular_check(manifold, tau_im, order, tol, as_json):
     """Compare both sides of the inversion relation numerically."""
+    from .catalog import resolve
+    from .modular import modular_relation_check
+
     _check_order(order, "--order")
     entry = resolve(manifold)
     check = modular_relation_check(entry, tau_im=tau_im, q_trunc=_trunc(order), tol=tol)
@@ -288,6 +311,8 @@ def bound():
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def bound_cb(m_dim, b_param, method, as_json):
     """The positive root c_of_b(m, b)."""
+    from .bounds import c_of_b
+
     value = c_of_b(m_dim, b_param, method=method)
     if as_json:
         _emit({"m": m_dim, "b": b_param, "method": method, "c_of_b": value})
@@ -309,6 +334,10 @@ def bound_cb(m_dim, b_param, method, as_json):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def bound_index(m_dim, p_exp, lambda_, diam, b_param, cmp_const, v_exp, rank, as_json):
     """Full index-bound report with every intermediate constant."""
+    import dataclasses
+
+    from .bounds import BoundParams, index_bound_report
+
     params = BoundParams(m=m_dim, p=p_exp, Lambda=lambda_, diam=diam,
                          b=b_param, cmp=cmp_const, v=v_exp, l=rank)
     report = index_bound_report(params)
@@ -356,6 +385,8 @@ def _parse_moduli(text: str):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def cover_diam(k_rank, base_text, factor, as_json):
     """BFS diameters of a quotient and its cover, plus the index inequality."""
+    from .covering import cover_diameter
+
     result = cover_diameter(k_rank, _parse_moduli(base_text), factor)
     if as_json:
         _emit({
@@ -382,6 +413,8 @@ def cover_diam(k_rank, base_text, factor, as_json):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def cover_tower(k_rank, depth, as_json):
     """The doubling sublattice tower and its index sequence."""
+    from .covering import tower
+
     result = tower(k_rank, depth)
     if as_json:
         _emit({
@@ -401,6 +434,8 @@ def cover_tower(k_rank, depth, as_json):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable output")
 def cover_l2(k_rank, p_deg, depth, as_json):
     """Normalized Betti ratios along the tower."""
+    from .covering import l2_betti_ratio
+
     ratios = l2_betti_ratio(k_rank, p_deg, depth)
     if as_json:
         _emit({"k": k_rank, "p": p_deg, "depth": depth,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, TooLarge
 
@@ -248,6 +247,8 @@ def l2_betti_ratio(k: int, p: int, J: int) -> list:
     doubling tower, j = 1..J; strictly decreasing to 0 once J >= 2.
 
     Raises TooLarge when k > MAX_TOWER_RANK or J > MAX_TOWER_DEPTH (64 each)."""
+    from fractions import Fraction  # only this function needs it
+
     _check_tower_size(k, J)
     if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p <= k:
         raise DomainError(f"degree p must satisfy 0 <= p <= k = {k}, got {p!r}")

@@ -93,7 +93,8 @@ class DomainError(DataError):
 
 class TooLarge(DataError):
     """Requested model or series exceeds a documented size cap (the BFS
-    vertex cap, the tower depth and rank caps, the CLI order cap)."""
+    vertex cap, the tower depth and rank caps, the CLI order cap, the
+    real-dimension cap of manifold data)."""
 
 
 # -- catalog -------------------------------------------------------------------

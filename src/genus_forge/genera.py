@@ -45,7 +45,6 @@ from typing import Mapping
 from .charpoly import CharClassPoly, monomial_to_partition
 from .errors import DimensionError, InsufficientData
 from .manifolds import GenusKind, ManifoldData, Partition, partitions_of
-from .qseries import QSeries
 
 _BERNOULLI = [Fraction(1)]
 
@@ -225,6 +224,8 @@ def hypersurface_todd(n: int, degree: int) -> Fraction:
     top coefficient with D; the closed form (-1)^n D/(n+1)! is kept as a
     test oracle, not used here.
     """
+    from .qseries import QSeries
+
     if n < 1:
         raise DimensionError(f"hypersurface dimension {n} must be >= 1")
     trunc = n + 2

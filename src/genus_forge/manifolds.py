@@ -27,10 +27,24 @@ from .errors import (
     DimensionError,
     InconsistentData,
     InsufficientData,
+    TooLarge,
     UnknownManifold,
 )
 
 Partition = tuple[int, ...]
+
+# Largest real dimension accepted.  The genus engine enumerates partitions
+# of real_dim/4 (and a CPn builds its Chern numbers over partitions of n),
+# whose count grows like exp(pi sqrt(2n/3)): Todd of CP24 takes a few
+# seconds, while CP28 takes about 17 s.
+MAX_REAL_DIM = 48
+
+
+def _check_real_dim(real_dim: int, name: str) -> None:
+    if real_dim > MAX_REAL_DIM:
+        raise TooLarge(
+            f"{name}: real dimension {real_dim} exceeds the cap of {MAX_REAL_DIM}"
+        )
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -88,6 +102,7 @@ class ManifoldData:
     def __post_init__(self):
         if self.real_dim <= 0 or self.real_dim % 2:
             raise DimensionError(f"real_dim {self.real_dim} must be positive and even")
+        _check_real_dim(self.real_dim, self.name)
         if self.string and not self.spin:
             raise InconsistentData(f"{self.name}: string requires spin")
 
@@ -291,6 +306,8 @@ def product(a: ManifoldData, b: ManifoldData, name: str | None = None) -> Manifo
             "data on both factors"
         )
     real_dim = a.real_dim + b.real_dim
+    name = name or f"{a.name}x{b.name}"
+    _check_real_dim(real_dim, name)  # before the Kuenneth convolution
 
     chern = None
     if both_chern:
@@ -313,7 +330,7 @@ def product(a: ManifoldData, b: ManifoldData, name: str | None = None) -> Manifo
             pont = {}
 
     return ManifoldData(
-        name=name or f"{a.name}x{b.name}",
+        name=name,
         real_dim=real_dim,
         pontryagin_numbers=pont,
         chern_numbers=chern,
@@ -384,6 +401,7 @@ def cp(n: int) -> ManifoldData:
     """Complex projective space; c(T) = (1+h)^(n+1), <h^n> = 1."""
     if n < 1:
         raise DimensionError(f"CP{n} is not available (need n >= 1)")
+    _check_real_dim(2 * n, f"CP{n}")
     chern = {}
     for lam in partitions_of(n):
         value = 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import EllKind, divisor_sum, elliptic_genus
-from .errors import ConvergenceRisk, FitError
+from .errors import ConvergenceRisk, DomainError, FitError
 from .manifolds import ManifoldData
 from .qseries import QSeries
 
@@ -149,8 +149,14 @@ def modular_relation_check(
     """Evaluate both sides of the S-transformation at tau = i * tau_im.
 
     tau_im must exceed 1 so that both q = e^(-2 pi tau_im) and
-    q' = e^(-2 pi / tau_im) are small enough for the truncated series.
+    q' = e^(-2 pi / tau_im) are small enough for the truncated series,
+    and tol must be a finite positive real (a NaN or nonpositive tol is a
+    check that can never pass).
     """
+    if not math.isfinite(tau_im):
+        raise DomainError(f"tau_im must be a finite real, got {tau_im!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be a finite positive real, got {tol!r}")
     if tau_im <= 1.0:
         raise ConvergenceRisk(
             f"tau_im = {tau_im} must exceed 1 for a trustworthy truncation"

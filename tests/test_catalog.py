@@ -110,6 +110,9 @@ def test_entry_validation_messages():
         entry_from_dict(_base_entry(asserted={"ahat": 2}))
     with pytest.raises(CatalogError, match="object"):
         entry_from_dict(["not", "a", "dict"])
+    with pytest.raises(CatalogError, match="exceeds the cap of 48"):
+        entry_from_dict({"name": "Big", "real_dim": 50, "pontryagin_numbers": {},
+                         "spin": True, "string": False})
 
 
 def test_entry_messages_name_the_entry():

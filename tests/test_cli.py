@@ -177,6 +177,18 @@ def test_data_errors_exit_2(run):
         ("cover", "tower", "--k", "1", "--depth", "65"),
         ("cover", "tower", "--k", "65", "--depth", "1"),
         ("cover", "l2", "--k", "1", "--p", "0", "--depth", "65"),
+        # real dimension two past the cap of 48, and far past it
+        ("compute", "--manifold", "CP25", "--genus", "todd"),
+        ("catalog", "show", "T50"),
+        ("catalog", "show", "S50"),
+        ("compute", "--manifold", "CP1000000", "--genus", "todd"),
+        ("compute", "--manifold", "T1000000", "--genus", "ahat"),
+        # modular check inputs for which the check could never pass
+        ("modular", "check", "--manifold", "HP2", "--tau-im", "nan"),
+        ("modular", "check", "--manifold", "HP2", "--tau-im", "inf"),
+        ("modular", "check", "--manifold", "HP2", "--tol", "nan"),
+        ("modular", "check", "--manifold", "HP2", "--tol", "-1"),
+        ("modular", "check", "--manifold", "HP2", "--tol", "0"),
     ):
         code, _, err = run(*args)
         assert code == 2, args
@@ -197,7 +209,7 @@ def test_internal_errors_exit_4(run, monkeypatch):
     def boom(*args, **kwargs):
         raise OverflowError("integer division result too large for a float")
 
-    monkeypatch.setattr("genus_forge.cli.c_of_b", boom)
+    monkeypatch.setattr("genus_forge.bounds.c_of_b", boom)
     code, out, err = run("bound", "cb", "--m", "2", "--b", "1.0")
     assert code == 4 and out == ""
     assert err == ("internal error: OverflowError("

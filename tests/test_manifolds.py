@@ -9,10 +9,12 @@ from genus_forge.errors import (
     DimensionError,
     InconsistentData,
     InsufficientData,
+    TooLarge,
     UnknownManifold,
 )
 from genus_forge.genera import genus_value
 from genus_forge.manifolds import (
+    MAX_REAL_DIM,
     GenusKind,
     ManifoldData,
     builtin,
@@ -81,6 +83,20 @@ def test_builtin_parser():
     assert builtin("HP2").real_dim == 8
     with pytest.raises(UnknownManifold):
         builtin("Gr(2,5)")
+
+
+def test_real_dimension_cap():
+    assert MAX_REAL_DIM == 48
+    # at the cap: accepted
+    assert cp(24).real_dim == torus(48).real_dim == sphere(48).real_dim == 48
+    assert product(sphere(24), sphere(24)).real_dim == 48
+    # two past the cap: refused before any partition is enumerated
+    for build in (lambda: cp(25), lambda: torus(50), lambda: sphere(50),
+                  lambda: product(cp(12), cp(13)), lambda: builtin("CP1000000"),
+                  lambda: builtin("T1000000"),
+                  lambda: ManifoldData(name="big", real_dim=50, pontryagin_numbers={})):
+        with pytest.raises(TooLarge, match="exceeds the cap of 48"):
+            build()
 
 
 def test_validation_rejections():

@@ -1,12 +1,18 @@
 """Structural properties of the genus engine on random Pontryagin data of
 dimension 4 to 12: multiplicativity under products, additivity under
-connected sums, and equality with the product-route test oracle."""
+connected sums, and equality with the product-route test oracle; and spin
+integrality of the twisted indices on random products and connected sums
+of spin catalog entries up to dimension 24."""
+
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import theta_oracle
-from genus_forge.elliptic import EllKind, elliptic_genus, twisted_index_series
+from genus_forge.catalog import resolve
+from genus_forge.elliptic import EllKind, elliptic_genus, twisted_index_series, twisted_indices
+from genus_forge.errors import NonIntegralIndexWarning
 from genus_forge.genera import genus_value
 from genus_forge.manifolds import GenusKind, ManifoldData, connected_sum, partitions_of, product
 
@@ -68,3 +74,41 @@ def test_engine_matches_product_oracle(m, q_trunc):
         ), family
     for kind in RATIONAL:
         assert genus_value(m, kind) == theta_oracle.genus_value(m, kind), kind
+
+
+# the spin catalog entries with Pontryagin data, of dimension 4, 8, 12 and 16
+SPIN = tuple(resolve(name) for name in (
+    "T4", "S4", "K3", "HP2", "K3xK3", "T4xK3", "K3xHP2", "HP2xHP2", "T2xS6",
+    "T2xS6_sharp_HP2",
+))
+
+
+@st.composite
+def _spin_product(draw, dim):
+    """A product of spin entries of real dimension exactly `dim`."""
+    m = None
+    while dim:
+        factor = draw(st.sampled_from([e for e in SPIN if e.real_dim <= dim]))
+        m = factor if m is None else product(m, factor)
+        dim -= factor.real_dim
+    return m
+
+
+@st.composite
+def _spin_manifold(draw):
+    dim = 4 * draw(st.integers(1, 6))
+    m = draw(_spin_product(dim))
+    for _ in range(draw(st.integers(0, 2))):
+        m = connected_sum(m, draw(_spin_product(dim)))
+    return m
+
+
+@settings(deadline=None, max_examples=40)
+@given(_spin_manifold())
+def test_spin_indices_are_integral(m):
+    assert m.spin
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonIntegralIndexWarning)
+        for family in FAMILIES:
+            values = twisted_indices(m, family, 6)
+            assert all(v.denominator == 1 for v in values), (m.name, family, values)
