@@ -33,6 +33,8 @@ ENTRY = "import sys; from genus_forge.cli import main; sys.exit(main())"
 BUILTINS = ("CP1", "CP5", "S2", "S8", "T6")
 GENERA = ("todd", "ahat", "lhat", "signature")
 ELLIPTIC = ("ell1", "ell2", "witten")
+JOBS = 2            # processes at a time
+TIMEOUT_S = 120.0   # seconds before one command counts as hung
 
 FIXED = [
     ("--help",),
@@ -99,21 +101,21 @@ def commands(root: Path) -> list[tuple[str, ...]]:
     return out
 
 
-def run_one(root: Path, argv, timeout: float) -> tuple[str, str]:
+def run_one(root: Path, argv) -> tuple[str, str]:
     """(exit code, sha256 of stdout) of one cold process."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("GENUS_FORGE_CATALOG", None)
     try:
         proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=root, env=env,
-                              capture_output=True, timeout=timeout)
+                              capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout", "-"
     return str(proc.returncode), hashlib.sha256(proc.stdout).hexdigest()
 
 
-def sweep(root: Path, argvs, jobs: int, timeout: float) -> list[tuple[str, str]]:
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda argv: run_one(root, argv, timeout), argvs))
+def sweep(root: Path, argvs) -> list[tuple[str, str]]:
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        return list(pool.map(lambda argv: run_one(root, argv), argvs))
 
 
 def main(argv=None) -> int:
@@ -122,18 +124,15 @@ def main(argv=None) -> int:
                         help="checkout to run (default: the current directory)")
     parser.add_argument("--against", type=Path, default=None,
                         help="second checkout; print only the commands that differ")
-    parser.add_argument("--jobs", type=int, default=2, help="processes at a time")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds before one command counts as hung")
     args = parser.parse_args(argv)
 
     argvs = commands(args.root)
-    mine = sweep(args.root, argvs, args.jobs, args.timeout)
+    mine = sweep(args.root, argvs)
     if args.against is None:
         for cmd, (code, digest) in zip(argvs, mine):
             print(f"{code:>7} {digest} {' '.join(cmd)}")
         return 0
-    theirs = sweep(args.against, argvs, args.jobs, args.timeout)
+    theirs = sweep(args.against, argvs)
     differ = 0
     for cmd, (code_a, sha_a), (code_b, sha_b) in zip(argvs, mine, theirs):
         if (code_a, sha_a) != (code_b, sha_b):

@@ -247,7 +247,7 @@ def l2_betti_ratio(k: int, p: int, J: int) -> list:
     doubling tower, j = 1..J; strictly decreasing to 0 once J >= 2.
 
     Raises TooLarge when k > MAX_TOWER_RANK or J > MAX_TOWER_DEPTH (64 each)."""
-    from fractions import Fraction  # only this function needs it
+    from fractions import Fraction  # local: keeps fractions out of diam/tower processes
 
     _check_tower_size(k, J)
     if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p <= k:

@@ -224,7 +224,7 @@ def hypersurface_todd(n: int, degree: int) -> Fraction:
     top coefficient with D; the closed form (-1)^n D/(n+1)! is kept as a
     test oracle, not used here.
     """
-    from .qseries import QSeries
+    from .qseries import QSeries  # local: keeps qseries out of compute processes
 
     if n < 1:
         raise DimensionError(f"hypersurface dimension {n} must be >= 1")

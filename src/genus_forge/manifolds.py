@@ -102,7 +102,9 @@ class ManifoldData:
     def __post_init__(self):
         if self.real_dim <= 0 or self.real_dim % 2:
             raise DimensionError(f"real_dim {self.real_dim} must be positive and even")
-        _check_real_dim(self.real_dim, self.name)
+        if self.pontryagin_numbers is not None or self.chern_numbers is not None:
+            # only numbers are paired over partitions; asserted genera cost nothing
+            _check_real_dim(self.real_dim, self.name)
         if self.string and not self.spin:
             raise InconsistentData(f"{self.name}: string requires spin")
 

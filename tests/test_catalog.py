@@ -22,7 +22,8 @@ from genus_forge.catalog import (
     save_catalog,
 )
 from genus_forge.errors import CatalogError, UnknownManifold
-from genus_forge.manifolds import ManifoldData, k3
+from genus_forge.genera import genus_value
+from genus_forge.manifolds import GenusKind, ManifoldData, k3
 
 ALL_NAMES = [
     "T2", "T4", "S4", "S6", "K3", "HP2", "CP2", "CP3", "CP4", "B8", "W24",
@@ -113,6 +114,10 @@ def test_entry_validation_messages():
     with pytest.raises(CatalogError, match="exceeds the cap of 48"):
         entry_from_dict({"name": "Big", "real_dim": 50, "pontryagin_numbers": {},
                          "spin": True, "string": False})
+    # asserted genera alone enumerate no partitions, so the cap does not apply
+    big = entry_from_dict({"name": "Big", "real_dim": 52, "spin": True,
+                           "string": False, "asserted": {"ahat": "0/1"}})
+    assert big.real_dim == 52 and genus_value(big, GenusKind.AHAT) == 0
 
 
 def test_entry_messages_name_the_entry():

@@ -229,3 +229,17 @@ def test_env_catalog_override(run, tmp_path, monkeypatch):
     # builtins resolve even when missing from the active catalog
     code, out, _ = run("compute", "--manifold", "K3", "--genus", "ahat")
     assert code == 0 and out.strip() == "2"
+
+
+def test_env_catalog_asserted_entry_past_the_cap(run, tmp_path, monkeypatch):
+    # an entry with asserted genera only is never enumerated, so the
+    # real-dimension cap does not refuse it or the catalog that holds it
+    big = ManifoldData(name="BIG52", real_dim=52, spin=True,
+                       asserted_genera={"ahat": 0})
+    path = tmp_path / "big.json"
+    save_catalog(CatalogFile(entries=[big], schema_version=SCHEMA_VERSION), path)
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    code, out, _ = run("catalog", "list")
+    assert code == 0 and out.splitlines()[0].startswith("BIG52")
+    code, out, _ = run("compute", "--manifold", "BIG52", "--genus", "ahat")
+    assert code == 0 and out.strip() == "0"

@@ -97,6 +97,9 @@ def test_real_dimension_cap():
                   lambda: ManifoldData(name="big", real_dim=50, pontryagin_numbers={})):
         with pytest.raises(TooLarge, match="exceeds the cap of 48"):
             build()
+    # asserted-only data is stored, not enumerated: no cap
+    asserted = ManifoldData(name="big", real_dim=52, asserted_genera={"ahat": 3})
+    assert genus_value(asserted, GenusKind.AHAT) == 3
 
 
 def test_validation_rejections():
