@@ -10,6 +10,11 @@ Coefficients live in whatever exact ring the caller supplies (Fraction
 for the classical genera, QSeries for the elliptic ones); the class
 only needs +, *, unary - and truthiness from them, and zero
 coefficients are never stored.
+
+No module of the package imports this one: the genus engine works on
+power-sum numbers (manifolds.py).  The class-polynomial route is the
+test oracle's (tests/theta_oracle.py); the module stays importable as
+genus_forge.charpoly because perfbench/tracer.py imports it as a layer.
 """
 
 from __future__ import annotations

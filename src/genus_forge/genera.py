@@ -12,8 +12,9 @@ the roots, and the weight-m part of its exponential is
 with a_k(mu) the number of parts of mu equal to k.  Pairing with the
 fundamental class turns prod_i P_{mu_i} into the power-sum number
 s_mu[M], an integer combination of the Pontryagin (or Chern) numbers;
-`s_numbers` reads it off a p(m) x p(m) integer matrix whose rows are
-built on demand and cached per weight.  `pair_logs` is the pairing loop.
+`s_numbers` reads it off the power-sum table in manifolds.py, whose rows
+serve the Chern -> Pontryagin conversion and products as well.
+`pair_logs` is the pairing loop.
 Only the coefficients l_k change from one genus to the next; the
 coefficient ring may be Fraction or QSeries, so the elliptic genera take
 the same route (see elliptic.py).
@@ -38,13 +39,11 @@ normalized away.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Mapping
 
-from .charpoly import CharClassPoly, monomial_to_partition
 from .errors import DimensionError, InsufficientData
-from .manifolds import GenusKind, ManifoldData, Partition, partitions_of
+from .manifolds import GenusKind, ManifoldData, Partition, partitions_of, s_numbers
 
 _BERNOULLI = [Fraction(1)]
 
@@ -81,69 +80,7 @@ def log_coeffs(kind: GenusKind, weight: int) -> list[Fraction]:
     return [closed(_log_sinh(k), k) for k in range(1, weight + 1)]
 
 
-# -- power-sum numbers ------------------------------------------------------------
-
-
-def _power_sums(cap: int) -> list[CharClassPoly]:
-    """Power sums P_1..P_cap in the elementary symmetric functions e_i.
-
-    The Newton identities P_k = sum_{i<k} (-1)^(i-1) e_i P_(k-i)
-    + (-1)^(k-1) k e_k.  The e_i are the Pontryagin classes for the
-    squared roots and the Chern classes for the roots themselves, so one
-    set of integer polynomials serves both.
-    """
-    e = [None] + [CharClassPoly.generator("e", cap, i, 1) for i in range(1, cap + 1)]
-    p = [CharClassPoly.zero("e", cap)]
-    for k in range(1, cap + 1):
-        acc = e[k].scale((-1) ** (k - 1) * k)
-        for i in range(1, k):
-            acc = acc + (e[i] * p[k - i]).scale((-1) ** (i - 1))
-        p.append(acc)
-    return p
-
-
-class _SMatrix:
-    """Rows mu -> {lambda: coefficient of e_lambda in prod_i P_(mu_i)} of
-    one weight, each built on first use from products memoized on the
-    tail of mu."""
-
-    def __init__(self, weight: int):
-        self.power_sums = _power_sums(weight)
-        self.products: dict[Partition, CharClassPoly] = {}
-        self.rows: dict[Partition, dict[Partition, int]] = {}
-
-    def _product(self, mu: Partition) -> CharClassPoly:
-        poly = self.products.get(mu)
-        if poly is None:
-            head = self.power_sums[mu[0]]
-            poly = head if len(mu) == 1 else head * self._product(mu[1:])
-            self.products[mu] = poly
-        return poly
-
-    def row(self, mu: Partition) -> dict[Partition, int]:
-        row = self.rows.get(mu)
-        if row is None:
-            row = {monomial_to_partition(m): c for m, c in self._product(mu).terms.items()}
-            self.rows[mu] = row
-        return row
-
-
-@lru_cache(maxsize=None)
-def _s_matrix(weight: int) -> _SMatrix:
-    return _SMatrix(weight)
-
-
-def s_numbers(numbers: Mapping[Partition, int], partitions) -> dict[Partition, int]:
-    """Power-sum numbers s_mu[M] = <prod_i P_(mu_i), [M]> for each mu given.
-
-    `numbers` are the Pontryagin or Chern numbers of M, keyed by
-    partitions of the same weight as every mu.
-    """
-    out = {}
-    for mu in partitions:
-        row = _s_matrix(sum(mu)).row(mu)
-        out[mu] = sum(n * row.get(lam, 0) for lam, n in numbers.items())
-    return out
+# -- pairing ------------------------------------------------------------------------
 
 
 def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, zero, const: int = 1):

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .charpoly import CharClassPoly, monomial_to_partition
 from .errors import (
     DimensionError,
     InconsistentData,
@@ -60,6 +60,85 @@ def partitions_of(n: int) -> Iterator[Partition]:
     yield from gen(n, n, ())
 
 
+# -- power-sum numbers ------------------------------------------------------------
+#
+# A homogeneous integer polynomial in the elementary symmetric functions
+# e_1, e_2, ... of a set of roots is a dict keyed by partitions, e_lambda =
+# prod_i e_(lambda_i), and e_lambda e_nu = e_(lambda u nu).  Over the Chern
+# roots the e_i are the Chern classes, over the squared roots the
+# Pontryagin classes, so pairing e_lambda with [M] reads the stored number
+# of lambda and one table serves both kinds of data.  The power-sum numbers
+# s_mu[M] = <prod_i P_(mu_i), [M]> are where the genera, the Chern ->
+# Pontryagin conversion and products meet (Milnor-Stasheff, Characteristic
+# Classes, section 16).  The cached rows are shared between callers, who
+# only read them; the dimension cap bounds their weight.
+
+
+def _merge(lam: Partition, nu: Partition) -> Partition:
+    return tuple(sorted(lam + nu, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _power_sum(k: int) -> dict[Partition, int]:
+    """P_k by the Newton identities
+    P_k = sum_(i<k) (-1)^(i-1) e_i P_(k-i) + (-1)^(k-1) k e_k."""
+    out = {(k,): (-1) ** (k - 1) * k}
+    for i in range(1, k):
+        for lam, c in _power_sum(k - i).items():
+            key = _merge((i,), lam)
+            out[key] = out.get(key, 0) + (-1) ** (i - 1) * c
+    return out
+
+
+@lru_cache(maxsize=None)
+def _row(mu: Partition) -> dict[Partition, int]:
+    """prod_i P_(mu_i), built on the cached row of the tail of mu."""
+    head = _power_sum(mu[0])
+    if len(mu) == 1:
+        return head
+    out: dict[Partition, int] = {}
+    for lam, x in head.items():
+        for nu, y in _row(mu[1:]).items():
+            key = _merge(lam, nu)
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def s_numbers(numbers: Mapping[Partition, int], partitions) -> dict[Partition, int]:
+    """Power-sum numbers s_mu[M] = <prod_i P_(mu_i), [M]> for each mu given.
+
+    `numbers` are the Pontryagin or Chern numbers of M, keyed by
+    partitions of the same weight as every mu.
+    """
+    out = {}
+    for mu in partitions:
+        row = _row(mu)
+        out[mu] = sum(n * row.get(lam, 0) for lam, n in numbers.items())
+    return out
+
+
+def numbers_from_s(s: Mapping[Partition, int], weight: int) -> dict[Partition, int]:
+    """The numbers over the partitions of `weight` whose power-sum numbers are s.
+
+    Row mu has e_mu coefficient prod_i (-1)^(mu_i - 1) mu_i, and every other
+    partition in it has more parts than mu, so the rows are solved from the
+    longest partition down.
+    """
+    out: dict[Partition, int] = {}
+    for mu in sorted(partitions_of(weight), key=len, reverse=True):
+        row = _row(mu)
+        rest = s.get(mu, 0) - sum(c * out.get(lam, 0) for lam, c in row.items())
+        value, remainder = divmod(rest, row[mu])
+        if remainder:
+            raise InconsistentData(
+                f"power-sum numbers give the non-integral number "
+                f"{Fraction(rest, row[mu])} for {mu}"
+            )
+        if value:
+            out[mu] = value
+    return out
+
+
 class GenusKind(str, Enum):
     TODD = "todd"
     AHAT = "ahat"
@@ -71,13 +150,15 @@ def _normalize_numbers(numbers, total: int, what: str) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     for key, value in numbers.items():
         part = tuple(sorted(key, reverse=True))
-        if not part or any(not isinstance(p, int) or p < 1 for p in part):
+        if not part or any(
+            isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in part
+        ):
             raise InconsistentData(f"{what} partition {key!r} is not a partition")
         if sum(part) != total:
             raise InconsistentData(
                 f"{what} partition {part} sums to {sum(part)}, expected {total}"
             )
-        if not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise InconsistentData(f"{what} number for {part} must be an integer")
         if part in out and out[part] != value:
             raise InconsistentData(f"duplicate {what} partition {part}")
@@ -182,51 +263,15 @@ class ManifoldData:
 # -- Chern -> Pontryagin conversion ------------------------------------------
 
 
-def _pontryagin_class_polys(n: int) -> list[CharClassPoly]:
-    """p_1, ..., p_{n//2} of a complex n-fold as polynomials in c_1..c_n.
-
-    From c(E)c(E-bar): the degree-2i part of (sum c_a)(sum (-1)^b c_b)
-    equals (-1)^i p_i.
-    """
-    one = Fraction(1)
-    total = CharClassPoly.constant("c", n, one)
-    conj = CharClassPoly.constant("c", n, one)
-    for i in range(1, n + 1):
-        gen = CharClassPoly.generator("c", n, i, one)
-        total = total + gen
-        conj = conj + gen.scale((-1) ** i)
-    prod = total * conj
-    return [prod.weight_part(2 * i) * Fraction((-1) ** i) for i in range(1, n // 2 + 1)]
-
-
-def _pair_with_chern(poly: CharClassPoly, chern: Mapping[Partition, int], n: int) -> Fraction:
-    total = Fraction(0)
-    for mono, coeff in poly.weight_part(n).terms.items():
-        num = chern.get(monomial_to_partition(mono))
-        if num:
-            total += coeff * num
-    return total
-
-
 def _pontryagin_from_chern(m: ManifoldData) -> dict[Partition, int]:
     n = m.complex_dim
     assert n is not None and m.chern_numbers is not None
     if n % 2:
         return {}
-    p_polys = _pontryagin_class_polys(n)
-    out: dict[Partition, int] = {}
-    for lam in partitions_of(n // 2):
-        poly = CharClassPoly.constant("c", n, Fraction(1))
-        for part in lam:
-            poly = poly * p_polys[part - 1]
-        value = _pair_with_chern(poly, m.chern_numbers, n)
-        if value.denominator != 1:
-            raise InconsistentData(
-                f"{m.name}: Pontryagin number for {lam} is non-integral ({value})"
-            )
-        if value:
-            out[lam] = int(value)
-    return out
+    # the Pontryagin roots are the squared Chern roots: s^pont_mu = s^chern_(2 mu)
+    doubled = {mu: tuple(2 * part for part in mu) for mu in partitions_of(n // 2)}
+    s = s_numbers(m.chern_numbers, doubled.values())
+    return numbers_from_s({mu: s[d] for mu, d in doubled.items()}, n // 2)
 
 
 def chern_to_pontryagin(m: ManifoldData) -> ManifoldData:
@@ -257,45 +302,27 @@ def chern_to_pontryagin(m: ManifoldData) -> ManifoldData:
 # -- products and connected sums ------------------------------------------------
 
 
-def _convolve_numbers(
+def _product_numbers(
     a_nums: Mapping[Partition, int],
     b_nums: Mapping[Partition, int],
-    a_total: int,
-    b_total: int,
+    a_weight: int,
+    b_weight: int,
 ) -> dict[Partition, int]:
-    """Kuenneth rule: each class of the product splits as
-    g_i(AxB) = sum_{r+s=i} g_r(A) g_s(B), so a top number of AxB is a sum
-    over ways of splitting every part between the factors."""
-    out: dict[Partition, int] = {}
-    for lam in partitions_of(a_total + b_total):
-        total = 0
-        # assignments: per part, how much goes to factor A
-        def walk(idx: int, left_a: int, a_parts: tuple[int, ...], b_parts: tuple[int, ...]):
-            nonlocal total
-            if left_a < 0:
-                return
-            if idx == len(lam):
-                if left_a:
-                    return
-                av = a_nums.get(tuple(sorted(a_parts, reverse=True)), 0)
-                bv = b_nums.get(tuple(sorted(b_parts, reverse=True)), 0)
-                if av and bv:
-                    total += av * bv
-                return
-            part = lam[idx]
-            for to_a in range(part + 1):
-                rest = part - to_a
-                walk(
-                    idx + 1,
-                    left_a - to_a,
-                    a_parts + ((to_a,) if to_a else ()),
-                    b_parts + ((rest,) if rest else ()),
-                )
-
-        walk(0, a_total, (), ())
-        if total:
-            out[lam] = total
-    return out
+    """Top numbers of AxB.  Its roots are those of A together with those
+    of B, so P_k(AxB) = P_k(A) + P_k(B) and s_mu[AxB] is the sum over
+    nu in mu with |nu| = a_weight of prod_k C(a_k(mu), a_k(nu))
+    s_nu[A] s_(mu - nu)[B], a_k counting the parts equal to k."""
+    if not (a_nums and b_nums):
+        return {}
+    s_b = s_numbers(b_nums, partitions_of(b_weight))
+    s: dict[Partition, int] = {}
+    for nu, x in s_numbers(a_nums, partitions_of(a_weight)).items():
+        for rho, y in s_b.items():
+            if x and y:
+                mu = _merge(nu, rho)
+                ways = prod(comb(mu.count(k), nu.count(k)) for k in set(nu))
+                s[mu] = s.get(mu, 0) + ways * x * y
+    return numbers_from_s(s, a_weight + b_weight)
 
 
 def product(a: ManifoldData, b: ManifoldData, name: str | None = None) -> ManifoldData:
@@ -309,18 +336,18 @@ def product(a: ManifoldData, b: ManifoldData, name: str | None = None) -> Manifo
         )
     real_dim = a.real_dim + b.real_dim
     name = name or f"{a.name}x{b.name}"
-    _check_real_dim(real_dim, name)  # before the Kuenneth convolution
+    _check_real_dim(real_dim, name)  # before the power-sum rows of its weight
 
     chern = None
     if both_chern:
-        chern = _convolve_numbers(
+        chern = _product_numbers(
             a.chern_numbers, b.chern_numbers, a.complex_dim, b.complex_dim
         )
 
     pont = None
     if both_pont:
         if a.real_dim % 4 == 0 and b.real_dim % 4 == 0:
-            pont = _convolve_numbers(
+            pont = _product_numbers(
                 a.pontryagin_numbers,
                 b.pontryagin_numbers,
                 a.real_dim // 4,
@@ -404,21 +431,20 @@ def cp(n: int) -> ManifoldData:
     if n < 1:
         raise DimensionError(f"CP{n} is not available (need n >= 1)")
     _check_real_dim(2 * n, f"CP{n}")
-    chern = {}
-    for lam in partitions_of(n):
-        value = 1
-        for part in lam:
-            value *= comb(n + 1, part)
-        chern[lam] = value
-    m = ManifoldData(
+
+    def numbers(weight: int) -> dict[Partition, int]:
+        # c = (1+h)^(n+1) and p = (1+h^2)^(n+1), so c_i and p_i are C(n+1, i) times a power of h
+        return {lam: prod(comb(n + 1, part) for part in lam) for lam in partitions_of(weight)}
+
+    return ManifoldData(
         name=f"CP{n}",
         real_dim=2 * n,
-        chern_numbers=chern,
+        pontryagin_numbers=numbers(n // 2) if n % 2 == 0 else None,
+        chern_numbers=numbers(n),
         complex_dim=n,
         spin=(n % 2 == 1),
         string=False,
     )
-    return chern_to_pontryagin(m) if n % 2 == 0 else m
 
 
 def sphere(n: int) -> ManifoldData:
@@ -477,8 +503,5 @@ def builtin(name: str) -> ManifoldData:
         return hp2()
     for prefix, factory in (("CP", cp), ("S", sphere), ("T", torus)):
         if name.startswith(prefix) and name[len(prefix):].isdigit():
-            try:
-                return factory(int(name[len(prefix):]))
-            except UnknownManifold:
-                raise
+            return factory(int(name[len(prefix):]))
     raise UnknownManifold(f"no builtin manifold named {name!r}")

@@ -1,10 +1,11 @@
-"""Manifold data validation, Chern/Pontryagin conversion, and the product /
-connected-sum closure operations."""
+"""Manifold data validation, the power-sum table, Chern/Pontryagin
+conversion, and the product / connected-sum closure operations."""
 
 from fractions import Fraction
 
 import pytest
 
+import theta_oracle
 from genus_forge.errors import (
     DimensionError,
     InconsistentData,
@@ -23,6 +24,7 @@ from genus_forge.manifolds import (
     cp,
     hp2,
     k3,
+    numbers_from_s,
     partitions_of,
     product,
     sphere,
@@ -49,6 +51,21 @@ def test_cp2_pontryagin_via_conversion():
     assert chern_to_pontryagin(entry).pontryagin_numbers == {(1,): 3}
     assert chern_to_pontryagin(k3()).pontryagin_numbers == {(1,): -48}
     assert chern_to_pontryagin(torus(4)).pontryagin_numbers == {}
+
+
+def test_cp_pontryagin_closed_form_matches_conversion():
+    for n in range(2, 13, 2):
+        entry = cp(n)
+        assert entry.pontryagin_numbers == theta_oracle.pontryagin_from_chern(
+            entry.chern_numbers, n
+        ), n
+
+
+def test_back_solve_refuses_non_integral_data():
+    # s_(1,1) = e1^2 and s_(2) = e1^2 - 2 e2: s_(2) = 1 with s_(1,1) = 0 needs e2 = -1/2
+    with pytest.raises(InconsistentData, match="non-integral number -1/2 for \\(2,\\)"):
+        numbers_from_s({(2,): 1}, 2)
+    assert numbers_from_s({(2,): -10, (1, 1): 4}, 2) == hp2().pontryagin_numbers
 
 
 def test_k3_and_hp2_data():
@@ -123,6 +140,11 @@ def test_validation_rejections():
         # chern data requires the matching complex dimension
         ManifoldData(name="bad-cplx", real_dim=4, chern_numbers={(2,): 24},
                      complex_dim=3)
+    # bool is an int subclass, but neither a part nor a number
+    with pytest.raises(InconsistentData, match="is not a partition"):
+        ManifoldData(name="X", real_dim=4, pontryagin_numbers={(True,): True})
+    with pytest.raises(InconsistentData, match="must be an integer"):
+        ManifoldData(name="X", real_dim=4, pontryagin_numbers={(1,): True})
 
 
 def test_inconsistent_chern_pontryagin_pair():
@@ -158,6 +180,14 @@ def test_product_chern_route():
     assert genus_value(prod, GenusKind.TODD) == 1
     both = product(cp(1), cp(1))
     assert genus_value(both, GenusKind.TODD) == 1
+
+
+def test_product_at_the_frontier():
+    # dimension 40: the power-sum split keeps this to about a second
+    big = product(cp(10), cp(10))
+    assert big.real_dim == 40
+    assert genus_value(big, GenusKind.TODD) == 1
+    assert genus_value(big, GenusKind.SIGNATURE) == 1
 
 
 def test_product_requires_matching_data():

@@ -1,8 +1,17 @@
-"""Structural properties of the genus engine on random Pontryagin data of
-dimension 4 to 12: multiplicativity under products, additivity under
-connected sums, and equality with the product-route test oracle; and spin
-integrality of the twisted indices on random products and connected sums
-of spin catalog entries up to dimension 24."""
+"""Structural properties on random characteristic data.
+
+- Random Pontryagin data of dimension 4 to 12: multiplicativity under
+  products, additivity under connected sums, and equality with the
+  product-route test oracle.
+- Random Chern data of complex dimension 1 to 4 per factor: products and
+  the Chern -> Pontryagin conversion against the oracle's Kuenneth walk
+  and class-polynomial conversion.
+- Modularity: the Witten genus of random data of dimension 8 to 24 fits
+  E4^i E6^j exactly once every number containing p_1 is zero, and the
+  S-transformation between Ell1 and Ell2 holds on random data.
+- Spin integrality of the twisted indices on random products and
+  connected sums of spin catalog entries up to dimension 24.
+"""
 
 import warnings
 
@@ -14,7 +23,17 @@ from genus_forge.catalog import resolve
 from genus_forge.elliptic import EllKind, elliptic_genus, twisted_index_series, twisted_indices
 from genus_forge.errors import NonIntegralIndexWarning
 from genus_forge.genera import genus_value
-from genus_forge.manifolds import GenusKind, ManifoldData, connected_sum, partitions_of, product
+from genus_forge.manifolds import (
+    GenusKind,
+    ManifoldData,
+    chern_to_pontryagin,
+    connected_sum,
+    numbers_from_s,
+    partitions_of,
+    product,
+    s_numbers,
+)
+from genus_forge.modular import modular_relation_check, witten_fit
 
 RATIONAL = (GenusKind.AHAT, GenusKind.SIGNATURE, GenusKind.LHAT)
 FAMILIES = ("B", "W")
@@ -74,6 +93,61 @@ def test_engine_matches_product_oracle(m, q_trunc):
         ), family
     for kind in RATIONAL:
         assert genus_value(m, kind) == theta_oracle.genus_value(m, kind), kind
+
+
+@st.composite
+def _chern_manifold(draw, n):
+    """Random Chern numbers of a complex n-fold, converted to carry both kinds."""
+    numbers = {lam: draw(st.integers(-60, 60)) for lam in partitions_of(n)}
+    return chern_to_pontryagin(ManifoldData(name="C", real_dim=2 * n, chern_numbers=numbers))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.data())
+def test_chern_routes_match_oracle(n_a, data):
+    n_b = data.draw(st.integers(1, min(4, 6 - n_a)))
+    a, b = data.draw(_chern_manifold(n_a)), data.draw(_chern_manifold(n_b))
+    for m in (a, b):
+        n = m.complex_dim
+        assert m.pontryagin_numbers == theta_oracle.pontryagin_from_chern(m.chern_numbers, n)
+        assert numbers_from_s(s_numbers(m.chern_numbers, partitions_of(n)), n) == m.chern_numbers
+    ab = product(a, b)
+    assert ab.chern_numbers == theta_oracle.kuenneth_numbers(
+        a.chern_numbers, b.chern_numbers, n_a, n_b
+    )
+    pont = {} if n_a % 2 or n_b % 2 else theta_oracle.kuenneth_numbers(
+        a.pontryagin_numbers, b.pontryagin_numbers, n_a // 2, n_b // 2
+    )
+    assert ab.pontryagin_numbers == pont
+
+
+def _without_p1(m):
+    numbers = {lam: n for lam, n in m.pontryagin_numbers.items() if 1 not in lam}
+    return ManifoldData(name="M", real_dim=m.real_dim, pontryagin_numbers=numbers)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 6), st.data())
+def test_witten_genus_is_modular_without_p1(weight, data):
+    m = data.draw(_manifold(weight))
+    assert witten_fit(_without_p1(m), 41).residual_ok
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(2, 6), st.data(), st.integers(-60, 60).filter(bool))
+def test_witten_genus_with_p1_is_not_modular(weight, data, p1_power):
+    # the number of p_1^weight alone sets the E2^weight term of the Witten genus
+    m = data.draw(_manifold(weight))
+    numbers = {**m.pontryagin_numbers, (1,) * weight: p1_power}
+    m = ManifoldData(name="M", real_dim=m.real_dim, pontryagin_numbers=numbers)
+    assert not witten_fit(m, 41).residual_ok
+
+
+@settings(deadline=None, max_examples=30)
+@given(_manifold())
+def test_s_transformation_holds(m):
+    check = modular_relation_check(m)
+    assert check.abs_error <= 1e-12 * max(1.0, abs(check.rhs))
 
 
 # the spin catalog entries with Pontryagin data, of dimension 4, 8, 12 and 16

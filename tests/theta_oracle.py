@@ -7,13 +7,17 @@ factors as quotients of cosh and sinh series.  A factor is expanded by
 log, Newton power sums and a graded exponential into a class polynomial
 (`multiplicative_class`), which is then paired with the characteristic
 numbers.  None of this goes through the package's closed-form log
-coefficients or power-sum numbers: the oracle shares only QSeries,
-CharClassPoly and partitions_of with the package, and has its own copy
-of the Newton power sums.
+coefficients or power-sum numbers: the oracle shares only QSeries and
+partitions_of with the package's genus engine.  CharClassPoly, the
+class-polynomial ring, is used by the oracle alone, and it has its own
+copy of the Newton power sums.
 
 The top-level helpers at the end (`genus_value`, `elliptic_genus`,
 `twisted_index_series`) mirror the package functions of the same names
-and return plain values: a Fraction, or the QSeries.
+and return plain values: a Fraction, or the QSeries.  Chern data reaches
+them through the oracle's own conversion (`pontryagin_from_chern`), and
+`kuenneth_numbers` is the per-part product rule the package's power-sum
+split formula is checked against.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Mapping
 
 from genus_forge.charpoly import CharClassPoly, partition_to_monomial
 from genus_forge.errors import NonUnitDivisor, NonUnitLog, ParityError, TruncMismatch
-from genus_forge.manifolds import GenusKind, ManifoldData, partitions_of
+from genus_forge.manifolds import GenusKind, ManifoldData, Partition, partitions_of
 from genus_forge.qseries import QSeries, Scalar
 
 DEFAULT_Q_TRUNC = 49
@@ -572,6 +576,86 @@ def genus_class(kind: GenusKind, weight_cap: int) -> tuple[CharClassPoly, Fracti
     return multiplicative_class(factor, "pontryagin", weight_cap), const
 
 
+# -- characteristic numbers: Chern -> Pontryagin and products ------------------------
+
+
+def pontryagin_from_chern(chern: Mapping[Partition, int], n: int) -> dict[Partition, int]:
+    """Pontryagin numbers of a complex n-fold from its Chern numbers.
+
+    From c(E)c(E-bar): the degree-2i part of (sum c_a)(sum (-1)^b c_b)
+    equals (-1)^i p_i; each monomial in the p_i is expanded in the c_j
+    and paired with the Chern numbers.
+    """
+    if n % 2:
+        return {}
+    one = Fraction(1)
+    total = CharClassPoly.constant("c", n, one)
+    conj = CharClassPoly.constant("c", n, one)
+    for i in range(1, n + 1):
+        gen = CharClassPoly.generator("c", n, i, one)
+        total = total + gen
+        conj = conj + gen.scale((-1) ** i)
+    both = total * conj
+    p_polys = [both.weight_part(2 * i) * Fraction((-1) ** i) for i in range(1, n // 2 + 1)]
+    out: dict[Partition, int] = {}
+    for lam in partitions_of(n // 2):
+        poly = CharClassPoly.constant("c", n, one)
+        for part in lam:
+            poly = poly * p_polys[part - 1]
+        value = paired_value(poly, chern, n, Fraction(0))
+        assert value.denominator == 1, (lam, value)
+        if value:
+            out[lam] = int(value)
+    return out
+
+
+def kuenneth_numbers(
+    a_nums: Mapping[Partition, int],
+    b_nums: Mapping[Partition, int],
+    a_total: int,
+    b_total: int,
+) -> dict[Partition, int]:
+    """Kuenneth rule: each class of the product splits as
+    g_i(AxB) = sum_(r+s=i) g_r(A) g_s(B), so a top number of AxB is a sum
+    over ways of splitting every part between the factors."""
+    out: dict[Partition, int] = {}
+    for lam in partitions_of(a_total + b_total):
+        total = 0
+
+        # assignments: per part, how much goes to factor A
+        def walk(idx: int, left_a: int, a_parts: tuple[int, ...], b_parts: tuple[int, ...]):
+            nonlocal total
+            if left_a < 0:
+                return
+            if idx == len(lam):
+                if left_a:
+                    return
+                av = a_nums.get(tuple(sorted(a_parts, reverse=True)), 0)
+                bv = b_nums.get(tuple(sorted(b_parts, reverse=True)), 0)
+                total += av * bv
+                return
+            part = lam[idx]
+            for to_a in range(part + 1):
+                rest = part - to_a
+                walk(
+                    idx + 1,
+                    left_a - to_a,
+                    a_parts + ((to_a,) if to_a else ()),
+                    b_parts + ((rest,) if rest else ()),
+                )
+
+        walk(0, a_total, (), ())
+        if total:
+            out[lam] = total
+    return out
+
+
+def _pontryagin_numbers(m: ManifoldData) -> Mapping[Partition, int]:
+    if m.pontryagin_numbers is not None:
+        return m.pontryagin_numbers
+    return pontryagin_from_chern(m.chern_numbers, m.complex_dim)
+
+
 # -- genera of manifolds -----------------------------------------------------------
 
 
@@ -583,7 +667,7 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
         return paired_value(poly, m.chern_numbers, m.complex_dim, Fraction(0))
     mm = m.real_dim // 4
     poly, const = genus_class(kind, mm)
-    value = paired_value(poly, m.pontryagin_or_converted(), mm, Fraction(0))
+    value = paired_value(poly, _pontryagin_numbers(m), mm, Fraction(0))
     return value * const ** (2 * mm)
 
 
@@ -591,7 +675,7 @@ def _pontryagin_series(m: ManifoldData, factor: CharSeries, q_trunc: int) -> QSe
     mm = m.real_dim // 4
     const = factor.y_coeff(0).constant_term()
     poly = multiplicative_class(factor / const, "pontryagin", mm)
-    series = paired_value(poly, m.pontryagin_or_converted(), mm, QSeries.zero(q_trunc))
+    series = paired_value(poly, _pontryagin_numbers(m), mm, QSeries.zero(q_trunc))
     return series * const ** (2 * mm)
 
 
@@ -622,4 +706,4 @@ def twisted_index_series(m: ManifoldData, family: str, q_trunc: int) -> QSeries:
         ch = ch * witten_bundle_ch(WittenBundle.EXT_HALF, mm, q_trunc)
     elif family != "W":
         raise ValueError(f"family must be 'B' or 'W', got {family!r}")
-    return paired_value(ahat * ch, m.pontryagin_or_converted(), mm, QSeries.zero(q_trunc))
+    return paired_value(ahat * ch, _pontryagin_numbers(m), mm, QSeries.zero(q_trunc))
