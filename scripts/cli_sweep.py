@@ -48,6 +48,11 @@ FIXED = [
     ("catalog", "show", "CP20"),
     ("bound", "cb", "--m", "2", "--b", "1.0"),
     ("bound", "cb", "--m", "7", "--b", "0.5", "--method", "secant", "--json"),
+    # small roots, where the root search used to stop at an absolute width
+    ("bound", "cb", "--m", "2", "--b", "50"),
+    ("bound", "cb", "--m", "8", "--b", "5.0"),
+    ("bound", "cb", "--m", "12", "--b", "5.0", "--method", "secant", "--json"),
+    ("bound", "cb", "--m", "100", "--b", "0.1", "--method", "secant"),
     ("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),
     ("bound", "index", "--m", "2", "--p", "3", "--lambda", "0", "--diam", "2", "--b", "0.5",
      "--v", "3", "--l", "2", "--json"),

@@ -36,10 +36,15 @@ __all__ = [
     "index_bound_report",
 ]
 
-_REL_TOL = 1e-12  # bisection target; one order tighter than the promised 1e-10
+# bracket width of the root search: absolute below x = 1, relative above.
+# Below 1 the stop rule also asks for the promised 1e-10 relative width.
+_REL_TOL = 1e-12
 # the lhs coefficients cost m work per quadrature node, and for m past about
 # 350 the largest of them overflows binary64 for some b below the x = 1 limit
 _MAX_M = 300
+# root-search steps: bisection from [0, 1] takes about 1,060 to meet the stop
+# rule at a root near the binary64 floor (m = 2, b = 709)
+_MAX_STEPS = 1200
 
 
 def _require_positive(name, value):
@@ -105,16 +110,17 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Every intermediate of the Moser-constant composition, plus the inputs."""
+    """The inputs and every intermediate of the Moser-constant composition,
+    in print order."""
 
+    inputs: BoundParams
     mu: float
     K1: float
     K2: float
-    B: float
     c_of_b: float
     R: float
+    B: float
     constant: float
-    inputs: BoundParams
 
 
 @dataclass(frozen=True)
@@ -209,8 +215,11 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
     """Unique positive root x of  x * int_0^b (cosh t + x sinh t)^(m-1) dt
     = int_0^pi sin^(m-1) t dt, to relative accuracy 1e-10, for 2 <= m <= 300.
 
-    method: "bisection" (default) or "secant" (derivative-free refinement;
-    the two agree to 1e-9).
+    Both methods shrink a bracket [lo, hi] around the root until
+    hi - lo <= 1e-12 * max(hi, 1) and hi - lo <= 1e-10 * hi, then return its
+    midpoint.  method: "bisection" (default) halves the bracket; "secant"
+    moves one end per step to the Illinois false-position point.  The two
+    agree to 1e-9.
     """
     if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= _MAX_M:
         raise DomainError(f"m must be an integer in [2, {_MAX_M}], got {m!r}")
@@ -230,9 +239,9 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
             raise RootNotBracketed(f"no bracket for c_of_b(m={m}, b={b}) below x = {hi}")
 
         if method == "secant":
-            return _secant_root(lambda x: lhs(x) - rhs, lo, hi)
-        for _ in range(200):
-            if hi - lo <= _REL_TOL * max(hi, 1.0):
+            return _illinois_root(lambda x: lhs(x) - rhs, lo, hi)
+        for _ in range(_MAX_STEPS):
+            if hi - lo <= _REL_TOL * max(hi, 1.0) and hi - lo <= 1e-10 * hi:
                 break
             mid = 0.5 * (lo + hi)
             if lhs(mid) < rhs:
@@ -244,21 +253,29 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
         raise RootNotBracketed(f"overflow while bracketing c_of_b(m={m}, b={b})") from exc
 
 
-def _secant_root(g, lo, hi):
-    # plain secant steps, clamped back into [lo, hi] if an iterate escapes
-    x0, x1 = lo, hi
-    g0, g1 = g(x0), g(x1)
-    for _ in range(80):
-        if g1 == g0:
+def _illinois_root(g, lo, hi):
+    # false position on the bracket; an end kept twice in a row has its g
+    # halved, so both ends move and the bracket closes
+    glo, ghi = g(lo), g(hi)
+    kept = 0
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= _REL_TOL * max(hi, 1.0) and hi - lo <= 1e-10 * hi:
             break
-        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
-        if not (lo <= x2 <= hi):
-            x2 = 0.5 * (x0 + x1)
-        if abs(x2 - x1) <= _REL_TOL * max(abs(x2), 1.0):
-            return x2
-        x0, g0 = x1, g1
-        x1, g1 = x2, g(x2)
-    return x1
+        x = lo + (hi - lo) * (glo / (glo - ghi))
+        gx = g(x)
+        if gx < 0:
+            lo, glo = x, gx
+            if kept < 0:
+                ghi *= 0.5
+            kept = -1
+        elif gx > 0:
+            hi, ghi = x, gx
+            if kept > 0:
+                glo *= 0.5
+            kept = 1
+        else:
+            return x
+    return 0.5 * (lo + hi)
 
 
 def moser_constant(params: BoundParams) -> BoundReport:
@@ -276,7 +293,7 @@ def moser_constant(params: BoundParams) -> BoundReport:
     # Lambda = 0 kills the first term (positive exponent), leaving B = 2
     B = params.cmp * params.Lambda ** (0.5 * (mu - 1) / denom) * R ** (p * (mu - 1) / denom) + 2.0
     constant = mu ** (2 * K1 * p * (mu - 1) / denom) * B ** (2 * K2)
-    return BoundReport(mu=mu, K1=K1, K2=K2, B=B, c_of_b=cb, R=R, constant=constant, inputs=params)
+    return BoundReport(inputs=params, mu=mu, K1=K1, K2=K2, c_of_b=cb, R=R, B=B, constant=constant)
 
 
 def berard_dim_bound(l: int, L_sup: float) -> float:
@@ -296,15 +313,4 @@ def index_bound_report(params: BoundParams) -> IndexBoundReport:
     dimension bound itself."""
     rep = moser_constant(params)
     dim_bound = berard_dim_bound(params.l, rep.constant)
-    return IndexBoundReport(
-        mu=rep.mu,
-        K1=rep.K1,
-        K2=rep.K2,
-        B=rep.B,
-        c_of_b=rep.c_of_b,
-        R=rep.R,
-        constant=rep.constant,
-        inputs=rep.inputs,
-        dim_bound=dim_bound,
-        index_bound=dim_bound,
-    )
+    return IndexBoundReport(**vars(rep), dim_bound=dim_bound, index_bound=dim_bound)

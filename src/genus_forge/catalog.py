@@ -115,15 +115,11 @@ def entry_to_dict(entry: ManifoldData) -> dict:
     return out
 
 
-def _checked(raw, entry_name, fld, types, required=False):
+def _checked(raw, entry_name, fld, types):
     if fld not in raw:
-        if required:
-            raise CatalogError(f"entry {entry_name!r}: missing required field {fld!r}")
         return None
     value = raw[fld]
-    if isinstance(value, bool) and bool not in types:
-        raise CatalogError(f"entry {entry_name!r}: field {fld!r} has wrong type {type(value).__name__}")
-    if not isinstance(value, types):
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise CatalogError(f"entry {entry_name!r}: field {fld!r} has wrong type {type(value).__name__}")
     return value
 
@@ -154,11 +150,11 @@ def entry_from_dict(raw) -> ManifoldData:
         if fld not in raw:
             raise CatalogError(f"entry {entry_name!r}: missing required field {fld!r}")
 
-    name = _checked(raw, entry_name, "name", (str,), required=True)
-    real_dim = _checked(raw, entry_name, "real_dim", (int,), required=True)
+    name = _checked(raw, entry_name, "name", (str,))
+    real_dim = _checked(raw, entry_name, "real_dim", (int,))
     complex_dim = _checked(raw, entry_name, "complex_dim", (int,))
-    spin = _checked(raw, entry_name, "spin", (bool,), required=True)
-    string = _checked(raw, entry_name, "string", (bool,), required=True)
+    spin = _checked(raw, entry_name, "spin", (bool,))
+    string = _checked(raw, entry_name, "string", (bool,))
 
     chern = _checked(raw, entry_name, "chern_numbers", (dict,))
     if chern is not None:

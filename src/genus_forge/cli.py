@@ -340,25 +340,13 @@ def bound_index(m_dim, p_exp, lambda_, diam, b_param, cmp_const, v_exp, rank, as
 
     params = BoundParams(m=m_dim, p=p_exp, Lambda=lambda_, diam=diam,
                          b=b_param, cmp=cmp_const, v=v_exp, l=rank)
-    report = index_bound_report(params)
-    payload = {
-        "inputs": dataclasses.asdict(report.inputs),
-        "mu": report.mu,
-        "K1": report.K1,
-        "K2": report.K2,
-        "c_of_b": report.c_of_b,
-        "R": report.R,
-        "B": report.B,
-        "constant": report.constant,
-        "dim_bound": report.dim_bound,
-        "index_bound": report.index_bound,
-    }
+    payload = dataclasses.asdict(index_bound_report(params))
     if as_json:
         _emit(payload)
         return
     for key, value in payload.items():
-        if key == "inputs":
-            click.echo("inputs: " + ", ".join(f"{k}={v}" for k, v in value.items()))
+        if isinstance(value, dict):
+            click.echo(f"{key}: " + ", ".join(f"{k}={v}" for k, v in value.items()))
         else:
             click.echo(f"{key} = {value!r}")
 
@@ -451,9 +439,6 @@ def main(argv=None) -> int:
         cli.main(args=argv, prog_name="genus-forge", standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1

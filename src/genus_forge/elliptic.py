@@ -15,10 +15,10 @@ coefficients are
     Ell2, family B:    Ahat - D(H_even, +1) + D(H_odd, +1)
     Ell1:              big-L/2 - D(H_even, +1) + D(H_even, -1)
 
-and `genera.pair_logs` turns them into the genus.  Ell1 carries the
-per-root constant 2 of big-L, so that its q^0 term is the signature and
-it satisfies the (2 tau)^(2m) transformation; `elliptic_genus` passes
-that constant to `pair_logs`, which multiplies by 2^(2m).  The theta
+and `genera.pair_logs` turns them into the genus.  Each kind pairs the
+numbers of its classical base (`genera.genus_numbers`) and carries the
+base's per-root constant: 2 for Ell1, from big-L, so that its q^0 term is
+the signature and it satisfies the (2 tau)^(2m) transformation.  The theta
 products these logs replace are kept as an independent test oracle.
 """
 
@@ -30,8 +30,8 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .errors import DimensionError, NonIntegralIndexWarning, TruncMismatch
-from .genera import log_coeffs, pair_logs
+from .errors import DimensionError, InsufficientData, NonIntegralIndexWarning, TruncMismatch
+from .genera import genus_numbers, log_coeffs, pair_logs, root_constant
 from .manifolds import GenusKind, ManifoldData
 from .qseries import QSeries
 
@@ -51,22 +51,22 @@ def divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
     return QSeries(coeffs, q_trunc)
 
 
-# (first h, eps, sign): l_k = classical l_k + sum of sign * D_k(H, eps)
-_TWISTS = {
-    EllKind.WITTEN: ((2, 1, -1),),
-    EllKind.ELL2: ((2, 1, -1), (1, 1, 1)),
-    EllKind.ELL1: ((2, 1, -1), (2, -1, 1)),
+# (classical base, twists (first h, eps, sign)):
+# l_k = base l_k + sum of sign * D_k(H, eps)
+_FACTORS = {
+    EllKind.WITTEN: (GenusKind.AHAT, ((2, 1, -1),)),
+    EllKind.ELL2: (GenusKind.AHAT, ((2, 1, -1), (1, 1, 1))),
+    EllKind.ELL1: (GenusKind.LHAT, ((2, 1, -1), (2, -1, 1))),
 }
 
 
 def elliptic_logs(kind: EllKind, weight: int, q_trunc: int) -> list[QSeries]:
     """l_1 .. l_weight of the per-root factor, Ell1 halved."""
-    kind = EllKind(kind)
-    base = log_coeffs(GenusKind.LHAT if kind == EllKind.ELL1 else GenusKind.AHAT, weight)
+    base, twists = _FACTORS[EllKind(kind)]
     logs = []
-    for k, classical in enumerate(base, start=1):
+    for k, classical in enumerate(log_coeffs(base, weight), start=1):
         series = QSeries.constant(classical, q_trunc)
-        for h_first, eps, sign in _TWISTS[kind]:
+        for h_first, eps, sign in twists:
             series = series + divisor_sum(h_first, eps, 2 * k - 1, q_trunc) * Fraction(
                 -2 * sign, factorial(2 * k)
             )
@@ -91,16 +91,13 @@ DEFAULT_Q_TRUNC = 49  # keeps every coefficient through q^24
 
 
 def _series(m: ManifoldData, kind: EllKind, q_trunc: int) -> QSeries:
-    if m.real_dim % 4:
-        raise DimensionError(
-            f"{m.name}: elliptic genera need dimension divisible by 4, got {m.real_dim}"
-        )
-    mm = m.real_dim // 4
-    numbers = m.pontryagin_or_converted()
-    const = 2 if kind == EllKind.ELL1 else 1
-    return pair_logs(
-        numbers, mm, elliptic_logs(kind, mm, q_trunc), QSeries.zero(q_trunc), const
-    )
+    base = _FACTORS[kind][0]
+    route = genus_numbers(m, base)
+    if route is None:
+        raise InsufficientData(f"{m.name}: no Pontryagin or Chern data")
+    numbers, weight = route
+    logs = elliptic_logs(kind, weight, q_trunc)
+    return pair_logs(numbers, weight, logs, QSeries.zero(q_trunc), root_constant(base))
 
 
 def elliptic_genus(

@@ -29,11 +29,12 @@ coefficient of log(sinh(y)/y), `log_coeffs` gives
     big-L / 2    l_k = S_k - 2 S_k / 4^k
     Todd         l_1 = 1/2, l_2k = -S_k / 4^k, other odd l_k = 0
 
-The big-L factor has constant term 2.  Its logarithm is taken of the
-factor halved, and `pair_logs` multiplies the genus of a 4m-manifold by
-the per-root constant to the power 2m, the number of roots; the value
-equals the signature, and that equality is kept under test rather than
-normalized away.
+The big-L factor has constant term 2, `root_constant`.  Its logarithm is
+taken of the factor halved, and `pair_logs` multiplies the genus of a
+4m-manifold by the per-root constant to the power 2m, the number of roots;
+the value equals the signature, and that equality is kept under test
+rather than normalized away.  `genus_numbers` decides which numbers a
+genus pairs, for the classical genera here and the elliptic ones alike.
 """
 
 from __future__ import annotations
@@ -111,6 +112,33 @@ def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, zero, c
 # -- genus values --------------------------------------------------------------------
 
 
+def root_constant(kind: GenusKind) -> int:
+    """The per-root constant that `log_coeffs` divides out: 2 for big-L."""
+    return 2 if kind == GenusKind.LHAT else 1
+
+
+def genus_numbers(m: ManifoldData, kind: GenusKind) -> tuple[Mapping[Partition, int], int] | None:
+    """The numbers a genus of this kind pairs on m, and their weight.
+
+    Todd pairs the Chern numbers over partitions of the complex dimension;
+    the other genera, and the elliptic genera built on them, pair the
+    Pontryagin numbers, converted from Chern data if need be, over
+    partitions of real_dim/4.  None when m carries no such numbers, so that
+    only an asserted value can answer.
+    """
+    if GenusKind(kind) == GenusKind.TODD:
+        return None if m.chern_numbers is None else (m.chern_numbers, m.complex_dim)
+    if m.real_dim % 4:
+        raise DimensionError(
+            f"{m.name}: Pontryagin-number genera need dimension divisible by 4, "
+            f"got {m.real_dim}"
+        )
+    try:
+        return m.pontryagin_or_converted(), m.real_dim // 4
+    except InsufficientData:
+        return None
+
+
 def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     """Evaluate a classical genus on a manifold, exactly.
 
@@ -118,40 +146,19 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     stored; `genus_source` reports which route was taken.
     """
     kind = GenusKind(kind)
-    if kind == GenusKind.TODD:
-        if m.chern_numbers is not None:
-            n = m.complex_dim
-            return pair_logs(m.chern_numbers, n, log_coeffs(kind, n), Fraction(0))
-        return _asserted(m, kind)
-
-    if m.real_dim % 4:
-        raise DimensionError(
-            f"{m.name}: {kind.value} genus needs dimension divisible by 4, "
-            f"got {m.real_dim}"
-        )
-    try:
-        numbers = m.pontryagin_or_converted()
-    except InsufficientData:
-        return _asserted(m, kind)
-    mm = m.real_dim // 4
-    const = 2 if kind == GenusKind.LHAT else 1
-    return pair_logs(numbers, mm, log_coeffs(kind, mm), Fraction(0), const)
+    route = genus_numbers(m, kind)
+    if route is not None:
+        numbers, weight = route
+        logs = log_coeffs(kind, weight)
+        return pair_logs(numbers, weight, logs, Fraction(0), root_constant(kind))
+    if m.asserted_genera and kind.value in m.asserted_genera:
+        return m.asserted_genera[kind.value]
+    raise InsufficientData(f"{m.name}: no data to evaluate the {kind.value} genus")
 
 
 def genus_source(m: ManifoldData, kind: GenusKind) -> str:
-    """'computed' when full data drives the genus, 'asserted' otherwise."""
-    kind = GenusKind(kind)
-    if kind == GenusKind.TODD:
-        return "computed" if m.chern_numbers is not None else "asserted"
-    return "computed" if (m.has_pontryagin() or m.has_chern()) else "asserted"
-
-
-def _asserted(m: ManifoldData, kind: GenusKind) -> Fraction:
-    if m.asserted_genera and kind.value in m.asserted_genera:
-        return m.asserted_genera[kind.value]
-    raise InsufficientData(
-        f"{m.name}: no data to evaluate the {kind.value} genus"
-    )
+    """'computed' when characteristic numbers drive the genus, 'asserted' otherwise."""
+    return "asserted" if genus_numbers(m, kind) is None else "computed"
 
 
 def hypersurface_todd(n: int, degree: int) -> Fraction:

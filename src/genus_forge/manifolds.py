@@ -15,7 +15,7 @@ The partition key for a monomial like p1^2*p2 is the descending tuple
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -287,16 +287,7 @@ def chern_to_pontryagin(m: ManifoldData) -> ManifoldData:
             f"{m.name}: stored Pontryagin numbers {m.pontryagin_numbers} "
             f"disagree with conversion {computed}"
         )
-    return ManifoldData(
-        name=m.name,
-        real_dim=m.real_dim,
-        pontryagin_numbers=computed,
-        chern_numbers=m.chern_numbers,
-        complex_dim=m.complex_dim,
-        spin=m.spin,
-        string=m.string,
-        asserted_genera=m.asserted_genera,
-    )
+    return replace(m, pontryagin_numbers=computed)
 
 
 # -- products and connected sums ------------------------------------------------
@@ -391,11 +382,7 @@ def connected_sum(a: ManifoldData, b: ManifoldData, name: str | None = None) -> 
     if a.has_pontryagin() and b.has_pontryagin():
         summed: dict[Partition, int] = dict(a.pontryagin_numbers)
         for key, value in b.pontryagin_numbers.items():
-            s = summed.get(key, 0) + value
-            if s:
-                summed[key] = s
-            else:
-                summed.pop(key, None)
+            summed[key] = summed.get(key, 0) + value
         return ManifoldData(
             name=name,
             real_dim=a.real_dim,

@@ -192,11 +192,7 @@ class QSeries:
         self._check_same_trunc(other)
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
-            s = out.get(n, _ZERO) + c
-            if s:
-                out[n] = s
-            else:
-                out.pop(n, None)
+            out[n] = out.get(n, _ZERO) + c
         return QSeries(out, self.trunc)
 
     __radd__ = __add__
@@ -228,11 +224,7 @@ class QSeries:
                 if m >= limit:
                     break
                 k = n + m
-                s = out.get(k, _ZERO) + a * b
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, _ZERO) + a * b
         return QSeries(out, self.trunc)
 
     __rmul__ = __mul__

@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genus_forge
 from genus_forge.bounds import (
@@ -27,11 +29,15 @@ from genus_forge.bounds import (
 )
 from genus_forge.errors import DomainError, ExponentDomainError, RootNotBracketed
 
+METHODS = ("bisection", "secant")
+
 
 def _c_of_b_m2_exact(b: float) -> float:
     # x^2 (cosh b - 1) + x sinh b - 2 = 0, positive root
-    ch, sh = math.cosh(b) - 1.0, math.sinh(b)
-    return (-sh + math.sqrt(sh * sh + 8.0 * ch)) / (2.0 * ch)
+    # 4 / (sinh b + sqrt(sinh^2 b + 8 (cosh b - 1))), with cosh b - 1 =
+    # 2 sinh^2(b/2) so that nothing cancels, for b from 1e-6 to 700
+    sh = math.sinh(b)
+    return 4.0 / (sh + math.hypot(sh, 4.0 * math.sinh(0.5 * b)))
 
 
 def test_c_of_b_matches_m2_closed_form():
@@ -47,20 +53,33 @@ def test_c_of_b_goldens():
 
 
 # bisection outputs of the scipy.integrate.quad implementation this module
-# replaced; the quadrature changed, the bisection path's bits did not
+# replaced; the quadrature and the stop rule changed, the bisection path's
+# bits did not.  (8, 2.0) and (12, 2.0) were recorded under an absolute stop
+# width that missed the 1e-10 contract for small roots; mpmath checks them
+# in test_c_of_b_small_roots_match_mpmath instead (None here).
 BISECTION_BITS = {
     2: ("24.715330210405227", "3.489657598337544", "1.1210593734163012", "0.4182274787594906"),
     3: ("15.744332993555872", "2.195707606734686", "0.6395053554037986", "0.1566686817363916"),
     5: ("9.413066212702688", "1.2803659748292375", "0.29735884997671747", "0.02020975310324502"),
-    8: ("6.05145351959618", "0.7927267947320615", "0.12000896589552212", "0.0005667500686286076"),
-    12: ("4.191936529214217", "0.5219670643286918", "0.03605082488093103", "3.633829237514874e-06"),
+    8: ("6.05145351959618", "0.7927267947320615", "0.12000896589552212", None),
+    12: ("4.191936529214217", "0.5219670643286918", "0.03605082488093103", None),
 }
 
 
 @pytest.mark.parametrize("m", sorted(BISECTION_BITS))
 def test_c_of_b_bisection_bits(m):
-    got = tuple(repr(c_of_b(m, b)) for b in (0.05, 0.35, 1.0, 2.0))
-    assert got == BISECTION_BITS[m]
+    for b, bits in zip((0.05, 0.35, 1.0, 2.0), BISECTION_BITS[m]):
+        if bits is not None:
+            assert repr(c_of_b(m, b)) == bits, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_b=st.floats(math.log(1e-6), math.log(700.0)), method=st.sampled_from(METHODS))
+def test_c_of_b_m2_matches_closed_form_at_every_scale(log_b, method):
+    # b log-uniform: the root runs from about 1e6 down to about 1e-304
+    b = math.exp(log_b)
+    exact = _c_of_b_m2_exact(b)
+    assert abs(c_of_b(2, b, method) - exact) <= 1e-10 * exact
 
 
 def test_sin_power_integral_wallis():
@@ -70,15 +89,23 @@ def test_sin_power_integral_wallis():
     assert _sin_power_integral(5) == 3 * math.pi / 8
 
 
-def _mpmath_root(m, b, hi=50):
+def _mpmath_g(mp, m, b):
+    """x -> left side minus right side at mpmath's working precision."""
+    rhs = mp.sqrt(mp.pi) * mp.gamma(mp.mpf(m) / 2) / mp.gamma(mp.mpf(m + 1) / 2)
+    return lambda x: x * mp.quad(lambda t: (mp.cosh(t) + x * mp.sinh(t)) ** (m - 1), [0, b]) - rhs
+
+
+def _mpmath_root(m, b):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(25):
-        rhs = mp.sqrt(mp.pi) * mp.gamma(mp.mpf(m) / 2) / mp.gamma(mp.mpf(m + 1) / 2)
-
-        def g(x):
-            return x * mp.quad(lambda t: (mp.cosh(t) + x * mp.sinh(t)) ** (m - 1), [0, b]) - rhs
-
-        return float(mp.findroot(g, (mp.mpf("0.001"), mp.mpf(hi)), solver="anderson"))
+        g = _mpmath_g(mp, m, b)
+        # bracket the root first, so that a root of 1e-20 is found as well as one of 10
+        lo, hi = mp.mpf(1), mp.mpf(1)
+        while g(lo) > 0:
+            lo /= 16
+        while g(hi) < 0:
+            hi *= 2
+        return float(mp.findroot(g, (lo, hi), solver="anderson", tol=mp.mpf(10) ** -50))
 
 
 def test_c_of_b_secant_matches_mpmath():
@@ -90,14 +117,37 @@ def test_c_of_b_secant_matches_mpmath():
 def test_c_of_b_large_m_matches_mpmath():
     # at m = 300, b = 1e-6 the top coefficient of the unscaled polynomial in x,
     # about b^300 / 300, is far below the binary64 range
-    for m, b, hi in ((50, 0.1, 1), (300, 1e-6, 1e5)):
-        ref = _mpmath_root(m, b, hi)
+    for m, b in ((50, 0.1), (300, 1e-6)):
+        ref = _mpmath_root(m, b)
         assert abs(c_of_b(m, b) - ref) <= 1e-10 * ref, m
 
 
+@pytest.mark.parametrize("m, b", [(8, 2.0), (12, 2.0), (8, 5.0), (12, 5.0)])
+def test_c_of_b_small_roots_match_mpmath(m, b):
+    # roots from 6e-4 down to 2e-20: below x = 1 a 1e-12 bracket width alone
+    # is not a relative accuracy
+    ref = _mpmath_root(m, b)
+    for method in METHODS:
+        assert abs(c_of_b(m, b, method) - ref) <= 1e-10 * ref, method
+
+
+def test_c_of_b_root_far_below_1e100_is_bracketed():
+    # m = 300, b = 2.3: the root is about 4.7e-209; the exact left side minus
+    # the right changes sign within 1e-10 of the returned value
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        g = _mpmath_g(mp, 300, 2.3)
+        for method in METHODS:
+            x = mp.mpf(c_of_b(300, 2.3, method))
+            assert g(x * (1 - mp.mpf("1e-10"))) < 0 < g(x * (1 + mp.mpf("1e-10"))), method
+
+
 def test_secant_agrees_with_bisection():
-    for m, b in ((2, 1.0), (4, 1.0), (5, 2.5), (3, 0.7)):
-        assert abs(c_of_b(m, b, "secant") - c_of_b(m, b, "bisection")) < 1e-9
+    # at m = 100 the left side is strongly convex, and secant steps from the
+    # bracket ends stall far below the root near 0.303 unless the bracket is kept
+    for m, b in ((2, 1.0), (4, 1.0), (5, 2.5), (3, 0.7), (100, 0.1)):
+        bisection = c_of_b(m, b, "bisection")
+        assert abs(c_of_b(m, b, "secant") - bisection) <= 1e-10 * bisection, m
 
 
 def test_c_of_b_monotone_decreasing_in_b():

@@ -2,6 +2,7 @@
 payloads, and the usage/data/numerical exit-code split."""
 
 import json
+import math
 
 import pytest
 
@@ -115,6 +116,15 @@ def test_bound_cb(run):
     code, out, _ = run("bound", "cb", "--m", "2", "--b", "1.0")
     assert code == 0
     assert abs(float(out.strip()) - 1.1210593734163012) < 1e-10
+
+
+def test_bound_cb_small_root(run):
+    # the m = 2 root in a form that does not cancel: about 7.7e-22 at b = 50
+    code, out, _ = run("bound", "cb", "--m", "2", "--b", "50")
+    assert code == 0
+    sh = math.sinh(50.0)
+    exact = 4.0 / (sh + math.hypot(sh, 4.0 * math.sinh(25.0)))
+    assert abs(float(out.strip()) - exact) <= 1e-10 * exact
 
 
 def test_bound_index_text_and_json(run):

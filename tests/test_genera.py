@@ -265,6 +265,15 @@ def test_genus_source_and_asserted_fallback():
         genus_value(asserted, GenusKind.SIGNATURE)
 
 
+def test_genus_source_refuses_where_genus_value_does():
+    # one route decides both: a dimension-6 entry has no Ahat genus to source
+    y6 = ManifoldData(name="Y6", real_dim=6, pontryagin_numbers={}, spin=True)
+    for call in (genus_value, genus_source):
+        with pytest.raises(DimensionError):
+            call(y6, GenusKind.AHAT)
+    assert genus_source(cp(3), GenusKind.TODD) == "computed"
+
+
 def test_dimension_contracts():
     s6 = ManifoldData(name="Y6", real_dim=6, pontryagin_numbers={}, spin=True)
     with pytest.raises(DimensionError):
