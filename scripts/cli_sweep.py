@@ -5,15 +5,17 @@ print every command's exit code and the sha256 of its stdout.
 The list covers `compute` (four genera), `elliptic` (three kinds),
 `indices` (B and W), `modular fit` and `modular check`, in text and with
 `--json`, on every catalog entry and five builtins; the `catalog`, `bound`
-and `cover` commands; `--help` pages; and the exit-1, exit-2 and exit-3
-paths.  Run from the root of a checkout:
+and `cover` commands; `--help` pages; the exit-1, exit-2 and exit-3 paths;
+and command-line syntax edge cases (bare groups, `--opt=value`, a repeated
+option, option values that start with '-').  Run from the root of a
+checkout:
 
     python scripts/cli_sweep.py                       # this checkout
     python scripts/cli_sweep.py --against ../parent   # compare two checkouts
 
 With `--against`, both trees run every command and only the commands
 whose exit code or stdout differ are printed; the exit status is 1 if any
-differ.  Each tree's program is imported from its own `src/`.  About 550
+differ.  Each tree's program is imported from its own `src/`.  About 560
 commands; with two jobs at a time a tree takes about a minute on a 2-core
 x86 host.
 """
@@ -68,6 +70,20 @@ FIXED = [
     ("elliptic", "--manifold", "K3", "--kind", "ell3"),
     ("frobnicate",),
     ("cover", "diam", "--k", "2", "--base", "3,x", "--factor", "2"),
+    # command-line syntax: bare groups print their help on stderr (exit 1),
+    # options are not abbreviated, `--opt=value`, the last repeat wins, and an
+    # option value may start with '-'
+    (),
+    ("catalog",),
+    ("bound",),
+    ("compute", "--man", "CP3", "--genus", "todd"),
+    ("compute", "--manifold=CP3", "--genus=todd"),
+    ("compute", "--manifold", "CP2", "--genus", "todd", "--genus", "ahat"),
+    ("bound", "cb", "--m", "2", "--b", "-1e-3"),
+    ("modular", "check", "--manifold", "HP2", "--tau-im", "-inf"),
+    ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "-1"),
+    ("catalog", "show"),
+    ("catalog", "show", "K3", "extra"),
     # exit 2: data, including the size caps
     ("compute", "--manifold", "NOPE", "--genus", "todd"),
     ("elliptic", "--manifold", "T2", "--kind", "witten"),

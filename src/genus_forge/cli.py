@@ -1,6 +1,6 @@
 """Command-line surface: catalog inspection, genus and q-series computation,
 Eisenstein fits, the numeric S-transformation check, analytic bound reports,
-and covering-graph simulations.
+and covering-graph simulations, all parsed from one command table (COMMANDS).
 
 Exit codes: 0 success, 1 usage, 2 invalid data (including the size caps),
 3 numerical failure, 4 internal error (any other exception, reported as one
@@ -9,9 +9,9 @@ line).
 
 from __future__ import annotations
 
+import os
 import sys
-
-import click
+from collections import namedtuple
 
 from .errors import DataError, NumericalError, TooLarge
 
@@ -28,6 +28,7 @@ DEFAULT_ORDER = 24  # q-series commands keep coefficients through q^24
 # Largest --order, and largest `indices --max` (W_k sits at q^k), that the
 # q-series commands accept; beyond it they raise TooLarge (exit 2).
 MAX_ORDER = 100
+PROG = "genus-forge"  # the program name in usage lines and help pages
 
 
 def _check_order(value: int, flag: str) -> None:
@@ -44,83 +45,185 @@ def _half_key(half_exp: int) -> str:
     return str(half_exp // 2) if half_exp % 2 == 0 else f"{half_exp}/2"
 
 
-def _series_payload(series) -> dict:
-    return {_half_key(n): str(c) for n, c in series.terms()}
-
-
 def _emit(payload: dict) -> None:
     import json
 
-    click.echo(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))
 
 
 def _monomial_name(i: int, j: int) -> str:
-    parts = []
-    if i:
-        parts.append("E4" if i == 1 else f"E4^{i}")
-    if j:
-        parts.append("E6" if j == 1 else f"E6^{j}")
+    parts = [name if power == 1 else f"{name}^{power}" for name, power in (("E4", i), ("E6", j))
+             if power]
     return "*".join(parts) or "1"
 
 
 def _fit_combination(coefficients) -> str:
-    if not coefficients:
-        return "0"
     chunks = []
     for (i, j), c in sorted(coefficients.items(), reverse=True):
         mono = _monomial_name(i, j)
-        if c == 1 and mono != "1":
-            chunks.append(mono)
-        elif mono == "1":
-            chunks.append(str(c))
+        chunks.append(str(c) if mono == "1" else mono if c == 1 else f"{c}*{mono}")
+    return " + ".join(chunks) or "0"
+
+
+class UsageError(Exception):
+    """A bad command line: exit code 1, shown under the usage line of `path`."""
+
+    def __init__(self, message: str, path: tuple):
+        super().__init__(f"Usage: {_usage(path)}\nTry '{' '.join((PROG, *path))} --help' "
+                         f"for help.\n\nError: {message}")
+
+
+# One option: `--flag VALUE` becomes the handler's keyword `dest`, and a flag
+# without dashes (NAME) is a positional argument.  `type` is str, int, float, a
+# tuple of choices, or bool for a flag without a value; `minimum` bounds an int.
+Opt = namedtuple("Opt", "flag dest type required default minimum help",
+                 defaults=(str, False, None, None, ""))
+HELP = Opt("--help", "help", bool, help="Show this message and exit.")
+JSON = Opt("--json", "as_json", bool, help="machine-readable output")
+MANIFOLD = Opt("--manifold", "manifold", required=True, help="catalog entry or builtin name")
+_METAVAR = {str: " TEXT", int: " INTEGER", float: " FLOAT", bool: ""}
+
+# group path -> help text; a group takes --help and the name of one of its children
+GROUPS = {
+    (): "Exact multiplicative genera, elliptic and Witten q-expansions, twisted Dirac\n"
+        "indices, Eisenstein fits, analytic index bounds, and torus covering\n"
+        "simulations over a manifold catalog.",
+    ("catalog",): "Inspect the manifold catalog.",
+    ("modular",): "Eisenstein fits and the numeric transformation check.",
+    ("bound",): "Analytic constants and index bounds.",
+    ("cover",): "Torus-quotient covering simulations.",
+}
+# command path -> (handler, options); the handler's docstring is its help text
+COMMANDS: dict = {}
+
+
+def _command(path: tuple, *options: Opt):
+    def register(handler):
+        COMMANDS[path] = (handler, (*options, JSON))  # every command takes --json
+        return handler
+    return register
+
+
+def _usage(path: tuple) -> str:
+    tail = (["[OPTIONS] COMMAND [ARGS]..."] if path in GROUPS else
+            ["[OPTIONS]"] + [opt.flag for opt in COMMANDS[path][1] if opt.flag[0] != "-"])
+    return " ".join((PROG, *path, *tail))
+
+
+def _help(path: tuple) -> str:
+    """The --help page of a group or a command, built from the table."""
+    def columns(rows: list) -> list:
+        width = max(len(left) for left, _ in rows)
+        return [f"  {left:<{width}}  {right}".rstrip() for left, right in rows]
+
+    docs = {**GROUPS, **{p: handler.__doc__ for p, (handler, _) in COMMANDS.items()}}
+    rows = []
+    for opt in (*COMMANDS.get(path, (None, ()))[1], HELP):
+        if opt.flag[0] == "-":
+            notes = [f"default: {opt.default}"] if opt.default is not None else []
+            notes += [f"x>={opt.minimum}"] if opt.minimum is not None else []
+            notes += ["required"] if opt.required else []
+            metavar = _METAVAR[opt.type] if opt.type in _METAVAR else f" [{'|'.join(opt.type)}]"
+            rows.append((opt.flag + metavar, f"{opt.help}  [{'; '.join(notes)}]".strip()
+                         if notes else opt.help))
+    children = [(p[-1], doc) for p, doc in sorted(docs.items()) if p and p[:-1] == path]
+    page = [f"Usage: {_usage(path)}", "", *("  " + line for line in docs[path].splitlines()),
+            "", "Options:", *columns(rows)]
+    return "\n".join(page + (["", "Commands:", *columns(children)] if children else []))
+
+
+def _scan(path: tuple, argv: list, options) -> tuple[dict, list]:
+    """Raw option values by dest, and the positional tokens.  An option takes
+    the next token as its value even when it starts with '-' (`--b -1e-3`);
+    `--opt=value` works, the last of a repeated option wins, no option is
+    abbreviated, and `--` or, in a group, the first positional ends options."""
+    flags = {opt.flag: opt for opt in options}
+    values, args = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            args += tokens
+        elif token[:1] != "-" or token == "-":
+            args.append(token)
+            if path in GROUPS:
+                args += tokens
         else:
-            chunks.append(f"{c}*{mono}")
-    return " + ".join(chunks)
+            flag, eq, value = token.partition("=")
+            opt = flags.get(flag)
+            if opt is None:
+                raise UsageError(f"No such option '{flag}'.", path)
+            if opt.type is bool and eq:
+                raise UsageError(f"Option '{flag}' does not take a value.", path)
+            if opt.type is not bool and not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise UsageError(f"Option '{flag}' requires an argument.", path)
+            values[opt.dest] = True if opt.type is bool else value
+    return values, args
 
 
-@click.group(name="genus-forge")
-def cli():
-    """Exact multiplicative genera, elliptic and Witten q-expansions, twisted
-    Dirac indices, Eisenstein fits, analytic index bounds, and torus covering
-    simulations over a manifold catalog."""
+def _convert(path: tuple, opt: Opt, raw):
+    """The typed value of one option, or its default when it was not given."""
+    if raw is None:
+        if opt.required:
+            what = "option" if opt.flag[0] == "-" else "argument"
+            raise UsageError(f"Missing {what} '{opt.flag}'.", path)
+        return opt.default
+    if isinstance(opt.type, tuple):
+        if raw in opt.type:
+            return raw
+        problem = f"{raw!r} is not one of {', '.join(map(repr, opt.type))}."
+    else:
+        try:
+            value = opt.type(raw)
+        except ValueError:
+            problem = f"{raw!r} is not a valid{_METAVAR[opt.type].lower()}."
+        else:
+            if opt.minimum is None or value >= opt.minimum:
+                return value
+            problem = f"{value} is not in the range x>={opt.minimum}."
+    raise UsageError(f"Invalid value for '{opt.flag}': {problem}", path)
 
 
-# -- catalog -------------------------------------------------------------------
+def _run(argv: list) -> int:
+    path = ()
+    while True:
+        handler, options = COMMANDS.get(path, (None, ()))
+        values, args = _scan(path, argv, (*options, HELP))
+        if "help" in values or not (handler or args):  # --help, or a bare group
+            print(_help(path), file=sys.stdout if "help" in values else sys.stderr)
+            return 0 if "help" in values else 1
+        if handler:
+            break
+        if path + (args[0],) not in GROUPS and path + (args[0],) not in COMMANDS:
+            raise UsageError(f"No such command '{args[0]}'.", path)
+        path, argv = path + (args[0],), args[1:]
+    kwargs = {opt.dest: _convert(path, opt, values.get(opt.dest) if opt.flag[0] == "-"
+                                 else args.pop(0) if args else None) for opt in options}
+    if args:
+        raise UsageError(f"Got unexpected extra argument ({' '.join(args)})", path)
+    handler(**kwargs)
+    return 0
 
 
-@cli.group()
-def catalog():
-    """Inspect the manifold catalog."""
-
-
-@catalog.command("list")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("catalog", "list"))
 def catalog_list(as_json):
     """Names and basic data of every catalog entry."""
     from .catalog import entry_to_dict, load_default_catalog
 
     cat = load_default_catalog()
     if as_json:
-        _emit({
-            "schema_version": cat.schema_version,
-            "entries": [entry_to_dict(entry) for entry in cat.entries],
-        })
-        return
+        return _emit({"schema_version": cat.schema_version,
+                      "entries": [entry_to_dict(entry) for entry in cat.entries]})
     for entry in cat.entries:
-        sources = []
-        if entry.has_chern():
-            sources.append("chern")
-        if entry.has_pontryagin():
-            sources.append("pont")
-        if entry.asserted_genera:
-            sources.append("asserted")
+        sources = [source for source, present in (("chern", entry.has_chern()),
+                                                  ("pont", entry.has_pontryagin()),
+                                                  ("asserted", entry.asserted_genera)) if present]
         flags = "".join((" spin" if entry.spin else "", " string" if entry.string else ""))
-        click.echo(f"{entry.name:18s} dim={entry.real_dim:<3d} data={'+'.join(sources)}{flags}")
+        print(f"{entry.name:18s} dim={entry.real_dim:<3d} data={'+'.join(sources)}{flags}")
 
 
-@catalog.command("show")
-@click.argument("name")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("catalog", "show"), Opt("NAME", "name", required=True))
 def catalog_show(name, as_json):
     """Full stored data of one entry (builtins included)."""
     import json
@@ -130,20 +233,12 @@ def catalog_show(name, as_json):
     entry = resolve(name)
     payload = entry_to_dict(entry)
     if as_json:
-        _emit(payload)
-        return
+        return _emit(payload)
     for key, value in payload.items():
-        click.echo(f"{key}: {json.dumps(value) if isinstance(value, dict) else value}")
+        print(f"{key}: {json.dumps(value) if isinstance(value, dict) else value}")
 
 
-# -- rational genera -------------------------------------------------------------
-
-
-@cli.command()
-@click.option("--manifold", required=True, help="catalog entry or builtin name")
-@click.option("--genus", "kind", required=True,
-              type=click.Choice(GENUS_CHOICES))
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("compute",), MANIFOLD, Opt("--genus", "kind", GENUS_CHOICES, required=True))
 def compute(manifold, kind, as_json):
     """One rational genus of one manifold."""
     from .catalog import resolve
@@ -154,22 +249,14 @@ def compute(manifold, kind, as_json):
     kind = GenusKind(kind)
     value = genus_value(entry, kind)
     if as_json:
-        _emit({
-            "manifold": entry.name,
-            "genus": kind.value,
-            "value": str(value),
-            "source": genus_source(entry, kind),
-        })
-    else:
-        click.echo(str(value))
+        return _emit({"manifold": entry.name, "genus": kind.value, "value": str(value),
+                      "source": genus_source(entry, kind)})
+    print(value)
 
 
-@cli.command()
-@click.option("--manifold", required=True, help="catalog entry or builtin name")
-@click.option("--kind", required=True, type=click.Choice(ELL_CHOICES))
-@click.option("--order", default=DEFAULT_ORDER, show_default=True,
-              type=click.IntRange(min=0), help="keep coefficients through q^ORDER")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("elliptic",), MANIFOLD, Opt("--kind", "kind", ELL_CHOICES, required=True),
+          Opt("--order", "order", int, default=DEFAULT_ORDER, minimum=0,
+              help="keep coefficients through q^ORDER"))
 def elliptic(manifold, kind, order, as_json):
     """q-expansion of an elliptic or Witten genus."""
     from .catalog import resolve
@@ -179,23 +266,14 @@ def elliptic(manifold, kind, order, as_json):
     entry = resolve(manifold)
     result = elliptic_genus(entry, EllKind(kind), q_trunc=_trunc(order))
     if as_json:
-        _emit({
-            "manifold": entry.name,
-            "kind": kind,
-            "order": order,
-            "coefficients": _series_payload(result.series),
-        })
-    else:
-        click.echo(f"{kind}({entry.name}) = {result.series}")
-        click.echo(f"(coefficients through q^{order})")
+        return _emit({"manifold": entry.name, "kind": kind, "order": order, "coefficients":
+                      {_half_key(n): str(c) for n, c in result.series.terms()}})
+    print(f"{kind}({entry.name}) = {result.series}")
+    print(f"(coefficients through q^{order})")
 
 
-@cli.command()
-@click.option("--manifold", required=True, help="catalog entry or builtin name")
-@click.option("--family", required=True, type=click.Choice(["B", "W"]))
-@click.option("--max", "max_k", default=8, show_default=True,
-              type=click.IntRange(min=0), help="largest bundle step k")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("indices",), MANIFOLD, Opt("--family", "family", ("B", "W"), required=True),
+          Opt("--max", "max_k", int, default=8, minimum=0, help="largest bundle step k"))
 def indices(manifold, family, max_k, as_json):
     """Twisted Dirac indices for bundle steps 0..max."""
     from .catalog import resolve
@@ -205,31 +283,16 @@ def indices(manifold, family, max_k, as_json):
     entry = resolve(manifold)
     values = twisted_indices(entry, family, max_k)
     if as_json:
-        _emit({
-            "manifold": entry.name,
-            "family": family,
-            "max": max_k,
-            "indices": {str(k): str(v) for k, v in enumerate(values)},
-        })
-        return
+        return _emit({"manifold": entry.name, "family": family, "max": max_k,
+                      "indices": {str(k): str(v) for k, v in enumerate(values)}})
     for k, value in enumerate(values):
         exponent = _half_key(k if family == "B" else 2 * k)
-        click.echo(f"k={k:<3d} q^{exponent:<5s} ind = {value}")
+        print(f"k={k:<3d} q^{exponent:<5s} ind = {value}")
 
 
-# -- modular forms ----------------------------------------------------------------
-
-
-@cli.group()
-def modular():
-    """Eisenstein fits and the numeric transformation check."""
-
-
-@modular.command("fit")
-@click.option("--manifold", required=True, help="catalog entry or builtin name")
-@click.option("--order", default=DEFAULT_ORDER, show_default=True,
-              type=click.IntRange(min=1), help="compare coefficients through q^ORDER")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("modular", "fit"), MANIFOLD,
+          Opt("--order", "order", int, default=DEFAULT_ORDER, minimum=1,
+              help="compare coefficients through q^ORDER"))
 def modular_fit(manifold, order, as_json):
     """Fit the Witten series against weight-matched E4^i * E6^j monomials."""
     from .catalog import resolve
@@ -243,32 +306,23 @@ def modular_fit(manifold, order, as_json):
         half_exp, coeff = fit.first_mismatch
         mismatch = {"exponent": _half_key(half_exp), "residual": str(coeff)}
     if as_json:
-        _emit({
-            "manifold": fit.manifold,
-            "weight": fit.weight,
-            "coefficients": {_monomial_name(i, j): str(c)
-                             for (i, j), c in sorted(fit.coefficients.items(), reverse=True)},
-            "residual_ok": fit.residual_ok,
-            "checked_order": fit.checked_order,
-            "first_mismatch": mismatch,
-        })
-        return
-    click.echo(f"manifold: {fit.manifold}")
-    click.echo(f"weight: {fit.weight}")
-    click.echo(f"fit: {_fit_combination(fit.coefficients)}")
-    click.echo(f"residual_ok: {str(fit.residual_ok).lower()}")
+        return _emit({"manifold": fit.manifold, "weight": fit.weight, "coefficients": {
+            _monomial_name(i, j): str(c)
+            for (i, j), c in sorted(fit.coefficients.items(), reverse=True)},
+            "residual_ok": fit.residual_ok, "checked_order": fit.checked_order,
+            "first_mismatch": mismatch})
+    print(f"manifold: {fit.manifold}")
+    print(f"weight: {fit.weight}")
+    print(f"fit: {_fit_combination(fit.coefficients)}")
+    print(f"residual_ok: {str(fit.residual_ok).lower()}")
     if mismatch is not None:
-        click.echo(f"first_mismatch: q^{mismatch['exponent']} residual {mismatch['residual']}")
+        print(f"first_mismatch: q^{mismatch['exponent']} residual {mismatch['residual']}")
 
 
-@modular.command("check")
-@click.option("--manifold", required=True, help="catalog entry or builtin name")
-@click.option("--tau-im", "tau_im", default=1.5, show_default=True, type=float,
-              help="imaginary part of tau (must exceed 1)")
-@click.option("--order", default=DEFAULT_ORDER, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--tol", default=1e-8, show_default=True, type=float)
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("modular", "check"), MANIFOLD, Opt("--tau-im", "tau_im", float, default=1.5,
+                                               help="imaginary part of tau (must exceed 1)"),
+          Opt("--order", "order", int, default=DEFAULT_ORDER, minimum=1),
+          Opt("--tol", "tol", float, default=1e-8))
 def modular_check(manifold, tau_im, order, tol, as_json):
     """Compare both sides of the inversion relation numerically."""
     from .catalog import resolve
@@ -278,60 +332,37 @@ def modular_check(manifold, tau_im, order, tol, as_json):
     entry = resolve(manifold)
     check = modular_relation_check(entry, tau_im=tau_im, q_trunc=_trunc(order), tol=tol)
     if as_json:
-        _emit({
-            "manifold": check.manifold,
-            "tau_im": check.tau_im,
-            "order": order,
-            "tol": check.tol,
-            "lhs": [check.lhs.real, check.lhs.imag],
-            "rhs": [check.rhs.real, check.rhs.imag],
-            "abs_error": check.abs_error,
-            "passed": check.passed,
-        })
-        return
-    click.echo(f"lhs = {check.lhs}")
-    click.echo(f"rhs = {check.rhs}")
+        return _emit({"manifold": check.manifold, "tau_im": check.tau_im, "order": order,
+                      "tol": check.tol, "lhs": [check.lhs.real, check.lhs.imag],
+                      "rhs": [check.rhs.real, check.rhs.imag], "abs_error": check.abs_error,
+                      "passed": check.passed})
+    print(f"lhs = {check.lhs}")
+    print(f"rhs = {check.rhs}")
     verdict = "PASS" if check.passed else "FAIL"
-    click.echo(f"|lhs - rhs| = {check.abs_error:.3e} (tol {check.tol:.1e}): {verdict}")
+    print(f"|lhs - rhs| = {check.abs_error:.3e} (tol {check.tol:.1e}): {verdict}")
 
 
-# -- analytic bounds ----------------------------------------------------------------
-
-
-@cli.group()
-def bound():
-    """Analytic constants and index bounds."""
-
-
-@bound.command("cb")
-@click.option("--m", "m_dim", required=True, type=click.IntRange(min=2))
-@click.option("--b", "b_param", required=True, type=float)
-@click.option("--method", default="bisection", show_default=True,
-              type=click.Choice(["bisection", "secant"]))
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("bound", "cb"), Opt("--m", "m_dim", int, required=True, minimum=2),
+          Opt("--b", "b_param", float, required=True),
+          Opt("--method", "method", ("bisection", "secant"), default="bisection"))
 def bound_cb(m_dim, b_param, method, as_json):
     """The positive root c_of_b(m, b)."""
     from .bounds import c_of_b
 
     value = c_of_b(m_dim, b_param, method=method)
     if as_json:
-        _emit({"m": m_dim, "b": b_param, "method": method, "c_of_b": value})
-    else:
-        click.echo(repr(value))
+        return _emit({"m": m_dim, "b": b_param, "method": method, "c_of_b": value})
+    print(repr(value))
 
 
-@bound.command("index")
-@click.option("--m", "m_dim", required=True, type=click.IntRange(min=2))
-@click.option("--p", "p_exp", required=True, type=float)
-@click.option("--lambda", "lambda_", required=True, type=float)
-@click.option("--diam", required=True, type=float)
-@click.option("--b", "b_param", required=True, type=float)
-@click.option("--cmp", "cmp_const", default=1.0, show_default=True, type=float)
-@click.option("--v", "v_exp", default=None, type=float,
-              help="auxiliary exponent; only free when m = 2")
-@click.option("--l", "rank", default=1, show_default=True, type=click.IntRange(min=1),
-              help="bundle rank for the dimension bound")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("bound", "index"), Opt("--m", "m_dim", int, required=True, minimum=2),
+          Opt("--p", "p_exp", float, required=True),
+          Opt("--lambda", "lambda_", float, required=True),
+          Opt("--diam", "diam", float, required=True), Opt("--b", "b_param", float, required=True),
+          Opt("--cmp", "cmp_const", float, default=1.0),
+          Opt("--v", "v_exp", float, help="auxiliary exponent; only free when m = 2"),
+          Opt("--l", "rank", int, default=1, minimum=1,
+              help="bundle rank for the dimension bound"))
 def bound_index(m_dim, p_exp, lambda_, diam, b_param, cmp_const, v_exp, rank, as_json):
     """Full index-bound report with every intermediate constant."""
     import dataclasses
@@ -342,119 +373,88 @@ def bound_index(m_dim, p_exp, lambda_, diam, b_param, cmp_const, v_exp, rank, as
                          b=b_param, cmp=cmp_const, v=v_exp, l=rank)
     payload = dataclasses.asdict(index_bound_report(params))
     if as_json:
-        _emit(payload)
-        return
+        return _emit(payload)
     for key, value in payload.items():
         if isinstance(value, dict):
-            click.echo(f"{key}: " + ", ".join(f"{k}={v}" for k, v in value.items()))
+            print(f"{key}: " + ", ".join(f"{k}={v}" for k, v in value.items()))
         else:
-            click.echo(f"{key} = {value!r}")
-
-
-# -- covering lab ---------------------------------------------------------------------
-
-
-@cli.group()
-def cover():
-    """Torus-quotient covering simulations."""
+            print(f"{key} = {value!r}")
 
 
 def _parse_moduli(text: str):
     try:
         return tuple(int(piece) for piece in text.split(","))
     except ValueError:
-        raise click.BadParameter(f"moduli must be comma-separated integers, got {text!r}")
+        raise UsageError(f"Invalid value for '--base': moduli must be comma-separated"
+                         f" integers, got {text!r}", ("cover", "diam")) from None
 
 
-@cover.command("diam")
-@click.option("--k", "k_rank", required=True, type=click.IntRange(min=1))
-@click.option("--base", "base_text", required=True, help="comma-separated moduli n1,..,nk")
-@click.option("--factor", required=True, type=click.IntRange(min=1))
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("cover", "diam"), Opt("--k", "k_rank", int, required=True, minimum=1),
+          Opt("--base", "base_text", required=True, help="comma-separated moduli n1,..,nk"),
+          Opt("--factor", "factor", int, required=True, minimum=1))
 def cover_diam(k_rank, base_text, factor, as_json):
     """BFS diameters of a quotient and its cover, plus the index inequality."""
     from .covering import cover_diameter
 
     result = cover_diameter(k_rank, _parse_moduli(base_text), factor)
     if as_json:
-        _emit({
-            "k": k_rank,
-            "base": base_text,
-            "factor": factor,
-            "base_diam": result.base_diam,
-            "cover_diam": result.cover_diam,
-            "index": result.index,
-            "inequality_holds": result.inequality_holds,
-        })
-        return
-    click.echo(f"base_diam = {result.base_diam}")
-    click.echo(f"cover_diam = {result.cover_diam}")
-    click.echo(f"index = {result.index}")
+        return _emit({"k": k_rank, "base": base_text, "factor": factor,
+                      "base_diam": result.base_diam, "cover_diam": result.cover_diam,
+                      "index": result.index, "inequality_holds": result.inequality_holds})
+    print(f"base_diam = {result.base_diam}")
+    print(f"cover_diam = {result.cover_diam}")
+    print(f"index = {result.index}")
     relation = "<=" if result.inequality_holds else ">"
-    click.echo(f"inequality: {result.cover_diam} {relation} {result.index} * {result.base_diam}"
-               f" -> {'holds' if result.inequality_holds else 'VIOLATED'}")
+    print(f"inequality: {result.cover_diam} {relation} {result.index} * {result.base_diam}"
+          f" -> {'holds' if result.inequality_holds else 'VIOLATED'}")
 
 
-@cover.command("tower")
-@click.option("--k", "k_rank", required=True, type=click.IntRange(min=1))
-@click.option("--depth", required=True, type=click.IntRange(min=1))
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("cover", "tower"), Opt("--k", "k_rank", int, required=True, minimum=1),
+          Opt("--depth", "depth", int, required=True, minimum=1))
 def cover_tower(k_rank, depth, as_json):
     """The doubling sublattice tower and its index sequence."""
     from .covering import tower
 
     result = tower(k_rank, depth)
     if as_json:
-        _emit({
-            "k": result.k,
-            "levels": [{"j": lv.j, "scale": lv.scale, "index": lv.index}
-                       for lv in result.levels],
-        })
-        return
+        return _emit({"k": result.k, "levels": [{"j": lv.j, "scale": lv.scale, "index": lv.index}
+                                                for lv in result.levels]})
     for lv in result.levels:
-        click.echo(f"j={lv.j:<3d} scale=2^{lv.j - 1:<3d} index={lv.index}")
+        print(f"j={lv.j:<3d} scale=2^{lv.j - 1:<3d} index={lv.index}")
 
 
-@cover.command("l2")
-@click.option("--k", "k_rank", required=True, type=click.IntRange(min=1))
-@click.option("--p", "p_deg", required=True, type=click.IntRange(min=0))
-@click.option("--depth", required=True, type=click.IntRange(min=1))
-@click.option("--json", "as_json", is_flag=True, help="machine-readable output")
+@_command(("cover", "l2"), Opt("--k", "k_rank", int, required=True, minimum=1),
+          Opt("--p", "p_deg", int, required=True, minimum=0),
+          Opt("--depth", "depth", int, required=True, minimum=1))
 def cover_l2(k_rank, p_deg, depth, as_json):
     """Normalized Betti ratios along the tower."""
     from .covering import l2_betti_ratio
 
     ratios = l2_betti_ratio(k_rank, p_deg, depth)
     if as_json:
-        _emit({"k": k_rank, "p": p_deg, "depth": depth,
-               "ratios": [str(r) for r in ratios]})
-    else:
-        click.echo(", ".join(str(r) for r in ratios))
+        return _emit({"k": k_rank, "p": p_deg, "depth": depth, "ratios": [str(r) for r in ratios]})
+    print(", ".join(str(r) for r in ratios))
 
 
 def main(argv=None) -> int:
     """Console entry point; maps the error taxonomy onto exit codes, and any
     other exception onto exit code 4 with one `internal error: ...` line."""
     try:
-        cli.main(args=argv, prog_name="genus-forge", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()  # a reader that left early (`| head -1`) shows up here, not at exit
+        return code
+    except (UsageError, KeyboardInterrupt) as exc:
+        print(exc if isinstance(exc, UsageError) else "aborted", file=sys.stderr)
         return 1
-    except click.Abort:
-        click.echo("aborted", err=True)
+    except BrokenPipeError:  # exit 1 quietly; what is left unwritten goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except NumericalError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
+    except (DataError, NumericalError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, DataError) else 3
     except Exception as exc:  # a defect, not bad input: one line, no traceback
-        click.echo(f"internal error: {exc!r}", err=True)
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
-    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -256,8 +256,13 @@ class ManifoldData:
         if self.pontryagin_numbers is not None:
             return self.pontryagin_numbers
         if self.chern_numbers is not None:
-            return _pontryagin_from_chern(self)
+            return self._converted_pontryagin
         raise InsufficientData(f"{self.name}: no Pontryagin or Chern data")
+
+    @cached_property
+    def _converted_pontryagin(self) -> Mapping[Partition, int]:
+        # once per instance: a genus value and its source each ask for the route
+        return MappingProxyType(_pontryagin_from_chern(self))
 
 
 # -- Chern -> Pontryagin conversion ------------------------------------------

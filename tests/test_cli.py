@@ -1,11 +1,18 @@
 """End-to-end command-line checks through main(argv): text goldens, JSON
-payloads, and the usage/data/numerical exit-code split."""
+payloads, the usage/data/numerical exit-code split, the command-line syntax
+the parser accepts, and the help pages."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genus_forge
+from genus_forge import manifolds
 from genus_forge.catalog import (
     ENV_CATALOG_PATH,
     SCHEMA_VERSION,
@@ -13,7 +20,9 @@ from genus_forge.catalog import (
     save_catalog,
 )
 from genus_forge.cli import main
-from genus_forge.manifolds import ManifoldData
+from genus_forge.manifolds import ManifoldData, cp, product
+
+SRC = str(Path(genus_forge.__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -165,10 +174,103 @@ def test_usage_errors_exit_1(run):
         ("frobnicate",),                                      # unknown command
         ("cover", "diam", "--k", "2", "--base", "3,x", "--factor", "2"),
         ("compute", "--manifold", "K3", "--genus", "todd", "--frob"),
+        ("compute", "--man", "CP3", "--genus", "todd"),       # no abbreviations
+        ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "-1"),  # below minimum
+        ("catalog", "show"),                                  # missing argument
+        ("catalog", "show", "K3", "extra"),                   # extra argument
+        ("compute", "--manifold", "K3", "--genus"),           # option without its value
+        ("catalog", "list", "--json=yes"),                    # flag given a value
     ):
-        code, _, err = run(*args)
+        code, out, err = run(*args)
         assert code == 1, args
-        assert err, args
+        assert out == "", args
+        assert err.startswith("Usage: genus-forge") and "Error: " in err, args
+
+
+def test_bare_groups_print_their_help_on_stderr(run):
+    for args, child in (((), "compute"), (("catalog",), "show")):
+        code, out, err = run(*args)
+        assert (code, out) == (1, ""), args
+        assert err.startswith(f"Usage: {' '.join(('genus-forge', *args))} ") and child in err
+
+
+def test_option_syntax(run):
+    assert run("compute", "--manifold=CP3", "--genus=todd") == (0, "1\n", "")
+    # the last of a repeated option wins: Todd of CP2 is 1, Ahat is -1/8
+    assert run("compute", "--manifold", "CP2", "--genus", "todd", "--genus", "ahat") == \
+        (0, "-1/8\n", "")
+    # `--` ends the options, and a positional may follow them
+    shown = run("catalog", "show", "K3", "--json")
+    assert shown[0] == 0 and run("catalog", "show", "--json", "--", "K3") == shown
+
+
+def test_keyboard_interrupt_aborts(run, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("genus_forge.bounds.c_of_b", interrupt)
+    code, out, err = run("bound", "cb", "--m", "2", "--b", "1.0")
+    assert (code, out) == (1, "") and err.strip() == "aborted"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=SRC, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from genus_forge.cli import main; sys.exit(main())",
+         "catalog", "list"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader leaves before the first line is written, as `| head` can
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+# Copied from the help pages the CLI printed when it was built on click: per
+# page, the docstring, then every option, choice and shown default (or every
+# subcommand), and how many options are marked required.
+HELP_PAGES = {
+    (): (["Exact multiplicative genera", "bound", "catalog", "compute", "cover", "elliptic",
+          "indices", "modular"], 0),
+    ("catalog",): (["Inspect the manifold catalog.", "list", "show"], 0),
+    ("catalog", "list"): (["Names and basic data of every catalog entry.", "--json"], 0),
+    ("catalog", "show"): (["Full stored data of one entry (builtins included).", "NAME",
+                           "--json"], 0),
+    ("compute",): (["One rational genus of one manifold.", "--manifold", "--genus", "todd",
+                    "ahat", "lhat", "signature", "--json"], 2),
+    ("elliptic",): (["q-expansion of an elliptic or Witten genus.", "--manifold", "--kind",
+                     "ell1", "ell2", "witten", "--order", "default: 24", "--json"], 2),
+    ("indices",): (["Twisted Dirac indices for bundle steps 0..max.", "--manifold", "--family",
+                    "[B|W]", "--max", "default: 8", "--json"], 2),
+    ("modular",): (["Eisenstein fits and the numeric transformation check.", "check", "fit"], 0),
+    ("modular", "fit"): (["Fit the Witten series against weight-matched E4^i * E6^j monomials.",
+                          "--manifold", "--order", "default: 24", "--json"], 1),
+    ("modular", "check"): (["Compare both sides of the inversion relation numerically.",
+                            "--manifold", "--tau-im", "default: 1.5", "--order", "default: 24",
+                            "--tol", "default: 1e-08", "--json"], 1),
+    ("bound",): (["Analytic constants and index bounds.", "cb", "index"], 0),
+    ("bound", "cb"): (["The positive root c_of_b(m, b).", "--m", "--b", "--method", "bisection",
+                       "secant", "default: bisection", "--json"], 2),
+    ("bound", "index"): (["Full index-bound report with every intermediate constant.", "--m",
+                          "--p", "--lambda", "--diam", "--b", "--cmp", "default: 1.0", "--v",
+                          "--l", "default: 1;", "--json"], 5),
+    ("cover",): (["Torus-quotient covering simulations.", "diam", "l2", "tower"], 0),
+    ("cover", "diam"): (["BFS diameters of a quotient and its cover, plus the index inequality.",
+                         "--k", "--base", "--factor", "--json"], 3),
+    ("cover", "tower"): (["The doubling sublattice tower and its index sequence.", "--k",
+                          "--depth", "--json"], 2),
+    ("cover", "l2"): (["Normalized Betti ratios along the tower.", "--k", "--p", "--depth",
+                       "--json"], 3),
+}
+
+
+@pytest.mark.parametrize("path", sorted(HELP_PAGES))
+def test_help_pages(run, path):
+    names, required = HELP_PAGES[path]
+    code, out, err = run(*path, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"Usage: {' '.join(('genus-forge', *path))} [OPTIONS]")
+    assert all(name in out for name in names), [name for name in names if name not in out]
+    assert out.count("required") == required
 
 
 def test_data_errors_exit_2(run):
@@ -199,6 +301,9 @@ def test_data_errors_exit_2(run):
         ("modular", "check", "--manifold", "HP2", "--tol", "nan"),
         ("modular", "check", "--manifold", "HP2", "--tol", "-1"),
         ("modular", "check", "--manifold", "HP2", "--tol", "0"),
+        # an option takes the next token as its value even when it starts with '-'
+        ("bound", "cb", "--m", "2", "--b", "-1e-3"),
+        ("modular", "check", "--manifold", "HP2", "--tau-im", "-inf"),
     ):
         code, _, err = run(*args)
         assert code == 2, args
@@ -239,6 +344,23 @@ def test_env_catalog_override(run, tmp_path, monkeypatch):
     # builtins resolve even when missing from the active catalog
     code, out, _ = run("compute", "--manifold", "K3", "--genus", "ahat")
     assert code == 0 and out.strip() == "2"
+
+
+def test_compute_json_converts_chern_data_once(run, tmp_path, monkeypatch):
+    # a Chern-only entry of dimension 8: the value and its source share one conversion
+    entry = product(cp(1), cp(3), name="C8")
+    path = tmp_path / "c8.json"
+    save_catalog(CatalogFile(entries=[entry], schema_version=SCHEMA_VERSION), path)
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    calls = []
+    convert = manifolds._pontryagin_from_chern
+    monkeypatch.setattr(manifolds, "_pontryagin_from_chern",
+                        lambda m: calls.append(m.name) or convert(m))
+    code, out, _ = run("compute", "--manifold", "C8", "--genus", "ahat", "--json")
+    assert code == 0 and calls == ["C8"]
+    assert json.loads(out) == {
+        "manifold": "C8", "genus": "ahat", "value": "0", "source": "computed",
+    }
 
 
 def test_env_catalog_asserted_entry_past_the_cap(run, tmp_path, monkeypatch):

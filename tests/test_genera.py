@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from genus_forge import manifolds
 from genus_forge.errors import DimensionError, InsufficientData, NonUnitLog, ParityError
 from genus_forge.genera import (
     genus_source,
@@ -16,7 +17,7 @@ from genus_forge.genera import (
     pair_logs,
     s_numbers,
 )
-from genus_forge.manifolds import GenusKind, ManifoldData, cp, hp2, k3
+from genus_forge.manifolds import GenusKind, ManifoldData, cp, hp2, k3, product
 from genus_forge.qseries import QSeries
 from theta_oracle import (
     _graded_log,
@@ -272,6 +273,20 @@ def test_genus_source_refuses_where_genus_value_does():
         with pytest.raises(DimensionError):
             call(y6, GenusKind.AHAT)
     assert genus_source(cp(3), GenusKind.TODD) == "computed"
+
+
+def test_value_and_source_convert_chern_data_once(monkeypatch):
+    # a Chern-only entry of dimension 8: its genus value and its source both
+    # ask genus_numbers for the Pontryagin numbers
+    calls = []
+    convert = manifolds._pontryagin_from_chern
+    monkeypatch.setattr(manifolds, "_pontryagin_from_chern",
+                        lambda m: calls.append(m.name) or convert(m))
+    entry = product(cp(1), cp(3))
+    assert entry.pontryagin_numbers is None
+    assert genus_value(entry, GenusKind.AHAT) == 0
+    assert genus_source(entry, GenusKind.AHAT) == "computed"
+    assert calls == ["CP1xCP3"]
 
 
 def test_dimension_contracts():

@@ -1,6 +1,7 @@
 """Import-on-demand guards: `import genus_forge` loads only the error
 classes, every exported name imports its module on first use, and a cold
-`genus-forge` process loads only the modules its command runs."""
+`genus-forge` process loads only the modules its command runs, with no CLI
+framework (click) among them."""
 
 import os
 import subprocess
@@ -18,11 +19,11 @@ SRC = str(Path(genus_forge.__file__).resolve().parents[1])
 
 
 def _loaded_after(code: str, *args: str) -> set:
-    """The genus_forge, scipy and numpy modules in sys.modules once `code`
-    has run in a fresh interpreter (with `args` as sys.argv[1:])."""
+    """The genus_forge, scipy, numpy and click modules in sys.modules once
+    `code` has run in a fresh interpreter (with `args` as sys.argv[1:])."""
     probe = code + (
         "\nprint('MODULES', *sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('genus_forge', 'scipy', 'numpy')))"
+        " if m.split('.')[0] in ('genus_forge', 'scipy', 'numpy', 'click')))"
     )
     out = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
@@ -51,6 +52,7 @@ def test_command_loads_only_its_modules(argv, expected):
     loaded = _loaded_after(code, *argv)
     assert loaded == expected
     assert "genus_forge.charpoly" not in loaded  # the class-polynomial ring serves tests only
+    assert "click" not in loaded  # the command table is stdlib only
 
 
 def test_package_import_loads_only_errors():

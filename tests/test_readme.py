@@ -1,10 +1,13 @@
 """The README's "Library entry points" block runs against the package
-exports, so the documentation and `genus_forge.__all__` cannot drift."""
+exports, so the documentation and `genus_forge.__all__` cannot drift, and
+every command its CLI block shows exits 0."""
 
 import re
+import shlex
 from pathlib import Path
 
 import genus_forge
+from genus_forge.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +29,14 @@ def test_readme_imports_are_exported():
     names = {name.strip() for name in imported.split(",") if name.strip()}
     assert names <= set(genus_forge.__all__)
     assert all(hasattr(genus_forge, name) for name in genus_forge.__all__)
+
+
+def test_readme_cli_commands_run(capsys):
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("genus-forge ")]
+    assert len(commands) == 14
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
