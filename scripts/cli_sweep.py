@@ -95,6 +95,9 @@ FIXED = [
     ("catalog", "show", "T50"),
     ("catalog", "show", "CP25"),
     ("compute", "--manifold", "S52", "--genus", "ahat"),
+    # builtin suffixes are ASCII digits only
+    ("compute", "--manifold", "CP²", "--genus", "todd"),
+    ("catalog", "show", "T²"),
     ("modular", "check", "--manifold", "HP2", "--tau-im", "nan"),
     ("modular", "check", "--manifold", "HP2", "--tol", "nan"),
     ("modular", "check", "--manifold", "HP2", "--tol", "-1"),

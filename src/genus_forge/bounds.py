@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import DomainError, ExponentDomainError, RootNotBracketed
+from .errors import DomainError, ExponentDomainError, Record, RootNotBracketed
 
 __all__ = [
     "BoundParams",
@@ -53,8 +52,7 @@ def _require_positive(name, value):
     return float(value)
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(Record):
     """Inputs for the Moser-constant pipeline.
 
     m       dimension, integer >= 2 (c_of_b caps it at 300)
@@ -69,66 +67,50 @@ class BoundParams:
     l       bundle rank for the dimension bound, positive integer
     """
 
-    m: int
-    p: float
-    Lambda: float
-    diam: float
-    b: float
-    cmp: float = 1.0
-    v: float | None = None
-    l: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {self.m!r}")
-        p = _require_positive("p", self.p)
-        if p <= self.m / 2:
-            raise DomainError(f"p must exceed m/2 = {self.m / 2}, got {p}")
-        if not (isinstance(self.Lambda, (int, float)) and math.isfinite(self.Lambda) and self.Lambda >= 0):
-            raise DomainError(f"Lambda must be a finite real >= 0, got {self.Lambda!r}")
-        diam = _require_positive("diam", self.diam)
-        b = _require_positive("b", self.b)
-        cmp_ = _require_positive("cmp", self.cmp)
-        if not isinstance(self.l, int) or isinstance(self.l, bool) or self.l < 1:
-            raise DomainError(f"l must be a positive integer, got {self.l!r}")
-        if self.m > 2:
-            forced = self.m / 2
-            if self.v is not None and float(self.v) != forced:
-                raise DomainError(f"v is forced to m/2 = {forced} when m > 2, got {self.v!r}")
+    def __init__(self, m: int, p: float, Lambda: float, diam: float, b: float,
+                 cmp: float = 1.0, v: float | None = None, l: int = 1):
+        if not isinstance(m, int) or isinstance(m, bool) or m < 2:
+            raise DomainError(f"m must be an integer >= 2, got {m!r}")
+        p = _require_positive("p", p)
+        if p <= m / 2:
+            raise DomainError(f"p must exceed m/2 = {m / 2}, got {p}")
+        if not (isinstance(Lambda, (int, float)) and math.isfinite(Lambda) and Lambda >= 0):
+            raise DomainError(f"Lambda must be a finite real >= 0, got {Lambda!r}")
+        diam = _require_positive("diam", diam)
+        b = _require_positive("b", b)
+        cmp = _require_positive("cmp", cmp)
+        if not isinstance(l, int) or isinstance(l, bool) or l < 1:
+            raise DomainError(f"l must be a positive integer, got {l!r}")
+        if m > 2:
+            forced = m / 2
+            if v is not None and float(v) != forced:
+                raise DomainError(f"v is forced to m/2 = {forced} when m > 2, got {v!r}")
             v = forced
         else:
-            v = (1 + p) / 2 if self.v is None else _require_positive("v", self.v)
+            v = (1 + p) / 2 if v is None else _require_positive("v", v)
             if not (1 < v < p):
                 raise DomainError(f"for m = 2, v must lie in (1, p), got {v}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "Lambda", float(self.Lambda))
-        object.__setattr__(self, "diam", diam)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "cmp", cmp_)
-        object.__setattr__(self, "v", v)
+        self._set(m=m, p=p, Lambda=float(Lambda), diam=diam, b=b, cmp=cmp, v=v, l=l)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """The inputs and every intermediate of the Moser-constant composition,
     in print order."""
 
-    inputs: BoundParams
-    mu: float
-    K1: float
-    K2: float
-    c_of_b: float
-    R: float
-    B: float
-    constant: float
+    def __init__(self, inputs: BoundParams, mu: float, K1: float, K2: float,
+                 c_of_b: float, R: float, B: float, constant: float):
+        self._set(inputs=inputs, mu=mu, K1=K1, K2=K2, c_of_b=c_of_b, R=R, B=B,
+                  constant=constant)
 
 
-@dataclass(frozen=True)
 class IndexBoundReport(BoundReport):
     """BoundReport extended with the rank-scaled dimension and index bounds."""
 
-    dim_bound: float = math.nan
-    index_bound: float = math.nan
+    def __init__(self, inputs: BoundParams, mu: float, K1: float, K2: float,
+                 c_of_b: float, R: float, B: float, constant: float,
+                 dim_bound: float = math.nan, index_bound: float = math.nan):
+        super().__init__(inputs, mu, K1, K2, c_of_b, R, B, constant)
+        self._set(dim_bound=dim_bound, index_bound=index_bound)
 
 
 def _legendre(n, x):

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .errors import CatalogError, GenusForgeError, UnknownManifold
+from .errors import CatalogError, GenusForgeError, Record, UnknownManifold
 from .manifolds import (
     GenusKind,
     ManifoldData,
@@ -61,10 +60,9 @@ _REQUIRED_FIELDS = ("name", "real_dim", "spin", "string")
 _GENUS_ORDER = tuple(kind.value for kind in GenusKind)
 
 
-@dataclass(frozen=True)
-class CatalogFile:
-    entries: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
+class CatalogFile(Record):
+    def __init__(self, entries: list | None = None, schema_version: int = SCHEMA_VERSION):
+        self._set(entries=[] if entries is None else entries, schema_version=schema_version)
 
     def names(self):
         return [entry.name for entry in self.entries]
@@ -207,6 +205,8 @@ def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
         raise CatalogError(
             f"invalid JSON in {source} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
+        raise CatalogError(f"invalid JSON in {source}: {exc}") from None
     if not isinstance(raw, dict):
         raise CatalogError(f"{source}: top level must be an object")
     unknown = set(raw) - {"schema_version", "entries"}
@@ -230,8 +230,8 @@ def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
 def load_catalog(path) -> CatalogFile:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     return loads_catalog(text, source=str(path))
 

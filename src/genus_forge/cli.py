@@ -365,13 +365,11 @@ def bound_cb(m_dim, b_param, method, as_json):
               help="bundle rank for the dimension bound"))
 def bound_index(m_dim, p_exp, lambda_, diam, b_param, cmp_const, v_exp, rank, as_json):
     """Full index-bound report with every intermediate constant."""
-    import dataclasses
-
     from .bounds import BoundParams, index_bound_report
 
     params = BoundParams(m=m_dim, p=p_exp, Lambda=lambda_, diam=diam,
                          b=b_param, cmp=cmp_const, v=v_exp, l=rank)
-    payload = dataclasses.asdict(index_bound_report(params))
+    payload = {**vars(index_bound_report(params)), "inputs": vars(params)}
     if as_json:
         return _emit(payload)
     for key, value in payload.items():

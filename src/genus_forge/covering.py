@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
-from .errors import DomainError, TooLarge
+from .errors import DomainError, Record, TooLarge
 
 __all__ = [
     "DEFAULT_VERTEX_CAP",
@@ -184,19 +183,16 @@ def _check_tower_size(k, J):
         raise TooLarge(f"depth {J} exceeds the cap of {MAX_TOWER_DEPTH}")
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(Record):
     """Level j holds the sublattice (scale * Z)^k with scale = 2^(j-1)."""
 
-    j: int
-    scale: int
-    index: int
+    def __init__(self, j: int, scale: int, index: int):
+        self._set(j=j, scale=scale, index=index)
 
 
-@dataclass(frozen=True)
-class Tower:
-    k: int
-    levels: list
+class Tower(Record):
+    def __init__(self, k: int, levels: list):
+        self._set(k=k, levels=levels)
 
     def indices(self):
         return [level.index for level in self.levels]
@@ -212,12 +208,10 @@ def tower(k: int, J: int) -> Tower:
     return Tower(k=k, levels=levels)
 
 
-@dataclass(frozen=True)
-class CoverDiameter:
-    base_diam: int
-    cover_diam: int
-    index: int
-    inequality_holds: bool
+class CoverDiameter(Record):
+    def __init__(self, base_diam: int, cover_diam: int, index: int, inequality_holds: bool):
+        self._set(base_diam=base_diam, cover_diam=cover_diam, index=index,
+                  inequality_holds=inequality_holds)
 
 
 def cover_diameter(k, base_moduli, sub_factor: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> CoverDiameter:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the base of its
+immutable records.
 
 Everything derives from GenusForgeError so callers can catch one base
 class.  The split into Usage / Data / Numerical branches mirrors the
@@ -105,3 +106,41 @@ class CatalogError(DataError):
 
 class NonIntegralIndexWarning(UserWarning):
     """Twisted index of a spin manifold came out non-integral."""
+
+
+# -- records -------------------------------------------------------------------
+
+class Record:
+    """Immutable record, in place of a frozen dataclass, whose module imports
+    `inspect`: the costliest import a cold command would otherwise pay.
+
+    The fields are the public attributes that ``__init__`` stores with
+    ``_set``, in that order.  Afterwards assigning or deleting an attribute
+    raises AttributeError.  Records of the same class compare and hash field
+    by field, and the repr names every field.  Private attributes, such as a
+    ``functools.cached_property`` value, are not fields.
+    """
+
+    def _set(self, **fields):
+        self.__dict__.update(fields)
+
+    def _fields(self) -> dict:
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        return f"{type(self).__qualname__}({body})"

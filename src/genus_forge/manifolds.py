@@ -15,7 +15,6 @@ The partition key for a monomial like p1^2*p2 is the descending tuple
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -27,6 +26,7 @@ from .errors import (
     DimensionError,
     InconsistentData,
     InsufficientData,
+    Record,
     TooLarge,
     UnknownManifold,
 )
@@ -146,6 +146,10 @@ class GenusKind(str, Enum):
     SIGNATURE = "signature"
 
 
+def _read_only(numbers):
+    return None if numbers is None else MappingProxyType(numbers)
+
+
 def _normalize_numbers(numbers, total: int, what: str) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     for key, value in numbers.items():
@@ -167,81 +171,72 @@ def _normalize_numbers(numbers, total: int, what: str) -> dict[Partition, int]:
     return out
 
 
-@dataclass(frozen=True)
-class ManifoldData:
+class ManifoldData(Record):
     """Characteristic data of one closed oriented manifold."""
 
-    name: str
-    real_dim: int
-    pontryagin_numbers: Mapping[Partition, int] | None = None
-    chern_numbers: Mapping[Partition, int] | None = None
-    complex_dim: int | None = None
-    spin: bool = False
-    string: bool = False
-    asserted_genera: Mapping[str, Fraction] | None = None
-
-    def __post_init__(self):
-        if self.real_dim <= 0 or self.real_dim % 2:
-            raise DimensionError(f"real_dim {self.real_dim} must be positive and even")
-        if self.pontryagin_numbers is not None or self.chern_numbers is not None:
+    def __init__(
+        self,
+        name: str,
+        real_dim: int,
+        pontryagin_numbers: Mapping[Partition, int] | None = None,
+        chern_numbers: Mapping[Partition, int] | None = None,
+        complex_dim: int | None = None,
+        spin: bool = False,
+        string: bool = False,
+        asserted_genera: Mapping[str, Fraction] | None = None,
+    ):
+        if real_dim <= 0 or real_dim % 2:
+            raise DimensionError(f"real_dim {real_dim} must be positive and even")
+        if pontryagin_numbers is not None or chern_numbers is not None:
             # only numbers are paired over partitions; asserted genera cost nothing
-            _check_real_dim(self.real_dim, self.name)
-        if self.string and not self.spin:
-            raise InconsistentData(f"{self.name}: string requires spin")
+            _check_real_dim(real_dim, name)
+        if string and not spin:
+            raise InconsistentData(f"{name}: string requires spin")
 
-        if self.chern_numbers is not None:
-            n = self.real_dim // 2
-            if self.complex_dim is None:
-                object.__setattr__(self, "complex_dim", n)
-            elif self.complex_dim != n:
-                raise DimensionError(
-                    f"{self.name}: complex_dim {self.complex_dim} != real_dim/2"
-                )
-            object.__setattr__(
-                self,
-                "chern_numbers",
-                _normalize_numbers(self.chern_numbers, n, "Chern"),
-            )
-        elif self.complex_dim is not None:
-            raise InconsistentData(f"{self.name}: complex_dim without Chern numbers")
+        if chern_numbers is not None:
+            n = real_dim // 2
+            if complex_dim is None:
+                complex_dim = n
+            elif complex_dim != n:
+                raise DimensionError(f"{name}: complex_dim {complex_dim} != real_dim/2")
+            chern_numbers = _normalize_numbers(chern_numbers, n, "Chern")
+        elif complex_dim is not None:
+            raise InconsistentData(f"{name}: complex_dim without Chern numbers")
 
-        if self.pontryagin_numbers is not None:
-            if self.real_dim % 4:
-                if self.pontryagin_numbers:
+        if pontryagin_numbers is not None:
+            if real_dim % 4:
+                if pontryagin_numbers:
                     raise DimensionError(
-                        f"{self.name}: nonzero Pontryagin numbers in dimension "
-                        f"{self.real_dim}"
+                        f"{name}: nonzero Pontryagin numbers in dimension {real_dim}"
                     )
-                object.__setattr__(self, "pontryagin_numbers", {})
+                pontryagin_numbers = {}
             else:
-                object.__setattr__(
-                    self,
-                    "pontryagin_numbers",
-                    _normalize_numbers(
-                        self.pontryagin_numbers, self.real_dim // 4, "Pontryagin"
-                    ),
+                pontryagin_numbers = _normalize_numbers(
+                    pontryagin_numbers, real_dim // 4, "Pontryagin"
                 )
 
-        if self.asserted_genera is not None:
+        if asserted_genera is not None:
             known = {k.value for k in GenusKind}
             clean: dict[str, Fraction] = {}
-            for key, value in self.asserted_genera.items():
+            for key, value in asserted_genera.items():
                 if key not in known:
-                    raise InconsistentData(f"{self.name}: unknown genus name {key!r}")
+                    raise InconsistentData(f"{name}: unknown genus name {key!r}")
                 clean[key] = Fraction(value)
-            object.__setattr__(self, "asserted_genera", clean)
+            asserted_genera = clean
 
-        if (
-            self.pontryagin_numbers is None
-            and self.chern_numbers is None
-            and not self.asserted_genera
-        ):
-            raise InsufficientData(f"{self.name}: no characteristic data at all")
+        if pontryagin_numbers is None and chern_numbers is None and not asserted_genera:
+            raise InsufficientData(f"{name}: no characteristic data at all")
 
-        for fld in ("pontryagin_numbers", "chern_numbers", "asserted_genera"):
-            value = getattr(self, fld)
-            if value is not None:
-                object.__setattr__(self, fld, MappingProxyType(value))
+        self._set(
+            name=name,
+            real_dim=real_dim,
+            pontryagin_numbers=_read_only(pontryagin_numbers),
+            chern_numbers=_read_only(chern_numbers),
+            complex_dim=complex_dim,
+            spin=spin,
+            string=string,
+            asserted_genera=_read_only(asserted_genera),
+        )
 
     # -- data access -------------------------------------------------------
 
@@ -292,7 +287,7 @@ def chern_to_pontryagin(m: ManifoldData) -> ManifoldData:
             f"{m.name}: stored Pontryagin numbers {m.pontryagin_numbers} "
             f"disagree with conversion {computed}"
         )
-    return replace(m, pontryagin_numbers=computed)
+    return ManifoldData(**{**m._fields(), "pontryagin_numbers": computed})
 
 
 # -- products and connected sums ------------------------------------------------
@@ -494,6 +489,8 @@ def builtin(name: str) -> ManifoldData:
     if name == "HP2":
         return hp2()
     for prefix, factory in (("CP", cp), ("S", sphere), ("T", torus)):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return factory(int(name[len(prefix):]))
+        suffix = name[len(prefix):]
+        # ASCII digits only: str.isdigit also holds for '²' and '٤'
+        if name.startswith(prefix) and suffix.isascii() and suffix.isdigit():
+            return factory(int(suffix))
     raise UnknownManifold(f"no builtin manifold named {name!r}")

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .elliptic import EllKind, divisor_sum, elliptic_genus
-from .errors import ConvergenceRisk, DomainError, FitError
+from .errors import ConvergenceRisk, DomainError, FitError, Record
 from .manifolds import ManifoldData
 from .qseries import QSeries
 
@@ -32,16 +31,19 @@ def eisenstein(kind: str, q_trunc: int) -> QSeries:
     return 1 + divisor_sum(2, 1, power, q_trunc) * scale
 
 
-@dataclass(frozen=True)
-class ModularFit:
-    """Result of expressing a Witten genus in E4^i E6^j monomials."""
+class ModularFit(Record):
+    """Result of expressing a Witten genus in E4^i E6^j monomials.
 
-    manifold: str
-    weight: int
-    coefficients: dict[tuple[int, int], Fraction]
-    residual_ok: bool
-    checked_order: int  # half-exponent truncation the residual was checked to
-    first_mismatch: tuple[int, Fraction] | None = None  # (half-exponent, residual)
+    checked_order is the half-exponent truncation the residual was checked
+    to; first_mismatch is (half-exponent, residual) of the first failure.
+    """
+
+    def __init__(self, manifold: str, weight: int,
+                 coefficients: dict[tuple[int, int], Fraction], residual_ok: bool,
+                 checked_order: int, first_mismatch: tuple[int, Fraction] | None = None):
+        self._set(manifold=manifold, weight=weight, coefficients=coefficients,
+                  residual_ok=residual_ok, checked_order=checked_order,
+                  first_mismatch=first_mismatch)
 
 
 def _solve_exact(rows: list[list[Fraction]], n: int) -> list[Fraction] | None:
@@ -126,18 +128,13 @@ def witten_fit(m: ManifoldData, q_trunc: int = 49) -> ModularFit:
     )
 
 
-@dataclass(frozen=True)
-class ModularCheck:
+class ModularCheck(Record):
     """Numeric verification of Ell1(-1/tau) = (2 tau)^(2m) Ell2(tau)."""
 
-    manifold: str
-    tau_im: float
-    q_trunc: int
-    tol: float
-    lhs: complex
-    rhs: complex
-    abs_error: float
-    passed: bool
+    def __init__(self, manifold: str, tau_im: float, q_trunc: int, tol: float,
+                 lhs: complex, rhs: complex, abs_error: float, passed: bool):
+        self._set(manifold=manifold, tau_im=tau_im, q_trunc=q_trunc, tol=tol,
+                  lhs=lhs, rhs=rhs, abs_error=abs_error, passed=passed)
 
 
 def modular_relation_check(

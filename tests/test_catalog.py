@@ -21,6 +21,7 @@ from genus_forge.catalog import (
     resolve,
     save_catalog,
 )
+from genus_forge.cli import main
 from genus_forge.errors import CatalogError, UnknownManifold
 from genus_forge.genera import genus_value
 from genus_forge.manifolds import GenusKind, ManifoldData, k3
@@ -160,6 +161,21 @@ def test_save_and_load_file(tmp_path):
     assert again.names() == ["K3"] and again.get("K3") == k3()
     with pytest.raises(CatalogError, match="cannot read"):
         load_catalog(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # not UTF-8
+    b'{"schema_version": 1, "entries": [], "n": ' + b"1" * 4301 + b"}",  # past int() digits
+    b"[" * 100_000,  # deeper than the decoder's recursion limit
+], ids=["not-utf8", "long-int", "deep-nesting"])
+def test_undecodable_catalog_files(tmp_path, monkeypatch, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(CatalogError, match="bad.json"):
+        load_catalog(path)
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    assert main(["catalog", "list"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_env_override(tmp_path, monkeypatch):

@@ -145,6 +145,9 @@ def test_bound_index_text_and_json(run):
     assert "index_bound = 3921.0142231130576" in out
     code, out, _ = run(*args, "--json")
     payload = json.loads(out)
+    assert list(payload) == ["inputs", "mu", "K1", "K2", "c_of_b", "R", "B", "constant",
+                             "dim_bound", "index_bound"]
+    assert list(payload["inputs"]) == ["m", "p", "Lambda", "diam", "b", "cmp", "v", "l"]
     assert payload["inputs"]["m"] == 4 and payload["inputs"]["v"] == 2.0
     assert payload["mu"] == 2.0 and payload["K1"] == 2.0 and payload["K2"] == 1.0
     assert abs(payload["index_bound"] - 3921.0142231130576) < 1e-6
@@ -295,6 +298,10 @@ def test_data_errors_exit_2(run):
         ("catalog", "show", "S50"),
         ("compute", "--manifold", "CP1000000", "--genus", "todd"),
         ("compute", "--manifold", "T1000000", "--genus", "ahat"),
+        # builtin suffixes are ASCII digits: '²' and '٤' pass str.isdigit
+        ("compute", "--manifold", "CP²", "--genus", "todd"),
+        ("catalog", "show", "T²"),
+        ("catalog", "show", "S٤"),
         # modular check inputs for which the check could never pass
         ("modular", "check", "--manifold", "HP2", "--tau-im", "nan"),
         ("modular", "check", "--manifold", "HP2", "--tau-im", "inf"),

@@ -1,7 +1,8 @@
 """Import-on-demand guards: `import genus_forge` loads only the error
 classes, every exported name imports its module on first use, and a cold
 `genus-forge` process loads only the modules its command runs, with no CLI
-framework (click) among them."""
+framework (click) among them and, outside the q-series commands, neither
+`dataclasses` nor the `inspect` module it imports."""
 
 import os
 import subprocess
@@ -19,11 +20,12 @@ SRC = str(Path(genus_forge.__file__).resolve().parents[1])
 
 
 def _loaded_after(code: str, *args: str) -> set:
-    """The genus_forge, scipy, numpy and click modules in sys.modules once
-    `code` has run in a fresh interpreter (with `args` as sys.argv[1:])."""
+    """The genus_forge, scipy, numpy, click, dataclasses and inspect modules
+    in sys.modules once `code` has run in a fresh interpreter (with `args` as
+    sys.argv[1:])."""
     probe = code + (
-        "\nprint('MODULES', *sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('genus_forge', 'scipy', 'numpy', 'click')))"
+        "\nprint('MODULES', *sorted(m for m in sys.modules if m.split('.')[0] in"
+        " ('genus_forge', 'scipy', 'numpy', 'click', 'dataclasses', 'inspect')))"
     )
     out = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
@@ -32,7 +34,9 @@ def _loaded_after(code: str, *args: str) -> set:
 
 BASE = {"genus_forge", "genus_forge.cli", "genus_forge.errors"}
 CATALOG = BASE | {"genus_forge.catalog", "genus_forge.manifolds"}
-ELLIPTIC = CATALOG | {"genus_forge.genera", "genus_forge.qseries", "genus_forge.elliptic"}
+# elliptic.GenusSeries is still a dataclass
+ELLIPTIC = CATALOG | {"genus_forge.genera", "genus_forge.qseries", "genus_forge.elliptic",
+                      "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -46,6 +50,9 @@ ELLIPTIC = CATALOG | {"genus_forge.genera", "genus_forge.qseries", "genus_forge.
     (("indices", "--manifold", "K3", "--family", "B", "--max", "3"), ELLIPTIC),
     (("modular", "check", "--manifold", "HP2", "--tau-im", "2.0"),
      ELLIPTIC | {"genus_forge.modular"}),
+    (("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),
+     BASE | {"genus_forge.bounds"}),
+    (("catalog", "show", "K3"), CATALOG),
 ])
 def test_command_loads_only_its_modules(argv, expected):
     code = "import sys\nfrom genus_forge.cli import main\nmain(sys.argv[1:])"
