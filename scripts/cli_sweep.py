@@ -101,8 +101,11 @@ FIXED = [
     ("modular", "check", "--manifold", "HP2", "--tau-im", "nan"),
     ("modular", "check", "--manifold", "HP2", "--tol", "nan"),
     ("modular", "check", "--manifold", "HP2", "--tol", "-1"),
-    # exit 3: numerical
+    # exit 3: numerical, including a truncation too short for the requested tau
     ("modular", "check", "--manifold", "HP2", "--tau-im", "0.5"),
+    ("modular", "check", "--manifold", "HP2", "--tau-im", "10"),
+    ("modular", "check", "--manifold", "HP2", "--tau-im", "50"),
+    ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0", "--order", "4"),
     ("bound", "cb", "--m", "2", "--b", "710"),
 ]
 

@@ -1,5 +1,5 @@
-"""Manifold catalog persistence: canonical JSON files, validation that names
-each offending entry and rule, and name resolution with builtin fallback.
+"""Manifold catalog persistence: canonical JSON files, decoding whose errors
+name each offending entry, and name resolution with builtin fallback.
 
 Partition keys serialize as descending comma-joined integers ("2,1,1");
 rationals as "num/den" strings. Serialization is canonical, so saving a loaded
@@ -80,12 +80,9 @@ def _partition_key(partition) -> str:
 
 def _parse_partition(key, entry_name):
     try:
-        partition = tuple(int(piece) for piece in key.split(","))
-    except ValueError:
+        return tuple(int(piece) for piece in key.split(","))
+    except (AttributeError, ValueError):  # not a string of comma-separated integers
         raise CatalogError(f"entry {entry_name!r}: malformed partition key {key!r}") from None
-    if not partition or any(part < 1 for part in partition):
-        raise CatalogError(f"entry {entry_name!r}: partition parts must be positive in {key!r}")
-    return partition
 
 
 def _numbers_to_json(numbers):
@@ -113,23 +110,18 @@ def entry_to_dict(entry: ManifoldData) -> dict:
     return out
 
 
-def _checked(raw, entry_name, fld, types):
-    if fld not in raw:
-        return None
+def _object(raw, entry_name, fld) -> dict:
     value = raw[fld]
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+    if not isinstance(value, dict):
         raise CatalogError(f"entry {entry_name!r}: field {fld!r} has wrong type {type(value).__name__}")
     return value
 
 
-def _parse_numbers(raw_numbers, entry_name, fld):
+def _parse_numbers(raw, entry_name, fld):
     numbers = {}
-    for key, value in raw_numbers.items():
-        if not isinstance(key, str):
-            raise CatalogError(f"entry {entry_name!r}: {fld} keys must be strings")
+    for key, value in _object(raw, entry_name, fld).items():
         partition = _parse_partition(key, entry_name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CatalogError(f"entry {entry_name!r}: {fld}[{key!r}] must be an integer")
+        # "2,1" and "2, 1" both decode to (2, 1); the constructor sees only one
         if partition in numbers:
             raise CatalogError(f"entry {entry_name!r}: duplicate partition {key!r} in {fld}")
         numbers[partition] = value
@@ -137,7 +129,8 @@ def _parse_numbers(raw_numbers, entry_name, fld):
 
 
 def entry_from_dict(raw) -> ManifoldData:
-    """Validate one JSON entry object and construct the manifold data."""
+    """Decode one JSON entry object into manifold data.  ManifoldData validates
+    the values; its errors come back naming the entry."""
     if not isinstance(raw, dict):
         raise CatalogError(f"catalog entry must be an object, got {type(raw).__name__}")
     entry_name = raw.get("name", "<unnamed>")
@@ -148,44 +141,18 @@ def entry_from_dict(raw) -> ManifoldData:
         if fld not in raw:
             raise CatalogError(f"entry {entry_name!r}: missing required field {fld!r}")
 
-    name = _checked(raw, entry_name, "name", (str,))
-    real_dim = _checked(raw, entry_name, "real_dim", (int,))
-    complex_dim = _checked(raw, entry_name, "complex_dim", (int,))
-    spin = _checked(raw, entry_name, "spin", (bool,))
-    string = _checked(raw, entry_name, "string", (bool,))
-
-    chern = _checked(raw, entry_name, "chern_numbers", (dict,))
-    if chern is not None:
-        chern = _parse_numbers(chern, entry_name, "chern_numbers")
-    pont = _checked(raw, entry_name, "pontryagin_numbers", (dict,))
-    if pont is not None:
-        pont = _parse_numbers(pont, entry_name, "pontryagin_numbers")
-
-    asserted = _checked(raw, entry_name, "asserted", (dict,))
-    if asserted is not None:
-        parsed = {}
+    fields = {fld: raw[fld] for fld in ("name", "real_dim", "complex_dim", "spin", "string")
+              if fld in raw}
+    for fld in ("chern_numbers", "pontryagin_numbers"):
+        if fld in raw:
+            fields[fld] = _parse_numbers(raw, entry_name, fld)
+    if "asserted" in raw:
+        fields["asserted_genera"] = asserted = _object(raw, entry_name, "asserted")
         for kind, text in asserted.items():
-            if kind not in _GENUS_ORDER:
-                raise CatalogError(f"entry {entry_name!r}: unknown asserted genus {kind!r}")
             if not isinstance(text, str):
                 raise CatalogError(f"entry {entry_name!r}: asserted[{kind!r}] must be a 'num/den' string")
-            try:
-                parsed[kind] = Fraction(text)
-            except (ValueError, ZeroDivisionError):
-                raise CatalogError(f"entry {entry_name!r}: bad rational {text!r} for {kind!r}") from None
-        asserted = parsed
-
     try:
-        return ManifoldData(
-            name=name,
-            real_dim=real_dim,
-            pontryagin_numbers=pont,
-            chern_numbers=chern,
-            complex_dim=complex_dim,
-            spin=spin,
-            string=string,
-            asserted_genera=asserted,
-        )
+        return ManifoldData(**fields)
     except GenusForgeError as exc:
         raise CatalogError(f"entry {entry_name!r}: {exc}") from exc
 

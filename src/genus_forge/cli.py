@@ -24,7 +24,7 @@ from .errors import DataError, NumericalError, TooLarge
 GENUS_CHOICES = ("todd", "ahat", "lhat", "signature")
 ELL_CHOICES = ("ell1", "ell2", "witten")
 
-DEFAULT_ORDER = 24  # q-series commands keep coefficients through q^24
+DEFAULT_ORDER = 24  # through q^24; _trunc(DEFAULT_ORDER) is elliptic.DEFAULT_Q_TRUNC
 # Largest --order, and largest `indices --max` (W_k sits at q^k), that the
 # q-series commands accept; beyond it they raise TooLarge (exit 2).
 MAX_ORDER = 100
@@ -396,9 +396,7 @@ def cover_diam(k_rank, base_text, factor, as_json):
 
     result = cover_diameter(k_rank, _parse_moduli(base_text), factor)
     if as_json:
-        return _emit({"k": k_rank, "base": base_text, "factor": factor,
-                      "base_diam": result.base_diam, "cover_diam": result.cover_diam,
-                      "index": result.index, "inequality_holds": result.inequality_holds})
+        return _emit({"k": k_rank, "base": base_text, "factor": factor, **vars(result)})
     print(f"base_diam = {result.base_diam}")
     print(f"cover_diam = {result.cover_diam}")
     print(f"index = {result.index}")
@@ -415,8 +413,7 @@ def cover_tower(k_rank, depth, as_json):
 
     result = tower(k_rank, depth)
     if as_json:
-        return _emit({"k": result.k, "levels": [{"j": lv.j, "scale": lv.scale, "index": lv.index}
-                                                for lv in result.levels]})
+        return _emit({"k": result.k, "levels": [vars(lv) for lv in result.levels]})
     for lv in result.levels:
         print(f"j={lv.j:<3d} scale=2^{lv.j - 1:<3d} index={lv.index}")
 

@@ -29,7 +29,7 @@ __all__ = [
     "l2_betti_ratio",
 ]
 
-DEFAULT_VERTEX_CAP = 10**6
+DEFAULT_VERTEX_CAP = 10**6  # largest graph, in vertices, that TorusQuotientGraph builds
 # Caps on the doubling tower and its Betti ratios: level j carries the index
 # 2^((j-1)k), so depth and rank together set the size of every number built.
 MAX_TOWER_DEPTH = 64
@@ -54,14 +54,13 @@ def _check_moduli(moduli):
 class TorusQuotientGraph:
     """Cayley graph of prod Z/n_i with unit-weight generator edges +-e_i."""
 
-    __slots__ = ("moduli", "vertex_cap")
+    __slots__ = ("moduli",)
 
-    def __init__(self, moduli, vertex_cap: int = DEFAULT_VERTEX_CAP):
+    def __init__(self, moduli):
         self.moduli = _check_moduli(moduli)
-        self.vertex_cap = int(vertex_cap)
-        if self.vertex_count > self.vertex_cap:
+        if self.vertex_count > DEFAULT_VERTEX_CAP:
             raise TooLarge(
-                f"{self.vertex_count} vertices exceeds the cap of {self.vertex_cap}"
+                f"{self.vertex_count} vertices exceeds the cap of {DEFAULT_VERTEX_CAP}"
             )
 
     @property
@@ -71,10 +70,6 @@ class TorusQuotientGraph:
     @property
     def vertex_count(self) -> int:
         return math.prod(self.moduli)
-
-    def closed_form_diameter(self) -> int:
-        """sum of floor(n_i / 2); the oracle the BFS must reproduce."""
-        return sum(n // 2 for n in self.moduli)
 
     def diameter(self) -> int:
         """Eccentricity of the origin by BFS; equals the graph diameter by
@@ -214,7 +209,7 @@ class CoverDiameter(Record):
                   inequality_holds=inequality_holds)
 
 
-def cover_diameter(k, base_moduli, sub_factor: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> CoverDiameter:
+def cover_diameter(k, base_moduli, sub_factor: int) -> CoverDiameter:
     """BFS diameters of a torus quotient and its degree-(sub_factor^k) cover
     (moduli scaled componentwise), plus the cover-diameter inequality
     cover_diam <= index * base_diam."""
@@ -223,8 +218,8 @@ def cover_diameter(k, base_moduli, sub_factor: int, vertex_cap: int = DEFAULT_VE
         raise DomainError(f"expected {k} moduli, got {len(base_moduli)}")
     if not isinstance(sub_factor, int) or isinstance(sub_factor, bool) or sub_factor < 1:
         raise DomainError(f"sub_factor must be a positive integer, got {sub_factor!r}")
-    base = TorusQuotientGraph(base_moduli, vertex_cap=vertex_cap)
-    cover = TorusQuotientGraph(tuple(sub_factor * n for n in base_moduli), vertex_cap=vertex_cap)
+    base = TorusQuotientGraph(base_moduli)
+    cover = TorusQuotientGraph(tuple(sub_factor * n for n in base_moduli))
     index = sub_factor**k
     base_diam = base.diameter()
     cover_diam = cover.diameter()

@@ -2,8 +2,9 @@
 immutable records.
 
 Everything derives from GenusForgeError so callers can catch one base
-class.  The split into Usage / Data / Numerical branches mirrors the
-CLI exit codes (1, 2, 3).  Any other exception reaching the CLI is a
+class.  The Data and Numerical branches map onto the CLI exit codes 2
+and 3.  A bad command line (exit code 1) is the CLI's own `UsageError`,
+which is not a GenusForgeError.  Any other exception reaching the CLI is a
 defect: it exits with code 4 and one `internal error: ...` line on stderr.
 """
 
@@ -45,10 +46,6 @@ class DivergentEvaluation(NumericalError):
 
 
 # -- characteristic class calculus -------------------------------------------
-
-class ParityError(DataError):
-    """Factor series for a Pontryagin-type class has odd-degree terms."""
-
 
 class InsufficientData(DataError):
     """A manifold lacks the characteristic numbers the operation needs."""

@@ -35,8 +35,9 @@ Partition = tuple[int, ...]
 
 # Largest real dimension accepted.  The genus engine enumerates partitions
 # of real_dim/4 (and a CPn builds its Chern numbers over partitions of n),
-# whose count grows like exp(pi sqrt(2n/3)): Todd of CP24 takes a few
-# seconds, while CP28 takes about 17 s.
+# whose count grows like exp(pi sqrt(2n/3)): in one fresh process (Python
+# 3.11, x86-64 Xeon), Todd of CP24 takes 0.6-0.8 s, and of CP28, past the
+# cap, 3.9 s.
 MAX_REAL_DIM = 48
 
 
@@ -185,6 +186,14 @@ class ManifoldData(Record):
         string: bool = False,
         asserted_genera: Mapping[str, Fraction] | None = None,
     ):
+        for field, value, kind in (("name", name, str), ("real_dim", real_dim, int),
+                                   ("complex_dim", complex_dim, (int, type(None))),
+                                   ("spin", spin, bool), ("string", string, bool)):
+            # bool is an int subclass, so only the bool fields take it
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise InconsistentData(
+                    f"{name}: field {field!r} has wrong type {type(value).__name__}"
+                )
         if real_dim <= 0 or real_dim % 2:
             raise DimensionError(f"real_dim {real_dim} must be positive and even")
         if pontryagin_numbers is not None or chern_numbers is not None:
@@ -220,8 +229,11 @@ class ManifoldData(Record):
             clean: dict[str, Fraction] = {}
             for key, value in asserted_genera.items():
                 if key not in known:
-                    raise InconsistentData(f"{name}: unknown genus name {key!r}")
-                clean[key] = Fraction(value)
+                    raise InconsistentData(f"{name}: unknown asserted genus {key!r}")
+                try:
+                    clean[key] = Fraction(value)
+                except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+                    raise InconsistentData(f"{name}: bad rational {value!r} for {key!r}") from None
             asserted_genera = clean
 
         if pontryagin_numbers is None and chern_numbers is None and not asserted_genera:

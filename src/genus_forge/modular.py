@@ -14,7 +14,7 @@ import cmath
 import math
 from fractions import Fraction
 
-from .elliptic import EllKind, divisor_sum, elliptic_genus
+from .elliptic import DEFAULT_Q_TRUNC, EllKind, divisor_sum, elliptic_genus
 from .errors import ConvergenceRisk, DomainError, FitError, Record
 from .manifolds import ManifoldData
 from .qseries import QSeries
@@ -79,7 +79,7 @@ def _solve_exact(rows: list[list[Fraction]], n: int) -> list[Fraction] | None:
     return solution
 
 
-def witten_fit(m: ManifoldData, q_trunc: int = 49) -> ModularFit:
+def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
     """Fit the Witten genus of a 4m-manifold against E4^i E6^j, 4i+6j=2m."""
     weight = m.real_dim // 2
     monomials = [
@@ -137,18 +137,32 @@ class ModularCheck(Record):
                   lhs=lhs, rhs=rhs, abs_error=abs_error, passed=passed)
 
 
+# A verdict needs the estimated truncation error this many times below tol.
+_TAIL_MARGIN = 10.0
+
+
+def _tail(series: QSeries, q: float) -> float:
+    """Estimated truncation error of series.eval_at(q): the stored terms of
+    its last two powers of q, continued as a geometric series in q^(1/2)."""
+    last = sum(abs(float(c)) * q ** (n / 2) for n, c in series.terms() if n >= series.trunc - 4)
+    return last / (1.0 - math.sqrt(q))
+
+
 def modular_relation_check(
     m: ManifoldData,
     tau_im: float = 1.5,
-    q_trunc: int = 48,
+    q_trunc: int = DEFAULT_Q_TRUNC,
     tol: float = 1e-8,
 ) -> ModularCheck:
     """Evaluate both sides of the S-transformation at tau = i * tau_im.
 
-    tau_im must exceed 1 so that both q = e^(-2 pi tau_im) and
-    q' = e^(-2 pi / tau_im) are small enough for the truncated series,
-    and tol must be a finite positive real (a NaN or nonpositive tol is a
-    check that can never pass).
+    tau_im must exceed 1, and tol must be a finite positive real (a NaN or
+    nonpositive tol is a check that can never pass).  The lhs is summed at
+    q' = e^(-2 pi / tau_im), which nears 1 as tau_im grows, and the rhs at
+    q = e^(-2 pi tau_im).  When the estimated truncation error of the two
+    sides (`_tail`, the rhs scaled by |2 tau|^(2m)) is not at least
+    _TAIL_MARGIN times below tol, a FAIL would say nothing about the
+    relation, so ConvergenceRisk is raised instead.
     """
     if not math.isfinite(tau_im):
         raise DomainError(f"tau_im must be a finite real, got {tau_im!r}")
@@ -164,8 +178,16 @@ def modular_relation_check(
     q = math.exp(-2.0 * math.pi * tau_im)
     q_prime = math.exp(-2.0 * math.pi / tau_im)
     tau = complex(0.0, tau_im)
+    scale = (2.0 * tau) ** (2 * mm)
     lhs = ell1.eval_at(q_prime)
-    rhs = (2.0 * tau) ** (2 * mm) * ell2.eval_at(q)
+    rhs = scale * ell2.eval_at(q)
+    tail = _tail(ell1, q_prime) + abs(scale) * _tail(ell2, q)
+    if not tail < tol / _TAIL_MARGIN:  # a NaN estimate is refused too
+        raise ConvergenceRisk(
+            f"{m.name}: estimated truncation error {tail:.1e} at tau_im = {tau_im} and "
+            f"q_trunc = {q_trunc} is not well below tol = {tol:.1e}; keep more terms "
+            "or bring tau_im nearer 1"
+        )
     abs_error = abs(lhs - rhs)
     return ModularCheck(
         manifold=m.name,

@@ -128,6 +128,24 @@ def test_entry_messages_name_the_entry():
         assert "Troubled" in str(exc)
     else:
         pytest.fail("expected CatalogError")
+    # the constructor's rejections come back naming the entry
+    for bad, match in (
+        (dict(real_dim=4.0), "has wrong type float"),
+        (dict(real_dim=True), "has wrong type bool"),
+        (dict(spin="no"), "has wrong type str"),
+        (dict(spin=1), "has wrong type int"),
+        (dict(name=7), "has wrong type int"),
+        (dict(real_dim=2, pontryagin_numbers={}, chern_numbers={"1": 2}, complex_dim=True),
+         "has wrong type bool"),
+        (dict(asserted={"ahat": "two"}), "bad rational"),
+        (dict(asserted={"ahat": "1/0"}), "bad rational"),
+        (dict(pontryagin_numbers={"0": 1}), "is not a partition"),
+        (dict(pontryagin_numbers={"1": 2.5}), "must be an integer"),
+    ):
+        raw = _base_entry(**bad)
+        with pytest.raises(CatalogError, match=match) as err:
+            entry_from_dict(raw)
+        assert str(err.value).startswith(f"entry {raw['name']!r}: ")
 
 
 def test_loads_validation():

@@ -160,6 +160,13 @@ def test_cover_commands(run):
     assert code == 0
     assert "base_diam = 2" in out and "cover_diam = 6" in out
     assert "index = 4" in out and "holds" in out
+    code, out, _ = run("cover", "diam", "--k", "2", "--base", "3,3", "--factor", "2", "--json")
+    assert code == 0 and list(json.loads(out).items()) == [
+        ("k", 2), ("base", "3,3"), ("factor", 2), ("base_diam", 2), ("cover_diam", 6),
+        ("index", 4), ("inequality_holds", True)]
+    code, out, _ = run("cover", "tower", "--k", "2", "--depth", "2", "--json")
+    assert code == 0 and [list(lv.items()) for lv in json.loads(out)["levels"]] == [
+        [("j", 1), ("scale", 1), ("index", 1)], [("j", 2), ("scale", 2), ("index", 4)]]
     code, out, _ = run("cover", "tower", "--k", "3", "--depth", "3")
     assert code == 0
     assert [line.split("index=")[1] for line in out.splitlines()] == ["1", "8", "64"]
@@ -320,6 +327,10 @@ def test_data_errors_exit_2(run):
 def test_numerical_errors_exit_3(run):
     for args in (
         ("modular", "check", "--manifold", "K3", "--tau-im", "0.5"),
+        # q' = e^(-2 pi / tau_im) nears 1: the truncated lhs no longer converges
+        ("modular", "check", "--manifold", "HP2", "--tau-im", "10"),
+        ("modular", "check", "--manifold", "HP2", "--tau-im", "50"),
+        ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0", "--order", "4"),
         ("bound", "cb", "--m", "2", "--b", "710"),
     ):
         code, _, err = run(*args)

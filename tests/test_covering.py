@@ -25,11 +25,16 @@ from genus_forge.covering import (
 from genus_forge.errors import DomainError, TooLarge
 
 
+def _closed_form_diameter(moduli) -> int:
+    """sum of floor(n_i / 2): the diameter the BFS must reproduce."""
+    return sum(n // 2 for n in moduli)
+
+
 def test_bfs_matches_closed_form_exhaustive():
     for k in (1, 2, 3):
         for moduli in iproduct(range(1, 7), repeat=k):
             g = TorusQuotientGraph(moduli)
-            assert g.diameter() == g.closed_form_diameter() == sum(n // 2 for n in moduli)
+            assert g.diameter() == _closed_form_diameter(moduli)
 
 
 def test_bfs_matches_closed_form_line():
@@ -41,7 +46,7 @@ def test_bfs_matches_closed_form_line():
 def test_bfs_matches_closed_form_spots():
     for moduli in ((9999,), (99, 101), (100, 100), (21, 21, 21), (4, 50, 50)):
         g = TorusQuotientGraph(moduli)
-        assert g.diameter() == g.closed_form_diameter()
+        assert g.diameter() == _closed_form_diameter(moduli)
 
 
 @st.composite
@@ -65,14 +70,14 @@ def _torus_moduli(draw, max_vertices=40_000):
 @example((1, 40, 2, 1))
 def test_bfs_matches_closed_form_property(moduli):
     g = TorusQuotientGraph(moduli)
-    assert g.diameter() == g.closed_form_diameter()
+    assert g.diameter() == _closed_form_diameter(moduli)
 
 
 def test_bfs_kernels_agree_across_threshold():
     # both kernels on shapes either side of the modulus at which diameter()
     # switches from the bitset kernel to the deque loop
     for moduli in ((4096,), (4097,), (2, 5000), (3, 3, 4000), (1,), (1, 1, 1), (2,) * 10):
-        want = TorusQuotientGraph(moduli).closed_form_diameter()
+        want = _closed_form_diameter(moduli)
         assert _bitset_eccentricity(moduli) == want, moduli
         assert _deque_eccentricity(moduli) == want, moduli
 
@@ -82,9 +87,10 @@ def test_vertex_count_and_cap():
     assert g.vertex_count == 120 and g.k == 3
     with pytest.raises(TooLarge):
         TorusQuotientGraph((101, 101, 101))
-    with pytest.raises(TooLarge):
-        TorusQuotientGraph((10, 10), vertex_cap=99)
-    assert TorusQuotientGraph((10, 10), vertex_cap=100).diameter() == 10
+    # the cap bounds the graph itself: neither case runs a BFS
+    with pytest.raises(TooLarge, match="1001000 vertices exceeds the cap of 1000000"):
+        TorusQuotientGraph((1000, 1001))
+    assert TorusQuotientGraph((1000, 1000)).vertex_count == DEFAULT_VERTEX_CAP
 
 
 def test_moduli_validation():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from genus_forge import manifolds
-from genus_forge.errors import DimensionError, InsufficientData, NonUnitLog, ParityError
+from genus_forge.errors import DimensionError, InsufficientData, NonUnitLog
 from genus_forge.genera import (
     genus_source,
     genus_value,
@@ -20,6 +20,7 @@ from genus_forge.genera import (
 from genus_forge.manifolds import GenusKind, ManifoldData, cp, hp2, k3, product
 from genus_forge.qseries import QSeries
 from theta_oracle import (
+    ParityError,
     _graded_log,
     ahat_factor,
     lhat_factor,

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import genus_forge
-from genus_forge import cli
+from genus_forge import cli, elliptic
 from genus_forge.elliptic import EllKind
 from genus_forge.manifolds import GenusKind
 
@@ -81,3 +81,7 @@ def test_exported_names_resolve_to_their_modules():
 def test_cli_choices_match_the_enums():
     assert list(cli.GENUS_CHOICES) == [k.value for k in GenusKind]
     assert list(cli.ELL_CHOICES) == [k.value for k in EllKind]
+
+
+def test_cli_default_order_is_the_library_truncation():
+    assert cli._trunc(cli.DEFAULT_ORDER) == elliptic.DEFAULT_Q_TRUNC

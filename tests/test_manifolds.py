@@ -145,6 +145,16 @@ def test_validation_rejections():
         ManifoldData(name="X", real_dim=4, pontryagin_numbers={(True,): True})
     with pytest.raises(InconsistentData, match="must be an integer"):
         ManifoldData(name="X", real_dim=4, pontryagin_numbers={(1,): True})
+    # every field is type-checked by the constructor, not only by the catalog
+    for bad in (dict(real_dim=4.0), dict(real_dim=True), dict(spin="no"), dict(spin=1),
+                dict(string=0), dict(name=7)):
+        with pytest.raises(InconsistentData, match="has wrong type"):
+            ManifoldData(**{"name": "X", "real_dim": 4, "pontryagin_numbers": {(1,): 3}, **bad})
+    with pytest.raises(InconsistentData, match="'complex_dim' has wrong type bool"):
+        ManifoldData(name="X", real_dim=2, chern_numbers={(1,): 2}, complex_dim=True)
+    for text in ("two", "1/0", None, float("inf")):
+        with pytest.raises(InconsistentData, match="bad rational"):
+            ManifoldData(name="X", real_dim=4, asserted_genera={"ahat": text})
 
 
 def test_inconsistent_chern_pontryagin_pair():

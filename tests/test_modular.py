@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from genus_forge.catalog import resolve
 from genus_forge.errors import ConvergenceRisk, FitError
 from genus_forge.manifolds import ManifoldData, k3, hp2, product, torus
 from genus_forge.modular import (
@@ -91,3 +92,27 @@ def test_modular_relation_refuses_small_tau():
         modular_relation_check(k3(), tau_im=1.0)
     with pytest.raises(ConvergenceRisk):
         modular_relation_check(k3(), tau_im=0.5)
+
+
+@pytest.mark.parametrize("name", ["HP2", "K3", "HP2xHP2", "K3xK3"])
+def test_modular_relation_never_fails_from_truncation(name):
+    # the relation holds for every manifold, so a FAIL could only come from
+    # the truncated series: each check either passes or is refused
+    entry = resolve(name)
+    for order in (4, 12, 16, 24):
+        for tau_im in (1.01, 1.5, 2.0, 3.0, 5.0, 6.0, 10.0):
+            try:
+                chk = modular_relation_check(entry, tau_im=tau_im, q_trunc=2 * order + 1)
+            except ConvergenceRisk:
+                # the CLI's sweep and its default order are not refused
+                assert order < 16 or tau_im > 2.0, (order, tau_im)
+            else:
+                assert chk.passed, (order, tau_im, chk.abs_error)
+
+
+def test_modular_relation_refuses_large_tau():
+    for tau_im in (10.0, 50.0, 1e15):
+        with pytest.raises(ConvergenceRisk, match="truncation error"):
+            modular_relation_check(hp2(), tau_im=tau_im)
+    # a looser tol leaves room for the same truncation
+    assert modular_relation_check(hp2(), tau_im=10.0, tol=10.0).passed

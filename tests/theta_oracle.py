@@ -28,11 +28,15 @@ from math import factorial
 from typing import Mapping
 
 from genus_forge.charpoly import CharClassPoly, partition_to_monomial
-from genus_forge.errors import NonUnitDivisor, NonUnitLog, ParityError, TruncMismatch
+from genus_forge.errors import DataError, NonUnitDivisor, NonUnitLog, TruncMismatch
 from genus_forge.manifolds import GenusKind, ManifoldData, Partition, partitions_of
 from genus_forge.qseries import QSeries, Scalar
 
 DEFAULT_Q_TRUNC = 49
+
+
+class ParityError(DataError):
+    """Factor series for a Pontryagin-type class has odd-degree terms."""
 
 _LABELS = {"pontryagin": "p", "chern": "c"}
 
