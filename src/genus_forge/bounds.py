@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DomainError, ExponentDomainError, Record, RootNotBracketed
+from .errors import DomainError, ExponentDomainError, FloatRangeError, Record, RootNotBracketed
 
 __all__ = [
     "BoundParams",
@@ -265,6 +265,8 @@ def moser_constant(params: BoundParams) -> BoundReport:
     mu^(2*K1*p*(mu-1)/(mu*(p-1)-p)) * B^(2*K2)."""
     p, v = params.p, params.v
     mu = v / (v - 1)
+    if mu == 1.0:  # v so large that v/(v-1) rounds to 1: K1 and K2 divide by mu - 1
+        raise FloatRangeError(f"mu = v/(v-1) rounds to 1 in binary64 (v = {v})")
     K1 = mu / (mu - 1) ** 2
     K2 = 1 / (mu - 1)
     denom = mu * (p - 1) - p
@@ -272,9 +274,13 @@ def moser_constant(params: BoundParams) -> BoundReport:
         raise ExponentDomainError(f"mu*(p-1) - p = {denom} must be positive (mu = {mu}, p = {p})")
     cb = c_of_b(params.m, params.b)
     R = params.diam / (params.b * cb)
-    # Lambda = 0 kills the first term (positive exponent), leaving B = 2
-    B = params.cmp * params.Lambda ** (0.5 * (mu - 1) / denom) * R ** (p * (mu - 1) / denom) + 2.0
-    constant = mu ** (2 * K1 * p * (mu - 1) / denom) * B ** (2 * K2)
+    try:
+        # Lambda = 0 kills the first term (positive exponent), leaving B = 2
+        B = params.cmp * params.Lambda ** (0.5 * (mu - 1) / denom) * R ** (p * (mu - 1) / denom) + 2.0
+        constant = mu ** (2 * K1 * p * (mu - 1) / denom) * B ** (2 * K2)
+    except OverflowError:
+        raise FloatRangeError(f"a power in B or the constant overflows binary64 (mu = {mu}, "
+                              f"R = {R})") from None
     return BoundReport(inputs=params, mu=mu, K1=K1, K2=K2, c_of_b=cb, R=R, B=B, constant=constant)
 
 

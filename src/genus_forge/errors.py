@@ -29,18 +29,6 @@ class TruncMismatch(DataError):
     """Binary operation on series with different truncation orders."""
 
 
-class NonUnitDivisor(DataError):
-    """Series division by a series with zero constant term."""
-
-
-class NonUnitLog(DataError):
-    """Series logarithm of a series whose constant term is not 1."""
-
-
-class NonNilpotentExp(DataError):
-    """Series exponential of a series with nonzero constant term."""
-
-
 class DivergentEvaluation(NumericalError):
     """Numeric evaluation of a q-series at |q| >= 1."""
 
@@ -85,6 +73,11 @@ class ExponentDomainError(DataError):
 
 class DomainError(DataError):
     """Scalar argument outside the documented domain."""
+
+
+class FloatRangeError(NumericalError):
+    """A binary64 intermediate leaves the range or resolution its formula
+    needs: a power overflows, or mu - 1 rounds to zero."""
 
 
 # -- covering lab --------------------------------------------------------------

@@ -164,15 +164,9 @@ def genus_source(m: ManifoldData, kind: GenusKind) -> str:
 def hypersurface_todd(n: int, degree: int) -> Fraction:
     """Todd genus of a degree-D hypersurface pattern in dimension n.
 
-    Expands (1 - exp(-d))/d with d nilpotent of order n+1 and pairs the
-    top coefficient with D; the closed form (-1)^n D/(n+1)! is kept as a
-    test oracle, not used here.
+    The top coefficient of (1 - exp(-d))/d, with d nilpotent of order n+1,
+    paired with D: (-1)^n D/(n+1)!.  The series route is the test oracle's.
     """
-    from .qseries import QSeries  # local: keeps qseries out of compute processes
-
     if n < 1:
         raise DimensionError(f"hypersurface dimension {n} must be >= 1")
-    trunc = n + 2
-    em = QSeries({1: -1}, trunc).exp()
-    series = (1 - em).shift(-1)
-    return series.coeff(n) * degree
+    return Fraction((-1) ** n * degree, factorial(n + 1))

@@ -154,11 +154,11 @@ def _read_only(numbers):
 def _normalize_numbers(numbers, total: int, what: str) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     for key, value in numbers.items():
-        part = tuple(sorted(key, reverse=True))
-        if not part or any(
-            isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in part
+        if not isinstance(key, tuple) or not key or any(
+            isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in key
         ):
             raise InconsistentData(f"{what} partition {key!r} is not a partition")
+        part = tuple(sorted(key, reverse=True))
         if sum(part) != total:
             raise InconsistentData(
                 f"{what} partition {part} sums to {sum(part)}, expected {total}"
@@ -186,9 +186,13 @@ class ManifoldData(Record):
         string: bool = False,
         asserted_genera: Mapping[str, Fraction] | None = None,
     ):
+        maybe_map = (Mapping, type(None))
         for field, value, kind in (("name", name, str), ("real_dim", real_dim, int),
                                    ("complex_dim", complex_dim, (int, type(None))),
-                                   ("spin", spin, bool), ("string", string, bool)):
+                                   ("spin", spin, bool), ("string", string, bool),
+                                   ("pontryagin_numbers", pontryagin_numbers, maybe_map),
+                                   ("chern_numbers", chern_numbers, maybe_map),
+                                   ("asserted_genera", asserted_genera, maybe_map)):
             # bool is an int subclass, so only the bool fields take it
             if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
                 raise InconsistentData(
@@ -231,8 +235,11 @@ class ManifoldData(Record):
                 if key not in known:
                     raise InconsistentData(f"{name}: unknown asserted genus {key!r}")
                 try:
+                    # a float or a bool is no exact rational; a string is parsed exactly
+                    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+                        raise ValueError(value)
                     clean[key] = Fraction(value)
-                except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+                except (ValueError, ZeroDivisionError):
                     raise InconsistentData(f"{name}: bad rational {value!r} for {key!r}") from None
             asserted_genera = clean
 

@@ -9,6 +9,11 @@ ever fabricates a coefficient at or beyond it.
 
 Coefficients equal to zero are never stored, so equality of the
 coefficient dict is canonical equality of the series.
+
+The class holds only the ring the genus engine works in: sums, products,
+non-negative powers, coefficient access and numeric evaluation.  Series
+division, log, exp and shifts serve only the product-route test oracle,
+which keeps them as plain functions over QSeries (tests/theta_oracle.py).
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ import cmath
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
-from .errors import (
-    DivergentEvaluation,
-    NonNilpotentExp,
-    NonUnitDivisor,
-    NonUnitLog,
-    TruncMismatch,
-)
+from .errors import DivergentEvaluation, TruncMismatch
 
 Scalar = Union[int, Fraction]
 
@@ -72,11 +71,6 @@ class QSeries:
     def constant(cls, c: Scalar, trunc: int) -> "QSeries":
         return cls({0: c}, trunc)
 
-    @classmethod
-    def q_power(cls, half_exponent: int, trunc: int, coeff: Scalar = 1) -> "QSeries":
-        """The monomial coeff * q^(half_exponent/2)."""
-        return cls({half_exponent: coeff}, trunc)
-
     # -- inspection --------------------------------------------------------
 
     def coeff(self, half_exponent: int) -> Fraction:
@@ -88,13 +82,6 @@ class QSeries:
             )
         return self.coeffs.get(half_exponent, _ZERO)
 
-    def qcoeff(self, power: Fraction | int) -> Fraction:
-        """Coefficient of q^power for an integer or half-integer power."""
-        n = Fraction(power) * 2
-        if n.denominator != 1:
-            raise ValueError(f"power {power} is not on the half-integer grid")
-        return self.coeff(int(n))
-
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         return iter(sorted(self.coeffs.items()))
 
@@ -104,9 +91,6 @@ class QSeries:
     def valuation(self) -> int | None:
         """Smallest stored half-exponent, or None for the zero series."""
         return min(self.coeffs) if self.coeffs else None
-
-    def is_constant(self) -> bool:
-        return not any(n for n in self.coeffs)
 
     def constant_term(self) -> Fraction:
         return self.coeffs.get(0, _ZERO)
@@ -159,26 +143,6 @@ class QSeries:
                 f"truncation orders differ: {self.trunc} vs {other.trunc}"
             )
 
-    def truncate(self, trunc: int) -> "QSeries":
-        """Restrict to a lower truncation order."""
-        if trunc > self.trunc:
-            raise TruncMismatch(
-                f"cannot extend truncation {self.trunc} to {trunc}"
-            )
-        return QSeries({n: c for n, c in self.coeffs.items() if n < trunc}, trunc)
-
-    def shift(self, half_exponents: int) -> "QSeries":
-        """Multiply by q^(half_exponents/2); negative shifts must not
-        create negative exponents."""
-        out: dict[int, Fraction] = {}
-        for n, c in self.coeffs.items():
-            m = n + half_exponents
-            if m < 0:
-                raise ValueError(f"shift by {half_exponents} makes exponent {m} negative")
-            if m < self.trunc:
-                out[m] = c
-        return QSeries(out, self.trunc)
-
     # -- ring operations ---------------------------------------------------------
 
     def __neg__(self) -> "QSeries":
@@ -229,43 +193,11 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                raise ZeroDivisionError("division of series by zero scalar")
-            return QSeries({n: a / c for n, a in self.coeffs.items()}, self.trunc)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check_same_trunc(other)
-        b0 = other.constant_term()
-        if not b0:
-            raise NonUnitDivisor("divisor has zero constant term")
-        # back substitution: c_n = (a_n - sum_{k>=1} b_k c_{n-k}) / b_0
-        out: dict[int, Fraction] = {}
-        bterms = sorted((n, c) for n, c in other.coeffs.items() if n > 0)
-        for n in range(self.trunc):
-            acc = self.coeffs.get(n, _ZERO)
-            for m, b in bterms:
-                if m > n:
-                    break
-                ck = out.get(n - m)
-                if ck:
-                    acc -= b * ck
-            if acc:
-                out[n] = acc / b0
-        return QSeries(out, self.trunc)
-
-    def __rtruediv__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return QSeries.constant(other, self.trunc) / self
-        return NotImplemented
-
     def __pow__(self, k: int) -> "QSeries":
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return (QSeries.one(self.trunc) / self) ** (-k)
+            raise ValueError(f"negative power {k}: QSeries has no division")
         result = QSeries.one(self.trunc)
         base = self
         while k:
@@ -276,49 +208,6 @@ class QSeries:
                 base = base * base
             k = base_needed
         return result
-
-    # -- transcendental operations --------------------------------------------
-
-    def log(self) -> "QSeries":
-        """Series logarithm; requires constant term exactly 1."""
-        if self.constant_term() != 1:
-            raise NonUnitLog("log needs constant term 1")
-        T = self.trunc
-        a = self.coeffs
-        out: dict[int, Fraction] = {}
-        # l_n = a_n - (1/n) sum_{k=1}^{n-1} k l_k a_{n-k}
-        for n in range(1, T):
-            acc = a.get(n, _ZERO)
-            corr = _ZERO
-            for k, lk in out.items():
-                ank = a.get(n - k)
-                if ank:
-                    corr += k * lk * ank
-            if corr:
-                acc -= Fraction(corr, n)
-            if acc:
-                out[n] = acc
-        return QSeries(out, T)
-
-    def exp(self) -> "QSeries":
-        """Series exponential; requires constant term 0."""
-        if self.constant_term():
-            raise NonNilpotentExp("exp needs zero constant term")
-        T = self.trunc
-        a = sorted(self.coeffs.items())
-        out: dict[int, Fraction] = {0: Fraction(1)}
-        # e_n = (1/n) sum_{k=1}^{n} k a_k e_{n-k}
-        for n in range(1, T):
-            acc = _ZERO
-            for k, ak in a:
-                if k > n:
-                    break
-                enk = out.get(n - k)
-                if enk:
-                    acc += k * ak * enk
-            if acc:
-                out[n] = Fraction(acc, n)
-        return QSeries(out, T)
 
     # -- numeric evaluation ------------------------------------------------------
 

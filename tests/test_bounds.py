@@ -7,6 +7,7 @@ composition is re-derived inline from the c_of_b value so the report fields
 are checked against plain arithmetic.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -27,7 +28,12 @@ from genus_forge.bounds import (
     index_bound_report,
     moser_constant,
 )
-from genus_forge.errors import DomainError, ExponentDomainError, RootNotBracketed
+from genus_forge.errors import (
+    DomainError,
+    ExponentDomainError,
+    GenusForgeError,
+    RootNotBracketed,
+)
 
 METHODS = ("bisection", "secant")
 
@@ -293,3 +299,16 @@ def test_exponent_domain_guard():
         object.__setattr__(bad, key, value)
     with pytest.raises(ExponentDomainError):
         moser_constant(bad)
+
+
+def test_index_bound_report_extremes_raise_only_typed_errors():
+    # m = 2 with p = 1e17 rounds v/(v-1) to 1; b = 700 overflows R^(p(mu-1)/denom)
+    grid = itertools.product((2, 4), (5.0, 151.0, 1e17, 1e308), (0.0, 1.0, 1e308),
+                             (1e-300, 1.0, 1e308), (1e-300, 1.0, 700.0), (1e-300, 1.0, 1e308))
+    for m, p, lam, diam, b, cmp in grid:
+        params = BoundParams(m=m, p=p, Lambda=lam, diam=diam, b=b, cmp=cmp)
+        try:
+            rep = index_bound_report(params)
+        except GenusForgeError:
+            continue
+        assert math.isfinite(rep.index_bound), params

@@ -25,7 +25,6 @@ from genus_forge.errors import (
     DimensionError,
     InsufficientData,
     NonIntegralIndexWarning,
-    NonUnitDivisor,
     TruncMismatch,
 )
 from genus_forge.genera import GenusKind, genus_value, log_coeffs
@@ -33,10 +32,12 @@ from genus_forge.manifolds import ManifoldData, hp2, k3, product, torus
 from genus_forge.qseries import QSeries
 from theta_oracle import (
     CharSeries,
+    NonUnitDivisor,
     ThetaKind,
     WittenBundle,
     _graded_log,
     theta_ratio,
+    truncate,
     witten_bundle_ch,
 )
 
@@ -164,7 +165,7 @@ def test_bundle_ch_q0_is_one():
         poly = witten_bundle_ch(kind, 2, 5)
         zero_mono = (0, 0)
         const = poly.coeff(zero_mono)
-        assert const.is_constant() and const.constant_term() == 1
+        assert const == 1
         for mono, coeff in poly.terms.items():
             if any(mono):
                 assert coeff.coeff(0) == 0
@@ -204,10 +205,10 @@ def test_non_integral_index_warns():
 def test_truncation_stability():
     long = elliptic_genus(k3(), EllKind.ELL2, 17).series
     short = elliptic_genus(k3(), EllKind.ELL2, 9).series
-    assert long.truncate(9) == short
+    assert truncate(long, 9) == short
     wl = twisted_index_series(k3(), "W", 17).series
     ws = twisted_index_series(k3(), "W", 9).series
-    assert wl.truncate(9) == ws
+    assert truncate(wl, 9) == ws
 
 
 def test_torus_genera_vanish():
@@ -239,7 +240,7 @@ def test_char_series_contracts():
     assert a == b  # y^6 exceeds the cap and is dropped
     with pytest.raises(TruncMismatch):
         a * CharSeries.one(4, 5)
-    no_unit = CharSeries({0: QSeries.q_power(2, TRUNC)}, 4, TRUNC)
+    no_unit = CharSeries({0: QSeries({2: 1}, TRUNC)}, 4, TRUNC)
     with pytest.raises(NonUnitDivisor):
         1 / no_unit
     # division round trip

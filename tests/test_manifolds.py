@@ -157,6 +157,32 @@ def test_validation_rejections():
             ManifoldData(name="X", real_dim=4, asserted_genera={"ahat": text})
 
 
+def test_badly_shaped_maps_raise_typed_errors():
+    with pytest.raises(InconsistentData, match="'pontryagin_numbers' has wrong type list"):
+        ManifoldData(name="X", real_dim=4, pontryagin_numbers=[1])
+    with pytest.raises(InconsistentData, match="'chern_numbers' has wrong type list"):
+        ManifoldData(name="X", real_dim=4, chern_numbers=[(2,), 24])
+    with pytest.raises(InconsistentData, match="'asserted_genera' has wrong type list"):
+        ManifoldData(name="X", real_dim=4, asserted_genera=["ahat"])
+    # an int key in place of a partition tuple, and a tuple of non-integers
+    with pytest.raises(InconsistentData, match="partition 1 is not a partition"):
+        ManifoldData(name="X", real_dim=4, pontryagin_numbers={1: 3})
+    with pytest.raises(InconsistentData, match="is not a partition"):
+        ManifoldData(name="X", real_dim=4, pontryagin_numbers={(1, "a"): 3})
+
+
+def test_asserted_values_must_be_exact():
+    # 0.1 is not 1/10 in binary64, so a float is refused rather than converted
+    with pytest.raises(InconsistentData, match="bad rational 0.1"):
+        ManifoldData(name="X", real_dim=4, asserted_genera={"ahat": 0.1})
+    with pytest.raises(InconsistentData, match="bad rational True"):
+        ManifoldData(name="X", real_dim=4, asserted_genera={"ahat": True})
+    exact = {"ahat": Fraction(1, 10), "todd": 2, "signature": "-3/4"}
+    entry = ManifoldData(name="X", real_dim=4, asserted_genera=exact)
+    assert entry.asserted_genera == {"ahat": Fraction(1, 10), "todd": 2,
+                                     "signature": Fraction(-3, 4)}
+
+
 def test_inconsistent_chern_pontryagin_pair():
     liar = ManifoldData(
         name="lie", real_dim=4, complex_dim=2,

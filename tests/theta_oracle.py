@@ -7,17 +7,19 @@ factors as quotients of cosh and sinh series.  A factor is expanded by
 log, Newton power sums and a graded exponential into a class polynomial
 (`multiplicative_class`), which is then paired with the characteristic
 numbers.  None of this goes through the package's closed-form log
-coefficients or power-sum numbers: the oracle shares only QSeries and
-partitions_of with the package's genus engine.  CharClassPoly, the
-class-polynomial ring, is used by the oracle alone, and it has its own
-copy of the Newton power sums.
+coefficients or power-sum numbers: the oracle shares only the QSeries ring
+and partitions_of with the package's genus engine.  The rest of the series
+field (`div`, `log`, `exp`, `shift`, `truncate`) lives here, since the
+package never divides a series.  CharClassPoly, the class-polynomial ring,
+is used by the oracle alone, and it has its own copy of the Newton power
+sums.
 
-The top-level helpers at the end (`genus_value`, `elliptic_genus`,
-`twisted_index_series`) mirror the package functions of the same names
-and return plain values: a Fraction, or the QSeries.  Chern data reaches
-them through the oracle's own conversion (`pontryagin_from_chern`), and
-`kuenneth_numbers` is the per-part product rule the package's power-sum
-split formula is checked against.
+The top-level helpers (`hypersurface_todd`, `genus_value`,
+`elliptic_genus`, `twisted_index_series`) mirror the package functions of
+the same names and return plain values: a Fraction, or the QSeries.
+Chern data reaches them through the oracle's own conversion
+(`pontryagin_from_chern`), and `kuenneth_numbers` is the per-part product
+rule the package's power-sum split formula is checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import factorial
 from typing import Mapping
 
 from genus_forge.charpoly import CharClassPoly, partition_to_monomial
-from genus_forge.errors import DataError, NonUnitDivisor, NonUnitLog, TruncMismatch
+from genus_forge.errors import DataError, TruncMismatch
 from genus_forge.manifolds import GenusKind, ManifoldData, Partition, partitions_of
 from genus_forge.qseries import QSeries, Scalar
 
@@ -37,6 +39,115 @@ DEFAULT_Q_TRUNC = 49
 
 class ParityError(DataError):
     """Factor series for a Pontryagin-type class has odd-degree terms."""
+
+
+class NonUnitDivisor(DataError):
+    """Series division by a series with zero constant term."""
+
+
+class NonUnitLog(DataError):
+    """Series logarithm of a series whose constant term is not 1."""
+
+
+class NonNilpotentExp(DataError):
+    """Series exponential of a series with nonzero constant term."""
+
+
+# -- the rest of the q-series field: division, log, exp, shifts -----------------
+#
+# The package's QSeries is only the ring its genus engine needs; the product
+# route also divides, and takes logs and exponentials.
+
+
+def div(a: QSeries | Scalar, b: QSeries | Scalar) -> QSeries:
+    """a / b for a series b with nonzero constant term, or a nonzero scalar b;
+    a scalar a is read as a constant series."""
+    if not isinstance(b, QSeries):
+        c = Fraction(b)
+        if not c:
+            raise ZeroDivisionError("division of series by zero scalar")
+        return QSeries({n: x / c for n, x in a.coeffs.items()}, a.trunc)
+    if not isinstance(a, QSeries):
+        a = QSeries.constant(a, b.trunc)
+    if a.trunc != b.trunc:
+        raise TruncMismatch(f"truncation orders differ: {a.trunc} vs {b.trunc}")
+    b0 = b.constant_term()
+    if not b0:
+        raise NonUnitDivisor("divisor has zero constant term")
+    # back substitution: c_n = (a_n - sum_{k>=1} b_k c_{n-k}) / b_0
+    out: dict[int, Fraction] = {}
+    bterms = sorted((n, c) for n, c in b.coeffs.items() if n > 0)
+    for n in range(a.trunc):
+        acc = a.coeffs.get(n, Fraction(0))
+        for m, bm in bterms:
+            if m > n:
+                break
+            ck = out.get(n - m)
+            if ck:
+                acc -= bm * ck
+        if acc:
+            out[n] = acc / b0
+    return QSeries(out, a.trunc)
+
+
+def log(a: QSeries) -> QSeries:
+    """Series logarithm; requires constant term exactly 1."""
+    if a.constant_term() != 1:
+        raise NonUnitLog("log needs constant term 1")
+    out: dict[int, Fraction] = {}
+    # l_n = a_n - (1/n) sum_{k=1}^{n-1} k l_k a_{n-k}
+    for n in range(1, a.trunc):
+        acc = a.coeffs.get(n, Fraction(0))
+        corr = Fraction(0)
+        for k, lk in out.items():
+            ank = a.coeffs.get(n - k)
+            if ank:
+                corr += k * lk * ank
+        if corr:
+            acc -= Fraction(corr, n)
+        if acc:
+            out[n] = acc
+    return QSeries(out, a.trunc)
+
+
+def exp(a: QSeries) -> QSeries:
+    """Series exponential; requires constant term 0."""
+    if a.constant_term():
+        raise NonNilpotentExp("exp needs zero constant term")
+    terms = sorted(a.coeffs.items())
+    out: dict[int, Fraction] = {0: Fraction(1)}
+    # e_n = (1/n) sum_{k=1}^{n} k a_k e_{n-k}
+    for n in range(1, a.trunc):
+        acc = Fraction(0)
+        for k, ak in terms:
+            if k > n:
+                break
+            enk = out.get(n - k)
+            if enk:
+                acc += k * ak * enk
+        if acc:
+            out[n] = Fraction(acc, n)
+    return QSeries(out, a.trunc)
+
+
+def shift(a: QSeries, half_exponents: int) -> QSeries:
+    """Multiply by q^(half_exponents/2); negative shifts must not create
+    negative exponents."""
+    out: dict[int, Fraction] = {}
+    for n, c in a.coeffs.items():
+        m = n + half_exponents
+        if m < 0:
+            raise ValueError(f"shift by {half_exponents} makes exponent {m} negative")
+        if m < a.trunc:
+            out[m] = c
+    return QSeries(out, a.trunc)
+
+
+def truncate(a: QSeries, trunc: int) -> QSeries:
+    """Restrict to a lower truncation order."""
+    if trunc > a.trunc:
+        raise TruncMismatch(f"cannot extend truncation {a.trunc} to {trunc}")
+    return QSeries({n: c for n, c in a.coeffs.items() if n < trunc}, trunc)
 
 _LABELS = {"pontryagin": "p", "chern": "c"}
 
@@ -201,7 +312,7 @@ class CharSeries:
     def __truediv__(self, other) -> "CharSeries":
         if isinstance(other, (int, Fraction, QSeries)):
             return CharSeries(
-                {n: c / other for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc
+                {n: div(c, other) for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc
             )
         if not isinstance(other, CharSeries):
             return NotImplemented
@@ -220,7 +331,7 @@ class CharSeries:
                 term = b * c
                 acc = -term if acc is None else acc - term
             if acc is not None and acc:
-                out[n] = acc / b0
+                out[n] = div(acc, b0)
         return CharSeries(out, self.y_cap, self.q_trunc)
 
     def __rtruediv__(self, other) -> "CharSeries":
@@ -271,7 +382,7 @@ def _qpow(j2: int, q_trunc: int) -> QSeries | None:
     """q^(j2/2) as a QSeries, or None when it falls past the truncation."""
     if j2 >= q_trunc:
         return None
-    return QSeries.q_power(j2, q_trunc)
+    return QSeries({j2: 1}, q_trunc)
 
 
 def theta_ratio(kind: ThetaKind, y_cap: int, q_trunc: int) -> CharSeries:
@@ -539,24 +650,28 @@ def _sinh_over_arg(y_cap: int, half: bool) -> QSeries:
 
 def ahat_factor(y_cap: int) -> QSeries:
     """(y/2)/sinh(y/2)."""
-    return 1 / _sinh_over_arg(y_cap, half=True)
+    return div(1, _sinh_over_arg(y_cap, half=True))
 
 
 def signature_factor(y_cap: int) -> QSeries:
     """y/tanh(y)."""
-    return _cosh_series(y_cap, half=False) / _sinh_over_arg(y_cap, half=False)
+    return div(_cosh_series(y_cap, half=False), _sinh_over_arg(y_cap, half=False))
 
 
 def lhat_factor(y_cap: int) -> QSeries:
     """y/tanh(y/2); note the constant term 2."""
-    return 2 * _cosh_series(y_cap, half=True) / _sinh_over_arg(y_cap, half=True)
+    return div(2 * _cosh_series(y_cap, half=True), _sinh_over_arg(y_cap, half=True))
+
+
+def _one_minus_exp_over_arg(trunc: int) -> QSeries:
+    """(1 - exp(-z))/z through z^(trunc - 2)."""
+    return shift(1 - exp(QSeries({1: -1}, trunc)), -1)
 
 
 def todd_factor(z_cap: int) -> QSeries:
     """z/(1 - exp(-z))."""
     trunc = z_cap + 2
-    em = QSeries({1: -1}, trunc).exp()
-    return (1 / ((1 - em).shift(-1))).truncate(z_cap + 1)
+    return truncate(div(1, _one_minus_exp_over_arg(trunc)), z_cap + 1)
 
 
 def genus_class(kind: GenusKind, weight_cap: int) -> tuple[CharClassPoly, Fraction]:
@@ -576,8 +691,14 @@ def genus_class(kind: GenusKind, weight_cap: int) -> tuple[CharClassPoly, Fracti
     factor = builders[kind](2 * weight_cap)
     const = factor.constant_term()
     if const != 1:
-        factor = factor / const
+        factor = div(factor, const)
     return multiplicative_class(factor, "pontryagin", weight_cap), const
+
+
+def hypersurface_todd(n: int, degree: int) -> Fraction:
+    """The package's hypersurface Todd value by its series route: the
+    z^n coefficient of (1 - exp(-z))/z, paired with the degree."""
+    return _one_minus_exp_over_arg(n + 2).coeff(n) * degree
 
 
 # -- characteristic numbers: Chern -> Pontryagin and products ------------------------
