@@ -281,6 +281,10 @@ def moser_constant(params: BoundParams) -> BoundReport:
     except OverflowError:
         raise FloatRangeError(f"a power in B or the constant overflows binary64 (mu = {mu}, "
                               f"R = {R})") from None
+    # a product or quotient overflows to inf without raising, and 0 * inf is nan
+    for name, value in (("R", R), ("B", B), ("the constant", constant)):
+        if not math.isfinite(value):
+            raise FloatRangeError(f"{name} overflows binary64 to {value} (mu = {mu}, R = {R})")
     return BoundReport(inputs=params, mu=mu, K1=K1, K2=K2, c_of_b=cb, R=R, B=B, constant=constant)
 
 

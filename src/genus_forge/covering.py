@@ -2,17 +2,14 @@
 the doubling subgroup tower of a rank-k lattice, and normalized Betti-number
 ratio sequences along that tower.
 
-The BFS comes in two kernels, chosen from the moduli alone.  The
-frontier-bitset BFS expands one whole level per step, with the frontier and
-the unvisited set stored as Python-int bitsets; it serves every graph whose
-largest modulus is at most 4096.  The vertex-at-a-time deque BFS serves
-longer cycles, where the bitset kernel's levels x V / word work grows as n^2.
+One BFS kernel serves every graph: a level-synchronous bitset BFS whose
+levels are Python ints holding only a window of outer positions, so a level
+costs the width of the frontier rather than the vertex count.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .errors import DomainError, Record, TooLarge
 
@@ -34,11 +31,6 @@ DEFAULT_VERTEX_CAP = 10**6  # largest graph, in vertices, that TorusQuotientGrap
 # 2^((j-1)k), so depth and rank together set the size of every number built.
 MAX_TOWER_DEPTH = 64
 MAX_TOWER_RANK = 64
-# Largest modulus served by the frontier-bitset BFS.  Its work is levels x
-# V / word, so one long cycle costs O(n^2); measured against the deque BFS
-# (bitset vs deque, Python 3.11): (4000,) 3.1 vs 4.3 ms, (8000,) 10.1 vs
-# 8.7 ms.
-_BITSET_MAX_MODULUS = 4096
 
 
 def _check_moduli(moduli):
@@ -75,14 +67,10 @@ class TorusQuotientGraph:
         """Eccentricity of the origin by BFS; equals the graph diameter by
         vertex-transitivity.
 
-        Graphs whose largest modulus is at most 4096 (_BITSET_MAX_MODULUS)
-        take the frontier-bitset BFS, which expands a whole level per step
-        with big-integer shifts and masks.  Longer cycles take the
-        vertex-at-a-time deque BFS, because a level step costs O(V / word)
-        and a cycle of length n has n // 2 levels."""
-        if max(self.moduli) <= _BITSET_MAX_MODULUS:
-            return _bitset_eccentricity(self.moduli)
-        return _deque_eccentricity(self.moduli)
+        One level-synchronous bitset BFS serves every shape; its work per
+        level follows the width of the frontier, not the vertex count (see
+        `_eccentricity`)."""
+        return _eccentricity(self.moduli)
 
 
 def _tile(pattern: int, period: int, copies: int) -> int:
@@ -101,70 +89,75 @@ def _tile(pattern: int, period: int, copies: int) -> int:
     return out
 
 
-def _bitset_eccentricity(moduli) -> int:
-    """Level-synchronous BFS from vertex 0 with the frontier and the
-    unvisited set held as Python-int bitsets, bit idx = sum coord_i * stride_i.
-    A +-1 step along an axis is two masked shifts: interior vertices move by
-    the stride, and the vertices with coordinate n - 1 (or 0) wrap around by
-    (n - 1) strides."""
-    count = math.prod(moduli)
-    full = (1 << count) - 1
-    # (up_mask, up, down_mask, down): one step maps F to
-    # ((F & up_mask) << up) | ((F & down_mask) >> down)
+def _eccentricity(moduli) -> int:
+    """Level-synchronous BFS from vertex 0, with each level held as a
+    Python-int bitset.
+
+    Each cycle Z/n is relabelled: positions 0, 1, 2, 3, 4, ... hold the
+    coordinates 0, 1, n-1, 2, n-2, ..., so the distance from 0 grows with the
+    position, and the cycle's edges become (p, p+2) plus (0, 1) and
+    (n-2, n-1).  A +-1 step along an axis is then a masked shift by one or
+    two strides that never wraps around.  The longest axis goes outermost,
+    and the frontier is stored shifted down to its lowest occupied outer
+    position: every level lies in a window of about twice the inner
+    diameter, so a level costs the width of that window.  The graph is
+    undirected, so the next level is N(F_d) minus F_d and F_(d-1); no set of
+    visited vertices is kept.  Neighbours below the window are at outer
+    positions no level reaches again, and are dropped with it."""
+    axes = sorted(n for n in moduli if n > 1)
+    if not axes:
+        return 0
+    n = axes.pop()  # the outer axis
+    size = math.prod(axes)  # vertices per outer position: the outer stride
+    count = n * size
+    # (up, down, shift): a level maps F to ((F & up) << shift) | ((F & down) >> shift)
     steps = []
     stride = 1
-    for n in moduli:
-        if n > 1:
-            # vertices with coordinate 0: the low `stride` bits of every block
-            first = _tile((1 << stride) - 1, n * stride, count // (n * stride))
-            wrap = (n - 1) * stride
-            last = first << wrap
-            steps.append((full ^ last, stride, last, wrap))
-            if n > 2:  # for n = 2 the -1 step is the +1 step
-                steps.append((first, wrap, full ^ first, stride))
-        stride *= n
-    unvisited = full ^ 1
-    frontier = 1
-    depth = 0
-    while True:
-        reached = 0
-        for up_mask, up, down_mask, down in steps:
-            reached |= ((frontier & up_mask) << up) | ((frontier & down_mask) >> down)
-        frontier = reached & unvisited
-        if not frontier:
+    for m in axes:
+        period = m * stride
+        block = (1 << stride) - 1
+        # positions 0 and m - 2 step up by one: the edges (0, 1) and (m - 2, m - 1);
+        # positions 0 .. m - 3 step up by two
+        for pattern, shift in ((block | block << (m - 2) * stride, stride),
+                               ((1 << (m - 2) * stride) - 1, 2 * stride)):
+            if pattern:
+                up = _tile(pattern, period, count // period)
+                steps.append((up, up << shift, shift))
+        stride = period
+    block = (1 << size) - 1
+    two = 2 * size
+    low2 = (1 << two) - 1
+    frontier, prev = 1, 0
+    cut = 0  # bits shifted off below the window: outer positions 0 .. cut / size - 1
+    top = (n - 2) * size  # bit offset of outer position n - 2 in the window
+    for depth in range(count):
+        ends = frontier >> top  # outer positions n - 2 and n - 1
+        if ends:  # no +2 step past n - 1, and the edge (n - 2, n - 1)
+            turn = ((ends & block) << size) | (ends >> size)
+            reached = ((frontier ^ (ends << top)) << two) | (frontier >> two) | (turn << top)
+        else:
+            reached = (frontier << two) | (frontier >> two)
+        if not cut and n > 2:  # the edge (0, 1); for n = 2 it is (n - 2, n - 1)
+            ends = frontier & low2
+            reached |= ((ends & block) << size) | (ends >> size)
+        for up, down, shift in steps:
+            reached |= ((frontier & up) << shift) | ((frontier & down) >> shift)
+        reached ^= reached & (frontier | prev)
+        if not reached:
             return depth
-        unvisited ^= frontier
-        depth += 1
-
-
-def _deque_eccentricity(moduli) -> int:
-    """Vertex-at-a-time BFS from vertex 0 over a distance list."""
-    strides = []
-    acc = 1
-    for n in moduli:
-        strides.append(acc)
-        acc *= n
-    count = acc
-    dist = [-1] * count
-    dist[0] = 0
-    queue = deque([0])
-    farthest = 0
-    while queue:
-        idx = queue.popleft()
-        d = dist[idx]
-        farthest = d
-        for axis in range(len(moduli)):
-            n = moduli[axis]
-            if n == 1:
-                continue
-            stride = strides[axis]
-            coord = (idx // stride) % n
-            for step in (1, n - 1):
-                nxt = idx + ((coord + step) % n - coord) * stride
-                if dist[nxt] < 0:
-                    dist[nxt] = d + 1
-                    queue.append(nxt)
-    return farthest
+        # The lowest occupied outer position never falls from one level to
+        # the next, and rises by at most two: move the window up to it, but
+        # not past n - 2, where `ends` starts.
+        if not reached & block:
+            shift = size if reached & low2 else two
+            if shift > top:
+                shift = top
+            frontier >>= shift
+            reached >>= shift
+            cut += shift
+            top -= shift
+        prev, frontier = frontier, reached
+    raise RuntimeError(f"BFS on {moduli} did not settle within {count} levels")
 
 
 def _check_tower_size(k, J):

@@ -77,7 +77,7 @@ class DomainError(DataError):
 
 class FloatRangeError(NumericalError):
     """A binary64 intermediate leaves the range or resolution its formula
-    needs: a power overflows, or mu - 1 rounds to zero."""
+    needs: a power, product or quotient overflows, or mu - 1 rounds to zero."""
 
 
 # -- covering lab --------------------------------------------------------------

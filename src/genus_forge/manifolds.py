@@ -15,6 +15,7 @@ The partition key for a monomial like p1^2*p2 is the descending tuple
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -235,8 +236,12 @@ class ManifoldData(Record):
                 if key not in known:
                     raise InconsistentData(f"{name}: unknown asserted genus {key!r}")
                 try:
-                    # a float or a bool is no exact rational; a string is parsed exactly
+                    # a float or a bool is no exact rational; a string is parsed
+                    # exactly, and only in the 'num/den' form entry_to_dict writes:
+                    # Fraction would also take '1e1000000000' and build that integer
                     if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
+                        raise ValueError(value)
+                    if isinstance(value, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
                         raise ValueError(value)
                     clean[key] = Fraction(value)
                 except (ValueError, ZeroDivisionError):

@@ -31,7 +31,7 @@ from genus_forge.bounds import (
 from genus_forge.errors import (
     DomainError,
     ExponentDomainError,
-    GenusForgeError,
+    FloatRangeError,
     RootNotBracketed,
 )
 
@@ -302,13 +302,21 @@ def test_exponent_domain_guard():
 
 
 def test_index_bound_report_extremes_raise_only_typed_errors():
-    # m = 2 with p = 1e17 rounds v/(v-1) to 1; b = 700 overflows R^(p(mu-1)/denom)
+    # Binary64 limits raise FloatRangeError: m = 2 with p = 1e17 rounds
+    # v/(v-1) to 1, b = 700 overflows R^(p(mu-1)/denom), diam = 1e308
+    # overflows R, and 0 * inf makes B or the constant nan.  c_of_b refuses
+    # b = 1e-300 and b = 700 with RootNotBracketed before any of that.
     grid = itertools.product((2, 4), (5.0, 151.0, 1e17, 1e308), (0.0, 1.0, 1e308),
                              (1e-300, 1.0, 1e308), (1e-300, 1.0, 700.0), (1e-300, 1.0, 1e308))
+    out_of_range = 0
     for m, p, lam, diam, b, cmp in grid:
         params = BoundParams(m=m, p=p, Lambda=lam, diam=diam, b=b, cmp=cmp)
         try:
             rep = index_bound_report(params)
-        except GenusForgeError:
+        except FloatRangeError:
+            out_of_range += 1
+            continue
+        except RootNotBracketed:
             continue
         assert math.isfinite(rep.index_bound), params
+    assert out_of_range == 293

@@ -196,6 +196,17 @@ def test_undecodable_catalog_files(tmp_path, monkeypatch, capsys, content):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_asserted_exponent_refused_from_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"schema_version": SCHEMA_VERSION,
+                                "entries": [_base_entry(asserted={"ahat": "1e1000000000"})]}))
+    with pytest.raises(CatalogError, match="bad rational '1e1000000000'"):
+        load_catalog(path)
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    assert main(["catalog", "list"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_env_override(tmp_path, monkeypatch):
     path = tmp_path / "alt.json"
     alt = ManifoldData(name="ALT", real_dim=4, pontryagin_numbers={(1,): 1},

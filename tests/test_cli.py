@@ -332,8 +332,10 @@ def test_numerical_errors_exit_3(run):
         ("modular", "check", "--manifold", "HP2", "--tau-im", "50"),
         ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0", "--order", "4"),
         ("bound", "cb", "--m", "2", "--b", "710"),
-        # binary64 limits of the Moser constant: a power overflows, mu rounds to 1
+        # binary64 limits of the Moser constant: a power overflows, R
+        # overflows, mu rounds to 1
         ("bound", "index", "--m", "2", "--p", "5", "--lambda", "0", "--diam", "1", "--b", "700"),
+        ("bound", "index", "--m", "2", "--p", "5", "--lambda", "0", "--diam", "1e308", "--b", "700"),
         ("bound", "index", "--m", "2", "--p", "1e17", "--lambda", "0", "--diam", "1", "--b", "1"),
     ):
         code, _, err = run(*args)

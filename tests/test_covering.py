@@ -16,8 +16,6 @@ from genus_forge.covering import (
     CoverDiameter,
     TorusQuotientGraph,
     Tower,
-    _bitset_eccentricity,
-    _deque_eccentricity,
     cover_diameter,
     l2_betti_ratio,
     tower,
@@ -44,7 +42,10 @@ def test_bfs_matches_closed_form_line():
 
 
 def test_bfs_matches_closed_form_spots():
-    for moduli in ((9999,), (99, 101), (100, 100), (21, 21, 21), (4, 50, 50)):
+    # (5000, 200) and (4096, 244) are vertex-cap graphs whose long outer axis
+    # takes thousands of levels, each a frontier window of ~200 positions
+    for moduli in ((9999,), (99, 101), (100, 100), (21, 21, 21), (4, 50, 50),
+                   (5000, 200), (4096, 244)):
         g = TorusQuotientGraph(moduli)
         assert g.diameter() == _closed_form_diameter(moduli)
 
@@ -73,13 +74,36 @@ def test_bfs_matches_closed_form_property(moduli):
     assert g.diameter() == _closed_form_diameter(moduli)
 
 
-def test_bfs_kernels_agree_across_threshold():
-    # both kernels on shapes either side of the modulus at which diameter()
-    # switches from the bitset kernel to the deque loop
+@st.composite
+def _skewed_moduli(draw, max_vertices=200_000):
+    """One long axis of up to 2e4 next to one to four short axes of 1..12,
+    n = 2 included, in a drawn order: the frontier window then spans many
+    outer positions, and the long axis need not come last."""
+    long_axis = draw(st.integers(2, 20_000))
+    budget = max_vertices // long_axis
+    moduli = [long_axis]
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.just(2) | st.integers(1, 12))
+        if n > budget:
+            break
+        budget //= n
+        moduli.append(n)
+    return tuple(draw(st.permutations(moduli)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_skewed_moduli())
+@example((20_000, 2))
+@example((2, 2, 9999))
+@example((3, 19_999))
+def test_bfs_matches_closed_form_skewed(moduli):
+    assert TorusQuotientGraph(moduli).diameter() == _closed_form_diameter(moduli)
+
+
+def test_bfs_former_threshold_shapes():
+    # long cycles either side of modulus 4096, unit moduli and a 2^10 hypercube
     for moduli in ((4096,), (4097,), (2, 5000), (3, 3, 4000), (1,), (1, 1, 1), (2,) * 10):
-        want = _closed_form_diameter(moduli)
-        assert _bitset_eccentricity(moduli) == want, moduli
-        assert _deque_eccentricity(moduli) == want, moduli
+        assert TorusQuotientGraph(moduli).diameter() == _closed_form_diameter(moduli), moduli
 
 
 def test_vertex_count_and_cap():

@@ -1,6 +1,7 @@
 """Manifold data validation, the power-sum table, Chern/Pontryagin
 conversion, and the product / connected-sum closure operations."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,20 @@ def test_asserted_values_must_be_exact():
     entry = ManifoldData(name="X", real_dim=4, asserted_genera=exact)
     assert entry.asserted_genera == {"ahat": Fraction(1, 10), "todd": 2,
                                      "signature": Fraction(-3, 4)}
+
+
+def test_asserted_strings_take_only_the_written_form():
+    # Fraction alone takes exponent notation, so these 12 characters would
+    # build 10^1000000000; only sign, digits and /digits are parsed
+    start = time.perf_counter()
+    for text in ("1e1000000000", "1E5", "1.5", " 3", "1_000", "\u0663", "3/-4", "3 / 4",
+                 "", "inf", "nan", "0x10"):
+        with pytest.raises(InconsistentData, match="bad rational"):
+            ManifoldData(name="X", real_dim=4, asserted_genera={"ahat": text})
+    assert time.perf_counter() - start < 1.0
+    entry = ManifoldData(name="X", real_dim=4,
+                         asserted_genera={"ahat": "3/4", "todd": "-2", "signature": "+5"})
+    assert entry.asserted_genera == {"ahat": Fraction(3, 4), "todd": -2, "signature": 5}
 
 
 def test_inconsistent_chern_pontryagin_pair():
