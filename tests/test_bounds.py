@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genus_forge
+import genus_forge.bounds as bounds
 from genus_forge.bounds import (
     BoundParams,
     IndexBoundReport,
+    _lhs_polynomial,
     _sin_power_integral,
     berard_dim_bound,
     c_of_b,
@@ -77,6 +79,127 @@ def test_c_of_b_bisection_bits(m):
     for b, bits in zip((0.05, 0.35, 1.0, 2.0), BISECTION_BITS[m]):
         if bits is not None:
             assert repr(c_of_b(m, b)) == bits, b
+
+
+def _halving_oracle(m, b):
+    """c_of_b's bisection as plain halving, every midpoint evaluated: the
+    reference that the replay on the Illinois bracket must match bit for bit."""
+    rhs = _sin_power_integral(m)
+    try:
+        lhs = _lhs_polynomial(m, b)
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            if lhs(hi) >= rhs:
+                break
+            lo, hi = hi, hi * 2.0
+        else:
+            raise RootNotBracketed(f"no bracket below x = {hi}")
+        for _ in range(1200):
+            if hi - lo <= 1e-12 * max(hi, 1.0) and hi - lo <= 1e-10 * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if lhs(mid) < rhs:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+    except OverflowError as exc:
+        raise RootNotBracketed("overflow while bracketing") from exc
+
+
+def _outcome(f, m, b):
+    try:
+        return repr(f(m, b))
+    except RootNotBracketed:
+        return RootNotBracketed
+
+
+# the b grids of the benchmark's float and float-wide workloads
+FLOAT_B = tuple(round(0.05 * j, 2) for j in range(1, 21))
+FLOAT_WIDE_B = tuple(round(0.05 + 0.55 * j, 2) for j in range(10))
+# (m - 1) b past this overflows e^((m-1) b), and c_of_b refuses
+LOG_MAX = math.log(sys.float_info.max)
+
+
+def test_bisection_matches_halving_oracle_on_grids():
+    points = [(m, b) for m in range(2, 13) for b in FLOAT_B + FLOAT_WIDE_B]
+    points += [(m, b) for m in BISECTION_BITS for b in (0.05, 0.35, 1.0, 2.0)]
+    for m, b in points:
+        assert _outcome(c_of_b, m, b) == _outcome(_halving_oracle, m, b), (m, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(2, 300), u=st.floats(0.0, 1.0))
+def test_bisection_matches_halving_oracle_at_every_scale(m, u):
+    # b log-uniform from 1e-25 to just past the overflow limit: roots from
+    # beyond the bracket's 2^80 down to about 1e-300, and both refusals
+    b = math.exp(math.log(1e-25) + u * math.log(1.02 * LOG_MAX / (m - 1) / 1e-25))
+    assert _outcome(c_of_b, m, b) == _outcome(_halving_oracle, m, b)
+
+
+def _count_lhs_calls(monkeypatch):
+    calls = [0]
+
+    def counted(m, b):
+        lhs = _lhs_polynomial(m, b)
+
+        def wrapped(x):
+            calls[0] += 1
+            return lhs(x)
+
+        return wrapped
+
+    monkeypatch.setattr(bounds, "_lhs_polynomial", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method, mean_max, worst_max", [("bisection", 12.5, 21),
+                                                          ("secant", 12.0, 17)])
+def test_c_of_b_left_side_evaluations(monkeypatch, method, mean_max, worst_max):
+    # on the float grid, plain halving took 41.65 evaluations per call (46 at
+    # most) and Illinois 13.55; sharing one search and the bracket ends cut
+    # them to about 12.3 and 11.6
+    calls = _count_lhs_calls(monkeypatch)
+    counts = []
+    for m in range(2, 13):
+        for b in FLOAT_B:
+            calls[0] = 0
+            c_of_b(m, b, method)
+            counts.append(calls[0])
+    assert sum(counts) / len(counts) <= mean_max
+    assert max(counts) <= worst_max
+
+
+def _lhs_or_inf(lhs, x):
+    try:
+        return lhs(x)
+    except RootNotBracketed:  # the sum left binary64
+        return math.inf
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 300), u=st.floats(0.0, 1.0),
+       xs=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2))
+def test_lhs_polynomial_non_decreasing(m, u, xs):
+    # the premise of the bisection replay: Horner with positive coefficients
+    # at x >= 0 never decreases in binary64
+    b = math.exp(math.log(1e-20) + u * math.log(0.999 * LOG_MAX / (m - 1) / 1e-20))
+    lhs = _lhs_polynomial(m, b)
+    x1, x2 = sorted(xs)
+    for lo, hi in ((x1, x2), (x1, math.nextafter(x1, math.inf))):
+        assert _lhs_or_inf(lhs, lo) <= _lhs_or_inf(lhs, hi), (lo, hi)
+
+
+# secant outputs before the bracketing loop handed its end values to the
+# Illinois search, which then stopped evaluating them again
+SECANT_BITS = {(2, 0.05): "24.71533021040227", (3, 0.35): "2.195707606735025",
+               (5, 1.0): "0.2973588499770279", (12, 0.05): "4.191936529213304",
+               (100, 0.1): "0.30340673713236554", (300, 2.3): "4.70619215504552e-209"}
+
+
+def test_c_of_b_secant_bits():
+    for (m, b), bits in SECANT_BITS.items():
+        assert repr(c_of_b(m, b, "secant")) == bits, (m, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,6 +293,8 @@ def test_c_of_b_validation():
     with pytest.raises(DomainError):
         c_of_b(2, 0.0)
     with pytest.raises(DomainError):
+        c_of_b(2, True)
+    with pytest.raises(DomainError):
         c_of_b(2, 1.0, method="newton")
     with pytest.raises(DomainError):
         c_of_b(301, 1e-3)
@@ -244,6 +369,8 @@ def test_berard_dim_bound():
         berard_dim_bound(1, 0.99)
     with pytest.raises(DomainError):
         berard_dim_bound(1, math.inf)
+    with pytest.raises(DomainError):
+        berard_dim_bound(1, True)
 
 
 def test_index_bound_report_composition():
@@ -271,6 +398,10 @@ def test_params_validation():
         {**good, "Lambda": math.nan},
         {**good, "diam": 0.0},
         {**good, "b": -1.0},
+        {**good, "b": True},
+        {**good, "diam": True},
+        {**good, "Lambda": False},
+        {**good, "cmp": True},
         {**good, "cmp": 0.0},
         {**good, "l": 0},
         {**good, "l": True},
