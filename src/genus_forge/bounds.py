@@ -173,7 +173,7 @@ def _lhs_polynomial(m, b):
         # the first bracket probe, x = 1, integrates e^((m-1) t), which
         # overflows binary64 before t reaches b
         raise RootNotBracketed(f"integral not finite at x = 1.0 for c_of_b(m={m}, b={b})")
-    panels = math.ceil(n * b / _PANEL_GROWTH)
+    panels = max(1, math.ceil(n * b / _PANEL_GROWTH))  # (m-1) b / 6 can underflow to 0
     half = 0.5 * b / panels
     scale = math.tanh(b)
     sums = [0.0] * m

@@ -2,9 +2,10 @@
 the doubling subgroup tower of a rank-k lattice, and normalized Betti-number
 ratio sequences along that tower.
 
-One BFS kernel serves every graph: a level-synchronous bitset BFS whose
-levels are Python ints holding only a window of outer positions, so a level
-costs the width of the frontier rather than the vertex count.
+One BFS kernel serves every graph: a level-synchronous bitset BFS on the
+graph folded by the reflections x_i -> -x_i, a product of paths, whose levels
+are Python ints holding only a window of outer positions, so a level costs
+the width of the frontier rather than the vertex count.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ class TorusQuotientGraph:
         """Eccentricity of the origin by BFS; equals the graph diameter by
         vertex-transitivity.
 
-        One level-synchronous bitset BFS serves every shape; its work per
-        level follows the width of the frontier, not the vertex count (see
-        `_eccentricity`)."""
+        The BFS runs on the product of paths 0 .. floor(n_i/2) that the
+        reflections x_i -> -x_i fold the graph to; they fix the origin, so
+        they keep its distances.  Its work per level follows the width of the
+        frontier, not the vertex count (see `_eccentricity`)."""
         return _eccentricity(self.moduli)
 
 
@@ -90,24 +92,24 @@ def _tile(pattern: int, period: int, copies: int) -> int:
 
 
 def _eccentricity(moduli) -> int:
-    """Level-synchronous BFS from vertex 0, with each level held as a
-    Python-int bitset.
+    """Level-synchronous BFS from vertex 0 on the quotient of the torus graph
+    by the reflections x_i -> -x_i, with each level held as a Python-int
+    bitset.
 
-    Each cycle Z/n is relabelled: positions 0, 1, 2, 3, 4, ... hold the
-    coordinates 0, 1, n-1, 2, n-2, ..., so the distance from 0 grows with the
-    position, and the cycle's edges become (p, p+2) plus (0, 1) and
-    (n-2, n-1).  A +-1 step along an axis is then a masked shift by one or
-    two strides that never wraps around.  The longest axis goes outermost,
-    and the frontier is stored shifted down to its lowest occupied outer
-    position: every level lies in a window of about twice the inner
-    diameter, so a level costs the width of that window.  The graph is
-    undirected, so the next level is N(F_d) minus F_d and F_(d-1); no set of
-    visited vertices is kept.  Neighbours below the window are at outer
+    The reflections fix 0, so they keep every distance from it: folding Z/n
+    by x -> -x leaves the path on positions 0 .. floor(n/2), and the torus
+    graph folds to the product of those paths.  A +-1 step along an axis is
+    then one masked shift by its stride, which never wraps around.  The
+    longest axis goes outermost, and the frontier is stored shifted down to
+    its lowest occupied outer position, which rises by at most one per level:
+    a level costs the width of that window, not the vertex count.  The graph
+    is undirected, so the next level is N(F_d) minus F_d and F_(d-1); no set
+    of visited vertices is kept.  Neighbours below the window are at outer
     positions no level reaches again, and are dropped with it."""
-    axes = sorted(n for n in moduli if n > 1)
+    axes = sorted(n // 2 + 1 for n in moduli if n > 1)
     if not axes:
         return 0
-    n = axes.pop()  # the outer axis
+    n = axes.pop()  # positions on the outer path
     size = math.prod(axes)  # vertices per outer position: the outer stride
     count = n * size
     # (up, down, shift): a level maps F to ((F & up) << shift) | ((F & down) >> shift)
@@ -115,47 +117,28 @@ def _eccentricity(moduli) -> int:
     stride = 1
     for m in axes:
         period = m * stride
-        block = (1 << stride) - 1
-        # positions 0 and m - 2 step up by one: the edges (0, 1) and (m - 2, m - 1);
-        # positions 0 .. m - 3 step up by two
-        for pattern, shift in ((block | block << (m - 2) * stride, stride),
-                               ((1 << (m - 2) * stride) - 1, 2 * stride)):
-            if pattern:
-                up = _tile(pattern, period, count // period)
-                steps.append((up, up << shift, shift))
+        up = _tile((1 << (m - 1) * stride) - 1, period, count // period)
+        steps.append((up, up << stride, stride))
         stride = period
     block = (1 << size) - 1
-    two = 2 * size
-    low2 = (1 << two) - 1
+    end = count  # bit offset just past the last outer position, in the window
     frontier, prev = 1, 0
-    cut = 0  # bits shifted off below the window: outer positions 0 .. cut / size - 1
-    top = (n - 2) * size  # bit offset of outer position n - 2 in the window
     for depth in range(count):
-        ends = frontier >> top  # outer positions n - 2 and n - 1
-        if ends:  # no +2 step past n - 1, and the edge (n - 2, n - 1)
-            turn = ((ends & block) << size) | (ends >> size)
-            reached = ((frontier ^ (ends << top)) << two) | (frontier >> two) | (turn << top)
-        else:
-            reached = (frontier << two) | (frontier >> two)
-        if not cut and n > 2:  # the edge (0, 1); for n = 2 it is (n - 2, n - 1)
-            ends = frontier & low2
-            reached |= ((ends & block) << size) | (ends >> size)
+        reached = (frontier << size) | (frontier >> size)
+        if reached >> end:  # no step up from the last outer position
+            reached &= (1 << end) - 1
         for up, down, shift in steps:
             reached |= ((frontier & up) << shift) | ((frontier & down) >> shift)
         reached ^= reached & (frontier | prev)
         if not reached:
             return depth
-        # The lowest occupied outer position never falls from one level to
-        # the next, and rises by at most two: move the window up to it, but
-        # not past n - 2, where `ends` starts.
+        # Move the window up one position when its lowest one empties.  The
+        # mask keeps every level below `end`, so a level in the last position
+        # fills the lowest one, and the window never moves past it.
         if not reached & block:
-            shift = size if reached & low2 else two
-            if shift > top:
-                shift = top
-            frontier >>= shift
-            reached >>= shift
-            cut += shift
-            top -= shift
+            frontier >>= size
+            reached >>= size
+            end -= size
         prev, frontier = frontier, reached
     raise RuntimeError(f"BFS on {moduli} did not settle within {count} levels")
 

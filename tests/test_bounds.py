@@ -307,6 +307,15 @@ def test_c_of_b_overflow_reports_bracketing_failure():
             c_of_b(m, b)
 
 
+def test_c_of_b_subnormal_b_refuses():
+    # (m-1) b / 6 underflows to 0 here: the rule still takes one panel, and
+    # the root lies past the bracket's reach
+    for b in (5e-324, 1e-323):
+        for method in ("bisection", "secant"):
+            with pytest.raises(RootNotBracketed):
+                c_of_b(2, b, method=method)
+
+
 def test_cli_import_skips_scipy_and_numpy():
     probe = "import sys, genus_forge.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
     src = str(Path(genus_forge.__file__).resolve().parents[1])

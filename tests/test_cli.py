@@ -332,6 +332,8 @@ def test_numerical_errors_exit_3(run):
         ("modular", "check", "--manifold", "HP2", "--tau-im", "50"),
         ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0", "--order", "4"),
         ("bound", "cb", "--m", "2", "--b", "710"),
+        # a subnormal b: (m-1) b / 6 underflows to 0
+        ("bound", "cb", "--m", "2", "--b", "5e-324"),
         # binary64 limits of the Moser constant: a power overflows, R
         # overflows, mu rounds to 1
         ("bound", "index", "--m", "2", "--p", "5", "--lambda", "0", "--diam", "1", "--b", "700"),

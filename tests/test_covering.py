@@ -1,6 +1,8 @@
 """Discrete covering-tower checks: BFS diameters of torus-quotient graphs
-against the closed form, index growth along towers, and the l2 ratio decay."""
+against the closed form and a BFS on the unfolded graph, index growth along
+towers, and the l2 ratio decay."""
 
+from collections import deque
 from itertools import product as iproduct
 from fractions import Fraction
 from math import comb
@@ -26,6 +28,40 @@ from genus_forge.errors import DomainError, TooLarge
 def _closed_form_diameter(moduli) -> int:
     """sum of floor(n_i / 2): the diameter the BFS must reproduce."""
     return sum(n // 2 for n in moduli)
+
+
+def _unfolded_eccentricity(moduli, source=None) -> int:
+    """Plain BFS over Z/n_1 x ... x Z/n_k with +-e_i neighbours, one vertex
+    tuple at a time: the graph the folded bitset kernel stands for."""
+    source = source or (0,) * len(moduli)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for i, n in enumerate(moduli):
+            for step in (1, -1):
+                w = v[:i] + ((v[i] + step) % n,) + v[i + 1:]
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+    return max(dist.values())
+
+
+def test_bfs_matches_unfolded_oracle_exhaustive():
+    shapes = [m for k in (1, 2, 3) for m in iproduct(range(1, 7), repeat=k)]
+    shapes += iproduct(range(1, 5), repeat=4)
+    for moduli in shapes:
+        assert TorusQuotientGraph(moduli).diameter() == _unfolded_eccentricity(moduli), moduli
+
+
+def test_unfolded_graph_is_vertex_transitive():
+    # the premise of diameter(): every source has the eccentricity of 0
+    shapes = [m for k in (1, 2) for m in iproduct(range(1, 6), repeat=k)]
+    shapes += iproduct(range(1, 4), repeat=3)
+    for moduli in shapes:
+        eccentricities = {_unfolded_eccentricity(moduli, v)
+                          for v in iproduct(*(range(n) for n in moduli))}
+        assert eccentricities == {_unfolded_eccentricity(moduli)}, moduli
 
 
 def test_bfs_matches_closed_form_exhaustive():
@@ -72,6 +108,16 @@ def _torus_moduli(draw, max_vertices=40_000):
 def test_bfs_matches_closed_form_property(moduli):
     g = TorusQuotientGraph(moduli)
     assert g.diameter() == _closed_form_diameter(moduli)
+
+
+@settings(deadline=None)
+@given(_torus_moduli(max_vertices=3_000))
+@example((1,))
+@example((2,))
+@example((2, 1, 2))
+@example((2,) * 11)
+def test_bfs_matches_unfolded_oracle_property(moduli):
+    assert TorusQuotientGraph(moduli).diameter() == _unfolded_eccentricity(moduli)
 
 
 @st.composite
