@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .errors import DimensionError, InsufficientData, NonIntegralIndexWarning, TruncMismatch
+from .errors import InsufficientData, NonIntegralIndexWarning, TruncMismatch
 from .genera import genus_numbers, log_coeffs, pair_logs, root_constant
 from .manifolds import GenusKind, ManifoldData
 from .qseries import QSeries
@@ -107,9 +107,8 @@ def elliptic_genus(
     kind = EllKind(kind)
     series = _series(m, kind, q_trunc)
     if kind in (EllKind.ELL1, EllKind.WITTEN) and not series.integer_powers_only():
-        raise DimensionError(
-            f"{kind.value} series left the integer power grid; this is a bug"
-        )
+        # a fault of this module, not of the data: the CLI reports it as exit 4
+        raise RuntimeError(f"{kind.value} series left the integer power grid; this is a bug")
     return GenusSeries(m.name, kind.value, series, q_trunc)
 
 

@@ -298,22 +298,6 @@ def _pontryagin_from_chern(m: ManifoldData) -> dict[Partition, int]:
     return numbers_from_s({mu: s[d] for mu, d in doubled.items()}, n // 2)
 
 
-def chern_to_pontryagin(m: ManifoldData) -> ManifoldData:
-    """Populate Pontryagin numbers from full Chern data.
-
-    Existing Pontryagin entries must agree with the computed ones.
-    """
-    if m.chern_numbers is None:
-        raise InsufficientData(f"{m.name}: no Chern numbers to convert")
-    computed = _pontryagin_from_chern(m)
-    if m.pontryagin_numbers is not None and m.pontryagin_numbers != computed:
-        raise InconsistentData(
-            f"{m.name}: stored Pontryagin numbers {m.pontryagin_numbers} "
-            f"disagree with conversion {computed}"
-        )
-    return ManifoldData(**{**m._fields(), "pontryagin_numbers": computed})
-
-
 # -- products and connected sums ------------------------------------------------
 
 
@@ -483,16 +467,16 @@ def torus(k: int) -> ManifoldData:
 
 
 def k3() -> ManifoldData:
-    """The K3 surface: c_1^2 = 0, c_2 = 24, spin."""
-    m = ManifoldData(
+    """The K3 surface: c_1^2 = 0, c_2 = 24, so p_1 = c_1^2 - 2 c_2 = -48; spin."""
+    return ManifoldData(
         name="K3",
         real_dim=4,
+        pontryagin_numbers={(1,): -48},
         chern_numbers={(2,): 24},
         complex_dim=2,
         spin=True,
         string=False,
     )
-    return chern_to_pontryagin(m)
 
 
 def hp2() -> ManifoldData:

@@ -1,11 +1,13 @@
 """Eisenstein series, Witten-genus fits, and the numeric S-transformation check.
 
-The fit expresses a Witten-genus q-expansion of a 4m-manifold in the
-weight-2m monomials E4^i E6^j (4i + 6j = 2m), solving the leading
-coefficients exactly and then checking every remaining coefficient up
-to the truncation.  A failed residual is a meaningful outcome (it is
-how non-string manifolds announce themselves), so it is reported on the
-result rather than raised.
+The fit expresses a Witten-genus q-expansion of a 4m-manifold in the n
+weight-2m monomials E4^i E6^j (4i + 6j = 2m), n = dim M_2m.  By the
+valence formula a weight-2m form is fixed by its coefficients of
+q^0 .. q^(n-1), so those n coefficients give a square nonsingular system,
+solved exactly; every remaining coefficient up to the truncation is then
+checked.  A truncation that stops below q^(n-1) is refused with FitError.
+A failed residual is a meaningful outcome (it is how non-string manifolds
+announce themselves), so it is reported on the result rather than raised.
 """
 
 from __future__ import annotations
@@ -46,37 +48,18 @@ class ModularFit(Record):
                   first_mismatch=first_mismatch)
 
 
-def _solve_exact(rows: list[list[Fraction]], n: int) -> list[Fraction] | None:
-    """Solve for n unknowns from rows of length n+1 (augmented), exactly.
-
-    Returns None while the rows seen so far are rank-deficient; raises
-    FitError if they are inconsistent (cannot happen for a true modular
-    form, but the residual path feeds arbitrary series through here).
-    """
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = list(row)
-        for prow, pcol in zip(echelon, pivots):
-            if row[pcol]:
-                factor = row[pcol] / prow[pcol]
-                row = [a - factor * b for a, b in zip(row, prow)]
-        pcol = next((i for i in range(n) if row[i]), None)
-        if pcol is None:
-            continue
-        echelon.append(row)
-        pivots.append(pcol)
-        if len(pivots) == n:
-            break
-    if len(pivots) < n:
-        return None
-    solution = [Fraction(0)] * n
-    for prow, pcol in sorted(zip(echelon, pivots), key=lambda t: -t[1]):
-        acc = prow[n]
-        for i in range(pcol + 1, n):
-            acc -= prow[i] * solution[i]
-        solution[pcol] = acc / prow[pcol]
-    return solution
+def _solve_square(rows: list[list[Fraction]]) -> list[Fraction]:
+    """Solve a nonsingular n x n system, given as augmented rows of length
+    n+1, exactly by Gauss-Jordan elimination; the rows are reduced in place."""
+    n = len(rows)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
 def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
@@ -93,21 +76,17 @@ def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
             f"{m.name}: no E4^i E6^j monomials of weight {weight}"
         )
     witten = elliptic_genus(m, EllKind.WITTEN, q_trunc).series
-    e4 = eisenstein("E4", q_trunc)
-    e6 = eisenstein("E6", q_trunc)
-    basis = [e4**i * e6**j for i, j in monomials]
-
+    # the square system needs the rows of q^0 .. q^(n-1) (module docstring)
     n = len(monomials)
-    max_power = (q_trunc - 1) // 2
-    rows = [
-        [b.coeff(2 * r) for b in basis] + [witten.coeff(2 * r)]
-        for r in range(max_power + 1)
-    ]
-    solution = _solve_exact(rows, n)
-    if solution is None:
+    if (q_trunc - 1) // 2 < n - 1:
         raise FitError(
             f"{m.name}: leading system is rank-deficient for monomials {monomials}"
         )
+    e4, e6 = eisenstein("E4", q_trunc), eisenstein("E6", q_trunc)
+    basis = [e4**i * e6**j for i, j in monomials]
+    solution = _solve_square(
+        [[b.coeff(2 * r) for b in basis] + [witten.coeff(2 * r)] for r in range(n)]
+    )
 
     combo = QSeries.zero(q_trunc)
     for coeff, b in zip(solution, basis):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import genus_forge
-from genus_forge import manifolds
+from genus_forge import elliptic, manifolds
 from genus_forge.catalog import (
     ENV_CATALOG_PATH,
     SCHEMA_VERSION,
@@ -21,6 +21,7 @@ from genus_forge.catalog import (
 )
 from genus_forge.cli import main
 from genus_forge.manifolds import ManifoldData, cp, product
+from genus_forge.qseries import QSeries
 
 SRC = str(Path(genus_forge.__file__).resolve().parents[1])
 
@@ -119,6 +120,8 @@ def test_modular_check_pass_and_refuse(run):
     code, _, err = run("modular", "check", "--manifold", "K3",
                        "--tau-im", "0.5")
     assert code == 3 and "must exceed 1" in err
+    code, out, err = run("modular", "check", "--manifold", "HP2", "--order", "0")
+    assert code == 1 and out == "" and "0 is not in the range x>=1" in err
 
 
 def test_bound_cb(run):
@@ -169,7 +172,8 @@ def test_cover_commands(run):
         [("j", 1), ("scale", 1), ("index", 1)], [("j", 2), ("scale", 2), ("index", 4)]]
     code, out, _ = run("cover", "tower", "--k", "3", "--depth", "3")
     assert code == 0
-    assert [line.split("index=")[1] for line in out.splitlines()] == ["1", "8", "64"]
+    assert [line.split()[1:] for line in out.splitlines()] == [
+        ["scale=2^0", "index=1"], ["scale=2^1", "index=8"], ["scale=2^2", "index=64"]]
     code, out, _ = run("cover", "l2", "--k", "2", "--p", "1", "--depth", "3")
     assert code == 0 and out.strip() == "2, 1/2, 1/8"
     code, out, _ = run("cover", "l2", "--k", "2", "--p", "1", "--depth", "3",
@@ -331,6 +335,8 @@ def test_numerical_errors_exit_3(run):
         ("modular", "check", "--manifold", "HP2", "--tau-im", "10"),
         ("modular", "check", "--manifold", "HP2", "--tau-im", "50"),
         ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0", "--order", "4"),
+        # the smallest accepted order: q^0 .. q^1 are too few terms at tau_im = 1.5
+        ("modular", "check", "--manifold", "HP2", "--order", "1"),
         ("bound", "cb", "--m", "2", "--b", "710"),
         # a subnormal b: (m-1) b / 6 underflows to 0
         ("bound", "cb", "--m", "2", "--b", "5e-324"),
@@ -354,6 +360,20 @@ def test_internal_errors_exit_4(run, monkeypatch):
     assert code == 4 and out == ""
     assert err == ("internal error: OverflowError("
                    "'integer division result too large for a float')\n")
+
+
+def test_half_powers_in_the_witten_genus_exit_4(run, monkeypatch):
+    # the integer-grid check in elliptic_genus guards the library, not the data
+    real_logs = elliptic.elliptic_logs
+
+    def half_powers(kind, weight, q_trunc):
+        return [log + QSeries({1: 1}, q_trunc) for log in real_logs(kind, weight, q_trunc)]
+
+    monkeypatch.setattr(elliptic, "elliptic_logs", half_powers)
+    code, out, err = run("elliptic", "--manifold", "HP2", "--kind", "witten", "--order", "2")
+    assert code == 4 and out == ""
+    assert err == ("internal error: RuntimeError("
+                   "'witten series left the integer power grid; this is a bug')\n")
 
 
 def test_env_catalog_override(run, tmp_path, monkeypatch):

@@ -20,7 +20,6 @@ from genus_forge.manifolds import (
     GenusKind,
     ManifoldData,
     builtin,
-    chern_to_pontryagin,
     connected_sum,
     cp,
     hp2,
@@ -49,9 +48,16 @@ def test_cp2_pontryagin_via_conversion():
     entry = cp(2)
     assert not entry.spin
     assert entry.pontryagin_or_converted() == {(1,): 3}
-    assert chern_to_pontryagin(entry).pontryagin_numbers == {(1,): 3}
-    assert chern_to_pontryagin(k3()).pontryagin_numbers == {(1,): -48}
-    assert chern_to_pontryagin(torus(4)).pontryagin_numbers == {}
+    chern_only = ManifoldData(name="T4", real_dim=4, chern_numbers=torus(4).chern_numbers)
+    assert chern_only.pontryagin_or_converted() == {}
+
+
+def test_k3_stated_p1_matches_conversion():
+    entry = k3()
+    chern_only = ManifoldData(name="K3", real_dim=4, chern_numbers=entry.chern_numbers)
+    assert entry.pontryagin_numbers == {(1,): -48}
+    assert entry.pontryagin_numbers == chern_only.pontryagin_or_converted()
+    assert entry.pontryagin_numbers == theta_oracle.pontryagin_from_chern(entry.chern_numbers, 2)
 
 
 def test_cp_pontryagin_closed_form_matches_conversion():
@@ -196,15 +202,6 @@ def test_asserted_strings_take_only_the_written_form():
     entry = ManifoldData(name="X", real_dim=4,
                          asserted_genera={"ahat": "3/4", "todd": "-2", "signature": "+5"})
     assert entry.asserted_genera == {"ahat": Fraction(3, 4), "todd": -2, "signature": 5}
-
-
-def test_inconsistent_chern_pontryagin_pair():
-    liar = ManifoldData(
-        name="lie", real_dim=4, complex_dim=2,
-        chern_numbers={(2,): 24}, pontryagin_numbers={(1,): 0},
-    )
-    with pytest.raises(InconsistentData):
-        chern_to_pontryagin(liar)
 
 
 def test_product_kuenneth():

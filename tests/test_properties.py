@@ -7,26 +7,27 @@
   the Chern -> Pontryagin conversion against the oracle's Kuenneth walk
   and class-polynomial conversion.
 - Modularity: the Witten genus of random data of dimension 8 to 24 fits
-  E4^i E6^j exactly once every number containing p_1 is zero, and the
-  S-transformation between Ell1 and Ell2 holds on random data.
+  E4^i E6^j exactly once every number containing p_1 is zero, from the
+  first truncation that holds q^(n-1) for n monomials (dimensions 24 and
+  48), and the S-transformation between Ell1 and Ell2 holds on random data.
 - Spin integrality of the twisted indices on random products and
   connected sums of spin catalog entries up to dimension 24.
 """
 
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import theta_oracle
 from genus_forge.catalog import resolve
 from genus_forge.elliptic import EllKind, elliptic_genus, twisted_index_series, twisted_indices
-from genus_forge.errors import NonIntegralIndexWarning
+from genus_forge.errors import FitError, NonIntegralIndexWarning
 from genus_forge.genera import genus_value
 from genus_forge.manifolds import (
     GenusKind,
     ManifoldData,
-    chern_to_pontryagin,
     connected_sum,
     numbers_from_s,
     partitions_of,
@@ -99,7 +100,9 @@ def test_engine_matches_product_oracle(m, q_trunc):
 def _chern_manifold(draw, n):
     """Random Chern numbers of a complex n-fold, converted to carry both kinds."""
     numbers = {lam: draw(st.integers(-60, 60)) for lam in partitions_of(n)}
-    return chern_to_pontryagin(ManifoldData(name="C", real_dim=2 * n, chern_numbers=numbers))
+    chern = ManifoldData(name="C", real_dim=2 * n, chern_numbers=numbers)
+    return ManifoldData(name="C", real_dim=2 * n, chern_numbers=numbers,
+                        pontryagin_numbers=chern.pontryagin_or_converted())
 
 
 @settings(deadline=None, max_examples=40)
@@ -131,6 +134,20 @@ def _without_p1(m):
 def test_witten_genus_is_modular_without_p1(weight, data):
     m = data.draw(_manifold(weight))
     assert witten_fit(_without_p1(m), 41).residual_ok
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from([(6, 2), (12, 3)]), st.data())
+def test_witten_fit_at_the_rank_boundary(weight_and_n, data):
+    # n monomials of modular weight 2*weight; q_trunc = 2n - 1 is the first
+    # truncation that holds q^(n-1), so the first that fixes the fit
+    weight, n = weight_and_n
+    m = _without_p1(data.draw(_manifold(weight)))
+    with pytest.raises(FitError, match="rank-deficient"):
+        witten_fit(m, 2 * n - 2)
+    fit = witten_fit(m, 2 * n - 1)
+    assert len(fit.coefficients) == n and fit.residual_ok
+    assert fit.coefficients == witten_fit(m, 49).coefficients  # through q^24
 
 
 @settings(deadline=None, max_examples=10)

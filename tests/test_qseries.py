@@ -46,6 +46,13 @@ def test_constructors():
     assert q.valuation() == 3
 
 
+def test_constructor_refusals():
+    with pytest.raises(ValueError, match="exponent 4 not below truncation 4"):
+        QSeries({4: 1}, 4)
+    with pytest.raises(ValueError, match="trunc must be a positive integer"):
+        QSeries({}, 0)
+
+
 def test_zero_coefficients_not_stored():
     s = QSeries({0: Fraction(1), 2: Fraction(0)}, 4)
     assert 2 not in s.coeffs
@@ -191,3 +198,5 @@ def test_str_rendering():
     assert text.startswith("1")
     assert "q^(1/2)" in text and "3*q" in text
     assert str(QSeries.zero(3)) == "0"
+    # a positive coefficient below 1 keeps its sign and its fraction
+    assert str(QSeries({2: Fraction(1, 2), 4: Fraction(-1, 3)}, 6)) == "1/2*q - 1/3*q^2"

@@ -11,7 +11,7 @@ import pytest
 from genus_forge.bounds import BoundParams, BoundReport, IndexBoundReport
 from genus_forge.catalog import CatalogFile
 from genus_forge.covering import CoverDiameter, Tower, TowerLevel
-from genus_forge.manifolds import ManifoldData, chern_to_pontryagin, cp, k3
+from genus_forge.manifolds import ManifoldData, cp, k3
 from genus_forge.modular import ModularCheck, ModularFit
 
 PARAMS = dict(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0, cmp=1.0, v=2.0, l=1)
@@ -66,15 +66,5 @@ def test_cached_conversion_is_not_a_field():
     entry = ManifoldData(name="C", real_dim=8, chern_numbers=cp(4).chern_numbers)
     fresh = ManifoldData(name="C", real_dim=8, chern_numbers=cp(4).chern_numbers)
     before = repr(entry)
-    entry.pontryagin_or_converted()
+    assert entry.pontryagin_or_converted() == {(2,): 10, (1, 1): 25}
     assert entry == fresh and repr(entry) == before
-
-
-def test_chern_to_pontryagin_keeps_every_other_field():
-    entry = ManifoldData(name="C", real_dim=8, chern_numbers=cp(4).chern_numbers,
-                         spin=True, string=True, asserted_genera={"todd": Fraction(1)})
-    converted = chern_to_pontryagin(entry)
-    assert converted.pontryagin_numbers == {(2,): 10, (1, 1): 25}
-    for name in ("name", "real_dim", "chern_numbers", "complex_dim", "spin", "string",
-                 "asserted_genera"):
-        assert getattr(converted, name) == getattr(entry, name), name
