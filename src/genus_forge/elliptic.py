@@ -95,9 +95,9 @@ def _series(m: ManifoldData, kind: EllKind, q_trunc: int) -> QSeries:
     route = genus_numbers(m, base)
     if route is None:
         raise InsufficientData(f"{m.name}: no Pontryagin or Chern data")
-    numbers, weight = route
+    numbers, weight, scale = route
     logs = elliptic_logs(kind, weight, q_trunc)
-    return pair_logs(numbers, weight, logs, QSeries.zero(q_trunc), root_constant(base))
+    return pair_logs(numbers, weight, logs, QSeries.zero(q_trunc), root_constant(base), scale)
 
 
 def elliptic_genus(

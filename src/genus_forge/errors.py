@@ -54,7 +54,7 @@ class UnknownManifold(DataError):
 # -- modular tools ------------------------------------------------------------
 
 class FitError(DataError):
-    """Eisenstein fit has no solvable leading-coefficient system."""
+    """Eisenstein fit has no monomial, or no coefficient left to check it against."""
 
 
 class ConvergenceRisk(NumericalError):
@@ -104,18 +104,17 @@ class Record:
     """Immutable record, in place of a frozen dataclass, whose module imports
     `inspect`: the costliest import a cold command would otherwise pay.
 
-    The fields are the public attributes that ``__init__`` stores with
-    ``_set``, in that order.  Afterwards assigning or deleting an attribute
-    raises AttributeError.  Records of the same class compare and hash field
-    by field, and the repr names every field.  Private attributes, such as a
-    ``functools.cached_property`` value, are not fields.
+    The fields are the attributes that ``__init__`` stores with ``_set``,
+    in that order.  Afterwards assigning or deleting an attribute raises
+    AttributeError.  Records of the same class compare and hash field by
+    field, and the repr names every field.
     """
 
     def _set(self, **fields):
         self.__dict__.update(fields)
 
     def _fields(self) -> dict:
-        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+        return vars(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

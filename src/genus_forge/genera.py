@@ -12,9 +12,10 @@ the roots, and the weight-m part of its exponential is
 with a_k(mu) the number of parts of mu equal to k.  Pairing with the
 fundamental class turns prod_i P_{mu_i} into the power-sum number
 s_mu[M], an integer combination of the Pontryagin (or Chern) numbers;
-`s_numbers` reads it off the power-sum table in manifolds.py, whose rows
-serve the Chern -> Pontryagin conversion and products as well.
-`pair_logs` is the pairing loop.
+`s_numbers` reads it off the power-sum table in manifolds.py.  The
+Pontryagin roots are the squared Chern roots, so a genus of the squared
+roots reads Chern data at doubled partitions, s^pont_mu = s^chern_(2 mu),
+and no Pontryagin number is solved for.  `pair_logs` is the pairing loop.
 Only the coefficients l_k change from one genus to the next; the
 coefficient ring may be Fraction or QSeries, so the elliptic genera take
 the same route (see elliptic.py).
@@ -84,13 +85,16 @@ def log_coeffs(kind: GenusKind, weight: int) -> list[Fraction]:
 # -- pairing ------------------------------------------------------------------------
 
 
-def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, zero, const: int = 1):
+def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, zero,
+              const: int = 1, scale: int = 1):
     """const^(2 weight) * sum over mu |- weight of s_mu[M] prod_i l_(mu_i) / prod_k a_k(mu)!.
 
     `logs[k - 1]` is l_k, a Fraction or a QSeries; `zero` is the zero of
-    that ring.  Partitions with a vanishing l_(mu_i) are never formed.
+    that ring.  s_mu[M] is read from `numbers` at the partition scale * mu.
+    Partitions with a vanishing l_(mu_i) are never formed.
     """
     needed = [mu for mu in partitions_of(weight) if all(logs[k - 1] for k in mu)]
+    s = s_numbers(numbers, [tuple(scale * part for part in mu) for mu in needed])
     products: dict[Partition, object] = {}
 
     def log_product(mu):
@@ -102,10 +106,10 @@ def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, zero, c
         return value
 
     total = zero
-    for mu, s in s_numbers(numbers, needed).items():
-        if s:
+    for mu, s_mu in zip(needed, s.values()):
+        if s_mu:
             multiplicities = prod(factorial(mu.count(k)) for k in set(mu))
-            total = total + log_product(mu) * Fraction(s, multiplicities)
+            total = total + log_product(mu) * Fraction(s_mu, multiplicities)
     return total * const ** (2 * weight)
 
 
@@ -117,26 +121,27 @@ def root_constant(kind: GenusKind) -> int:
     return 2 if kind == GenusKind.LHAT else 1
 
 
-def genus_numbers(m: ManifoldData, kind: GenusKind) -> tuple[Mapping[Partition, int], int] | None:
-    """The numbers a genus of this kind pairs on m, and their weight.
+def genus_numbers(m: ManifoldData,
+                  kind: GenusKind) -> tuple[Mapping[Partition, int], int, int] | None:
+    """The numbers a genus of this kind pairs on m, their weight, and the
+    scale of the partitions `pair_logs` reads them at.
 
-    Todd pairs the Chern numbers over partitions of the complex dimension;
-    the other genera, and the elliptic genera built on them, pair the
-    Pontryagin numbers, converted from Chern data if need be, over
-    partitions of real_dim/4.  None when m carries no such numbers, so that
-    only an asserted value can answer.
+    Todd pairs the Chern numbers over partitions of the complex dimension,
+    at scale 1.  The other genera, and the elliptic genera built on them,
+    pair over partitions of real_dim/4 the Pontryagin numbers at scale 1,
+    or else the Chern numbers at scale 2.  None when m carries no such
+    numbers, so that only an asserted value can answer.
     """
     if GenusKind(kind) == GenusKind.TODD:
-        return None if m.chern_numbers is None else (m.chern_numbers, m.complex_dim)
+        return None if m.chern_numbers is None else (m.chern_numbers, m.complex_dim, 1)
     if m.real_dim % 4:
         raise DimensionError(
             f"{m.name}: Pontryagin-number genera need dimension divisible by 4, "
             f"got {m.real_dim}"
         )
-    try:
-        return m.pontryagin_or_converted(), m.real_dim // 4
-    except InsufficientData:
-        return None
+    if m.pontryagin_numbers is not None:
+        return m.pontryagin_numbers, m.real_dim // 4, 1
+    return None if m.chern_numbers is None else (m.chern_numbers, m.real_dim // 4, 2)
 
 
 def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
@@ -148,9 +153,9 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     kind = GenusKind(kind)
     route = genus_numbers(m, kind)
     if route is not None:
-        numbers, weight = route
+        numbers, weight, scale = route
         logs = log_coeffs(kind, weight)
-        return pair_logs(numbers, weight, logs, Fraction(0), root_constant(kind))
+        return pair_logs(numbers, weight, logs, Fraction(0), root_constant(kind), scale)
     if m.asserted_genera and kind.value in m.asserted_genera:
         return m.asserted_genera[kind.value]
     raise InsufficientData(f"{m.name}: no data to evaluate the {kind.value} genus")

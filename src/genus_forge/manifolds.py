@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, prod
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -70,10 +70,11 @@ def partitions_of(n: int) -> Iterator[Partition]:
 # roots the e_i are the Chern classes, over the squared roots the
 # Pontryagin classes, so pairing e_lambda with [M] reads the stored number
 # of lambda and one table serves both kinds of data.  The power-sum numbers
-# s_mu[M] = <prod_i P_(mu_i), [M]> are where the genera, the Chern ->
-# Pontryagin conversion and products meet (Milnor-Stasheff, Characteristic
-# Classes, section 16).  The cached rows are shared between callers, who
-# only read them; the dimension cap bounds their weight.
+# s_mu[M] = <prod_i P_(mu_i), [M]> are where the genera and products meet;
+# the Pontryagin roots are the squared Chern roots, so s^pont_mu =
+# s^chern_(2 mu) (Milnor-Stasheff, Characteristic Classes, section 16).
+# The cached rows are shared between callers, who only read them; the
+# dimension cap bounds their weight.
 
 
 def _merge(lam: Partition, nu: Partition) -> Partition:
@@ -269,33 +270,6 @@ class ManifoldData(Record):
 
     def has_chern(self) -> bool:
         return self.chern_numbers is not None
-
-    def pontryagin_or_converted(self) -> Mapping[Partition, int]:
-        """Pontryagin numbers, deriving them from Chern data if needed."""
-        if self.pontryagin_numbers is not None:
-            return self.pontryagin_numbers
-        if self.chern_numbers is not None:
-            return self._converted_pontryagin
-        raise InsufficientData(f"{self.name}: no Pontryagin or Chern data")
-
-    @cached_property
-    def _converted_pontryagin(self) -> Mapping[Partition, int]:
-        # once per instance: a genus value and its source each ask for the route
-        return MappingProxyType(_pontryagin_from_chern(self))
-
-
-# -- Chern -> Pontryagin conversion ------------------------------------------
-
-
-def _pontryagin_from_chern(m: ManifoldData) -> dict[Partition, int]:
-    n = m.complex_dim
-    assert n is not None and m.chern_numbers is not None
-    if n % 2:
-        return {}
-    # the Pontryagin roots are the squared Chern roots: s^pont_mu = s^chern_(2 mu)
-    doubled = {mu: tuple(2 * part for part in mu) for mu in partitions_of(n // 2)}
-    s = s_numbers(m.chern_numbers, doubled.values())
-    return numbers_from_s({mu: s[d] for mu, d in doubled.items()}, n // 2)
 
 
 # -- products and connected sums ------------------------------------------------

@@ -5,7 +5,8 @@ weight-2m monomials E4^i E6^j (4i + 6j = 2m), n = dim M_2m.  By the
 valence formula a weight-2m form is fixed by its coefficients of
 q^0 .. q^(n-1), so those n coefficients give a square nonsingular system,
 solved exactly; every remaining coefficient up to the truncation is then
-checked.  A truncation that stops below q^(n-1) is refused with FitError.
+checked.  A truncation that stops below q^n leaves no coefficient to
+check, so it is refused with FitError.
 A failed residual is a meaningful outcome (it is how non-string manifolds
 announce themselves), so it is reported on the result rather than raised.
 """
@@ -76,11 +77,12 @@ def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
             f"{m.name}: no E4^i E6^j monomials of weight {weight}"
         )
     witten = elliptic_genus(m, EllKind.WITTEN, q_trunc).series
-    # the square system needs the rows of q^0 .. q^(n-1) (module docstring)
+    # the square system takes q^0 .. q^(n-1), and the residual starts at q^n
     n = len(monomials)
-    if (q_trunc - 1) // 2 < n - 1:
+    if (q_trunc - 1) // 2 < n:
         raise FitError(
-            f"{m.name}: leading system is rank-deficient for monomials {monomials}"
+            f"{m.name}: q_trunc {q_trunc} stops below q^{n}, so no coefficient is left "
+            f"to check the fit to monomials {monomials}"
         )
     e4, e6 = eisenstein("E4", q_trunc), eisenstein("E6", q_trunc)
     basis = [e4**i * e6**j for i, j in monomials]

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from genus_forge import manifolds
 from genus_forge.errors import DimensionError, InsufficientData
 from genus_forge.genera import (
+    genus_numbers,
     genus_source,
     genus_value,
     hypersurface_todd,
@@ -279,18 +279,15 @@ def test_genus_source_refuses_where_genus_value_does():
     assert genus_source(cp(3), GenusKind.TODD) == "computed"
 
 
-def test_value_and_source_convert_chern_data_once(monkeypatch):
-    # a Chern-only entry of dimension 8: its genus value and its source both
-    # ask genus_numbers for the Pontryagin numbers
-    calls = []
-    convert = manifolds._pontryagin_from_chern
-    monkeypatch.setattr(manifolds, "_pontryagin_from_chern",
-                        lambda m: calls.append(m.name) or convert(m))
+def test_value_and_source_read_chern_data():
+    # a Chern-only entry of dimension 8: Ahat pairs its Chern numbers at
+    # doubled partitions, and its source reports the computed route
     entry = product(cp(1), cp(3))
     assert entry.pontryagin_numbers is None
+    assert genus_numbers(entry, GenusKind.AHAT) == (entry.chern_numbers, 2, 2)
+    assert genus_numbers(entry, GenusKind.TODD) == (entry.chern_numbers, 4, 1)
     assert genus_value(entry, GenusKind.AHAT) == 0
     assert genus_source(entry, GenusKind.AHAT) == "computed"
-    assert calls == ["CP1xCP3"]
 
 
 def test_dimension_contracts():

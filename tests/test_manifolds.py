@@ -1,5 +1,6 @@
-"""Manifold data validation, the power-sum table, Chern/Pontryagin
-conversion, and the product / connected-sum closure operations."""
+"""Manifold data validation, the power-sum table, stored Pontryagin numbers
+against the oracle's Chern -> Pontryagin conversion, and the product /
+connected-sum closure operations."""
 
 import time
 from fractions import Fraction
@@ -47,17 +48,18 @@ def test_cp3_chern_numbers():
 def test_cp2_pontryagin_via_conversion():
     entry = cp(2)
     assert not entry.spin
-    assert entry.pontryagin_or_converted() == {(1,): 3}
-    chern_only = ManifoldData(name="T4", real_dim=4, chern_numbers=torus(4).chern_numbers)
-    assert chern_only.pontryagin_or_converted() == {}
+    assert theta_oracle.pontryagin_from_chern(entry.chern_numbers, 2) == {(1,): 3}
+    assert theta_oracle.pontryagin_from_chern(torus(4).chern_numbers, 2) == {}
 
 
 def test_k3_stated_p1_matches_conversion():
     entry = k3()
-    chern_only = ManifoldData(name="K3", real_dim=4, chern_numbers=entry.chern_numbers)
     assert entry.pontryagin_numbers == {(1,): -48}
-    assert entry.pontryagin_numbers == chern_only.pontryagin_or_converted()
     assert entry.pontryagin_numbers == theta_oracle.pontryagin_from_chern(entry.chern_numbers, 2)
+    # Chern data alone gives the genera of the stated p_1: Ahat 2, signature -16
+    chern_only = ManifoldData(name="K3", real_dim=4, chern_numbers=entry.chern_numbers)
+    for kind, value in ((GenusKind.AHAT, 2), (GenusKind.SIGNATURE, -16)):
+        assert genus_value(chern_only, kind) == genus_value(entry, kind) == value
 
 
 def test_cp_pontryagin_closed_form_matches_conversion():
@@ -78,7 +80,7 @@ def test_back_solve_refuses_non_integral_data():
 def test_k3_and_hp2_data():
     entry = k3()
     assert entry.chern_numbers == {(2,): 24}
-    assert entry.pontryagin_or_converted() == {(1,): -48}
+    assert theta_oracle.pontryagin_from_chern(entry.chern_numbers, 2) == {(1,): -48}
     assert entry.spin and not entry.string
     quat = hp2()
     assert quat.pontryagin_numbers == {(1, 1): 4, (2,): 7}

@@ -9,10 +9,12 @@ from genus_forge.catalog import resolve
 from genus_forge.errors import ConvergenceRisk, FitError
 from genus_forge.manifolds import ManifoldData, k3, hp2, product, torus
 from genus_forge.modular import (
+    _tail,
     eisenstein,
     modular_relation_check,
     witten_fit,
 )
+from genus_forge.qseries import QSeries
 
 
 def test_eisenstein_goldens():
@@ -52,6 +54,16 @@ def test_fit_detects_non_string_manifold():
     assert fit.checked_order == 17
 
 
+def test_fit_checks_at_least_one_coefficient():
+    # one monomial (E4) is solved from q^0: q_trunc 3 holds q^1 and finds the
+    # mismatch, while q_trunc 2 would check nothing and is refused
+    k3k3 = product(k3(), k3())
+    fit = witten_fit(k3k3, 3)
+    assert not fit.residual_ok and fit.first_mismatch == (2, Fraction(-1152))
+    with pytest.raises(FitError, match="no coefficient is left"):
+        witten_fit(k3k3, 2)
+
+
 def test_fit_exact_for_modular_input():
     # p2 pairing -1440 makes the Witten expansion exactly E4
     x8 = ManifoldData(name="X8", real_dim=8, spin=True, string=True,
@@ -71,6 +83,16 @@ def test_fit_rejects_empty_monomial_basis():
     # weight 2 has no E4^i E6^j representation
     with pytest.raises(FitError):
         witten_fit(k3(), 17)
+
+
+def test_tail_window_is_the_last_two_powers():
+    # _tail reads the half-exponents trunc - 4 .. trunc - 1, the last two powers of q
+    trunc, q = 21, 0.25
+    window = {trunc - 4: Fraction(3), trunc - 1: Fraction(1)}
+    assert _tail(QSeries({**window, trunc - 5: Fraction(7)}, trunc), q) == _tail(
+        QSeries(window, trunc), q)
+    assert _tail(QSeries({trunc - 1: Fraction(1)}, trunc), q) != _tail(
+        QSeries(window, trunc), q)
 
 
 def test_modular_relation_passes():

@@ -3,13 +3,14 @@
 - Random Pontryagin data of dimension 4 to 12: multiplicativity under
   products, additivity under connected sums, and equality with the
   product-route test oracle.
-- Random Chern data of complex dimension 1 to 4 per factor: products and
-  the Chern -> Pontryagin conversion against the oracle's Kuenneth walk
-  and class-polynomial conversion.
+- Random Chern data of complex dimension 1 to 4 per factor: products
+  against the oracle's Kuenneth walk, and every genus of the squared roots
+  read from Chern data alone against the same genus of the Pontryagin
+  numbers from the oracle's class-polynomial conversion.
 - Modularity: the Witten genus of random data of dimension 8 to 24 fits
   E4^i E6^j exactly once every number containing p_1 is zero, from the
-  first truncation that holds q^(n-1) for n monomials (dimensions 24 and
-  48), and the S-transformation between Ell1 and Ell2 holds on random data.
+  first truncation that holds q^n for n monomials (dimensions 24 and 48),
+  and the S-transformation between Ell1 and Ell2 holds on random data.
 - Spin integrality of the twisted indices on random products and
   connected sums of spin catalog entries up to dimension 24.
 """
@@ -98,11 +99,11 @@ def test_engine_matches_product_oracle(m, q_trunc):
 
 @st.composite
 def _chern_manifold(draw, n):
-    """Random Chern numbers of a complex n-fold, converted to carry both kinds."""
+    """Random Chern numbers of a complex n-fold, carrying the Pontryagin
+    numbers of the oracle's conversion as well."""
     numbers = {lam: draw(st.integers(-60, 60)) for lam in partitions_of(n)}
-    chern = ManifoldData(name="C", real_dim=2 * n, chern_numbers=numbers)
     return ManifoldData(name="C", real_dim=2 * n, chern_numbers=numbers,
-                        pontryagin_numbers=chern.pontryagin_or_converted())
+                        pontryagin_numbers=theta_oracle.pontryagin_from_chern(numbers, n))
 
 
 @settings(deadline=None, max_examples=40)
@@ -112,8 +113,15 @@ def test_chern_routes_match_oracle(n_a, data):
     a, b = data.draw(_chern_manifold(n_a)), data.draw(_chern_manifold(n_b))
     for m in (a, b):
         n = m.complex_dim
-        assert m.pontryagin_numbers == theta_oracle.pontryagin_from_chern(m.chern_numbers, n)
         assert numbers_from_s(s_numbers(m.chern_numbers, partitions_of(n)), n) == m.chern_numbers
+        if n % 2 == 0:
+            # Chern data alone, read at doubled partitions, against the oracle's numbers
+            chern_only = ManifoldData(name="C", real_dim=2 * n, chern_numbers=m.chern_numbers)
+            for kind in RATIONAL:
+                assert genus_value(chern_only, kind) == genus_value(m, kind), kind
+            for kind in EllKind:
+                assert elliptic_genus(chern_only, kind, 9).series == (
+                    elliptic_genus(m, kind, 9).series), kind
     ab = product(a, b)
     assert ab.chern_numbers == theta_oracle.kuenneth_numbers(
         a.chern_numbers, b.chern_numbers, n_a, n_b
@@ -139,13 +147,14 @@ def test_witten_genus_is_modular_without_p1(weight, data):
 @settings(deadline=None, max_examples=10)
 @given(st.sampled_from([(6, 2), (12, 3)]), st.data())
 def test_witten_fit_at_the_rank_boundary(weight_and_n, data):
-    # n monomials of modular weight 2*weight; q_trunc = 2n - 1 is the first
-    # truncation that holds q^(n-1), so the first that fixes the fit
+    # n monomials of modular weight 2*weight; the fit is solved from q^0 ..
+    # q^(n-1), so q_trunc = 2n + 1, the first truncation that holds q^n, is
+    # the first that leaves a coefficient to check
     weight, n = weight_and_n
     m = _without_p1(data.draw(_manifold(weight)))
-    with pytest.raises(FitError, match="rank-deficient"):
-        witten_fit(m, 2 * n - 2)
-    fit = witten_fit(m, 2 * n - 1)
+    with pytest.raises(FitError, match="no coefficient is left"):
+        witten_fit(m, 2 * n)
+    fit = witten_fit(m, 2 * n + 1)
     assert len(fit.coefficients) == n and fit.residual_ok
     assert fit.coefficients == witten_fit(m, 49).coefficients  # through q^24
 

@@ -11,7 +11,7 @@ import pytest
 from genus_forge.bounds import BoundParams, BoundReport, IndexBoundReport
 from genus_forge.catalog import CatalogFile
 from genus_forge.covering import CoverDiameter, Tower, TowerLevel
-from genus_forge.manifolds import ManifoldData, cp, k3
+from genus_forge.manifolds import ManifoldData, k3
 from genus_forge.modular import ModularCheck, ModularFit
 
 PARAMS = dict(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0, cmp=1.0, v=2.0, l=1)
@@ -61,10 +61,3 @@ def test_records_of_different_classes_differ():
     assert report != extended and math.isnan(extended.dim_bound)
     assert {TowerLevel(1, 1, 1), TowerLevel(1, 1, 1)} == {TowerLevel(j=1, scale=1, index=1)}
 
-
-def test_cached_conversion_is_not_a_field():
-    entry = ManifoldData(name="C", real_dim=8, chern_numbers=cp(4).chern_numbers)
-    fresh = ManifoldData(name="C", real_dim=8, chern_numbers=cp(4).chern_numbers)
-    before = repr(entry)
-    assert entry.pontryagin_or_converted() == {(2,): 10, (1, 1): 25}
-    assert entry == fresh and repr(entry) == before
