@@ -10,23 +10,9 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
 from .errors import CatalogError, GenusForgeError, Record, UnknownManifold
-from .manifolds import (
-    GenusKind,
-    ManifoldData,
-    builtin,
-    connected_sum,
-    cp,
-    hp2,
-    k3,
-    product,
-    sphere,
-    torus,
-)
+from .manifolds import GenusKind, ManifoldData, builtin
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -38,13 +24,13 @@ __all__ = [
     "loads_catalog",
     "load_catalog",
     "save_catalog",
-    "build_default_catalog",
     "load_default_catalog",
     "resolve",
 ]
 
 SCHEMA_VERSION = 1
 ENV_CATALOG_PATH = "GENUS_FORGE_CATALOG"
+_PACKAGED = os.path.join(os.path.dirname(__file__), "data", "default_catalog.json")
 
 _ENTRY_FIELDS = (
     "name",
@@ -195,64 +181,23 @@ def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
 
 
 def load_catalog(path) -> CatalogFile:
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # fspath here and in save_catalog: open() would take an int as a file descriptor
+        with open(os.fspath(path), encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     return loads_catalog(text, source=str(path))
 
 
 def save_catalog(catalog: CatalogFile, path) -> None:
-    Path(path).write_text(dumps_catalog(catalog))
-
-
-def build_default_catalog() -> CatalogFile:
-    """The shipped catalog, constructed from builtins and closure operations."""
-    t2, t4 = torus(2), torus(4)
-    s4, s6 = sphere(4), sphere(6)
-    k3_, hp2_ = k3(), hp2()
-    b8 = ManifoldData(
-        name="B8", real_dim=8, spin=True, asserted_genera={"ahat": Fraction(1)}
-    )
-    w24 = ManifoldData(
-        name="W24", real_dim=24, spin=True, string=True,
-        asserted_genera={"ahat": Fraction(0)},
-    )
-    t2xs6 = product(t2, s6)
-    entries = [
-        t2,
-        t4,
-        s4,
-        s6,
-        k3_,
-        hp2_,
-        cp(2),
-        cp(3),
-        cp(4),
-        b8,
-        w24,
-        t2xs6,
-        connected_sum(t2xs6, b8, name="T2xS6_sharp_B8"),
-        connected_sum(t2xs6, hp2_, name="T2xS6_sharp_HP2"),
-        product(k3_, k3_, name="K3xK3"),
-        product(t4, k3_, name="T4xK3"),
-        product(k3_, hp2_, name="K3xHP2"),
-        product(hp2_, hp2_, name="HP2xHP2"),
-    ]
-    return CatalogFile(entries=entries)
-
-
-def _packaged_catalog_text() -> str:
-    return resources.files("genus_forge").joinpath("data/default_catalog.json").read_text()
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
+        fh.write(dumps_catalog(catalog))
 
 
 def load_default_catalog() -> CatalogFile:
     """Catalog from GENUS_FORGE_CATALOG if set, else the packaged file."""
-    override = os.environ.get(ENV_CATALOG_PATH)
-    if override:
-        return load_catalog(override)
-    return loads_catalog(_packaged_catalog_text(), source="packaged default catalog")
+    return load_catalog(os.environ.get(ENV_CATALOG_PATH) or _PACKAGED)
 
 
 def resolve(name: str, catalog: CatalogFile | None = None) -> ManifoldData:

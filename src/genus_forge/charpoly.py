@@ -19,8 +19,8 @@ genus_forge.charpoly because perfbench/tracer.py imports it as a layer.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 Monomial = tuple[int, ...]
 

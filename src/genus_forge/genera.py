@@ -40,9 +40,9 @@ genus pairs, for the classical genera here and the elliptic ones alike.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Mapping
 
 from .errors import DimensionError, InsufficientData
 from .manifolds import GenusKind, ManifoldData, Partition, partitions_of, s_numbers

@@ -20,8 +20,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterator, Mapping
 
 from .errors import (
     DimensionError,

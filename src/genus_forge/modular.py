@@ -13,7 +13,6 @@ announce themselves), so it is reported on the result rather than raised.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 

@@ -19,12 +19,12 @@ which keeps them as plain functions over QSeries (tests/theta_oracle.py).
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
 
 from .errors import DivergentEvaluation, TruncMismatch
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 _ZERO = Fraction(0)
 

@@ -2,8 +2,10 @@
 named entries in every message, environment override, and name resolution."""
 
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,6 @@ from genus_forge.catalog import (
     ENV_CATALOG_PATH,
     SCHEMA_VERSION,
     CatalogFile,
-    build_default_catalog,
     dumps_catalog,
     entry_from_dict,
     entry_to_dict,
@@ -25,6 +26,10 @@ from genus_forge.cli import main
 from genus_forge.errors import CatalogError, UnknownManifold
 from genus_forge.genera import genus_value
 from genus_forge.manifolds import GenusKind, ManifoldData, k3
+
+# the builder serves only the regeneration script, so it lives there
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from regen_catalog import build_default_catalog  # noqa: E402
 
 ALL_NAMES = [
     "T2", "T4", "S4", "S6", "K3", "HP2", "CP2", "CP3", "CP4", "B8", "W24",
@@ -179,6 +184,11 @@ def test_save_and_load_file(tmp_path):
     assert again.names() == ["K3"] and again.get("K3") == k3()
     with pytest.raises(CatalogError, match="cannot read"):
         load_catalog(tmp_path / "absent.json")
+    # an int is no path: it must not be opened as a file descriptor
+    with pytest.raises(TypeError):
+        load_catalog(0)
+    with pytest.raises(TypeError):
+        save_catalog(catalog, 1)
 
 
 @pytest.mark.parametrize("content", [

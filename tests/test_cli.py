@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from genus_forge.catalog import (
     save_catalog,
 )
 from genus_forge.cli import COMMANDS, main
+from genus_forge.errors import GenusForgeError
 from genus_forge.manifolds import ManifoldData, cp, product
 from genus_forge.qseries import QSeries
 
@@ -488,3 +490,87 @@ def test_generated_command_lines_exit_typed(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), argv
+
+
+# -- generated library input ----------------------------------------------------------
+#
+# The keyword arguments of a valid ManifoldData with one field, or one key or
+# value of one of its maps, made wrongly shaped: a list, int keys, a nested dict, a
+# float, a bool, a Fraction or a string in exponent form.  The constructor refuses
+# every one with a GenusForgeError, and nothing else escapes it.
+
+_VALID = {"name": "X", "real_dim": 4, "pontryagin_numbers": {(1,): 3},
+          "chern_numbers": {(2,): 3, (1, 1): 9}, "complex_dim": 2, "spin": False,
+          "string": False, "asserted_genera": {"todd": 1}}
+_MAPS = ("pontryagin_numbers", "chern_numbers", "asserted_genera")
+_JUNK = {
+    "list": st.lists(st.integers(-3, 9), max_size=3),
+    "int keys": st.dictionaries(st.integers(-3, 9), st.integers(-3, 9), min_size=1, max_size=2),
+    # keys of at most two characters: never a genus name
+    "nested": st.dictionaries(st.text(max_size=2), st.dictionaries(
+        st.text(max_size=2), st.integers(), max_size=2), min_size=1, max_size=2),
+    "float": st.floats(),
+    "bool": st.booleans(),
+    "fraction": st.fractions(),
+    "exponent": st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-400, 400)),
+}
+_UNHASHABLE = ("list", "int keys", "nested")
+
+
+def _junk(*but):
+    return st.one_of(*(strategy for kind, strategy in _JUNK.items() if kind not in but))
+
+
+_WRONG = {
+    "name": _junk("exponent"),
+    "real_dim": st.one_of(_junk(), st.integers(-6, 0), st.integers(-5, 49).map(lambda n: 2 * n + 1)),
+    "complex_dim": st.one_of(_junk(), st.integers().filter(lambda n: n != 2)),
+    "spin": _junk("bool"),
+    "string": _junk("bool"),
+    **dict.fromkeys(_MAPS, _junk()),
+}
+
+
+def _bad_key(key):
+    """A scalar or text key, or for a partition the same total split into parts of
+    the wrong type or sign; for a genus name, a near miss."""
+    scalar = st.one_of(st.integers(), st.text(max_size=3), _junk(*_UNHASHABLE))
+    if isinstance(key, str):
+        return st.one_of(scalar, st.sampled_from([key.upper(), f" {key}"]))
+    swaps = [(i, q) for i, p in enumerate(key) for q in (float(p), Fraction(p), str(p))
+             + ((True,) if p == 1 else ())]
+    return st.one_of(
+        scalar,
+        st.sampled_from(swaps).map(lambda iq: key[:iq[0]] + (iq[1],) + key[iq[0] + 1:]),
+        st.sampled_from([(), (key[0] + 1, -1) + key[1:], key + (0,)]),
+    )
+
+
+@st.composite
+def _wrong_kwargs(draw):
+    kwargs = dict(_VALID)
+    field, where = draw(st.sampled_from([(f, None) for f in _WRONG]
+                                        + [(m, w) for m in _MAPS for w in ("key", "value")]))
+    if where is None:
+        kwargs[field] = draw(_WRONG[field])
+        return kwargs
+    kwargs[field] = mapping = dict(_VALID[field])
+    key = draw(st.sampled_from(sorted(mapping)))
+    if where == "key":
+        mapping[draw(_bad_key(key))] = mapping.pop(key)
+    else:
+        mapping[key] = draw(_junk("fraction") if field == "asserted_genera" else _junk())
+    return kwargs
+
+
+def test_generated_manifold_data_base_is_valid():
+    assert ManifoldData(**_VALID).chern_numbers == _VALID["chern_numbers"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(_wrong_kwargs())
+@example({**_VALID, "pontryagin_numbers": {1: 3}})
+@example({**_VALID, "real_dim": 4.0})
+def test_generated_manifold_data_refuses_typed(kwargs):
+    with pytest.raises(GenusForgeError):
+        ManifoldData(**kwargs)

@@ -2,7 +2,9 @@
 classes, every exported name imports its module on first use, and a cold
 `genus-forge` process loads only the modules its command runs, with no CLI
 framework (click) among them and, outside the q-series commands, neither
-`dataclasses` nor the `inspect` module it imports."""
+`dataclasses` nor the `inspect` module it imports.  Without the site
+module, which may preload them, the catalog commands load none of the
+stdlib that only packaged-resource reading or type hints would need."""
 
 import os
 import subprocess
@@ -60,6 +62,24 @@ def test_command_loads_only_its_modules(argv, expected):
     assert loaded == expected
     assert "genus_forge.charpoly" not in loaded  # the class-polynomial ring serves tests only
     assert "click" not in loaded  # the command table is stdlib only
+
+
+# importlib.resources pulls in pathlib, typing, zipfile and tempfile
+UNUSED_STDLIB = ("importlib.resources", "pathlib", "typing", "zipfile", "tempfile")
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "list"),
+    ("compute", "--manifold", "CP3", "--genus", "todd"),
+])
+def test_catalog_commands_skip_unused_stdlib(argv):
+    # -S: a site .pth file may import these before genus_forge runs
+    probe = ("import sys\nfrom genus_forge.cli import main\nmain(sys.argv[1:])\n"
+             f"print('MODULES', *[m for m in {UNUSED_STDLIB!r} if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "MODULES"
 
 
 def test_package_import_loads_only_errors():
