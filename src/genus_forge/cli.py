@@ -2,6 +2,10 @@
 Eisenstein fits, the numeric S-transformation check, analytic bound reports,
 and covering-graph simulations, all parsed from one command table (COMMANDS).
 
+A handler takes its converted options and returns a (payload, lines) pair:
+the `--json` object and the text output lines.  No handler prints; `_run`
+prints one of the two.
+
 Exit codes: 0 success, 1 usage, 2 invalid data (including the size caps),
 3 numerical failure, 4 internal error (any other exception, reported as one
 line).
@@ -43,12 +47,6 @@ def _trunc(order: int) -> int:
 
 def _half_key(half_exp: int) -> str:
     return str(half_exp // 2) if half_exp % 2 == 0 else f"{half_exp}/2"
-
-
-def _emit(payload: dict) -> None:
-    import json
-
-    print(json.dumps(payload, indent=2))
 
 
 def _monomial_name(i: int, j: int) -> str:
@@ -202,79 +200,77 @@ def _run(argv: list) -> int:
                                  else args.pop(0) if args else None) for opt in options}
     if args:
         raise UsageError(f"Got unexpected extra argument ({' '.join(args)})", path)
-    handler(**kwargs)
+    as_json = kwargs.pop("as_json")
+    payload, lines = handler(**kwargs)
+    if as_json:
+        import json
+
+        print(json.dumps(payload, indent=2))
+    elif lines:  # an empty catalog prints nothing, not a blank line
+        print("\n".join(lines))
     return 0
 
 
 @_command(("catalog", "list"))
-def catalog_list(as_json):
+def catalog_list():
     """Names and basic data of every catalog entry."""
     from .catalog import entry_to_dict, load_default_catalog
 
     cat = load_default_catalog()
-    if as_json:
-        return _emit({"schema_version": cat.schema_version,
-                      "entries": [entry_to_dict(entry) for entry in cat.entries]})
+    lines = []
     for entry in cat.entries:
         sources = [source for source, present in (("chern", entry.has_chern()),
                                                   ("pont", entry.has_pontryagin()),
                                                   ("asserted", entry.asserted_genera)) if present]
         flags = "".join((" spin" if entry.spin else "", " string" if entry.string else ""))
-        print(f"{entry.name:18s} dim={entry.real_dim:<3d} data={'+'.join(sources)}{flags}")
+        lines.append(f"{entry.name:18s} dim={entry.real_dim:<3d} data={'+'.join(sources)}{flags}")
+    return ({"schema_version": cat.schema_version,
+             "entries": [entry_to_dict(entry) for entry in cat.entries]}, lines)
 
 
 @_command(("catalog", "show"), Opt("NAME", "name", required=True))
-def catalog_show(name, as_json):
+def catalog_show(name):
     """Full stored data of one entry (builtins included)."""
     import json
 
     from .catalog import entry_to_dict, resolve
 
-    entry = resolve(name)
-    payload = entry_to_dict(entry)
-    if as_json:
-        return _emit(payload)
-    for key, value in payload.items():
-        print(f"{key}: {json.dumps(value) if isinstance(value, dict) else value}")
+    payload = entry_to_dict(resolve(name))
+    return payload, [f"{key}: {json.dumps(value) if isinstance(value, dict) else value}"
+                     for key, value in payload.items()]
 
 
 @_command(("compute",), MANIFOLD, Opt("--genus", "kind", GENUS_CHOICES, required=True))
-def compute(manifold, kind, as_json):
+def compute(manifold, kind):
     """One rational genus of one manifold."""
     from .catalog import resolve
     from .genera import genus_source, genus_value
-    from .manifolds import GenusKind
 
     entry = resolve(manifold)
-    kind = GenusKind(kind)
     value = genus_value(entry, kind)
-    if as_json:
-        return _emit({"manifold": entry.name, "genus": kind.value, "value": str(value),
-                      "source": genus_source(entry, kind)})
-    print(value)
+    return ({"manifold": entry.name, "genus": kind, "value": str(value),
+             "source": genus_source(entry, kind)}, [str(value)])
 
 
 @_command(("elliptic",), MANIFOLD, Opt("--kind", "kind", ELL_CHOICES, required=True),
           Opt("--order", "order", int, default=DEFAULT_ORDER, minimum=0,
               help="keep coefficients through q^ORDER"))
-def elliptic(manifold, kind, order, as_json):
+def elliptic(manifold, kind, order):
     """q-expansion of an elliptic or Witten genus."""
     from .catalog import resolve
-    from .elliptic import EllKind, elliptic_genus
+    from .elliptic import elliptic_genus
 
     _check_order(order, "--order")
     entry = resolve(manifold)
-    result = elliptic_genus(entry, EllKind(kind), q_trunc=_trunc(order))
-    if as_json:
-        return _emit({"manifold": entry.name, "kind": kind, "order": order, "coefficients":
-                      {_half_key(n): str(c) for n, c in result.series.terms()}})
-    print(f"{kind}({entry.name}) = {result.series}")
-    print(f"(coefficients through q^{order})")
+    series = elliptic_genus(entry, kind, q_trunc=_trunc(order)).series
+    return ({"manifold": entry.name, "kind": kind, "order": order, "coefficients":
+             {_half_key(n): str(c) for n, c in series.terms()}},
+            [f"{kind}({entry.name}) = {series}", f"(coefficients through q^{order})"])
 
 
 @_command(("indices",), MANIFOLD, Opt("--family", "family", ("B", "W"), required=True),
           Opt("--max", "max_k", int, default=8, minimum=0, help="largest bundle step k"))
-def indices(manifold, family, max_k, as_json):
+def indices(manifold, family, max_k):
     """Twisted Dirac indices for bundle steps 0..max."""
     from .catalog import resolve
     from .elliptic import twisted_indices
@@ -282,77 +278,66 @@ def indices(manifold, family, max_k, as_json):
     _check_order(max_k, "--max")
     entry = resolve(manifold)
     values = twisted_indices(entry, family, max_k)
-    if as_json:
-        return _emit({"manifold": entry.name, "family": family, "max": max_k,
-                      "indices": {str(k): str(v) for k, v in enumerate(values)}})
-    for k, value in enumerate(values):
-        exponent = _half_key(k if family == "B" else 2 * k)
-        print(f"k={k:<3d} q^{exponent:<5s} ind = {value}")
+    return ({"manifold": entry.name, "family": family, "max": max_k,
+             "indices": {str(k): str(v) for k, v in enumerate(values)}},
+            [f"k={k:<3d} q^{_half_key(k if family == 'B' else 2 * k):<5s} ind = {value}"
+             for k, value in enumerate(values)])
 
 
 @_command(("modular", "fit"), MANIFOLD,
           Opt("--order", "order", int, default=DEFAULT_ORDER, minimum=1,
               help="compare coefficients through q^ORDER"))
-def modular_fit(manifold, order, as_json):
+def modular_fit(manifold, order):
     """Fit the Witten series against weight-matched E4^i * E6^j monomials."""
     from .catalog import resolve
     from .modular import witten_fit
 
     _check_order(order, "--order")
-    entry = resolve(manifold)
-    fit = witten_fit(entry, q_trunc=_trunc(order))
+    fit = witten_fit(resolve(manifold), q_trunc=_trunc(order))
+    lines = [f"manifold: {fit.manifold}", f"weight: {fit.weight}",
+             f"fit: {_fit_combination(fit.coefficients)}",
+             f"residual_ok: {str(fit.residual_ok).lower()}"]
     mismatch = None
     if fit.first_mismatch is not None:
         half_exp, coeff = fit.first_mismatch
         mismatch = {"exponent": _half_key(half_exp), "residual": str(coeff)}
-    if as_json:
-        return _emit({"manifold": fit.manifold, "weight": fit.weight, "coefficients": {
-            _monomial_name(i, j): str(c)
-            for (i, j), c in sorted(fit.coefficients.items(), reverse=True)},
-            "residual_ok": fit.residual_ok, "checked_order": fit.checked_order,
-            "first_mismatch": mismatch})
-    print(f"manifold: {fit.manifold}")
-    print(f"weight: {fit.weight}")
-    print(f"fit: {_fit_combination(fit.coefficients)}")
-    print(f"residual_ok: {str(fit.residual_ok).lower()}")
-    if mismatch is not None:
-        print(f"first_mismatch: q^{mismatch['exponent']} residual {mismatch['residual']}")
+        lines.append(f"first_mismatch: q^{mismatch['exponent']} residual {mismatch['residual']}")
+    return ({"manifold": fit.manifold, "weight": fit.weight, "coefficients": {
+        _monomial_name(i, j): str(c) for (i, j), c in sorted(fit.coefficients.items(), reverse=True)},
+        "residual_ok": fit.residual_ok, "checked_order": fit.checked_order,
+        "first_mismatch": mismatch}, lines)
 
 
 @_command(("modular", "check"), MANIFOLD, Opt("--tau-im", "tau_im", float, default=1.5,
                                                help="imaginary part of tau (must exceed 1)"),
           Opt("--order", "order", int, default=DEFAULT_ORDER, minimum=1),
           Opt("--tol", "tol", float, default=1e-8))
-def modular_check(manifold, tau_im, order, tol, as_json):
+def modular_check(manifold, tau_im, order, tol):
     """Compare both sides of the inversion relation numerically."""
     from .catalog import resolve
     from .modular import modular_relation_check
 
     _check_order(order, "--order")
-    entry = resolve(manifold)
-    check = modular_relation_check(entry, tau_im=tau_im, q_trunc=_trunc(order), tol=tol)
-    if as_json:
-        return _emit({"manifold": check.manifold, "tau_im": check.tau_im, "order": order,
-                      "tol": check.tol, "lhs": [check.lhs.real, check.lhs.imag],
-                      "rhs": [check.rhs.real, check.rhs.imag], "abs_error": check.abs_error,
-                      "passed": check.passed})
-    print(f"lhs = {check.lhs}")
-    print(f"rhs = {check.rhs}")
+    check = modular_relation_check(resolve(manifold), tau_im=tau_im, q_trunc=_trunc(order),
+                                   tol=tol)
     verdict = "PASS" if check.passed else "FAIL"
-    print(f"|lhs - rhs| = {check.abs_error:.3e} (tol {check.tol:.1e}): {verdict}")
+    return ({"manifold": check.manifold, "tau_im": check.tau_im, "order": order,
+             "tol": check.tol, "lhs": [check.lhs.real, check.lhs.imag],
+             "rhs": [check.rhs.real, check.rhs.imag], "abs_error": check.abs_error,
+             "passed": check.passed},
+            [f"lhs = {check.lhs}", f"rhs = {check.rhs}",
+             f"|lhs - rhs| = {check.abs_error:.3e} (tol {check.tol:.1e}): {verdict}"])
 
 
 @_command(("bound", "cb"), Opt("--m", "m_dim", int, required=True, minimum=2),
           Opt("--b", "b_param", float, required=True),
           Opt("--method", "method", ("bisection", "secant"), default="bisection"))
-def bound_cb(m_dim, b_param, method, as_json):
+def bound_cb(m_dim, b_param, method):
     """The positive root c_of_b(m, b)."""
     from .bounds import c_of_b
 
     value = c_of_b(m_dim, b_param, method=method)
-    if as_json:
-        return _emit({"m": m_dim, "b": b_param, "method": method, "c_of_b": value})
-    print(repr(value))
+    return {"m": m_dim, "b": b_param, "method": method, "c_of_b": value}, [repr(value)]
 
 
 @_command(("bound", "index"), Opt("--m", "m_dim", int, required=True, minimum=2),
@@ -363,20 +348,16 @@ def bound_cb(m_dim, b_param, method, as_json):
           Opt("--v", "v_exp", float, help="auxiliary exponent; only free when m = 2"),
           Opt("--l", "rank", int, default=1, minimum=1,
               help="bundle rank for the dimension bound"))
-def bound_index(m_dim, p_exp, lambda_, diam, b_param, cmp_const, v_exp, rank, as_json):
+def bound_index(m_dim, p_exp, lambda_, diam, b_param, cmp_const, v_exp, rank):
     """Full index-bound report with every intermediate constant."""
     from .bounds import BoundParams, index_bound_report
 
     params = BoundParams(m=m_dim, p=p_exp, Lambda=lambda_, diam=diam,
                          b=b_param, cmp=cmp_const, v=v_exp, l=rank)
     payload = {**vars(index_bound_report(params)), "inputs": vars(params)}
-    if as_json:
-        return _emit(payload)
-    for key, value in payload.items():
-        if isinstance(value, dict):
-            print(f"{key}: " + ", ".join(f"{k}={v}" for k, v in value.items()))
-        else:
-            print(f"{key} = {value!r}")
+    return payload, [f"{key}: " + ", ".join(f"{k}={v}" for k, v in value.items())
+                     if isinstance(value, dict) else f"{key} = {value!r}"
+                     for key, value in payload.items()]
 
 
 def _parse_moduli(text: str):
@@ -390,45 +371,39 @@ def _parse_moduli(text: str):
 @_command(("cover", "diam"), Opt("--k", "k_rank", int, required=True, minimum=1),
           Opt("--base", "base_text", required=True, help="comma-separated moduli n1,..,nk"),
           Opt("--factor", "factor", int, required=True, minimum=1))
-def cover_diam(k_rank, base_text, factor, as_json):
+def cover_diam(k_rank, base_text, factor):
     """BFS diameters of a quotient and its cover, plus the index inequality."""
     from .covering import cover_diameter
 
     result = cover_diameter(k_rank, _parse_moduli(base_text), factor)
-    if as_json:
-        return _emit({"k": k_rank, "base": base_text, "factor": factor, **vars(result)})
-    print(f"base_diam = {result.base_diam}")
-    print(f"cover_diam = {result.cover_diam}")
-    print(f"index = {result.index}")
     relation = "<=" if result.inequality_holds else ">"
-    print(f"inequality: {result.cover_diam} {relation} {result.index} * {result.base_diam}"
-          f" -> {'holds' if result.inequality_holds else 'VIOLATED'}")
+    return ({"k": k_rank, "base": base_text, "factor": factor, **vars(result)},
+            [f"base_diam = {result.base_diam}", f"cover_diam = {result.cover_diam}",
+             f"index = {result.index}",
+             f"inequality: {result.cover_diam} {relation} {result.index} * {result.base_diam}"
+             f" -> {'holds' if result.inequality_holds else 'VIOLATED'}"])
 
 
 @_command(("cover", "tower"), Opt("--k", "k_rank", int, required=True, minimum=1),
           Opt("--depth", "depth", int, required=True, minimum=1))
-def cover_tower(k_rank, depth, as_json):
+def cover_tower(k_rank, depth):
     """The doubling sublattice tower and its index sequence."""
     from .covering import tower
 
     result = tower(k_rank, depth)
-    if as_json:
-        return _emit({"k": result.k, "levels": [vars(lv) for lv in result.levels]})
-    for lv in result.levels:
-        print(f"j={lv.j:<3d} scale=2^{lv.j - 1:<3d} index={lv.index}")
+    return ({"k": result.k, "levels": [vars(lv) for lv in result.levels]},
+            [f"j={lv.j:<3d} scale=2^{lv.j - 1:<3d} index={lv.index}" for lv in result.levels])
 
 
 @_command(("cover", "l2"), Opt("--k", "k_rank", int, required=True, minimum=1),
           Opt("--p", "p_deg", int, required=True, minimum=0),
           Opt("--depth", "depth", int, required=True, minimum=1))
-def cover_l2(k_rank, p_deg, depth, as_json):
+def cover_l2(k_rank, p_deg, depth):
     """Normalized Betti ratios along the tower."""
     from .covering import l2_betti_ratio
 
-    ratios = l2_betti_ratio(k_rank, p_deg, depth)
-    if as_json:
-        return _emit({"k": k_rank, "p": p_deg, "depth": depth, "ratios": [str(r) for r in ratios]})
-    print(", ".join(str(r) for r in ratios))
+    ratios = [str(r) for r in l2_betti_ratio(k_rank, p_deg, depth)]
+    return {"k": k_rank, "p": p_deg, "depth": depth, "ratios": ratios}, [", ".join(ratios)]
 
 
 def main(argv=None) -> int:

@@ -425,6 +425,54 @@ def test_env_catalog_asserted_entry_past_the_cap(run, tmp_path, monkeypatch):
     assert code == 0 and out.strip() == "0"
 
 
+def test_empty_catalog_lists_nothing(run, tmp_path, monkeypatch):
+    path = tmp_path / "empty.json"
+    path.write_text('{"schema_version": 1, "entries": []}')
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    assert run("catalog", "list") == (0, "", "")
+    assert run("catalog", "list", "--json") == (
+        0, json.dumps({"schema_version": 1, "entries": []}, indent=2) + "\n", "")
+
+
+# one command line per command, each run in text and with --json
+SAMPLES = {
+    ("catalog", "list"): (),
+    ("catalog", "show"): ("K3",),
+    ("compute",): ("--manifold", "K3", "--genus", "ahat"),
+    ("elliptic",): ("--manifold", "K3", "--kind", "witten", "--order", "2"),
+    ("indices",): ("--manifold", "K3", "--family", "B", "--max", "3"),
+    ("modular", "fit"): ("--manifold", "HP2", "--order", "4"),
+    ("modular", "check"): ("--manifold", "HP2", "--tau-im", "2.0"),
+    ("bound", "cb"): ("--m", "2", "--b", "1.0"),
+    ("bound", "index"): ("--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),
+    ("cover", "diam"): ("--k", "2", "--base", "3,3", "--factor", "2"),
+    ("cover", "tower"): ("--k", "2", "--depth", "2"),
+    ("cover", "l2"): ("--k", "2", "--p", "1", "--depth", "3"),
+}
+
+
+def test_samples_cover_every_command():
+    assert set(SAMPLES) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("path", sorted(SAMPLES), ids=" ".join)
+def test_every_command_renders_text_and_json(run, path):
+    argv = (*path, *SAMPLES[path])
+    code, text, err = run(*argv)
+    assert code == 0 and text.strip() and err == ""
+    code, out, err = run(*argv, "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert isinstance(payload, dict)
+    if path == ("catalog", "list"):
+        assert payload["schema_version"] == 1 and len(payload["entries"]) == 18
+    elif path == ("modular", "check"):
+        assert payload["manifold"] == "HP2" and payload["passed"] is True
+    elif path == ("bound", "cb"):
+        assert payload == {"m": 2, "b": 1.0, "method": "bisection",
+                           "c_of_b": float(text)}
+
+
 # -- generated command lines ----------------------------------------------------------
 #
 # A command from the table, each of its options drawn from its declared type or
