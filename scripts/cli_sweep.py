@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Run a fixed list of `genus-forge` commands, each as a cold process, and
-print every command's exit code and the sha256 of its stdout.
+print every command's exit code and the sha256 of its stdout and stderr.
 
 The list covers `compute` (four genera), `elliptic` (three kinds),
 `indices` (B and W), `modular fit` and `modular check`, in text and with
@@ -12,10 +12,14 @@ checkout:
 
     python scripts/cli_sweep.py                       # this checkout
     python scripts/cli_sweep.py --against ../parent   # compare two checkouts
+    python scripts/cli_sweep.py | diff -u scripts/cli_golden.txt -
 
-With `--against`, both trees run every command and only the commands
-whose exit code or stdout differ are printed; the exit status is 1 if any
-differ.  Each tree's program is imported from its own `src/`.  About 560
+Each line of the listing reads `exit stdout-sha256 stderr-sha256 argv`.
+`scripts/cli_golden.txt` is the committed listing: a change of any CLI
+byte shows up as a diff against it.  With `--against`, both trees run
+every command and only the commands that differ are printed, naming
+which of exit code, stdout and stderr differ; the exit status is 1 if
+any differ.  Each tree's program is imported from its own `src/`.  570
 commands; with two jobs at a time a tree takes about a minute on a 2-core
 x86 host.
 """
@@ -48,6 +52,7 @@ FIXED = [
     ("catalog", "list"),
     ("catalog", "list", "--json"),
     ("catalog", "show", "CP20"),
+    ("catalog", "show", "K3"),
     ("bound", "cb", "--m", "2", "--b", "1.0"),
     ("bound", "cb", "--m", "7", "--b", "0.5", "--method", "secant", "--json"),
     # small roots, where the root search used to stop at an absolute width
@@ -64,6 +69,11 @@ FIXED = [
     ("cover", "tower", "--k", "2", "--depth", "5", "--json"),
     ("cover", "l2", "--k", "2", "--p", "1", "--depth", "3"),
     ("cover", "l2", "--k", "3", "--p", "2", "--depth", "4", "--json"),
+    # the `cli` benchmark workload's commands that the per-manifold lines miss
+    ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "4"),
+    ("indices", "--manifold", "K3", "--family", "B", "--max", "3"),
+    ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0"),
+    ("modular", "fit", "--manifold", "K3xK3", "--order", "24"),
     # exit 1: usage
     ("compute", "--manifold", "K3"),
     ("compute", "--manifold", "K3", "--genus", "euler"),
@@ -128,19 +138,20 @@ def commands(root: Path) -> list[tuple[str, ...]]:
     return out
 
 
-def run_one(root: Path, argv) -> tuple[str, str]:
-    """(exit code, sha256 of stdout) of one cold process."""
+def run_one(root: Path, argv) -> tuple[str, str, str]:
+    """(exit code, sha256 of stdout, sha256 of stderr) of one cold process."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("GENUS_FORGE_CATALOG", None)
     try:
         proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=root, env=env,
                               capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return "timeout", "-"
-    return str(proc.returncode), hashlib.sha256(proc.stdout).hexdigest()
+        return "timeout", "-", "-"
+    return (str(proc.returncode), hashlib.sha256(proc.stdout).hexdigest(),
+            hashlib.sha256(proc.stderr).hexdigest())
 
 
-def sweep(root: Path, argvs) -> list[tuple[str, str]]:
+def sweep(root: Path, argvs) -> list[tuple[str, str, str]]:
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
         return list(pool.map(lambda argv: run_one(root, argv), argvs))
 
@@ -156,16 +167,16 @@ def main(argv=None) -> int:
     argvs = commands(args.root)
     mine = sweep(args.root, argvs)
     if args.against is None:
-        for cmd, (code, digest) in zip(argvs, mine):
-            print(f"{code:>7} {digest} {' '.join(cmd)}")
+        for cmd, (code, out, err) in zip(argvs, mine):
+            print(" ".join((f"{code:>7}", out, err, *cmd)))
         return 0
     theirs = sweep(args.against, argvs)
     differ = 0
-    for cmd, (code_a, sha_a), (code_b, sha_b) in zip(argvs, mine, theirs):
-        if (code_a, sha_a) != (code_b, sha_b):
+    for cmd, a, b in zip(argvs, mine, theirs):
+        if a != b:
             differ += 1
-            stdout = "stdout differs" if sha_a != sha_b else "same stdout"
-            print(f"DIFF {' '.join(cmd)}: exit {code_b} -> {code_a}, {stdout}")
+            streams = [name for name, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+            print(f"DIFF {' '.join(cmd)}: {', '.join(streams)} differ (exit {b[0]} -> {a[0]})")
     print(f"{len(argvs) - differ} of {len(argvs)} commands identical "
           f"({args.against} -> {args.root})")
     return 1 if differ else 0

@@ -27,16 +27,6 @@ import sys
 
 from .errors import DomainError, ExponentDomainError, FloatRangeError, Record, RootNotBracketed
 
-__all__ = [
-    "BoundParams",
-    "BoundReport",
-    "IndexBoundReport",
-    "c_of_b",
-    "moser_constant",
-    "berard_dim_bound",
-    "index_bound_report",
-]
-
 # bracket width of the root search: absolute below x = 1, relative above.
 # Below 1 the stop rule also asks for the promised 1e-10 relative width.
 # The rule spells max(hi, 1) as a conditional: the builtin call cost more

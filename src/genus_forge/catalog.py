@@ -11,22 +11,8 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import CatalogError, GenusForgeError, Record, UnknownManifold
-from .manifolds import GenusKind, ManifoldData, builtin
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "ENV_CATALOG_PATH",
-    "CatalogFile",
-    "entry_to_dict",
-    "entry_from_dict",
-    "dumps_catalog",
-    "loads_catalog",
-    "load_catalog",
-    "save_catalog",
-    "load_default_catalog",
-    "resolve",
-]
+from .errors import CatalogError, GenusForgeError, InconsistentData, Record, UnknownManifold
+from .manifolds import GenusKind, ManifoldData, builtin, partitions_of, s_numbers
 
 SCHEMA_VERSION = 1
 ENV_CATALOG_PATH = "GENUS_FORGE_CATALOG"
@@ -49,9 +35,6 @@ _GENUS_ORDER = tuple(kind.value for kind in GenusKind)
 class CatalogFile(Record):
     def __init__(self, entries: list | None = None, schema_version: int = SCHEMA_VERSION):
         self._set(entries=[] if entries is None else entries, schema_version=schema_version)
-
-    def names(self):
-        return [entry.name for entry in self.entries]
 
     def get(self, name: str) -> ManifoldData | None:
         for entry in self.entries:
@@ -114,9 +97,23 @@ def _parse_numbers(raw, entry_name, fld):
     return numbers
 
 
+def _agreeing(entry: ManifoldData) -> ManifoldData:
+    """Todd reads the Chern numbers and the other genera the Pontryagin
+    numbers, so an entry storing both must have s^pont_mu = s^chern_2mu."""
+    chern, pont = entry.chern_numbers, entry.pontryagin_numbers
+    if chern is not None and pont is not None and entry.real_dim % 4 == 0:
+        for mu, s in s_numbers(pont, partitions_of(entry.real_dim // 4)).items():
+            doubled = tuple(2 * part for part in mu)
+            t = s_numbers(chern, [doubled])[doubled]
+            if s != t:
+                raise InconsistentData(f"Chern and Pontryagin numbers disagree at {mu}: "
+                                       f"power sum {t} from Chern, {s} from Pontryagin")
+    return entry
+
+
 def entry_from_dict(raw) -> ManifoldData:
     """Decode one JSON entry object into manifold data.  ManifoldData validates
-    the values; its errors come back naming the entry."""
+    the values, `_agreeing` the two kinds of numbers; errors name the entry."""
     if not isinstance(raw, dict):
         raise CatalogError(f"catalog entry must be an object, got {type(raw).__name__}")
     entry_name = raw.get("name", "<unnamed>")
@@ -138,7 +135,7 @@ def entry_from_dict(raw) -> ManifoldData:
             if not isinstance(text, str):
                 raise CatalogError(f"entry {entry_name!r}: asserted[{kind!r}] must be a 'num/den' string")
     try:
-        return ManifoldData(**fields)
+        return _agreeing(ManifoldData(**fields))
     except GenusForgeError as exc:
         raise CatalogError(f"entry {entry_name!r}: {exc}") from exc
 

@@ -8,13 +8,14 @@ prints one of the two.
 
 Exit codes: 0 success, 1 usage, 2 invalid data (including the size caps),
 3 numerical failure, 4 internal error (any other exception, reported as one
-line).
+line).  A warning prints as one `warning: ...` line on stderr.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import warnings
 from collections import namedtuple
 
 from .errors import DataError, NumericalError, TooLarge
@@ -219,8 +220,8 @@ def catalog_list():
     cat = load_default_catalog()
     lines = []
     for entry in cat.entries:
-        sources = [source for source, present in (("chern", entry.has_chern()),
-                                                  ("pont", entry.has_pontryagin()),
+        sources = [source for source, present in (("chern", entry.chern_numbers is not None),
+                                                  ("pont", entry.pontryagin_numbers is not None),
                                                   ("asserted", entry.asserted_genera)) if present]
         flags = "".join((" spin" if entry.spin else "", " string" if entry.string else ""))
         lines.append(f"{entry.name:18s} dim={entry.real_dim:<3d} data={'+'.join(sources)}{flags}")
@@ -410,7 +411,9 @@ def main(argv=None) -> int:
     """Console entry point; maps the error taxonomy onto exit codes, and any
     other exception onto exit code 4 with one `internal error: ...` line."""
     try:
-        code = _run(sys.argv[1:] if argv is None else list(argv))
+        with warnings.catch_warnings():  # restores showwarning for in-process callers
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            code = _run(sys.argv[1:] if argv is None else list(argv))
         sys.stdout.flush()  # a reader that left early (`| head -1`) shows up here, not at exit
         return code
     except (UsageError, KeyboardInterrupt) as exc:

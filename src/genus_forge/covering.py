@@ -14,19 +14,6 @@ import math
 
 from .errors import DomainError, Record, TooLarge
 
-__all__ = [
-    "DEFAULT_VERTEX_CAP",
-    "MAX_TOWER_DEPTH",
-    "MAX_TOWER_RANK",
-    "TorusQuotientGraph",
-    "TowerLevel",
-    "Tower",
-    "tower",
-    "CoverDiameter",
-    "cover_diameter",
-    "l2_betti_ratio",
-]
-
 DEFAULT_VERTEX_CAP = 10**6  # largest graph, in vertices, that TorusQuotientGraph builds
 # Caps on the doubling tower and its Betti ratios: level j carries the index
 # 2^((j-1)k), so depth and rank together set the size of every number built.
@@ -55,10 +42,6 @@ class TorusQuotientGraph:
             raise TooLarge(
                 f"{self.vertex_count} vertices exceeds the cap of {DEFAULT_VERTEX_CAP}"
             )
-
-    @property
-    def k(self) -> int:
-        return len(self.moduli)
 
     @property
     def vertex_count(self) -> int:
@@ -164,9 +147,6 @@ class TowerLevel(Record):
 class Tower(Record):
     def __init__(self, k: int, levels: list):
         self._set(k=k, levels=levels)
-
-    def indices(self):
-        return [level.index for level in self.levels]
 
 
 def tower(k: int, J: int) -> Tower:

@@ -113,9 +113,6 @@ class Record:
     def _set(self, **fields):
         self.__dict__.update(fields)
 
-    def _fields(self) -> dict:
-        return vars(self)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -125,11 +122,11 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return vars(self) == vars(other)
 
     def __hash__(self):
-        return hash(tuple(self._fields().values()))
+        return hash(tuple(vars(self).values()))
 
     def __repr__(self):
-        body = ", ".join(f"{k}={v!r}" for k, v in self._fields().items())
+        body = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
         return f"{type(self).__qualname__}({body})"

@@ -263,14 +263,6 @@ class ManifoldData(Record):
             asserted_genera=_read_only(asserted_genera),
         )
 
-    # -- data access -------------------------------------------------------
-
-    def has_pontryagin(self) -> bool:
-        return self.pontryagin_numbers is not None
-
-    def has_chern(self) -> bool:
-        return self.chern_numbers is not None
-
 
 # -- products and connected sums ------------------------------------------------
 
@@ -300,8 +292,8 @@ def _product_numbers(
 
 def product(a: ManifoldData, b: ManifoldData, name: str | None = None) -> ManifoldData:
     """Cartesian product; needs full data of the same kind on both sides."""
-    both_chern = a.has_chern() and b.has_chern()
-    both_pont = a.has_pontryagin() and b.has_pontryagin()
+    both_chern = a.chern_numbers is not None and b.chern_numbers is not None
+    both_pont = a.pontryagin_numbers is not None and b.pontryagin_numbers is not None
     if not (both_chern or both_pont):
         raise InsufficientData(
             f"product({a.name}, {b.name}) needs full Chern or full Pontryagin "
@@ -361,7 +353,7 @@ def connected_sum(a: ManifoldData, b: ManifoldData, name: str | None = None) -> 
     spin = a.spin and b.spin
     string = a.string and b.string
 
-    if a.has_pontryagin() and b.has_pontryagin():
+    if a.pontryagin_numbers is not None and b.pontryagin_numbers is not None:
         summed: dict[Partition, int] = dict(a.pontryagin_numbers)
         for key, value in b.pontryagin_numbers.items():
             summed[key] = summed.get(key, 0) + value

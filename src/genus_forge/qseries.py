@@ -92,9 +92,6 @@ class QSeries:
         """Smallest stored half-exponent, or None for the zero series."""
         return min(self.coeffs) if self.coeffs else None
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(0, _ZERO)
-
     # -- canonical form / comparison ----------------------------------------
 
     def __bool__(self) -> bool:

@@ -25,7 +25,7 @@ from genus_forge.catalog import (
 from genus_forge.cli import main
 from genus_forge.errors import CatalogError, UnknownManifold
 from genus_forge.genera import genus_value
-from genus_forge.manifolds import GenusKind, ManifoldData, k3
+from genus_forge.manifolds import GenusKind, ManifoldData, cp, k3
 
 # the builder serves only the regeneration script, so it lives there
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -51,7 +51,7 @@ def test_shipped_catalog_round_trips_byte_identical():
 
 def test_shipped_catalog_contents():
     cat = load_default_catalog()
-    assert cat.names() == ALL_NAMES
+    assert [e.name for e in cat.entries] == ALL_NAMES
     assert len(cat.entries) >= 10
     assert cat.get("K3").chern_numbers == {(2,): 24}
     assert cat.get("HP2").pontryagin_numbers == {(1, 1): 4, (2,): 7}
@@ -109,6 +109,9 @@ def test_entry_validation_messages():
     with pytest.raises(CatalogError, match=r"\(2, 1\) sums to 3"):
         # partition weight 3 > available weight, named in the message
         entry_from_dict(_base_entry(pontryagin_numbers={"2,1": 5}))
+    with pytest.raises(CatalogError, match="duplicate partition '1, 1' in pontryagin_numbers"):
+        # "1,1" and "1, 1" both decode to (1, 1), even with equal values
+        entry_from_dict(_base_entry(real_dim=8, pontryagin_numbers={"1,1": 4, "1, 1": 4}))
     with pytest.raises(CatalogError, match="unknown asserted genus"):
         entry_from_dict(_base_entry(asserted={"euler": "2"}))
     with pytest.raises(CatalogError, match="bad rational"):
@@ -124,6 +127,34 @@ def test_entry_validation_messages():
     big = entry_from_dict({"name": "Big", "real_dim": 52, "spin": True,
                            "string": False, "asserted": {"ahat": "0/1"}})
     assert big.real_dim == 52 and genus_value(big, GenusKind.AHAT) == 0
+
+
+def test_chern_and_pontryagin_numbers_must_agree(tmp_path, monkeypatch, capsys):
+    # Todd reads the Chern numbers and the other genera the Pontryagin
+    # numbers: this entry would give Todd 2 but Ahat 5/3
+    bad = {"name": "K3bad", "real_dim": 4, "complex_dim": 2, "chern_numbers": {"2": 24},
+           "pontryagin_numbers": {"1": -40}, "spin": True, "string": False}
+    with pytest.raises(CatalogError, match=r"'K3bad': Chern and Pontryagin numbers disagree "
+                                           r"at \(1,\): power sum -48 from Chern, -40"):
+        entry_from_dict(bad)
+    assert entry_from_dict(dict(bad, pontryagin_numbers={"1": -48})).spin
+    # both kinds of CP4 agree; a changed p1^2 is caught at the first mu
+    raw = entry_to_dict(cp(4))
+    assert entry_from_dict(raw) == cp(4)
+    raw["pontryagin_numbers"]["1,1"] += 1
+    with pytest.raises(CatalogError, match=r"'CP4': .* disagree at \(2,\)"):
+        entry_from_dict(raw)
+    # dimension 2 mod 4 has no Pontryagin numbers to compare
+    assert entry_from_dict(entry_to_dict(cp(3))) == cp(3)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "entries": [bad]}))
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    assert main(["compute", "--manifold", "K3bad", "--genus", "ahat"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: entry 'K3bad': ") and err.count("\n") == 1
+    monkeypatch.delenv(ENV_CATALOG_PATH)
+    assert [e.name for e in load_default_catalog().entries] == ALL_NAMES
 
 
 def test_entry_messages_name_the_entry():
@@ -181,7 +212,7 @@ def test_save_and_load_file(tmp_path):
     catalog = CatalogFile(entries=[k3()], schema_version=SCHEMA_VERSION)
     save_catalog(catalog, path)
     again = load_catalog(path)
-    assert again.names() == ["K3"] and again.get("K3") == k3()
+    assert [e.name for e in again.entries] == ["K3"] and again.get("K3") == k3()
     with pytest.raises(CatalogError, match="cannot read"):
         load_catalog(tmp_path / "absent.json")
     # an int is no path: it must not be opened as a file descriptor
@@ -224,9 +255,9 @@ def test_env_override(tmp_path, monkeypatch):
     save_catalog(CatalogFile(entries=[alt], schema_version=SCHEMA_VERSION), path)
     monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
     cat = load_default_catalog()
-    assert cat.names() == ["ALT"]
+    assert [e.name for e in cat.entries] == ["ALT"]
     monkeypatch.delenv(ENV_CATALOG_PATH)
-    assert load_default_catalog().names() == ALL_NAMES
+    assert [e.name for e in load_default_catalog().entries] == ALL_NAMES
 
 
 def test_resolve():

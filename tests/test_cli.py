@@ -31,6 +31,10 @@ from genus_forge.manifolds import ManifoldData, cp, product
 from genus_forge.qseries import QSeries
 
 SRC = str(Path(genus_forge.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
+
+sys.path.insert(0, str(ROOT / "scripts"))
+import cli_sweep  # noqa: E402
 
 
 @pytest.fixture()
@@ -92,6 +96,30 @@ def test_elliptic_text_and_json(run):
     assert payload["coefficients"] == {
         "0": "2", "1/2": "48", "1": "48", "3/2": "192", "2": "48",
     }
+
+
+def test_warning_prints_one_line(run, tmp_path, monkeypatch):
+    path = tmp_path / "x4.json"
+    path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "entries": [
+        {"name": "X4", "real_dim": 4, "pontryagin_numbers": {"1": 3}, "spin": True,
+         "string": False}]}))
+    env = dict(os.environ, PYTHONPATH=SRC, **{ENV_CATALOG_PATH: str(path)})
+    argv = ("indices", "--manifold", "X4", "--family", "B", "--max", "1")
+    proc = subprocess.run([sys.executable, "-c", cli_sweep.ENTRY, *argv], capture_output=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == b"k=0   q^0     ind = -1/8\nk=1   q^1/2   ind = -3\n"
+    line = "warning: X4 is spin but index B_0 = -1/8 is not integral\n"
+    assert proc.stderr == line.encode()
+    # in process, main() leaves the warnings module as it found it
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    shown = warnings.showwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(*argv)
+        assert (code, err) == (0, line)
+        warnings.warn("after main", UserWarning)
+    assert warnings.showwarning is shown and [str(w.message) for w in caught] == ["after main"]
 
 
 def test_indices_golden(run):
@@ -239,8 +267,8 @@ def test_closed_stdout_exits_1_quietly(unbuffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=SRC, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
     proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from genus_forge.cli import main; sys.exit(main())",
-         "catalog", "list"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        [sys.executable, "-c", cli_sweep.ENTRY, "catalog", "list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()  # the reader leaves before the first line is written, as `| head` can
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (1, b"")
@@ -453,6 +481,16 @@ SAMPLES = {
 
 def test_samples_cover_every_command():
     assert set(SAMPLES) == set(COMMANDS)
+
+
+def test_golden_lists_the_sweep_without_internal_errors():
+    # CI diffs the sweep against the golden; here only its rows are checked:
+    # `exit stdout-sha256 stderr-sha256 argv`, one per sweep command
+    rows = [line.split() for line in
+            (ROOT / "scripts" / "cli_golden.txt").read_text(encoding="utf-8").splitlines()]
+    assert [tuple(row[3:]) for row in rows] == cli_sweep.commands(ROOT)
+    assert all(row[0] in {"0", "1", "2", "3"} for row in rows)  # no exit 4, no timeout
+    assert all(len(row[1]) == len(row[2]) == 64 for row in rows)
 
 
 @pytest.mark.parametrize("path", sorted(SAMPLES), ids=" ".join)

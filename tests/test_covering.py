@@ -154,7 +154,7 @@ def test_bfs_former_threshold_shapes():
 
 def test_vertex_count_and_cap():
     g = TorusQuotientGraph((4, 5, 6))
-    assert g.vertex_count == 120 and g.k == 3
+    assert g.vertex_count == 120 and len(g.moduli) == 3
     with pytest.raises(TooLarge):
         TorusQuotientGraph((101, 101, 101))
     # the cap bounds the graph itself: neither case runs a BFS
@@ -177,11 +177,11 @@ def test_unit_moduli_edges():
 
 def test_tower_examples():
     t = tower(1, 4)
-    assert t.indices() == [1, 2, 4, 8]
+    assert [lv.index for lv in t.levels] == [1, 2, 4, 8]
     assert [lvl.scale for lvl in t.levels] == [1, 2, 4, 8]
     t3 = tower(3, 3)
-    assert t3.indices() == [1, 8, 64]
-    assert tower(2, 1).indices() == [1]
+    assert [lv.index for lv in t3.levels] == [1, 8, 64]
+    assert [lv.index for lv in tower(2, 1).levels] == [1]
     assert isinstance(t3, Tower) and t3.k == 3
     assert [lvl.j for lvl in t3.levels] == [1, 2, 3]
 

@@ -282,3 +282,8 @@ def test_normalization_of_numbers():
     dropped = ManifoldData(name="Z", real_dim=8,
                            pontryagin_numbers={(1, 1): 0, (2,): 7})
     assert dropped.pontryagin_numbers == {(2,): 7}
+    # (2, 1) and (1, 2) name the same monomial c2*c1: equal values merge
+    merged = ManifoldData("Q", 6, chern_numbers={(2, 1): 1, (1, 2): 1})
+    assert merged.chern_numbers == {(2, 1): 1} and merged.complex_dim == 3
+    with pytest.raises(InconsistentData, match=r"duplicate Chern partition \(2, 1\)"):
+        ManifoldData("Q", 6, chern_numbers={(2, 1): 1, (1, 2): 2})

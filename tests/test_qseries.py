@@ -38,7 +38,7 @@ def test_constructors():
     z = QSeries.zero(5)
     assert not z and z == 0
     one = QSeries.one(5)
-    assert one.constant_term() == 1 and one == 1
+    assert one.coeff(0) == 1 and one == 1
     c = QSeries.constant(Fraction(3, 2), 5)
     assert c == Fraction(3, 2)
     q = QSeries({3: 1}, 8)
@@ -88,6 +88,16 @@ def test_scalar_coercion():
     assert 2 * a == a + a
     assert div(a, 2) == QSeries({1: Fraction(1)}, 6)
     assert (1 - a) == 1 - a
+
+
+@pytest.mark.parametrize("other", ["x", 1.5], ids=["str", "float"])
+def test_foreign_operands_raise_type_error(other):
+    s = QSeries({0: 1, 2: 3}, 4)
+    for op in (lambda: s + other, lambda: other + s, lambda: s - other, lambda: other - s,
+               lambda: s * other, lambda: other * s, lambda: s ** other):
+        with pytest.raises(TypeError):
+            op()
+    assert (s == "x") is False and (s != "x") is True
 
 
 def test_truncation_mismatch_rejected():

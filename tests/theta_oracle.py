@@ -71,7 +71,7 @@ def div(a: QSeries | Scalar, b: QSeries | Scalar) -> QSeries:
         a = QSeries.constant(a, b.trunc)
     if a.trunc != b.trunc:
         raise TruncMismatch(f"truncation orders differ: {a.trunc} vs {b.trunc}")
-    b0 = b.constant_term()
+    b0 = b.coeff(0)
     if not b0:
         raise NonUnitDivisor("divisor has zero constant term")
     # back substitution: c_n = (a_n - sum_{k>=1} b_k c_{n-k}) / b_0
@@ -92,7 +92,7 @@ def div(a: QSeries | Scalar, b: QSeries | Scalar) -> QSeries:
 
 def log(a: QSeries) -> QSeries:
     """Series logarithm; requires constant term exactly 1."""
-    if a.constant_term() != 1:
+    if a.coeff(0) != 1:
         raise NonUnitLog("log needs constant term 1")
     out: dict[int, Fraction] = {}
     # l_n = a_n - (1/n) sum_{k=1}^{n-1} k l_k a_{n-k}
@@ -112,7 +112,7 @@ def log(a: QSeries) -> QSeries:
 
 def exp(a: QSeries) -> QSeries:
     """Series exponential; requires constant term 0."""
-    if a.constant_term():
+    if a.coeff(0):
         raise NonNilpotentExp("exp needs zero constant term")
     terms = sorted(a.coeffs.items())
     out: dict[int, Fraction] = {0: Fraction(1)}
@@ -318,7 +318,7 @@ class CharSeries:
             return NotImplemented
         self._check(other)
         b0 = other.coeffs.get(0)
-        if b0 is None or not b0.constant_term():
+        if b0 is None or not b0.coeff(0):
             raise NonUnitDivisor("CharSeries divisor is not a unit at (y^0, q^0)")
         out: dict[int, QSeries] = {}
         for n in range(0, self.y_cap + 1, 2):
@@ -689,7 +689,7 @@ def genus_class(kind: GenusKind, weight_cap: int) -> tuple[CharClassPoly, Fracti
         GenusKind.SIGNATURE: signature_factor,
     }
     factor = builders[kind](2 * weight_cap)
-    const = factor.constant_term()
+    const = factor.coeff(0)
     if const != 1:
         factor = div(factor, const)
     return multiplicative_class(factor, "pontryagin", weight_cap), const
@@ -798,7 +798,7 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
 
 def _pontryagin_series(m: ManifoldData, factor: CharSeries, q_trunc: int) -> QSeries:
     mm = m.real_dim // 4
-    const = factor.y_coeff(0).constant_term()
+    const = factor.y_coeff(0).coeff(0)
     poly = multiplicative_class(factor / const, "pontryagin", mm)
     series = paired_value(poly, _pontryagin_numbers(m), mm, QSeries.zero(q_trunc))
     return series * const ** (2 * mm)
