@@ -17,11 +17,14 @@ values, sampled over m up to 300 and b from 1e-20 to the overflow limit, the
 polynomial's relative error stayed below 1e-13.  Each evaluation in the
 root search is then one Horner sum, and both methods of c_of_b share one
 Illinois search: bisection replays its halving on the final Illinois
-bracket, and evaluates only the midpoints that fall inside it.
+bracket, and evaluates only the midpoints that fall inside it.  That search
+depends on (m, b) alone, so each process runs it once per (m, b) and keeps
+the last 128, about 1.3 MB at m = 300.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -38,6 +41,7 @@ _MAX_M = 300
 # root-search steps: bisection from [0, 1] takes about 1,060 to meet the stop
 # rule at a root near the binary64 floor (m = 2, b = 709)
 _MAX_STEPS = 1200
+_SEARCHES = 128  # (m, b) root searches kept; each holds m lhs coefficients
 
 
 def _is_real(value):
@@ -45,8 +49,17 @@ def _is_real(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _as_float(name, value):
+    # an int past binary64 would raise a bare OverflowError: refuse it by name
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite in binary64, got an integer of "
+                          f"{value.bit_length()} bits") from None
+
+
 def _require_positive(name, value):
-    if not (_is_real(value) and math.isfinite(value) and value > 0):
+    if not (_is_real(value) and math.isfinite(_as_float(name, value)) and value > 0):
         raise DomainError(f"{name} must be a finite positive real, got {value!r}")
     return float(value)
 
@@ -71,9 +84,10 @@ class BoundParams(Record):
         if not isinstance(m, int) or isinstance(m, bool) or m < 2:
             raise DomainError(f"m must be an integer >= 2, got {m!r}")
         p = _require_positive("p", p)
-        if p <= m / 2:
-            raise DomainError(f"p must exceed m/2 = {m / 2}, got {p}")
-        if not (_is_real(Lambda) and math.isfinite(Lambda) and Lambda >= 0):
+        half = _as_float("m", m) / 2
+        if p <= half:
+            raise DomainError(f"p must exceed m/2 = {half}, got {p}")
+        if not (_is_real(Lambda) and math.isfinite(_as_float("Lambda", Lambda)) and Lambda >= 0):
             raise DomainError(f"Lambda must be a finite real >= 0, got {Lambda!r}")
         diam = _require_positive("diam", diam)
         b = _require_positive("b", b)
@@ -81,10 +95,9 @@ class BoundParams(Record):
         if not isinstance(l, int) or isinstance(l, bool) or l < 1:
             raise DomainError(f"l must be a positive integer, got {l!r}")
         if m > 2:
-            forced = m / 2
-            if v is not None and float(v) != forced:
-                raise DomainError(f"v is forced to m/2 = {forced} when m > 2, got {v!r}")
-            v = forced
+            if v is not None and _as_float("v", v) != half:
+                raise DomainError(f"v is forced to m/2 = {half} when m > 2, got {v!r}")
+            v = half
         else:
             v = (1 + p) / 2 if v is None else _require_positive("v", v)
             if not (1 < v < p):
@@ -204,7 +217,8 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
     same start: the left side is non-decreasing in binary64, so it is
     evaluated only at midpoints strictly inside the final Illinois bracket,
     and the result keeps the bits of plain halving.  The two methods agree
-    to a relative 1e-10.
+    to a relative 1e-10.  The search is kept per (m, float(b)), for the last
+    128 pairs, so a repeated (m, b) with either method reuses it.
     """
     if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= _MAX_M:
         raise DomainError(f"m must be an integer in [2, {_MAX_M}], got {m!r}")
@@ -212,6 +226,27 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
     if method not in ("bisection", "secant"):
         raise DomainError(f"unknown root-finding method {method!r}")
 
+    lhs, rhs, lo, hi, root, low, high = _search(m, b)
+    if method == "secant":
+        return root
+    # lhs is non-decreasing in binary64 and lhs(low) < rhs <= lhs(high), so
+    # a midpoint outside (low, high) goes the way an evaluation would send it
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= _REL_TOL * (hi if hi > 1.0 else 1.0) and hi - lo <= 1e-10 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= low or (mid < high and lhs(mid) < rhs):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@functools.lru_cache(maxsize=_SEARCHES)
+def _search(m, b):
+    """The Illinois search of c_of_b(m, b): the left side, the right side,
+    the first bracket, the root and the final bracket.  A refusal raises
+    and is not kept."""
     rhs = _sin_power_integral(m)
     try:
         lhs = _lhs_polynomial(m, b)
@@ -224,21 +259,7 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
             lo, hi, glo = hi, hi * 2.0, ghi
         else:
             raise RootNotBracketed(f"no bracket for c_of_b(m={m}, b={b}) below x = {hi}")
-
-        root, low, high = _illinois_root(lhs, rhs, lo, hi, glo, ghi)
-        if method == "secant":
-            return root
-        # lhs is non-decreasing in binary64 and lhs(low) < rhs <= lhs(high), so
-        # a midpoint outside (low, high) goes the way an evaluation would send it
-        for _ in range(_MAX_STEPS):
-            if hi - lo <= _REL_TOL * (hi if hi > 1.0 else 1.0) and hi - lo <= 1e-10 * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            if mid <= low or (mid < high and lhs(mid) < rhs):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return (lhs, rhs, lo, hi, *_illinois_root(lhs, rhs, lo, hi, glo, ghi))
     except OverflowError as exc:
         raise RootNotBracketed(f"overflow while bracketing c_of_b(m={m}, b={b})") from exc
 
@@ -307,7 +328,7 @@ def berard_dim_bound(l: int, L_sup: float) -> float:
         raise DomainError(f"rank l must be a positive integer, got {l!r}")
     if not (_is_real(L_sup) and math.isfinite(L_sup) and L_sup >= 1):
         raise DomainError(f"L_sup must be a finite real >= 1, got {L_sup!r}")
-    return float(l) * float(L_sup)
+    return _as_float("rank l", l) * float(L_sup)
 
 
 def index_bound_report(params: BoundParams) -> IndexBoundReport:

@@ -8,7 +8,9 @@ prints one of the two.
 
 Exit codes: 0 success, 1 usage, 2 invalid data (including the size caps),
 3 numerical failure, 4 internal error (any other exception, reported as one
-line).  A warning prints as one `warning: ...` line on stderr.
+line).  A warning prints as one `warning: ...` line on stderr; raised as an
+error (`python -W error`), a NonIntegralIndexWarning exits 2, since it
+signals corrupt data.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import warnings
 from collections import namedtuple
 
-from .errors import DataError, NumericalError, TooLarge
+from .errors import DataError, NonIntegralIndexWarning, NumericalError, TooLarge
 
 # Each command imports the modules it runs inside its body, so a process
 # loads only what its command needs: `cover tower` never loads the genus
@@ -422,9 +424,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # exit 1 quietly; what is left unwritten goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DataError, NumericalError) as exc:
+    except (DataError, NumericalError, NonIntegralIndexWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, DataError) else 3
+        return 3 if isinstance(exc, NumericalError) else 2
     except Exception as exc:  # a defect, not bad input: one line, no traceback
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4

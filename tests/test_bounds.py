@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -137,37 +138,122 @@ def test_bisection_matches_halving_oracle_at_every_scale(m, u):
     assert _outcome(c_of_b, m, b) == _outcome(_halving_oracle, m, b)
 
 
-def _count_lhs_calls(monkeypatch):
-    calls = [0]
+@pytest.fixture()
+def lhs_points(monkeypatch):
+    """Every x at which c_of_b evaluates its left side.  Searches built on
+    the recording left side leave the cache when the test ends."""
+    points = []
 
-    def counted(m, b):
+    def recorded(m, b):
         lhs = _lhs_polynomial(m, b)
 
         def wrapped(x):
-            calls[0] += 1
+            points.append(x)
             return lhs(x)
 
         return wrapped
 
-    monkeypatch.setattr(bounds, "_lhs_polynomial", counted)
-    return calls
+    monkeypatch.setattr(bounds, "_lhs_polynomial", recorded)
+    bounds._search.cache_clear()
+    yield points
+    bounds._search.cache_clear()
 
 
 @pytest.mark.parametrize("method, mean_max, worst_max", [("bisection", 12.5, 21),
                                                           ("secant", 12.0, 17)])
-def test_c_of_b_left_side_evaluations(monkeypatch, method, mean_max, worst_max):
+def test_c_of_b_left_side_evaluations(lhs_points, method, mean_max, worst_max):
     # on the float grid, plain halving took 41.65 evaluations per call (46 at
     # most) and Illinois 13.55; sharing one search and the bracket ends cut
     # them to about 12.3 and 11.6
-    calls = _count_lhs_calls(monkeypatch)
+    points = lhs_points
     counts = []
     for m in range(2, 13):
         for b in FLOAT_B:
-            calls[0] = 0
+            del points[:]
+            bounds._search.cache_clear()  # a kept search would count 0
             c_of_b(m, b, method)
-            counts.append(calls[0])
+            counts.append(len(points))
     assert sum(counts) / len(counts) <= mean_max
     assert max(counts) <= worst_max
+
+
+# b given once as an int and once as a float, where it is integral
+REPEATS = ((2, (1, 1.0)), (5, (2, 2.0)), (12, (0.35, 0.35)), (300, (1, 1.0)), (300, (1e-3, 1e-3)))
+
+
+@pytest.mark.parametrize("m, forms", REPEATS)
+def test_c_of_b_repeat_reuses_the_search(lhs_points, m, forms):
+    points = lhs_points
+    cold = {}
+    for method in METHODS:
+        bounds._search.cache_clear()
+        cold[method] = repr(c_of_b(m, forms[0], method))
+    for first, again in itertools.product(METHODS, repeat=2):
+        for b_first, b_again in (forms, forms[::-1]):
+            bounds._search.cache_clear()
+            c_of_b(m, b_first, first)
+            *_, low, high = bounds._search(m, float(b_again))
+            del points[:]
+            assert repr(c_of_b(m, b_again, again)) == cold[again]
+            if again == "secant":
+                assert points == []
+            else:  # the halving replay: only midpoints inside the kept bracket
+                assert all(low < x < high for x in points), (low, high, points)
+    assert bounds._search.cache_info().currsize == 1
+
+
+def test_c_of_b_refusals_are_not_kept():
+    bounds._search.cache_clear()
+    for m, b in ((2, 710.0), (12, 70.0), (2, 5e-324)):
+        messages = set()
+        for method in METHODS * 2:
+            with pytest.raises(RootNotBracketed) as info:
+                c_of_b(m, b, method)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
+    with pytest.raises(DomainError):
+        c_of_b(301, 1.0)
+    assert bounds._search.cache_info().currsize == 0
+
+
+def test_c_of_b_search_cache_is_bounded():
+    bounds._search.cache_clear()
+    assert bounds._search.cache_info().maxsize == bounds._SEARCHES == 128
+    # the memory bound of the bounds.py docstring: one search at m = 300
+    # holds about 10 kB, so 128 of them about 1.3 MB
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for j in range(4):
+            c_of_b(300, 1e-6 * (j + 1), "secant")
+        held = (tracemalloc.get_traced_memory()[0] - base) / 4
+    finally:
+        tracemalloc.stop()
+    assert held * bounds._SEARCHES < 1.4e6, held
+    for j in range(bounds._SEARCHES + 4):
+        c_of_b(2, 0.01 * (j + 1), "secant")
+    info = bounds._search.cache_info()
+    assert info.currsize == bounds._SEARCHES, info
+    c_of_b(2, 0.01, "secant")  # the oldest pairs were dropped: a new search
+    assert bounds._search.cache_info().misses == info.misses + 1
+    bounds._search.cache_clear()
+
+
+def test_huge_integers_are_refused_by_name():
+    # float(10**400) overflows: each field is refused as bad input, by name
+    huge = 10**400
+    for b in (huge, -huge):
+        with pytest.raises(DomainError, match="^b must be finite in binary64"):
+            c_of_b(2, b)
+    good = dict(p=5.0, Lambda=1.0, diam=1.0, b=1.0)
+    for m in (2, 4):
+        for name in ("p", "Lambda", "diam", "b", "cmp", "v"):
+            with pytest.raises(DomainError, match=f"^{name} must be finite in binary64"):
+                BoundParams(**{**good, "m": m, name: huge})
+    with pytest.raises(DomainError, match="^m must be finite in binary64"):
+        BoundParams(**{**good, "m": huge})
+    with pytest.raises(DomainError, match="^rank l must be finite in binary64"):
+        index_bound_report(BoundParams(**{**good, "m": 4, "l": huge}))
 
 
 def _lhs_or_inf(lhs, x):

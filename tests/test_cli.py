@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 sys.path.insert(0, str(ROOT / "scripts"))
 import cli_sweep  # noqa: E402
+import count_ops  # noqa: E402
 
 
 @pytest.fixture()
@@ -98,14 +99,22 @@ def test_elliptic_text_and_json(run):
     }
 
 
-def test_warning_prints_one_line(run, tmp_path, monkeypatch):
+X4_ARGV = ("indices", "--manifold", "X4", "--family", "B", "--max", "1")
+
+
+def _x4_catalog(tmp_path):
+    """A catalog whose spin entry X4 has a non-integral twisted index B_0."""
     path = tmp_path / "x4.json"
     path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "entries": [
         {"name": "X4", "real_dim": 4, "pontryagin_numbers": {"1": 3}, "spin": True,
          "string": False}]}))
+    return path
+
+
+def test_warning_prints_one_line(run, tmp_path, monkeypatch):
+    path = _x4_catalog(tmp_path)
     env = dict(os.environ, PYTHONPATH=SRC, **{ENV_CATALOG_PATH: str(path)})
-    argv = ("indices", "--manifold", "X4", "--family", "B", "--max", "1")
-    proc = subprocess.run([sys.executable, "-c", cli_sweep.ENTRY, *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", cli_sweep.ENTRY, *X4_ARGV], capture_output=True,
                           env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == b"k=0   q^0     ind = -1/8\nk=1   q^1/2   ind = -3\n"
@@ -116,10 +125,31 @@ def test_warning_prints_one_line(run, tmp_path, monkeypatch):
     shown = warnings.showwarning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, _, err = run(*argv)
+        code, _, err = run(*X4_ARGV)
         assert (code, err) == (0, line)
         warnings.warn("after main", UserWarning)
     assert warnings.showwarning is shown and [str(w.message) for w in caught] == ["after main"]
+
+
+def test_warning_raised_as_error_exits_2(tmp_path):
+    # under `python -W error` the warning is an exception: corrupt data, exit 2
+    env = dict(os.environ, PYTHONPATH=SRC, **{ENV_CATALOG_PATH: str(_x4_catalog(tmp_path))})
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", cli_sweep.ENTRY, *X4_ARGV],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == b"error: X4 is spin but index B_0 = -1/8 is not integral\n"
+
+
+def test_count_ops_counts_repeat_exactly(tmp_path):
+    argv = ("bound", "cb", "--m", "2", "--b", "1.0")
+    first = count_ops.count(ROOT, argv, str(tmp_path))
+    assert count_ops.count(ROOT, argv, str(tmp_path)) == first
+    opcodes, modules, size, code = first
+    # `bound cb` loads the package, the CLI, the error taxonomy and bounds
+    loaded = sum((Path(SRC) / "genus_forge" / f"{name}.py").stat().st_size
+                 for name in ("__init__", "cli", "errors", "bounds"))
+    assert code == 0 and opcodes > 0 and modules > 0 and size == loaded
+    assert list(tmp_path.iterdir()) == []  # no bytecode cache was written
 
 
 def test_indices_golden(run):
@@ -328,6 +358,11 @@ def test_data_errors_exit_2(run):
         ("cover", "diam", "--k", "3", "--base", "200,200,200", "--factor", "2"),
         ("bound", "index", "--m", "4", "--p", "1.5", "--lambda", "1",
          "--diam", "1", "--b", "1"),
+        # m/2 and the rank past binary64 (an internal OverflowError, exit 4, before)
+        ("bound", "index", "--m", "1" + "0" * 400, "--p", "5", "--lambda", "1",
+         "--diam", "1", "--b", "1"),
+        ("bound", "index", "--m", "4", "--p", "5", "--lambda", "1",
+         "--diam", "1", "--b", "1", "--l", "1" + "0" * 400),
         ("elliptic", "--manifold", "T2", "--kind", "witten"),
         ("indices", "--manifold", "B8", "--family", "B", "--max", "2"),
         # size caps, each one past its limit (nothing is computed)
