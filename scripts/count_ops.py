@@ -36,6 +36,7 @@ DEFAULT = [
     ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "12"),
     ("bound", "cb", "--m", "2", "--b", "1.0"),
     ("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),
+    ("cover", "diam", "--k", "2", "--base", "3,3", "--factor", "2"),
 ]
 TIMEOUT_S = 120.0
 

@@ -28,7 +28,8 @@ import functools
 import math
 import sys
 
-from .errors import DomainError, ExponentDomainError, FloatRangeError, Record, RootNotBracketed
+from .errors import (DomainError, ExponentDomainError, FloatRangeError, Record, RootNotBracketed,
+                     shown, size_of)
 
 # bracket width of the root search: absolute below x = 1, relative above.
 # Below 1 the stop rule also asks for the promised 1e-10 relative width.
@@ -54,8 +55,7 @@ def _as_float(name, value):
     try:
         return float(value)
     except OverflowError:
-        raise DomainError(f"{name} must be finite in binary64, got an integer of "
-                          f"{value.bit_length()} bits") from None
+        raise DomainError(f"{name} must be finite in binary64, got {size_of(value)}") from None
 
 
 def _require_positive(name, value):
@@ -82,7 +82,7 @@ class BoundParams(Record):
     def __init__(self, m: int, p: float, Lambda: float, diam: float, b: float,
                  cmp: float = 1.0, v: float | None = None, l: int = 1):
         if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {m!r}")
+            raise DomainError(f"m must be an integer >= 2, got {shown(m)}")
         p = _require_positive("p", p)
         half = _as_float("m", m) / 2
         if p <= half:
@@ -93,7 +93,7 @@ class BoundParams(Record):
         b = _require_positive("b", b)
         cmp = _require_positive("cmp", cmp)
         if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-            raise DomainError(f"l must be a positive integer, got {l!r}")
+            raise DomainError(f"l must be a positive integer, got {shown(l)}")
         if m > 2:
             if v is not None and _as_float("v", v) != half:
                 raise DomainError(f"v is forced to m/2 = {half} when m > 2, got {v!r}")
@@ -221,7 +221,7 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
     128 pairs, so a repeated (m, b) with either method reuses it.
     """
     if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= _MAX_M:
-        raise DomainError(f"m must be an integer in [2, {_MAX_M}], got {m!r}")
+        raise DomainError(f"m must be an integer in [2, {_MAX_M}], got {shown(m)}")
     b = _require_positive("b", b)
     if method not in ("bisection", "secant"):
         raise DomainError(f"unknown root-finding method {method!r}")
@@ -325,8 +325,8 @@ def berard_dim_bound(l: int, L_sup: float) -> float:
     """Dimension bound rank * sup-ratio; L_sup < 1 is impossible for genuine
     sup ratios and is rejected as bad input."""
     if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise DomainError(f"rank l must be a positive integer, got {l!r}")
-    if not (_is_real(L_sup) and math.isfinite(L_sup) and L_sup >= 1):
+        raise DomainError(f"rank l must be a positive integer, got {shown(l)}")
+    if not (_is_real(L_sup) and math.isfinite(_as_float("L_sup", L_sup)) and L_sup >= 1):
         raise DomainError(f"L_sup must be a finite real >= 1, got {L_sup!r}")
     return _as_float("rank l", l) * float(L_sup)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, Record, TooLarge
+from .errors import DomainError, Record, TooLarge, shown
 
 DEFAULT_VERTEX_CAP = 10**6  # largest graph, in vertices, that TorusQuotientGraph builds
 # Caps on the doubling tower and its Betti ratios: level j carries the index
@@ -27,7 +27,7 @@ def _check_moduli(moduli):
         raise DomainError("moduli must be non-empty")
     for n in moduli:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"moduli must be positive integers, got {n!r}")
+            raise DomainError(f"moduli must be positive integers, got {shown(n)}")
     return moduli
 
 
@@ -40,7 +40,7 @@ class TorusQuotientGraph:
         self.moduli = _check_moduli(moduli)
         if self.vertex_count > DEFAULT_VERTEX_CAP:
             raise TooLarge(
-                f"{self.vertex_count} vertices exceeds the cap of {DEFAULT_VERTEX_CAP}"
+                f"{shown(self.vertex_count)} vertices exceeds the cap of {DEFAULT_VERTEX_CAP}"
             )
 
     @property
@@ -128,13 +128,13 @@ def _eccentricity(moduli) -> int:
 
 def _check_tower_size(k, J):
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"rank k must be a positive integer, got {k!r}")
+        raise DomainError(f"rank k must be a positive integer, got {shown(k)}")
     if not isinstance(J, int) or isinstance(J, bool) or J < 1:
-        raise DomainError(f"depth J must be a positive integer, got {J!r}")
+        raise DomainError(f"depth J must be a positive integer, got {shown(J)}")
     if k > MAX_TOWER_RANK:
-        raise TooLarge(f"rank {k} exceeds the cap of {MAX_TOWER_RANK}")
+        raise TooLarge(f"rank {shown(k)} exceeds the cap of {MAX_TOWER_RANK}")
     if J > MAX_TOWER_DEPTH:
-        raise TooLarge(f"depth {J} exceeds the cap of {MAX_TOWER_DEPTH}")
+        raise TooLarge(f"depth {shown(J)} exceeds the cap of {MAX_TOWER_DEPTH}")
 
 
 class TowerLevel(Record):
@@ -171,9 +171,9 @@ def cover_diameter(k, base_moduli, sub_factor: int) -> CoverDiameter:
     cover_diam <= index * base_diam."""
     base_moduli = _check_moduli(base_moduli)
     if len(base_moduli) != k:
-        raise DomainError(f"expected {k} moduli, got {len(base_moduli)}")
+        raise DomainError(f"expected {shown(k)} moduli, got {len(base_moduli)}")
     if not isinstance(sub_factor, int) or isinstance(sub_factor, bool) or sub_factor < 1:
-        raise DomainError(f"sub_factor must be a positive integer, got {sub_factor!r}")
+        raise DomainError(f"sub_factor must be a positive integer, got {shown(sub_factor)}")
     base = TorusQuotientGraph(base_moduli)
     cover = TorusQuotientGraph(tuple(sub_factor * n for n in base_moduli))
     index = sub_factor**k
@@ -196,6 +196,6 @@ def l2_betti_ratio(k: int, p: int, J: int) -> list:
 
     _check_tower_size(k, J)
     if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p <= k:
-        raise DomainError(f"degree p must satisfy 0 <= p <= k = {k}, got {p!r}")
+        raise DomainError(f"degree p must satisfy 0 <= p <= k = {k}, got {shown(p)}")
     betti = math.comb(k, p)
     return [Fraction(betti, 2 ** ((j - 1) * k)) for j in range(1, J + 1)]

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .errors import InsufficientData, NonIntegralIndexWarning, TruncMismatch
+from .errors import InsufficientData, NonIntegralIndexWarning
 from .genera import genus_numbers, log_coeffs, pair_logs, root_constant
 from .manifolds import GenusKind, ManifoldData
 from .qseries import QSeries
@@ -133,11 +133,9 @@ def twisted_index_series(
     return GenusSeries(m.name, f"index-{family}", _series(m, kind, q_trunc), q_trunc)
 
 
-def twisted_indices(
-    m: ManifoldData, family: str, k_max: int, q_trunc: int | None = None
-) -> list[Fraction]:
+def twisted_indices(m: ManifoldData, family: str, k_max: int) -> list[Fraction]:
     """Indices for steps 0..k_max: the q^(k/2) coefficients for family B,
-    q^k for W, from a single series evaluation.
+    q^k for W, from a single series evaluation truncated just past the last.
 
     Spin manifolds must give integers; a non-integral value signals data
     corruption and raises a NonIntegralIndexWarning.
@@ -145,11 +143,7 @@ def twisted_indices(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     half_max = k_max if family == "B" else 2 * k_max
-    if q_trunc is None:
-        q_trunc = half_max + 1
-    elif q_trunc <= half_max:
-        raise TruncMismatch(f"q_trunc {q_trunc} does not reach step {k_max}")
-    series = twisted_index_series(m, family, q_trunc).series
+    series = twisted_index_series(m, family, half_max + 1).series
     out = []
     for k in range(k_max + 1):
         value = series.coeff(k if family == "B" else 2 * k)

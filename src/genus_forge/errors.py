@@ -98,6 +98,21 @@ class NonIntegralIndexWarning(UserWarning):
     """Twisted index of a spin manifold came out non-integral."""
 
 
+def shown(value) -> str:
+    """repr(value) for an error message, or the size of an int past str()'s
+    4,300-digit limit, whose repr raises ValueError (also inside a tuple)."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            return f"({', '.join(map(shown, value))})"
+        return size_of(value)
+
+
+def size_of(value: int) -> str:
+    return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 # -- records -------------------------------------------------------------------
 
 class Record:

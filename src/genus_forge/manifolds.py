@@ -30,6 +30,7 @@ from .errors import (
     Record,
     TooLarge,
     UnknownManifold,
+    shown,
 )
 
 Partition = tuple[int, ...]
@@ -45,7 +46,7 @@ MAX_REAL_DIM = 48
 def _check_real_dim(real_dim: int, name: str) -> None:
     if real_dim > MAX_REAL_DIM:
         raise TooLarge(
-            f"{name}: real dimension {real_dim} exceeds the cap of {MAX_REAL_DIM}"
+            f"{name}: real dimension {shown(real_dim)} exceeds the cap of {MAX_REAL_DIM}"
         )
 
 
@@ -159,11 +160,11 @@ def _normalize_numbers(numbers, total: int, what: str) -> dict[Partition, int]:
         if not isinstance(key, tuple) or not key or any(
             isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in key
         ):
-            raise InconsistentData(f"{what} partition {key!r} is not a partition")
+            raise InconsistentData(f"{what} partition {shown(key)} is not a partition")
         part = tuple(sorted(key, reverse=True))
         if sum(part) != total:
             raise InconsistentData(
-                f"{what} partition {part} sums to {sum(part)}, expected {total}"
+                f"{what} partition {shown(part)} sums to {shown(sum(part))}, expected {total}"
             )
         if isinstance(value, bool) or not isinstance(value, int):
             raise InconsistentData(f"{what} number for {part} must be an integer")
@@ -201,7 +202,7 @@ class ManifoldData(Record):
                     f"{name}: field {field!r} has wrong type {type(value).__name__}"
                 )
         if real_dim <= 0 or real_dim % 2:
-            raise DimensionError(f"real_dim {real_dim} must be positive and even")
+            raise DimensionError(f"real_dim {shown(real_dim)} must be positive and even")
         if pontryagin_numbers is not None or chern_numbers is not None:
             # only numbers are paired over partitions; asserted genera cost nothing
             _check_real_dim(real_dim, name)
@@ -213,7 +214,7 @@ class ManifoldData(Record):
             if complex_dim is None:
                 complex_dim = n
             elif complex_dim != n:
-                raise DimensionError(f"{name}: complex_dim {complex_dim} != real_dim/2")
+                raise DimensionError(f"{name}: complex_dim {shown(complex_dim)} != real_dim/2")
             chern_numbers = _normalize_numbers(chern_numbers, n, "Chern")
         elif complex_dim is not None:
             raise InconsistentData(f"{name}: complex_dim without Chern numbers")
@@ -466,5 +467,10 @@ def builtin(name: str) -> ManifoldData:
         suffix = name[len(prefix):]
         # ASCII digits only: str.isdigit also holds for '²' and '٤'
         if name.startswith(prefix) and suffix.isascii() and suffix.isdigit():
-            return factory(int(suffix))
+            digits = suffix.lstrip("0") or "0"
+            # ten digits are far past every cap, and int() refuses past 4,300
+            if len(digits) > 9:
+                raise TooLarge(f"{prefix}n with n of {len(digits)} digits: real dimension "
+                               f"exceeds the cap of {MAX_REAL_DIM}")
+            return factory(int(digits))
     raise UnknownManifold(f"no builtin manifold named {name!r}")

@@ -167,9 +167,9 @@ def test_criterion_09_spin_integrality():
         with warnings.catch_warnings():
             warnings.simplefilter("error", NonIntegralIndexWarning)
             for e in spin_full:
-                for value in twisted_indices(e, "B", 16, q_trunc=17):
+                for value in twisted_indices(e, "B", 16):
                     assert value.denominator == 1, (e.name, value)
-                for value in twisted_indices(e, "W", 8, q_trunc=17):
+                for value in twisted_indices(e, "W", 8):
                     assert value.denominator == 1, (e.name, value)
         for name in ("B8", "W24", "T2xS6_sharp_B8"):
             entry = CATALOG.get(name)

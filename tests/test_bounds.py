@@ -254,6 +254,20 @@ def test_huge_integers_are_refused_by_name():
         BoundParams(**{**good, "m": huge})
     with pytest.raises(DomainError, match="^rank l must be finite in binary64"):
         index_bound_report(BoundParams(**{**good, "m": 4, "l": huge}))
+    # past str()'s 4,300-digit limit a message that formats the value raises
+    # ValueError itself, so the value is shown by its size
+    vast = 10**5000
+    with pytest.raises(DomainError, match=r"^m must be an integer in \[2, 300\], got an "
+                                          "integer of 16610 bits$"):
+        c_of_b(vast, 1.0)
+    for name in ("m", "l"):
+        with pytest.raises(DomainError, match=f"^{name} must be .*, got a negative integer of "
+                                              "16610 bits$"):
+            BoundParams(**{**good, "m": 4, name: -vast})
+    with pytest.raises(DomainError, match="^rank l must be a positive integer, got a negative"):
+        berard_dim_bound(-vast, 2.0)
+    with pytest.raises(DomainError, match="^L_sup must be finite in binary64"):
+        berard_dim_bound(1, -vast)
 
 
 def _lhs_or_inf(lhs, x):

@@ -379,6 +379,11 @@ def test_data_errors_exit_2(run):
         ("catalog", "show", "S50"),
         ("compute", "--manifold", "CP1000000", "--genus", "todd"),
         ("compute", "--manifold", "T1000000", "--genus", "ahat"),
+        # numbers past str()'s 4,300-digit limit, which an error message could
+        # not format (an internal ValueError, exit 4, before)
+        ("cover", "diam", "--k", "3", "--base", ",".join(["9" * 2000] * 3), "--factor", "1"),
+        ("compute", "--manifold", "CP" + "9" * 5000, "--genus", "todd"),
+        ("catalog", "show", "S" + "9" * 5000),
         # builtin suffixes are ASCII digits: '²' and '٤' pass str.isdigit
         ("compute", "--manifold", "CP²", "--genus", "todd"),
         ("catalog", "show", "T²"),
@@ -554,9 +559,10 @@ def test_every_command_renders_text_and_json(run, path):
 # (an internal error) never happens.
 
 EDGE_TOKENS = ("nan", "-inf", "inf", "1e308", "5e-324", "-0", "0", "-1",
-               "1" + "0" * 39, "-" + "9" * 40, "٣", "²", "", "CP²", "x")
+               "1" + "0" * 39, "-" + "9" * 40, "9" * 2000, "9" * 5000, "٣", "²", "", "CP²",
+               "x")
 MANIFOLDS = ("K3", "HP2", "CP2", "CP3", "CP4", "T4", "S4", "K3xK3", "B8", "W24",
-             "T2xS6_sharp_HP2", "CP1", "T2", "S8", "NOPE", "CP25", "T50")
+             "T2xS6_sharp_HP2", "CP1", "T2", "S8", "NOPE", "CP25", "T50", "CP" + "9" * 5000)
 # int options whose size sets the work: kept small so the test stays fast
 SMALL_INTS = {"order": 6, "max_k": 6, "k_rank": 3, "depth": 6, "p_deg": 3, "factor": 3}
 
@@ -603,6 +609,9 @@ def _argv(draw):
 @example(["cover", "diam", "--k", "1", "--base", "3", "--factor", "1" + "0" * 39])
 @example(["modular", "check", "--manifold", "HP2", "--tau-im", "1e308"])
 @example(["modular", "fit", "--manifold", "CP12", "--order", "1"])
+# values whose message would pass str()'s 4,300-digit limit
+@example(["cover", "diam", "--k", "3", "--base", "3,3,3", "--factor", "9" * 2000])
+@example(["catalog", "show", "CP" + "9" * 5000])
 def test_generated_command_lines_exit_typed(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

@@ -160,6 +160,10 @@ def test_vertex_count_and_cap():
     # the cap bounds the graph itself: neither case runs a BFS
     with pytest.raises(TooLarge, match="1001000 vertices exceeds the cap of 1000000"):
         TorusQuotientGraph((1000, 1001))
+    # a count past str()'s 4,300-digit limit is shown by its size
+    vast = 10**2000 - 1
+    with pytest.raises(TooLarge, match="^an integer of 19932 bits vertices exceeds the cap"):
+        TorusQuotientGraph((vast, vast, vast))
     assert TorusQuotientGraph((1000, 1000)).vertex_count == DEFAULT_VERTEX_CAP
 
 
@@ -195,6 +199,11 @@ def test_tower_validation():
         tower(1, MAX_TOWER_DEPTH + 1)
     with pytest.raises(TooLarge):
         tower(MAX_TOWER_RANK + 1, 1)
+    # past str()'s 4,300-digit limit the value is shown by its size
+    with pytest.raises(TooLarge, match="^rank an integer of 16610 bits exceeds the cap of 64$"):
+        tower(10**5000, 1)
+    with pytest.raises(DomainError, match="got a negative integer of 16610 bits$"):
+        tower(-10**5000, 1)
 
 
 def test_cover_diameter_goldens():

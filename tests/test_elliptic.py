@@ -186,10 +186,6 @@ def test_twisted_index_validation():
         twisted_indices(k3(), "B", -1)
     with pytest.raises(ValueError):
         twisted_indices(k3(), "B", -2)
-    with pytest.raises(TruncMismatch):
-        twisted_indices(k3(), "W", 3, q_trunc=6)
-    with pytest.raises(TruncMismatch):
-        twisted_indices(k3(), "B", 5, q_trunc=5)
 
 
 def test_non_integral_index_warns():

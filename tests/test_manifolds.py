@@ -109,6 +109,8 @@ def test_builtin_parser():
     assert builtin("HP2").real_dim == 8
     with pytest.raises(UnknownManifold):
         builtin("Gr(2,5)")
+    # leading zeros are read as a number's are, however many there are
+    assert builtin("CP003").name == builtin("CP" + "0" * 5000 + "3").name == "CP3"
 
 
 def test_real_dimension_cap():
@@ -120,6 +122,9 @@ def test_real_dimension_cap():
     for build in (lambda: cp(25), lambda: torus(50), lambda: sphere(50),
                   lambda: product(cp(12), cp(13)), lambda: builtin("CP1000000"),
                   lambda: builtin("T1000000"),
+                  # n past str()'s 4,300-digit limit is refused by its length
+                  lambda: builtin("CP" + "9" * 5000), lambda: builtin("S" + "9" * 5000),
+                  lambda: ManifoldData(name="big", real_dim=10**5000, pontryagin_numbers={}),
                   lambda: ManifoldData(name="big", real_dim=50, pontryagin_numbers={})):
         with pytest.raises(TooLarge, match="exceeds the cap of 48"):
             build()
@@ -131,6 +136,12 @@ def test_real_dimension_cap():
 def test_validation_rejections():
     with pytest.raises(DimensionError):
         ManifoldData(name="odd", real_dim=5, pontryagin_numbers={})
+    with pytest.raises(DimensionError, match="^real_dim a negative integer of 16610 bits"):
+        ManifoldData(name="neg", real_dim=-10**5000, pontryagin_numbers={})
+    for key, shown in (((10**5000,), r"\(an integer of 16610 bits\) sums to an integer"),
+                       ((1, -10**5000), r"\(1, a negative integer of 16610 bits\) is not")):
+        with pytest.raises(InconsistentData, match=f"^Pontryagin partition {shown}"):
+            ManifoldData(name="X", real_dim=4, pontryagin_numbers={key: 1})
     with pytest.raises(InconsistentData):
         ManifoldData(name="str-not-spin", real_dim=4, pontryagin_numbers={},
                      spin=False, string=True)

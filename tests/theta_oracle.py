@@ -10,9 +10,10 @@ numbers.  None of this goes through the package's closed-form log
 coefficients or power-sum numbers: the oracle shares only the QSeries ring
 and partitions_of with the package's genus engine.  The rest of the series
 field (`div`, `log`, `exp`, `shift`, `truncate`) lives here, since the
-package never divides a series.  CharClassPoly, the class-polynomial ring,
-is used by the oracle alone, and it has its own copy of the Newton power
-sums.
+package never divides a series.  The oracle owns the class-polynomial ring
+(`CharClassPoly`) that the factors are expanded in: the package has none,
+since its genus engine pairs log coefficients with power-sum numbers.  The
+Newton power sums in that ring are the oracle's own too.
 
 The top-level helpers (`hypersurface_todd`, `genus_value`,
 `elliptic_genus`, `twisted_index_series`) mirror the package functions of
@@ -27,9 +28,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from genus_forge.charpoly import CharClassPoly, partition_to_monomial
 from genus_forge.errors import DataError, TruncMismatch
 from genus_forge.manifolds import GenusKind, ManifoldData, Partition, partitions_of
 from genus_forge.qseries import QSeries, Scalar
@@ -148,6 +148,158 @@ def truncate(a: QSeries, trunc: int) -> QSeries:
     if trunc > a.trunc:
         raise TruncMismatch(f"cannot extend truncation {a.trunc} to {trunc}")
     return QSeries({n: c for n, c in a.coeffs.items() if n < trunc}, trunc)
+
+
+# -- the class-polynomial ring ---------------------------------------------------------
+#
+# A CharClassPoly is a polynomial in generators g_1, ..., g_cap where g_i
+# carries weight i (g_i stands for the i-th Pontryagin or Chern class, the
+# `label` records which).  Monomials of weight above `weight_cap` are
+# discarded by every operation, so the ring is the weight-truncated
+# polynomial ring the product route runs in.  Coefficients live in whatever
+# exact ring the caller supplies (Fraction for the classical genera, QSeries
+# for the elliptic ones); the class only needs +, * and truthiness from them,
+# and zero coefficients are never stored.
+
+Monomial = tuple[int, ...]
+
+
+def monomial_weight(mono: Monomial) -> int:
+    return sum((i + 1) * e for i, e in enumerate(mono))
+
+
+def partition_to_monomial(partition: tuple[int, ...], cap: int) -> Monomial:
+    exps = [0] * cap
+    for part in partition:
+        if not 1 <= part <= cap:
+            raise ValueError(f"part {part} outside generator range 1..{cap}")
+        exps[part - 1] += 1
+    return tuple(exps)
+
+
+class CharClassPoly:
+    """Weight-truncated polynomial over generators of weights 1..cap."""
+
+    __slots__ = ("label", "weight_cap", "terms")
+
+    def __init__(self, label: str, weight_cap: int, terms: Mapping[Monomial, object]):
+        if weight_cap < 0:
+            raise ValueError("weight_cap must be nonnegative")
+        clean: dict[Monomial, object] = {}
+        for mono, c in terms.items():
+            mono = tuple(mono)
+            if len(mono) != weight_cap:
+                raise ValueError(
+                    f"monomial {mono} has {len(mono)} slots, expected {weight_cap}"
+                )
+            if monomial_weight(mono) > weight_cap:
+                continue
+            if c:
+                clean[mono] = c
+        self.label = label
+        self.weight_cap = weight_cap
+        self.terms = clean
+
+    @classmethod
+    def zero(cls, label: str, weight_cap: int) -> "CharClassPoly":
+        return cls(label, weight_cap, {})
+
+    @classmethod
+    def constant(cls, label: str, weight_cap: int, coeff) -> "CharClassPoly":
+        return cls(label, weight_cap, {(0,) * weight_cap: coeff})
+
+    @classmethod
+    def generator(cls, label: str, weight_cap: int, index: int, coeff) -> "CharClassPoly":
+        """coeff * g_index (1-based)."""
+        if not 1 <= index <= weight_cap:
+            raise ValueError(f"generator index {index} outside 1..{weight_cap}")
+        exps = [0] * weight_cap
+        exps[index - 1] = 1
+        return cls(label, weight_cap, {tuple(exps): coeff})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CharClassPoly):
+            return NotImplemented
+        return (
+            self.label == other.label
+            and self.weight_cap == other.weight_cap
+            and self.terms == other.terms
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def coeff(self, mono: Monomial):
+        """Coefficient of the monomial, one exponent per generator; 0 if absent."""
+        return self.terms.get(tuple(mono), 0)
+
+    def items(self) -> Iterator[tuple[Monomial, object]]:
+        return iter(sorted(self.terms.items()))
+
+    def weight_part(self, weight: int) -> "CharClassPoly":
+        return CharClassPoly(
+            self.label,
+            self.weight_cap,
+            {m: c for m, c in self.terms.items() if monomial_weight(m) == weight},
+        )
+
+    def _check_compatible(self, other: "CharClassPoly") -> None:
+        if self.label != other.label or self.weight_cap != other.weight_cap:
+            raise ValueError("incompatible generator rings")
+
+    def __add__(self, other: "CharClassPoly") -> "CharClassPoly":
+        if not isinstance(other, CharClassPoly):
+            return NotImplemented
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            prev = out.get(mono)
+            s = c if prev is None else prev + c
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+        return CharClassPoly(self.label, self.weight_cap, out)
+
+    def scale(self, scalar) -> "CharClassPoly":
+        """Multiply every coefficient by a scalar from the coefficient ring."""
+        if not scalar:
+            return CharClassPoly.zero(self.label, self.weight_cap)
+        return CharClassPoly(
+            self.label,
+            self.weight_cap,
+            {m: c * scalar for m, c in self.terms.items()},
+        )
+
+    def __mul__(self, other) -> "CharClassPoly":
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, CharClassPoly):
+            return NotImplemented
+        self._check_compatible(other)
+        cap = self.weight_cap
+        a = [(m, monomial_weight(m), c) for m, c in self.terms.items()]
+        b = [(m, monomial_weight(m), c) for m, c in other.terms.items()]
+        out: dict[Monomial, object] = {}
+        for ma, wa, ca in a:
+            budget = cap - wa
+            for mb, wb, cb in b:
+                if wb > budget:
+                    continue
+                mono = tuple(x + y for x, y in zip(ma, mb))
+                prod = ca * cb
+                prev = out.get(mono)
+                s = prod if prev is None else prev + prod
+                if s:
+                    out[mono] = s
+                else:
+                    out.pop(mono, None)
+        return CharClassPoly(self.label, self.weight_cap, out)
+
+    __rmul__ = __mul__
+
 
 _LABELS = {"pontryagin": "p", "chern": "c"}
 
