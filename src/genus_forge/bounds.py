@@ -29,7 +29,7 @@ import math
 import sys
 
 from .errors import (DomainError, ExponentDomainError, FloatRangeError, Record, RootNotBracketed,
-                     shown, size_of)
+                     real, whole)
 
 # bracket width of the root search: absolute below x = 1, relative above.
 # Below 1 the stop rule also asks for the promised 1e-10 relative width.
@@ -43,25 +43,6 @@ _MAX_M = 300
 # rule at a root near the binary64 floor (m = 2, b = 709)
 _MAX_STEPS = 1200
 _SEARCHES = 128  # (m, b) root searches kept; each holds m lhs coefficients
-
-
-def _is_real(value):
-    # bool is an int subclass, but True is no length or exponent
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _as_float(name, value):
-    # an int past binary64 would raise a bare OverflowError: refuse it by name
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"{name} must be finite in binary64, got {size_of(value)}") from None
-
-
-def _require_positive(name, value):
-    if not (_is_real(value) and math.isfinite(_as_float(name, value)) and value > 0):
-        raise DomainError(f"{name} must be a finite positive real, got {value!r}")
-    return float(value)
 
 
 class BoundParams(Record):
@@ -81,28 +62,23 @@ class BoundParams(Record):
 
     def __init__(self, m: int, p: float, Lambda: float, diam: float, b: float,
                  cmp: float = 1.0, v: float | None = None, l: int = 1):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {shown(m)}")
-        p = _require_positive("p", p)
-        half = _as_float("m", m) / 2
+        m = whole("m", m, 2)
+        p = real("p", p)
+        half = real("m", m) / 2
         if p <= half:
             raise DomainError(f"p must exceed m/2 = {half}, got {p}")
-        if not (_is_real(Lambda) and math.isfinite(_as_float("Lambda", Lambda)) and Lambda >= 0):
-            raise DomainError(f"Lambda must be a finite real >= 0, got {Lambda!r}")
-        diam = _require_positive("diam", diam)
-        b = _require_positive("b", b)
-        cmp = _require_positive("cmp", cmp)
-        if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-            raise DomainError(f"l must be a positive integer, got {shown(l)}")
+        Lambda = real("Lambda", Lambda, 0)
+        diam, b, cmp = real("diam", diam), real("b", b), real("cmp", cmp)
+        l = whole("l", l)
         if m > 2:
-            if v is not None and _as_float("v", v) != half:
+            if v is not None and real("v", v) != half:
                 raise DomainError(f"v is forced to m/2 = {half} when m > 2, got {v!r}")
             v = half
         else:
-            v = (1 + p) / 2 if v is None else _require_positive("v", v)
+            v = (1 + p) / 2 if v is None else real("v", v)
             if not (1 < v < p):
                 raise DomainError(f"for m = 2, v must lie in (1, p), got {v}")
-        self._set(m=m, p=p, Lambda=float(Lambda), diam=diam, b=b, cmp=cmp, v=v, l=l)
+        self._set(m=m, p=p, Lambda=Lambda, diam=diam, b=b, cmp=cmp, v=v, l=l)
 
 
 class BoundReport(Record):
@@ -220,9 +196,8 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
     to a relative 1e-10.  The search is kept per (m, float(b)), for the last
     128 pairs, so a repeated (m, b) with either method reuses it.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or not 2 <= m <= _MAX_M:
-        raise DomainError(f"m must be an integer in [2, {_MAX_M}], got {shown(m)}")
-    b = _require_positive("b", b)
+    whole("m", m, 2, _MAX_M)
+    b = real("b", b)
     if method not in ("bisection", "secant"):
         raise DomainError(f"unknown root-finding method {method!r}")
 
@@ -324,11 +299,7 @@ def moser_constant(params: BoundParams) -> BoundReport:
 def berard_dim_bound(l: int, L_sup: float) -> float:
     """Dimension bound rank * sup-ratio; L_sup < 1 is impossible for genuine
     sup ratios and is rejected as bad input."""
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise DomainError(f"rank l must be a positive integer, got {shown(l)}")
-    if not (_is_real(L_sup) and math.isfinite(_as_float("L_sup", L_sup)) and L_sup >= 1):
-        raise DomainError(f"L_sup must be a finite real >= 1, got {L_sup!r}")
-    return _as_float("rank l", l) * float(L_sup)
+    return real("rank l", whole("rank l", l)) * real("L_sup", L_sup, 1)
 
 
 def index_bound_report(params: BoundParams) -> IndexBoundReport:

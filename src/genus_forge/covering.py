@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, Record, TooLarge, shown
+from .errors import DomainError, Record, TooLarge, is_int, shown, whole
 
 DEFAULT_VERTEX_CAP = 10**6  # largest graph, in vertices, that TorusQuotientGraph builds
 # Caps on the doubling tower and its Betti ratios: level j carries the index
@@ -26,7 +26,7 @@ def _check_moduli(moduli):
     if not moduli:
         raise DomainError("moduli must be non-empty")
     for n in moduli:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not is_int(n) or n < 1:
             raise DomainError(f"moduli must be positive integers, got {shown(n)}")
     return moduli
 
@@ -127,13 +127,9 @@ def _eccentricity(moduli) -> int:
 
 
 def _check_tower_size(k, J):
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"rank k must be a positive integer, got {shown(k)}")
-    if not isinstance(J, int) or isinstance(J, bool) or J < 1:
-        raise DomainError(f"depth J must be a positive integer, got {shown(J)}")
-    if k > MAX_TOWER_RANK:
+    if whole("rank k", k) > MAX_TOWER_RANK:
         raise TooLarge(f"rank {shown(k)} exceeds the cap of {MAX_TOWER_RANK}")
-    if J > MAX_TOWER_DEPTH:
+    if whole("depth J", J) > MAX_TOWER_DEPTH:
         raise TooLarge(f"depth {shown(J)} exceeds the cap of {MAX_TOWER_DEPTH}")
 
 
@@ -170,10 +166,9 @@ def cover_diameter(k, base_moduli, sub_factor: int) -> CoverDiameter:
     (moduli scaled componentwise), plus the cover-diameter inequality
     cover_diam <= index * base_diam."""
     base_moduli = _check_moduli(base_moduli)
-    if len(base_moduli) != k:
+    if len(base_moduli) != whole("rank k", k):
         raise DomainError(f"expected {shown(k)} moduli, got {len(base_moduli)}")
-    if not isinstance(sub_factor, int) or isinstance(sub_factor, bool) or sub_factor < 1:
-        raise DomainError(f"sub_factor must be a positive integer, got {shown(sub_factor)}")
+    whole("sub_factor", sub_factor)
     base = TorusQuotientGraph(base_moduli)
     cover = TorusQuotientGraph(tuple(sub_factor * n for n in base_moduli))
     index = sub_factor**k
@@ -195,7 +190,7 @@ def l2_betti_ratio(k: int, p: int, J: int) -> list:
     from fractions import Fraction  # local: keeps fractions out of diam/tower processes
 
     _check_tower_size(k, J)
-    if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p <= k:
+    if not is_int(p) or not 0 <= p <= k:
         raise DomainError(f"degree p must satisfy 0 <= p <= k = {k}, got {shown(p)}")
     betti = math.comb(k, p)
     return [Fraction(betti, 2 ** ((j - 1) * k)) for j in range(1, J + 1)]

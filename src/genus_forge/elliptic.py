@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .errors import InsufficientData, NonIntegralIndexWarning
+from .errors import InsufficientData, NonIntegralIndexWarning, whole
 from .genera import genus_numbers, log_coeffs, pair_logs, root_constant
 from .manifolds import GenusKind, ManifoldData
 from .qseries import QSeries
@@ -91,6 +91,7 @@ DEFAULT_Q_TRUNC = 49  # keeps every coefficient through q^24
 
 
 def _series(m: ManifoldData, kind: EllKind, q_trunc: int) -> QSeries:
+    whole("q_trunc", q_trunc)
     base = _FACTORS[kind][0]
     route = genus_numbers(m, base)
     if route is None:
@@ -140,8 +141,7 @@ def twisted_indices(m: ManifoldData, family: str, k_max: int) -> list[Fraction]:
     Spin manifolds must give integers; a non-integral value signals data
     corruption and raises a NonIntegralIndexWarning.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    whole("k_max", k_max, 0)
     half_max = k_max if family == "B" else 2 * k_max
     series = twisted_index_series(m, family, half_max + 1).series
     out = []

@@ -6,9 +6,14 @@ class.  The Data and Numerical branches map onto the CLI exit codes 2
 and 3.  A bad command line (exit code 1) is the CLI's own `UsageError`,
 which is not a GenusForgeError.  Any other exception reaching the CLI is a
 defect: it exits with code 4 and one `internal error: ...` line on stderr.
+
+The entry points check each count with `whole` and each binary64 real with
+`real`, which return the value or raise DomainError, also a ValueError.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class GenusForgeError(Exception):
@@ -71,8 +76,8 @@ class ExponentDomainError(DataError):
     """Bound exponents leave their domain (mu*(p-1) - p <= 0)."""
 
 
-class DomainError(DataError):
-    """Scalar argument outside the documented domain."""
+class DomainError(DataError, ValueError):
+    """Scalar argument of the wrong kind or outside the documented domain."""
 
 
 class FloatRangeError(NumericalError):
@@ -111,6 +116,32 @@ def shown(value) -> str:
 
 def size_of(value: int) -> str:
     return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
+def is_int(value) -> bool:  # bool is an int subclass, but True is no count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def whole(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """value, if it is an int, not a bool, in [low, high]; else DomainError."""
+    if not is_int(value) or value < low or (high is not None and value > high):
+        need = (f"an integer in [{low}, {high}]" if high is not None
+                else "a positive integer" if low == 1 else f"an integer >= {low}")
+        raise DomainError(f"{name} must be {need}, got {shown(value)}")
+    return value
+
+
+def real(name: str, value, low: float | None = None) -> float:
+    """float(value), if value is an int or float, not a bool, finite in binary64, and
+    positive (low None) or >= low (low = -inf: any finite real); else DomainError."""
+    try:
+        x = float(value) if is_int(value) or isinstance(value, float) else math.nan
+    except OverflowError:
+        raise DomainError(f"{name} must be finite in binary64, got {size_of(value)}") from None
+    if not (math.isfinite(x) and (x > 0 if low is None else x >= low)):
+        need = "positive real" if low is None else "real" if low == -math.inf else f"real >= {low}"
+        raise DomainError(f"{name} must be a finite {need}, got {shown(value)}")
+    return x
 
 
 # -- records -------------------------------------------------------------------

@@ -44,8 +44,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .errors import DimensionError, InsufficientData
-from .manifolds import GenusKind, ManifoldData, Partition, partitions_of, s_numbers
+from .errors import DimensionError, DomainError, InsufficientData, is_int, shown
+from .manifolds import GenusKind, ManifoldData, Partition, _check_real_dim, partitions_of, s_numbers
 
 _BERNOULLI = [Fraction(1)]
 
@@ -172,6 +172,9 @@ def hypersurface_todd(n: int, degree: int) -> Fraction:
     The top coefficient of (1 - exp(-d))/d, with d nilpotent of order n+1,
     paired with D: (-1)^n D/(n+1)!.  The series route is the test oracle's.
     """
+    if not (is_int(n) and is_int(degree)):
+        raise DomainError(f"n and degree must be integers, got {shown(n)} and {shown(degree)}")
     if n < 1:
-        raise DimensionError(f"hypersurface dimension {n} must be >= 1")
+        raise DimensionError(f"hypersurface dimension {shown(n)} must be >= 1")
+    _check_real_dim(2 * n, "hypersurface")
     return Fraction((-1) ** n * degree, factorial(n + 1))

@@ -23,15 +23,8 @@ from math import comb, prod
 from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 
-from .errors import (
-    DimensionError,
-    InconsistentData,
-    InsufficientData,
-    Record,
-    TooLarge,
-    UnknownManifold,
-    shown,
-)
+from .errors import (DimensionError, DomainError, InconsistentData, InsufficientData, Record,
+                     TooLarge, UnknownManifold, shown, whole)
 
 Partition = tuple[int, ...]
 
@@ -388,18 +381,24 @@ def connected_sum(a: ManifoldData, b: ManifoldData, name: str | None = None) -> 
 # -- builtin manifolds -------------------------------------------------------------
 
 
+def _builtin_name(prefix: str, n) -> str:
+    # n by type and size before str() sees it (past 4,300 digits it raises)
+    return f"{prefix}{whole(f'{prefix}n: n', n, 1 - 10**9, 10**9 - 1)}"
+
+
 def cp(n: int) -> ManifoldData:
     """Complex projective space; c(T) = (1+h)^(n+1), <h^n> = 1."""
+    name = _builtin_name("CP", n)
     if n < 1:
-        raise DimensionError(f"CP{n} is not available (need n >= 1)")
-    _check_real_dim(2 * n, f"CP{n}")
+        raise DimensionError(f"{name} is not available (need n >= 1)")
+    _check_real_dim(2 * n, name)
 
     def numbers(weight: int) -> dict[Partition, int]:
         # c = (1+h)^(n+1) and p = (1+h^2)^(n+1), so c_i and p_i are C(n+1, i) times a power of h
         return {lam: prod(comb(n + 1, part) for part in lam) for lam in partitions_of(weight)}
 
     return ManifoldData(
-        name=f"CP{n}",
+        name=name,
         real_dim=2 * n,
         pontryagin_numbers=numbers(n // 2) if n % 2 == 0 else None,
         chern_numbers=numbers(n),
@@ -411,19 +410,21 @@ def cp(n: int) -> ManifoldData:
 
 def sphere(n: int) -> ManifoldData:
     """Even-dimensional sphere; stably parallelizable, all numbers vanish."""
+    name = _builtin_name("S", n)
     if n < 2 or n % 2:
-        raise UnknownManifold(f"S{n} is not available (need even n >= 2)")
+        raise UnknownManifold(f"{name} is not available (need even n >= 2)")
     return ManifoldData(
-        name=f"S{n}", real_dim=n, pontryagin_numbers={}, spin=True, string=True
+        name=name, real_dim=n, pontryagin_numbers={}, spin=True, string=True
     )
 
 
 def torus(k: int) -> ManifoldData:
     """Flat torus; parallelizable, so every characteristic number vanishes."""
+    name = _builtin_name("T", k)
     if k < 2 or k % 2:
-        raise UnknownManifold(f"T{k} is not available (need even k >= 2)")
+        raise UnknownManifold(f"{name} is not available (need even k >= 2)")
     return ManifoldData(
-        name=f"T{k}",
+        name=name,
         real_dim=k,
         pontryagin_numbers={},
         chern_numbers={},
@@ -459,6 +460,8 @@ def hp2() -> ManifoldData:
 
 def builtin(name: str) -> ManifoldData:
     """Resolve a builtin manifold by name (CPn, Sn, Tn, K3, HP2)."""
+    if not isinstance(name, str):
+        raise DomainError(f"a manifold name must be a str, got {shown(name)}")
     if name == "K3":
         return k3()
     if name == "HP2":

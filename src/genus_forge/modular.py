@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .elliptic import DEFAULT_Q_TRUNC, EllKind, divisor_sum, elliptic_genus
-from .errors import ConvergenceRisk, DomainError, FitError, Record
+from .errors import ConvergenceRisk, FitError, Record, real
 from .manifolds import ManifoldData
 from .qseries import QSeries
 
@@ -144,10 +144,7 @@ def modular_relation_check(
     _TAIL_MARGIN times below tol, a FAIL would say nothing about the
     relation, so ConvergenceRisk is raised instead.
     """
-    if not math.isfinite(tau_im):
-        raise DomainError(f"tau_im must be a finite real, got {tau_im!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be a finite positive real, got {tol!r}")
+    tau_im, tol = real("tau_im", tau_im, -math.inf), real("tol", tol)
     if tau_im <= 1.0:
         raise ConvergenceRisk(
             f"tau_im = {tau_im} must exceed 1 for a trustworthy truncation"

@@ -22,7 +22,7 @@ import cmath
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .errors import DivergentEvaluation, TruncMismatch
+from .errors import DivergentEvaluation, TruncMismatch, whole
 
 Scalar = int | Fraction
 
@@ -43,8 +43,7 @@ class QSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs: Mapping[int, Scalar], trunc: int):
-        if not isinstance(trunc, int) or trunc <= 0:
-            raise ValueError("trunc must be a positive integer")
+        whole("trunc", trunc)
         clean: dict[int, Fraction] = {}
         for n, c in coeffs.items():
             if not isinstance(n, int) or n < 0:
