@@ -5,7 +5,9 @@ ratio sequences along that tower.
 One BFS kernel serves every graph: a level-synchronous bitset BFS on the
 graph folded by the reflections x_i -> -x_i, a product of paths, whose levels
 are Python ints holding only a window of outer positions, so a level costs
-the width of the frontier rather than the vertex count.
+the width of the frontier rather than the vertex count.  Where the frontier
+only moves one step up the outer path per level, the kernel skips those
+levels at once, so a long outer path costs about as much as a short one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ MAX_TOWER_RANK = 64
 
 
 def _check_moduli(moduli):
-    moduli = tuple(moduli)
+    try:
+        moduli = tuple(moduli)
+    except TypeError:
+        raise DomainError(
+            f"moduli must be a sequence of positive integers, got {shown(moduli)}"
+        ) from None
     if not moduli:
         raise DomainError("moduli must be non-empty")
     for n in moduli:
@@ -88,7 +95,17 @@ def _eccentricity(moduli) -> int:
     a level costs the width of that window, not the vertex count.  The graph
     is undirected, so the next level is N(F_d) minus F_d and F_(d-1); no set
     of visited vertices is kept.  Neighbours below the window are at outer
-    positions no level reaches again, and are dropped with it."""
+    positions no level reaches again, and are dropped with it.
+
+    Away from the ends of the outer path, one level commutes with a move one
+    outer position up: the inner-axis masks repeat every `size` bits, and the
+    window drops what falls below it.  So when a window move leaves the pair
+    (F_(d-1), F_d) equal, in window coordinates, to the pair before it, every
+    later pair repeats it one position higher until the end mask applies,
+    and the kernel adds those levels to the depth in one step.  That happens
+    when the outer path is longer than the inner paths together, and leaves
+    about twice their total length in plain levels, however long the outer
+    path is."""
     axes = sorted(n // 2 + 1 for n in moduli if n > 1)
     if not axes:
         return 0
@@ -106,7 +123,8 @@ def _eccentricity(moduli) -> int:
     block = (1 << size) - 1
     end = count  # bit offset just past the last outer position, in the window
     frontier, prev = 1, 0
-    for depth in range(count):
+    depth = 0
+    while depth < count:
         reached = (frontier << size) | (frontier >> size)
         if reached >> end:  # no step up from the last outer position
             reached &= (1 << end) - 1
@@ -115,13 +133,21 @@ def _eccentricity(moduli) -> int:
         reached ^= reached & (frontier | prev)
         if not reached:
             return depth
+        depth += 1
         # Move the window up one position when its lowest one empties.  The
         # mask keeps every level below `end`, so a level in the last position
         # fills the lowest one, and the window never moves past it.
         if not reached & block:
+            pair = prev, frontier
             frontier >>= size
             reached >>= size
             end -= size
+            if (frontier, reached) == pair and reached.bit_length() + size <= end:
+                # each later level repeats this pair one position higher
+                # until the next one would meet the end: skip them all
+                jump = (end - reached.bit_length() - size) // size + 1
+                depth += jump
+                end -= jump * size
         prev, frontier = frontier, reached
     raise RuntimeError(f"BFS on {moduli} did not settle within {count} levels")
 

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .errors import InsufficientData, NonIntegralIndexWarning, whole
+from .errors import DomainError, InsufficientData, NonIntegralIndexWarning, shown, whole
 from .genera import genus_numbers, log_coeffs, pair_logs, root_constant
 from .manifolds import GenusKind, ManifoldData
 from .qseries import QSeries
@@ -105,7 +105,10 @@ def elliptic_genus(
     m: ManifoldData, kind: EllKind, q_trunc: int = DEFAULT_Q_TRUNC
 ) -> GenusSeries:
     """Evaluate Ell1, Ell2 or the Witten genus as an exact q-series."""
-    kind = EllKind(kind)
+    try:
+        kind = EllKind(kind)
+    except ValueError:
+        raise DomainError(f"{shown(kind)} is not a valid EllKind") from None
     series = _series(m, kind, q_trunc)
     if kind in (EllKind.ELL1, EllKind.WITTEN) and not series.integer_powers_only():
         # a fault of this module, not of the data: the CLI reports it as exit 4
@@ -129,7 +132,7 @@ def twisted_index_series(
     factor is the Ell2 factor.
     """
     if family not in ("B", "W"):
-        raise ValueError(f"family must be 'B' or 'W', got {family!r}")
+        raise DomainError(f"family must be 'B' or 'W', got {shown(family)}")
     kind = EllKind.ELL2 if family == "B" else EllKind.WITTEN
     return GenusSeries(m.name, f"index-{family}", _series(m, kind, q_trunc), q_trunc)
 

@@ -150,7 +150,10 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     Falls back to an asserted value when no characteristic numbers are
     stored; `genus_source` reports which route was taken.
     """
-    kind = GenusKind(kind)
+    try:
+        kind = GenusKind(kind)
+    except ValueError:
+        raise DomainError(f"{shown(kind)} is not a valid GenusKind") from None
     route = genus_numbers(m, kind)
     if route is not None:
         numbers, weight, scale = route

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .elliptic import DEFAULT_Q_TRUNC, EllKind, divisor_sum, elliptic_genus
-from .errors import ConvergenceRisk, FitError, Record, real
+from .errors import ConvergenceRisk, DomainError, FitError, Record, real, shown
 from .manifolds import ManifoldData
 from .qseries import QSeries
 
@@ -29,7 +29,7 @@ def eisenstein(kind: str, q_trunc: int) -> QSeries:
     elif kind == "E6":
         scale, power = -504, 5
     else:
-        raise ValueError(f"kind must be 'E4' or 'E6', got {kind!r}")
+        raise DomainError(f"kind must be 'E4' or 'E6', got {shown(kind)}")
     return 1 + divisor_sum(2, 1, power, q_trunc) * scale
 
 

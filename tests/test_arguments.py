@@ -1,4 +1,5 @@
-"""Hostile count and real arguments at the library's numeric entry points.
+"""Hostile count and real arguments at the library's numeric entry points,
+and unknown values of its choice arguments.
 
 One argument of one entry point is replaced by a hostile value: a bool, a
 string, None, a float where an int is expected, nan or an infinity, 0, -1, or
@@ -6,10 +7,12 @@ an integer past binary64 (10^400) or past str()'s 4,300-digit limit (10^5000);
 every other argument keeps a valid value.  Each call returns, or raises a
 GenusForgeError, within a per-call time bound, and a value of the wrong kind
 (a bool, a string, None, or a float where an int is expected) is refused with
-`DomainError`, the refusal of `errors.whole` and `errors.real`.
+`DomainError`, the refusal of `errors.whole` and `errors.real`.  A choice
+argument outside its set of names is refused with `DomainError` too.
 """
 
 import math
+import re
 import time
 
 import pytest
@@ -21,9 +24,9 @@ from genus_forge.catalog import resolve
 from genus_forge.covering import cover_diameter, l2_betti_ratio, tower
 from genus_forge.elliptic import elliptic_genus, twisted_index_series, twisted_indices
 from genus_forge.errors import DomainError, GenusForgeError, TooLarge
-from genus_forge.genera import hypersurface_todd
+from genus_forge.genera import genus_value, hypersurface_todd
 from genus_forge.manifolds import MAX_REAL_DIM, cp, hp2, k3, sphere, torus
-from genus_forge.modular import modular_relation_check, witten_fit
+from genus_forge.modular import eisenstein, modular_relation_check, witten_fit
 
 TIME_BOUND_S = 5.0  # per call; every valid call below takes well under 0.1 s
 
@@ -162,3 +165,15 @@ def test_hypersurface_todd_size_cap():
     for n in (MAX_REAL_DIM // 2 + 1, 10**5, 10**5000):
         with pytest.raises(TooLarge, match="^hypersurface: real dimension"):
             hypersurface_todd(n, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: genus_value(K3, "x"), "'x' is not a valid GenusKind"),
+    (lambda: elliptic_genus(K3, "x", 9), "'x' is not a valid EllKind"),
+    (lambda: twisted_index_series(K3, "X", 9), "family must be 'B' or 'W', got 'X'"),
+    (lambda: eisenstein("E8", 9), "kind must be 'E4' or 'E6', got 'E8'"),
+], ids=["genus_value", "elliptic_genus", "twisted_index_series", "eisenstein"])
+def test_unknown_choice_is_refused_typed(call, message):
+    # the wording of the plain ValueError these raised before, now typed (exit 2)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

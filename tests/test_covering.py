@@ -3,6 +3,7 @@ against the closed form and a BFS on the unfolded graph, index growth along
 towers, and the l2 ratio decay."""
 
 from collections import deque
+from itertools import permutations
 from itertools import product as iproduct
 from fractions import Fraction
 from math import comb
@@ -79,9 +80,12 @@ def test_bfs_matches_closed_form_line():
 
 def test_bfs_matches_closed_form_spots():
     # (5000, 200) and (4096, 244) are vertex-cap graphs whose long outer axis
-    # takes thousands of levels, each a frontier window of ~200 positions
+    # takes thousands of levels, each a frontier window of ~200 positions;
+    # the last four are the cap graphs whose outer path is longest, nearly
+    # all of it crossed by the level skip
     for moduli in ((9999,), (99, 101), (100, 100), (21, 21, 21), (4, 50, 50),
-                   (5000, 200), (4096, 244)):
+                   (5000, 200), (4096, 244),
+                   (10**6,), (2, 500_000), (2, 2, 250_000), (2, 2, 2, 125_000)):
         g = TorusQuotientGraph(moduli)
         assert g.diameter() == _closed_form_diameter(moduli)
 
@@ -146,6 +150,20 @@ def test_bfs_matches_closed_form_skewed(moduli):
     assert TorusQuotientGraph(moduli).diameter() == _closed_form_diameter(moduli)
 
 
+def test_bfs_level_skip_meets_outer_end_exhaustive():
+    # Once the frontier only moves up the outer path, the kernel skips levels
+    # until the next one would meet the path's end.  An outer modulus up to
+    # 64 next to inner ones from 1..4 makes the skip fire and then run into
+    # that end, for every outer length and in every axis order (one oracle
+    # run per shape: reordering the axes gives an isomorphic graph).
+    for j in (0, 1, 2):
+        for inner in iproduct(range(1, 5), repeat=j):
+            for outer in range(1, 65):
+                expected = _unfolded_eccentricity((outer,) + inner)
+                for moduli in set(permutations((outer,) + inner)):
+                    assert TorusQuotientGraph(moduli).diameter() == expected, moduli
+
+
 def test_bfs_former_threshold_shapes():
     # long cycles either side of modulus 4096, unit moduli and a 2^10 hypercube
     for moduli in ((4096,), (4097,), (2, 5000), (3, 3, 4000), (1,), (1, 1, 1), (2,) * 10):
@@ -171,6 +189,11 @@ def test_moduli_validation():
     for bad in ((), (0,), (-3,), (2, 0), (True,), (2.5,)):
         with pytest.raises(DomainError):
             TorusQuotientGraph(bad)
+    # not a sequence at all
+    with pytest.raises(DomainError, match="^moduli must be a sequence of positive integers, got 5$"):
+        TorusQuotientGraph(5)
+    with pytest.raises(DomainError, match="^moduli must be .*, got None$"):
+        cover_diameter(1, None, 2)
 
 
 def test_unit_moduli_edges():
