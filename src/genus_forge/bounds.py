@@ -29,7 +29,7 @@ import math
 import sys
 
 from .errors import (DomainError, ExponentDomainError, FloatRangeError, Record, RootNotBracketed,
-                     real, whole)
+                     choice, real, shown, whole)
 
 # bracket width of the root search: absolute below x = 1, relative above.
 # Below 1 the stop rule also asks for the promised 1e-10 relative width.
@@ -43,6 +43,7 @@ _MAX_M = 300
 # rule at a root near the binary64 floor (m = 2, b = 709)
 _MAX_STEPS = 1200
 _SEARCHES = 128  # (m, b) root searches kept; each holds m lhs coefficients
+_SECANT = {"bisection": False, "secant": True}  # method -> c_of_b returns the Illinois root
 
 
 class BoundParams(Record):
@@ -198,11 +199,10 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
     """
     whole("m", m, 2, _MAX_M)
     b = real("b", b)
-    if method not in ("bisection", "secant"):
-        raise DomainError(f"unknown root-finding method {method!r}")
+    secant = choice("method", method, _SECANT)
 
     lhs, rhs, lo, hi, root, low, high = _search(m, b)
-    if method == "secant":
+    if secant:
         return root
     # lhs is non-decreasing in binary64 and lhs(low) < rhs <= lhs(high), so
     # a midpoint outside (low, high) goes the way an evaluation would send it
@@ -271,6 +271,8 @@ def _illinois_root(lhs, rhs, lo, hi, glo, ghi):
 def moser_constant(params: BoundParams) -> BoundReport:
     """Compose mu, K1, K2, R, B into the explicit sup-bound constant
     mu^(2*K1*p*(mu-1)/(mu*(p-1)-p)) * B^(2*K2)."""
+    if not isinstance(params, BoundParams):
+        raise DomainError(f"params must be a BoundParams, got {shown(params)}")
     p, v = params.p, params.v
     mu = v / (v - 1)
     if mu == 1.0:  # v so large that v/(v-1) rounds to 1: K1 and K2 divide by mu - 1

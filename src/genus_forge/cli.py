@@ -32,15 +32,15 @@ GENUS_CHOICES = ("todd", "ahat", "lhat", "signature")
 ELL_CHOICES = ("ell1", "ell2", "witten")
 
 DEFAULT_ORDER = 24  # through q^24; _trunc(DEFAULT_ORDER) is elliptic.DEFAULT_Q_TRUNC
-# Largest --order, and largest `indices --max` (W_k sits at q^k), that the
-# q-series commands accept; beyond it they raise TooLarge (exit 2).
-MAX_ORDER = 100
 PROG = "genus-forge"  # the program name in usage lines and help pages
 
 
 def _check_order(value: int, flag: str) -> None:
-    if value > MAX_ORDER:
-        raise TooLarge(f"{flag} {value} exceeds the cap of {MAX_ORDER}")
+    # the q-series cap, q^100, bounds --order and `indices --max` (W_k sits at q^k)
+    from .qseries import MAX_TRUNC
+
+    if _trunc(value) > MAX_TRUNC:
+        raise TooLarge(f"{flag} {value} exceeds the cap of {MAX_TRUNC // 2}")
 
 
 def _trunc(order: int) -> int:

@@ -45,10 +45,13 @@ class TorusQuotientGraph:
 
     def __init__(self, moduli):
         self.moduli = _check_moduli(moduli)
-        if self.vertex_count > DEFAULT_VERTEX_CAP:
-            raise TooLarge(
-                f"{shown(self.vertex_count)} vertices exceeds the cap of {DEFAULT_VERTEX_CAP}"
-            )
+        count = 1
+        for n in self.moduli:  # refuse before the full product, which many moduli make slow
+            count *= n
+            if count > DEFAULT_VERTEX_CAP:
+                raise TooLarge(
+                    f"at least {shown(count)} vertices exceeds the cap of {DEFAULT_VERTEX_CAP}"
+                )
 
     @property
     def vertex_count(self) -> int:

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .errors import DomainError, InsufficientData, NonIntegralIndexWarning, shown, whole
+from .errors import InsufficientData, NonIntegralIndexWarning, choice, whole
 from .genera import genus_numbers, log_coeffs, pair_logs, root_constant
 from .manifolds import GenusKind, ManifoldData
 from .qseries import QSeries
@@ -44,6 +44,7 @@ class EllKind(str, Enum):
 
 def divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
     """sum over h = h_first, h_first + 2, ... and r >= 1 of eps^r r^power q^(rh/2)."""
+    QSeries.zero(q_trunc)  # refuses a q_trunc past the cap before the sums
     coeffs: dict[int, int] = {}
     for h in range(h_first, q_trunc, 2):
         for r in range(1, (q_trunc - 1) // h + 1):
@@ -58,11 +59,12 @@ _FACTORS = {
     EllKind.ELL2: (GenusKind.AHAT, ((2, 1, -1), (1, 1, 1))),
     EllKind.ELL1: (GenusKind.LHAT, ((2, 1, -1), (2, -1, 1))),
 }
+_KINDS = {kind.value: kind for kind in EllKind}
 
 
 def elliptic_logs(kind: EllKind, weight: int, q_trunc: int) -> list[QSeries]:
     """l_1 .. l_weight of the per-root factor, Ell1 halved."""
-    base, twists = _FACTORS[EllKind(kind)]
+    base, twists = _FACTORS[choice("kind", kind, _KINDS)]
     logs = []
     for k, classical in enumerate(log_coeffs(base, weight), start=1):
         series = QSeries.constant(classical, q_trunc)
@@ -105,10 +107,7 @@ def elliptic_genus(
     m: ManifoldData, kind: EllKind, q_trunc: int = DEFAULT_Q_TRUNC
 ) -> GenusSeries:
     """Evaluate Ell1, Ell2 or the Witten genus as an exact q-series."""
-    try:
-        kind = EllKind(kind)
-    except ValueError:
-        raise DomainError(f"{shown(kind)} is not a valid EllKind") from None
+    kind = choice("kind", kind, _KINDS)
     series = _series(m, kind, q_trunc)
     if kind in (EllKind.ELL1, EllKind.WITTEN) and not series.integer_powers_only():
         # a fault of this module, not of the data: the CLI reports it as exit 4
@@ -119,37 +118,31 @@ def elliptic_genus(
 # -- twisted indices ------------------------------------------------------------------
 
 
-def twisted_index_series(
-    m: ManifoldData, family: str, q_trunc: int = DEFAULT_Q_TRUNC
-) -> GenusSeries:
-    """Index series of the Dirac operator twisted by one bundle family.
-
-    family "W": Ahat * ch(tensor over n >= 1 of S_(q^n) of the reduced
-    tangent bundle), indices on the integer grid; its per-root factor is
-    the Witten factor.
-    family "B": the W bundle tensored with the product over n >= 1 of
-    Lambda_(-q^(n-1/2)) of it, indices on the half grid; its per-root
-    factor is the Ell2 factor.
-    """
-    if family not in ("B", "W"):
-        raise DomainError(f"family must be 'B' or 'W', got {shown(family)}")
-    kind = EllKind.ELL2 if family == "B" else EllKind.WITTEN
-    return GenusSeries(m.name, f"index-{family}", _series(m, kind, q_trunc), q_trunc)
+# family -> (the kind whose per-root factor its bundle has, half-exponents per step)
+_FAMILIES = {"B": (EllKind.ELL2, 1), "W": (EllKind.WITTEN, 2)}
 
 
 def twisted_indices(m: ManifoldData, family: str, k_max: int) -> list[Fraction]:
-    """Indices for steps 0..k_max: the q^(k/2) coefficients for family B,
-    q^k for W, from a single series evaluation truncated just past the last.
+    """Indices of the Dirac operator twisted by the steps 0..k_max of one
+    bundle family, from a single series evaluation truncated just past the
+    last.
+
+    family "W": Ahat * ch(tensor over n >= 1 of S_(q^n) of the reduced
+    tangent bundle); its per-root factor is the Witten factor, and step k
+    is the q^k coefficient.
+    family "B": the W bundle tensored with the product over n >= 1 of
+    Lambda_(-q^(n-1/2)) of it; its per-root factor is the Ell2 factor, and
+    step k is the q^(k/2) coefficient.
 
     Spin manifolds must give integers; a non-integral value signals data
     corruption and raises a NonIntegralIndexWarning.
     """
+    kind, step = choice("family", family, _FAMILIES)
     whole("k_max", k_max, 0)
-    half_max = k_max if family == "B" else 2 * k_max
-    series = twisted_index_series(m, family, half_max + 1).series
+    series = _series(m, kind, step * k_max + 1)
     out = []
     for k in range(k_max + 1):
-        value = series.coeff(k if family == "B" else 2 * k)
+        value = series.coeff(step * k)
         if m.spin and value.denominator != 1:
             warnings.warn(
                 f"{m.name} is spin but index {family}_{k} = {value} is not integral",

@@ -7,8 +7,8 @@ and 3.  A bad command line (exit code 1) is the CLI's own `UsageError`,
 which is not a GenusForgeError.  Any other exception reaching the CLI is a
 defect: it exits with code 4 and one `internal error: ...` line on stderr.
 
-The entry points check each count with `whole` and each binary64 real with
-`real`, which return the value or raise DomainError, also a ValueError.
+The entry points check a count with `whole`, a binary64 real with `real` and a
+named choice with `choice`; each returns a value or raises DomainError, a ValueError.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class FloatRangeError(NumericalError):
 
 class TooLarge(DataError):
     """Requested model or series exceeds a documented size cap (the BFS
-    vertex cap, the tower depth and rank caps, the CLI order cap, the
-    real-dimension cap of manifold data)."""
+    vertex cap, the tower depth and rank caps, the q-series truncation cap,
+    the real-dimension cap of manifold data)."""
 
 
 # -- catalog -------------------------------------------------------------------
@@ -142,6 +142,15 @@ def real(name: str, value, low: float | None = None) -> float:
         need = "positive real" if low is None else "real" if low == -math.inf else f"real >= {low}"
         raise DomainError(f"{name} must be a finite {need}, got {shown(value)}")
     return x
+
+
+def choice(name: str, value, names):
+    """names[value] for a key of the mapping `names`, else DomainError listing the keys."""
+    try:
+        return names[value]  # a str-mixin enum member hashes and compares as its value
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise DomainError(f"{name} must be one of {', '.join(map(repr, names))}, "
+                          f"got {shown(value)}") from None
 
 
 # -- records -------------------------------------------------------------------

@@ -44,9 +44,11 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .errors import DimensionError, DomainError, InsufficientData, is_int, shown
-from .manifolds import GenusKind, ManifoldData, Partition, _check_real_dim, partitions_of, s_numbers
+from .errors import DimensionError, DomainError, InsufficientData, choice, is_int, shown, whole
+from .manifolds import (MAX_REAL_DIM, GenusKind, ManifoldData, Partition, _check_real_dim,
+                        partitions_of, s_numbers)
 
+_KINDS = {kind.value: kind for kind in GenusKind}
 _BERNOULLI = [Fraction(1)]
 
 
@@ -65,15 +67,15 @@ def _log_sinh(k: int) -> Fraction:
 
 
 def log_coeffs(kind: GenusKind, weight: int) -> list[Fraction]:
-    """l_1 .. l_weight of the classical factor, big-L halved."""
-    kind = GenusKind(kind)
+    """l_1 .. l_weight of the classical factor, big-L halved; weight <= MAX_REAL_DIM / 2."""
+    kind = choice("kind", kind, _KINDS)
+    whole("weight", weight, 0, MAX_REAL_DIM // 2)
     if kind == GenusKind.TODD:
         # x/(1 - e^-x) = e^(x/2) (x/2)/sinh(x/2): l_1 = 1/2, then Ahat in x
-        logs = [Fraction(0)] * weight
-        logs[0] = Fraction(1, 2)
+        logs = [Fraction(1, 2)] + [Fraction(0)] * (weight - 1)
         for k, ahat in enumerate(log_coeffs(GenusKind.AHAT, weight // 2), start=1):
             logs[2 * k - 1] = ahat
-        return logs
+        return logs[:weight]
     closed = {
         GenusKind.AHAT: lambda s, k: -s / 4**k,
         GenusKind.SIGNATURE: lambda s, k: (4**k - 2) * s,
@@ -118,7 +120,7 @@ def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, zero,
 
 def root_constant(kind: GenusKind) -> int:
     """The per-root constant that `log_coeffs` divides out: 2 for big-L."""
-    return 2 if kind == GenusKind.LHAT else 1
+    return 2 if choice("kind", kind, _KINDS) == GenusKind.LHAT else 1
 
 
 def genus_numbers(m: ManifoldData,
@@ -132,7 +134,7 @@ def genus_numbers(m: ManifoldData,
     or else the Chern numbers at scale 2.  None when m carries no such
     numbers, so that only an asserted value can answer.
     """
-    if GenusKind(kind) == GenusKind.TODD:
+    if choice("kind", kind, _KINDS) == GenusKind.TODD:
         return None if m.chern_numbers is None else (m.chern_numbers, m.complex_dim, 1)
     if m.real_dim % 4:
         raise DimensionError(
@@ -150,10 +152,7 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     Falls back to an asserted value when no characteristic numbers are
     stored; `genus_source` reports which route was taken.
     """
-    try:
-        kind = GenusKind(kind)
-    except ValueError:
-        raise DomainError(f"{shown(kind)} is not a valid GenusKind") from None
+    kind = choice("kind", kind, _KINDS)
     route = genus_numbers(m, kind)
     if route is not None:
         numbers, weight, scale = route

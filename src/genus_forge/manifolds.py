@@ -44,7 +44,9 @@ def _check_real_dim(real_dim: int, name: str) -> None:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """All partitions of n as descending tuples (n >= 0)."""
+    """All partitions of n as descending tuples, for 0 <= n <= MAX_REAL_DIM / 2,
+    the complex dimension at the cap."""
+    whole("n", n, 0, MAX_REAL_DIM // 2)
 
     def gen(remaining: int, largest: int, prefix: tuple[int, ...]):
         if remaining == 0:
@@ -53,7 +55,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
         for part in range(min(largest, remaining), 0, -1):
             yield from gen(remaining - part, part, prefix + (part,))
 
-    yield from gen(n, n, ())
+    return gen(n, n, ())
 
 
 # -- power-sum numbers ------------------------------------------------------------
@@ -261,6 +263,12 @@ class ManifoldData(Record):
 # -- products and connected sums ------------------------------------------------
 
 
+def _check_manifolds(*factors) -> None:
+    for m in factors:
+        if not isinstance(m, ManifoldData):
+            raise DomainError(f"expected ManifoldData, got {shown(m)}")
+
+
 def _product_numbers(
     a_nums: Mapping[Partition, int],
     b_nums: Mapping[Partition, int],
@@ -286,6 +294,7 @@ def _product_numbers(
 
 def product(a: ManifoldData, b: ManifoldData, name: str | None = None) -> ManifoldData:
     """Cartesian product; needs full data of the same kind on both sides."""
+    _check_manifolds(a, b)
     both_chern = a.chern_numbers is not None and b.chern_numbers is not None
     both_pont = a.pontryagin_numbers is not None and b.pontryagin_numbers is not None
     if not (both_chern or both_pont):
@@ -339,6 +348,7 @@ def _genus_if_available(m: ManifoldData, kind: GenusKind) -> Fraction | None:
 
 def connected_sum(a: ManifoldData, b: ManifoldData, name: str | None = None) -> ManifoldData:
     """Connected sum: Pontryagin numbers and genus values add."""
+    _check_manifolds(a, b)
     if a.real_dim != b.real_dim:
         raise DimensionError(
             f"connected sum of dimensions {a.real_dim} and {b.real_dim}"

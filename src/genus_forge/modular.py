@@ -17,19 +17,14 @@ import math
 from fractions import Fraction
 
 from .elliptic import DEFAULT_Q_TRUNC, EllKind, divisor_sum, elliptic_genus
-from .errors import ConvergenceRisk, DomainError, FitError, Record, real, shown
+from .errors import ConvergenceRisk, FitError, Record, choice, real
 from .manifolds import ManifoldData
 from .qseries import QSeries
 
 
 def eisenstein(kind: str, q_trunc: int) -> QSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n or E6 = 1 - 504 sum sigma_5(n) q^n, exact."""
-    if kind == "E4":
-        scale, power = 240, 3
-    elif kind == "E6":
-        scale, power = -504, 5
-    else:
-        raise DomainError(f"kind must be 'E4' or 'E6', got {shown(kind)}")
+    scale, power = choice("kind", kind, {"E4": (240, 3), "E6": (-504, 5)})
     return 1 + divisor_sum(2, 1, power, q_trunc) * scale
 
 

@@ -3,9 +3,9 @@
 A QSeries stores finitely many terms c_n * q^(n/2) with c_n exact
 rationals.  Exponents are kept on a half-integer grid: the stored key n
 means q^(n/2), so integer q-powers sit at even keys and the half powers
-that theta products produce sit at odd keys.  `trunc` is the hard
-cutoff: only keys 0 <= n < trunc are representable, and no operation
-ever fabricates a coefficient at or beyond it.
+that theta products produce sit at odd keys.  `trunc`, at most MAX_TRUNC,
+is the hard cutoff: only keys 0 <= n < trunc are representable, and no
+operation ever fabricates a coefficient at or beyond it.
 
 Coefficients equal to zero are never stored, so equality of the
 coefficient dict is canonical equality of the series.
@@ -22,9 +22,10 @@ import cmath
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .errors import DivergentEvaluation, TruncMismatch, whole
+from .errors import DivergentEvaluation, TooLarge, TruncMismatch, shown, whole
 
 Scalar = int | Fraction
+MAX_TRUNC = 201  # through q^100; a product's work grows at least quadratically in trunc
 
 _ZERO = Fraction(0)
 
@@ -43,7 +44,8 @@ class QSeries:
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs: Mapping[int, Scalar], trunc: int):
-        whole("trunc", trunc)
+        if whole("trunc", trunc) > MAX_TRUNC:
+            raise TooLarge(f"trunc {shown(trunc)} exceeds the cap of {MAX_TRUNC}")
         clean: dict[int, Fraction] = {}
         for n, c in coeffs.items():
             if not isinstance(n, int) or n < 0:

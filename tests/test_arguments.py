@@ -1,5 +1,5 @@
-"""Hostile count and real arguments at the library's numeric entry points,
-and unknown values of its choice arguments.
+"""Hostile arguments at the library's entry points, and the public surface
+those entry points belong to.
 
 One argument of one entry point is replaced by a hostile value: a bool, a
 string, None, a float where an int is expected, nan or an infinity, 0, -1, or
@@ -8,10 +8,18 @@ every other argument keeps a valid value.  Each call returns, or raises a
 GenusForgeError, within a per-call time bound, and a value of the wrong kind
 (a bool, a string, None, or a float where an int is expected) is refused with
 `DomainError`, the refusal of `errors.whole` and `errors.real`.  A choice
-argument outside its set of names is refused with `DomainError` too.
+argument outside its set of names, and a value that is not the record an
+argument takes, are refused with `DomainError` too (`errors.choice` and the
+record checks).  A q-series truncation past `qseries.MAX_TRUNC` is refused
+with `TooLarge`.
+
+Every public callable of every module is either an entry here or named in
+`INTERNAL` with the reason it is not one.
 """
 
+import importlib
 import math
+import pkgutil
 import re
 import time
 
@@ -19,14 +27,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from genus_forge.bounds import BoundParams, berard_dim_bound, c_of_b, index_bound_report
+import genus_forge
+from genus_forge.bounds import (BoundParams, berard_dim_bound, c_of_b, index_bound_report,
+                                moser_constant)
 from genus_forge.catalog import resolve
-from genus_forge.covering import cover_diameter, l2_betti_ratio, tower
-from genus_forge.elliptic import elliptic_genus, twisted_index_series, twisted_indices
-from genus_forge.errors import DomainError, GenusForgeError, TooLarge
-from genus_forge.genera import genus_value, hypersurface_todd
-from genus_forge.manifolds import MAX_REAL_DIM, cp, hp2, k3, sphere, torus
+from genus_forge.covering import TorusQuotientGraph, cover_diameter, l2_betti_ratio, tower
+from genus_forge.elliptic import elliptic_genus, elliptic_logs, twisted_indices
+from genus_forge.errors import DomainError, GenusForgeError, TooLarge, is_int
+from genus_forge.genera import (genus_numbers, genus_source, genus_value, hypersurface_todd,
+                                log_coeffs, root_constant)
+from genus_forge.manifolds import (MAX_REAL_DIM, builtin, connected_sum, cp, hp2, k3,
+                                   partitions_of, product, sphere, torus)
 from genus_forge.modular import eisenstein, modular_relation_check, witten_fit
+from genus_forge.qseries import MAX_TRUNC, QSeries
 
 TIME_BOUND_S = 5.0  # per call; every valid call below takes well under 0.1 s
 
@@ -34,18 +47,24 @@ WRONG_KIND = (True, False, "2", "abc", "", None)
 NON_FINITE = (math.nan, math.inf, -math.inf)
 HUGE = (10**400, -(10**400), 10**5000, -(10**5000))
 
-# argument kind -> hostile values.  A count whose size sets the work (q_trunc,
-# k_max) gets no huge positive value: its upper bound is not checked.
+# argument kind -> hostile values.  A count whose size sets the work of a
+# q-series (q_trunc, k_max) gets 202 too: a positive int past the cap of 201
+# must raise TooLarge.  A choice takes one of a few names, and a record one
+# ManifoldData or BoundParams: every value in their pools is of the wrong kind.
 POOLS = {
     "count": (0, -1, *HUGE, 2.0, 0.5, 1e300, *NON_FINITE, *WRONG_KIND),
-    "work": (0, -1, -(10**400), -(10**5000), 2.0, 0.5, *NON_FINITE, *WRONG_KIND),
+    "work": (0, -1, MAX_TRUNC + 1, *HUGE, 2.0, 0.5, *NON_FINITE, *WRONG_KIND),
     "real": (0, -1, 0.0, -0.5, *HUGE, *NON_FINITE, *WRONG_KIND),
     "name": (123, 10**5000, 2.5, True, None),
+    "choice": ("x", "", "TODD", 10**5000, 2.5, ["todd"], *WRONG_KIND[:2], None),
+    "record": (None, 5, "K3", True, 2.5, 10**5000, ["K3"]),
 }
 POOLS["optional real"] = POOLS["real"]  # None is the default: v of BoundParams
 
 
 def _wrong_kind(kind, value):
+    if kind in ("choice", "record"):
+        return True
     if kind == "name":
         return not isinstance(value, str)
     if value is None and kind == "optional real":
@@ -62,15 +81,22 @@ def _bounds(**kw):
     return index_bound_report(BoundParams(**kw))
 
 
-# entry point -> (call, valid keyword arguments, kind of each argument)
+# entry point -> (call, valid keyword arguments, kind of each argument).  The
+# first word of a key is the name of the public callable that the entry tests.
 ENTRIES = {
-    "c_of_b": (c_of_b, dict(m=3, b=1.0), dict(m="count", b="real")),
-    "bound m=4": (_bounds, dict(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0, cmp=1.0, v=None, l=1),
-                  dict(m="count", p="real", Lambda="real", diam="real", b="real", cmp="real",
-                       v="optional real", l="count")),
-    "bound m=2": (_bounds, dict(m=2, p=3.0, Lambda=0.0, diam=2.0, b=0.5, cmp=1.0, v=1.5, l=2),
-                  dict(m="count", p="real", Lambda="real", diam="real", b="real", cmp="real",
-                       v="optional real", l="count")),
+    "c_of_b": (c_of_b, dict(m=3, b=1.0, method="bisection"),
+               dict(m="count", b="real", method="choice")),
+    "moser_constant": (moser_constant,
+                       dict(params=BoundParams(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0)),
+                       dict(params="record")),
+    "index_bound_report m=4": (
+        _bounds, dict(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0, cmp=1.0, v=None, l=1),
+        dict(m="count", p="real", Lambda="real", diam="real", b="real", cmp="real",
+             v="optional real", l="count")),
+    "index_bound_report m=2": (
+        _bounds, dict(m=2, p=3.0, Lambda=0.0, diam=2.0, b=0.5, cmp=1.0, v=1.5, l=2),
+        dict(m="count", p="real", Lambda="real", diam="real", b="real", cmp="real",
+             v="optional real", l="count")),
     "berard_dim_bound": (berard_dim_bound, dict(l=2, L_sup=3.0), dict(l="count", L_sup="real")),
     "tower": (tower, dict(k=2, J=3), dict(k="count", J="count")),
     "l2_betti_ratio": (l2_betti_ratio, dict(k=3, p=1, J=3), dict(k="count", p="count",
@@ -78,23 +104,96 @@ ENTRIES = {
     "cover_diameter": (lambda k, n, sub_factor: cover_diameter(k, (n,), sub_factor),
                        dict(k=1, n=3, sub_factor=2),
                        dict(k="count", n="count", sub_factor="count")),
+    "TorusQuotientGraph": (lambda n: TorusQuotientGraph((3, n)), dict(n=4), dict(n="count")),
     "modular_relation_check": (lambda **kw: modular_relation_check(HP2, **kw),
                                dict(tau_im=1.5, q_trunc=49, tol=1e-6),
                                dict(tau_im="real", q_trunc="work", tol="real")),
     "witten_fit": (lambda q_trunc: witten_fit(HP2, q_trunc), dict(q_trunc=13),
                    dict(q_trunc="work")),
-    "elliptic_genus": (lambda q_trunc: elliptic_genus(K3, "witten", q_trunc), dict(q_trunc=9),
-                       dict(q_trunc="work")),
-    "twisted_index_series": (lambda q_trunc: twisted_index_series(K3, "W", q_trunc),
-                             dict(q_trunc=9), dict(q_trunc="work")),
-    "twisted_indices": (lambda k_max: twisted_indices(K3, "B", k_max), dict(k_max=3),
-                        dict(k_max="work")),
+    "eisenstein": (eisenstein, dict(kind="E6", q_trunc=9), dict(kind="choice", q_trunc="work")),
+    "elliptic_genus": (lambda kind, q_trunc: elliptic_genus(K3, kind, q_trunc),
+                       dict(kind="witten", q_trunc=9), dict(kind="choice", q_trunc="work")),
+    "elliptic_logs": (elliptic_logs, dict(kind="ell1", weight=2, q_trunc=9),
+                      dict(kind="choice", weight="count", q_trunc="work")),
+    "twisted_indices": (lambda family, k_max: twisted_indices(K3, family, k_max),
+                        dict(family="B", k_max=3), dict(family="choice", k_max="work")),
+    "QSeries": (lambda trunc: QSeries({0: 1}, trunc), dict(trunc=5), dict(trunc="work")),
+    "genus_value": (lambda kind: genus_value(K3, kind), dict(kind="signature"),
+                    dict(kind="choice")),
+    "genus_source": (lambda kind: genus_source(K3, kind), dict(kind="ahat"),
+                     dict(kind="choice")),
+    "genus_numbers": (lambda kind: genus_numbers(K3, kind), dict(kind="todd"),
+                      dict(kind="choice")),
+    "log_coeffs": (log_coeffs, dict(kind="todd", weight=4), dict(kind="choice", weight="count")),
+    "root_constant": (root_constant, dict(kind="lhat"), dict(kind="choice")),
     "hypersurface_todd": (hypersurface_todd, dict(n=3, degree=2),
                           dict(n="count", degree="count")),
+    "partitions_of": (lambda n: list(partitions_of(n)), dict(n=4), dict(n="count")),
+    "product": (product, dict(a=K3, b=HP2), dict(a="record", b="record")),
+    "connected_sum": (connected_sum, dict(a=K3, b=K3), dict(a="record", b="record")),
     "cp": (cp, dict(n=2), dict(n="count")),
     "sphere": (sphere, dict(n=4), dict(n="count")),
     "torus": (torus, dict(k=4), dict(k="count")),
     "resolve": (resolve, dict(name="K3"), dict(name="name")),
+    "builtin": (builtin, dict(name="CP2"), dict(name="name")),
+}
+
+RESULT = "a result record the library builds; callers read it"
+HANDLER = "a CLI handler: main parses and checks its options before calling it"
+# public callable -> why it is not an entry above
+INTERNAL = {
+    "bounds.BoundParams": "checks its fields; the index_bound_report entries build it",
+    "bounds.BoundReport": RESULT,
+    "bounds.IndexBoundReport": RESULT,
+    "catalog.CatalogFile": "the record of a loaded catalog; tests/test_catalog.py builds it",
+    "catalog.entry_to_dict": "serializes a ManifoldData, which checked its fields when built",
+    "catalog.entry_from_dict": "decodes JSON data: malformed data raises CatalogError "
+                               "(tests/test_catalog.py)",
+    "catalog.dumps_catalog": "serializes a CatalogFile for save_catalog and the catalog builder",
+    "catalog.loads_catalog": "decodes catalog text: malformed text raises CatalogError "
+                             "(tests/test_catalog.py); a non-str is Python's TypeError",
+    "catalog.load_catalog": "file I/O over loads_catalog; a path of the wrong type is "
+                            "Python's TypeError",
+    "catalog.save_catalog": "file I/O over dumps_catalog, for the catalog builder",
+    "catalog.load_default_catalog": "takes no argument",
+    "covering.TowerLevel": RESULT,
+    "covering.Tower": RESULT,
+    "covering.CoverDiameter": RESULT,
+    "elliptic.EllKind": "the names of elliptic_genus's kind choice",
+    "elliptic.divisor_sum": "a term of elliptic_logs and eisenstein, which pass fixed h_first, "
+                            "eps and power; the eisenstein entry covers its q_trunc cap",
+    "elliptic.GenusSeries": RESULT,
+    "errors.shown": "formats any value for a message",
+    "errors.size_of": "formats an int for shown and real",
+    "errors.is_int": "a predicate on any value",
+    "errors.whole": "the count check itself: every count above goes through it",
+    "errors.real": "the real check itself: every real above goes through it",
+    "errors.choice": "the choice check itself: every choice above goes through it",
+    "errors.Record": "the base class of the records",
+    "genera.pair_logs": "the pairing loop of genus_value and elliptic_genus, on the numbers "
+                        "of genus_numbers and the logs of log_coeffs or elliptic_logs",
+    "manifolds.s_numbers": "the power-sum table of the pairing and of product, on numbers "
+                           "that ManifoldData checked",
+    "manifolds.numbers_from_s": "solves product's power-sum numbers back to numbers",
+    "manifolds.GenusKind": "the names of genus_value's kind choice",
+    "manifolds.ManifoldData": "checks every field itself, raising InconsistentData "
+                              "(tests/test_manifolds.py)",
+    "manifolds.k3": "takes no argument",
+    "manifolds.hp2": "takes no argument",
+    "modular.ModularFit": RESULT,
+    "modular.ModularCheck": RESULT,
+    "cli.UsageError": "the CLI's exit-1 error, raised by its option parser",
+    "cli.Opt": "an option declaration of the CLI's command table",
+    "cli.main": "takes argv: tests/test_cli.py and scripts/cli_sweep.py drive it",
+    **{f"cli.{name}": HANDLER for name in (
+        "catalog_list", "catalog_show", "compute", "elliptic", "indices", "modular_fit",
+        "modular_check", "bound_cb", "bound_index", "cover_diam", "cover_tower", "cover_l2")},
+    **{f"errors.{name}": "an exception type: it takes a message" for name in (
+        "GenusForgeError", "DataError", "NumericalError", "TruncMismatch",
+        "DivergentEvaluation", "InsufficientData", "DimensionError", "InconsistentData",
+        "UnknownManifold", "FitError", "ConvergenceRisk", "RootNotBracketed",
+        "ExponentDomainError", "DomainError", "FloatRangeError", "TooLarge", "CatalogError",
+        "NonIntegralIndexWarning")},
 }
 
 
@@ -120,8 +219,8 @@ def test_valid_arguments_compute():
 @example(("modular_relation_check", "tau_im", True))
 @example(("modular_relation_check", "tau_im", "2"))
 # a bare ValueError, and a string taken for m/2
-@example(("bound m=4", "v", "abc"))
-@example(("bound m=4", "v", "2.0"))
+@example(("index_bound_report m=4", "v", "abc"))
+@example(("index_bound_report m=4", "v", "2.0"))
 # bools taken as counts
 @example(("cover_diameter", "k", True))
 @example(("twisted_indices", "k_max", True))
@@ -135,6 +234,29 @@ def test_valid_arguments_compute():
 # a TypeError from the name lookup and from Fraction
 @example(("resolve", "name", 123))
 @example(("hypersurface_todd", "degree", 1.5))
+# IndexErrors and a TypeError from the list of log coefficients
+@example(("log_coeffs", "weight", 0))
+@example(("log_coeffs", "weight", -1))
+@example(("log_coeffs", "weight", 2.5))
+# a bool taken as 1, and a TypeError from range
+@example(("partitions_of", "n", True))
+@example(("partitions_of", "n", 2.0))
+# AttributeErrors from a record's fields
+@example(("product", "b", None))
+@example(("connected_sum", "b", 5))
+@example(("moser_constant", "params", None))
+# plain ValueErrors from an enum lookup, and 1 from an unknown kind
+@example(("genus_source", "kind", "x"))
+@example(("log_coeffs", "kind", "x"))
+@example(("elliptic_logs", "kind", "x"))
+@example(("root_constant", "kind", "x"))
+# an unhashable choice, and one past str()'s 4,300-digit limit
+@example(("c_of_b", "method", ["todd"]))
+@example(("eisenstein", "kind", 10**5000))
+# sums over q_trunc terms before any series saw the truncation, and the
+# product of every modulus before the cap check
+@example(("eisenstein", "q_trunc", 10**400))
+@example(("TorusQuotientGraph", "n", 10**5000))
 def test_hostile_argument_is_refused_typed(case):
     entry, arg, value = case
     call, valid, kinds = ENTRIES[entry]
@@ -149,6 +271,8 @@ def test_hostile_argument_is_refused_typed(case):
     assert elapsed < TIME_BOUND_S, (case, elapsed)
     if _wrong_kind(kinds[arg], value):
         assert isinstance(refused, DomainError), (case, refused)
+    if kinds[arg] == "work" and is_int(value) and value > MAX_TRUNC:
+        assert isinstance(refused, TooLarge), (case, refused)
 
 
 def test_domain_error_is_a_value_error():
@@ -167,13 +291,62 @@ def test_hypersurface_todd_size_cap():
             hypersurface_todd(n, 1)
 
 
+GENUS_KINDS = "'todd', 'ahat', 'lhat', 'signature'"
+ELL_KINDS = "'ell1', 'ell2', 'witten'"
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: genus_value(K3, "x"), "'x' is not a valid GenusKind"),
-    (lambda: elliptic_genus(K3, "x", 9), "'x' is not a valid EllKind"),
-    (lambda: twisted_index_series(K3, "X", 9), "family must be 'B' or 'W', got 'X'"),
-    (lambda: eisenstein("E8", 9), "kind must be 'E4' or 'E6', got 'E8'"),
-], ids=["genus_value", "elliptic_genus", "twisted_index_series", "eisenstein"])
+    (lambda: genus_value(K3, "x"), f"kind must be one of {GENUS_KINDS}, got 'x'"),
+    (lambda: genus_source(K3, "x"), f"kind must be one of {GENUS_KINDS}, got 'x'"),
+    (lambda: genus_numbers(K3, "x"), f"kind must be one of {GENUS_KINDS}, got 'x'"),
+    (lambda: log_coeffs("x", 3), f"kind must be one of {GENUS_KINDS}, got 'x'"),
+    (lambda: root_constant("x"), f"kind must be one of {GENUS_KINDS}, got 'x'"),
+    (lambda: elliptic_genus(K3, "x", 9), f"kind must be one of {ELL_KINDS}, got 'x'"),
+    (lambda: elliptic_logs("x", 1, 5), f"kind must be one of {ELL_KINDS}, got 'x'"),
+    (lambda: twisted_indices(K3, "X", 3), "family must be one of 'B', 'W', got 'X'"),
+    (lambda: eisenstein("E8", 9), "kind must be one of 'E4', 'E6', got 'E8'"),
+    (lambda: c_of_b(3, 1.0, "newton"), "method must be one of 'bisection', 'secant', "
+                                       "got 'newton'"),
+], ids=["genus_value", "genus_source", "genus_numbers", "log_coeffs", "root_constant",
+        "elliptic_genus", "elliptic_logs", "twisted_indices", "eisenstein", "c_of_b"])
 def test_unknown_choice_is_refused_typed(call, message):
-    # the wording of the plain ValueError these raised before, now typed (exit 2)
+    # one wording at every choice site, errors.choice's
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_truncation_cap():
+    # the cap itself computes, and one past it is refused
+    assert QSeries({MAX_TRUNC - 1: 1}, MAX_TRUNC).coeff(MAX_TRUNC - 1) == 1
+    with pytest.raises(TooLarge, match=f"^trunc {MAX_TRUNC + 1} exceeds the cap of {MAX_TRUNC}$"):
+        QSeries({}, MAX_TRUNC + 1)
+    # refused before the divisor sums, and before the product of every
+    # modulus: each took seconds when the check came after them
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match=f"^trunc {10**6} exceeds the cap of {MAX_TRUNC}$"):
+        eisenstein("E4", 10**6)
+    with pytest.raises(TooLarge, match="^at least 1048576 vertices exceeds the cap"):
+        TorusQuotientGraph((2,) * 400_000)
+    assert time.perf_counter() - start < 1.0
+
+
+def _public_callables():
+    """'module.name' of every callable without a leading underscore that a
+    genus_forge module defines."""
+    for info in pkgutil.iter_modules(genus_forge.__path__):
+        module = importlib.import_module(f"genus_forge.{info.name}")
+        for name, value in vars(module).items():
+            if (not name.startswith("_") and callable(value)
+                    and getattr(value, "__module__", None) == module.__name__):
+                yield f"{info.name}.{name}"
+
+
+def test_public_surface_is_named():
+    surface = set(_public_callables())
+    entries = {key.split()[0] for key in ENTRIES}
+    unnamed = sorted(q for q in surface if q.split(".")[1] not in entries and q not in INTERNAL)
+    assert not unnamed, f"add to ENTRIES, or to INTERNAL with a reason: {unnamed}"
+    assert not entries & {q.split(".")[1] for q in INTERNAL}
+    # no stale names on either side
+    assert entries <= {q.split(".")[1] for q in surface}, entries
+    assert set(INTERNAL) <= surface, sorted(set(INTERNAL) - surface)

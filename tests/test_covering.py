@@ -178,9 +178,10 @@ def test_vertex_count_and_cap():
     # the cap bounds the graph itself: neither case runs a BFS
     with pytest.raises(TooLarge, match="1001000 vertices exceeds the cap of 1000000"):
         TorusQuotientGraph((1000, 1001))
-    # a count past str()'s 4,300-digit limit is shown by its size
-    vast = 10**2000 - 1
-    with pytest.raises(TooLarge, match="^an integer of 19932 bits vertices exceeds the cap"):
+    # the partial products stop at the first past the cap, and one past
+    # str()'s 4,300-digit limit is shown by its size
+    vast = 10**5000
+    with pytest.raises(TooLarge, match="^at least an integer of 16610 bits vertices exceeds"):
         TorusQuotientGraph((vast, vast, vast))
     assert TorusQuotientGraph((1000, 1000)).vertex_count == DEFAULT_VERTEX_CAP
 

@@ -16,8 +16,9 @@ since its genus engine pairs log coefficients with power-sum numbers.  The
 Newton power sums in that ring are the oracle's own too.
 
 The top-level helpers (`hypersurface_todd`, `genus_value`,
-`elliptic_genus`, `twisted_index_series`) mirror the package functions of
-the same names and return plain values: a Fraction, or the QSeries.
+`elliptic_genus`) mirror the package functions of the same names, and
+`twisted_index_series` the series whose coefficients `twisted_indices`
+reads; they return plain values: a Fraction, or the QSeries.
 Chern data reaches them through the oracle's own conversion
 (`pontryagin_from_chern`), and `kuenneth_numbers` is the per-part product
 rule the package's power-sum split formula is checked against.
