@@ -17,9 +17,12 @@ values, sampled over m up to 300 and b from 1e-20 to the overflow limit, the
 polynomial's relative error stayed below 1e-13.  Each evaluation in the
 root search is then one Horner sum, and both methods of c_of_b share one
 Illinois search: bisection replays its halving on the final Illinois
-bracket, and evaluates only the midpoints that fall inside it.  That search
-depends on (m, b) alone, so each process runs it once per (m, b) and keeps
-the last 128, about 1.3 MB at m = 300.
+bracket, and evaluates only the midpoints that fall inside it.  It starts
+at the deepest dyadic interval of the first bracket that holds the Illinois
+bracket, or two halvings before its stop rule: no halving above evaluates
+or stops, so the start keeps every bit.  Search and start depend on (m, b)
+alone, so each process finds them once per (m, b) and keeps the last 128,
+about 1.3 MB at m = 300.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ _MAX_M = 300
 # rule at a root near the binary64 floor (m = 2, b = 709)
 _MAX_STEPS = 1200
 _SEARCHES = 128  # (m, b) root searches kept; each holds m lhs coefficients
+_NORMAL_DEPTH = 1022  # halving [0, 1] past this depth leaves widths below 2^-1022
 _SECANT = {"bisection": False, "secant": True}  # method -> c_of_b returns the Illinois root
 
 
@@ -155,17 +159,20 @@ def _lhs_polynomial(m, b):
         raise RootNotBracketed(f"integral not finite at x = 1.0 for c_of_b(m={m}, b={b})")
     panels = max(1, math.ceil(n * b / _PANEL_GROWTH))  # (m-1) b / 6 can underflow to 0
     half = 0.5 * b / panels
-    scale = math.tanh(b)
+    cosh, tanh = math.cosh, math.tanh
+    scale = tanh(b)
     sums = [0.0] * m
     for j in range(panels):
         centre = (2 * j + 1) * half
         for node, weight in _GAUSS:
             t = centre + half * node
-            term = weight * math.cosh(t) ** n
-            ratio = math.tanh(t) / scale
-            for k in range(m):
-                sums[k] += term
+            term = weight * cosh(t) ** n
+            ratio = tanh(t) / scale
+            row = []  # sums plus this node's terms, built in one pass
+            for total in sums:
+                row.append(total + term)
                 term *= ratio
+            sums = row
     coeffs = [math.comb(n, k) * half * total for k, total in enumerate(sums)][::-1]
 
     def lhs(x):
@@ -190,23 +197,26 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
     hi - lo <= 1e-12 * max(hi, 1) and hi - lo <= 1e-10 * hi, then return its
     midpoint.  method: "secant" moves one end per step to the Illinois
     false-position point; "bisection" (default) halves the bracket.  Both
-    run one Illinois search, and bisection then replays its halving from the
-    same start: the left side is non-decreasing in binary64, so it is
-    evaluated only at midpoints strictly inside the final Illinois bracket,
-    and the result keeps the bits of plain halving.  The two methods agree
-    to a relative 1e-10.  The search is kept per (m, float(b)), for the last
-    128 pairs, so a repeated (m, b) with either method reuses it.
+    run one Illinois search, and bisection then replays its halving of the
+    first bracket: the left side is non-decreasing in binary64, so it is
+    evaluated only at midpoints strictly inside the final Illinois bracket.
+    The replay starts at the first halving whose midpoint may fall inside,
+    or two before the stop rule, which it checks there: no halving above
+    evaluates or stops, so the result keeps the bits of plain halving.  The
+    two methods agree to a relative 1e-10.  The search is kept per
+    (m, float(b)), for the last 128 pairs, so a repeated (m, b) with either
+    method reuses it.
     """
     whole("m", m, 2, _MAX_M)
     b = real("b", b)
     secant = choice("method", method, _SECANT)
 
-    lhs, rhs, lo, hi, root, low, high = _search(m, b)
+    lhs, rhs, steps, lo, hi, root, low, high = _search(m, b)
     if secant:
         return root
     # lhs is non-decreasing in binary64 and lhs(low) < rhs <= lhs(high), so
     # a midpoint outside (low, high) goes the way an evaluation would send it
-    for _ in range(_MAX_STEPS):
+    for _ in range(steps):
         if hi - lo <= _REL_TOL * (hi if hi > 1.0 else 1.0) and hi - lo <= 1e-10 * hi:
             break
         mid = 0.5 * (lo + hi)
@@ -220,8 +230,8 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
 @functools.lru_cache(maxsize=_SEARCHES)
 def _search(m, b):
     """The Illinois search of c_of_b(m, b): the left side, the right side,
-    the first bracket, the root and the final bracket.  A refusal raises
-    and is not kept."""
+    the steps and bracket the bisection replay starts from, the root and
+    the final bracket.  A refusal raises and is not kept."""
     rhs = _sin_power_integral(m)
     try:
         lhs = _lhs_polynomial(m, b)
@@ -234,9 +244,45 @@ def _search(m, b):
             lo, hi, glo = hi, hi * 2.0, ghi
         else:
             raise RootNotBracketed(f"no bracket for c_of_b(m={m}, b={b}) below x = {hi}")
-        return (lhs, rhs, lo, hi, *_illinois_root(lhs, rhs, lo, hi, glo, ghi))
+        root, low, high = _illinois_root(lhs, rhs, lo, hi, glo, ghi)
+        return (lhs, rhs, *_replay_start(lo, hi, low, high), root, low, high)
     except OverflowError as exc:
         raise RootNotBracketed(f"overflow while bracketing c_of_b(m={m}, b={b})") from exc
+
+
+def _replay_start(lo, hi, low, high):
+    """The steps left and the bracket at depth t of bisection's halving of
+    the first bracket [lo, hi], where the replay of c_of_b starts.
+
+    Above the deepest dyadic interval that holds [low, high] every midpoint
+    lies outside (low, high) and is decided without an evaluation; t is
+    that depth, or two halvings before the stop rule if less.  The rule
+    holds at a depth only if it holds at every deeper one, so where it is
+    false at t the halving from [lo, hi] reaches t with these very floats;
+    where it holds, the replay starts at [lo, hi].
+    """
+    width = hi - lo  # a power of two: 1, or 2^(j-1) for [2^(j-1), 2^j]
+    if lo:  # the floats of [2^(j-1), 2^j] are multiples of width * 2^-52
+        s = 52
+    else:  # those of [low, 1] multiples of 2^-s, capped where widths turn
+        # subnormal, which also keeps high * 2^s finite
+        s = min(53 - math.frexp(low or high)[1], _NORMAL_DEPTH)
+    # low and high in units of width * 2^-s, rounded outwards: the dyadic
+    # intervals down to depth s that hold [a, z] are those that hold [low, high]
+    a = math.floor(math.ldexp((low - lo) / width, s))
+    z = math.ceil(math.ldexp((high - lo) / width, s))
+    # the stop rule's width at high; the rule first holds at about the
+    # depth where the width reaches it, and t stays two halvings above that
+    tol = min(_REL_TOL * (high if high > 1.0 else 1.0), 1e-10 * high)
+    t = min(s - (a ^ (z - 1)).bit_length(), math.frexp(width)[1] - math.frexp(tol)[1] - 2)
+    if t > 0:
+        step = math.ldexp(width, -t)
+        lo_t = lo + (a >> (s - t)) * step
+        hi_t = lo_t + step
+        if not (hi_t - lo_t <= _REL_TOL * (hi_t if hi_t > 1.0 else 1.0)
+                and hi_t - lo_t <= 1e-10 * hi_t):
+            return _MAX_STEPS - t, lo_t, hi_t
+    return _MAX_STEPS, lo, hi
 
 
 def _illinois_root(lhs, rhs, lo, hi, glo, ghi):

@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import CatalogError, GenusForgeError, InconsistentData, Record, UnknownManifold
-from .manifolds import GenusKind, ManifoldData, builtin, partitions_of, s_numbers
+from .errors import (CatalogError, DomainError, GenusForgeError, InconsistentData, Record,
+                     UnknownManifold, shown)
+from .manifolds import GenusKind, ManifoldData, _check_manifolds, builtin, partitions_of, s_numbers
 
 SCHEMA_VERSION = 1
 ENV_CATALOG_PATH = "GENUS_FORGE_CATALOG"
@@ -61,6 +62,7 @@ def _numbers_to_json(numbers):
 
 def entry_to_dict(entry: ManifoldData) -> dict:
     """Canonical JSON object for one entry; absent optional fields are omitted."""
+    _check_manifolds(entry)
     out = {"name": entry.name, "real_dim": entry.real_dim}
     if entry.complex_dim is not None:
         out["complex_dim"] = entry.complex_dim
@@ -141,6 +143,8 @@ def entry_from_dict(raw) -> ManifoldData:
 
 
 def dumps_catalog(catalog: CatalogFile) -> str:
+    if not isinstance(catalog, CatalogFile):
+        raise DomainError(f"catalog must be a CatalogFile, got {shown(catalog)}")
     payload = {
         "schema_version": catalog.schema_version,
         "entries": [entry_to_dict(entry) for entry in catalog.entries],
@@ -149,6 +153,8 @@ def dumps_catalog(catalog: CatalogFile) -> str:
 
 
 def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
+    if not isinstance(text, (str, bytes, bytearray)):  # what json.loads decodes
+        raise CatalogError(f"{source}: catalog text must be a str or bytes, got {shown(text)}")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -178,6 +184,8 @@ def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
 
 
 def load_catalog(path) -> CatalogFile:
+    if not isinstance(path, (str, bytes, os.PathLike)):  # what os.fspath takes
+        raise CatalogError(f"a catalog path must be a str or a path, got {shown(path)}")
     try:
         # fspath here and in save_catalog: open() would take an int as a file descriptor
         with open(os.fspath(path), encoding="utf-8") as fh:

@@ -7,7 +7,7 @@ term, summed over h in a set H, is the twisted divisor sum
 
     D_k(H, eps) = -(2/(2k)!) sum_(h in H) sum_(r >= 1) eps^r r^(2k-1) q^(rh/2)
 
-(`divisor_sum` is the double sum).  With H_even = {2, 4, ...} and
+(`_divisor_sum` is the double sum).  With H_even = {2, 4, ...} and
 H_odd = {1, 3, ...} on the half-exponent keys of QSeries, the log
 coefficients are
 
@@ -42,7 +42,7 @@ class EllKind(str, Enum):
     WITTEN = "witten"
 
 
-def divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
+def _divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
     """sum over h = h_first, h_first + 2, ... and r >= 1 of eps^r r^power q^(rh/2)."""
     QSeries.zero(q_trunc)  # refuses a q_trunc past the cap before the sums
     coeffs: dict[int, int] = {}
@@ -69,7 +69,7 @@ def elliptic_logs(kind: EllKind, weight: int, q_trunc: int) -> list[QSeries]:
     for k, classical in enumerate(log_coeffs(base, weight), start=1):
         series = QSeries.constant(classical, q_trunc)
         for h_first, eps, sign in twists:
-            series = series + divisor_sum(h_first, eps, 2 * k - 1, q_trunc) * Fraction(
+            series = series + _divisor_sum(h_first, eps, 2 * k - 1, q_trunc) * Fraction(
                 -2 * sign, factorial(2 * k)
             )
         logs.append(series)

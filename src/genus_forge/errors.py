@@ -124,24 +124,28 @@ def is_int(value) -> bool:  # bool is an int subclass, but True is no count
 
 def whole(name: str, value, low: int = 1, high: int | None = None) -> int:
     """value, if it is an int, not a bool, in [low, high]; else DomainError."""
-    if not is_int(value) or value < low or (high is not None and value > high):
-        need = (f"an integer in [{low}, {high}]" if high is not None
-                else "a positive integer" if low == 1 else f"an integer >= {low}")
-        raise DomainError(f"{name} must be {need}, got {shown(value)}")
-    return value
+    # an exact int skips is_int, which a subclass such as bool or IntEnum needs
+    if (type(value) is int or is_int(value)) and low <= value and (high is None or value <= high):
+        return value
+    need = (f"an integer in [{low}, {high}]" if high is not None
+            else "a positive integer" if low == 1 else f"an integer >= {low}")
+    raise DomainError(f"{name} must be {need}, got {shown(value)}")
 
 
 def real(name: str, value, low: float | None = None) -> float:
     """float(value), if value is an int or float, not a bool, finite in binary64, and
     positive (low None) or >= low (low = -inf: any finite real); else DomainError."""
-    try:
-        x = float(value) if is_int(value) or isinstance(value, float) else math.nan
-    except OverflowError:
-        raise DomainError(f"{name} must be finite in binary64, got {size_of(value)}") from None
-    if not (math.isfinite(x) and (x > 0 if low is None else x >= low)):
-        need = "positive real" if low is None else "real" if low == -math.inf else f"real >= {low}"
-        raise DomainError(f"{name} must be a finite {need}, got {shown(value)}")
-    return x
+    if type(value) is float:  # an exact float needs no conversion
+        x = value
+    else:
+        try:
+            x = float(value) if is_int(value) or isinstance(value, float) else math.nan
+        except OverflowError:
+            raise DomainError(f"{name} must be finite in binary64, got {size_of(value)}") from None
+    if math.isfinite(x) and (x > 0 if low is None else x >= low):
+        return x
+    need = "positive real" if low is None else "real" if low == -math.inf else f"real >= {low}"
+    raise DomainError(f"{name} must be a finite {need}, got {shown(value)}")
 
 
 def choice(name: str, value, names):

@@ -45,8 +45,8 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .errors import DimensionError, DomainError, InsufficientData, choice, is_int, shown, whole
-from .manifolds import (MAX_REAL_DIM, GenusKind, ManifoldData, Partition, _check_real_dim,
-                        partitions_of, s_numbers)
+from .manifolds import (MAX_REAL_DIM, GenusKind, ManifoldData, Partition, _check_manifolds,
+                        _check_real_dim, partitions_of, s_numbers)
 
 _KINDS = {kind.value: kind for kind in GenusKind}
 _BERNOULLI = [Fraction(1)]
@@ -134,6 +134,7 @@ def genus_numbers(m: ManifoldData,
     or else the Chern numbers at scale 2.  None when m carries no such
     numbers, so that only an asserted value can answer.
     """
+    _check_manifolds(m)
     if choice("kind", kind, _KINDS) == GenusKind.TODD:
         return None if m.chern_numbers is None else (m.chern_numbers, m.complex_dim, 1)
     if m.real_dim % 4:

@@ -16,16 +16,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .elliptic import DEFAULT_Q_TRUNC, EllKind, divisor_sum, elliptic_genus
+from .elliptic import DEFAULT_Q_TRUNC, EllKind, _divisor_sum, elliptic_genus
 from .errors import ConvergenceRisk, FitError, Record, choice, real
-from .manifolds import ManifoldData
+from .manifolds import ManifoldData, _check_manifolds
 from .qseries import QSeries
 
 
 def eisenstein(kind: str, q_trunc: int) -> QSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n or E6 = 1 - 504 sum sigma_5(n) q^n, exact."""
     scale, power = choice("kind", kind, {"E4": (240, 3), "E6": (-504, 5)})
-    return 1 + divisor_sum(2, 1, power, q_trunc) * scale
+    return 1 + _divisor_sum(2, 1, power, q_trunc) * scale
 
 
 class ModularFit(Record):
@@ -59,6 +59,7 @@ def _solve_square(rows: list[list[Fraction]]) -> list[Fraction]:
 
 def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
     """Fit the Witten genus of a 4m-manifold against E4^i E6^j, 4i+6j=2m."""
+    _check_manifolds(m)
     weight = m.real_dim // 2
     monomials = [
         (i, j)
@@ -139,6 +140,7 @@ def modular_relation_check(
     _TAIL_MARGIN times below tol, a FAIL would say nothing about the
     relation, so ConvergenceRisk is raised instead.
     """
+    _check_manifolds(m)
     tau_im, tol = real("tau_im", tau_im, -math.inf), real("tol", tol)
     if tau_im <= 1.0:
         raise ConvergenceRisk(

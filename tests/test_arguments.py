@@ -7,16 +7,18 @@ an integer past binary64 (10^400) or past str()'s 4,300-digit limit (10^5000);
 every other argument keeps a valid value.  Each call returns, or raises a
 GenusForgeError, within a per-call time bound, and a value of the wrong kind
 (a bool, a string, None, or a float where an int is expected) is refused with
-`DomainError`, the refusal of `errors.whole` and `errors.real`.  A choice
-argument outside its set of names, and a value that is not the record an
-argument takes, are refused with `DomainError` too (`errors.choice` and the
-record checks).  A q-series truncation past `qseries.MAX_TRUNC` is refused
-with `TooLarge`.
+`DomainError`, the refusal of `errors.whole` and `errors.real`, and so is
+a real that is not finite.  A choice argument outside its set of names, and
+a value that is not the record an argument takes, are refused with
+`DomainError` too (`errors.choice` and the record checks).  A q-series
+truncation past `qseries.MAX_TRUNC` is refused with `TooLarge`, and catalog
+text or a catalog path that cannot be read with `CatalogError`.
 
 Every public callable of every module is either an entry here or named in
 `INTERNAL` with the reason it is not one.
 """
 
+import enum
 import importlib
 import math
 import pkgutil
@@ -30,10 +32,12 @@ from hypothesis import strategies as st
 import genus_forge
 from genus_forge.bounds import (BoundParams, berard_dim_bound, c_of_b, index_bound_report,
                                 moser_constant)
-from genus_forge.catalog import resolve
+from genus_forge.catalog import (_PACKAGED, CatalogFile, dumps_catalog, entry_to_dict,
+                                 load_catalog, loads_catalog, resolve)
 from genus_forge.covering import TorusQuotientGraph, cover_diameter, l2_betti_ratio, tower
 from genus_forge.elliptic import elliptic_genus, elliptic_logs, twisted_indices
-from genus_forge.errors import DomainError, GenusForgeError, TooLarge, is_int
+from genus_forge.errors import (CatalogError, DomainError, GenusForgeError, TooLarge, is_int,
+                                real, whole)
 from genus_forge.genera import (genus_numbers, genus_source, genus_value, hypersurface_todd,
                                 log_coeffs, root_constant)
 from genus_forge.manifolds import (MAX_REAL_DIM, builtin, connected_sum, cp, hp2, k3,
@@ -50,7 +54,9 @@ HUGE = (10**400, -(10**400), 10**5000, -(10**5000))
 # argument kind -> hostile values.  A count whose size sets the work of a
 # q-series (q_trunc, k_max) gets 202 too: a positive int past the cap of 201
 # must raise TooLarge.  A choice takes one of a few names, and a record one
-# ManifoldData or BoundParams: every value in their pools is of the wrong kind.
+# ManifoldData, BoundParams or CatalogFile: every value in their pools is of
+# the wrong kind.  Catalog text and catalog paths are refused with
+# CatalogError, whether of the wrong type or unreadable.
 POOLS = {
     "count": (0, -1, *HUGE, 2.0, 0.5, 1e300, *NON_FINITE, *WRONG_KIND),
     "work": (0, -1, MAX_TRUNC + 1, *HUGE, 2.0, 0.5, *NON_FINITE, *WRONG_KIND),
@@ -58,8 +64,18 @@ POOLS = {
     "name": (123, 10**5000, 2.5, True, None),
     "choice": ("x", "", "TODD", 10**5000, 2.5, ["todd"], *WRONG_KIND[:2], None),
     "record": (None, 5, "K3", True, 2.5, 10**5000, ["K3"]),
+    "text": (None, 123, 10**5000, 2.5, True, ["{}"], "", "{", "[]"),
+    "path": (None, 123, 10**5000, 2.5, True, ["catalog.json"], ""),
 }
 POOLS["optional real"] = POOLS["real"]  # None is the default: v of BoundParams
+
+
+class _Small(enum.IntEnum):  # an int subclass other than bool
+    THREE = 3
+
+
+class _Real(float):  # a float subclass
+    pass
 
 
 def _wrong_kind(kind, value):
@@ -105,25 +121,22 @@ ENTRIES = {
                        dict(k=1, n=3, sub_factor=2),
                        dict(k="count", n="count", sub_factor="count")),
     "TorusQuotientGraph": (lambda n: TorusQuotientGraph((3, n)), dict(n=4), dict(n="count")),
-    "modular_relation_check": (lambda **kw: modular_relation_check(HP2, **kw),
-                               dict(tau_im=1.5, q_trunc=49, tol=1e-6),
-                               dict(tau_im="real", q_trunc="work", tol="real")),
-    "witten_fit": (lambda q_trunc: witten_fit(HP2, q_trunc), dict(q_trunc=13),
-                   dict(q_trunc="work")),
+    "modular_relation_check": (modular_relation_check,
+                               dict(m=HP2, tau_im=1.5, q_trunc=49, tol=1e-6),
+                               dict(m="record", tau_im="real", q_trunc="work", tol="real")),
+    "witten_fit": (witten_fit, dict(m=HP2, q_trunc=13), dict(m="record", q_trunc="work")),
     "eisenstein": (eisenstein, dict(kind="E6", q_trunc=9), dict(kind="choice", q_trunc="work")),
-    "elliptic_genus": (lambda kind, q_trunc: elliptic_genus(K3, kind, q_trunc),
-                       dict(kind="witten", q_trunc=9), dict(kind="choice", q_trunc="work")),
+    "elliptic_genus": (elliptic_genus, dict(m=K3, kind="witten", q_trunc=9),
+                       dict(m="record", kind="choice", q_trunc="work")),
     "elliptic_logs": (elliptic_logs, dict(kind="ell1", weight=2, q_trunc=9),
                       dict(kind="choice", weight="count", q_trunc="work")),
-    "twisted_indices": (lambda family, k_max: twisted_indices(K3, family, k_max),
-                        dict(family="B", k_max=3), dict(family="choice", k_max="work")),
+    "twisted_indices": (twisted_indices, dict(m=K3, family="B", k_max=3),
+                        dict(m="record", family="choice", k_max="work")),
     "QSeries": (lambda trunc: QSeries({0: 1}, trunc), dict(trunc=5), dict(trunc="work")),
-    "genus_value": (lambda kind: genus_value(K3, kind), dict(kind="signature"),
-                    dict(kind="choice")),
-    "genus_source": (lambda kind: genus_source(K3, kind), dict(kind="ahat"),
-                     dict(kind="choice")),
-    "genus_numbers": (lambda kind: genus_numbers(K3, kind), dict(kind="todd"),
-                      dict(kind="choice")),
+    "genus_value": (genus_value, dict(m=K3, kind="signature"),
+                    dict(m="record", kind="choice")),
+    "genus_source": (genus_source, dict(m=K3, kind="ahat"), dict(m="record", kind="choice")),
+    "genus_numbers": (genus_numbers, dict(m=K3, kind="todd"), dict(m="record", kind="choice")),
     "log_coeffs": (log_coeffs, dict(kind="todd", weight=4), dict(kind="choice", weight="count")),
     "root_constant": (root_constant, dict(kind="lhat"), dict(kind="choice")),
     "hypersurface_todd": (hypersurface_todd, dict(n=3, degree=2),
@@ -136,6 +149,12 @@ ENTRIES = {
     "torus": (torus, dict(k=4), dict(k="count")),
     "resolve": (resolve, dict(name="K3"), dict(name="name")),
     "builtin": (builtin, dict(name="CP2"), dict(name="name")),
+    "entry_to_dict": (entry_to_dict, dict(entry=K3), dict(entry="record")),
+    "dumps_catalog": (dumps_catalog, dict(catalog=CatalogFile([K3, HP2])),
+                      dict(catalog="record")),
+    "loads_catalog": (loads_catalog, dict(text=dumps_catalog(CatalogFile([K3]))),
+                      dict(text="text")),
+    "load_catalog": (load_catalog, dict(path=_PACKAGED), dict(path="path")),
 }
 
 RESULT = "a result record the library builds; callers read it"
@@ -146,22 +165,14 @@ INTERNAL = {
     "bounds.BoundReport": RESULT,
     "bounds.IndexBoundReport": RESULT,
     "catalog.CatalogFile": "the record of a loaded catalog; tests/test_catalog.py builds it",
-    "catalog.entry_to_dict": "serializes a ManifoldData, which checked its fields when built",
     "catalog.entry_from_dict": "decodes JSON data: malformed data raises CatalogError "
                                "(tests/test_catalog.py)",
-    "catalog.dumps_catalog": "serializes a CatalogFile for save_catalog and the catalog builder",
-    "catalog.loads_catalog": "decodes catalog text: malformed text raises CatalogError "
-                             "(tests/test_catalog.py); a non-str is Python's TypeError",
-    "catalog.load_catalog": "file I/O over loads_catalog; a path of the wrong type is "
-                            "Python's TypeError",
     "catalog.save_catalog": "file I/O over dumps_catalog, for the catalog builder",
     "catalog.load_default_catalog": "takes no argument",
     "covering.TowerLevel": RESULT,
     "covering.Tower": RESULT,
     "covering.CoverDiameter": RESULT,
     "elliptic.EllKind": "the names of elliptic_genus's kind choice",
-    "elliptic.divisor_sum": "a term of elliptic_logs and eisenstein, which pass fixed h_first, "
-                            "eps and power; the eisenstein entry covers its q_trunc cap",
     "elliptic.GenusSeries": RESULT,
     "errors.shown": "formats any value for a message",
     "errors.size_of": "formats an int for shown and real",
@@ -257,6 +268,26 @@ def test_valid_arguments_compute():
 # product of every modulus before the cap check
 @example(("eisenstein", "q_trunc", 10**400))
 @example(("TorusQuotientGraph", "n", 10**5000))
+# AttributeErrors from a manifold's fields, and TypeErrors from json and open
+@example(("genus_value", "m", None))
+@example(("witten_fit", "m", "K3"))
+@example(("modular_relation_check", "m", 5))
+@example(("loads_catalog", "text", None))
+@example(("load_catalog", "path", None))
+@example(("entry_to_dict", "entry", None))
+@example(("dumps_catalog", "catalog", None))
+# the edges of the exact-int and exact-float checks that come first in
+# whole and real: a signed zero at low 0, -inf at low -inf, nan, a bool, an
+# int and a float subclass, and an int past binary64
+@example(("index_bound_report m=4", "Lambda", 0.0))
+@example(("index_bound_report m=4", "Lambda", -0.0))
+@example(("modular_relation_check", "tau_im", -math.inf))
+@example(("c_of_b", "b", math.nan))
+@example(("c_of_b", "m", True))
+@example(("c_of_b", "m", _Small.THREE))
+@example(("c_of_b", "m", _Real(3.0)))
+@example(("c_of_b", "b", _Real(1.0)))
+@example(("c_of_b", "b", 10**400))
 def test_hostile_argument_is_refused_typed(case):
     entry, arg, value = case
     call, valid, kinds = ENTRIES[entry]
@@ -269,10 +300,46 @@ def test_hostile_argument_is_refused_typed(case):
         refused = None
     elapsed = time.perf_counter() - start
     assert elapsed < TIME_BOUND_S, (case, elapsed)
-    if _wrong_kind(kinds[arg], value):
+    if kinds[arg] in ("text", "path"):
+        assert isinstance(refused, CatalogError), (case, refused)
+    elif _wrong_kind(kinds[arg], value):
+        assert isinstance(refused, DomainError), (case, refused)
+    if kinds[arg].endswith("real") and isinstance(value, float) and not math.isfinite(value):
         assert isinstance(refused, DomainError), (case, refused)
     if kinds[arg] == "work" and is_int(value) and value > MAX_TRUNC:
         assert isinstance(refused, TooLarge), (case, refused)
+
+
+@pytest.mark.parametrize("value, low, expected", [
+    (0.0, 0, "0.0"), (-0.0, 0, "-0.0"), (-0.0, None, DomainError),
+    (-math.inf, -math.inf, DomainError), (math.inf, -math.inf, DomainError),
+    (math.nan, -math.inf, DomainError), (-1e308, -math.inf, "-1e+308"),
+    (True, 0, DomainError), (_Small.THREE, None, "3.0"), (_Real(2.5), 0, "2.5"),
+    (10**400, None, DomainError), (3, 1, "3.0"), (1, 1, "1.0"), (0.5, 1, DomainError),
+])
+def test_real_at_the_edges(value, low, expected):
+    # real returns an exact float, the value's own where it is one
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            real("x", value, low)
+    else:
+        got = real("x", value, low)
+        assert type(got) is float and repr(got) == expected
+
+
+@pytest.mark.parametrize("value, low, high, expected", [
+    (2, 2, 300, 2), (300, 2, 300, 300), (301, 2, 300, DomainError), (1, 2, None, DomainError),
+    (True, 0, None, DomainError), (False, 0, None, DomainError), (_Small.THREE, 1, 3, 3),
+    (3.0, 1, None, DomainError), (_Real(3.0), 1, None, DomainError),
+    (10**400, 1, None, 10**400), (10**400, 1, 300, DomainError), (-(10**400), 1, None, DomainError),
+])
+def test_whole_at_the_edges(value, low, high, expected):
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            whole("n", value, low, high)
+    else:
+        got = whole("n", value, low, high)
+        assert got == expected and got is value
 
 
 def test_domain_error_is_a_value_error():

@@ -7,6 +7,7 @@ composition is re-derived inline from the c_of_b value so the report fields
 are checked against plain arithmetic.
 """
 
+import hashlib
 import itertools
 import math
 import os
@@ -16,7 +17,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genus_forge
@@ -122,9 +123,30 @@ FLOAT_WIDE_B = tuple(round(0.05 + 0.55 * j, 2) for j in range(10))
 LOG_MAX = math.log(sys.float_info.max)
 
 
+# (m, b) that reach each branch of where the bisection replay starts
+# (bounds._replay_start), with the property that puts them there: roots above
+# 1, whose first bracket is [2^(j-1), 2^j]; Illinois brackets one ulp wide;
+# roots below 2^-10, where [0, 1] needs more than 52 bits of position; and
+# roots near 1e-300, where those bits reach the normal-float cap
+START_POINTS = {
+    "above 1": (((2, 1e-7), (2, 1e-16), (5, 1e-10), (300, 1e-6)),
+                lambda root, low, high: low > 1.0),
+    "one ulp": (((3, 1e-20), (12, 1e-3), (7, 1e-5), (300, 2.37)),
+                lambda root, low, high: high == math.nextafter(low, math.inf)),
+    "below 2^-10": (((2, 10.0), (4, 30.0), (12, 2.0), (2, 46.0)),
+                    lambda root, low, high: root < 2.0**-10),
+    "near 1e-300": (((2, 690.0), (2, 709.0), (16, 47.0), (9, 86.5)),
+                    lambda root, low, high: 1e-310 < root < 1e-290),
+}
+
+
 def test_bisection_matches_halving_oracle_on_grids():
     points = [(m, b) for m in range(2, 13) for b in FLOAT_B + FLOAT_WIDE_B]
     points += [(m, b) for m in BISECTION_BITS for b in (0.05, 0.35, 1.0, 2.0)]
+    for group, (start_points, holds) in START_POINTS.items():
+        for m, b in start_points:
+            assert holds(*bounds._search(m, b)[-3:]), (group, m, b)
+        points += start_points
     for m, b in points:
         assert _outcome(c_of_b, m, b) == _outcome(_halving_oracle, m, b), (m, b)
 
@@ -136,6 +158,105 @@ def test_bisection_matches_halving_oracle_at_every_scale(m, u):
     # beyond the bracket's 2^80 down to about 1e-300, and both refusals
     b = math.exp(math.log(1e-25) + u * math.log(1.02 * LOG_MAX / (m - 1) / 1e-25))
     assert _outcome(c_of_b, m, b) == _outcome(_halving_oracle, m, b)
+
+
+def _replay(lo, hi, low, high, root, steps=1200):
+    """c_of_b's bisection loop on [lo, hi], with a left side that steps from
+    below to above the right side at root, low < root <= high."""
+    for _ in range(steps):
+        if hi - lo <= 1e-12 * max(hi, 1.0) and hi - lo <= 1e-10 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= low or (mid < high and mid < root):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def _brackets(draw):
+    """A first bracket, [0, 1] or [2^(j-1), 2^j], and an Illinois bracket
+    [low, high] inside it: anywhere, one ulp to 2^40 ulps wide, or at a
+    relative width near the stop rule's."""
+    j = draw(st.integers(0, 80))
+    lo, hi = (0.0, 1.0) if j == 0 else (2.0 ** (j - 1), 2.0**j)
+    if j:
+        low = draw(st.floats(lo, hi, exclude_max=True))
+    else:
+        low = draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
+                   | st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, 0)))
+    base = low or math.ldexp(1.0, draw(st.integers(-1074, 0)))
+    high = draw(st.builds(lambda k: base + k * math.ulp(base), st.integers(1, 2**40))
+                | st.builds(lambda r: base * (1.0 + r), st.floats(1e-14, 1e-9))
+                | st.just(hi))
+    high = min(max(high, math.nextafter(low, math.inf)), hi)
+    root = draw(st.sampled_from((math.nextafter(low, math.inf), high, 0.5 * (low + high))))
+    return lo, hi, low, high, max(root, math.nextafter(low, math.inf))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_brackets())
+# a wide bracket from a tiny low: its position must stay finite
+@example((0.0, 1.0, 1e-310, 1.0, 1.0))
+def test_replay_start_keeps_every_bit(bracket):
+    # starting at _replay_start's depth gives the bits of halving from the
+    # first bracket, for any Illinois bracket inside it, not only c_of_b's
+    lo, hi, low, high, root = bracket
+    steps, lo_t, hi_t = bounds._replay_start(lo, hi, low, high)
+    assert _replay(lo_t, hi_t, low, high, root, steps) == _replay(lo, hi, low, high, root)
+
+
+@pytest.mark.parametrize("bracket, depth", [
+    # the deepest dyadic interval that holds [low, high]
+    ((0.0, 1.0, 0.25, 0.5), 2),
+    ((4.0, 8.0, 5.0, 6.0), 2),
+    ((0.0, 1.0, 0.375, 0.375 + 2.0**-30), 30),
+    # one ulp wide: two halvings before the stop rule first holds, at 40
+    ((1.0, 2.0, 1.5, math.nextafter(1.5, 2.0)), 38),
+    # near 1e-300 the rule first holds near depth 1030: the start stops at
+    # 1022, the last depth whose width is a normal float
+    ((0.0, 1.0, 1e-300, 1e-300 * (1.0 + 1e-12)), 1022),
+])
+def test_replay_start_depth(bracket, depth):
+    lo, hi, low, high = bracket
+    steps, lo_t, hi_t = bounds._replay_start(*bracket)
+    assert steps == bounds._MAX_STEPS - depth
+    assert lo_t <= low < high <= hi_t and hi_t - lo_t == (hi - lo) * 2.0**-depth
+
+
+def test_replay_skips_the_decided_halvings():
+    # on the float grid the replay starts about 37 halvings deep, two or
+    # three before its stop rule; every call walked all of them before
+    depths = [bounds._MAX_STEPS - bounds._search(m, b)[2] for m in range(2, 13) for b in FLOAT_B]
+    assert sum(depths) / len(depths) >= 35
+
+
+def _pinned_lines():
+    """Every float the digest below pins: both methods of c_of_b over the
+    benchmark's float and float-wide grids, and the left side itself at
+    fixed x, up to m = 300."""
+    for m in range(2, 13):
+        for b in FLOAT_B + FLOAT_WIDE_B:
+            for method in METHODS:
+                value = _outcome(lambda m, b: c_of_b(m, b, method), m, b)
+                yield f"c_of_b {m} {b!r} {method} {value}"
+    for m in (*range(2, 13), 50, 100, 300):
+        for b in (1e-6, 0.05, 0.35, 1.0, 2.0):
+            lhs = _lhs_polynomial(m, b)
+            for x in (1e-3, 0.3, 1.0, 3.0):
+                yield f"lhs {m} {b!r} {x!r} {_lhs_or_inf(lhs, x)!r}"
+
+
+# the SHA-256 of _pinned_lines() at the commit before the bisection replay
+# started at its first undecided halving and the quadrature built rows in
+# one pass: 940 values, every bit of each
+PINNED_DIGEST = "3ec458e59239511bc2f4ab788ec0b5084be548b4493e3a376f09bfc18fc5e182"
+
+
+def test_c_of_b_and_left_side_bits_are_pinned():
+    digest = hashlib.sha256("\n".join(_pinned_lines()).encode()).hexdigest()
+    assert digest == PINNED_DIGEST
 
 
 @pytest.fixture()

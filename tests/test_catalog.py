@@ -216,7 +216,7 @@ def test_save_and_load_file(tmp_path):
     with pytest.raises(CatalogError, match="cannot read"):
         load_catalog(tmp_path / "absent.json")
     # an int is no path: it must not be opened as a file descriptor
-    with pytest.raises(TypeError):
+    with pytest.raises(CatalogError, match="^a catalog path must be a str or a path, got 0$"):
         load_catalog(0)
     with pytest.raises(TypeError):
         save_catalog(catalog, 1)

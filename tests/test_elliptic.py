@@ -15,7 +15,7 @@ import pytest
 
 from genus_forge.elliptic import (
     EllKind,
-    divisor_sum,
+    _divisor_sum,
     elliptic_genus,
     elliptic_logs,
     twisted_indices,
@@ -84,7 +84,7 @@ def test_witten_logs_are_eisenstein():
         for n in range(1, 7):
             sigma = sum(d ** (2 * k - 1) for d in range(1, n + 1) if n % d == 0)
             assert log.coeff(2 * n) == Fraction(2 * sigma, factorial(2 * k))
-    assert divisor_sum(1, -1, 1, 7) == QSeries({1: -1, 2: 2, 3: -4, 4: 4, 5: -6, 6: 8}, 7)
+    assert _divisor_sum(1, -1, 1, 7) == QSeries({1: -1, 2: 2, 3: -4, 4: 4, 5: -6, 6: 8}, 7)
 
 
 def test_k3_series_goldens():
