@@ -18,7 +18,9 @@ with PYTHONHASHSEED=0 and counts every bytecode instruction with
 `sys.settrace` (`f_trace_opcodes`), the imports included.  It reads and
 writes no bytecode cache, so every module it imports is compiled from
 source, and the source bytes are the sizes of the `genus_forge` modules it
-imported.  The program is imported from the checkout's `src/`.
+imported.  The program is imported from the checkout's `src/`.  Where the
+tracer receives no opcode events (Python 3.12.1 sends none), a command
+would count 0 opcodes: the script raises instead of printing that count.
 """
 
 from __future__ import annotations
@@ -84,7 +86,11 @@ def count(root: Path, argv, cache: str) -> tuple[int, int, int, int]:
                         str(src / "genus_forge") + os.sep, *argv],
                        cwd=root, env=env, capture_output=True, timeout=TIMEOUT_S)
         with open(path) as fh:
-            return tuple(int(word) for word in fh.read().split())
+            counts = tuple(int(word) for word in fh.read().split())
+    if counts[0] == 0:
+        raise RuntimeError(f"the tracer counted no opcodes under Python "
+                           f"{sys.version.split()[0]}: count within another version")
+    return counts
 
 
 def main(argv=None) -> int:

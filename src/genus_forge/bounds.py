@@ -22,7 +22,9 @@ at the deepest dyadic interval of the first bracket that holds the Illinois
 bracket, or two halvings before its stop rule: no halving above evaluates
 or stops, so the start keeps every bit.  Search and start depend on (m, b)
 alone, so each process finds them once per (m, b) and keeps the last 128,
-about 1.3 MB at m = 300.
+about 1.3 MB at m = 300, and the last 128 bisection roots: a repeated
+bisection call returns its root without replaying the halving.  A report
+of moser_constant or index_bound_report is built once, from one composition.
 """
 
 from __future__ import annotations
@@ -203,17 +205,25 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
     The replay starts at the first halving whose midpoint may fall inside,
     or two before the stop rule, which it checks there: no halving above
     evaluates or stops, so the result keeps the bits of plain halving.  The
-    two methods agree to a relative 1e-10.  The search is kept per
-    (m, float(b)), for the last 128 pairs, so a repeated (m, b) with either
-    method reuses it.
+    two methods agree to a relative 1e-10.  The search and the bisection
+    root are kept per (m, float(b)), for the last 128 pairs, so a repeated
+    (m, b) with either method reuses the search, and a repeated bisection
+    call returns the kept root.
     """
     whole("m", m, 2, _MAX_M)
     b = real("b", b)
     secant = choice("method", method, _SECANT)
 
-    lhs, rhs, steps, lo, hi, root, low, high = _search(m, b)
     if secant:
-        return root
+        return _search(m, b)[5]
+    return _halving_root(m, b)
+
+
+@functools.lru_cache(maxsize=_SEARCHES)
+def _halving_root(m, b):
+    """The bisection root of c_of_b(m, b): the halving replayed on the
+    bracket of _search(m, b).  A refusal raises and is not kept."""
+    lhs, rhs, steps, lo, hi, _, low, high = _search(m, b)
     # lhs is non-decreasing in binary64 and lhs(low) < rhs <= lhs(high), so
     # a midpoint outside (low, high) goes the way an evaluation would send it
     for _ in range(steps):
@@ -314,9 +324,9 @@ def _illinois_root(lhs, rhs, lo, hi, glo, ghi):
     return 0.5 * (lo + hi), lo, hi
 
 
-def moser_constant(params: BoundParams) -> BoundReport:
-    """Compose mu, K1, K2, R, B into the explicit sup-bound constant
-    mu^(2*K1*p*(mu-1)/(mu*(p-1)-p)) * B^(2*K2)."""
+def _compose(params):
+    """(mu, K1, K2, c_of_b, R, B, constant) of the Moser composition, in the
+    field order of BoundReport."""
     if not isinstance(params, BoundParams):
         raise DomainError(f"params must be a BoundParams, got {shown(params)}")
     p, v = params.p, params.v
@@ -341,20 +351,32 @@ def moser_constant(params: BoundParams) -> BoundReport:
     for name, value in (("R", R), ("B", B), ("the constant", constant)):
         if not math.isfinite(value):
             raise FloatRangeError(f"{name} overflows binary64 to {value} (mu = {mu}, R = {R})")
-    return BoundReport(inputs=params, mu=mu, K1=K1, K2=K2, c_of_b=cb, R=R, B=B, constant=constant)
+    return mu, K1, K2, cb, R, B, constant
+
+
+def moser_constant(params: BoundParams) -> BoundReport:
+    """Compose mu, K1, K2, R, B into the explicit sup-bound constant
+    mu^(2*K1*p*(mu-1)/(mu*(p-1)-p)) * B^(2*K2)."""
+    return BoundReport(params, *_compose(params))
 
 
 def berard_dim_bound(l: int, L_sup: float) -> float:
     """Dimension bound rank * sup-ratio; L_sup < 1 is impossible for genuine
-    sup ratios and is rejected as bad input."""
-    return real("rank l", whole("rank l", l)) * real("L_sup", L_sup, 1)
+    sup ratios and is rejected as bad input, and a product past binary64
+    with FloatRangeError."""
+    bound = real("rank l", whole("rank l", l)) * real("L_sup", L_sup, 1)
+    if bound == math.inf:
+        raise FloatRangeError(f"the dimension bound l * L_sup overflows binary64 to inf "
+                              f"(l = {float(l)}, L_sup = {float(L_sup)})")
+    return bound
 
 
 def index_bound_report(params: BoundParams) -> IndexBoundReport:
     """Full pipeline: Moser constant, then the rank-l dimension bound, then
     |index| <= max(dim ker, dim coker).  Kernel and cokernel bounds coincide
     in this model (same rank, same sup constant), so the index bound is the
-    dimension bound itself."""
-    rep = moser_constant(params)
-    dim_bound = berard_dim_bound(params.l, rep.constant)
-    return IndexBoundReport(**vars(rep), dim_bound=dim_bound, index_bound=dim_bound)
+    dimension bound itself.  The report is built once, from the composition
+    that moser_constant returns."""
+    fields = _compose(params)
+    dim_bound = berard_dim_bound(params.l, fields[-1])
+    return IndexBoundReport(params, *fields, dim_bound, dim_bound)

@@ -12,7 +12,7 @@ import json
 import os
 
 from .errors import (CatalogError, DomainError, GenusForgeError, InconsistentData, Record,
-                     UnknownManifold, shown)
+                     UnknownManifold, is_int, shown)
 from .manifolds import GenusKind, ManifoldData, _check_manifolds, builtin, partitions_of, s_numbers
 
 SCHEMA_VERSION = 1
@@ -35,7 +35,14 @@ _GENUS_ORDER = tuple(kind.value for kind in GenusKind)
 
 class CatalogFile(Record):
     def __init__(self, entries: list | None = None, schema_version: int = SCHEMA_VERSION):
-        self._set(entries=[] if entries is None else entries, schema_version=schema_version)
+        entries = [] if entries is None else entries
+        if not isinstance(entries, list):
+            raise DomainError(f"entries must be a list of ManifoldData, got {shown(entries)}")
+        _check_manifolds(*entries)
+        if not (is_int(schema_version) and schema_version == SCHEMA_VERSION):
+            raise DomainError(f"schema_version must be {SCHEMA_VERSION}, "
+                              f"got {shown(schema_version)}")
+        self._set(entries=entries, schema_version=schema_version)
 
     def get(self, name: str) -> ManifoldData | None:
         for entry in self.entries:
@@ -153,6 +160,8 @@ def dumps_catalog(catalog: CatalogFile) -> str:
 
 
 def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
+    if not isinstance(source, str):  # only named in messages
+        source = shown(source)
     if not isinstance(text, (str, bytes, bytearray)):  # what json.loads decodes
         raise CatalogError(f"{source}: catalog text must be a str or bytes, got {shown(text)}")
     try:
@@ -183,12 +192,15 @@ def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
     return CatalogFile(entries=entries, schema_version=version)
 
 
-def load_catalog(path) -> CatalogFile:
+def _fspath(path):
     if not isinstance(path, (str, bytes, os.PathLike)):  # what os.fspath takes
         raise CatalogError(f"a catalog path must be a str or a path, got {shown(path)}")
+    return os.fspath(path)  # open() would take an int as a file descriptor
+
+
+def load_catalog(path) -> CatalogFile:
     try:
-        # fspath here and in save_catalog: open() would take an int as a file descriptor
-        with open(os.fspath(path), encoding="utf-8") as fh:
+        with open(_fspath(path), encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
@@ -196,8 +208,12 @@ def load_catalog(path) -> CatalogFile:
 
 
 def save_catalog(catalog: CatalogFile, path) -> None:
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        fh.write(dumps_catalog(catalog))
+    text = dumps_catalog(catalog)  # a bad catalog leaves the file as it was
+    try:
+        with open(_fspath(path), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CatalogError(f"cannot write catalog {path}: {exc}") from exc
 
 
 def load_default_catalog() -> CatalogFile:
@@ -209,6 +225,8 @@ def resolve(name: str, catalog: CatalogFile | None = None) -> ManifoldData:
     """Entry by name, falling back to the always-available builtins."""
     if catalog is None:
         catalog = load_default_catalog()
+    elif not isinstance(catalog, CatalogFile):
+        raise DomainError(f"catalog must be a CatalogFile, got {shown(catalog)}")
     entry = catalog.get(name)
     if entry is not None:
         return entry

@@ -21,6 +21,7 @@ Every public callable of every module is either an entry here or named in
 import enum
 import importlib
 import math
+import os
 import pkgutil
 import re
 import time
@@ -33,7 +34,7 @@ import genus_forge
 from genus_forge.bounds import (BoundParams, berard_dim_bound, c_of_b, index_bound_report,
                                 moser_constant)
 from genus_forge.catalog import (_PACKAGED, CatalogFile, dumps_catalog, entry_to_dict,
-                                 load_catalog, loads_catalog, resolve)
+                                 load_catalog, loads_catalog, resolve, save_catalog)
 from genus_forge.covering import TorusQuotientGraph, cover_diameter, l2_betti_ratio, tower
 from genus_forge.elliptic import elliptic_genus, elliptic_logs, twisted_indices
 from genus_forge.errors import (CatalogError, DomainError, GenusForgeError, TooLarge, is_int,
@@ -53,9 +54,10 @@ HUGE = (10**400, -(10**400), 10**5000, -(10**5000))
 
 # argument kind -> hostile values.  A count whose size sets the work of a
 # q-series (q_trunc, k_max) gets 202 too: a positive int past the cap of 201
-# must raise TooLarge.  A choice takes one of a few names, and a record one
-# ManifoldData, BoundParams or CatalogFile: every value in their pools is of
-# the wrong kind.  Catalog text and catalog paths are refused with
+# must raise TooLarge.  A choice takes one of a few names, a record one
+# ManifoldData, BoundParams or CatalogFile, and records a list of
+# ManifoldData: every value in their pools is of the wrong kind, but for the
+# None of an optional one.  Catalog text and catalog paths are refused with
 # CatalogError, whether of the wrong type or unreadable.
 POOLS = {
     "count": (0, -1, *HUGE, 2.0, 0.5, 1e300, *NON_FINITE, *WRONG_KIND),
@@ -64,10 +66,12 @@ POOLS = {
     "name": (123, 10**5000, 2.5, True, None),
     "choice": ("x", "", "TODD", 10**5000, 2.5, ["todd"], *WRONG_KIND[:2], None),
     "record": (None, 5, "K3", True, 2.5, 10**5000, ["K3"]),
+    "optional records": (None, 5, "K3", True, 2.5, 10**5000, ["K3"], [None], (k3(),)),
     "text": (None, 123, 10**5000, 2.5, True, ["{}"], "", "{", "[]"),
     "path": (None, 123, 10**5000, 2.5, True, ["catalog.json"], ""),
 }
 POOLS["optional real"] = POOLS["real"]  # None is the default: v of BoundParams
+POOLS["optional record"] = POOLS["record"]  # None is the default: the catalog of resolve
 
 
 class _Small(enum.IntEnum):  # an int subclass other than bool
@@ -79,12 +83,12 @@ class _Real(float):  # a float subclass
 
 
 def _wrong_kind(kind, value):
-    if kind in ("choice", "record"):
+    if value is None and kind.startswith("optional "):
+        return False
+    if kind.endswith(("choice", "record", "records")):
         return True
     if kind == "name":
         return not isinstance(value, str)
-    if value is None and kind == "optional real":
-        return False
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return True
     return not kind.endswith("real") and isinstance(value, float)
@@ -147,7 +151,8 @@ ENTRIES = {
     "cp": (cp, dict(n=2), dict(n="count")),
     "sphere": (sphere, dict(n=4), dict(n="count")),
     "torus": (torus, dict(k=4), dict(k="count")),
-    "resolve": (resolve, dict(name="K3"), dict(name="name")),
+    "resolve": (resolve, dict(name="K3", catalog=None),
+                dict(name="name", catalog="optional record")),
     "builtin": (builtin, dict(name="CP2"), dict(name="name")),
     "entry_to_dict": (entry_to_dict, dict(entry=K3), dict(entry="record")),
     "dumps_catalog": (dumps_catalog, dict(catalog=CatalogFile([K3, HP2])),
@@ -155,6 +160,12 @@ ENTRIES = {
     "loads_catalog": (loads_catalog, dict(text=dumps_catalog(CatalogFile([K3]))),
                       dict(text="text")),
     "load_catalog": (load_catalog, dict(path=_PACKAGED), dict(path="path")),
+    "save_catalog": (save_catalog, dict(catalog=CatalogFile([K3]), path=os.devnull),
+                     dict(catalog="record", path="path")),
+    "CatalogFile": (lambda entries, schema_version: dumps_catalog(
+                        CatalogFile(entries, schema_version)),
+                    dict(entries=[K3, HP2], schema_version=1),
+                    dict(entries="optional records", schema_version="count")),
 }
 
 RESULT = "a result record the library builds; callers read it"
@@ -164,10 +175,8 @@ INTERNAL = {
     "bounds.BoundParams": "checks its fields; the index_bound_report entries build it",
     "bounds.BoundReport": RESULT,
     "bounds.IndexBoundReport": RESULT,
-    "catalog.CatalogFile": "the record of a loaded catalog; tests/test_catalog.py builds it",
     "catalog.entry_from_dict": "decodes JSON data: malformed data raises CatalogError "
                                "(tests/test_catalog.py)",
-    "catalog.save_catalog": "file I/O over dumps_catalog, for the catalog builder",
     "catalog.load_default_catalog": "takes no argument",
     "covering.TowerLevel": RESULT,
     "covering.Tower": RESULT,
@@ -276,6 +285,12 @@ def test_valid_arguments_compute():
 @example(("load_catalog", "path", None))
 @example(("entry_to_dict", "entry", None))
 @example(("dumps_catalog", "catalog", None))
+# a TypeError from open and from iterating the entries, AttributeErrors from
+# an entry and from the catalog of resolve
+@example(("save_catalog", "path", 123))
+@example(("CatalogFile", "entries", 5))
+@example(("CatalogFile", "entries", [None]))
+@example(("resolve", "catalog", 5))
 # the edges of the exact-int and exact-float checks that come first in
 # whole and real: a signed zero at low 0, -inf at low -inf, nan, a bool, an
 # int and a float subclass, and an int past binary64

@@ -259,10 +259,16 @@ def test_c_of_b_and_left_side_bits_are_pinned():
     assert digest == PINNED_DIGEST
 
 
+def _forget_searches():
+    # the kept Illinois searches, and the halving roots replayed on them
+    bounds._search.cache_clear()
+    bounds._halving_root.cache_clear()
+
+
 @pytest.fixture()
 def lhs_points(monkeypatch):
     """Every x at which c_of_b evaluates its left side.  Searches built on
-    the recording left side leave the cache when the test ends."""
+    the recording left side leave the caches when the test ends."""
     points = []
 
     def recorded(m, b):
@@ -275,9 +281,9 @@ def lhs_points(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(bounds, "_lhs_polynomial", recorded)
-    bounds._search.cache_clear()
+    _forget_searches()
     yield points
-    bounds._search.cache_clear()
+    _forget_searches()
 
 
 @pytest.mark.parametrize("method, mean_max, worst_max", [("bisection", 12.5, 21),
@@ -291,7 +297,7 @@ def test_c_of_b_left_side_evaluations(lhs_points, method, mean_max, worst_max):
     for m in range(2, 13):
         for b in FLOAT_B:
             del points[:]
-            bounds._search.cache_clear()  # a kept search would count 0
+            _forget_searches()  # a kept search or halving root would count 0
             c_of_b(m, b, method)
             counts.append(len(points))
     assert sum(counts) / len(counts) <= mean_max
@@ -307,24 +313,29 @@ def test_c_of_b_repeat_reuses_the_search(lhs_points, m, forms):
     points = lhs_points
     cold = {}
     for method in METHODS:
-        bounds._search.cache_clear()
+        _forget_searches()
         cold[method] = repr(c_of_b(m, forms[0], method))
     for first, again in itertools.product(METHODS, repeat=2):
         for b_first, b_again in (forms, forms[::-1]):
-            bounds._search.cache_clear()
+            _forget_searches()
             c_of_b(m, b_first, first)
             *_, low, high = bounds._search(m, float(b_again))
             del points[:]
             assert repr(c_of_b(m, b_again, again)) == cold[again]
-            if again == "secant":
+            if again == "secant" or first == again:  # the kept search or halving root
                 assert points == []
             else:  # the halving replay: only midpoints inside the kept bracket
                 assert all(low < x < high for x in points), (low, high, points)
-    assert bounds._search.cache_info().currsize == 1
+            # a repeated call evaluates nothing, with either method
+            del points[:]
+            assert repr(c_of_b(m, b_first, again)) == cold[again]
+            assert points == []
+            assert bounds._search.cache_info().currsize == 1
+            assert bounds._halving_root.cache_info().currsize == ("bisection" in (first, again))
 
 
 def test_c_of_b_refusals_are_not_kept():
-    bounds._search.cache_clear()
+    _forget_searches()
     for m, b in ((2, 710.0), (12, 70.0), (2, 5e-324)):
         messages = set()
         for method in METHODS * 2:
@@ -335,29 +346,36 @@ def test_c_of_b_refusals_are_not_kept():
     with pytest.raises(DomainError):
         c_of_b(301, 1.0)
     assert bounds._search.cache_info().currsize == 0
+    assert bounds._halving_root.cache_info().currsize == 0
 
 
 def test_c_of_b_search_cache_is_bounded():
-    bounds._search.cache_clear()
-    assert bounds._search.cache_info().maxsize == bounds._SEARCHES == 128
-    # the memory bound of the bounds.py docstring: one search at m = 300
-    # holds about 10 kB, so 128 of them about 1.3 MB
+    caches = (bounds._search, bounds._halving_root)
+    _forget_searches()
+    for cache in caches:
+        assert cache.cache_info().maxsize == bounds._SEARCHES == 128
+    # the memory bound of the bounds.py docstring: one search at m = 300,
+    # with its halving root, holds about 10 kB, so 128 of them about 1.3 MB
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for j in range(4):
-            c_of_b(300, 1e-6 * (j + 1), "secant")
+            for method in METHODS:
+                c_of_b(300, 1e-6 * (j + 1), method)
         held = (tracemalloc.get_traced_memory()[0] - base) / 4
     finally:
         tracemalloc.stop()
     assert held * bounds._SEARCHES < 1.4e6, held
-    for j in range(bounds._SEARCHES + 4):
-        c_of_b(2, 0.01 * (j + 1), "secant")
-    info = bounds._search.cache_info()
-    assert info.currsize == bounds._SEARCHES, info
-    c_of_b(2, 0.01, "secant")  # the oldest pairs were dropped: a new search
-    assert bounds._search.cache_info().misses == info.misses + 1
-    bounds._search.cache_clear()
+    for method in METHODS:
+        for j in range(bounds._SEARCHES + 4):
+            c_of_b(2, 0.01 * (j + 1), method)
+    infos = [cache.cache_info() for cache in caches]
+    for info in infos:
+        assert info.currsize == bounds._SEARCHES, info
+    c_of_b(2, 0.01)  # the oldest pairs were dropped: a new search and halving
+    for cache, info in zip(caches, infos):
+        assert cache.cache_info().misses == info.misses + 1
+    _forget_searches()
 
 
 def test_huge_integers_are_refused_by_name():
@@ -601,6 +619,13 @@ def test_berard_dim_bound():
         berard_dim_bound(1, math.inf)
     with pytest.raises(DomainError):
         berard_dim_bound(1, True)
+    # a product past binary64 is refused, not returned as inf
+    assert berard_dim_bound(10**308, 1.0) == 1e308
+    with pytest.raises(FloatRangeError, match=r"^the dimension bound l \* L_sup overflows "
+                                              r"binary64 to inf \(l = 1e\+308, L_sup = 2.0\)$"):
+        berard_dim_bound(10**308, 2.0)
+    with pytest.raises(FloatRangeError, match="^the dimension bound"):
+        index_bound_report(BoundParams(m=4, p=5.0, Lambda=0.0, diam=1.0, b=1.0, l=10**308))
 
 
 def test_index_bound_report_composition():
@@ -613,6 +638,28 @@ def test_index_bound_report_composition():
     # doubling the diameter strictly raises the bound when Lambda > 0
     bigger = index_bound_report(BoundParams(m=4, p=5.0, Lambda=1.0, diam=2.0, b=1.0, l=3))
     assert bigger.index_bound > rep.index_bound
+
+
+# the index-bound jobs of the benchmark's float workload: (m, p, Lambda, diam, b)
+IBR_GRID = [(m, m / 2 + dp, lam, diam, b) for m in (2, 3, 4, 6, 8) for dp in (0.5, 2.0)
+            for lam in (0.0, 1.0) for diam in (1.0, 3.0) for b in (0.5, 1.0, 2.0)]
+
+
+def test_index_bound_report_extends_the_moser_report():
+    # one composition builds both records: cold or warm, the report's first
+    # eight fields are moser_constant's, bit for bit, and its bounds are
+    # berard_dim_bound's
+    assert len(IBR_GRID) == 120
+    _forget_searches()
+    for m, p, lam, diam, b in IBR_GRID:
+        for l in (1, 7):
+            params = BoundParams(m=m, p=p, Lambda=lam, diam=diam, b=b, l=l)
+            rep = index_bound_report(params)
+            fields = list(map(repr, vars(rep).values()))
+            assert fields[:8] == list(map(repr, vars(moser_constant(params)).values()))
+            assert fields == list(map(repr, vars(index_bound_report(params)).values()))
+            assert rep.dim_bound == rep.index_bound == berard_dim_bound(l, rep.constant)
+            assert list(vars(rep))[8:] == ["dim_bound", "index_bound"]
 
 
 def test_params_validation():

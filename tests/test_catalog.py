@@ -23,7 +23,7 @@ from genus_forge.catalog import (
     save_catalog,
 )
 from genus_forge.cli import main
-from genus_forge.errors import CatalogError, UnknownManifold
+from genus_forge.errors import CatalogError, DomainError, UnknownManifold
 from genus_forge.genera import genus_value
 from genus_forge.manifolds import GenusKind, ManifoldData, cp, k3
 
@@ -189,6 +189,9 @@ def test_loads_validation():
     loads_catalog(good)
     with pytest.raises(CatalogError, match="line 1, column"):
         loads_catalog("{ not json")
+    # a source past str()'s 4,300-digit limit is shown by its size
+    with pytest.raises(CatalogError, match="^invalid JSON in an integer of 16610 bits at line 1"):
+        loads_catalog("{", source=10**5000)
     with pytest.raises(CatalogError, match="line 3"):
         loads_catalog('{\n "entries": [\n  { bad\n ]\n}')
     with pytest.raises(CatalogError, match="top level"):
@@ -218,8 +221,14 @@ def test_save_and_load_file(tmp_path):
     # an int is no path: it must not be opened as a file descriptor
     with pytest.raises(CatalogError, match="^a catalog path must be a str or a path, got 0$"):
         load_catalog(0)
-    with pytest.raises(TypeError):
+    with pytest.raises(CatalogError, match="^a catalog path must be a str or a path, got 1$"):
         save_catalog(catalog, 1)
+    # a catalog that cannot be dumped is refused before the file is opened
+    with pytest.raises(DomainError, match="^catalog must be a CatalogFile, got None$"):
+        save_catalog(None, path)
+    assert load_catalog(path) == again
+    with pytest.raises(CatalogError, match="^cannot write catalog"):
+        save_catalog(catalog, tmp_path)
 
 
 @pytest.mark.parametrize("content", [
@@ -269,6 +278,25 @@ def test_resolve():
     with pytest.raises(UnknownManifold) as err:
         resolve("E8", small)
     assert "E8" in str(err.value)
+    with pytest.raises(DomainError, match="^catalog must be a CatalogFile, got 5$"):
+        resolve("K3", catalog=5)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(entries=5), "entries must be a list of ManifoldData, got 5"),
+    (dict(entries=(k3(),)), "entries must be a list of ManifoldData, got (ManifoldData("),
+    (dict(entries=[k3(), None]), "expected ManifoldData, got None"),
+    (dict(schema_version=2), "schema_version must be 1, got 2"),
+    (dict(schema_version=True), "schema_version must be 1, got True"),
+    (dict(schema_version=1.0), "schema_version must be 1, got 1.0"),
+], ids=["int", "tuple", "None-entry", "version-2", "version-True", "version-float"])
+def test_catalog_file_checks_its_fields(fields, message):
+    # each was taken, to raise TypeError or AttributeError later in get or
+    # dumps_catalog, or to be saved as a file that loads_catalog refuses
+    with pytest.raises(DomainError) as err:
+        CatalogFile(**fields)
+    assert str(err.value).startswith(message)
+    assert CatalogFile().entries == [] and CatalogFile().schema_version == SCHEMA_VERSION
 
 
 def test_resolved_numbers_are_read_only():

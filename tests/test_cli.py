@@ -152,6 +152,16 @@ def test_count_ops_counts_repeat_exactly(tmp_path):
     assert list(tmp_path.iterdir()) == []  # no bytecode cache was written
 
 
+def test_count_ops_refuses_a_zero_count(tmp_path, monkeypatch):
+    # a tracer that receives no opcode events must not pass for a count
+    def silent(cmd, **kwargs):
+        Path(cmd[5]).write_text("0 27 45198 0")  # the counts file, after -S -B -c CHILD
+
+    monkeypatch.setattr(count_ops.subprocess, "run", silent)
+    with pytest.raises(RuntimeError, match="^the tracer counted no opcodes under Python 3"):
+        count_ops.count(ROOT, ("bound", "cb", "--m", "2", "--b", "1.0"), str(tmp_path))
+
+
 def test_indices_golden(run):
     code, out, _ = run("indices", "--manifold", "K3", "--family", "B",
                        "--max", "3")
