@@ -35,7 +35,9 @@ from pathlib import Path
 DEFAULT = [
     ("catalog", "list"),
     ("compute", "--manifold", "CP3", "--genus", "todd"),
+    ("compute", "--manifold", "HP2", "--genus", "lhat"),
     ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "12"),
+    ("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "12"),
     ("bound", "cb", "--m", "2", "--b", "1.0"),
     ("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),
     ("cover", "diam", "--k", "2", "--base", "3,3", "--factor", "2"),

@@ -39,6 +39,11 @@ class CatalogFile(Record):
         if not isinstance(entries, list):
             raise DomainError(f"entries must be a list of ManifoldData, got {shown(entries)}")
         _check_manifolds(*entries)
+        seen = set()
+        for entry in entries:
+            if entry.name in seen:
+                raise CatalogError(f"duplicate entry name {entry.name!r}")
+            seen.add(entry.name)
         if not (is_int(schema_version) and schema_version == SCHEMA_VERSION):
             raise DomainError(f"schema_version must be {SCHEMA_VERSION}, "
                               f"got {shown(schema_version)}")
@@ -183,13 +188,7 @@ def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
     entries_raw = raw.get("entries")
     if not isinstance(entries_raw, list):
         raise CatalogError(f"{source}: 'entries' must be a list")
-    entries = [entry_from_dict(item) for item in entries_raw]
-    seen = set()
-    for entry in entries:
-        if entry.name in seen:
-            raise CatalogError(f"duplicate entry name {entry.name!r}")
-        seen.add(entry.name)
-    return CatalogFile(entries=entries, schema_version=version)
+    return CatalogFile([entry_from_dict(item) for item in entries_raw], version)
 
 
 def _fspath(path):

@@ -13,13 +13,14 @@ coefficients are
 
     Witten, family W:  Ahat - D(H_even, +1)          (= 2 G_2k / (2k)!)
     Ell2, family B:    Ahat - D(H_even, +1) + D(H_odd, +1)
-    Ell1:              big-L/2 - D(H_even, +1) + D(H_even, -1)
+    Ell1:              signature + 4^k (D(H_even, -1) - D(H_even, +1))
 
 and `genera.pair_logs` turns them into the genus.  Each kind pairs the
-numbers of its classical base (`genera.genus_numbers`) and carries the
-base's per-root constant: 2 for Ell1, from big-L, so that its q^0 term is
-the signature and it satisfies the (2 tau)^(2m) transformation.  The theta
-products these logs replace are kept as an independent test oracle.
+numbers of its classical base (`genera.genus_numbers`).  The Ell1 factor
+is twice a factor in y/2, like big-L: its logs are written in y, which
+scales l_k by 4^k and takes up the 2 of each root, so its q^0 term is
+the signature and it satisfies the (2 tau)^(2m) transformation.  The
+theta products these logs replace are kept as an independent test oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InsufficientData, NonIntegralIndexWarning, choice, whole
-from .genera import genus_numbers, log_coeffs, pair_logs, root_constant
+from .genera import genus_numbers, log_coeffs, pair_logs
 from .manifolds import GenusKind, ManifoldData
 from .qseries import QSeries
 
@@ -52,25 +53,25 @@ def _divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
     return QSeries(coeffs, q_trunc)
 
 
-# (classical base, twists (first h, eps, sign)):
-# l_k = base l_k + sum of sign * D_k(H, eps)
+# (classical base, root scale c, twists (first h, eps, sign)):
+# l_k = base l_k + c^(2k) * sum of sign * D_k(H, eps)
 _FACTORS = {
-    EllKind.WITTEN: (GenusKind.AHAT, ((2, 1, -1),)),
-    EllKind.ELL2: (GenusKind.AHAT, ((2, 1, -1), (1, 1, 1))),
-    EllKind.ELL1: (GenusKind.LHAT, ((2, 1, -1), (2, -1, 1))),
+    EllKind.WITTEN: (GenusKind.AHAT, 1, ((2, 1, -1),)),
+    EllKind.ELL2: (GenusKind.AHAT, 1, ((2, 1, -1), (1, 1, 1))),
+    EllKind.ELL1: (GenusKind.SIGNATURE, 2, ((2, 1, -1), (2, -1, 1))),
 }
 _KINDS = {kind.value: kind for kind in EllKind}
 
 
 def elliptic_logs(kind: EllKind, weight: int, q_trunc: int) -> list[QSeries]:
-    """l_1 .. l_weight of the per-root factor, Ell1 halved."""
-    base, twists = _FACTORS[choice("kind", kind, _KINDS)]
+    """l_1 .. l_weight of the per-root factor."""
+    base, scale, twists = _FACTORS[choice("kind", kind, _KINDS)]
     logs = []
     for k, classical in enumerate(log_coeffs(base, weight), start=1):
         series = QSeries.constant(classical, q_trunc)
         for h_first, eps, sign in twists:
             series = series + _divisor_sum(h_first, eps, 2 * k - 1, q_trunc) * Fraction(
-                -2 * sign, factorial(2 * k)
+                -2 * sign * scale ** (2 * k), factorial(2 * k)
             )
         logs.append(series)
     return logs
@@ -99,8 +100,7 @@ def _series(m: ManifoldData, kind: EllKind, q_trunc: int) -> QSeries:
     if route is None:
         raise InsufficientData(f"{m.name}: no Pontryagin or Chern data")
     numbers, weight, scale = route
-    logs = elliptic_logs(kind, weight, q_trunc)
-    return pair_logs(numbers, weight, logs, QSeries.zero(q_trunc), root_constant(base), scale)
+    return pair_logs(numbers, weight, elliptic_logs(kind, weight, q_trunc), scale)
 
 
 def elliptic_genus(

@@ -163,10 +163,10 @@ class Record:
     """Immutable record, in place of a frozen dataclass, whose module imports
     `inspect`: the costliest import a cold command would otherwise pay.
 
-    The fields are the attributes that ``__init__`` stores with ``_set``,
-    in that order.  Afterwards assigning or deleting an attribute raises
-    AttributeError.  Records of the same class compare and hash field by
-    field, and the repr names every field.
+    Its fields are what ``__init__`` stores with ``_set``, in that order;
+    assigning or deleting an attribute then raises AttributeError.  Records
+    of the same class compare field by field and hash if every field does;
+    the repr names every field.
     """
 
     def _set(self, **fields):

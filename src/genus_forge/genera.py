@@ -21,21 +21,22 @@ coefficient ring may be Fraction or QSeries, so the elliptic genera take
 the same route (see elliptic.py).
 
 All root variables are normalized so that the Ahat factor is
-(y/2)/sinh(y/2); the signature factor is then y/tanh(y) and the big-L
-factor y/tanh(y/2).  With S_k = 2^(2k) B_(2k) / (2k (2k)!), the y^(2k)
-coefficient of log(sinh(y)/y), `log_coeffs` gives
+(y/2)/sinh(y/2) and the signature factor y/tanh(y).  With
+S_k = 2^(2k) B_(2k) / (2k (2k)!), the y^(2k) coefficient of
+log(sinh(y)/y), `log_coeffs` gives
 
-    Ahat         l_k = -S_k / 4^k
-    signature    l_k = (4^k - 2) S_k
-    big-L / 2    l_k = S_k - 2 S_k / 4^k
-    Todd         l_1 = 1/2, l_2k = -S_k / 4^k, other odd l_k = 0
+    Ahat              l_k = -S_k / 4^k
+    signature, big-L  l_k = (4^k - 2) S_k
+    Todd              l_1 = 1/2, l_2k = -S_k / 4^k, other odd l_k = 0
 
-The big-L factor has constant term 2, `root_constant`.  Its logarithm is
-taken of the factor halved, and `pair_logs` multiplies the genus of a
-4m-manifold by the per-root constant to the power 2m, the number of roots;
-the value equals the signature, and that equality is kept under test
-rather than normalized away.  `genus_numbers` decides which numbers a
-genus pairs, for the classical genera here and the elliptic ones alike.
+The big-L factor y/tanh(y/2) is twice the signature factor taken at y/2.
+Halved, its logs are S_k - 2 S_k / 4^k.  Writing them in y multiplies
+l_k by 4^k, and so the weight-m part by 4^m = 2^(2m): the 2 of each of
+the 2m roots of a 4m-manifold.  So big-L takes the signature's logs,
+4^k (S_k - 2 S_k / 4^k) = (4^k - 2) S_k, and equals the signature; the
+halved route is kept in the test oracle.
+`genus_numbers` decides which numbers a genus pairs, for the classical
+genera here and the elliptic ones alike.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _log_sinh(k: int) -> Fraction:
 
 
 def log_coeffs(kind: GenusKind, weight: int) -> list[Fraction]:
-    """l_1 .. l_weight of the classical factor, big-L halved; weight <= MAX_REAL_DIM / 2."""
+    """l_1 .. l_weight of the classical factor; weight <= MAX_REAL_DIM / 2."""
     kind = choice("kind", kind, _KINDS)
     whole("weight", weight, 0, MAX_REAL_DIM // 2)
     if kind == GenusKind.TODD:
@@ -76,24 +77,20 @@ def log_coeffs(kind: GenusKind, weight: int) -> list[Fraction]:
         for k, ahat in enumerate(log_coeffs(GenusKind.AHAT, weight // 2), start=1):
             logs[2 * k - 1] = ahat
         return logs[:weight]
-    closed = {
-        GenusKind.AHAT: lambda s, k: -s / 4**k,
-        GenusKind.SIGNATURE: lambda s, k: (4**k - 2) * s,
-        GenusKind.LHAT: lambda s, k: s - 2 * s / 4**k,
-    }[kind]
-    return [closed(_log_sinh(k), k) for k in range(1, weight + 1)]
+    if kind == GenusKind.AHAT:
+        return [-_log_sinh(k) / 4**k for k in range(1, weight + 1)]
+    return [(4**k - 2) * _log_sinh(k) for k in range(1, weight + 1)]  # signature, big-L
 
 
 # -- pairing ------------------------------------------------------------------------
 
 
-def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, zero,
-              const: int = 1, scale: int = 1):
-    """const^(2 weight) * sum over mu |- weight of s_mu[M] prod_i l_(mu_i) / prod_k a_k(mu)!.
+def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, scale: int):
+    """sum over mu |- weight of s_mu[M] prod_i l_(mu_i) / prod_k a_k(mu)!.
 
-    `logs[k - 1]` is l_k, a Fraction or a QSeries; `zero` is the zero of
-    that ring.  s_mu[M] is read from `numbers` at the partition scale * mu.
-    Partitions with a vanishing l_(mu_i) are never formed.
+    `logs[k - 1]` is l_k, a Fraction or a QSeries, and weight >= 1.
+    s_mu[M] is read from `numbers` at the partition scale * mu.  Partitions
+    with a vanishing l_(mu_i) are never formed.
     """
     needed = [mu for mu in partitions_of(weight) if all(logs[k - 1] for k in mu)]
     s = s_numbers(numbers, [tuple(scale * part for part in mu) for mu in needed])
@@ -107,20 +104,15 @@ def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, zero,
             products[mu] = value
         return value
 
-    total = zero
+    total = logs[0] * 0  # the zero of the coefficient ring
     for mu, s_mu in zip(needed, s.values()):
         if s_mu:
             multiplicities = prod(factorial(mu.count(k)) for k in set(mu))
             total = total + log_product(mu) * Fraction(s_mu, multiplicities)
-    return total * const ** (2 * weight)
+    return total
 
 
 # -- genus values --------------------------------------------------------------------
-
-
-def root_constant(kind: GenusKind) -> int:
-    """The per-root constant that `log_coeffs` divides out: 2 for big-L."""
-    return 2 if choice("kind", kind, _KINDS) == GenusKind.LHAT else 1
 
 
 def genus_numbers(m: ManifoldData,
@@ -157,8 +149,7 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     route = genus_numbers(m, kind)
     if route is not None:
         numbers, weight, scale = route
-        logs = log_coeffs(kind, weight)
-        return pair_logs(numbers, weight, logs, Fraction(0), root_constant(kind), scale)
+        return pair_logs(numbers, weight, log_coeffs(kind, weight), scale)
     if m.asserted_genera and kind.value in m.asserted_genera:
         return m.asserted_genera[kind.value]
     raise InsufficientData(f"{m.name}: no data to evaluate the {kind.value} genus")

@@ -22,7 +22,7 @@ import cmath
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .errors import DivergentEvaluation, TooLarge, TruncMismatch, shown, whole
+from .errors import DivergentEvaluation, DomainError, TooLarge, TruncMismatch, is_int, shown, whole
 
 Scalar = int | Fraction
 MAX_TRUNC = 201  # through q^100; a product's work grows at least quadratically in trunc
@@ -33,9 +33,9 @@ _ZERO = Fraction(0)
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int or is_int(x):
         return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+    raise DomainError(f"a coefficient must be an int or a Fraction, got {shown(x)}")
 
 
 class QSeries:
@@ -48,10 +48,10 @@ class QSeries:
             raise TooLarge(f"trunc {shown(trunc)} exceeds the cap of {MAX_TRUNC}")
         clean: dict[int, Fraction] = {}
         for n, c in coeffs.items():
-            if not isinstance(n, int) or n < 0:
-                raise ValueError(f"exponent key {n!r} not a nonnegative integer")
+            if type(n) is not int or n < 0:
+                raise DomainError(f"exponent key {shown(n)} not a nonnegative integer")
             if n >= trunc:
-                raise ValueError(f"exponent {n} not below truncation {trunc}")
+                raise DomainError(f"exponent {shown(n)} not below truncation {trunc}")
             c = _as_fraction(c)
             if c:
                 clean[n] = c
@@ -75,10 +75,10 @@ class QSeries:
     # -- inspection --------------------------------------------------------
 
     def coeff(self, half_exponent: int) -> Fraction:
-        """Coefficient of q^(half_exponent/2); raises past the truncation."""
-        if half_exponent >= self.trunc:
-            raise ValueError(
-                f"coefficient at half-exponent {half_exponent} is not stored "
+        """Coefficient of q^(half_exponent/2); DomainError outside [0, trunc)."""
+        if type(half_exponent) is not int or not 0 <= half_exponent < self.trunc:
+            raise DomainError(
+                f"coefficient at half-exponent {shown(half_exponent)} is not stored "
                 f"(truncation {self.trunc})"
             )
         return self.coeffs.get(half_exponent, _ZERO)
@@ -102,7 +102,7 @@ class QSeries:
         if isinstance(other, QSeries):
             return self.trunc == other.trunc and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
+            other = Fraction(other)  # True == 1, as for an int
             if not other:
                 return not self.coeffs
             return self.coeffs == {0: other}
@@ -195,7 +195,7 @@ class QSeries:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            raise ValueError(f"negative power {k}: QSeries has no division")
+            raise DomainError(f"negative power {shown(k)}: QSeries has no division")
         result = QSeries.one(self.trunc)
         base = self
         while k:

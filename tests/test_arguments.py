@@ -25,6 +25,7 @@ import os
 import pkgutil
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +41,7 @@ from genus_forge.elliptic import elliptic_genus, elliptic_logs, twisted_indices
 from genus_forge.errors import (CatalogError, DomainError, GenusForgeError, TooLarge, is_int,
                                 real, whole)
 from genus_forge.genera import (genus_numbers, genus_source, genus_value, hypersurface_todd,
-                                log_coeffs, root_constant)
+                                log_coeffs)
 from genus_forge.manifolds import (MAX_REAL_DIM, builtin, connected_sum, cp, hp2, k3,
                                    partitions_of, product, sphere, torus)
 from genus_forge.modular import eisenstein, modular_relation_check, witten_fit
@@ -72,6 +73,10 @@ POOLS = {
 }
 POOLS["optional real"] = POOLS["real"]  # None is the default: v of BoundParams
 POOLS["optional record"] = POOLS["record"]  # None is the default: the catalog of resolve
+POOLS["rational"] = POOLS["count"]  # a q-series coefficient: every int is one, no float
+# a power of a q-series: a non-int exponent is Python's TypeError, as for any
+# operator, and a huge one is cheap on the constant series it is taken of
+POOLS["exponent"] = (0, -1, *HUGE)
 
 
 class _Small(enum.IntEnum):  # an int subclass other than bool
@@ -137,12 +142,16 @@ ENTRIES = {
     "twisted_indices": (twisted_indices, dict(m=K3, family="B", k_max=3),
                         dict(m="record", family="choice", k_max="work")),
     "QSeries": (lambda trunc: QSeries({0: 1}, trunc), dict(trunc=5), dict(trunc="work")),
+    "QSeries key": (lambda n: QSeries({n: 1}, 5), dict(n=4), dict(n="count")),
+    "QSeries coefficient": (lambda c: QSeries({0: c}, 5), dict(c=Fraction(3, 2)),
+                            dict(c="rational")),
+    "QSeries coeff": (lambda n: QSeries({0: 1}, 5).coeff(n), dict(n=4), dict(n="count")),
+    "QSeries power": (lambda k: QSeries({0: 1}, 5) ** k, dict(k=3), dict(k="exponent")),
     "genus_value": (genus_value, dict(m=K3, kind="signature"),
                     dict(m="record", kind="choice")),
     "genus_source": (genus_source, dict(m=K3, kind="ahat"), dict(m="record", kind="choice")),
     "genus_numbers": (genus_numbers, dict(m=K3, kind="todd"), dict(m="record", kind="choice")),
     "log_coeffs": (log_coeffs, dict(kind="todd", weight=4), dict(kind="choice", weight="count")),
-    "root_constant": (root_constant, dict(kind="lhat"), dict(kind="choice")),
     "hypersurface_todd": (hypersurface_todd, dict(n=3, degree=2),
                           dict(n="count", degree="count")),
     "partitions_of": (lambda n: list(partitions_of(n)), dict(n=4), dict(n="count")),
@@ -269,7 +278,16 @@ def test_valid_arguments_compute():
 @example(("genus_source", "kind", "x"))
 @example(("log_coeffs", "kind", "x"))
 @example(("elliptic_logs", "kind", "x"))
-@example(("root_constant", "kind", "x"))
+# plain ValueErrors and a TypeError from a q-series key or coefficient, a
+# bool key stored, a negative index read as 0, and a plain ValueError from
+# an index past the truncation and from a negative power
+@example(("QSeries key", "n", -1))
+@example(("QSeries key", "n", 9))
+@example(("QSeries coefficient", "c", 1.5))
+@example(("QSeries key", "n", True))
+@example(("QSeries coeff", "n", -3))
+@example(("QSeries coeff", "n", 7))
+@example(("QSeries power", "k", -1))
 # an unhashable choice, and one past str()'s 4,300-digit limit
 @example(("c_of_b", "method", ["todd"]))
 @example(("eisenstein", "kind", 10**5000))
@@ -382,14 +400,13 @@ ELL_KINDS = "'ell1', 'ell2', 'witten'"
     (lambda: genus_source(K3, "x"), f"kind must be one of {GENUS_KINDS}, got 'x'"),
     (lambda: genus_numbers(K3, "x"), f"kind must be one of {GENUS_KINDS}, got 'x'"),
     (lambda: log_coeffs("x", 3), f"kind must be one of {GENUS_KINDS}, got 'x'"),
-    (lambda: root_constant("x"), f"kind must be one of {GENUS_KINDS}, got 'x'"),
     (lambda: elliptic_genus(K3, "x", 9), f"kind must be one of {ELL_KINDS}, got 'x'"),
     (lambda: elliptic_logs("x", 1, 5), f"kind must be one of {ELL_KINDS}, got 'x'"),
     (lambda: twisted_indices(K3, "X", 3), "family must be one of 'B', 'W', got 'X'"),
     (lambda: eisenstein("E8", 9), "kind must be one of 'E4', 'E6', got 'E8'"),
     (lambda: c_of_b(3, 1.0, "newton"), "method must be one of 'bisection', 'secant', "
                                        "got 'newton'"),
-], ids=["genus_value", "genus_source", "genus_numbers", "log_coeffs", "root_constant",
+], ids=["genus_value", "genus_source", "genus_numbers", "log_coeffs",
         "elliptic_genus", "elliptic_logs", "twisted_indices", "eisenstein", "c_of_b"])
 def test_unknown_choice_is_refused_typed(call, message):
     # one wording at every choice site, errors.choice's

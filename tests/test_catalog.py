@@ -299,6 +299,15 @@ def test_catalog_file_checks_its_fields(fields, message):
     assert CatalogFile().entries == [] and CatalogFile().schema_version == SCHEMA_VERSION
 
 
+def test_catalog_file_refuses_a_repeated_name(tmp_path):
+    # the check loads_catalog makes, in the one place every catalog passes:
+    # such a catalog was saved, and the file then failed to load
+    path = tmp_path / "dup.json"
+    with pytest.raises(CatalogError, match="^duplicate entry name 'K3'$"):
+        save_catalog(CatalogFile([k3(), k3()]), path)
+    assert not path.exists()
+
+
 def test_resolved_numbers_are_read_only():
     catalog = load_default_catalog()
     for name, field in (("HP2", "pontryagin_numbers"), ("CP3", "chern_numbers"),

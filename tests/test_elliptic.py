@@ -62,10 +62,11 @@ def test_factor_equals_theta_route():
     assert elliptic_logs(EllKind.ELL2, weight, TRUNC) == _log_of(
         theta * theta_ratio(ThetaKind.THETA2, Y_CAP, TRUNC), weight
     )
-    # Ell1: doubled product of the derivative and cosine quotients
-    assert elliptic_logs(EllKind.ELL1, weight, TRUNC) == _log_of(
-        theta * theta_ratio(ThetaKind.THETA1, Y_CAP, TRUNC) * 2, weight
-    )
+    # Ell1: doubled product of the derivative and cosine quotients, a
+    # factor in y/2 whose logs are rescaled to y by 4^k
+    halved = _log_of(theta * theta_ratio(ThetaKind.THETA1, Y_CAP, TRUNC) * 2, weight)
+    assert elliptic_logs(EllKind.ELL1, weight, TRUNC) == [
+        log * 4**k for k, log in enumerate(halved, start=1)]
 
 
 def test_factor_q0_specializations():

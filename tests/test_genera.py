@@ -17,7 +17,7 @@ from genus_forge.genera import (
     pair_logs,
     s_numbers,
 )
-from genus_forge.manifolds import GenusKind, ManifoldData, cp, hp2, k3, product
+from genus_forge.manifolds import MAX_REAL_DIM, GenusKind, ManifoldData, cp, hp2, k3, product
 from genus_forge.qseries import QSeries
 import theta_oracle
 from theta_oracle import (
@@ -192,9 +192,15 @@ def test_todd_class_weights():
 
 def test_lhat_factor_constant_two():
     assert lhat_factor(6).coeff(0) == 2
-    # logs are of the halved factor; the genus restores 2 per root
-    assert log_coeffs(GenusKind.LHAT, 1) == [Fraction(1, 12)]
+    # logs are written in y: 4^k times those of the halved factor, whose
+    # y^2 coefficient is 1/12, so the 2 of each root is taken up
+    assert log_coeffs(GenusKind.LHAT, 1) == [4 * Fraction(1, 12)]
     assert _pontryagin_coeff(GenusKind.LHAT, (1,)) == 4 * Fraction(1, 12)
+
+
+def test_lhat_logs_are_signature_logs():
+    for weight in range(MAX_REAL_DIM // 2 + 1):
+        assert log_coeffs(GenusKind.LHAT, weight) == log_coeffs(GenusKind.SIGNATURE, weight)
 
 
 def test_todd_factor_leading_terms():
@@ -214,11 +220,15 @@ def test_todd_factor_leading_terms():
     (GenusKind.LHAT, lhat_factor),
 ])
 def test_log_coeffs_match_factor_logs(kind, factor):
+    # big-L's factor is twice a factor in y/2: halved to constant term 1,
+    # its logs are rescaled from y/2 to y by 2^(2k) = 4^k
     weight = 8
     series = factor(2 * weight)
-    series = div(series, series.coeff(0))
+    root = series.coeff(0)
+    series = div(series, root)
     logs = _graded_log({n // 2: c for n, c in series.coeffs.items() if n}, weight)
-    assert log_coeffs(kind, weight) == [logs.get(k, 0) for k in range(1, weight + 1)]
+    assert log_coeffs(kind, weight) == [
+        root ** (2 * k) * logs.get(k, 0) for k in range(1, weight + 1)]
 
 
 def test_todd_log_coeffs_match_factor_log():
@@ -256,7 +266,7 @@ def test_paired_value_spot_check():
     assert s_numbers({(1,): -48}, [(1,)]) == {(1,): -48}
     assert s_numbers(hp2().pontryagin_numbers, [(2,), (1, 1)]) == {(2,): -10, (1, 1): 4}
     ahat = log_coeffs(GenusKind.AHAT, 1)
-    assert pair_logs({(1,): -48}, 1, ahat, Fraction(0)) == 2
+    assert pair_logs({(1,): -48}, 1, ahat, 1) == 2
 
 
 def test_genus_source_and_asserted_fallback():

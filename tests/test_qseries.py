@@ -2,11 +2,12 @@
 pairs (division, log and exp) that the test oracle adds to it."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from genus_forge.errors import DivergentEvaluation, TruncMismatch
+from genus_forge.errors import DivergentEvaluation, DomainError, TruncMismatch
 from genus_forge.qseries import QSeries
 from theta_oracle import (
     NonNilpotentExp,
@@ -51,6 +52,23 @@ def test_constructor_refusals():
         QSeries({4: 1}, 4)
     with pytest.raises(ValueError, match="trunc must be a positive integer"):
         QSeries({}, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QSeries({-1: 1}, 5), "exponent key -1 not a nonnegative integer"),
+    (lambda: QSeries({9: 1}, 5), "exponent 9 not below truncation 5"),
+    (lambda: QSeries({True: 1}, 5), "exponent key True not a nonnegative integer"),
+    (lambda: QSeries({0: 1.5}, 5), "a coefficient must be an int or a Fraction, got 1.5"),
+    (lambda: QSeries.one(5).coeff(-3), "coefficient at half-exponent -3 is not stored"),
+    (lambda: QSeries.one(5).coeff(7), "coefficient at half-exponent 7 is not stored"),
+    (lambda: QSeries.one(5) ** -1, "negative power -1: QSeries has no division"),
+], ids=["negative-key", "key-past-trunc", "bool-key", "float-coefficient", "negative-index",
+        "index-past-trunc", "negative-power"])
+def test_bad_arguments_are_refused_typed(call, message):
+    # each raised a plain ValueError or TypeError, or was taken: a bool key
+    # stored, a negative index read as 0
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        call()
 
 
 def test_zero_coefficients_not_stored():

@@ -1,7 +1,7 @@
 """The record contracts every data and result class keeps: its fields are
 its constructor's parameters, in order; assignment and deletion raise
-AttributeError; records compare and hash field by field; the repr names
-every field."""
+AttributeError; records compare field by field, and a record hashes when
+each of its fields does; the repr names every field."""
 
 import math
 from fractions import Fraction
@@ -53,6 +53,19 @@ def test_record_contracts(cls, fields, change):
             delattr(record, name)
     with pytest.raises(AttributeError):
         record.extra = 1
+    if all(_hashes(value) for value in fields.values()):
+        assert hash(record) == hash(cls(*fields.values()))
+    else:  # a mapping or list field: ManifoldData, CatalogFile, Tower, ModularFit
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def _hashes(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def test_records_of_different_classes_differ():
