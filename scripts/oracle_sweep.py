@@ -39,7 +39,7 @@ def _chern_only(m: ManifoldData) -> ManifoldData:
 
 
 def main() -> int:
-    entries = load_default_catalog().entries
+    entries = load_default_catalog().values()
     full = [e for e in entries if e.real_dim % 4 == 0
             and (e.pontryagin_numbers is not None or e.chern_numbers is not None)]
     chern = [e for e in entries if e.chern_numbers is not None] + [cp(16), cp(20)]

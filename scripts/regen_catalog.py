@@ -15,14 +15,15 @@ checks that the packaged file matches it.
 from fractions import Fraction
 from pathlib import Path
 
-from genus_forge.catalog import CatalogFile, dumps_catalog
+from genus_forge.catalog import dumps_catalog
 from genus_forge.manifolds import ManifoldData, connected_sum, cp, hp2, k3, product, sphere, torus
 
 TARGET = Path(__file__).resolve().parent.parent / "src" / "genus_forge" / "data" / "default_catalog.json"
 
 
-def build_default_catalog() -> CatalogFile:
-    """The shipped catalog, constructed from builtins and closure operations."""
+def build_default_catalog() -> list[ManifoldData]:
+    """The shipped catalog's entries, in file order, constructed from builtins
+    and closure operations."""
     t2, t4 = torus(2), torus(4)
     s4, s6 = sphere(4), sphere(6)
     k3_, hp2_ = k3(), hp2()
@@ -34,7 +35,7 @@ def build_default_catalog() -> CatalogFile:
         asserted_genera={"ahat": Fraction(0)},
     )
     t2xs6 = product(t2, s6)
-    entries = [
+    return [
         t2,
         t4,
         s4,
@@ -54,7 +55,6 @@ def build_default_catalog() -> CatalogFile:
         product(k3_, hp2_, name="K3xHP2"),
         product(hp2_, hp2_, name="HP2xHP2"),
     ]
-    return CatalogFile(entries=entries)
 
 
 def main() -> None:

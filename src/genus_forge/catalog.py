@@ -1,9 +1,10 @@
 """Manifold catalog persistence: canonical JSON files, decoding whose errors
 name each offending entry, and name resolution with builtin fallback.
 
-Partition keys serialize as descending comma-joined integers ("2,1,1");
-rationals as "num/den" strings. Serialization is canonical, so saving a loaded
-catalog reproduces the file byte for byte.
+A loaded catalog is a dict of entries by name, in file order.  Partition keys
+serialize as descending comma-joined integers ("2,1,1"); rationals as
+"num/den" strings. Serialization is canonical, so dumping a loaded catalog
+reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import (CatalogError, DomainError, GenusForgeError, InconsistentData, Record,
-                     UnknownManifold, is_int, shown)
+from .errors import (CatalogError, DomainError, GenusForgeError, InconsistentData,
+                     UnknownManifold, shown)
 from .manifolds import GenusKind, ManifoldData, _check_manifolds, builtin, partitions_of, s_numbers
 
 SCHEMA_VERSION = 1
@@ -31,29 +32,22 @@ _ENTRY_FIELDS = (
 )
 _REQUIRED_FIELDS = ("name", "real_dim", "spin", "string")
 _GENUS_ORDER = tuple(kind.value for kind in GenusKind)
+# a partition key is ASCII digits, commas and spaces: int() alone also reads "1_0", "+10", "١٠"
+_KEY_CHARS = frozenset("0123456789, \t\n\r\v\f")
 
 
-class CatalogFile(Record):
-    def __init__(self, entries: list | None = None, schema_version: int = SCHEMA_VERSION):
-        entries = [] if entries is None else entries
-        if not isinstance(entries, list):
-            raise DomainError(f"entries must be a list of ManifoldData, got {shown(entries)}")
-        _check_manifolds(*entries)
-        seen = set()
-        for entry in entries:
-            if entry.name in seen:
-                raise CatalogError(f"duplicate entry name {entry.name!r}")
-            seen.add(entry.name)
-        if not (is_int(schema_version) and schema_version == SCHEMA_VERSION):
-            raise DomainError(f"schema_version must be {SCHEMA_VERSION}, "
-                              f"got {shown(schema_version)}")
-        self._set(entries=entries, schema_version=schema_version)
-
-    def get(self, name: str) -> ManifoldData | None:
-        for entry in self.entries:
-            if entry.name == name:
-                return entry
-        return None
+def _by_name(entries: list) -> dict[str, ManifoldData]:
+    """The catalog of a list of entries: the one refusal of an entry that is
+    not ManifoldData and of a repeated name, for the reader and the writer."""
+    if not isinstance(entries, list):
+        raise DomainError(f"entries must be a list of ManifoldData, got {shown(entries)}")
+    _check_manifolds(*entries)
+    catalog = {}
+    for entry in entries:
+        if entry.name in catalog:
+            raise CatalogError(f"duplicate entry name {entry.name!r}")
+        catalog[entry.name] = entry
+    return catalog
 
 
 def _partition_key(partition) -> str:
@@ -62,9 +56,11 @@ def _partition_key(partition) -> str:
 
 def _parse_partition(key, entry_name):
     try:
-        return tuple(int(piece) for piece in key.split(","))
-    except (AttributeError, ValueError):  # not a string of comma-separated integers
-        raise CatalogError(f"entry {entry_name!r}: malformed partition key {key!r}") from None
+        if _KEY_CHARS.issuperset(key):
+            return tuple(int(piece) for piece in key.split(","))
+    except (AttributeError, TypeError, ValueError):  # not a str; "1 0"; past 4,300 digits
+        pass
+    raise CatalogError(f"entry {entry_name!r}: malformed partition key {key!r}")
 
 
 def _numbers_to_json(numbers):
@@ -154,17 +150,18 @@ def entry_from_dict(raw) -> ManifoldData:
         raise CatalogError(f"entry {entry_name!r}: {exc}") from exc
 
 
-def dumps_catalog(catalog: CatalogFile) -> str:
-    if not isinstance(catalog, CatalogFile):
-        raise DomainError(f"catalog must be a CatalogFile, got {shown(catalog)}")
-    payload = {
-        "schema_version": catalog.schema_version,
-        "entries": [entry_to_dict(entry) for entry in catalog.entries],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def document(catalog: dict[str, ManifoldData]) -> dict:
+    """The JSON object of a catalog's file, as `catalog list --json` prints it."""
+    return {"schema_version": SCHEMA_VERSION,
+            "entries": [entry_to_dict(entry) for entry in catalog.values()]}
 
 
-def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
+def dumps_catalog(entries: list) -> str:
+    """Canonical file text of a list of entries."""
+    return json.dumps(document(_by_name(entries)), indent=2) + "\n"
+
+
+def loads_catalog(text: str, source: str = "<string>") -> dict[str, ManifoldData]:
     if not isinstance(source, str):  # only named in messages
         source = shown(source)
     if not isinstance(text, (str, bytes, bytearray)):  # what json.loads decodes
@@ -183,12 +180,12 @@ def loads_catalog(text: str, source: str = "<string>") -> CatalogFile:
     if unknown:
         raise CatalogError(f"{source}: unknown top-level field(s) {sorted(unknown)}")
     version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise CatalogError(f"{source}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     entries_raw = raw.get("entries")
     if not isinstance(entries_raw, list):
         raise CatalogError(f"{source}: 'entries' must be a list")
-    return CatalogFile([entry_from_dict(item) for item in entries_raw], version)
+    return _by_name([entry_from_dict(item) for item in entries_raw])
 
 
 def _fspath(path):
@@ -197,7 +194,7 @@ def _fspath(path):
     return os.fspath(path)  # open() would take an int as a file descriptor
 
 
-def load_catalog(path) -> CatalogFile:
+def load_catalog(path) -> dict[str, ManifoldData]:
     try:
         with open(_fspath(path), encoding="utf-8") as fh:
             text = fh.read()
@@ -206,29 +203,19 @@ def load_catalog(path) -> CatalogFile:
     return loads_catalog(text, source=str(path))
 
 
-def save_catalog(catalog: CatalogFile, path) -> None:
-    text = dumps_catalog(catalog)  # a bad catalog leaves the file as it was
-    try:
-        with open(_fspath(path), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CatalogError(f"cannot write catalog {path}: {exc}") from exc
-
-
-def load_default_catalog() -> CatalogFile:
+def load_default_catalog() -> dict[str, ManifoldData]:
     """Catalog from GENUS_FORGE_CATALOG if set, else the packaged file."""
     return load_catalog(os.environ.get(ENV_CATALOG_PATH) or _PACKAGED)
 
 
-def resolve(name: str, catalog: CatalogFile | None = None) -> ManifoldData:
+def resolve(name: str, catalog: dict[str, ManifoldData] | None = None) -> ManifoldData:
     """Entry by name, falling back to the always-available builtins."""
     if catalog is None:
         catalog = load_default_catalog()
-    elif not isinstance(catalog, CatalogFile):
-        raise DomainError(f"catalog must be a CatalogFile, got {shown(catalog)}")
-    entry = catalog.get(name)
-    if entry is not None:
-        return entry
+    elif not isinstance(catalog, dict):
+        raise DomainError(f"catalog must be a dict of entries by name, got {shown(catalog)}")
+    if isinstance(name, str) and name in catalog:  # builtin refuses a name that is not a str
+        return catalog[name]
     try:
         return builtin(name)
     except UnknownManifold:

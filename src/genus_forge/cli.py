@@ -217,18 +217,17 @@ def _run(argv: list) -> int:
 @_command(("catalog", "list"))
 def catalog_list():
     """Names and basic data of every catalog entry."""
-    from .catalog import entry_to_dict, load_default_catalog
+    from .catalog import document, load_default_catalog
 
     cat = load_default_catalog()
     lines = []
-    for entry in cat.entries:
+    for entry in cat.values():
         sources = [source for source, present in (("chern", entry.chern_numbers is not None),
                                                   ("pont", entry.pontryagin_numbers is not None),
                                                   ("asserted", entry.asserted_genera)) if present]
         flags = "".join((" spin" if entry.spin else "", " string" if entry.string else ""))
         lines.append(f"{entry.name:18s} dim={entry.real_dim:<3d} data={'+'.join(sources)}{flags}")
-    return ({"schema_version": cat.schema_version,
-             "entries": [entry_to_dict(entry) for entry in cat.entries]}, lines)
+    return document(cat), lines
 
 
 @_command(("catalog", "show"), Opt("NAME", "name", required=True))

@@ -196,6 +196,8 @@ class QSeries:
             return NotImplemented
         if k < 0:
             raise DomainError(f"negative power {shown(k)}: QSeries has no division")
+        if k > MAX_TRUNC:  # the work grows with k; the library's callers pass at most 6
+            raise TooLarge(f"power {shown(k)} exceeds the cap of {MAX_TRUNC}")
         result = QSeries.one(self.trunc)
         base = self
         while k:

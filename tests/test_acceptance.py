@@ -49,7 +49,7 @@ def full_data_entries(lo: int = 4, hi: int = 16):
     """Entries with computable characteristic numbers in dimensions where
     the elliptic-type genera are defined (multiples of 4)."""
     return [
-        e for e in CATALOG.entries
+        e for e in CATALOG.values()
         if e.real_dim % 4 == 0
         and lo <= e.real_dim <= hi
         and (e.pontryagin_numbers is not None or e.chern_numbers is not None)

@@ -11,8 +11,8 @@ GenusForgeError, within a per-call time bound, and a value of the wrong kind
 a real that is not finite.  A choice argument outside its set of names, and
 a value that is not the record an argument takes, are refused with
 `DomainError` too (`errors.choice` and the record checks).  A q-series
-truncation past `qseries.MAX_TRUNC` is refused with `TooLarge`, and catalog
-text or a catalog path that cannot be read with `CatalogError`.
+truncation or power past `qseries.MAX_TRUNC` is refused with `TooLarge`, and
+catalog text or a catalog path that cannot be read with `CatalogError`.
 
 Every public callable of every module is either an entry here or named in
 `INTERNAL` with the reason it is not one.
@@ -21,7 +21,6 @@ Every public callable of every module is either an entry here or named in
 import enum
 import importlib
 import math
-import os
 import pkgutil
 import re
 import time
@@ -34,8 +33,8 @@ from hypothesis import strategies as st
 import genus_forge
 from genus_forge.bounds import (BoundParams, berard_dim_bound, c_of_b, index_bound_report,
                                 moser_constant)
-from genus_forge.catalog import (_PACKAGED, CatalogFile, dumps_catalog, entry_to_dict,
-                                 load_catalog, loads_catalog, resolve, save_catalog)
+from genus_forge.catalog import (_PACKAGED, dumps_catalog, entry_to_dict, load_catalog,
+                                 loads_catalog, resolve)
 from genus_forge.covering import TorusQuotientGraph, cover_diameter, l2_betti_ratio, tower
 from genus_forge.elliptic import elliptic_genus, elliptic_logs, twisted_indices
 from genus_forge.errors import (CatalogError, DomainError, GenusForgeError, TooLarge, is_int,
@@ -56,10 +55,10 @@ HUGE = (10**400, -(10**400), 10**5000, -(10**5000))
 # argument kind -> hostile values.  A count whose size sets the work of a
 # q-series (q_trunc, k_max) gets 202 too: a positive int past the cap of 201
 # must raise TooLarge.  A choice takes one of a few names, a record one
-# ManifoldData, BoundParams or CatalogFile, and records a list of
-# ManifoldData: every value in their pools is of the wrong kind, but for the
-# None of an optional one.  Catalog text and catalog paths are refused with
-# CatalogError, whether of the wrong type or unreadable.
+# ManifoldData or BoundParams, or the dict of a loaded catalog, and records a
+# list of ManifoldData: every value in their pools is of the wrong kind, but
+# for the None of an optional one.  Catalog text and catalog paths are
+# refused with CatalogError, whether of the wrong type or unreadable.
 POOLS = {
     "count": (0, -1, *HUGE, 2.0, 0.5, 1e300, *NON_FINITE, *WRONG_KIND),
     "work": (0, -1, MAX_TRUNC + 1, *HUGE, 2.0, 0.5, *NON_FINITE, *WRONG_KIND),
@@ -67,7 +66,7 @@ POOLS = {
     "name": (123, 10**5000, 2.5, True, None),
     "choice": ("x", "", "TODD", 10**5000, 2.5, ["todd"], *WRONG_KIND[:2], None),
     "record": (None, 5, "K3", True, 2.5, 10**5000, ["K3"]),
-    "optional records": (None, 5, "K3", True, 2.5, 10**5000, ["K3"], [None], (k3(),)),
+    "records": (None, 5, "K3", True, 2.5, 10**5000, ["K3"], [None], (k3(),), {"K3": k3()}),
     "text": (None, 123, 10**5000, 2.5, True, ["{}"], "", "{", "[]"),
     "path": (None, 123, 10**5000, 2.5, True, ["catalog.json"], ""),
 }
@@ -75,8 +74,8 @@ POOLS["optional real"] = POOLS["real"]  # None is the default: v of BoundParams
 POOLS["optional record"] = POOLS["record"]  # None is the default: the catalog of resolve
 POOLS["rational"] = POOLS["count"]  # a q-series coefficient: every int is one, no float
 # a power of a q-series: a non-int exponent is Python's TypeError, as for any
-# operator, and a huge one is cheap on the constant series it is taken of
-POOLS["exponent"] = (0, -1, *HUGE)
+# operator, and one past MAX_TRUNC is refused with TooLarge before any product
+POOLS["exponent"] = (0, -1, MAX_TRUNC + 1, *HUGE)
 
 
 class _Small(enum.IntEnum):  # an int subclass other than bool
@@ -146,7 +145,9 @@ ENTRIES = {
     "QSeries coefficient": (lambda c: QSeries({0: c}, 5), dict(c=Fraction(3, 2)),
                             dict(c="rational")),
     "QSeries coeff": (lambda n: QSeries({0: 1}, 5).coeff(n), dict(n=4), dict(n="count")),
-    "QSeries power": (lambda k: QSeries({0: 1}, 5) ** k, dict(k=3), dict(k="exponent")),
+    # a constant term other than +-1: its powers' coefficients grow with k
+    "QSeries power": (lambda k: QSeries({0: Fraction(1, 2), 1: 1}, 5) ** k, dict(k=3),
+                      dict(k="exponent")),
     "genus_value": (genus_value, dict(m=K3, kind="signature"),
                     dict(m="record", kind="choice")),
     "genus_source": (genus_source, dict(m=K3, kind="ahat"), dict(m="record", kind="choice")),
@@ -164,17 +165,9 @@ ENTRIES = {
                 dict(name="name", catalog="optional record")),
     "builtin": (builtin, dict(name="CP2"), dict(name="name")),
     "entry_to_dict": (entry_to_dict, dict(entry=K3), dict(entry="record")),
-    "dumps_catalog": (dumps_catalog, dict(catalog=CatalogFile([K3, HP2])),
-                      dict(catalog="record")),
-    "loads_catalog": (loads_catalog, dict(text=dumps_catalog(CatalogFile([K3]))),
-                      dict(text="text")),
+    "dumps_catalog": (dumps_catalog, dict(entries=[K3, HP2]), dict(entries="records")),
+    "loads_catalog": (loads_catalog, dict(text=dumps_catalog([K3])), dict(text="text")),
     "load_catalog": (load_catalog, dict(path=_PACKAGED), dict(path="path")),
-    "save_catalog": (save_catalog, dict(catalog=CatalogFile([K3]), path=os.devnull),
-                     dict(catalog="record", path="path")),
-    "CatalogFile": (lambda entries, schema_version: dumps_catalog(
-                        CatalogFile(entries, schema_version)),
-                    dict(entries=[K3, HP2], schema_version=1),
-                    dict(entries="optional records", schema_version="count")),
 }
 
 RESULT = "a result record the library builds; callers read it"
@@ -187,6 +180,8 @@ INTERNAL = {
     "catalog.entry_from_dict": "decodes JSON data: malformed data raises CatalogError "
                                "(tests/test_catalog.py)",
     "catalog.load_default_catalog": "takes no argument",
+    "catalog.document": "the JSON object of a loaded catalog: dumps_catalog and catalog list "
+                        "call it on the dict that _by_name returned",
     "covering.TowerLevel": RESULT,
     "covering.Tower": RESULT,
     "covering.CoverDiameter": RESULT,
@@ -288,6 +283,8 @@ def test_valid_arguments_compute():
 @example(("QSeries coeff", "n", -3))
 @example(("QSeries coeff", "n", 7))
 @example(("QSeries power", "k", -1))
+# a huge power on a series whose constant term is not +-1: unbounded work
+@example(("QSeries power", "k", 10**400))
 # an unhashable choice, and one past str()'s 4,300-digit limit
 @example(("c_of_b", "method", ["todd"]))
 @example(("eisenstein", "kind", 10**5000))
@@ -302,13 +299,13 @@ def test_valid_arguments_compute():
 @example(("loads_catalog", "text", None))
 @example(("load_catalog", "path", None))
 @example(("entry_to_dict", "entry", None))
-@example(("dumps_catalog", "catalog", None))
-# a TypeError from open and from iterating the entries, AttributeErrors from
-# an entry and from the catalog of resolve
-@example(("save_catalog", "path", 123))
-@example(("CatalogFile", "entries", 5))
-@example(("CatalogFile", "entries", [None]))
+@example(("dumps_catalog", "entries", None))
+# a TypeError from iterating the entries, AttributeErrors from an entry and
+# from the catalog of resolve, and a list of entries in place of its dict
+@example(("dumps_catalog", "entries", 5))
+@example(("dumps_catalog", "entries", [None]))
 @example(("resolve", "catalog", 5))
+@example(("resolve", "catalog", [K3]))
 # the edges of the exact-int and exact-float checks that come first in
 # whole and real: a signed zero at low 0, -inf at low -inf, nan, a bool, an
 # int and a float subclass, and an int past binary64
@@ -339,7 +336,7 @@ def test_hostile_argument_is_refused_typed(case):
         assert isinstance(refused, DomainError), (case, refused)
     if kinds[arg].endswith("real") and isinstance(value, float) and not math.isfinite(value):
         assert isinstance(refused, DomainError), (case, refused)
-    if kinds[arg] == "work" and is_int(value) and value > MAX_TRUNC:
+    if kinds[arg] in ("work", "exponent") and is_int(value) and value > MAX_TRUNC:
         assert isinstance(refused, TooLarge), (case, refused)
 
 

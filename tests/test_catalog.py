@@ -12,7 +12,7 @@ import pytest
 from genus_forge.catalog import (
     ENV_CATALOG_PATH,
     SCHEMA_VERSION,
-    CatalogFile,
+    document,
     dumps_catalog,
     entry_from_dict,
     entry_to_dict,
@@ -20,12 +20,11 @@ from genus_forge.catalog import (
     load_default_catalog,
     loads_catalog,
     resolve,
-    save_catalog,
 )
 from genus_forge.cli import main
 from genus_forge.errors import CatalogError, DomainError, UnknownManifold
 from genus_forge.genera import genus_value
-from genus_forge.manifolds import GenusKind, ManifoldData, cp, k3
+from genus_forge.manifolds import GenusKind, ManifoldData, cp, hp2, k3
 
 # the builder serves only the regeneration script, so it lives there
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -46,19 +45,22 @@ def _packaged_text() -> str:
 
 def test_shipped_catalog_round_trips_byte_identical():
     text = _packaged_text()
-    assert dumps_catalog(loads_catalog(text)) == text
+    catalog = loads_catalog(text)
+    assert dumps_catalog(list(catalog.values())) == text
+    assert json.dumps(document(catalog), indent=2) + "\n" == text
 
 
 def test_shipped_catalog_contents():
     cat = load_default_catalog()
-    assert [e.name for e in cat.entries] == ALL_NAMES
-    assert len(cat.entries) >= 10
-    assert cat.get("K3").chern_numbers == {(2,): 24}
-    assert cat.get("HP2").pontryagin_numbers == {(1, 1): 4, (2,): 7}
-    sharp = cat.get("T2xS6_sharp_B8")
+    # a plain dict of entries by name, in file order
+    assert type(cat) is dict and list(cat) == ALL_NAMES
+    assert all(entry.name == name for name, entry in cat.items())
+    assert cat["K3"].chern_numbers == {(2,): 24}
+    assert cat["HP2"].pontryagin_numbers == {(1, 1): 4, (2,): 7}
+    sharp = cat["T2xS6_sharp_B8"]
     assert sharp.asserted_genera == {"ahat": Fraction(1)}
-    assert cat.get("W24").real_dim == 24 and cat.get("W24").string
-    assert cat.get("nope") is None
+    assert cat["W24"].real_dim == 24 and cat["W24"].string
+    assert "nope" not in cat
 
 
 def test_shipped_catalog_matches_builder():
@@ -154,7 +156,7 @@ def test_chern_and_pontryagin_numbers_must_agree(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: entry 'K3bad': ") and err.count("\n") == 1
     monkeypatch.delenv(ENV_CATALOG_PATH)
-    assert [e.name for e in load_default_catalog().entries] == ALL_NAMES
+    assert list(load_default_catalog()) == ALL_NAMES
 
 
 def test_entry_messages_name_the_entry():
@@ -185,8 +187,8 @@ def test_entry_messages_name_the_entry():
 
 
 def test_loads_validation():
-    good = dumps_catalog(CatalogFile(entries=[k3()], schema_version=SCHEMA_VERSION))
-    loads_catalog(good)
+    good = dumps_catalog([k3()])
+    assert loads_catalog(good) == {"K3": k3()}
     with pytest.raises(CatalogError, match="line 1, column"):
         loads_catalog("{ not json")
     # a source past str()'s 4,300-digit limit is shown by its size
@@ -212,23 +214,17 @@ def test_loads_validation():
 
 def test_save_and_load_file(tmp_path):
     path = tmp_path / "cat.json"
-    catalog = CatalogFile(entries=[k3()], schema_version=SCHEMA_VERSION)
-    save_catalog(catalog, path)
+    path.write_text(dumps_catalog([k3()]))
     again = load_catalog(path)
-    assert [e.name for e in again.entries] == ["K3"] and again.get("K3") == k3()
+    assert list(again) == ["K3"] and again["K3"] == k3()
+    assert load_catalog(str(path)) == again
     with pytest.raises(CatalogError, match="cannot read"):
         load_catalog(tmp_path / "absent.json")
+    with pytest.raises(CatalogError, match="^cannot read catalog"):
+        load_catalog(tmp_path)  # a directory
     # an int is no path: it must not be opened as a file descriptor
     with pytest.raises(CatalogError, match="^a catalog path must be a str or a path, got 0$"):
         load_catalog(0)
-    with pytest.raises(CatalogError, match="^a catalog path must be a str or a path, got 1$"):
-        save_catalog(catalog, 1)
-    # a catalog that cannot be dumped is refused before the file is opened
-    with pytest.raises(DomainError, match="^catalog must be a CatalogFile, got None$"):
-        save_catalog(None, path)
-    assert load_catalog(path) == again
-    with pytest.raises(CatalogError, match="^cannot write catalog"):
-        save_catalog(catalog, tmp_path)
 
 
 @pytest.mark.parametrize("content", [
@@ -261,51 +257,80 @@ def test_env_override(tmp_path, monkeypatch):
     path = tmp_path / "alt.json"
     alt = ManifoldData(name="ALT", real_dim=4, pontryagin_numbers={(1,): 1},
                        spin=False)
-    save_catalog(CatalogFile(entries=[alt], schema_version=SCHEMA_VERSION), path)
+    path.write_text(dumps_catalog([alt]))
     monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
-    cat = load_default_catalog()
-    assert [e.name for e in cat.entries] == ["ALT"]
+    assert load_default_catalog() == {"ALT": alt}
     monkeypatch.delenv(ENV_CATALOG_PATH)
-    assert [e.name for e in load_default_catalog().entries] == ALL_NAMES
+    assert list(load_default_catalog()) == ALL_NAMES
 
 
 def test_resolve():
     assert resolve("K3").name == "K3"
     # builtins stay reachable even when the catalog lacks them
-    small = CatalogFile(entries=[k3()], schema_version=SCHEMA_VERSION)
+    small = {"K3": k3()}
     assert resolve("CP3", small).complex_dim == 3
     assert resolve("T6", small).real_dim == 6
     with pytest.raises(UnknownManifold) as err:
         resolve("E8", small)
     assert "E8" in str(err.value)
-    with pytest.raises(DomainError, match="^catalog must be a CatalogFile, got 5$"):
+    assert resolve("K3", {}) == k3()
+    with pytest.raises(DomainError, match="^catalog must be a dict of entries by name, got 5$"):
         resolve("K3", catalog=5)
+    # a list of entries is not the catalog a loader returns
+    with pytest.raises(DomainError, match=r"^catalog must be a dict of entries by name, got \[Man"):
+        resolve("K3", [k3()])
+    # a name that is not a str is refused by the builtins, hashable or not
+    for name in (["K3"], 3):
+        with pytest.raises(DomainError, match="^a manifold name must be a str"):
+            resolve(name, small)
 
 
-@pytest.mark.parametrize("fields, message", [
-    (dict(entries=5), "entries must be a list of ManifoldData, got 5"),
-    (dict(entries=(k3(),)), "entries must be a list of ManifoldData, got (ManifoldData("),
-    (dict(entries=[k3(), None]), "expected ManifoldData, got None"),
-    (dict(schema_version=2), "schema_version must be 1, got 2"),
-    (dict(schema_version=True), "schema_version must be 1, got True"),
-    (dict(schema_version=1.0), "schema_version must be 1, got 1.0"),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dumps_catalog(5), DomainError, "entries must be a list of ManifoldData, got 5"),
+    (lambda: dumps_catalog((k3(),)), DomainError,
+     "entries must be a list of ManifoldData, got (ManifoldData("),
+    (lambda: dumps_catalog([k3(), None]), DomainError, "expected ManifoldData, got None"),
+    (lambda: loads_catalog('{"schema_version": 2, "entries": []}'), CatalogError,
+     "<string>: unsupported schema_version 2 (expected 1)"),
+    (lambda: loads_catalog('{"schema_version": true, "entries": []}'), CatalogError,
+     "<string>: unsupported schema_version True (expected 1)"),
+    (lambda: loads_catalog('{"schema_version": 1.0, "entries": []}'), CatalogError,
+     "<string>: unsupported schema_version 1.0 (expected 1)"),
 ], ids=["int", "tuple", "None-entry", "version-2", "version-True", "version-float"])
-def test_catalog_file_checks_its_fields(fields, message):
-    # each was taken, to raise TypeError or AttributeError later in get or
-    # dumps_catalog, or to be saved as a file that loads_catalog refuses
-    with pytest.raises(DomainError) as err:
-        CatalogFile(**fields)
+def test_catalog_file_checks_its_fields(call, error, message):
+    # a file's two fields: its entries are checked by the writer, and its
+    # schema version, a constant, by the reader alone
+    with pytest.raises(error) as err:
+        call()
     assert str(err.value).startswith(message)
-    assert CatalogFile().entries == [] and CatalogFile().schema_version == SCHEMA_VERSION
+    assert dumps_catalog([]) == json.dumps({"schema_version": SCHEMA_VERSION, "entries": []},
+                                           indent=2) + "\n"
 
 
-def test_catalog_file_refuses_a_repeated_name(tmp_path):
-    # the check loads_catalog makes, in the one place every catalog passes:
-    # such a catalog was saved, and the file then failed to load
-    path = tmp_path / "dup.json"
+def test_catalog_file_refuses_a_repeated_name():
+    # the writer refuses what the reader would: one check, in _by_name
     with pytest.raises(CatalogError, match="^duplicate entry name 'K3'$"):
-        save_catalog(CatalogFile([k3(), k3()]), path)
-    assert not path.exists()
+        dumps_catalog([k3(), k3()])
+    payload = json.loads(dumps_catalog([k3(), hp2()]))
+    payload["entries"][1]["name"] = "K3"
+    with pytest.raises(CatalogError, match="^duplicate entry name 'K3'$"):
+        loads_catalog(json.dumps(payload))
+
+
+@pytest.mark.parametrize("key", ["1_0", "+10", "\u0661\u0660"],
+                         ids=["underscore", "plus", "arabic-indic"])
+def test_partition_keys_are_ascii_digits(key):
+    # int() reads each of these as 10; the written form is ASCII digits
+    def entry(key):
+        return {"name": "E40", "real_dim": 40, "spin": False, "string": False,
+                "pontryagin_numbers": {key: 1}}
+
+    assert entry_from_dict(entry("10")).pontryagin_numbers == {(10,): 1}
+    assert entry_from_dict(entry(" 9, 1")).pontryagin_numbers == {(9, 1): 1}
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "entries": [entry(key)]})
+    with pytest.raises(CatalogError) as err:
+        loads_catalog(text)
+    assert str(err.value) == f"entry 'E40': malformed partition key {key!r}"
 
 
 def test_resolved_numbers_are_read_only():
@@ -324,4 +349,4 @@ def test_resolved_numbers_are_read_only():
     # the read-only mappings still serialize, sum and multiply
     hp2 = resolve("HP2", catalog)
     assert entry_to_dict(hp2)["pontryagin_numbers"] == {"2": 7, "1,1": 4}
-    assert dumps_catalog(loads_catalog(_packaged_text())) == _packaged_text()
+    assert dumps_catalog(list(loads_catalog(_packaged_text()).values())) == _packaged_text()

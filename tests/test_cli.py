@@ -19,15 +19,10 @@ from hypothesis import strategies as st
 
 import genus_forge
 from genus_forge import elliptic
-from genus_forge.catalog import (
-    ENV_CATALOG_PATH,
-    SCHEMA_VERSION,
-    CatalogFile,
-    save_catalog,
-)
+from genus_forge.catalog import ENV_CATALOG_PATH, SCHEMA_VERSION, dumps_catalog
 from genus_forge.cli import COMMANDS, main
 from genus_forge.errors import GenusForgeError
-from genus_forge.manifolds import ManifoldData, cp, product
+from genus_forge.manifolds import ManifoldData, cp, hp2, product
 from genus_forge.qseries import QSeries
 
 SRC = str(Path(genus_forge.__file__).resolve().parents[1])
@@ -82,6 +77,20 @@ def test_catalog_list_and_show(run):
     assert "name: K3" in out and 'chern_numbers: {"2": 24}' in out
     code, _, err = run("catalog", "show", "QQ")
     assert code == 2 and "QQ" in err
+
+
+def test_catalog_list_json_prints_the_file_it_read(tmp_path):
+    # one layout: --json prints the object that dumps_catalog writes
+    alt = tmp_path / "alt.json"
+    alt.write_text(dumps_catalog([cp(2), product(cp(1), cp(3), name="C8"), hp2()]))
+    packaged = Path(SRC) / "genus_forge" / "data" / "default_catalog.json"
+    env = {key: value for key, value in os.environ.items() if key != ENV_CATALOG_PATH}
+    for path, extra in ((packaged, {}), (alt, {ENV_CATALOG_PATH: str(alt)})):
+        proc = subprocess.run([sys.executable, "-c", cli_sweep.ENTRY, "catalog", "list", "--json"],
+                              capture_output=True, env=dict(env, PYTHONPATH=SRC, **extra),
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == path.read_bytes()
 
 
 def test_elliptic_text_and_json(run):
@@ -465,7 +474,7 @@ def test_env_catalog_override(run, tmp_path, monkeypatch):
     alt = ManifoldData(name="ALT4", real_dim=4,
                        pontryagin_numbers={(1,): -48}, spin=True)
     path = tmp_path / "alt.json"
-    save_catalog(CatalogFile(entries=[alt], schema_version=SCHEMA_VERSION), path)
+    path.write_text(dumps_catalog([alt]))
     monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
     code, out, _ = run("catalog", "list")
     assert code == 0 and out.splitlines()[0].startswith("ALT4")
@@ -480,7 +489,7 @@ def test_compute_json_reads_chern_data(run, tmp_path, monkeypatch):
     # a Chern-only entry of dimension 8: its Ahat genus is computed, not asserted
     entry = product(cp(1), cp(3), name="C8")
     path = tmp_path / "c8.json"
-    save_catalog(CatalogFile(entries=[entry], schema_version=SCHEMA_VERSION), path)
+    path.write_text(dumps_catalog([entry]))
     monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
     code, out, _ = run("compute", "--manifold", "C8", "--genus", "ahat", "--json")
     assert code == 0
@@ -495,7 +504,7 @@ def test_env_catalog_asserted_entry_past_the_cap(run, tmp_path, monkeypatch):
     big = ManifoldData(name="BIG52", real_dim=52, spin=True,
                        asserted_genera={"ahat": 0})
     path = tmp_path / "big.json"
-    save_catalog(CatalogFile(entries=[big], schema_version=SCHEMA_VERSION), path)
+    path.write_text(dumps_catalog([big]))
     monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
     code, out, _ = run("catalog", "list")
     assert code == 0 and out.splitlines()[0].startswith("BIG52")

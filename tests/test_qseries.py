@@ -3,12 +3,13 @@ pairs (division, log and exp) that the test oracle adds to it."""
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from genus_forge.errors import DivergentEvaluation, DomainError, TruncMismatch
-from genus_forge.qseries import QSeries
+from genus_forge.errors import DivergentEvaluation, DomainError, TooLarge, TruncMismatch
+from genus_forge.qseries import MAX_TRUNC, QSeries
 from theta_oracle import (
     NonNilpotentExp,
     NonUnitDivisor,
@@ -54,21 +55,29 @@ def test_constructor_refusals():
         QSeries({}, 0)
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: QSeries({-1: 1}, 5), "exponent key -1 not a nonnegative integer"),
-    (lambda: QSeries({9: 1}, 5), "exponent 9 not below truncation 5"),
-    (lambda: QSeries({True: 1}, 5), "exponent key True not a nonnegative integer"),
-    (lambda: QSeries({0: 1.5}, 5), "a coefficient must be an int or a Fraction, got 1.5"),
-    (lambda: QSeries.one(5).coeff(-3), "coefficient at half-exponent -3 is not stored"),
-    (lambda: QSeries.one(5).coeff(7), "coefficient at half-exponent 7 is not stored"),
-    (lambda: QSeries.one(5) ** -1, "negative power -1: QSeries has no division"),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: QSeries({-1: 1}, 5), DomainError, "exponent key -1 not a nonnegative integer"),
+    (lambda: QSeries({9: 1}, 5), DomainError, "exponent 9 not below truncation 5"),
+    (lambda: QSeries({True: 1}, 5), DomainError, "exponent key True not a nonnegative integer"),
+    (lambda: QSeries({0: 1.5}, 5), DomainError,
+     "a coefficient must be an int or a Fraction, got 1.5"),
+    (lambda: QSeries.one(5).coeff(-3), DomainError,
+     "coefficient at half-exponent -3 is not stored"),
+    (lambda: QSeries.one(5).coeff(7), DomainError, "coefficient at half-exponent 7 is not stored"),
+    (lambda: QSeries.one(5) ** -1, DomainError, "negative power -1: QSeries has no division"),
+    (lambda: QSeries({0: Fraction(1, 2), 1: 1}, 5) ** (MAX_TRUNC + 1), TooLarge,
+     f"power {MAX_TRUNC + 1} exceeds the cap of {MAX_TRUNC}"),
+    (lambda: QSeries({0: Fraction(1, 2), 1: 1}, 5) ** 10**400, TooLarge,
+     f"power {10**400} exceeds the cap of {MAX_TRUNC}"),
 ], ids=["negative-key", "key-past-trunc", "bool-key", "float-coefficient", "negative-index",
-        "index-past-trunc", "negative-power"])
-def test_bad_arguments_are_refused_typed(call, message):
+        "index-past-trunc", "negative-power", "power-past-cap", "huge-power"])
+def test_bad_arguments_are_refused_typed(call, error, message):
     # each raised a plain ValueError or TypeError, or was taken: a bool key
-    # stored, a negative index read as 0
-    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+    # stored, a negative index read as 0, a huge power run without bound
+    start = time.perf_counter()
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
         call()
+    assert time.perf_counter() - start < 0.5
 
 
 def test_zero_coefficients_not_stored():

@@ -9,9 +9,8 @@ from fractions import Fraction
 import pytest
 
 from genus_forge.bounds import BoundParams, BoundReport, IndexBoundReport
-from genus_forge.catalog import CatalogFile
 from genus_forge.covering import CoverDiameter, Tower, TowerLevel
-from genus_forge.manifolds import ManifoldData, k3
+from genus_forge.manifolds import ManifoldData
 from genus_forge.modular import ModularCheck, ModularFit
 
 PARAMS = dict(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0, cmp=1.0, v=2.0, l=1)
@@ -23,7 +22,6 @@ CASES = [
     (ManifoldData, dict(name="Q", real_dim=8, pontryagin_numbers={(2,): 7, (1, 1): 4},
                         chern_numbers=None, complex_dim=None, spin=True, string=False,
                         asserted_genera={"ahat": Fraction(0)}), dict(spin=False)),
-    (CatalogFile, dict(entries=[k3()], schema_version=1), dict(entries=[])),
     (BoundParams, PARAMS, dict(diam=2.0)),
     (BoundReport, REPORT, dict(constant=10.0)),
     (IndexBoundReport, dict(REPORT, dim_bound=9.0, index_bound=9.0), dict(index_bound=8.0)),
@@ -55,7 +53,7 @@ def test_record_contracts(cls, fields, change):
         record.extra = 1
     if all(_hashes(value) for value in fields.values()):
         assert hash(record) == hash(cls(*fields.values()))
-    else:  # a mapping or list field: ManifoldData, CatalogFile, Tower, ModularFit
+    else:  # a mapping or list field: ManifoldData, Tower, ModularFit
         with pytest.raises(TypeError):
             hash(record)
 
