@@ -13,14 +13,17 @@ versions: compare them within one.
     python scripts/count_ops.py bound cb --m 2 --b 1.0   # one command
     python scripts/count_ops.py --root ../parent         # another checkout
 
-Each line reads `opcodes modules source-bytes exit argv`.  The child runs
-with PYTHONHASHSEED=0 and counts every bytecode instruction with
-`sys.settrace` (`f_trace_opcodes`), the imports included.  It reads and
-writes no bytecode cache, so every module it imports is compiled from
-source, and the source bytes are the sizes of the `genus_forge` modules it
-imported.  The program is imported from the checkout's `src/`.  Where the
-tracer receives no opcode events (Python 3.12.1 sends none), a command
-would count 0 opcodes: the script raises instead of printing that count.
+A first line, starting with `#`, names the Python version and the counter;
+then each line reads `opcodes modules source-bytes exit argv`.  The child
+runs with PYTHONHASHSEED=0 and counts every bytecode instruction, the
+imports included: with `sys.monitoring` INSTRUCTION events on Python 3.12
+and later, where `sys.settrace` sends no opcode events under 3.12.1, and
+with `sys.settrace` (`f_trace_opcodes`) before.  It reads and writes no
+bytecode cache, so every module it imports is compiled from source, and the
+source bytes are the sizes of the `genus_forge` modules it imported.  The
+program is imported from the checkout's `src/`.  Where the counter receives
+no instruction events, a command would count 0 opcodes: the script raises
+instead of printing that count.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ DEFAULT = [
     ("cover", "diam", "--k", "2", "--base", "3,3", "--factor", "2"),
 ]
 TIMEOUT_S = 120.0
+VERSION = sys.version.split()[0]
+COUNTER = "sys.monitoring" if hasattr(sys, "monitoring") else "sys.settrace"
 
 # argv: counts file, package directory, then the command.  The trace starts
 # after this script's own setup, and the counts are taken before anything
@@ -51,21 +56,35 @@ CHILD = """\
 import sys
 counts_path, package, *argv = sys.argv[1:]
 ops = [0]
+monitoring = getattr(sys, "monitoring", None)
 
-def step(frame, event, arg):
-    if event == "opcode":
+if monitoring:
+    def count(code, offset):
         ops[0] += 1
-    return step
 
-def enter(frame, event, arg):
-    frame.f_trace_opcodes = True
-    return step
+    monitoring.use_tool_id(monitoring.PROFILER_ID, "count_ops")
+    monitoring.register_callback(monitoring.PROFILER_ID, monitoring.events.INSTRUCTION, count)
+else:
+    def step(frame, event, arg):
+        if event == "opcode":
+            ops[0] += 1
+        return step
+
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return step
 
 before = set(sys.modules)
-sys.settrace(enter)
+if monitoring:
+    monitoring.set_events(monitoring.PROFILER_ID, monitoring.events.INSTRUCTION)
+else:
+    sys.settrace(enter)
 from genus_forge.cli import main
 code = main(argv)
-sys.settrace(None)
+if monitoring:
+    monitoring.set_events(monitoring.PROFILER_ID, 0)
+else:
+    sys.settrace(None)
 new = set(sys.modules) - before
 import os
 size = sum(os.path.getsize(sys.modules[name].__file__) for name in new
@@ -90,8 +109,8 @@ def count(root: Path, argv, cache: str) -> tuple[int, int, int, int]:
         with open(path) as fh:
             counts = tuple(int(word) for word in fh.read().split())
     if counts[0] == 0:
-        raise RuntimeError(f"the tracer counted no opcodes under Python "
-                           f"{sys.version.split()[0]}: count within another version")
+        raise RuntimeError(f"the tracer counted no opcodes under Python {VERSION}: "
+                           "count within another version")
     return counts
 
 
@@ -102,6 +121,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", nargs=argparse.REMAINDER,
                         help="one genus-forge command (default: a fixed list)")
     args = parser.parse_args(argv)
+    print(f"# Python {VERSION}, opcodes counted with {COUNTER}", flush=True)
     with tempfile.TemporaryDirectory() as cache:
         for command in [tuple(args.command)] if args.command else DEFAULT:
             ops, modules, size, code = count(args.root, command, cache)

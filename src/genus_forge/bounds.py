@@ -25,6 +25,9 @@ alone, so each process finds them once per (m, b) and keeps the last 128,
 about 1.3 MB at m = 300, and the last 128 bisection roots: a repeated
 bisection call returns its root without replaying the halving.  A report
 of moser_constant or index_bound_report is built once, from one composition.
+Each input is checked once: BoundParams checks every value, and the
+composition then checks only c_of_b's range on m before it reads the kept
+bisection root.
 """
 
 from __future__ import annotations
@@ -104,8 +107,9 @@ class IndexBoundReport(BoundReport):
     def __init__(self, inputs: BoundParams, mu: float, K1: float, K2: float,
                  c_of_b: float, R: float, B: float, constant: float,
                  dim_bound: float = math.nan, index_bound: float = math.nan):
-        super().__init__(inputs, mu, K1, K2, c_of_b, R, B, constant)
-        self._set(dim_bound=dim_bound, index_bound=index_bound)
+        # one store, not BoundReport.__init__ and a second: a report is built per job
+        self._set(inputs=inputs, mu=mu, K1=K1, K2=K2, c_of_b=c_of_b, R=R, B=B,
+                  constant=constant, dim_bound=dim_bound, index_bound=index_bound)
 
 
 def _legendre(n, x):
@@ -338,7 +342,9 @@ def _compose(params):
     denom = mu * (p - 1) - p
     if denom <= 0:
         raise ExponentDomainError(f"mu*(p-1) - p = {denom} must be positive (mu = {mu}, p = {p})")
-    cb = c_of_b(params.m, params.b)
+    # BoundParams made b a finite positive float, and the method is bisection:
+    # of c_of_b's checks only its range on m is left
+    cb = _halving_root(whole("m", params.m, 2, _MAX_M), params.b)
     R = params.diam / (params.b * cb)
     try:
         # Lambda = 0 kills the first term (positive exponent), leaving B = 2
@@ -348,9 +354,10 @@ def _compose(params):
         raise FloatRangeError(f"a power in B or the constant overflows binary64 (mu = {mu}, "
                               f"R = {R})") from None
     # a product or quotient overflows to inf without raising, and 0 * inf is nan
-    for name, value in (("R", R), ("B", B), ("the constant", constant)):
-        if not math.isfinite(value):
-            raise FloatRangeError(f"{name} overflows binary64 to {value} (mu = {mu}, R = {R})")
+    if not (math.isfinite(R) and math.isfinite(B) and math.isfinite(constant)):
+        for name, value in (("R", R), ("B", B), ("the constant", constant)):
+            if not math.isfinite(value):
+                raise FloatRangeError(f"{name} overflows binary64 to {value} (mu = {mu}, R = {R})")
     return mu, K1, K2, cb, R, B, constant
 
 
@@ -376,7 +383,9 @@ def index_bound_report(params: BoundParams) -> IndexBoundReport:
     |index| <= max(dim ker, dim coker).  Kernel and cokernel bounds coincide
     in this model (same rank, same sup constant), so the index bound is the
     dimension bound itself.  The report is built once, from the composition
-    that moser_constant returns."""
+    that moser_constant returns.  BoundParams has checked every input; the
+    composition adds c_of_b's m <= 300, with c_of_b's wording, after the
+    exponent checks, and berard_dim_bound the product's range."""
     fields = _compose(params)
     dim_bound = berard_dim_bound(params.l, fields[-1])
     return IndexBoundReport(params, *fields, dim_bound, dim_bound)

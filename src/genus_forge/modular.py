@@ -124,6 +124,39 @@ def _tail(series: QSeries, q: float) -> float:
     return last / (1.0 - math.sqrt(q))
 
 
+_UNIT = 2.0 ** -53  # unit roundoff of binary64
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), which bounds k roundings."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _rounding(series: QSeries, q: float, scaled: int = 0) -> float:
+    """Bound on the rounding error of series.eval_at(q) times a factor that
+    carries `scaled` roundings of its own, where q = e^x is x = -2 pi tau_im
+    or -2 pi / tau_im rounded, then exponentiated and rounded.
+
+    Term n is float(c) times the n-th power of sqrt(q): the rounding of the
+    root raised to the n-th power, at most n - 1 products for the power, the
+    conversion and the product make 2n + 1 roundings, and the recursive sum
+    of N terms adds N - 1 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sections 3.1 and 4.2), so with the factor's roundings
+    gamma_(N + 2n + scaled) of its size.
+    x is off by gamma_2 |x| (pi and one product or quotient) and e^x by one
+    more rounding, so q^(n/2) is off by a factor of at most
+    e^((n/2) (gamma_2 |x| + gamma_1)).
+    """
+    size, root = len(series.coeffs), math.sqrt(q)
+    # q = 0 (tau_im past about 118): only the q^0 term is left, and q^0 is exact
+    point = _gamma(2) * -math.log(q) + _gamma(1) if q else 0.0
+    bound = 0.0
+    for n, c in series.terms():
+        term, off = _gamma(size + 2 * n + scaled), math.expm1(n / 2 * point)
+        bound += (term + (1.0 + term) * off) * abs(float(c)) * root ** n
+    return bound
+
+
 def modular_relation_check(
     m: ManifoldData,
     tau_im: float = 1.5,
@@ -138,7 +171,10 @@ def modular_relation_check(
     q = e^(-2 pi tau_im).  When the estimated truncation error of the two
     sides (`_tail`, the rhs scaled by |2 tau|^(2m)) is not at least
     _TAIL_MARGIN times below tol, a FAIL would say nothing about the
-    relation, so ConvergenceRisk is raised instead.
+    relation, so ConvergenceRisk is raised instead.  The same holds for the
+    bound on the rounding error of the two sums (`_rounding`, with the error
+    of |2 tau|^(2m)): large sides, as for CP16 at tau_im = 3, can differ by
+    more than tol from rounding alone.
     """
     _check_manifolds(m)
     tau_im, tol = real("tau_im", tau_im, -math.inf), real("tol", tol)
@@ -161,6 +197,15 @@ def modular_relation_check(
             f"{m.name}: estimated truncation error {tail:.1e} at tau_im = {tau_im} and "
             f"q_trunc = {q_trunc} is not well below tol = {tol:.1e}; keep more terms "
             "or bring tau_im nearer 1"
+        )
+    # (2 tau)^(2m) multiplies 2m factors of the exact 2 tau, and scaling the
+    # sum rounds once more: 2m roundings
+    rounding = _rounding(ell1, q_prime) + abs(scale) * _rounding(ell2, q, 2 * mm)
+    if not rounding < tol / _TAIL_MARGIN:
+        raise ConvergenceRisk(
+            f"{m.name}: the sums' rounding error may reach {rounding:.1e} at tau_im = "
+            f"{tau_im} and q_trunc = {q_trunc}, not well below tol = {tol:.1e}; "
+            "raise tol or bring tau_im nearer 1"
         )
     abs_error = abs(lhs - rhs)
     return ModularCheck(

@@ -662,6 +662,39 @@ def test_index_bound_report_extends_the_moser_report():
             assert list(vars(rep))[8:] == ["dim_bound", "index_bound"]
 
 
+def _report_lines():
+    """Every field of both reports over the float workload's index-bound
+    grid, each at rank 1 and 7."""
+    for m, p, lam, diam, b in IBR_GRID:
+        for l in (1, 7):
+            params = BoundParams(m=m, p=p, Lambda=lam, diam=diam, b=b, l=l)
+            for name, report in (("moser", moser_constant), ("index", index_bound_report)):
+                fields = " ".join(f"{k}={v!r}" for k, v in vars(report(params)).items())
+                yield f"{name} {fields}"
+
+
+# the SHA-256 of _report_lines() at the commit before _compose read the kept
+# bisection root directly: 480 reports, every bit of each field
+REPORT_DIGEST = "46967dc4822785215d8a753d171c695d5be5bbb377cfb7dc086a1cf407c30f4a"
+
+
+def test_bound_report_bits_are_pinned():
+    digest = hashlib.sha256("\n".join(_report_lines()).encode()).hexdigest()
+    assert digest == REPORT_DIGEST
+
+
+def test_index_bound_report_refuses_m_past_300_as_c_of_b_does():
+    # BoundParams takes any m >= 2; the composition owes c_of_b's cap
+    params = BoundParams(m=301, p=151.0, Lambda=1.0, diam=1.0, b=1.0)
+    with pytest.raises(DomainError) as direct:
+        c_of_b(301, 1.0)
+    for report in (index_bound_report, moser_constant):
+        with pytest.raises(DomainError) as composed:
+            report(params)
+        assert str(composed.value) == str(direct.value) == \
+            "m must be an integer in [2, 300], got 301"
+
+
 def test_params_validation():
     good = dict(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0)
     BoundParams(**good)

@@ -198,14 +198,22 @@ def test_modular_fit_output(run):
 
 
 def test_modular_check_pass_and_refuse(run):
-    code, out, _ = run("modular", "check", "--manifold", "HP2",
-                       "--tau-im", "2.0")
-    assert code == 0 and "PASS" in out
+    # byte for byte: the rounding guard bounds HP2's sums at about 2e-14
+    assert run("modular", "check", "--manifold", "HP2", "--tau-im", "2.0") == (
+        0, "lhs = (0.48525429742290305+0j)\nrhs = (0.4852542974229032+0j)\n"
+           "|lhs - rhs| = 1.665e-16 (tol 1.0e-08): PASS\n", "")
     code, _, err = run("modular", "check", "--manifold", "K3",
                        "--tau-im", "0.5")
     assert code == 3 and "must exceed 1" in err
     code, out, err = run("modular", "check", "--manifold", "HP2", "--order", "0")
     assert code == 1 and out == "" and "0 is not in the range x>=1" in err
+    # both sides are about 8.5e6: the gap of 2.4e-8 is rounding, not a FAIL
+    code, out, err = run("modular", "check", "--manifold", "CP16", "--tau-im", "3",
+                         "--order", "40")
+    assert code == 3 and out == ""
+    assert err == ("error: CP16: the sums' rounding error may reach 2.0e-07 at tau_im = 3.0 "
+                   "and q_trunc = 81, not well below tol = 1.0e-08; raise tol or bring "
+                   "tau_im nearer 1\n")
 
 
 def test_bound_cb(run):

@@ -1,14 +1,17 @@
 """Eisenstein expansions, exact Witten-genus fits, and the numeric check
 of the S-transformation between the two level-2 genera."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from genus_forge.catalog import resolve
+from genus_forge.elliptic import elliptic_genus
 from genus_forge.errors import ConvergenceRisk, FitError
 from genus_forge.manifolds import ManifoldData, k3, hp2, product, torus
 from genus_forge.modular import (
+    _rounding,
     _tail,
     eisenstein,
     modular_relation_check,
@@ -138,3 +141,40 @@ def test_modular_relation_refuses_large_tau():
             modular_relation_check(hp2(), tau_im=tau_im)
     # a looser tol leaves room for the same truncation
     assert modular_relation_check(hp2(), tau_im=10.0, tol=10.0).passed
+
+
+@pytest.mark.parametrize("name, tau_im", [("HP2", 2.0), ("K3xK3", 1.5), ("CP12", 3.0),
+                                          ("CP16", 1.5), ("CP16", 3.0)])
+def test_rounding_bound_holds_against_exact_sums(name, tau_im):
+    # each computed side against its sum at the exact point, to 40 digits
+    mp = pytest.importorskip("mpmath")
+    entry, trunc = resolve(name), 81
+    chk = modular_relation_check(entry, tau_im=tau_im, q_trunc=trunc, tol=1.0)
+    ell1 = elliptic_genus(entry, "ell1", trunc).series
+    ell2 = elliptic_genus(entry, "ell2", trunc).series
+    mm = entry.real_dim // 4
+    with mp.workdps(40):
+        tau = mp.mpf(tau_im)
+        exact_lhs = sum(mp.mpf(c.numerator) / c.denominator * mp.exp(-mp.pi * n / tau)
+                        for n, c in ell1.terms())
+        exact_rhs = (2 * tau) ** (2 * mm) * (-1) ** mm * sum(
+            mp.mpf(c.numerator) / c.denominator * mp.exp(-mp.pi * n * tau)
+            for n, c in ell2.terms())
+        lhs_error = float(abs(mp.mpc(chk.lhs) - exact_lhs))
+        rhs_error = float(abs(mp.mpc(chk.rhs) - exact_rhs))
+    assert lhs_error <= _rounding(ell1, math.exp(-2.0 * math.pi / tau_im))
+    assert rhs_error <= (2 * tau_im) ** (2 * mm) * _rounding(
+        ell2, math.exp(-2.0 * math.pi * tau_im), 2 * mm)
+
+
+def test_rounding_guard_refuses_a_verdict_it_cannot_give():
+    # CP16's sides are about 8.5e6 at tau_im = 3: their rounding error may
+    # reach 2e-7, so a gap of 2.4e-8 against tol 1e-8 would be a false FAIL
+    with pytest.raises(ConvergenceRisk, match="rounding error may reach 2.0e-07"):
+        modular_relation_check(resolve("CP16"), tau_im=3.0, q_trunc=81)
+    # a verdict needs the bound ten times below tol
+    with pytest.raises(ConvergenceRisk, match="rounding error"):
+        modular_relation_check(resolve("CP16"), tau_im=3.0, q_trunc=81, tol=1e-6)
+    assert modular_relation_check(resolve("CP16"), tau_im=3.0, q_trunc=81, tol=1e-5).passed
+    # past tau_im = 118, q = e^(-2 pi tau_im) underflows to 0
+    assert modular_relation_check(hp2(), tau_im=200.0, tol=1e300).passed
