@@ -19,7 +19,7 @@ Each line of the listing reads `exit stdout-sha256 stderr-sha256 argv`.
 byte shows up as a diff against it.  With `--against`, both trees run
 every command and only the commands that differ are printed, naming
 which of exit code, stdout and stderr differ; the exit status is 1 if
-any differ.  Each tree's program is imported from its own `src/`.  572
+any differ.  Each tree's program is imported from its own `src/`.  574
 commands; with two jobs at a time a tree takes about a minute on a 2-core
 x86 host.
 """
@@ -118,6 +118,9 @@ FIXED = [
     ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0", "--order", "4"),
     # a sum whose rounding error may reach tol: CP16's sides are about 8.5e6
     ("modular", "check", "--manifold", "CP16", "--tau-im", "3", "--order", "40"),
+    # the scale (2 tau)^(2m) past binary64
+    ("modular", "check", "--manifold", "HP2", "--tau-im", "1e80"),
+    ("modular", "check", "--manifold", "CP24", "--tau-im", "1e13", "--order", "4"),
     ("bound", "cb", "--m", "2", "--b", "710"),
     # the dimension bound l * L_sup past binary64
     ("bound", "index", "--m", "4", "--p", "5", "--lambda", "0", "--diam", "1", "--b", "1",

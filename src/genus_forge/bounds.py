@@ -23,10 +23,9 @@ bracket, or two halvings before its stop rule: no halving above evaluates
 or stops, so the start keeps every bit.  Search and start depend on (m, b)
 alone, so each process finds them once per (m, b) and keeps the last 128,
 about 1.3 MB at m = 300, and the last 128 bisection roots: a repeated
-bisection call returns its root without replaying the halving.  A report
-of moser_constant or index_bound_report is built once, from one composition.
-Each input is checked once: BoundParams checks every value, and the
-composition then checks only c_of_b's range on m before it reads the kept
+bisection call returns its root without replaying the halving.  Each input
+of index_bound_report is checked once: BoundParams checks every value, and
+the report then checks only c_of_b's range on m before it reads the kept
 bisection root.
 """
 
@@ -91,23 +90,13 @@ class BoundParams(Record):
         self._set(m=m, p=p, Lambda=Lambda, diam=diam, b=b, cmp=cmp, v=v, l=l)
 
 
-class BoundReport(Record):
-    """The inputs and every intermediate of the Moser-constant composition,
-    in print order."""
+class IndexBoundReport(Record):
+    """The inputs, every intermediate of the Moser-constant composition and
+    the rank-scaled dimension and index bounds, in print order."""
 
     def __init__(self, inputs: BoundParams, mu: float, K1: float, K2: float,
-                 c_of_b: float, R: float, B: float, constant: float):
-        self._set(inputs=inputs, mu=mu, K1=K1, K2=K2, c_of_b=c_of_b, R=R, B=B,
-                  constant=constant)
-
-
-class IndexBoundReport(BoundReport):
-    """BoundReport extended with the rank-scaled dimension and index bounds."""
-
-    def __init__(self, inputs: BoundParams, mu: float, K1: float, K2: float,
-                 c_of_b: float, R: float, B: float, constant: float,
-                 dim_bound: float = math.nan, index_bound: float = math.nan):
-        # one store, not BoundReport.__init__ and a second: a report is built per job
+                 c_of_b: float, R: float, B: float, constant: float, dim_bound: float,
+                 index_bound: float):
         self._set(inputs=inputs, mu=mu, K1=K1, K2=K2, c_of_b=c_of_b, R=R, B=B,
                   constant=constant, dim_bound=dim_bound, index_bound=index_bound)
 
@@ -328,9 +317,50 @@ def _illinois_root(lhs, rhs, lo, hi, glo, ghi):
     return 0.5 * (lo + hi), lo, hi
 
 
-def _compose(params):
-    """(mu, K1, K2, c_of_b, R, B, constant) of the Moser composition, in the
-    field order of BoundReport."""
+def berard_dim_bound(l: int, L_sup: float) -> float:
+    """Dimension bound rank * sup-ratio; L_sup < 1 is impossible for genuine
+    sup ratios and is rejected as bad input, and a product past binary64
+    with FloatRangeError."""
+    bound = real("rank l", whole("rank l", l)) * real("L_sup", L_sup, 1)
+    if bound == math.inf:
+        raise FloatRangeError(f"the dimension bound l * L_sup overflows binary64 to inf "
+                              f"(l = {float(l)}, L_sup = {float(L_sup)})")
+    return bound
+
+
+def index_bound_report(params: BoundParams) -> IndexBoundReport:
+    """Full pipeline: Moser constant, then the rank-l dimension bound, then
+    |index| <= max(dim ker, dim coker).  Kernel and cokernel bounds coincide
+    in this model (same rank, same sup constant), so the index bound is the
+    dimension bound itself.  BoundParams has checked every input; the
+    composition adds c_of_b's m <= 300, with c_of_b's wording, after the
+    exponent checks, and berard_dim_bound the product's range.
+
+    Rounding.  Against the same formulas evaluated exactly on the same
+    binary64 inputs and root c_of_b, each field's relative error is at most
+    the following, to first order in u = 2^-53, with u for each +, -, *, /
+    and 2u (one ulp) for each power.  Three condition numbers enter:
+    mu - 1 magnifies the error of mu by mu/(mu - 1) = v, so it is off by
+    (2v + 1)u, which K1 and K2 inherit; denom = mu*(p-1) - p magnifies the
+    4u of its product by at most kappa = (mu*|p-1| + p)/denom, so it is off
+    by (4 kappa + 1)u; and a power x^e magnifies the error of its exponent
+    by |e ln x| and that of its base by |e|.  The exponents
+    eL = (mu-1)/(2 denom), eR = p(mu-1)/denom and eC = 2 K1 p (mu-1)/denom
+    are off by (2v + 4 kappa + k)u with k = 3, 4, and by (6v + 4 kappa + 8)u.
+
+      mu 2u;  K1 (4v + 3)u;  K2 (2v + 2)u;  c_of_b 0;  R 2u;
+      B  (P/B)(E_L + E_R + 2u) + u, with P = B - 2 and
+         E_L = |eL ln Lambda| err(eL) + 2u, E_R = 2u eR + |eR ln R| err(eR) + 2u,
+         and 0 when Lambda = 0, where B = 2 exactly;
+      constant  E_C = 2u eC + |eC ln mu| err(eC) + 2u
+                      + 2 K2 err(B) + |2 K2 ln B| (2v + 2)u + 2u + u;
+      dim_bound and index_bound  E_C + 2u (u for float(l), exact to 2^53).
+
+    As denom -> 0, kappa and every exponent grow like 1/denom, so B, the
+    constant and the two bounds have no bound; mu, K1, K2 and R keep
+    theirs.  c_of_b's documented relative error r <= 1e-10 against the true
+    root adds, to first order, r to R, eR (P/B) r to B, and
+    2 K2 eR (P/B) r to the constant and the two bounds."""
     if not isinstance(params, BoundParams):
         raise DomainError(f"params must be a BoundParams, got {shown(params)}")
     p, v = params.p, params.v
@@ -358,34 +388,5 @@ def _compose(params):
         for name, value in (("R", R), ("B", B), ("the constant", constant)):
             if not math.isfinite(value):
                 raise FloatRangeError(f"{name} overflows binary64 to {value} (mu = {mu}, R = {R})")
-    return mu, K1, K2, cb, R, B, constant
-
-
-def moser_constant(params: BoundParams) -> BoundReport:
-    """Compose mu, K1, K2, R, B into the explicit sup-bound constant
-    mu^(2*K1*p*(mu-1)/(mu*(p-1)-p)) * B^(2*K2)."""
-    return BoundReport(params, *_compose(params))
-
-
-def berard_dim_bound(l: int, L_sup: float) -> float:
-    """Dimension bound rank * sup-ratio; L_sup < 1 is impossible for genuine
-    sup ratios and is rejected as bad input, and a product past binary64
-    with FloatRangeError."""
-    bound = real("rank l", whole("rank l", l)) * real("L_sup", L_sup, 1)
-    if bound == math.inf:
-        raise FloatRangeError(f"the dimension bound l * L_sup overflows binary64 to inf "
-                              f"(l = {float(l)}, L_sup = {float(L_sup)})")
-    return bound
-
-
-def index_bound_report(params: BoundParams) -> IndexBoundReport:
-    """Full pipeline: Moser constant, then the rank-l dimension bound, then
-    |index| <= max(dim ker, dim coker).  Kernel and cokernel bounds coincide
-    in this model (same rank, same sup constant), so the index bound is the
-    dimension bound itself.  The report is built once, from the composition
-    that moser_constant returns.  BoundParams has checked every input; the
-    composition adds c_of_b's m <= 300, with c_of_b's wording, after the
-    exponent checks, and berard_dim_bound the product's range."""
-    fields = _compose(params)
-    dim_bound = berard_dim_bound(params.l, fields[-1])
-    return IndexBoundReport(params, *fields, dim_bound, dim_bound)
+    dim_bound = berard_dim_bound(params.l, constant)
+    return IndexBoundReport(params, mu, K1, K2, cb, R, B, constant, dim_bound, dim_bound)

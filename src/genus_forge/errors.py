@@ -82,7 +82,8 @@ class DomainError(DataError, ValueError):
 
 class FloatRangeError(NumericalError):
     """A binary64 intermediate leaves the range or resolution its formula
-    needs: a power, product or quotient overflows, or mu - 1 rounds to zero."""
+    needs: a power, product or quotient overflows, mu - 1 rounds to zero,
+    or a q-series coefficient to evaluate lies past binary64."""
 
 
 # -- covering lab --------------------------------------------------------------

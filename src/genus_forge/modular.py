@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .elliptic import DEFAULT_Q_TRUNC, EllKind, _divisor_sum, elliptic_genus
-from .errors import ConvergenceRisk, FitError, Record, choice, real
+from .errors import ConvergenceRisk, FitError, FloatRangeError, Record, choice, real
 from .manifolds import ManifoldData, _check_manifolds
 from .qseries import QSeries
 
@@ -188,7 +188,11 @@ def modular_relation_check(
     q = math.exp(-2.0 * math.pi * tau_im)
     q_prime = math.exp(-2.0 * math.pi / tau_im)
     tau = complex(0.0, tau_im)
-    scale = (2.0 * tau) ** (2 * mm)
+    try:
+        scale = (2.0 * tau) ** (2 * mm)
+    except OverflowError:
+        raise FloatRangeError(f"{m.name}: the scale (2 tau)^{2 * mm} overflows binary64 at "
+                              f"tau_im = {tau_im}; bring tau_im nearer 1") from None
     lhs = ell1.eval_at(q_prime)
     rhs = scale * ell2.eval_at(q)
     tail = _tail(ell1, q_prime) + abs(scale) * _tail(ell2, q)

@@ -22,7 +22,8 @@ import cmath
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .errors import DivergentEvaluation, DomainError, TooLarge, TruncMismatch, is_int, shown, whole
+from .errors import (DivergentEvaluation, DomainError, FloatRangeError, TooLarge, TruncMismatch,
+                     is_int, shown, whole)
 
 Scalar = int | Fraction
 MAX_TRUNC = 201  # through q^100; a product's work grows at least quadratically in trunc
@@ -214,13 +215,18 @@ class QSeries:
     def eval_at(self, q: complex) -> complex:
         """Evaluate the truncated series at a numeric q with |q| < 1.
 
-        Half powers use the principal branch of the square root.
+        Half powers use the principal branch of the square root.  A
+        coefficient past binary64 raises FloatRangeError.
         """
         q = complex(q)
         if abs(q) >= 1.0:
             raise DivergentEvaluation(f"|q| = {abs(q)} is not below 1")
         s = cmath.sqrt(q)
         total = 0j
-        for n, c in sorted(self.coeffs.items(), reverse=True):
-            total += float(c) * s**n
+        try:
+            for n, c in sorted(self.coeffs.items(), reverse=True):
+                total += float(c) * s**n
+        except OverflowError:  # float(c) alone can raise: |s| < 1
+            raise FloatRangeError(f"the coefficient at half-exponent {n} lies past binary64; "
+                                  "the series cannot be evaluated in floats") from None
         return total

@@ -17,7 +17,7 @@ from math import comb, factorial
 
 import pytest
 
-from genus_forge.bounds import BoundParams, c_of_b, moser_constant
+from genus_forge.bounds import BoundParams, c_of_b, index_bound_report
 from genus_forge.catalog import load_default_catalog
 from genus_forge.covering import TorusQuotientGraph, cover_diameter, l2_betti_ratio
 from genus_forge.elliptic import EllKind, elliptic_genus, twisted_indices
@@ -180,7 +180,7 @@ def test_criterion_10_analytic_constants():
             ch, sh = math.cosh(b) - 1.0, math.sinh(b)
             exact = (-sh + math.sqrt(sh * sh + 8.0 * ch)) / (2.0 * ch)
             assert abs(c_of_b(2, b) - exact) <= 1e-10 * exact
-        rep = moser_constant(BoundParams(m=4, p=5.0, Lambda=0.0, diam=1.0, b=1.0))
+        rep = index_bound_report(BoundParams(m=4, p=5.0, Lambda=0.0, diam=1.0, b=1.0))
         assert rep.B == 2.0
         denom = rep.mu * 4.0 - 5.0
         expected = rep.mu ** (2.0 * rep.K1 * 5.0 * (rep.mu - 1.0) / denom) * 2.0 ** (2.0 * rep.K2)

@@ -31,8 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genus_forge
-from genus_forge.bounds import (BoundParams, berard_dim_bound, c_of_b, index_bound_report,
-                                moser_constant)
+from genus_forge.bounds import BoundParams, berard_dim_bound, c_of_b, index_bound_report
 from genus_forge.catalog import (_PACKAGED, dumps_catalog, entry_to_dict, load_catalog,
                                  loads_catalog, resolve)
 from genus_forge.covering import TorusQuotientGraph, cover_diameter, l2_betti_ratio, tower
@@ -110,9 +109,9 @@ def _bounds(**kw):
 ENTRIES = {
     "c_of_b": (c_of_b, dict(m=3, b=1.0, method="bisection"),
                dict(m="count", b="real", method="choice")),
-    "moser_constant": (moser_constant,
-                       dict(params=BoundParams(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0)),
-                       dict(params="record")),
+    "index_bound_report params": (
+        index_bound_report, dict(params=BoundParams(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0)),
+        dict(params="record")),
     "index_bound_report m=4": (
         _bounds, dict(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0, cmp=1.0, v=None, l=1),
         dict(m="count", p="real", Lambda="real", diam="real", b="real", cmp="real",
@@ -175,7 +174,6 @@ HANDLER = "a CLI handler: main parses and checks its options before calling it"
 # public callable -> why it is not an entry above
 INTERNAL = {
     "bounds.BoundParams": "checks its fields; the index_bound_report entries build it",
-    "bounds.BoundReport": RESULT,
     "bounds.IndexBoundReport": RESULT,
     "catalog.entry_from_dict": "decodes JSON data: malformed data raises CatalogError "
                                "(tests/test_catalog.py)",
@@ -268,7 +266,7 @@ def test_valid_arguments_compute():
 # AttributeErrors from a record's fields
 @example(("product", "b", None))
 @example(("connected_sum", "b", 5))
-@example(("moser_constant", "params", None))
+@example(("index_bound_report params", "params", None))
 # plain ValueErrors from an enum lookup, and 1 from an unknown kind
 @example(("genus_source", "kind", "x"))
 @example(("log_coeffs", "kind", "x"))

@@ -30,7 +30,6 @@ from genus_forge.bounds import (
     berard_dim_bound,
     c_of_b,
     index_bound_report,
-    moser_constant,
 )
 from genus_forge.errors import (
     DomainError,
@@ -574,7 +573,7 @@ def test_exponent_sums():
 
 def test_moser_composition_against_inline_arithmetic():
     params = BoundParams(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0)
-    rep = moser_constant(params)
+    rep = index_bound_report(params)
     assert rep.mu == 2.0 and rep.K1 == 2.0 and rep.K2 == 1.0  # v = m/2 = 2
     cb = c_of_b(4, 1.0)
     r = 1.0 / (1.0 * cb)
@@ -590,7 +589,7 @@ def test_moser_composition_against_inline_arithmetic():
 
 
 def test_moser_lambda_zero_closed_form():
-    rep = moser_constant(BoundParams(m=4, p=5.0, Lambda=0.0, diam=1.0, b=1.0))
+    rep = index_bound_report(BoundParams(m=4, p=5.0, Lambda=0.0, diam=1.0, b=1.0))
     assert rep.B == 2.0  # the Lambda term vanishes outright
     denom = 2.0 * 4.0 - 5.0
     expected = 2.0 ** (2.0 * 2.0 * 5.0 * 1.0 / denom) * 2.0**2.0
@@ -600,10 +599,10 @@ def test_moser_lambda_zero_closed_form():
 
 def test_moser_monotonicity():
     base = dict(m=4, p=5.0, Lambda=1.0, diam=1.0, b=1.0)
-    ref = moser_constant(BoundParams(**base)).constant
-    assert moser_constant(BoundParams(**{**base, "diam": 2.0})).constant > ref
-    assert moser_constant(BoundParams(**{**base, "Lambda": 4.0})).constant > ref
-    assert moser_constant(BoundParams(**{**base, "cmp": 3.0})).constant > ref
+    ref = index_bound_report(BoundParams(**base)).constant
+    assert index_bound_report(BoundParams(**{**base, "diam": 2.0})).constant > ref
+    assert index_bound_report(BoundParams(**{**base, "Lambda": 4.0})).constant > ref
+    assert index_bound_report(BoundParams(**{**base, "cmp": 3.0})).constant > ref
 
 
 def test_berard_dim_bound():
@@ -646,31 +645,35 @@ IBR_GRID = [(m, m / 2 + dp, lam, diam, b) for m in (2, 3, 4, 6, 8) for dp in (0.
 
 
 def test_index_bound_report_extends_the_moser_report():
-    # one composition builds both records: cold or warm, the report's first
-    # eight fields are moser_constant's, bit for bit, and its bounds are
+    # cold or warm, the report's first eight fields are the Moser report's,
+    # bit for bit and the same at every rank, and its bounds are
     # berard_dim_bound's
     assert len(IBR_GRID) == 120
     _forget_searches()
     for m, p, lam, diam, b in IBR_GRID:
+        moser = set()
         for l in (1, 7):
             params = BoundParams(m=m, p=p, Lambda=lam, diam=diam, b=b, l=l)
             rep = index_bound_report(params)
             fields = list(map(repr, vars(rep).values()))
-            assert fields[:8] == list(map(repr, vars(moser_constant(params)).values()))
+            moser.add(tuple(fields[1:8]))
             assert fields == list(map(repr, vars(index_bound_report(params)).values()))
             assert rep.dim_bound == rep.index_bound == berard_dim_bound(l, rep.constant)
-            assert list(vars(rep))[8:] == ["dim_bound", "index_bound"]
+            assert list(vars(rep)) == ["inputs", "mu", "K1", "K2", "c_of_b", "R", "B",
+                                       "constant", "dim_bound", "index_bound"]
+        assert len(moser) == 1
 
 
 def _report_lines():
-    """Every field of both reports over the float workload's index-bound
-    grid, each at rank 1 and 7."""
+    """Every field of the report over the float workload's index-bound grid,
+    each at rank 1 and 7: a "moser" line of its first eight fields, the
+    Moser constant's report, then an "index" line of all ten."""
     for m, p, lam, diam, b in IBR_GRID:
         for l in (1, 7):
             params = BoundParams(m=m, p=p, Lambda=lam, diam=diam, b=b, l=l)
-            for name, report in (("moser", moser_constant), ("index", index_bound_report)):
-                fields = " ".join(f"{k}={v!r}" for k, v in vars(report(params)).items())
-                yield f"{name} {fields}"
+            items = list(vars(index_bound_report(params)).items())
+            for name, fields in (("moser", items[:8]), ("index", items)):
+                yield name + " " + " ".join(f"{k}={v!r}" for k, v in fields)
 
 
 # the SHA-256 of _report_lines() at the commit before _compose read the kept
@@ -688,11 +691,10 @@ def test_index_bound_report_refuses_m_past_300_as_c_of_b_does():
     params = BoundParams(m=301, p=151.0, Lambda=1.0, diam=1.0, b=1.0)
     with pytest.raises(DomainError) as direct:
         c_of_b(301, 1.0)
-    for report in (index_bound_report, moser_constant):
-        with pytest.raises(DomainError) as composed:
-            report(params)
-        assert str(composed.value) == str(direct.value) == \
-            "m must be an integer in [2, 300], got 301"
+    with pytest.raises(DomainError) as composed:
+        index_bound_report(params)
+    assert str(composed.value) == str(direct.value) == \
+        "m must be an integer in [2, 300], got 301"
 
 
 def test_params_validation():
@@ -739,7 +741,13 @@ def test_exponent_domain_guard():
     ).items():
         object.__setattr__(bad, key, value)
     with pytest.raises(ExponentDomainError):
-        moser_constant(bad)
+        index_bound_report(bad)
+
+
+# (m, p, Lambda, diam, b, cmp) at the limits of binary64: 648 points
+EXTREMES = list(itertools.product((2, 4), (5.0, 151.0, 1e17, 1e308), (0.0, 1.0, 1e308),
+                                  (1e-300, 1.0, 1e308), (1e-300, 1.0, 700.0),
+                                  (1e-300, 1.0, 1e308)))
 
 
 def test_index_bound_report_extremes_raise_only_typed_errors():
@@ -747,10 +755,8 @@ def test_index_bound_report_extremes_raise_only_typed_errors():
     # v/(v-1) to 1, b = 700 overflows R^(p(mu-1)/denom), diam = 1e308
     # overflows R, and 0 * inf makes B or the constant nan.  c_of_b refuses
     # b = 1e-300 and b = 700 with RootNotBracketed before any of that.
-    grid = itertools.product((2, 4), (5.0, 151.0, 1e17, 1e308), (0.0, 1.0, 1e308),
-                             (1e-300, 1.0, 1e308), (1e-300, 1.0, 700.0), (1e-300, 1.0, 1e308))
     out_of_range = 0
-    for m, p, lam, diam, b, cmp in grid:
+    for m, p, lam, diam, b, cmp in EXTREMES:
         params = BoundParams(m=m, p=p, Lambda=lam, diam=diam, b=b, cmp=cmp)
         try:
             rep = index_bound_report(params)
@@ -761,3 +767,63 @@ def test_index_bound_report_extremes_raise_only_typed_errors():
             continue
         assert math.isfinite(rep.index_bound), params
     assert out_of_range == 293
+
+
+def _stated_error(rep):
+    """The relative error of each field that index_bound_report's docstring
+    states, in units of u = 2^-53, with its condition numbers evaluated on
+    the report."""
+    p, v, lam = rep.inputs.p, rep.inputs.v, rep.inputs.Lambda
+    mu, K1, K2, R, B = rep.mu, rep.K1, rep.K2, rep.R, rep.B
+    denom = mu * (p - 1) - p
+    kappa = (mu * abs(p - 1) + p) / denom
+    e_L, e_R, e_C = 0.5 * (mu - 1) / denom, p * (mu - 1) / denom, 2 * K1 * p * (mu - 1) / denom
+    err_L, err_R = 2 * v + 4 * kappa + 3, 2 * v + 4 * kappa + 4
+    err_C = 6 * v + 4 * kappa + 8
+    if lam:
+        E_L = abs(e_L * math.log(lam)) * err_L + 2
+        E_R = 2 * e_R + abs(e_R * math.log(R)) * err_R + 2
+        err_B = (B - 2.0) / B * (E_L + E_R + 2) + 1
+    else:
+        err_B = 0.0
+    E_C = (2 * e_C + abs(e_C * math.log(mu)) * err_C + 2
+           + 2 * K2 * err_B + abs(2 * K2 * math.log(B)) * (2 * v + 2) + 2 + 1)
+    return dict(mu=2, K1=4 * v + 3, K2=2 * v + 2, c_of_b=0, R=2, B=err_B, constant=E_C,
+                dim_bound=E_C + 2, index_bound=E_C + 2)
+
+
+def _observed_error(rep):
+    """The relative error of each field against mpmath at 50 digits, from
+    the same binary64 inputs and root."""
+    mp = pytest.importorskip("mpmath")
+    i = rep.inputs
+    with mp.workdps(50):
+        f = mp.mpf
+        p, v = f(i.p), f(i.v)
+        mu = v / (v - 1)
+        K1, K2, denom = mu / (mu - 1) ** 2, 1 / (mu - 1), mu * (p - 1) - p
+        R = f(i.diam) / (f(i.b) * f(rep.c_of_b))
+        B = f(i.cmp) * f(i.Lambda) ** ((mu - 1) / (2 * denom)) * R ** (p * (mu - 1) / denom) + 2
+        constant = mu ** (2 * K1 * p * (mu - 1) / denom) * B ** (2 * K2)
+        exact = dict(mu=mu, K1=K1, K2=K2, c_of_b=f(rep.c_of_b), R=R, B=B, constant=constant,
+                     dim_bound=i.l * constant, index_bound=i.l * constant)
+        return {name: float(abs(f(getattr(rep, name)) - x) / x) for name, x in exact.items()}
+
+
+def test_report_rounding_stays_within_its_stated_bound():
+    # the float workload's grid at rank 1 and 7, and every finite report of
+    # the extremes grid; the largest observed/stated ratio was 0.48 (R)
+    reports = [index_bound_report(BoundParams(m=m, p=p, Lambda=lam, diam=diam, b=b, l=l))
+               for m, p, lam, diam, b in IBR_GRID for l in (1, 7)]
+    for m, p, lam, diam, b, cmp in EXTREMES:
+        try:
+            reports.append(index_bound_report(
+                BoundParams(m=m, p=p, Lambda=lam, diam=diam, b=b, cmp=cmp)))
+        except (FloatRangeError, RootNotBracketed):
+            pass
+    assert len(reports) == 240 + 85
+    u = 2.0 ** -53
+    for rep in reports:
+        stated = _stated_error(rep)
+        for name, observed in _observed_error(rep).items():
+            assert observed <= stated[name] * u, (name, observed / u, stated[name], rep.inputs)

@@ -453,6 +453,28 @@ def test_numerical_errors_exit_3(run):
         assert err.startswith("error:"), args
 
 
+def test_float_range_refusals_exit_3(run, tmp_path, monkeypatch):
+    # the scale (2 tau)^(2m) past binary64
+    code, out, err = run("modular", "check", "--manifold", "HP2", "--tau-im", "1e80")
+    assert (code, out, err) == (3, "", "error: HP2: the scale (2 tau)^4 overflows binary64 at "
+                                       "tau_im = 1e+80; bring tau_im nearer 1\n")
+    code, out, err = run("modular", "check", "--manifold", "CP24", "--tau-im", "1e13",
+                         "--order", "4")
+    assert (code, out, err) == (3, "", "error: CP24: the scale (2 tau)^24 overflows binary64 "
+                                       "at tau_im = 10000000000000.0; bring tau_im nearer 1\n")
+    # a Pontryagin number past binary64 makes elliptic coefficients that no
+    # float holds
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "entries": [
+        {"name": "Q8", "real_dim": 8, "pontryagin_numbers": {"2": 7 * 10**400, "1,1": 4},
+         "spin": True, "string": False}]}))
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    code, out, err = run("modular", "check", "--manifold", "Q8")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the coefficient at half-exponent ") and \
+        err.endswith(" lies past binary64; the series cannot be evaluated in floats\n")
+
+
 def test_internal_errors_exit_4(run, monkeypatch):
     def boom(*args, **kwargs):
         raise OverflowError("integer division result too large for a float")

@@ -8,7 +8,7 @@ import pytest
 
 from genus_forge.catalog import resolve
 from genus_forge.elliptic import elliptic_genus
-from genus_forge.errors import ConvergenceRisk, FitError
+from genus_forge.errors import ConvergenceRisk, FitError, FloatRangeError
 from genus_forge.manifolds import ManifoldData, k3, hp2, product, torus
 from genus_forge.modular import (
     _rounding,
@@ -178,3 +178,13 @@ def test_rounding_guard_refuses_a_verdict_it_cannot_give():
     assert modular_relation_check(resolve("CP16"), tau_im=3.0, q_trunc=81, tol=1e-5).passed
     # past tau_im = 118, q = e^(-2 pi tau_im) underflows to 0
     assert modular_relation_check(hp2(), tau_im=200.0, tol=1e300).passed
+
+
+def test_relation_check_refuses_a_scale_past_binary64():
+    # (2 tau)^4 passes binary64 at tau_im about 6e76: a typed refusal, not
+    # the bare OverflowError of the complex power
+    for tau_im in (1e77, 1e80, 1e150):
+        with pytest.raises(FloatRangeError) as refusal:
+            modular_relation_check(hp2(), tau_im=tau_im)
+        assert str(refusal.value) == (f"HP2: the scale (2 tau)^4 overflows binary64 at "
+                                      f"tau_im = {tau_im}; bring tau_im nearer 1")

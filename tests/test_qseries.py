@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from genus_forge.errors import DivergentEvaluation, DomainError, TooLarge, TruncMismatch
+from genus_forge.errors import (DivergentEvaluation, DomainError, FloatRangeError, TooLarge,
+                               TruncMismatch)
 from genus_forge.qseries import MAX_TRUNC, QSeries
 from theta_oracle import (
     NonNilpotentExp,
@@ -227,6 +228,18 @@ def test_eval_at():
         geom.eval_at(1.0)
     with pytest.raises(DivergentEvaluation):
         geom.eval_at(-2.0)
+
+
+def test_eval_at_refuses_a_coefficient_past_binary64():
+    for series, n in ((QSeries({0: 10**400}, 3), 0),
+                      (QSeries({0: 1, 3: Fraction(-(10**400), 3)}, 5), 3)):
+        with pytest.raises(FloatRangeError, match=rf"^the coefficient at half-exponent {n} "
+                                                  "lies past binary64; the series cannot "
+                                                  "be evaluated in floats$"):
+            series.eval_at(0.1)
+    # the largest coefficients that convert keep their bits
+    assert QSeries({0: 10**308}, 3).eval_at(0.1) == complex(1e308)
+    assert QSeries({2: Fraction(-(10**308), 7)}, 3).eval_at(0.25) == -(10**308 / 7) * 0.25
 
 
 def test_str_rendering():
