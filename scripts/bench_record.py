@@ -26,11 +26,17 @@ a `pair_id` only when they come from one such session, and only then can
 `--compare` count the pairs in which B is lower.  A speed claim uses this
 mode: records taken at different times also differ by the host's drift.
 
-`--compare A B` prints each median's change from A to B.  A move is
+`--compare A B` names each record's SHA and the first 12 hex digits of its
+`src/` digest, and warns when the two digests are equal: such records
+measure one program.  It prints each median's change from A to B.  A move is
 resolved only when B's median lies outside A's quartiles; otherwise it is
 within A's own spread.  Counts are compared exactly.  It warns when the
 two hosts' `python -c pass` times differ by more than 10%, and when the
 Python versions differ, since both move every time and every count.
+
+A record is never overwritten: with `BENCH_<n>.json` already at the root,
+or equal `--number` and `--parent-number`, the script refuses before its
+first run.
 
 Quartiles are `statistics.quantiles(values, n=4, method="inclusive")`.
 Only the standard library is used.  The driving process's Python runs the
@@ -163,9 +169,14 @@ def record(args) -> int:
     return 0
 
 
+def program(rec: dict) -> str:
+    """The record's git SHA and the first 12 hex digits of its `src/` digests."""
+    return f"{rec['git_sha']}, src {'/'.join(d[:12] for d in rec['src_sha256'])}"
+
+
 def compare(path_a: Path, path_b: Path) -> list[str]:
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
-    lines = [f"A: {path_a} ({a['git_sha']}), B: {path_b} ({b['git_sha']})"]
+    lines = [f"A: {path_a} ({program(a)}), B: {path_b} ({program(b)})"]
     ha, hb = a["host"], b["host"]
     if ha["python"] != hb["python"]:
         lines.append(f"WARNING: Python {ha['python']} against {hb['python']}: "
@@ -174,6 +185,8 @@ def compare(path_a: Path, path_b: Path) -> list[str]:
     if abs(speed) > HOST_TOLERANCE:
         lines.append(f"WARNING: python -c pass {1e3 * ha['python_c_pass_s']:.1f} ms against "
                      f"{1e3 * hb['python_c_pass_s']:.1f} ms ({speed:+.1%}): the hosts differ")
+    if a["src_sha256"] == b["src_sha256"]:
+        lines.append("WARNING: A and B hold the same src/ digest: they measure one program")
     paired = a["pair_id"] is not None and a["pair_id"] == b["pair_id"]
     for workload, wa in a["workloads"].items():
         wb = b["workloads"].get(workload)
@@ -232,6 +245,14 @@ def main(argv=None) -> int:
         parser.error("give --number, and --parent-number with --parent")
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    if args.parent is not None and args.parent_number == args.number:
+        parser.error(f"--number and --parent-number are both {args.number}: the second record "
+                     f"would overwrite BENCH_{args.number}.json")
+    numbers = [args.number] + ([args.parent_number] if args.parent is not None else [])
+    for number in numbers:
+        path = args.root.resolve() / f"BENCH_{number}.json"
+        if path.exists():
+            parser.error(f"{path} exists: a record is never overwritten")
     return record(args)
 
 

@@ -42,6 +42,7 @@ DEFAULT = [
     ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "12"),
     ("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "12"),
     ("bound", "cb", "--m", "2", "--b", "1.0"),
+    ("bound", "cb", "--m", "7", "--b", "0.5", "--method", "secant"),
     ("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),
     ("cover", "diam", "--k", "2", "--base", "3,3", "--factor", "2"),
 ]

@@ -20,13 +20,12 @@ Illinois search: bisection replays its halving on the final Illinois
 bracket, and evaluates only the midpoints that fall inside it.  It starts
 at the deepest dyadic interval of the first bracket that holds the Illinois
 bracket, or two halvings before its stop rule: no halving above evaluates
-or stops, so the start keeps every bit.  Search and start depend on (m, b)
-alone, so each process finds them once per (m, b) and keeps the last 128,
-about 1.3 MB at m = 300, and the last 128 bisection roots: a repeated
-bisection call returns its root without replaying the halving.  Each input
-of index_bound_report is checked once: BoundParams checks every value, and
-the report then checks only c_of_b's range on m before it reads the kept
-bisection root.
+or stops, so the start keeps every bit.  Both roots depend on (m, b) alone,
+so each process finds them once per (m, b) and keeps the last 128 pairs of
+roots, about 31 kB at m = 300.  Each input of index_bound_report is checked
+once: BoundParams checks every value, and the report then checks only
+c_of_b's range on m before it reads the kept bisection root, and the rank
+bound's range.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ _MAX_M = 300
 # root-search steps: bisection from [0, 1] takes about 1,060 to meet the stop
 # rule at a root near the binary64 floor (m = 2, b = 709)
 _MAX_STEPS = 1200
-_SEARCHES = 128  # (m, b) root searches kept; each holds m lhs coefficients
+_KEPT = 128  # (m, b) pairs whose two roots are kept
 _NORMAL_DEPTH = 1022  # halving [0, 1] past this depth leaves widths below 2^-1022
-_SECANT = {"bisection": False, "secant": True}  # method -> c_of_b returns the Illinois root
+_METHODS = {"bisection": 0, "secant": 1}  # method -> its root's index in _roots(m, b)
 
 
 class BoundParams(Record):
@@ -191,50 +190,28 @@ def c_of_b(m: int, b: float, method: str = "bisection") -> float:
     Both methods shrink a bracket [lo, hi] around the root until
     hi - lo <= 1e-12 * max(hi, 1) and hi - lo <= 1e-10 * hi, then return its
     midpoint.  method: "secant" moves one end per step to the Illinois
-    false-position point; "bisection" (default) halves the bracket.  Both
-    run one Illinois search, and bisection then replays its halving of the
-    first bracket: the left side is non-decreasing in binary64, so it is
-    evaluated only at midpoints strictly inside the final Illinois bracket.
-    The replay starts at the first halving whose midpoint may fall inside,
-    or two before the stop rule, which it checks there: no halving above
-    evaluates or stops, so the result keeps the bits of plain halving.  The
-    two methods agree to a relative 1e-10.  The search and the bisection
-    root are kept per (m, float(b)), for the last 128 pairs, so a repeated
-    (m, b) with either method reuses the search, and a repeated bisection
-    call returns the kept root.
+    false-position point; "bisection" (default) halves the bracket.  One
+    Illinois search, then bisection's halving of the first bracket replayed
+    on it, give both roots: the left side is non-decreasing in binary64, so
+    it is evaluated only at midpoints strictly inside the final Illinois
+    bracket.  The replay starts at the first halving whose midpoint may fall
+    inside, or two before the stop rule, which it checks there: no halving
+    above evaluates or stops, so the result keeps the bits of plain halving.
+    The two methods agree to a relative 1e-10.  Both roots are kept per
+    (m, float(b)), for the last 128 pairs, so a repeated (m, b) with either
+    method evaluates nothing.
     """
     whole("m", m, 2, _MAX_M)
     b = real("b", b)
-    secant = choice("method", method, _SECANT)
-
-    if secant:
-        return _search(m, b)[5]
-    return _halving_root(m, b)
+    index = choice("method", method, _METHODS)  # checked before the search runs
+    return _roots(m, b)[index]
 
 
-@functools.lru_cache(maxsize=_SEARCHES)
-def _halving_root(m, b):
-    """The bisection root of c_of_b(m, b): the halving replayed on the
-    bracket of _search(m, b).  A refusal raises and is not kept."""
-    lhs, rhs, steps, lo, hi, _, low, high = _search(m, b)
-    # lhs is non-decreasing in binary64 and lhs(low) < rhs <= lhs(high), so
-    # a midpoint outside (low, high) goes the way an evaluation would send it
-    for _ in range(steps):
-        if hi - lo <= _REL_TOL * (hi if hi > 1.0 else 1.0) and hi - lo <= 1e-10 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= low or (mid < high and lhs(mid) < rhs):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-@functools.lru_cache(maxsize=_SEARCHES)
-def _search(m, b):
-    """The Illinois search of c_of_b(m, b): the left side, the right side,
-    the steps and bracket the bisection replay starts from, the root and
-    the final bracket.  A refusal raises and is not kept."""
+@functools.lru_cache(maxsize=_KEPT)
+def _roots(m, b):
+    """The bisection and Illinois roots of c_of_b(m, b): the Illinois
+    search, then the halving replayed on its bracket.  A refusal raises and
+    is not kept."""
     rhs = _sin_power_integral(m)
     try:
         lhs = _lhs_polynomial(m, b)
@@ -248,9 +225,20 @@ def _search(m, b):
         else:
             raise RootNotBracketed(f"no bracket for c_of_b(m={m}, b={b}) below x = {hi}")
         root, low, high = _illinois_root(lhs, rhs, lo, hi, glo, ghi)
-        return (lhs, rhs, *_replay_start(lo, hi, low, high), root, low, high)
     except OverflowError as exc:
         raise RootNotBracketed(f"overflow while bracketing c_of_b(m={m}, b={b})") from exc
+    steps, lo, hi = _replay_start(lo, hi, low, high)
+    # lhs is non-decreasing in binary64 and lhs(low) < rhs <= lhs(high), so
+    # a midpoint outside (low, high) goes the way an evaluation would send it
+    for _ in range(steps):
+        if hi - lo <= _REL_TOL * (hi if hi > 1.0 else 1.0) and hi - lo <= 1e-10 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= low or (mid < high and lhs(mid) < rhs):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), root
 
 
 def _replay_start(lo, hi, low, high):
@@ -317,24 +305,13 @@ def _illinois_root(lhs, rhs, lo, hi, glo, ghi):
     return 0.5 * (lo + hi), lo, hi
 
 
-def berard_dim_bound(l: int, L_sup: float) -> float:
-    """Dimension bound rank * sup-ratio; L_sup < 1 is impossible for genuine
-    sup ratios and is rejected as bad input, and a product past binary64
-    with FloatRangeError."""
-    bound = real("rank l", whole("rank l", l)) * real("L_sup", L_sup, 1)
-    if bound == math.inf:
-        raise FloatRangeError(f"the dimension bound l * L_sup overflows binary64 to inf "
-                              f"(l = {float(l)}, L_sup = {float(L_sup)})")
-    return bound
-
-
 def index_bound_report(params: BoundParams) -> IndexBoundReport:
     """Full pipeline: Moser constant, then the rank-l dimension bound, then
     |index| <= max(dim ker, dim coker).  Kernel and cokernel bounds coincide
     in this model (same rank, same sup constant), so the index bound is the
     dimension bound itself.  BoundParams has checked every input; the
     composition adds c_of_b's m <= 300, with c_of_b's wording, after the
-    exponent checks, and berard_dim_bound the product's range.
+    exponent checks, and l and l * constant in binary64 at the end.
 
     Rounding.  Against the same formulas evaluated exactly on the same
     binary64 inputs and root c_of_b, each field's relative error is at most
@@ -374,7 +351,7 @@ def index_bound_report(params: BoundParams) -> IndexBoundReport:
         raise ExponentDomainError(f"mu*(p-1) - p = {denom} must be positive (mu = {mu}, p = {p})")
     # BoundParams made b a finite positive float, and the method is bisection:
     # of c_of_b's checks only its range on m is left
-    cb = _halving_root(whole("m", params.m, 2, _MAX_M), params.b)
+    cb = _roots(whole("m", params.m, 2, _MAX_M), params.b)[0]
     R = params.diam / (params.b * cb)
     try:
         # Lambda = 0 kills the first term (positive exponent), leaving B = 2
@@ -388,5 +365,11 @@ def index_bound_report(params: BoundParams) -> IndexBoundReport:
         for name, value in (("R", R), ("B", B), ("the constant", constant)):
             if not math.isfinite(value):
                 raise FloatRangeError(f"{name} overflows binary64 to {value} (mu = {mu}, R = {R})")
-    dim_bound = berard_dim_bound(params.l, constant)
+    # BoundParams made l a positive integer; the constant is at least 1, as
+    # mu > 1 and B >= 2 carry positive exponents
+    rank = real("rank l", params.l)
+    dim_bound = rank * constant
+    if dim_bound == math.inf:
+        raise FloatRangeError(f"the dimension bound l * L_sup overflows binary64 to inf "
+                              f"(l = {rank}, L_sup = {constant})")
     return IndexBoundReport(params, mu, K1, K2, cb, R, B, constant, dim_bound, dim_bound)

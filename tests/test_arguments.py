@@ -31,7 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genus_forge
-from genus_forge.bounds import BoundParams, berard_dim_bound, c_of_b, index_bound_report
+from genus_forge.bounds import BoundParams, c_of_b, index_bound_report
 from genus_forge.catalog import (_PACKAGED, dumps_catalog, entry_to_dict, load_catalog,
                                  loads_catalog, resolve)
 from genus_forge.covering import TorusQuotientGraph, cover_diameter, l2_betti_ratio, tower
@@ -120,7 +120,6 @@ ENTRIES = {
         _bounds, dict(m=2, p=3.0, Lambda=0.0, diam=2.0, b=0.5, cmp=1.0, v=1.5, l=2),
         dict(m="count", p="real", Lambda="real", diam="real", b="real", cmp="real",
              v="optional real", l="count")),
-    "berard_dim_bound": (berard_dim_bound, dict(l=2, L_sup=3.0), dict(l="count", L_sup="real")),
     "tower": (tower, dict(k=2, J=3), dict(k="count", J="count")),
     "l2_betti_ratio": (l2_betti_ratio, dict(k=3, p=1, J=3), dict(k="count", p="count",
                                                                   J="count")),

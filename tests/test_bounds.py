@@ -27,7 +27,6 @@ from genus_forge.bounds import (
     IndexBoundReport,
     _lhs_polynomial,
     _sin_power_integral,
-    berard_dim_bound,
     c_of_b,
     index_bound_report,
 )
@@ -139,12 +138,15 @@ START_POINTS = {
 }
 
 
-def test_bisection_matches_halving_oracle_on_grids():
+def test_bisection_matches_halving_oracle_on_grids(replay_starts):
     points = [(m, b) for m in range(2, 13) for b in FLOAT_B + FLOAT_WIDE_B]
     points += [(m, b) for m in BISECTION_BITS for b in (0.05, 0.35, 1.0, 2.0)]
     for group, (start_points, holds) in START_POINTS.items():
         for m, b in start_points:
-            assert holds(*bounds._search(m, b)[-3:]), (group, m, b)
+            del replay_starts[:]
+            root = c_of_b(m, b, "secant")
+            [((_, _, low, high), _, _)] = replay_starts
+            assert holds(root, low, high), (group, m, b)
         points += start_points
     for m, b in points:
         assert _outcome(c_of_b, m, b) == _outcome(_halving_oracle, m, b), (m, b)
@@ -224,10 +226,14 @@ def test_replay_start_depth(bracket, depth):
     assert lo_t <= low < high <= hi_t and hi_t - lo_t == (hi - lo) * 2.0**-depth
 
 
-def test_replay_skips_the_decided_halvings():
+def test_replay_skips_the_decided_halvings(replay_starts):
     # on the float grid the replay starts about 37 halvings deep, two or
     # three before its stop rule; every call walked all of them before
-    depths = [bounds._MAX_STEPS - bounds._search(m, b)[2] for m in range(2, 13) for b in FLOAT_B]
+    for m in range(2, 13):
+        for b in FLOAT_B:
+            c_of_b(m, b)
+    depths = [bounds._MAX_STEPS - steps for _, (steps, _, _), _ in replay_starts]
+    assert len(depths) == 11 * len(FLOAT_B)
     assert sum(depths) / len(depths) >= 35
 
 
@@ -259,9 +265,8 @@ def test_c_of_b_and_left_side_bits_are_pinned():
 
 
 def _forget_searches():
-    # the kept Illinois searches, and the halving roots replayed on them
-    bounds._search.cache_clear()
-    bounds._halving_root.cache_clear()
+    # the kept pairs of bisection and Illinois roots
+    bounds._roots.cache_clear()
 
 
 @pytest.fixture()
@@ -285,22 +290,43 @@ def lhs_points(monkeypatch):
     _forget_searches()
 
 
-@pytest.mark.parametrize("method, mean_max, worst_max", [("bisection", 12.5, 21),
-                                                          ("secant", 12.0, 17)])
-def test_c_of_b_left_side_evaluations(lhs_points, method, mean_max, worst_max):
+@pytest.fixture()
+def replay_starts(monkeypatch, lhs_points):
+    """Every start of the halving replay, in call order: the first and the
+    Illinois bracket (lo, hi, low, high) that _replay_start was given, the
+    (steps, lo_t, hi_t) it returned, and the number of left-side
+    evaluations made before it."""
+    starts = []
+    original = bounds._replay_start
+
+    def spy(lo, hi, low, high):
+        start = original(lo, hi, low, high)
+        starts.append(((lo, hi, low, high), start, len(lhs_points)))
+        return start
+
+    monkeypatch.setattr(bounds, "_replay_start", spy)
+    return starts
+
+
+def test_c_of_b_left_side_evaluations(lhs_points):
     # on the float grid, plain halving took 41.65 evaluations per call (46 at
-    # most) and Illinois 13.55; sharing one search and the bracket ends cut
-    # them to about 12.3 and 11.6
+    # most) and Illinois 13.55.  One search and the halving replayed on its
+    # bracket take about 12.3 (21 at most), and give both roots at once, so
+    # a cold call costs the same with either method
     points = lhs_points
     counts = []
     for m in range(2, 13):
         for b in FLOAT_B:
-            del points[:]
-            _forget_searches()  # a kept search or halving root would count 0
-            c_of_b(m, b, method)
-            counts.append(len(points))
-    assert sum(counts) / len(counts) <= mean_max
-    assert max(counts) <= worst_max
+            cold = []
+            for method in METHODS:
+                del points[:]
+                _forget_searches()  # a kept pair of roots would count 0
+                c_of_b(m, b, method)
+                cold.append(len(points))
+            assert cold[0] == cold[1], (m, b, cold)
+            counts.append(cold[0])
+    assert sum(counts) / len(counts) <= 12.5
+    assert max(counts) <= 21
 
 
 # b given once as an int and once as a float, where it is integral
@@ -308,7 +334,7 @@ REPEATS = ((2, (1, 1.0)), (5, (2, 2.0)), (12, (0.35, 0.35)), (300, (1, 1.0)), (3
 
 
 @pytest.mark.parametrize("m, forms", REPEATS)
-def test_c_of_b_repeat_reuses_the_search(lhs_points, m, forms):
+def test_c_of_b_repeat_reuses_the_search(lhs_points, replay_starts, m, forms):
     points = lhs_points
     cold = {}
     for method in METHODS:
@@ -317,20 +343,17 @@ def test_c_of_b_repeat_reuses_the_search(lhs_points, m, forms):
     for first, again in itertools.product(METHODS, repeat=2):
         for b_first, b_again in (forms, forms[::-1]):
             _forget_searches()
-            c_of_b(m, b_first, first)
-            *_, low, high = bounds._search(m, float(b_again))
+            del points[:], replay_starts[:]
+            assert repr(c_of_b(m, b_first, first)) == cold[first]
+            # the halving replay evaluates only midpoints inside the bracket
+            [((_, _, low, high), _, searched)] = replay_starts
+            assert all(low < x < high for x in points[searched:]), (low, high, points)
+            # a repeated call evaluates nothing, with either method and form
             del points[:]
             assert repr(c_of_b(m, b_again, again)) == cold[again]
-            if again == "secant" or first == again:  # the kept search or halving root
-                assert points == []
-            else:  # the halving replay: only midpoints inside the kept bracket
-                assert all(low < x < high for x in points), (low, high, points)
-            # a repeated call evaluates nothing, with either method
-            del points[:]
             assert repr(c_of_b(m, b_first, again)) == cold[again]
-            assert points == []
-            assert bounds._search.cache_info().currsize == 1
-            assert bounds._halving_root.cache_info().currsize == ("bisection" in (first, again))
+            assert points == [] and len(replay_starts) == 1
+            assert bounds._roots.cache_info().currsize == 1
 
 
 def test_c_of_b_refusals_are_not_kept():
@@ -344,17 +367,15 @@ def test_c_of_b_refusals_are_not_kept():
         assert len(messages) == 1, messages
     with pytest.raises(DomainError):
         c_of_b(301, 1.0)
-    assert bounds._search.cache_info().currsize == 0
-    assert bounds._halving_root.cache_info().currsize == 0
+    assert bounds._roots.cache_info().currsize == 0
 
 
 def test_c_of_b_search_cache_is_bounded():
-    caches = (bounds._search, bounds._halving_root)
     _forget_searches()
-    for cache in caches:
-        assert cache.cache_info().maxsize == bounds._SEARCHES == 128
-    # the memory bound of the bounds.py docstring: one search at m = 300,
-    # with its halving root, holds about 10 kB, so 128 of them about 1.3 MB
+    assert bounds._roots.cache_info().maxsize == bounds._KEPT == 128
+    # the memory bound of the bounds.py docstring: a kept pair of roots
+    # holds no left side.  The first 4 at m = 300, with the cache's own
+    # growth, take under 1 kB each, so 128 of them stay under 0.2 MB
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -364,16 +385,16 @@ def test_c_of_b_search_cache_is_bounded():
         held = (tracemalloc.get_traced_memory()[0] - base) / 4
     finally:
         tracemalloc.stop()
-    assert held * bounds._SEARCHES < 1.4e6, held
-    for method in METHODS:
-        for j in range(bounds._SEARCHES + 4):
+    assert held * bounds._KEPT < 2e5, held
+    _forget_searches()
+    for j in range(bounds._KEPT + 4):
+        for method in METHODS:
             c_of_b(2, 0.01 * (j + 1), method)
-    infos = [cache.cache_info() for cache in caches]
-    for info in infos:
-        assert info.currsize == bounds._SEARCHES, info
-    c_of_b(2, 0.01)  # the oldest pairs were dropped: a new search and halving
-    for cache, info in zip(caches, infos):
-        assert cache.cache_info().misses == info.misses + 1
+    info = bounds._roots.cache_info()
+    assert info.currsize == bounds._KEPT, info
+    assert info.hits == bounds._KEPT + 4, info  # each secant call found its pair
+    c_of_b(2, 0.01)  # the oldest pairs were dropped: a new search
+    assert bounds._roots.cache_info().misses == info.misses + 1
     _forget_searches()
 
 
@@ -390,7 +411,8 @@ def test_huge_integers_are_refused_by_name():
                 BoundParams(**{**good, "m": m, name: huge})
     with pytest.raises(DomainError, match="^m must be finite in binary64"):
         BoundParams(**{**good, "m": huge})
-    with pytest.raises(DomainError, match="^rank l must be finite in binary64"):
+    with pytest.raises(DomainError, match="^rank l must be finite in binary64, got an integer "
+                                          "of 1329 bits$"):
         index_bound_report(BoundParams(**{**good, "m": 4, "l": huge}))
     # past str()'s 4,300-digit limit a message that formats the value raises
     # ValueError itself, so the value is shown by its size
@@ -402,10 +424,6 @@ def test_huge_integers_are_refused_by_name():
         with pytest.raises(DomainError, match=f"^{name} must be .*, got a negative integer of "
                                               "16610 bits$"):
             BoundParams(**{**good, "m": 4, name: -vast})
-    with pytest.raises(DomainError, match="^rank l must be a positive integer, got a negative"):
-        berard_dim_bound(-vast, 2.0)
-    with pytest.raises(DomainError, match="^L_sup must be finite in binary64"):
-        berard_dim_bound(1, -vast)
 
 
 def _lhs_or_inf(lhs, x):
@@ -605,26 +623,18 @@ def test_moser_monotonicity():
     assert index_bound_report(BoundParams(**{**base, "cmp": 3.0})).constant > ref
 
 
-def test_berard_dim_bound():
-    assert berard_dim_bound(2, 3.5) == 7.0
-    assert berard_dim_bound(1, 1.0) == 1.0
-    with pytest.raises(DomainError):
-        berard_dim_bound(0, 2.0)
-    with pytest.raises(DomainError):
-        berard_dim_bound(True, 2.0)
-    with pytest.raises(DomainError):
-        berard_dim_bound(1, 0.99)
-    with pytest.raises(DomainError):
-        berard_dim_bound(1, math.inf)
-    with pytest.raises(DomainError):
-        berard_dim_bound(1, True)
-    # a product past binary64 is refused, not returned as inf
-    assert berard_dim_bound(10**308, 1.0) == 1e308
-    with pytest.raises(FloatRangeError, match=r"^the dimension bound l \* L_sup overflows "
-                                              r"binary64 to inf \(l = 1e\+308, L_sup = 2.0\)$"):
-        berard_dim_bound(10**308, 2.0)
-    with pytest.raises(FloatRangeError, match="^the dimension bound"):
-        index_bound_report(BoundParams(m=4, p=5.0, Lambda=0.0, diam=1.0, b=1.0, l=10**308))
+def test_index_bound_report_rank_bound_range():
+    # the rank bound is float(l) * constant, refused when the product leaves
+    # binary64 (l itself: test_huge_integers_are_refused_by_name); the
+    # constant here is 4 * 2^(20/3), about 406
+    params = dict(m=4, p=5.0, Lambda=0.0, diam=1.0, b=1.0)
+    constant = index_bound_report(BoundParams(**params)).constant
+    rep = index_bound_report(BoundParams(**params, l=10**305))
+    assert rep.dim_bound == rep.index_bound == 1e305 * constant
+    with pytest.raises(FloatRangeError) as info:
+        index_bound_report(BoundParams(**params, l=10**308))
+    assert str(info.value) == ("the dimension bound l * L_sup overflows binary64 to inf "
+                               f"(l = 1e+308, L_sup = {constant})")
 
 
 def test_index_bound_report_composition():
@@ -646,8 +656,8 @@ IBR_GRID = [(m, m / 2 + dp, lam, diam, b) for m in (2, 3, 4, 6, 8) for dp in (0.
 
 def test_index_bound_report_extends_the_moser_report():
     # cold or warm, the report's first eight fields are the Moser report's,
-    # bit for bit and the same at every rank, and its bounds are
-    # berard_dim_bound's
+    # bit for bit and the same at every rank, and its bounds are the rank
+    # times the constant
     assert len(IBR_GRID) == 120
     _forget_searches()
     for m, p, lam, diam, b in IBR_GRID:
@@ -658,7 +668,7 @@ def test_index_bound_report_extends_the_moser_report():
             fields = list(map(repr, vars(rep).values()))
             moser.add(tuple(fields[1:8]))
             assert fields == list(map(repr, vars(index_bound_report(params)).values()))
-            assert rep.dim_bound == rep.index_bound == berard_dim_bound(l, rep.constant)
+            assert rep.dim_bound == rep.index_bound == l * rep.constant
             assert list(vars(rep)) == ["inputs", "mu", "K1", "K2", "c_of_b", "R", "B",
                                        "constant", "dim_bound", "index_bound"]
         assert len(moser) == 1
