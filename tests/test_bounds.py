@@ -308,25 +308,30 @@ def replay_starts(monkeypatch, lhs_points):
     return starts
 
 
-def test_c_of_b_left_side_evaluations(lhs_points):
+@pytest.mark.parametrize("method, mean_max, worst_max", [("bisection", 12.5, 21),
+                                                          ("secant", 12.0, 17)])
+def test_c_of_b_left_side_evaluations(lhs_points, replay_starts, method, mean_max, worst_max):
     # on the float grid, plain halving took 41.65 evaluations per call (46 at
-    # most) and Illinois 13.55.  One search and the halving replayed on its
-    # bracket take about 12.3 (21 at most), and give both roots at once, so
-    # a cold call costs the same with either method
+    # most) and Illinois 13.55.  The Illinois search that gives the secant
+    # root takes about 11.6 (17 at most); the halving replayed on its bracket
+    # brings the bisection root to about 12.3 (21 at most).  A cold call
+    # computes both roots, so it costs the same with either method
     points = lhs_points
     counts = []
     for m in range(2, 13):
         for b in FLOAT_B:
             cold = []
-            for method in METHODS:
-                del points[:]
+            for each in METHODS:
+                del points[:], replay_starts[:]
                 _forget_searches()  # a kept pair of roots would count 0
-                c_of_b(m, b, method)
-                cold.append(len(points))
+                c_of_b(m, b, each)
+                [(_, _, searched)] = replay_starts
+                cold.append((len(points), searched))
             assert cold[0] == cold[1], (m, b, cold)
-            counts.append(cold[0])
-    assert sum(counts) / len(counts) <= 12.5
-    assert max(counts) <= 21
+            total, searched = cold[0]
+            counts.append(total if method == "bisection" else searched)
+    assert sum(counts) / len(counts) <= mean_max
+    assert max(counts) <= worst_max
 
 
 # b given once as an int and once as a float, where it is integral
