@@ -30,9 +30,11 @@ mode: records taken at different times also differ by the host's drift.
 `src/` digest, and warns when the two digests are equal: such records
 measure one program.  It prints each median's change from A to B.  A move is
 resolved only when B's median lies outside A's quartiles; otherwise it is
-within A's own spread.  Counts are compared exactly.  It warns when the
-two hosts' `python -c pass` times differ by more than 10%, and when the
-Python versions differ, since both move every time and every count.
+within A's own spread.  Counts are compared exactly.  A workload or count
+command that only one record holds is named "only in A" or "only in B".
+It warns when the two hosts' `python -c pass` times differ by more than
+10%, and when the Python versions differ, since both move every time and
+every count.
 
 A record is never overwritten: with `BENCH_<n>.json` already at the root,
 or equal `--number` and `--parent-number`, the script refuses before its
@@ -211,6 +213,8 @@ def compare(path_a: Path, path_b: Path) -> list[str]:
                 lower = sum(y < x for x, y in zip(ma["values"], mb["values"]))
                 line += f", B lower in {lower} of {ma['n']} pairs"
             lines.append(line)
+    lines += [f"{workload}: only in B" for workload in b["workloads"]
+              if workload not in a["workloads"]]
     ca, cb = a["counts"], b["counts"]
     lines.append(f"counts: {ca['counter']} -> {cb['counter']}")
     for command, x in ca["commands"].items():
@@ -221,6 +225,8 @@ def compare(path_a: Path, path_b: Path) -> list[str]:
         diffs = [f"{key} {x[key]:,} -> {y[key]:,} ({y[key] - x[key]:+,})"
                  for key in ("opcodes", "modules", "source_bytes")]
         lines.append(f"  {command}: " + ", ".join(diffs))
+    lines += [f"  {command}: only in B" for command in cb["commands"]
+              if command not in ca["commands"]]
     return lines
 
 

@@ -45,7 +45,7 @@ class EllKind(str, Enum):
 
 def _divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
     """sum over h = h_first, h_first + 2, ... and r >= 1 of eps^r r^power q^(rh/2)."""
-    QSeries.zero(q_trunc)  # refuses a q_trunc past the cap before the sums
+    QSeries({}, q_trunc)  # refuses a q_trunc past the cap before the sums
     coeffs: dict[int, int] = {}
     for h in range(h_first, q_trunc, 2):
         for r in range(1, (q_trunc - 1) // h + 1):
@@ -68,7 +68,7 @@ def elliptic_logs(kind: EllKind, weight: int, q_trunc: int) -> list[QSeries]:
     base, scale, twists = _FACTORS[choice("kind", kind, _KINDS)]
     logs = []
     for k, classical in enumerate(log_coeffs(base, weight), start=1):
-        series = QSeries.constant(classical, q_trunc)
+        series = QSeries({0: classical}, q_trunc)
         for h_first, eps, sign in twists:
             series = series + _divisor_sum(h_first, eps, 2 * k - 1, q_trunc) * Fraction(
                 -2 * sign * scale ** (2 * k), factorial(2 * k)

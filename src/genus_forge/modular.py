@@ -85,15 +85,12 @@ def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
         [[b.coeff(2 * r) for b in basis] + [witten.coeff(2 * r)] for r in range(n)]
     )
 
-    combo = QSeries.zero(q_trunc)
+    combo = QSeries({}, q_trunc)
     for coeff, b in zip(solution, basis):
         if coeff:
             combo = combo + b * coeff
     residual = witten - combo
-    first_mismatch = None
-    if residual:
-        exp = residual.valuation()
-        first_mismatch = (exp, residual.coeff(exp))
+    first_mismatch = next(residual.terms(), None)
     return ModularFit(
         manifold=m.name,
         weight=weight,
@@ -147,7 +144,7 @@ def _rounding(series: QSeries, q: float, scaled: int = 0) -> float:
     more rounding, so q^(n/2) is off by a factor of at most
     e^((n/2) (gamma_2 |x| + gamma_1)).
     """
-    size, root = len(series.coeffs), math.sqrt(q)
+    size, root = sum(1 for _ in series.terms()), math.sqrt(q)
     # q = 0 (tau_im past about 118): only the q^0 term is left, and q^0 is exact
     point = _gamma(2) * -math.log(q) + _gamma(1) if q else 0.0
     bound = 0.0

@@ -7,18 +7,20 @@ that theta products produce sit at odd keys.  `trunc`, at most MAX_TRUNC,
 is the hard cutoff: only keys 0 <= n < trunc are representable, and no
 operation ever fabricates a coefficient at or beyond it.
 
-Coefficients equal to zero are never stored, so equality of the
-coefficient dict is canonical equality of the series.
+A series is trunc int numerators over one positive denominator,
+c_n = nums[n] / den, reduced by one gcd: zero is all 0 over 1, and equal
+series store equal lists.
 
 The class holds only the ring the genus engine works in: sums, products,
 non-negative powers, coefficient access and numeric evaluation.  Series
 division, log, exp and shifts serve only the product-route test oracle,
-which keeps them as plain functions over QSeries (tests/theta_oracle.py).
+which keeps them on a series class of its own (tests/theta_oracle.py).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
@@ -27,8 +29,6 @@ from .errors import (DivergentEvaluation, DomainError, FloatRangeError, TooLarge
 
 Scalar = int | Fraction
 MAX_TRUNC = 201  # through q^100; a product's work grows at least quadratically in trunc
-
-_ZERO = Fraction(0)
 
 
 def _as_fraction(x) -> Fraction:
@@ -42,7 +42,7 @@ def _as_fraction(x) -> Fraction:
 class QSeries:
     """Truncated series in q^(1/2) over the exact rationals."""
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("nums", "den", "trunc")
 
     def __init__(self, coeffs: Mapping[int, Scalar], trunc: int):
         if whole("trunc", trunc) > MAX_TRUNC:
@@ -53,25 +53,22 @@ class QSeries:
                 raise DomainError(f"exponent key {shown(n)} not a nonnegative integer")
             if n >= trunc:
                 raise DomainError(f"exponent {shown(n)} not below truncation {trunc}")
-            c = _as_fraction(c)
-            if c:
-                clean[n] = c
-        self.coeffs = clean
+            clean[n] = _as_fraction(c)
+        self.den = math.lcm(*(c.denominator for c in clean.values()))
+        self.nums = [0] * trunc
+        for n, c in clean.items():
+            self.nums[n] = c.numerator * (self.den // c.denominator)
         self.trunc = trunc
 
-    # -- constructors ----------------------------------------------------
-
     @classmethod
-    def zero(cls, trunc: int) -> "QSeries":
-        return cls({}, trunc)
-
-    @classmethod
-    def one(cls, trunc: int) -> "QSeries":
-        return cls({0: 1}, trunc)
-
-    @classmethod
-    def constant(cls, c: Scalar, trunc: int) -> "QSeries":
-        return cls({0: c}, trunc)
+    def _of(cls, nums: list[int], den: int) -> "QSeries":
+        """nums / den, den > 0, both divided by their gcd."""
+        g = math.gcd(den, *nums)
+        series = object.__new__(cls)
+        series.nums = [x // g for x in nums] if g > 1 else nums
+        series.den = den // g
+        series.trunc = len(nums)
+        return series
 
     # -- inspection --------------------------------------------------------
 
@@ -82,31 +79,26 @@ class QSeries:
                 f"coefficient at half-exponent {shown(half_exponent)} is not stored "
                 f"(truncation {self.trunc})"
             )
-        return self.coeffs.get(half_exponent, _ZERO)
+        return Fraction(self.nums[half_exponent], self.den)
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(sorted(self.coeffs.items()))
+        return ((n, Fraction(x, self.den)) for n, x in enumerate(self.nums) if x)
 
     def integer_powers_only(self) -> bool:
-        return all(n % 2 == 0 for n in self.coeffs)
-
-    def valuation(self) -> int | None:
-        """Smallest stored half-exponent, or None for the zero series."""
-        return min(self.coeffs) if self.coeffs else None
+        return not any(self.nums[1::2])
 
     # -- canonical form / comparison ----------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QSeries):
-            return self.trunc == other.trunc and self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)  # True == 1, as for an int
-            if not other:
-                return not self.coeffs
-            return self.coeffs == {0: other}
+            return (self.nums[0] == other.numerator and self.den == other.denominator
+                    and not any(self.nums[1:]))
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -115,8 +107,6 @@ class QSeries:
         return f"QSeries({self!s}; trunc={self.trunc})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts = []
         for n, c in self.terms():
             mag = -c if c < 0 else c
@@ -132,9 +122,9 @@ class QSeries:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
-    # -- helpers --------------------------------------------------------------
+    # -- ring operations ---------------------------------------------------------
 
     def _check_same_trunc(self, other: "QSeries") -> None:
         if self.trunc != other.trunc:
@@ -142,27 +132,24 @@ class QSeries:
                 f"truncation orders differ: {self.trunc} vs {other.trunc}"
             )
 
-    # -- ring operations ---------------------------------------------------------
-
     def __neg__(self) -> "QSeries":
-        return QSeries({n: -c for n, c in self.coeffs.items()}, self.trunc)
+        return QSeries._of([-x for x in self.nums], self.den)
 
     def __add__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other, self.trunc)
+            other = QSeries({0: other}, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_same_trunc(other)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = out.get(n, _ZERO) + c
-        return QSeries(out, self.trunc)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return QSeries._of([x * a + y * b for x, y in zip(self.nums, other.nums)], den)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other, self.trunc)
+            other = QSeries({0: other}, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
         return self + (-other)
@@ -173,22 +160,21 @@ class QSeries:
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            if not c:
-                return QSeries.zero(self.trunc)
-            return QSeries({n: a * c for n, a in self.coeffs.items()}, self.trunc)
+            return QSeries._of([x * c.numerator for x in self.nums], self.den * c.denominator)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_same_trunc(other)
-        out: dict[int, Fraction] = {}
-        bounds = sorted(other.coeffs.items())
-        for n, a in sorted(self.coeffs.items()):
+        out = [0] * self.trunc
+        bounds = [(m, b) for m, b in enumerate(other.nums) if b]
+        for n, a in enumerate(self.nums):
+            if not a:
+                continue
             limit = self.trunc - n
             for m, b in bounds:
                 if m >= limit:
                     break
-                k = n + m
-                out[k] = out.get(k, _ZERO) + a * b
-        return QSeries(out, self.trunc)
+                out[n + m] += a * b
+        return QSeries._of(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -199,7 +185,7 @@ class QSeries:
             raise DomainError(f"negative power {shown(k)}: QSeries has no division")
         if k > MAX_TRUNC:  # the work grows with k; the library's callers pass at most 6
             raise TooLarge(f"power {shown(k)} exceeds the cap of {MAX_TRUNC}")
-        result = QSeries.one(self.trunc)
+        result = QSeries({0: 1}, self.trunc)
         base = self
         while k:
             if k & 1:
@@ -224,8 +210,9 @@ class QSeries:
         s = cmath.sqrt(q)
         total = 0j
         try:
-            for n, c in sorted(self.coeffs.items(), reverse=True):
-                total += float(c) * s**n
+            for n in range(self.trunc - 1, -1, -1):
+                if self.nums[n]:
+                    total += float(Fraction(self.nums[n], self.den)) * s**n
         except OverflowError:  # float(c) alone can raise: |s| < 1
             raise FloatRangeError(f"the coefficient at half-exponent {n} lies past binary64; "
                                   "the series cannot be evaluated in floats") from None

@@ -94,11 +94,9 @@ def test_criterion_04_formulation_equivalence():
         # package's genus, whose indices twisted_indices reads
         for e in entries:
             for kind, family in ((EllKind.ELL2, "B"), (EllKind.WITTEN, "W")):
-                assert (
-                    theta_oracle.elliptic_genus(e, kind, trunc)
-                    == theta_oracle.twisted_index_series(e, family, trunc)
-                    == elliptic_genus(e, kind, trunc).series
-                )
+                theta = theta_oracle.elliptic_genus(e, kind, trunc)
+                assert theta == theta_oracle.twisted_index_series(e, family, trunc)
+                assert theta_oracle.agrees(elliptic_genus(e, kind, trunc).series, theta)
         assert time.monotonic() - t0 < 60.0
 
 

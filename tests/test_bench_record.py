@@ -137,3 +137,17 @@ def test_record_refuses_to_overwrite_before_any_run(tmp_path, monkeypatch, capsy
     assert named in capsys.readouterr().err
     if existing:
         assert (tmp_path / existing).read_text() == "{}"
+
+
+def test_compare_names_what_only_b_holds(tmp_path):
+    a = _record([1.0, 2.0, 3.0])
+    b = _record([1.0, 2.0, 3.0], src="b" * 64)
+    b["workloads"]["deep"] = b["workloads"]["float"]
+    b["counts"]["commands"]["bound cb --m 7"] = b["counts"]["commands"]["bound cb"]
+    lines = _compare(tmp_path, a, b)
+    assert "deep: only in B" in lines and "  bound cb --m 7: only in B" in lines
+    assert lines.index("deep: only in B") < lines.index("counts: Python 3.11.7 -> Python 3.11.7")
+    assert not any("only in A" in line for line in lines)
+    # the other way round, each is only in A
+    lines = _compare(tmp_path, b, a)
+    assert "deep: only in A" in lines and "  bound cb --m 7: only in A" in lines

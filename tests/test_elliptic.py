@@ -32,11 +32,12 @@ from genus_forge.qseries import QSeries
 from theta_oracle import (
     CharSeries,
     NonUnitDivisor,
+    Series,
     ThetaKind,
     WittenBundle,
     _graded_log,
+    agrees,
     theta_ratio,
-    truncate,
     twisted_index_series,
     witten_bundle_ch,
 )
@@ -45,28 +46,28 @@ Y_CAP = 8
 TRUNC = 9
 
 
-def _log_of(factor: CharSeries, weight: int) -> list[QSeries]:
+def _log_of(factor: CharSeries, weight: int) -> list[Series]:
     """u^k coefficients (u = y^2) of the log of a factor, halved to
     constant term 1 first."""
     factor = factor / factor.y_coeff(0).coeff(0)
-    logs = _graded_log({n // 2: c for n, c in factor.coeffs.items() if n}, weight)
-    return [logs.get(k, QSeries.zero(factor.q_trunc)) for k in range(1, weight + 1)]
+    logs = _graded_log({n // 2: c for n, c in factor.terms() if n}, weight)
+    return [logs.get(k, Series({}, factor.q_trunc)) for k in range(1, weight + 1)]
 
 
 def test_factor_equals_theta_route():
     weight = Y_CAP // 2
     theta = theta_ratio(ThetaKind.THETA, Y_CAP, TRUNC)
     # Witten: the plain derivative quotient
-    assert elliptic_logs(EllKind.WITTEN, weight, TRUNC) == _log_of(theta, weight)
+    assert agrees(elliptic_logs(EllKind.WITTEN, weight, TRUNC), _log_of(theta, weight))
     # Ell2: derivative quotient times the half-step quotient
-    assert elliptic_logs(EllKind.ELL2, weight, TRUNC) == _log_of(
+    assert agrees(elliptic_logs(EllKind.ELL2, weight, TRUNC), _log_of(
         theta * theta_ratio(ThetaKind.THETA2, Y_CAP, TRUNC), weight
-    )
+    ))
     # Ell1: doubled product of the derivative and cosine quotients, a
     # factor in y/2 whose logs are rescaled to y by 4^k
     halved = _log_of(theta * theta_ratio(ThetaKind.THETA1, Y_CAP, TRUNC) * 2, weight)
-    assert elliptic_logs(EllKind.ELL1, weight, TRUNC) == [
-        log * 4**k for k, log in enumerate(halved, start=1)]
+    assert agrees(elliptic_logs(EllKind.ELL1, weight, TRUNC), [
+        log * 4**k for k, log in enumerate(halved, start=1)])
 
 
 def test_factor_q0_specializations():
@@ -136,14 +137,10 @@ def test_formulation_equivalence():
     # Ell2 is the index series of the B family, Witten of the W family; the
     # right side is the oracle's bundle route, Ahat times the bundle characters.
     for entry in (k3(), hp2()):
-        assert (
-            elliptic_genus(entry, EllKind.ELL2, TRUNC).series
-            == twisted_index_series(entry, "B", TRUNC)
-        )
-        assert (
-            elliptic_genus(entry, EllKind.WITTEN, TRUNC).series
-            == twisted_index_series(entry, "W", TRUNC)
-        )
+        assert agrees(elliptic_genus(entry, EllKind.ELL2, TRUNC).series,
+                      twisted_index_series(entry, "B", TRUNC))
+        assert agrees(elliptic_genus(entry, EllKind.WITTEN, TRUNC).series,
+                      twisted_index_series(entry, "W", TRUNC))
 
 
 def test_bundle_ch_first_order_relation():
@@ -203,7 +200,7 @@ def test_non_integral_index_warns():
 def test_truncation_stability():
     long = elliptic_genus(k3(), EllKind.ELL2, 17).series
     short = elliptic_genus(k3(), EllKind.ELL2, 9).series
-    assert truncate(long, 9) == short
+    assert [(n, c) for n, c in long.terms() if n < 9] == list(short.terms())
     # W_0 .. W_8 come from q_trunc 17, W_0 .. W_4 from q_trunc 9
     assert twisted_indices(k3(), "W", 8)[:5] == twisted_indices(k3(), "W", 4)
 
@@ -227,17 +224,17 @@ def test_dimension_and_data_requirements():
 
 
 def test_char_series_contracts():
-    one = QSeries.one(TRUNC)
+    one = Series({0: 1}, TRUNC)
     with pytest.raises(ValueError):
         CharSeries({1: one}, 4, TRUNC)
     with pytest.raises(TruncMismatch):
-        CharSeries({0: QSeries.one(5)}, 4, TRUNC)
+        CharSeries({0: Series({0: 1}, 5)}, 4, TRUNC)
     a = CharSeries({0: one, 2: one * 3}, 4, TRUNC)
     b = CharSeries({0: one, 2: one * 3, 6: one}, 4, TRUNC)
     assert a == b  # y^6 exceeds the cap and is dropped
     with pytest.raises(TruncMismatch):
         a * CharSeries.one(4, 5)
-    no_unit = CharSeries({0: QSeries({2: 1}, TRUNC)}, 4, TRUNC)
+    no_unit = CharSeries({0: Series({2: 1}, TRUNC)}, 4, TRUNC)
     with pytest.raises(NonUnitDivisor):
         1 / no_unit
     # division round trip

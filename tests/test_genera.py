@@ -18,11 +18,11 @@ from genus_forge.genera import (
     s_numbers,
 )
 from genus_forge.manifolds import MAX_REAL_DIM, GenusKind, ManifoldData, cp, hp2, k3, product
-from genus_forge.qseries import QSeries
 import theta_oracle
 from theta_oracle import (
     NonUnitLog,
     ParityError,
+    Series,
     _graded_log,
     ahat_factor,
     div,
@@ -101,13 +101,13 @@ def _root_product(coeffs, r, cap):
 
 def test_chern_class_matches_root_expansion():
     cap, r = 4, 4
-    factor = QSeries(
+    factor = Series(
         {0: Fraction(1), 1: Fraction(1, 2), 2: Fraction(-1, 3),
          3: Fraction(1, 5), 4: Fraction(-1, 7)},
         cap + 1,
     )
     poly = multiplicative_class(factor, "chern", cap, n_roots=r)
-    direct = _root_product(dict(factor.coeffs), r, cap)
+    direct = _root_product(dict(factor.terms()), r, cap)
     via_class = _substitute(poly, r, squares=False, cap=cap)
     assert direct == via_class
 
@@ -115,12 +115,12 @@ def test_chern_class_matches_root_expansion():
 def test_pontryagin_class_matches_root_expansion():
     cap, r = 3, 3
     y_cap = 2 * cap
-    factor = QSeries(
+    factor = Series(
         {0: Fraction(1), 2: Fraction(3, 4), 4: Fraction(-2, 9), 6: Fraction(5, 11)},
         y_cap + 1,
     )
     poly = multiplicative_class(factor, "pontryagin", cap, n_roots=r)
-    direct = _root_product(dict(factor.coeffs), r, y_cap)
+    direct = _root_product(dict(factor.terms()), r, y_cap)
     via_class = _substitute(poly, r, squares=True, cap=y_cap)
     assert direct == via_class
 
@@ -129,7 +129,7 @@ def test_ahat_factor_matches_root_expansion():
     cap, r = 2, 4
     factor = ahat_factor(2 * cap)
     poly = multiplicative_class(factor, "pontryagin", cap, n_roots=r)
-    direct = _root_product(dict(factor.coeffs), r, 2 * cap)
+    direct = _root_product(dict(factor.terms()), r, 2 * cap)
     via_class = _substitute(poly, r, squares=True, cap=2 * cap)
     assert direct == via_class
 
@@ -144,12 +144,12 @@ def test_root_count_stability():
 
 def test_factor_validation():
     with pytest.raises(NonUnitLog):
-        multiplicative_class(QSeries.constant(2, 5), "chern", 2)
-    odd = QSeries({0: Fraction(1), 1: Fraction(1)}, 5)
+        multiplicative_class(Series({0: 2}, 5), "chern", 2)
+    odd = Series({0: Fraction(1), 1: Fraction(1)}, 5)
     with pytest.raises(ParityError):
         multiplicative_class(odd, "pontryagin", 2)
     with pytest.raises(ValueError):
-        multiplicative_class(QSeries.one(5), "unknown-kind", 2)
+        multiplicative_class(Series({0: 1}, 5), "unknown-kind", 2)
 
 
 # -- class polynomial goldens ----------------------------------------------------
@@ -226,7 +226,7 @@ def test_log_coeffs_match_factor_logs(kind, factor):
     series = factor(2 * weight)
     root = series.coeff(0)
     series = div(series, root)
-    logs = _graded_log({n // 2: c for n, c in series.coeffs.items() if n}, weight)
+    logs = _graded_log({n // 2: c for n, c in series.terms() if n}, weight)
     assert log_coeffs(kind, weight) == [
         root ** (2 * k) * logs.get(k, 0) for k in range(1, weight + 1)]
 
@@ -234,7 +234,7 @@ def test_log_coeffs_match_factor_logs(kind, factor):
 def test_todd_log_coeffs_match_factor_log():
     weight = 9
     series = todd_factor(weight)
-    logs = _graded_log({n: c for n, c in series.coeffs.items() if n}, weight)
+    logs = _graded_log({n: c for n, c in series.terms() if n}, weight)
     assert log_coeffs(GenusKind.TODD, weight) == [logs.get(k, 0) for k in range(1, weight + 1)]
 
 

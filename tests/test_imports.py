@@ -4,8 +4,11 @@ classes, every exported name imports its module on first use, and a cold
 framework (click) among them and, outside the q-series commands, neither
 `dataclasses` nor the `inspect` module it imports.  Without the site
 module, which may preload them, the catalog commands load none of the
-stdlib that only packaged-resource reading or type hints would need."""
+stdlib that only packaged-resource reading or type hints would need.  The
+test oracle imports from the package only its data types and error
+classes."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import genus_forge
-from genus_forge import cli, elliptic
+from genus_forge import cli, elliptic, errors
 from genus_forge.elliptic import EllKind
 from genus_forge.manifolds import GenusKind
 
@@ -105,3 +108,18 @@ def test_cli_choices_match_the_enums():
 
 def test_cli_default_order_is_the_library_truncation():
     assert cli._trunc(cli.DEFAULT_ORDER) == elliptic.DEFAULT_Q_TRUNC
+
+
+def test_oracle_imports_only_data_types_and_errors():
+    # the oracle's series and partitions are its own: a fault in the engine's
+    # arithmetic cannot reach both routes
+    tree = ast.parse((Path(__file__).parent / "theta_oracle.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "genus_forge"]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "genus_forge":
+            names |= {a.name for a in node.names}
+    error_classes = {name for name, value in vars(errors).items()
+                     if isinstance(value, type) and issubclass(value, Exception)}
+    assert names - error_classes == {"ManifoldData", "GenusKind", "Partition"}

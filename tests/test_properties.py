@@ -85,13 +85,11 @@ def test_connected_sum_is_additive(weight, data, q_trunc):
 @given(_manifold(), st.integers(1, 17))
 def test_engine_matches_product_oracle(m, q_trunc):
     for kind in EllKind:
-        assert elliptic_genus(m, kind, q_trunc).series == theta_oracle.elliptic_genus(
-            m, kind, q_trunc
-        ), kind
+        assert theta_oracle.agrees(elliptic_genus(m, kind, q_trunc).series,
+                                   theta_oracle.elliptic_genus(m, kind, q_trunc)), kind
     for family, kind in FAMILIES.items():
-        assert elliptic_genus(m, kind, q_trunc).series == (
-            theta_oracle.twisted_index_series(m, family, q_trunc)
-        ), family
+        assert theta_oracle.agrees(elliptic_genus(m, kind, q_trunc).series,
+                                   theta_oracle.twisted_index_series(m, family, q_trunc)), family
     for kind in RATIONAL:
         assert genus_value(m, kind) == theta_oracle.genus_value(m, kind), kind
 

@@ -7,18 +7,22 @@ factors as quotients of cosh and sinh series.  A factor is expanded by
 log, Newton power sums and a graded exponential into a class polynomial
 (`multiplicative_class`), which is then paired with the characteristic
 numbers.  None of this goes through the package's closed-form log
-coefficients or power-sum numbers: the oracle shares only the QSeries ring
-and partitions_of with the package's genus engine.  The rest of the series
-field (`div`, `log`, `exp`, `shift`, `truncate`) lives here, since the
-package never divides a series.  The oracle owns the class-polynomial ring
-(`CharClassPoly`) that the factors are expanded in: the package has none,
-since its genus engine pairs log coefficients with power-sum numbers.  The
-Newton power sums in that ring are the oracle's own too.
+coefficients or power-sum numbers, nor through its series arithmetic: the
+oracle runs on its own truncated series (`Series`, a dense list of
+Fractions) and its own partitions, and imports from `genus_forge` only the
+data types and error classes.  An engine series meets it only in `agrees`,
+which reads the series through its public `terms()`.  The rest of the
+series field (`div`, `log`, `exp`, `shift`, `truncate`) works on `Series`,
+since the package never divides a series.  The oracle owns the
+class-polynomial ring (`CharClassPoly`) that the factors are expanded in:
+the package has none, since its genus engine pairs log coefficients with
+power-sum numbers.  The Newton power sums in that ring are the oracle's
+own too.
 
 The top-level helpers (`hypersurface_todd`, `genus_value`,
 `elliptic_genus`) mirror the package functions of the same names, and
 `twisted_index_series` the series whose coefficients `twisted_indices`
-reads; they return plain values: a Fraction, or the QSeries.
+reads; they return plain values: a Fraction, or a Series.
 Chern data reaches them through the oracle's own conversion
 (`pontryagin_from_chern`), and `kuenneth_numbers` is the per-part product
 rule the package's power-sum split formula is checked against.
@@ -32,8 +36,9 @@ from math import factorial
 from typing import Iterator, Mapping
 
 from genus_forge.errors import DataError, TruncMismatch
-from genus_forge.manifolds import GenusKind, ManifoldData, Partition, partitions_of
-from genus_forge.qseries import QSeries, Scalar
+from genus_forge.manifolds import GenusKind, ManifoldData, Partition
+
+Scalar = int | Fraction
 
 DEFAULT_Q_TRUNC = 49
 
@@ -54,101 +59,207 @@ class NonNilpotentExp(DataError):
     """Series exponential of a series with nonzero constant term."""
 
 
-# -- the rest of the q-series field: division, log, exp, shifts -----------------
+# -- the oracle's own truncated series, and the engine comparison ----------------
+#
+# A Series is a dense list of trunc Fractions, coefficient n at index n.  It
+# shares no arithmetic with the package's QSeries, whose integer numerators
+# over one denominator it checks; the two meet only in `agrees`.
+
+
+class Series:
+    """Truncated power series over the rationals, with +, -, * and powers."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs: Mapping[int, Scalar], trunc: int):
+        if trunc < 1:
+            raise ValueError(f"truncation {trunc} is not positive")
+        self.c = [Fraction(0)] * trunc
+        for n, x in coeffs.items():
+            if not 0 <= n < trunc:
+                raise ValueError(f"exponent {n} outside 0..{trunc - 1}")
+            self.c[n] = Fraction(x)
+
+    @staticmethod
+    def of(c: list[Fraction]) -> "Series":
+        series = object.__new__(Series)
+        series.c = c
+        return series
+
+    @property
+    def trunc(self) -> int:
+        return len(self.c)
+
+    def coeff(self, n: int) -> Fraction:
+        return self.c[n]
+
+    def terms(self) -> Iterator[tuple[int, Fraction]]:
+        return ((n, x) for n, x in enumerate(self.c) if x)
+
+    def __bool__(self) -> bool:
+        return any(self.c)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Series):
+            return self.c == other.c
+        if isinstance(other, (int, Fraction)):
+            return self.c[0] == other and not any(self.c[1:])
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Series({dict(self.terms())}, {self.trunc})"
+
+    def _lift(self, other) -> "Series | None":
+        """other as a series of this truncation, a scalar as a constant; None
+        for anything else."""
+        if isinstance(other, (int, Fraction)):
+            return Series({0: other}, self.trunc)
+        if not isinstance(other, Series):
+            return None
+        if other.trunc != self.trunc:
+            raise TruncMismatch(f"truncation orders differ: {self.trunc} vs {other.trunc}")
+        return other
+
+    def __add__(self, other) -> "Series":
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        out = list(self.c)
+        for n, y in other.terms():
+            out[n] += y
+        return Series.of(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Series":
+        return Series.of([-x for x in self.c])
+
+    def __sub__(self, other) -> "Series":
+        other = self._lift(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other) -> "Series":
+        return (-self) + other
+
+    def __mul__(self, other) -> "Series":
+        if isinstance(other, (int, Fraction)):
+            return Series.of([x * other for x in self.c])
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        right = list(other.terms())
+        out = [Fraction(0)] * self.trunc
+        for n, x in self.terms():
+            for m, y in right:
+                if n + m >= self.trunc:
+                    break
+                out[n + m] += x * y
+        return Series.of(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Series":
+        if k < 0:
+            raise ValueError(f"negative power {k}: use div")
+        out = Series({0: 1}, self.trunc)
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+def agrees(engine, oracle) -> bool:
+    """Whether an engine result equals the oracle's: an engine series is read
+    through its public terms(), and lists are compared item by item."""
+    if isinstance(oracle, list):
+        return len(engine) == len(oracle) and all(map(agrees, engine, oracle))
+    if isinstance(oracle, Series):
+        return engine.trunc == oracle.trunc and dict(engine.terms()) == dict(oracle.terms())
+    return engine == oracle
+
+
+def _partitions(n: int, largest: int | None = None) -> Iterator[Partition]:
+    """The partitions of n into parts of at most `largest`, parts descending."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+# -- the rest of the series field: division, log, exp, shifts -------------------
 #
 # The package's QSeries is only the ring its genus engine needs; the product
 # route also divides, and takes logs and exponentials.
 
 
-def div(a: QSeries | Scalar, b: QSeries | Scalar) -> QSeries:
+def div(a: Series | Scalar, b: Series | Scalar) -> Series:
     """a / b for a series b with nonzero constant term, or a nonzero scalar b;
     a scalar a is read as a constant series."""
-    if not isinstance(b, QSeries):
+    if not isinstance(b, Series):
         c = Fraction(b)
         if not c:
             raise ZeroDivisionError("division of series by zero scalar")
-        return QSeries({n: x / c for n, x in a.coeffs.items()}, a.trunc)
-    if not isinstance(a, QSeries):
-        a = QSeries.constant(a, b.trunc)
+        return Series.of([x / c for x in a.c])
+    if not isinstance(a, Series):
+        a = Series({0: a}, b.trunc)
     if a.trunc != b.trunc:
         raise TruncMismatch(f"truncation orders differ: {a.trunc} vs {b.trunc}")
-    b0 = b.coeff(0)
+    b0 = b.c[0]
     if not b0:
         raise NonUnitDivisor("divisor has zero constant term")
     # back substitution: c_n = (a_n - sum_{k>=1} b_k c_{n-k}) / b_0
-    out: dict[int, Fraction] = {}
-    bterms = sorted((n, c) for n, c in b.coeffs.items() if n > 0)
-    for n in range(a.trunc):
-        acc = a.coeffs.get(n, Fraction(0))
-        for m, bm in bterms:
-            if m > n:
-                break
-            ck = out.get(n - m)
-            if ck:
-                acc -= bm * ck
-        if acc:
-            out[n] = acc / b0
-    return QSeries(out, a.trunc)
+    later = [(m, y) for m, y in b.terms() if m]
+    out: list[Fraction] = []
+    for n, an in enumerate(a.c):
+        out.append((an - sum(y * out[n - m] for m, y in later if m <= n)) / b0)
+    return Series.of(out)
 
 
-def log(a: QSeries) -> QSeries:
+def log(a: Series) -> Series:
     """Series logarithm; requires constant term exactly 1."""
-    if a.coeff(0) != 1:
+    if a.c[0] != 1:
         raise NonUnitLog("log needs constant term 1")
-    out: dict[int, Fraction] = {}
+    out = [Fraction(0)] * a.trunc
     # l_n = a_n - (1/n) sum_{k=1}^{n-1} k l_k a_{n-k}
     for n in range(1, a.trunc):
-        acc = a.coeffs.get(n, Fraction(0))
-        corr = Fraction(0)
-        for k, lk in out.items():
-            ank = a.coeffs.get(n - k)
-            if ank:
-                corr += k * lk * ank
-        if corr:
-            acc -= Fraction(corr, n)
-        if acc:
-            out[n] = acc
-    return QSeries(out, a.trunc)
+        corr = sum(k * out[k] * a.c[n - k] for k in range(1, n) if out[k] and a.c[n - k])
+        out[n] = a.c[n] - Fraction(corr, n)
+    return Series.of(out)
 
 
-def exp(a: QSeries) -> QSeries:
+def exp(a: Series) -> Series:
     """Series exponential; requires constant term 0."""
-    if a.coeff(0):
+    if a.c[0]:
         raise NonNilpotentExp("exp needs zero constant term")
-    terms = sorted(a.coeffs.items())
-    out: dict[int, Fraction] = {0: Fraction(1)}
+    out = [Fraction(1)] + [Fraction(0)] * (a.trunc - 1)
     # e_n = (1/n) sum_{k=1}^{n} k a_k e_{n-k}
     for n in range(1, a.trunc):
-        acc = Fraction(0)
-        for k, ak in terms:
-            if k > n:
-                break
-            enk = out.get(n - k)
-            if enk:
-                acc += k * ak * enk
-        if acc:
-            out[n] = Fraction(acc, n)
-    return QSeries(out, a.trunc)
+        out[n] = Fraction(sum(k * a.c[k] * out[n - k] for k in range(1, n + 1)
+                              if a.c[k] and out[n - k]), n)
+    return Series.of(out)
 
 
-def shift(a: QSeries, half_exponents: int) -> QSeries:
+def shift(a: Series, half_exponents: int) -> Series:
     """Multiply by q^(half_exponents/2); negative shifts must not create
     negative exponents."""
-    out: dict[int, Fraction] = {}
-    for n, c in a.coeffs.items():
+    out = [Fraction(0)] * a.trunc
+    for n, x in a.terms():
         m = n + half_exponents
         if m < 0:
             raise ValueError(f"shift by {half_exponents} makes exponent {m} negative")
         if m < a.trunc:
-            out[m] = c
-    return QSeries(out, a.trunc)
+            out[m] = x
+    return Series.of(out)
 
 
-def truncate(a: QSeries, trunc: int) -> QSeries:
+def truncate(a: Series, trunc: int) -> Series:
     """Restrict to a lower truncation order."""
     if trunc > a.trunc:
         raise TruncMismatch(f"cannot extend truncation {a.trunc} to {trunc}")
-    return QSeries({n: c for n, c in a.coeffs.items() if n < trunc}, trunc)
+    return Series.of(a.c[:trunc])
 
 
 # -- the class-polynomial ring ---------------------------------------------------------
@@ -158,7 +269,7 @@ def truncate(a: QSeries, trunc: int) -> QSeries:
 # `label` records which).  Monomials of weight above `weight_cap` are
 # discarded by every operation, so the ring is the weight-truncated
 # polynomial ring the product route runs in.  Coefficients live in whatever
-# exact ring the caller supplies (Fraction for the classical genera, QSeries
+# exact ring the caller supplies (Fraction for the classical genera, Series
 # for the elliptic ones); the class only needs +, * and truthiness from them,
 # and zero coefficients are never stored.
 
@@ -325,21 +436,21 @@ class WittenBundle(str, Enum):
 
 
 class CharSeries:
-    """Even truncated series in y with QSeries coefficients."""
+    """Even truncated series in y with Series coefficients."""
 
     __slots__ = ("coeffs", "y_cap", "q_trunc")
 
-    def __init__(self, coeffs: dict[int, QSeries], y_cap: int, q_trunc: int):
+    def __init__(self, coeffs: dict[int, Series], y_cap: int, q_trunc: int):
         if y_cap < 0:
             raise ValueError("y_cap must be nonnegative")
-        clean: dict[int, QSeries] = {}
+        clean: dict[int, Series] = {}
         for n, c in coeffs.items():
             if n % 2:
                 raise ValueError(f"odd power y^{n} in an even series")
             if n > y_cap:
                 continue
-            if not isinstance(c, QSeries):
-                raise TypeError("coefficients must be QSeries")
+            if not isinstance(c, Series):
+                raise TypeError("coefficients must be Series")
             if c.trunc != q_trunc:
                 raise TruncMismatch(
                     f"coefficient truncation {c.trunc} != series q_trunc {q_trunc}"
@@ -354,12 +465,12 @@ class CharSeries:
 
     @classmethod
     def one(cls, y_cap: int, q_trunc: int) -> "CharSeries":
-        return cls({0: QSeries.one(q_trunc)}, y_cap, q_trunc)
+        return cls({0: Series({0: 1}, q_trunc)}, y_cap, q_trunc)
 
     @classmethod
-    def const(cls, c: QSeries | Scalar, y_cap: int, q_trunc: int) -> "CharSeries":
-        if not isinstance(c, QSeries):
-            c = QSeries.constant(c, q_trunc)
+    def const(cls, c: Series | Scalar, y_cap: int, q_trunc: int) -> "CharSeries":
+        if not isinstance(c, Series):
+            c = Series({0: c}, q_trunc)
         return cls({0: c}, y_cap, q_trunc)
 
     @classmethod
@@ -367,15 +478,18 @@ class CharSeries:
         cls, coeffs: dict[int, Fraction], y_cap: int, q_trunc: int
     ) -> "CharSeries":
         return cls(
-            {n: QSeries.constant(c, q_trunc) for n, c in coeffs.items()},
+            {n: Series({0: c}, q_trunc) for n, c in coeffs.items()},
             y_cap,
             q_trunc,
         )
 
     # -- inspection ----------------------------------------------------------
 
-    def y_coeff(self, n: int) -> QSeries:
-        return self.coeffs.get(n, QSeries.zero(self.q_trunc))
+    def terms(self) -> Iterator[tuple[int, Series]]:
+        return iter(sorted(self.coeffs.items()))
+
+    def y_coeff(self, n: int) -> Series:
+        return self.coeffs.get(n, Series({}, self.q_trunc))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -405,7 +519,7 @@ class CharSeries:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
+        if isinstance(other, (int, Fraction, Series)):
             other = CharSeries.const(other, self.y_cap, self.q_trunc)
         if not isinstance(other, CharSeries):
             return NotImplemented
@@ -426,7 +540,7 @@ class CharSeries:
         return CharSeries({n: -c for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc)
 
     def __sub__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
+        if isinstance(other, (int, Fraction, Series)):
             other = CharSeries.const(other, self.y_cap, self.q_trunc)
         if not isinstance(other, CharSeries):
             return NotImplemented
@@ -436,7 +550,7 @@ class CharSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
+        if isinstance(other, (int, Fraction, Series)):
             if not other:
                 return CharSeries({}, self.y_cap, self.q_trunc)
             return CharSeries(
@@ -445,7 +559,7 @@ class CharSeries:
         if not isinstance(other, CharSeries):
             return NotImplemented
         self._check(other)
-        out: dict[int, QSeries] = {}
+        out: dict[int, Series] = {}
         for n, a in self.coeffs.items():
             for m, b in other.coeffs.items():
                 k = n + m
@@ -463,7 +577,7 @@ class CharSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
+        if isinstance(other, (int, Fraction, Series)):
             return CharSeries(
                 {n: div(c, other) for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc
             )
@@ -473,7 +587,7 @@ class CharSeries:
         b0 = other.coeffs.get(0)
         if b0 is None or not b0.coeff(0):
             raise NonUnitDivisor("CharSeries divisor is not a unit at (y^0, q^0)")
-        out: dict[int, QSeries] = {}
+        out: dict[int, Series] = {}
         for n in range(0, self.y_cap + 1, 2):
             acc = self.coeffs.get(n)
             for m in range(2, n + 1, 2):
@@ -488,7 +602,7 @@ class CharSeries:
         return CharSeries(out, self.y_cap, self.q_trunc)
 
     def __rtruediv__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, QSeries)):
+        if isinstance(other, (int, Fraction, Series)):
             return CharSeries.const(other, self.y_cap, self.q_trunc) / self
         return NotImplemented
 
@@ -520,22 +634,22 @@ def _sinh_half_over_arg(y_cap: int, q_trunc: int) -> CharSeries:
     )
 
 
-def _pair_product(t: QSeries, y_cap: int, plus: bool) -> CharSeries:
+def _pair_product(t: Series, y_cap: int, plus: bool) -> CharSeries:
     """(1 -+ t e^y)(1 -+ t e^{-y}) = 1 -+ 2 t cosh(y) + t^2, which is even."""
     sign = 1 if plus else -1
     q_trunc = t.trunc
     two_t = t * 2
-    coeffs: dict[int, QSeries] = {0: QSeries.one(q_trunc) + two_t * sign + t * t}
+    coeffs: dict[int, Series] = {0: Series({0: 1}, q_trunc) + two_t * sign + t * t}
     for r in range(1, y_cap // 2 + 1):
         coeffs[2 * r] = two_t * Fraction(sign, factorial(2 * r))
     return CharSeries(coeffs, y_cap, q_trunc)
 
 
-def _qpow(j2: int, q_trunc: int) -> QSeries | None:
-    """q^(j2/2) as a QSeries, or None when it falls past the truncation."""
+def _qpow(j2: int, q_trunc: int) -> Series | None:
+    """q^(j2/2) as a Series, or None when it falls past the truncation."""
     if j2 >= q_trunc:
         return None
-    return QSeries({j2: 1}, q_trunc)
+    return Series({j2: 1}, q_trunc)
 
 
 def theta_ratio(kind: ThetaKind, y_cap: int, q_trunc: int) -> CharSeries:
@@ -549,7 +663,7 @@ def theta_ratio(kind: ThetaKind, y_cap: int, q_trunc: int) -> CharSeries:
     the product over j once q^j (or q^(j-1/2)) leaves the window.
     """
     kind = ThetaKind(kind)
-    one_q = QSeries.one(q_trunc)
+    one_q = Series({0: 1}, q_trunc)
 
     if kind == ThetaKind.THETA:
         # y theta'(0)/theta(x): prefactors and the i from sin(pi x) cancel,
@@ -603,7 +717,7 @@ def theta_ratio(kind: ThetaKind, y_cap: int, q_trunc: int) -> CharSeries:
 
 
 def _bundle_factor(kind: WittenBundle, y_cap: int, q_trunc: int) -> CharSeries:
-    one_q = QSeries.one(q_trunc)
+    one_q = Series({0: 1}, q_trunc)
     kind = WittenBundle(kind)
     num = CharSeries.one(y_cap, q_trunc)
     den = CharSeries.one(y_cap, q_trunc)
@@ -649,7 +763,7 @@ def _lift_to_qseries(poly: CharClassPoly, q_trunc: int) -> CharClassPoly:
     return CharClassPoly(
         poly.label,
         poly.weight_cap,
-        {m: QSeries.constant(c, q_trunc) for m, c in poly.terms.items()},
+        {m: Series({0: c}, q_trunc) for m, c in poly.terms.items()},
     )
 
 
@@ -657,17 +771,18 @@ def _lift_to_qseries(poly: CharClassPoly, q_trunc: int) -> CharClassPoly:
 
 
 def _series_coeffs(factor) -> Mapping[int, object]:
-    coeffs = getattr(factor, "coeffs", factor)
-    if not isinstance(coeffs, Mapping):
+    if isinstance(factor, (Series, CharSeries)):
+        return dict(factor.terms())
+    if not isinstance(factor, Mapping):
         raise TypeError("factor must be a series object or a power->coeff mapping")
-    return coeffs
+    return factor
 
 
 def _graded_log(coeffs: Mapping[int, object], cap: int) -> dict[int, object]:
     """log of 1 + sum a_n u^n through u^cap, over any exact coefficient ring.
 
     l_n = a_n - (1/n) sum_{k<n} k l_k a_{n-k}; only scalar rational
-    multiplications are needed, so QSeries coefficients work unchanged.
+    multiplications are needed, so Series coefficients work unchanged.
     """
     out: dict[int, object] = {}
     for n in range(1, cap + 1):
@@ -718,7 +833,7 @@ def multiplicative_class(
 ) -> CharClassPoly:
     """prod over roots of Q(root), expanded in Pontryagin or Chern classes.
 
-    `factor` is a one-variable series with constant term 1: a QSeries on
+    `factor` is a one-variable series with constant term 1: a Series on
     the integer power grid, a CharSeries, or a plain power->coefficient
     mapping.  For the Pontryagin kind the factor must be even in its
     variable, and powers are halved so u = y^2 carries weight 1.
@@ -765,7 +880,7 @@ def multiplicative_class(
 def paired_value(poly: CharClassPoly, numbers: Mapping, weight: int, zero):
     """Pair the weight-`weight` part of a class with characteristic numbers."""
     total = zero
-    for lam in partitions_of(weight):
+    for lam in _partitions(weight):
         coeff = poly.coeff(partition_to_monomial(lam, poly.weight_cap))
         if not coeff:
             continue
@@ -777,51 +892,51 @@ def paired_value(poly: CharClassPoly, numbers: Mapping, weight: int, zero):
 
 # -- factor series of the classical genera ------------------------------------
 #
-# Builders return QSeries on the *integer* power grid (key = power of the
-# root variable); the q^(1/2) reading of QSeries keys plays no role here,
+# Builders return Series on the *integer* power grid (key = power of the
+# root variable); the q^(1/2) reading of Series keys plays no role here,
 # only the exact ring structure does.
 
 
-def _cosh_series(y_cap: int, half: bool) -> QSeries:
+def _cosh_series(y_cap: int, half: bool) -> Series:
     trunc = y_cap + 1
     scale = 4 if half else 1
-    return QSeries(
+    return Series(
         {2 * t: Fraction(1, scale**t * factorial(2 * t)) for t in range(0, trunc // 2 + 1) if 2 * t < trunc},
         trunc,
     )
 
 
-def _sinh_over_arg(y_cap: int, half: bool) -> QSeries:
+def _sinh_over_arg(y_cap: int, half: bool) -> Series:
     # sinh(y)/y, or sinh(y/2)/(y/2) when half is set
     trunc = y_cap + 1
     scale = 4 if half else 1
-    return QSeries(
+    return Series(
         {2 * t: Fraction(1, scale**t * factorial(2 * t + 1)) for t in range(0, trunc // 2 + 1) if 2 * t < trunc},
         trunc,
     )
 
 
-def ahat_factor(y_cap: int) -> QSeries:
+def ahat_factor(y_cap: int) -> Series:
     """(y/2)/sinh(y/2)."""
     return div(1, _sinh_over_arg(y_cap, half=True))
 
 
-def signature_factor(y_cap: int) -> QSeries:
+def signature_factor(y_cap: int) -> Series:
     """y/tanh(y)."""
     return div(_cosh_series(y_cap, half=False), _sinh_over_arg(y_cap, half=False))
 
 
-def lhat_factor(y_cap: int) -> QSeries:
+def lhat_factor(y_cap: int) -> Series:
     """y/tanh(y/2); note the constant term 2."""
     return div(2 * _cosh_series(y_cap, half=True), _sinh_over_arg(y_cap, half=True))
 
 
-def _one_minus_exp_over_arg(trunc: int) -> QSeries:
+def _one_minus_exp_over_arg(trunc: int) -> Series:
     """(1 - exp(-z))/z through z^(trunc - 2)."""
-    return shift(1 - exp(QSeries({1: -1}, trunc)), -1)
+    return shift(1 - exp(Series({1: -1}, trunc)), -1)
 
 
-def todd_factor(z_cap: int) -> QSeries:
+def todd_factor(z_cap: int) -> Series:
     """z/(1 - exp(-z))."""
     trunc = z_cap + 2
     return truncate(div(1, _one_minus_exp_over_arg(trunc)), z_cap + 1)
@@ -876,7 +991,7 @@ def pontryagin_from_chern(chern: Mapping[Partition, int], n: int) -> dict[Partit
     both = total * conj
     p_polys = [both.weight_part(2 * i) * Fraction((-1) ** i) for i in range(1, n // 2 + 1)]
     out: dict[Partition, int] = {}
-    for lam in partitions_of(n // 2):
+    for lam in _partitions(n // 2):
         poly = CharClassPoly.constant("c", n, one)
         for part in lam:
             poly = poly * p_polys[part - 1]
@@ -897,7 +1012,7 @@ def kuenneth_numbers(
     g_i(AxB) = sum_(r+s=i) g_r(A) g_s(B), so a top number of AxB is a sum
     over ways of splitting every part between the factors."""
     out: dict[Partition, int] = {}
-    for lam in partitions_of(a_total + b_total):
+    for lam in _partitions(a_total + b_total):
         total = 0
 
         # assignments: per part, how much goes to factor A
@@ -949,15 +1064,15 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     return value * const ** (2 * mm)
 
 
-def _pontryagin_series(m: ManifoldData, factor: CharSeries, q_trunc: int) -> QSeries:
+def _pontryagin_series(m: ManifoldData, factor: CharSeries, q_trunc: int) -> Series:
     mm = m.real_dim // 4
     const = factor.y_coeff(0).coeff(0)
     poly = multiplicative_class(factor / const, "pontryagin", mm)
-    series = paired_value(poly, _pontryagin_numbers(m), mm, QSeries.zero(q_trunc))
+    series = paired_value(poly, _pontryagin_numbers(m), mm, Series({}, q_trunc))
     return series * const ** (2 * mm)
 
 
-def elliptic_genus(m: ManifoldData, kind: str, q_trunc: int) -> QSeries:
+def elliptic_genus(m: ManifoldData, kind: str, q_trunc: int) -> Series:
     """Ell1, Ell2 or Witten from theta quotients: Witten is the derivative
     quotient, Ell2 that times the half-step quotient, Ell1 twice the
     derivative quotient times the cosine quotient."""
@@ -972,7 +1087,7 @@ def elliptic_genus(m: ManifoldData, kind: str, q_trunc: int) -> QSeries:
     return _pontryagin_series(m, factor, q_trunc)
 
 
-def twisted_index_series(m: ManifoldData, family: str, q_trunc: int) -> QSeries:
+def twisted_index_series(m: ManifoldData, family: str, q_trunc: int) -> Series:
     """Ahat * ch(SYM) for family W, Ahat * ch(SYM) * ch(EXT_HALF) for B,
     paired with the Pontryagin numbers."""
     mm = m.real_dim // 4
@@ -984,4 +1099,4 @@ def twisted_index_series(m: ManifoldData, family: str, q_trunc: int) -> QSeries:
         ch = ch * witten_bundle_ch(WittenBundle.EXT_HALF, mm, q_trunc)
     elif family != "W":
         raise ValueError(f"family must be 'B' or 'W', got {family!r}")
-    return paired_value(ahat * ch, _pontryagin_numbers(m), mm, QSeries.zero(q_trunc))
+    return paired_value(ahat * ch, _pontryagin_numbers(m), mm, Series({}, q_trunc))
