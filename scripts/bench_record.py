@@ -22,16 +22,23 @@ to the root of the checkout that `--root` names.
 `--parent DIR` measures a second checkout in the same session: pair i runs
 every workload on both sides, the checkout first in even pairs and the
 parent first in odd ones, and both records are written.  Two records share
-a `pair_id` only when they come from one such session, and only then can
-`--compare` count the pairs in which B is lower.  A speed claim uses this
-mode: records taken at different times also differ by the host's drift.
+a `pair_id` only when they come from one such session, and only then does
+`--compare` give a verdict.  A speed claim uses this mode: records taken at
+different times also differ by the host's drift.  `--workload` may name a
+workload that `BENCHMARK.json` does not gate, such as `deep`, next to the
+gated ones.
 
 `--compare A B` names each record's SHA and the first 12 hex digits of its
 `src/` digest, and warns when the two digests are equal: such records
-measure one program.  It prints each median's change from A to B.  A move is
-resolved only when B's median lies outside A's quartiles; otherwise it is
-within A's own spread.  Counts are compared exactly.  A workload or count
-command that only one record holds is named "only in A" or "only in B".
+measure one program.  It prints each metric's median and quartiles in A
+and B and the change of the median.  For paired records the verdict is an
+exact two-sided sign test: tied pairs are dropped, and it prints in how
+many of the rest B is lower (or higher, if that is most), p, and the median
+of the per-pair changes; if every pair ties, "no verdict".  A sign test
+gives the direction of a move, not its size.  Records from different
+sessions get "unpaired: no verdict".  Counts are compared exactly.  A
+workload or count command that only one record holds is named "only in A"
+or "only in B".
 It warns when the two hosts' `python -c pass` times differ by more than
 10%, and when the Python versions differ, since both move every time and
 every count.
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import secrets
@@ -171,6 +179,21 @@ def record(args) -> int:
     return 0
 
 
+def sign_test(a: list[float], b: list[float]) -> str:
+    """The paired verdict on runs a[i] and b[i]: an exact two-sided sign test
+    over the pairs that do not tie, and the median per-pair change."""
+    untied = [(x, y) for x, y in zip(a, b) if x != y]
+    if not untied:
+        return f"all {len(a)} pairs tie: no verdict"
+    n = len(untied)
+    lower = sum(y < x for x, y in untied)
+    p = min(1.0, sum(math.comb(n, k) for k in range(min(lower, n - lower) + 1)) / 2 ** (n - 1))
+    side, count = ("lower", lower) if 2 * lower >= n else ("higher", n - lower)
+    ties = f" ({len(a) - n} tied)" if n < len(a) else ""
+    change = statistics.median(y / x - 1.0 if x else 0.0 for x, y in zip(a, b))
+    return f"B {side} in {count} of {n} pairs{ties}, p = {p:.2g}, median {change:+.1%}"
+
+
 def program(rec: dict) -> str:
     """The record's git SHA and the first 12 hex digits of its `src/` digests."""
     return f"{rec['git_sha']}, src {'/'.join(d[:12] for d in rec['src_sha256'])}"
@@ -204,15 +227,11 @@ def compare(path_a: Path, path_b: Path) -> list[str]:
                 lines.append(f"  {name}: only in A")
                 continue
             delta = mb["median"] / ma["median"] - 1.0 if ma["median"] else 0.0
-            moved = ("resolved, higher" if mb["median"] > ma["q3"] else
-                     "resolved, lower" if mb["median"] < ma["q1"] else "unresolved")
-            line = (f"  {name:12s} {ma['median']:.6g} [{ma['q1']:.6g}, {ma['q3']:.6g}] -> "
-                    f"{mb['median']:.6g} [{mb['q1']:.6g}, {mb['q3']:.6g}] {ma['unit']} "
-                    f"{delta:+.1%} {moved}")
-            if paired and ma["n"] == mb["n"]:
-                lower = sum(y < x for x, y in zip(ma["values"], mb["values"]))
-                line += f", B lower in {lower} of {ma['n']} pairs"
-            lines.append(line)
+            verdict = (sign_test(ma["values"], mb["values"]) if paired and ma["n"] == mb["n"]
+                       else "unpaired: no verdict")
+            lines.append(f"  {name:12s} {ma['median']:.6g} [{ma['q1']:.6g}, {ma['q3']:.6g}] -> "
+                         f"{mb['median']:.6g} [{mb['q1']:.6g}, {mb['q3']:.6g}] {ma['unit']} "
+                         f"{delta:+.1%}; {verdict}")
     lines += [f"{workload}: only in B" for workload in b["workloads"]
               if workload not in a["workloads"]]
     ca, cb = a["counts"], b["counts"]

@@ -8,7 +8,9 @@ catalog entry with Chern numbers plus CP16 and CP20: 226 comparisons.
 Chern-only copies of K3, CP2, CP4, CP6 and CP8, which the engine reads at
 doubled partitions and the oracle converts to Pontryagin numbers through
 class polynomials, add Ahat, signature, big-L and the three elliptic
-kinds at the same truncations: 60 more, 286 in all.  The oracle takes
+kinds at the same truncations: 60 more.  The Chern and Pontryagin numbers
+of `product` on K3xK3, HP2xHP2, CP3xCP3, CP4xCP4, CP6xCP6, T2xS6 and S6xS6,
+against the oracle's Kuenneth rule, add 14 more, 300 in all.  The oracle takes
 most of the sweep's time (about 40 s on one 2-core x86 host, Python
 3.11), which is why this is a script and not part of the test suite.
 Run from the repository root:
@@ -26,16 +28,31 @@ import theta_oracle  # noqa: E402
 from genus_forge.catalog import load_default_catalog  # noqa: E402
 from genus_forge.elliptic import EllKind, elliptic_genus  # noqa: E402
 from genus_forge.genera import genus_value  # noqa: E402
-from genus_forge.manifolds import GenusKind, ManifoldData, cp, k3  # noqa: E402
+from genus_forge.manifolds import GenusKind, ManifoldData, builtin, cp, k3, product  # noqa: E402
 
 TRUNCS = (25, 49, 101)
 RATIONAL = (GenusKind.AHAT, GenusKind.SIGNATURE, GenusKind.LHAT)
 FAMILIES = {"B": EllKind.ELL2, "W": EllKind.WITTEN}  # family -> the genus of its index series
+PRODUCTS = (("K3", "K3"), ("HP2", "HP2"), ("CP3", "CP3"), ("CP4", "CP4"), ("CP6", "CP6"),
+            ("T2", "S6"), ("S6", "S6"))
 
 
 def _chern_only(m: ManifoldData) -> ManifoldData:
     return ManifoldData(name=f"{m.name}[chern]", real_dim=m.real_dim,
                         chern_numbers=m.chern_numbers)
+
+
+def _kuenneth(a: ManifoldData, b: ManifoldData, kind: str, per_weight: int):
+    """The oracle's numbers of one kind for AxB: None when a factor has none,
+    and {} when a factor's dimension is not a multiple of 4 (Pontryagin
+    numbers, per_weight 4), since then no monomial of AxB pairs nonzero."""
+    a_nums, b_nums = getattr(a, kind), getattr(b, kind)
+    if a_nums is None or b_nums is None:
+        return None
+    if a.real_dim % per_weight or b.real_dim % per_weight:
+        return {}
+    return theta_oracle.kuenneth_numbers(a_nums, b_nums, a.real_dim // per_weight,
+                                         b.real_dim // per_weight)
 
 
 def main() -> int:
@@ -60,6 +77,11 @@ def main() -> int:
     for e in chern:
         checks.append((e, "todd", lambda e=e: (
             genus_value(e, GenusKind.TODD), theta_oracle.genus_value(e, GenusKind.TODD))))
+    for a, b in (map(builtin, names) for names in PRODUCTS):
+        ab = product(a, b)
+        for kind, per_weight in (("chern_numbers", 2), ("pontryagin_numbers", 4)):
+            checks.append((ab, kind, lambda a=a, b=b, ab=ab, k=kind, w=per_weight: (
+                getattr(ab, k), _kuenneth(a, b, k, w))))
 
     failures = 0
     t0 = time.perf_counter()

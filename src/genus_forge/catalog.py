@@ -123,7 +123,8 @@ def _agreeing(entry: ManifoldData) -> ManifoldData:
 
 def entry_from_dict(raw) -> ManifoldData:
     """Decode one JSON entry object into manifold data.  ManifoldData validates
-    the values, `_agreeing` the two kinds of numbers; errors name the entry."""
+    the values, `_agreeing` the two kinds of numbers; a stored complex_dim must
+    be the one ManifoldData works out.  Errors name the entry."""
     if not isinstance(raw, dict):
         raise CatalogError(f"catalog entry must be an object, got {type(raw).__name__}")
     entry_name = raw.get("name", "<unnamed>")
@@ -134,8 +135,7 @@ def entry_from_dict(raw) -> ManifoldData:
         if fld not in raw:
             raise CatalogError(f"entry {entry_name!r}: missing required field {fld!r}")
 
-    fields = {fld: raw[fld] for fld in ("name", "real_dim", "complex_dim", "spin", "string")
-              if fld in raw}
+    fields = {fld: raw[fld] for fld in ("name", "real_dim", "spin", "string") if fld in raw}
     for fld in ("chern_numbers", "pontryagin_numbers"):
         if fld in raw:
             fields[fld] = _parse_numbers(raw, entry_name, fld)
@@ -145,9 +145,15 @@ def entry_from_dict(raw) -> ManifoldData:
             if not isinstance(text, str):
                 raise CatalogError(f"entry {entry_name!r}: asserted[{kind!r}] must be a 'num/den' string")
     try:
-        return _agreeing(ManifoldData(**fields))
+        entry = _agreeing(ManifoldData(**fields))
     except GenusForgeError as exc:
         raise CatalogError(f"entry {entry_name!r}: {exc}") from exc
+    if "complex_dim" in raw:
+        stored, derived = raw["complex_dim"], entry.complex_dim
+        if type(stored) is not type(derived) or stored != derived:
+            raise CatalogError(f"entry {entry_name!r}: complex_dim {shown(stored)} must be " + (
+                "absent without Chern numbers" if derived is None else f"real_dim/2 = {derived}"))
+    return entry
 
 
 def document(catalog: dict[str, ManifoldData]) -> dict:

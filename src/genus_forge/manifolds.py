@@ -10,7 +10,9 @@ kind.  They are stored read-only (`types.MappingProxyType`), so entries
 shared through a catalog cannot be edited in place.
 
 The partition key for a monomial like p1^2*p2 is the descending tuple
-(2, 1, 1).
+(2, 1, 1); a key in any other order is refused, so each monomial has one
+key.  complex_dim is worked out: real_dim/2 when Chern numbers are given,
+else None.
 """
 
 from __future__ import annotations
@@ -152,21 +154,19 @@ def _read_only(numbers):
 def _normalize_numbers(numbers, total: int, what: str) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     for key, value in numbers.items():
+        # positive int parts, descending (int.__lt__ compares in C, per key)
         if not isinstance(key, tuple) or not key or any(
             isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in key
-        ):
+        ) or any(map(int.__lt__, key, key[1:])):
             raise InconsistentData(f"{what} partition {shown(key)} is not a partition")
-        part = tuple(sorted(key, reverse=True))
-        if sum(part) != total:
+        if sum(key) != total:
             raise InconsistentData(
-                f"{what} partition {shown(part)} sums to {shown(sum(part))}, expected {total}"
+                f"{what} partition {shown(key)} sums to {shown(sum(key))}, expected {total}"
             )
         if isinstance(value, bool) or not isinstance(value, int):
-            raise InconsistentData(f"{what} number for {part} must be an integer")
-        if part in out and out[part] != value:
-            raise InconsistentData(f"duplicate {what} partition {part}")
+            raise InconsistentData(f"{what} number for {key} must be an integer")
         if value:
-            out[part] = value
+            out[key] = value
     return out
 
 
@@ -179,14 +179,12 @@ class ManifoldData(Record):
         real_dim: int,
         pontryagin_numbers: Mapping[Partition, int] | None = None,
         chern_numbers: Mapping[Partition, int] | None = None,
-        complex_dim: int | None = None,
         spin: bool = False,
         string: bool = False,
         asserted_genera: Mapping[str, Fraction] | None = None,
     ):
         maybe_map = (Mapping, type(None))
         for field, value, kind in (("name", name, str), ("real_dim", real_dim, int),
-                                   ("complex_dim", complex_dim, (int, type(None))),
                                    ("spin", spin, bool), ("string", string, bool),
                                    ("pontryagin_numbers", pontryagin_numbers, maybe_map),
                                    ("chern_numbers", chern_numbers, maybe_map),
@@ -205,14 +203,7 @@ class ManifoldData(Record):
             raise InconsistentData(f"{name}: string requires spin")
 
         if chern_numbers is not None:
-            n = real_dim // 2
-            if complex_dim is None:
-                complex_dim = n
-            elif complex_dim != n:
-                raise DimensionError(f"{name}: complex_dim {shown(complex_dim)} != real_dim/2")
-            chern_numbers = _normalize_numbers(chern_numbers, n, "Chern")
-        elif complex_dim is not None:
-            raise InconsistentData(f"{name}: complex_dim without Chern numbers")
+            chern_numbers = _normalize_numbers(chern_numbers, real_dim // 2, "Chern")
 
         if pontryagin_numbers is not None:
             if real_dim % 4:
@@ -253,11 +244,15 @@ class ManifoldData(Record):
             real_dim=real_dim,
             pontryagin_numbers=_read_only(pontryagin_numbers),
             chern_numbers=_read_only(chern_numbers),
-            complex_dim=complex_dim,
             spin=spin,
             string=string,
-            asserted_genera=_read_only(asserted_genera),
+            asserted_genera=_read_only(asserted_genera or None),
         )
+
+    @property
+    def complex_dim(self) -> int | None:
+        """real_dim/2 when Chern numbers are given, else None."""
+        return None if self.chern_numbers is None else self.real_dim // 2
 
 
 # -- products and connected sums ------------------------------------------------
@@ -306,32 +301,17 @@ def product(a: ManifoldData, b: ManifoldData, name: str | None = None) -> Manifo
     name = name or f"{a.name}x{b.name}"
     _check_real_dim(real_dim, name)  # before the power-sum rows of its weight
 
-    chern = None
+    chern = pont = None
     if both_chern:
-        chern = _product_numbers(
-            a.chern_numbers, b.chern_numbers, a.complex_dim, b.complex_dim
-        )
-
-    pont = None
-    if both_pont:
-        if a.real_dim % 4 == 0 and b.real_dim % 4 == 0:
-            pont = _product_numbers(
-                a.pontryagin_numbers,
-                b.pontryagin_numbers,
-                a.real_dim // 4,
-                b.real_dim // 4,
-            )
-        else:
-            # a factor of dimension 2 mod 4 pairs no Pontryagin monomial,
-            # so every top number of the product vanishes
-            pont = {}
-
+        chern = _product_numbers(a.chern_numbers, b.chern_numbers, a.real_dim // 2, b.real_dim // 2)
+    if both_pont:  # a factor of dimension 2 mod 4 stores {}, so the product's numbers vanish
+        pont = _product_numbers(a.pontryagin_numbers, b.pontryagin_numbers,
+                                a.real_dim // 4, b.real_dim // 4)
     return ManifoldData(
         name=name,
         real_dim=real_dim,
         pontryagin_numbers=pont,
         chern_numbers=chern,
-        complex_dim=(a.complex_dim + b.complex_dim) if both_chern else None,
         spin=a.spin and b.spin,
         string=a.string and b.string,
     )
@@ -412,7 +392,6 @@ def cp(n: int) -> ManifoldData:
         real_dim=2 * n,
         pontryagin_numbers=numbers(n // 2) if n % 2 == 0 else None,
         chern_numbers=numbers(n),
-        complex_dim=n,
         spin=(n % 2 == 1),
         string=False,
     )
@@ -438,7 +417,6 @@ def torus(k: int) -> ManifoldData:
         real_dim=k,
         pontryagin_numbers={},
         chern_numbers={},
-        complex_dim=k // 2,
         spin=True,
         string=True,
     )
@@ -451,7 +429,6 @@ def k3() -> ManifoldData:
         real_dim=4,
         pontryagin_numbers={(1,): -48},
         chern_numbers={(2,): 24},
-        complex_dim=2,
         spin=True,
         string=False,
     )

@@ -22,7 +22,10 @@ def test_records_are_committed():
 
 @pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
 def test_record_names_every_gated_workload_and_metric(path):
-    record = json.loads(path.read_text())
+    _check_record(json.loads(path.read_text()), path)
+
+
+def _check_record(record, path):
     workloads, units, seconds = bench_record.gated(ROOT)
     assert record["format"] == bench_record.FORMAT
     assert f" --seconds {seconds} --trace 0" in record["harness"]
@@ -78,19 +81,75 @@ def _compare(tmp_path, a, b):
     return bench_record.compare(*paths)
 
 
-def test_compare_resolves_only_outside_the_quartiles(tmp_path):
+def _wall_line(lines):
+    (line,) = [line for line in lines if line.startswith("  wall_s ")]
+    return line
+
+
+def test_compare_gives_a_paired_sign_test(tmp_path):
     a = _record([10.0, 11.0, 12.0, 13.0, 14.0])  # quartiles 11 and 13
     lines = _compare(tmp_path, a, _record([8.0, 9.0, 10.0, 11.0, 12.0], opcodes=967, src="b" * 64))
     assert not any(line.startswith("WARNING") for line in lines)
     assert "float: runs with failures 0/5 -> 0/5" in lines
-    assert ("  wall_s       12 [11, 13] -> 10 [9, 11] s -16.7% resolved, lower, "
-            "B lower in 5 of 5 pairs") in lines
+    # the quartiles are information; 5 of 5 pairs is p = 2/2^5 for a sign test
+    assert ("  wall_s       12 [11, 13] -> 10 [9, 11] s -16.7%; "
+            "B lower in 5 of 5 pairs, p = 0.062, median -16.7%") in lines
     assert "  bound cb: opcodes 1,000 -> 967 (-33), modules 27 -> 27 (+0), " \
            "source_bytes 500 -> 500 (+0)" in lines
-    # inside A's quartiles, and from another session: no pair count
-    lines = _compare(tmp_path, a, _record([11.0, 11.5, 12.5, 13.0, 13.5], pair_id=None,
-                                          src="b" * 64))
-    assert "  wall_s       12 [11, 13] -> 12.5 [11.5, 13] s +4.2% unresolved" in lines
+    # B higher in most pairs is named so; 3 of 5 is p = 1
+    lines = _compare(tmp_path, a, _record([11.0, 12.0, 13.0, 12.5, 13.5], src="b" * 64))
+    assert _wall_line(lines).endswith("; B higher in 3 of 5 pairs, p = 1, median +8.3%")
+
+
+@pytest.mark.parametrize("lower, p", [(10, "0.039"), (9, "0.15")])
+def test_compare_sign_test_at_twelve_pairs(tmp_path, lower, p):
+    # at 12 pairs, B lower in 10 is p = 79/2048 and in 9 is p = 299/2048
+    a = [float(v) for v in range(10, 22)]
+    b = [v - 1.0 if i < lower else v + 1.0 for i, v in enumerate(a)]
+    line = _wall_line(_compare(tmp_path, _record(a), _record(b, src="b" * 64)))
+    assert f"; B lower in {lower} of 12 pairs, p = {p}, median -" in line
+
+
+def test_compare_drops_tied_pairs(tmp_path):
+    a = _record([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    b = _record([1.0, 2.0, 2.5, 3.5, 4.5, 6.5], src="b" * 64)
+    # 3 of the 4 untied pairs: p = 2 (1 + 4) / 2^4; the ties count in the median change
+    assert _wall_line(_compare(tmp_path, a, b)).endswith(
+        "; B lower in 3 of 4 pairs (2 tied), p = 0.62, median -5.0%")
+    assert _wall_line(_compare(tmp_path, a, _record([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], src="b" * 64))
+                      ).endswith("; all 6 pairs tie: no verdict")
+
+
+@pytest.mark.parametrize("change", [dict(pair_id=None), dict(pair_id="cd"),
+                                    dict(values=[8.0, 9.0, 10.0, 11.0])],
+                         ids=["no-pair-id", "other-session", "fewer-runs"])
+def test_compare_unpaired_records_get_no_verdict(tmp_path, change):
+    # records of different sessions, or of one session with a run missing,
+    # are not pairs: however far apart, they get the medians and no verdict
+    a = _record([10.0, 11.0, 12.0, 13.0, 14.0])
+    b = _record(change.pop("values", [1.0, 2.0, 3.0, 4.0, 5.0]), src="b" * 64, **change)
+    assert _wall_line(_compare(tmp_path, a, b)).endswith("; unpaired: no verdict")
+
+
+def test_records_may_carry_deep(tmp_path):
+    # a --parent session that also runs `deep` (--workload cli --workload float
+    # --workload deep): the record still holds every gated workload, and
+    # --compare gives deep its verdicts like the gated ones
+    records = []
+    for path in RECORDS[-2:]:
+        record = json.loads(path.read_text())
+        deep = json.loads(json.dumps(record["workloads"]["float"]))
+        for run in deep["runs"]:
+            run["header"] = run["header"].replace("workload=float ", "workload=deep ", 1)
+        record["workloads"]["deep"] = deep
+        _check_record(record, path)
+        records.append(record)
+    lines = _compare(tmp_path, *records)
+    assert not any("only in" in line for line in lines)
+    _, units, _ = bench_record.gated(ROOT)
+    deep = lines[lines.index("deep: runs with failures 0/12 -> 0/12") + 1:][:len(units)]
+    assert [line.split()[0] for line in deep] == list(units)
+    assert deep[2].endswith("; B lower in 11 of 12 pairs, p = 0.0063, median -4.3%")
 
 
 def test_compare_warns_when_hosts_differ(tmp_path):

@@ -68,9 +68,11 @@ def test_shipped_catalog_matches_builder():
 
 
 def test_entry_round_trip():
-    entry = k3()
-    redone = entry_from_dict(json.loads(json.dumps(entry_to_dict(entry))))
-    assert redone == entry
+    # an empty asserted map is no asserted genus, which the file omits
+    for entry in (k3(), ManifoldData("X", 4, pontryagin_numbers={(1,): 3}, asserted_genera={})):
+        redone = entry_from_dict(json.loads(json.dumps(entry_to_dict(entry))))
+        assert redone == entry
+        assert loads_catalog(dumps_catalog([entry]))[entry.name] == entry
 
 
 def test_entry_to_dict_canonical_order():
@@ -166,7 +168,7 @@ def test_entry_messages_name_the_entry():
         assert "Troubled" in str(exc)
     else:
         pytest.fail("expected CatalogError")
-    # the constructor's rejections come back naming the entry
+    # the constructor's rejections, and the decoder's own, name the entry
     for bad, match in (
         (dict(real_dim=4.0), "has wrong type float"),
         (dict(real_dim=True), "has wrong type bool"),
@@ -174,7 +176,15 @@ def test_entry_messages_name_the_entry():
         (dict(spin=1), "has wrong type int"),
         (dict(name=7), "has wrong type int"),
         (dict(real_dim=2, pontryagin_numbers={}, chern_numbers={"1": 2}, complex_dim=True),
-         "has wrong type bool"),
+         r"complex_dim True must be real_dim/2 = 1$"),
+        (dict(real_dim=2, pontryagin_numbers={}, chern_numbers={"1": 2}, complex_dim=1.0),
+         r"complex_dim 1\.0 must be real_dim/2 = 1$"),
+        (dict(real_dim=2, pontryagin_numbers={}, chern_numbers={"1": 2}, complex_dim=2),
+         r"complex_dim 2 must be real_dim/2 = 1$"),
+        (dict(real_dim=2, pontryagin_numbers={}, chern_numbers={"1": 2}, complex_dim=None),
+         r"complex_dim None must be real_dim/2 = 1$"),
+        (dict(complex_dim=2), r"complex_dim 2 must be absent without Chern numbers$"),
+        (dict(real_dim=12, pontryagin_numbers={"1,2": 3}), r"partition \(1, 2\) is not a"),
         (dict(asserted={"ahat": "two"}), "bad rational"),
         (dict(asserted={"ahat": "1/0"}), "bad rational"),
         (dict(pontryagin_numbers={"0": 1}), "is not a partition"),
@@ -184,6 +194,8 @@ def test_entry_messages_name_the_entry():
         with pytest.raises(CatalogError, match=match) as err:
             entry_from_dict(raw)
         assert str(err.value).startswith(f"entry {raw['name']!r}: ")
+    # without Chern numbers the worked-out complex_dim is None, which a file may store
+    assert entry_from_dict(_base_entry(complex_dim=None)) == entry_from_dict(_base_entry())
 
 
 def test_loads_validation():

@@ -676,10 +676,11 @@ def test_generated_command_lines_exit_typed(argv):
 # The keyword arguments of a valid ManifoldData with one field, or one key or
 # value of one of its maps, made wrongly shaped: a list, int keys, a nested dict, a
 # float, a bool, a Fraction or a string in exponent form.  The constructor refuses
-# every one with a GenusForgeError, and nothing else escapes it.
+# every one with a GenusForgeError, and nothing else escapes it.  Dimension 8 has a
+# Chern partition with two distinct parts, (3, 1), whose reverse is no partition key.
 
-_VALID = {"name": "X", "real_dim": 4, "pontryagin_numbers": {(1,): 3},
-          "chern_numbers": {(2,): 3, (1, 1): 9}, "complex_dim": 2, "spin": False,
+_VALID = {"name": "X", "real_dim": 8, "pontryagin_numbers": {(2,): 3, (1, 1): 4},
+          "chern_numbers": {(3, 1): 3, (2, 2): 9}, "spin": False,
           "string": False, "asserted_genera": {"todd": 1}}
 _MAPS = ("pontryagin_numbers", "chern_numbers", "asserted_genera")
 _JUNK = {
@@ -703,7 +704,6 @@ def _junk(*but):
 _WRONG = {
     "name": _junk("exponent"),
     "real_dim": st.one_of(_junk(), st.integers(-6, 0), st.integers(-5, 49).map(lambda n: 2 * n + 1)),
-    "complex_dim": st.one_of(_junk(), st.integers().filter(lambda n: n != 2)),
     "spin": _junk("bool"),
     "string": _junk("bool"),
     **dict.fromkeys(_MAPS, _junk()),
@@ -712,7 +712,7 @@ _WRONG = {
 
 def _bad_key(key):
     """A scalar or text key, or for a partition the same total split into parts of
-    the wrong type or sign; for a genus name, a near miss."""
+    the wrong type or sign, or in ascending order; for a genus name, a near miss."""
     scalar = st.one_of(st.integers(), st.text(max_size=3), _junk(*_UNHASHABLE))
     if isinstance(key, str):
         return st.one_of(scalar, st.sampled_from([key.upper(), f" {key}"]))
@@ -721,7 +721,8 @@ def _bad_key(key):
     return st.one_of(
         scalar,
         st.sampled_from(swaps).map(lambda iq: key[:iq[0]] + (iq[1],) + key[iq[0] + 1:]),
-        st.sampled_from([(), (key[0] + 1, -1) + key[1:], key + (0,)]),
+        st.sampled_from([(), (key[0] + 1, -1) + key[1:], key + (0,)]
+                        + ([key[::-1]] if len(set(key)) > 1 else [])),
     )
 
 
@@ -750,6 +751,7 @@ def test_generated_manifold_data_base_is_valid():
 @given(_wrong_kwargs())
 @example({**_VALID, "pontryagin_numbers": {1: 3}})
 @example({**_VALID, "real_dim": 4.0})
+@example({**_VALID, "chern_numbers": {(1, 3): 3, (2, 2): 9}})
 def test_generated_manifold_data_refuses_typed(kwargs):
     with pytest.raises(GenusForgeError):
         ManifoldData(**kwargs)

@@ -20,7 +20,7 @@ REPORT = dict(inputs=BoundParams(**PARAMS), mu=2.0, K1=2.0, K2=1.0, c_of_b=0.5,
 # (class, every field in constructor order, one field changed)
 CASES = [
     (ManifoldData, dict(name="Q", real_dim=8, pontryagin_numbers={(2,): 7, (1, 1): 4},
-                        chern_numbers=None, complex_dim=None, spin=True, string=False,
+                        chern_numbers=None, spin=True, string=False,
                         asserted_genera={"ahat": Fraction(0)}), dict(spin=False)),
     (BoundParams, PARAMS, dict(diam=2.0)),
     (IndexBoundReport, REPORT, dict(index_bound=8.0)),
