@@ -41,6 +41,8 @@ DEFAULT = [
     ("compute", "--manifold", "HP2", "--genus", "lhat"),
     ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "12"),
     ("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "12"),
+    ("modular", "fit", "--manifold", "K3xK3", "--order", "24"),
+    ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0"),
     ("bound", "cb", "--m", "2", "--b", "1.0"),
     ("bound", "cb", "--m", "7", "--b", "0.5", "--method", "secant"),
     ("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),

@@ -91,7 +91,7 @@ class FloatRangeError(NumericalError):
 class TooLarge(DataError):
     """Requested model or series exceeds a documented size cap (the BFS
     vertex cap, the tower depth and rank caps, the q-series truncation cap
-    and its power cap of MAX_TRUNC, the real-dimension cap of manifold data)."""
+    of MAX_TRUNC, the real-dimension cap of manifold data)."""
 
 
 # -- catalog -------------------------------------------------------------------

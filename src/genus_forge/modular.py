@@ -25,7 +25,7 @@ from .qseries import QSeries
 def eisenstein(kind: str, q_trunc: int) -> QSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n or E6 = 1 - 504 sum sigma_5(n) q^n, exact."""
     scale, power = choice("kind", kind, {"E4": (240, 3), "E6": (-504, 5)})
-    return 1 + _divisor_sum(2, 1, power, q_trunc) * scale
+    return QSeries({0: 1}, q_trunc) + _divisor_sum(2, 1, power, q_trunc) * scale
 
 
 class ModularFit(Record):
@@ -57,6 +57,14 @@ def _solve_square(rows: list[list[Fraction]]) -> list[Fraction]:
     return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
+def _powers(base: QSeries, top: int) -> list[QSeries]:
+    """base^0 .. base^top, one product each."""
+    out = [QSeries({0: 1}, base.trunc)]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
 def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
     """Fit the Witten genus of a 4m-manifold against E4^i E6^j, 4i+6j=2m."""
     _check_manifolds(m)
@@ -79,17 +87,17 @@ def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
             f"{m.name}: q_trunc {q_trunc} stops below q^{n}, so no coefficient is left "
             f"to check the fit to monomials {monomials}"
         )
-    e4, e6 = eisenstein("E4", q_trunc), eisenstein("E6", q_trunc)
-    basis = [e4**i * e6**j for i, j in monomials]
+    e4s = _powers(eisenstein("E4", q_trunc), weight // 4)
+    e6s = _powers(eisenstein("E6", q_trunc), weight // 6)
+    basis = [e4s[i] * e6s[j] for i, j in monomials]
     solution = _solve_square(
         [[b.coeff(2 * r) for b in basis] + [witten.coeff(2 * r)] for r in range(n)]
     )
 
-    combo = QSeries({}, q_trunc)
+    residual = witten
     for coeff, b in zip(solution, basis):
         if coeff:
-            combo = combo + b * coeff
-    residual = witten - combo
+            residual = residual + b * -coeff
     first_mismatch = next(residual.terms(), None)
     return ModularFit(
         manifold=m.name,

@@ -11,9 +11,10 @@ A series is trunc int numerators over one positive denominator,
 c_n = nums[n] / den, reduced by one gcd: zero is all 0 over 1, and equal
 series store equal lists.
 
-The class holds only the ring the genus engine works in: sums, products,
-non-negative powers, coefficient access and numeric evaluation.  Series
-division, log, exp and shifts serve only the product-route test oracle,
+The class holds only what the genus engine calls: the sum of two series,
+the product with a series or a scalar, coefficient access and numeric
+evaluation.  A difference is a sum with a product by -1.  Series division,
+log, exp, powers and shifts serve only the product-route test oracle,
 which keeps them on a series class of its own (tests/theta_oracle.py).
 """
 
@@ -132,30 +133,13 @@ class QSeries:
                 f"truncation orders differ: {self.trunc} vs {other.trunc}"
             )
 
-    def __neg__(self) -> "QSeries":
-        return QSeries._of([-x for x in self.nums], self.den)
-
     def __add__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            other = QSeries({0: other}, self.trunc)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_same_trunc(other)
         den = math.lcm(self.den, other.den)
         a, b = den // self.den, den // other.den
         return QSeries._of([x * a + y * b for x, y in zip(self.nums, other.nums)], den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            other = QSeries({0: other}, self.trunc)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "QSeries":
-        return (-self) + other
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -178,35 +162,20 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "QSeries":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise DomainError(f"negative power {shown(k)}: QSeries has no division")
-        if k > MAX_TRUNC:  # the work grows with k; the library's callers pass at most 6
-            raise TooLarge(f"power {shown(k)} exceeds the cap of {MAX_TRUNC}")
-        result = QSeries({0: 1}, self.trunc)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
-
     # -- numeric evaluation ------------------------------------------------------
 
     def eval_at(self, q: complex) -> complex:
         """Evaluate the truncated series at a numeric q with |q| < 1.
 
-        Half powers use the principal branch of the square root.  A
-        coefficient past binary64 raises FloatRangeError.
+        Half powers use the principal branch of the square root.  DomainError
+        refuses a q that is no int, float or complex, DivergentEvaluation one
+        with |q| not below 1, and FloatRangeError a coefficient past binary64.
         """
+        if isinstance(q, bool) or not isinstance(q, (int, float, complex)):
+            raise DomainError(f"q must be an int, float or complex, got {shown(q)}")
+        if not abs(q) < 1.0:  # NaN too, and an int past binary64
+            raise DivergentEvaluation(f"|q| = {shown(abs(q))} is not below 1")
         q = complex(q)
-        if abs(q) >= 1.0:
-            raise DivergentEvaluation(f"|q| = {abs(q)} is not below 1")
         s = cmath.sqrt(q)
         total = 0j
         try:

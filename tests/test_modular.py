@@ -9,7 +9,7 @@ import pytest
 from genus_forge.catalog import resolve
 from genus_forge.elliptic import elliptic_genus
 from genus_forge.errors import ConvergenceRisk, FitError, FloatRangeError
-from genus_forge.manifolds import ManifoldData, k3, hp2, product, torus
+from genus_forge.manifolds import ManifoldData, cp, k3, hp2, product, torus
 from genus_forge.modular import (
     _rounding,
     _tail,
@@ -48,13 +48,28 @@ def test_eisenstein_product():
     assert e10.coeff(0) == 1 and e10.coeff(2) == -264
 
 
+# manifold, q_trunc, weight, coefficients, first mismatch; the CP cases hold
+# a monomial with both E4 and E6, powers above 2 and a basis of three
+_NON_STRING_FITS = [
+    (product(k3(), k3()), 17, 4, {(1, 0): Fraction(4)}, (2, Fraction(-1152))),
+    (cp(10), 9, 10, {(1, 1): Fraction(-63, 262144)}, (2, Fraction(-847, 16384))),
+    (cp(12), 13, 12, {(0, 2): Fraction(623, 25165824), (3, 0): Fraction(763, 25165824)},
+     (4, Fraction(-708617, 65536))),
+    (cp(24), 13, 24, {(0, 4): Fraction(1073621315, 1641562064176545792),
+                      (3, 2): Fraction(5973644365, 820781032088272896),
+                      (6, 0): Fraction(2749727747, 1641562064176545792)},
+     (6, Fraction(-21075803125, 68719476736))),
+]
+
+
 def test_fit_detects_non_string_manifold():
-    fit = witten_fit(product(k3(), k3()), 17)
-    assert fit.weight == 4
-    assert fit.coefficients == {(1, 0): Fraction(4)}
-    assert not fit.residual_ok
-    assert fit.first_mismatch == (2, Fraction(-1152))
-    assert fit.checked_order == 17
+    for m, q_trunc, weight, coefficients, first_mismatch in _NON_STRING_FITS:
+        fit = witten_fit(m, q_trunc)
+        assert fit.weight == weight, m.name
+        assert fit.coefficients == coefficients, m.name
+        assert not fit.residual_ok
+        assert fit.first_mismatch == first_mismatch, m.name
+        assert fit.checked_order == q_trunc
 
 
 def test_fit_checks_at_least_one_coefficient():

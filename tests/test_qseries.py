@@ -2,6 +2,7 @@
 its operations against the test oracle's own series, and the inverse pairs
 (division, log and exp) that the oracle adds to its series."""
 
+import math
 import random
 import re
 import time
@@ -11,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge.errors import (DivergentEvaluation, DomainError, FloatRangeError, TooLarge,
-                               TruncMismatch)
+from genus_forge.errors import DivergentEvaluation, DomainError, FloatRangeError, TruncMismatch
 from genus_forge.qseries import MAX_TRUNC, QSeries
 from theta_oracle import (
     NonNilpotentExp,
@@ -70,16 +70,11 @@ def test_constructor_refusals():
     (lambda: QSeries({0: 1}, 5).coeff(-3), DomainError,
      "coefficient at half-exponent -3 is not stored"),
     (lambda: QSeries({0: 1}, 5).coeff(7), DomainError, "coefficient at half-exponent 7 is not stored"),
-    (lambda: QSeries({0: 1}, 5) ** -1, DomainError, "negative power -1: QSeries has no division"),
-    (lambda: QSeries({0: Fraction(1, 2), 1: 1}, 5) ** (MAX_TRUNC + 1), TooLarge,
-     f"power {MAX_TRUNC + 1} exceeds the cap of {MAX_TRUNC}"),
-    (lambda: QSeries({0: Fraction(1, 2), 1: 1}, 5) ** 10**400, TooLarge,
-     f"power {10**400} exceeds the cap of {MAX_TRUNC}"),
 ], ids=["negative-key", "key-past-trunc", "bool-key", "float-coefficient", "negative-index",
-        "index-past-trunc", "negative-power", "power-past-cap", "huge-power"])
+        "index-past-trunc"])
 def test_bad_arguments_are_refused_typed(call, error, message):
     # each raised a plain ValueError or TypeError, or was taken: a bool key
-    # stored, a negative index read as 0, a huge power run without bound
+    # stored, a negative index read as 0
     start = time.perf_counter()
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         call()
@@ -110,23 +105,26 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
         assert a + QSeries({}, TRUNC) == a
         assert a * QSeries({0: 1}, TRUNC) == a
-        assert a - a == QSeries({}, TRUNC)
-        assert -(-a) == a
+        assert a + a * -1 == QSeries({}, TRUNC)
+        assert (a * -1) * -1 == a
 
 
 def test_scalar_coercion():
     a = QSeries({1: Fraction(2)}, 6)
-    assert 1 + a == QSeries({0: Fraction(1), 1: Fraction(2)}, 6)
-    assert a - 1 == QSeries({0: Fraction(-1), 1: Fraction(2)}, 6)
     assert 2 * a == a + a
-    assert (1 - a) == 1 - a
 
 
-@pytest.mark.parametrize("other", ["x", 1.5], ids=["str", "float"])
+@pytest.mark.parametrize("other", ["x", 1.5, 1, Fraction(1, 2)],
+                         ids=["str", "float", "int", "fraction"])
 def test_foreign_operands_raise_type_error(other):
+    # a series adds only to a series, a scalar only multiplies it, and there
+    # is no difference, negation or power
     s = QSeries({0: 1, 2: 3}, 4)
-    for op in (lambda: s + other, lambda: other + s, lambda: s - other, lambda: other - s,
-               lambda: s * other, lambda: other * s, lambda: s ** other):
+    ops = [lambda: s + other, lambda: other + s, lambda: s - other, lambda: other - s,
+           lambda: s ** other, lambda: -s, lambda: s - s, lambda: s ** 2]
+    if not isinstance(other, (int, Fraction)):
+        ops += [lambda: s * other, lambda: other * s]
+    for op in ops:
         with pytest.raises(TypeError):
             op()
     assert (s == "x") is False and (s != "x") is True
@@ -163,20 +161,11 @@ def test_division_by_non_unit():
 
 def test_powers():
     rng = random.Random(11)
-    a = rand_series(rng, unit=True)
-    assert a**0 == QSeries({0: 1}, TRUNC)
-    assert a**3 == a * a * a
     b = rand_series(rng, unit=True, kind=Series)
     assert div(1, b) ** 2 == div(Series({0: 1}, TRUNC), b * b)
     nil = Series({2: 1}, 6)
     with pytest.raises(NonUnitDivisor):
         div(1, nil)
-
-
-def test_negative_power_refused():
-    # QSeries is a ring: negative powers go through the oracle's division
-    with pytest.raises(ValueError, match="negative power -1"):
-        QSeries({0: 1}, TRUNC) ** -1
 
 
 def test_log_exp_inverses():
@@ -234,6 +223,8 @@ def test_eval_at():
         geom.eval_at(1.0)
     with pytest.raises(DivergentEvaluation):
         geom.eval_at(-2.0)
+    with pytest.raises(DivergentEvaluation, match=r"^\|q\| = nan is not below 1$"):
+        geom.eval_at(math.nan)
 
 
 def test_eval_at_refuses_a_coefficient_past_binary64():
@@ -271,13 +262,12 @@ def _pair(draw, trunc):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.data(), _TRUNC, _VALUE, st.integers(0, 3))
-def test_operations_match_the_oracle(data, trunc, scalar, k):
+@given(st.data(), _TRUNC, _VALUE)
+def test_operations_match_the_oracle(data, trunc, scalar):
     (a, oa), (b, ob) = _pair(data.draw, trunc), _pair(data.draw, trunc)
     assert agrees(a, oa) and agrees(b, ob)
     assert agrees(a + b, oa + ob)
-    assert agrees(a - b, oa - ob)
     assert agrees(a * b, oa * ob)
     assert agrees(a * scalar, oa * scalar) and agrees(scalar * a, oa * scalar)
-    assert agrees(a**k, oa**k)
-    assert a - a == QSeries({}, trunc) and str(a - a) == "0"
+    zero = a + a * -1
+    assert zero == QSeries({}, trunc) and str(zero) == "0"
