@@ -13,6 +13,11 @@ versions: compare them within one.
     python scripts/count_ops.py bound cb --m 2 --b 1.0   # one command
     python scripts/count_ops.py --root ../parent         # another checkout
 
+The fifteen default commands are every command of the benchmark's `cli`
+workload that exits 0 (`CLI_FIXED` in `perfbench/workloads.py`), with its
+`elliptic` command at order 12, plus an ell1 series, an lhat genus and a
+secant `bound cb`.
+
 A first line, starting with `#`, names the Python version and the counter;
 then each line reads `opcodes modules source-bytes exit argv`.  The child
 runs with PYTHONHASHSEED=0 and counts every bytecode instruction, the
@@ -37,16 +42,20 @@ from pathlib import Path
 
 DEFAULT = [
     ("catalog", "list"),
+    ("catalog", "show", "K3"),
     ("compute", "--manifold", "CP3", "--genus", "todd"),
     ("compute", "--manifold", "HP2", "--genus", "lhat"),
     ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "12"),
     ("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "12"),
+    ("indices", "--manifold", "K3", "--family", "B", "--max", "3"),
     ("modular", "fit", "--manifold", "K3xK3", "--order", "24"),
     ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0"),
     ("bound", "cb", "--m", "2", "--b", "1.0"),
     ("bound", "cb", "--m", "7", "--b", "0.5", "--method", "secant"),
     ("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),
     ("cover", "diam", "--k", "2", "--base", "3,3", "--factor", "2"),
+    ("cover", "tower", "--k", "3", "--depth", "3"),
+    ("cover", "l2", "--k", "2", "--p", "1", "--depth", "3"),
 ]
 TIMEOUT_S = 120.0
 VERSION = sys.version.split()[0]

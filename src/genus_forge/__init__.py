@@ -4,15 +4,16 @@ bounds, and covering-space simulations over a manifold catalog.
 
 The package exports the entry points the README and the CLI use; every
 other function lives in its module (`genus_forge.genera`,
-`genus_forge.elliptic`, ...).  Only the error classes are imported with
-the package.  Every other exported name imports its module on first use
-(PEP 562) and is then cached here, so `genus_forge.resolve` costs one
-import the first time and a plain attribute read afterwards.
+`genus_forge.elliptic`, ...).  Only the error classes and the genus names
+are imported with the package.  Every other exported name imports its
+module on first use (PEP 562) and is then cached here, so
+`genus_forge.resolve` costs one import the first time and a plain
+attribute read afterwards.
 """
 
 from importlib import import_module
 
-from .errors import DataError, GenusForgeError, NumericalError, TooLarge
+from .errors import ELLIPTIC, GENERA, DataError, GenusForgeError, NumericalError, TooLarge
 
 __version__ = "0.1.0"
 
@@ -27,17 +28,16 @@ _LAZY = {
     "cover_diameter": "covering",
     "l2_betti_ratio": "covering",
     "tower": "covering",
-    "EllKind": "elliptic",
     "elliptic_genus": "elliptic",
     "twisted_indices": "elliptic",
     "genus_source": "genera",
     "genus_value": "genera",
-    "GenusKind": "manifolds",
     "modular_relation_check": "modular",
     "witten_fit": "modular",
 }
 
-__all__ = ["__version__", "DataError", "GenusForgeError", "NumericalError", "TooLarge", *_LAZY]
+__all__ = ["__version__", "ELLIPTIC", "GENERA", "DataError", "GenusForgeError", "NumericalError",
+           "TooLarge", *_LAZY]
 
 
 def __getattr__(name: str):

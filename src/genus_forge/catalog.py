@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import (CatalogError, DomainError, GenusForgeError, InconsistentData,
+from .errors import (GENERA, CatalogError, DomainError, GenusForgeError, InconsistentData,
                      UnknownManifold, shown)
-from .manifolds import GenusKind, ManifoldData, _check_manifolds, builtin, partitions_of, s_numbers
+from .manifolds import ManifoldData, _check_manifolds, builtin, partitions_of, s_numbers
 
 SCHEMA_VERSION = 1
 ENV_CATALOG_PATH = "GENUS_FORGE_CATALOG"
@@ -31,7 +31,6 @@ _ENTRY_FIELDS = (
     "asserted",
 )
 _REQUIRED_FIELDS = ("name", "real_dim", "spin", "string")
-_GENUS_ORDER = tuple(kind.value for kind in GenusKind)
 # a partition key is ASCII digits, commas and spaces: int() alone also reads "1_0", "+10", "١٠"
 _KEY_CHARS = frozenset("0123456789, \t\n\r\v\f")
 
@@ -83,7 +82,7 @@ def entry_to_dict(entry: ManifoldData) -> dict:
     if entry.asserted_genera:
         out["asserted"] = {
             kind: str(entry.asserted_genera[kind])
-            for kind in _GENUS_ORDER
+            for kind in GENERA
             if kind in entry.asserted_genera
         }
     return out

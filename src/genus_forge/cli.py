@@ -20,16 +20,11 @@ import sys
 import warnings
 from collections import namedtuple
 
-from .errors import DataError, NonIntegralIndexWarning, NumericalError, TooLarge
+from .errors import ELLIPTIC, GENERA, DataError, NonIntegralIndexWarning, NumericalError, TooLarge
 
 # Each command imports the modules it runs inside its body, so a process
 # loads only what its command needs: `cover tower` never loads the genus
 # engine, and `bound cb` never loads the catalog.
-
-# The values of manifolds.GenusKind and elliptic.EllKind, in their order,
-# spelled out so that declaring the options imports neither module.
-GENUS_CHOICES = ("todd", "ahat", "lhat", "signature")
-ELL_CHOICES = ("ell1", "ell2", "witten")
 
 DEFAULT_ORDER = 24  # through q^24; _trunc(DEFAULT_ORDER) is elliptic.DEFAULT_Q_TRUNC
 PROG = "genus-forge"  # the program name in usage lines and help pages
@@ -242,7 +237,7 @@ def catalog_show(name):
                      for key, value in payload.items()]
 
 
-@_command(("compute",), MANIFOLD, Opt("--genus", "kind", GENUS_CHOICES, required=True))
+@_command(("compute",), MANIFOLD, Opt("--genus", "kind", GENERA, required=True))
 def compute(manifold, kind):
     """One rational genus of one manifold."""
     from .catalog import resolve
@@ -254,7 +249,7 @@ def compute(manifold, kind):
              "source": genus_source(entry, kind)}, [str(value)])
 
 
-@_command(("elliptic",), MANIFOLD, Opt("--kind", "kind", ELL_CHOICES, required=True),
+@_command(("elliptic",), MANIFOLD, Opt("--kind", "kind", ELLIPTIC, required=True),
           Opt("--order", "order", int, default=DEFAULT_ORDER, minimum=0,
               help="keep coefficients through q^ORDER"))
 def elliptic(manifold, kind, order):

@@ -27,20 +27,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .errors import InsufficientData, NonIntegralIndexWarning, choice, whole
+from .errors import ELLIPTIC, InsufficientData, NonIntegralIndexWarning, choice, whole
 from .genera import genus_numbers, log_coeffs, pair_logs
-from .manifolds import GenusKind, ManifoldData
+from .manifolds import ManifoldData
 from .qseries import QSeries
-
-
-class EllKind(str, Enum):
-    ELL1 = "ell1"
-    ELL2 = "ell2"
-    WITTEN = "witten"
 
 
 def _divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
@@ -56,14 +49,14 @@ def _divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
 # (classical base, root scale c, twists (first h, eps, sign)):
 # l_k = base l_k + c^(2k) * sum of sign * D_k(H, eps)
 _FACTORS = {
-    EllKind.WITTEN: (GenusKind.AHAT, 1, ((2, 1, -1),)),
-    EllKind.ELL2: (GenusKind.AHAT, 1, ((2, 1, -1), (1, 1, 1))),
-    EllKind.ELL1: (GenusKind.SIGNATURE, 2, ((2, 1, -1), (2, -1, 1))),
+    "witten": ("ahat", 1, ((2, 1, -1),)),
+    "ell2": ("ahat", 1, ((2, 1, -1), (1, 1, 1))),
+    "ell1": ("signature", 2, ((2, 1, -1), (2, -1, 1))),
 }
-_KINDS = {kind.value: kind for kind in EllKind}
+_KINDS = dict(zip(ELLIPTIC, ELLIPTIC))
 
 
-def elliptic_logs(kind: EllKind, weight: int, q_trunc: int) -> list[QSeries]:
+def elliptic_logs(kind: str, weight: int, q_trunc: int) -> list[QSeries]:
     """l_1 .. l_weight of the per-root factor."""
     base, scale, twists = _FACTORS[choice("kind", kind, _KINDS)]
     logs = []
@@ -93,7 +86,7 @@ class GenusSeries:
 DEFAULT_Q_TRUNC = 49  # keeps every coefficient through q^24
 
 
-def _series(m: ManifoldData, kind: EllKind, q_trunc: int) -> QSeries:
+def _series(m: ManifoldData, kind: str, q_trunc: int) -> QSeries:
     whole("q_trunc", q_trunc)
     base = _FACTORS[kind][0]
     route = genus_numbers(m, base)
@@ -103,23 +96,21 @@ def _series(m: ManifoldData, kind: EllKind, q_trunc: int) -> QSeries:
     return pair_logs(numbers, weight, elliptic_logs(kind, weight, q_trunc), scale)
 
 
-def elliptic_genus(
-    m: ManifoldData, kind: EllKind, q_trunc: int = DEFAULT_Q_TRUNC
-) -> GenusSeries:
+def elliptic_genus(m: ManifoldData, kind: str, q_trunc: int = DEFAULT_Q_TRUNC) -> GenusSeries:
     """Evaluate Ell1, Ell2 or the Witten genus as an exact q-series."""
     kind = choice("kind", kind, _KINDS)
     series = _series(m, kind, q_trunc)
-    if kind in (EllKind.ELL1, EllKind.WITTEN) and not series.integer_powers_only():
+    if kind in ("ell1", "witten") and not series.integer_powers_only():
         # a fault of this module, not of the data: the CLI reports it as exit 4
-        raise RuntimeError(f"{kind.value} series left the integer power grid; this is a bug")
-    return GenusSeries(m.name, kind.value, series, q_trunc)
+        raise RuntimeError(f"{kind} series left the integer power grid; this is a bug")
+    return GenusSeries(m.name, kind, series, q_trunc)
 
 
 # -- twisted indices ------------------------------------------------------------------
 
 
 # family -> (the kind whose per-root factor its bundle has, half-exponents per step)
-_FAMILIES = {"B": (EllKind.ELL2, 1), "W": (EllKind.WITTEN, 2)}
+_FAMILIES = {"B": ("ell2", 1), "W": ("witten", 2)}
 
 
 def twisted_indices(m: ManifoldData, family: str, k_max: int) -> list[Fraction]:

@@ -9,6 +9,8 @@ defect: it exits with code 4 and one `internal error: ...` line on stderr.
 
 The entry points check a count with `whole`, a binary64 real with `real` and a
 named choice with `choice`; each returns a value or raises DomainError, a ValueError.
+Every named choice is a plain string; GENERA and ELLIPTIC spell the genus
+names once, in the order of the CLI's help.
 """
 
 from __future__ import annotations
@@ -147,6 +149,10 @@ def real(name: str, value, low: float | None = None) -> float:
         return x
     need = "positive real" if low is None else "real" if low == -math.inf else f"real >= {low}"
     raise DomainError(f"{name} must be a finite {need}, got {shown(value)}")
+
+
+GENERA = ("todd", "ahat", "lhat", "signature")
+ELLIPTIC = ("ell1", "ell2", "witten")
 
 
 def choice(name: str, value, names):

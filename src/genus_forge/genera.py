@@ -45,11 +45,11 @@ from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .errors import DimensionError, DomainError, InsufficientData, choice, is_int, shown, whole
-from .manifolds import (MAX_REAL_DIM, GenusKind, ManifoldData, Partition, _check_manifolds,
-                        _check_real_dim, partitions_of, s_numbers)
+from .errors import GENERA, DimensionError, DomainError, InsufficientData, choice, is_int, shown, whole
+from .manifolds import (MAX_REAL_DIM, ManifoldData, Partition, _check_manifolds, _check_real_dim,
+                        partitions_of, s_numbers)
 
-_KINDS = {kind.value: kind for kind in GenusKind}
+_KINDS = dict(zip(GENERA, GENERA))
 _BERNOULLI = [Fraction(1)]
 
 
@@ -67,17 +67,17 @@ def _log_sinh(k: int) -> Fraction:
     return 4**k * _bernoulli(2 * k) / (2 * k * factorial(2 * k))
 
 
-def log_coeffs(kind: GenusKind, weight: int) -> list[Fraction]:
+def log_coeffs(kind: str, weight: int) -> list[Fraction]:
     """l_1 .. l_weight of the classical factor; weight <= MAX_REAL_DIM / 2."""
     kind = choice("kind", kind, _KINDS)
     whole("weight", weight, 0, MAX_REAL_DIM // 2)
-    if kind == GenusKind.TODD:
+    if kind == "todd":
         # x/(1 - e^-x) = e^(x/2) (x/2)/sinh(x/2): l_1 = 1/2, then Ahat in x
         logs = [Fraction(1, 2)] + [Fraction(0)] * (weight - 1)
-        for k, ahat in enumerate(log_coeffs(GenusKind.AHAT, weight // 2), start=1):
+        for k, ahat in enumerate(log_coeffs("ahat", weight // 2), start=1):
             logs[2 * k - 1] = ahat
         return logs[:weight]
-    if kind == GenusKind.AHAT:
+    if kind == "ahat":
         return [-_log_sinh(k) / 4**k for k in range(1, weight + 1)]
     return [(4**k - 2) * _log_sinh(k) for k in range(1, weight + 1)]  # signature, big-L
 
@@ -115,8 +115,7 @@ def pair_logs(numbers: Mapping[Partition, int], weight: int, logs: list, scale: 
 # -- genus values --------------------------------------------------------------------
 
 
-def genus_numbers(m: ManifoldData,
-                  kind: GenusKind) -> tuple[Mapping[Partition, int], int, int] | None:
+def genus_numbers(m: ManifoldData, kind: str) -> tuple[Mapping[Partition, int], int, int] | None:
     """The numbers a genus of this kind pairs on m, their weight, and the
     scale of the partitions `pair_logs` reads them at.
 
@@ -127,7 +126,7 @@ def genus_numbers(m: ManifoldData,
     numbers, so that only an asserted value can answer.
     """
     _check_manifolds(m)
-    if choice("kind", kind, _KINDS) == GenusKind.TODD:
+    if choice("kind", kind, _KINDS) == "todd":
         return None if m.chern_numbers is None else (m.chern_numbers, m.complex_dim, 1)
     if m.real_dim % 4:
         raise DimensionError(
@@ -139,7 +138,7 @@ def genus_numbers(m: ManifoldData,
     return None if m.chern_numbers is None else (m.chern_numbers, m.real_dim // 4, 2)
 
 
-def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
+def genus_value(m: ManifoldData, kind: str) -> Fraction:
     """Evaluate a classical genus on a manifold, exactly.
 
     Falls back to an asserted value when no characteristic numbers are
@@ -150,12 +149,12 @@ def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
     if route is not None:
         numbers, weight, scale = route
         return pair_logs(numbers, weight, log_coeffs(kind, weight), scale)
-    if m.asserted_genera and kind.value in m.asserted_genera:
-        return m.asserted_genera[kind.value]
-    raise InsufficientData(f"{m.name}: no data to evaluate the {kind.value} genus")
+    if m.asserted_genera and kind in m.asserted_genera:
+        return m.asserted_genera[kind]
+    raise InsufficientData(f"{m.name}: no data to evaluate the {kind} genus")
 
 
-def genus_source(m: ManifoldData, kind: GenusKind) -> str:
+def genus_source(m: ManifoldData, kind: str) -> str:
     """'computed' when characteristic numbers drive the genus, 'asserted' otherwise."""
     return "asserted" if genus_numbers(m, kind) is None else "computed"
 

@@ -18,15 +18,14 @@ else None.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 
-from .errors import (DimensionError, DomainError, InconsistentData, InsufficientData, Record,
-                     TooLarge, UnknownManifold, shown, whole)
+from .errors import (GENERA, DimensionError, DomainError, InconsistentData, InsufficientData,
+                     Record, TooLarge, UnknownManifold, shown, whole)
 
 Partition = tuple[int, ...]
 
@@ -140,13 +139,6 @@ def numbers_from_s(s: Mapping[Partition, int], weight: int) -> dict[Partition, i
     return out
 
 
-class GenusKind(str, Enum):
-    TODD = "todd"
-    AHAT = "ahat"
-    LHAT = "lhat"
-    SIGNATURE = "signature"
-
-
 def _read_only(numbers):
     return None if numbers is None else MappingProxyType(numbers)
 
@@ -218,10 +210,9 @@ class ManifoldData(Record):
                 )
 
         if asserted_genera is not None:
-            known = {k.value for k in GenusKind}
             clean: dict[str, Fraction] = {}
             for key, value in asserted_genera.items():
-                if key not in known:
+                if key not in GENERA:
                     raise InconsistentData(f"{name}: unknown asserted genus {key!r}")
                 try:
                     # a float or a bool is no exact rational; a string is parsed
@@ -231,7 +222,7 @@ class ManifoldData(Record):
                         raise ValueError(value)
                     if isinstance(value, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
                         raise ValueError(value)
-                    clean[key] = Fraction(value)
+                    clean[GENERA[GENERA.index(key)]] = Fraction(value)  # the library's str
                 except (ValueError, ZeroDivisionError):
                     raise InconsistentData(f"{name}: bad rational {value!r} for {key!r}") from None
             asserted_genera = clean
@@ -317,7 +308,7 @@ def product(a: ManifoldData, b: ManifoldData, name: str | None = None) -> Manifo
     )
 
 
-def _genus_if_available(m: ManifoldData, kind: GenusKind) -> Fraction | None:
+def _genus_if_available(m: ManifoldData, kind: str) -> Fraction | None:
     from .genera import genus_value  # local import to avoid a cycle
 
     try:
@@ -350,11 +341,11 @@ def connected_sum(a: ManifoldData, b: ManifoldData, name: str | None = None) -> 
         )
 
     asserted: dict[str, Fraction] = {}
-    for kind in (GenusKind.AHAT, GenusKind.LHAT, GenusKind.SIGNATURE):
+    for kind in ("ahat", "lhat", "signature"):
         va = _genus_if_available(a, kind)
         vb = _genus_if_available(b, kind)
         if va is not None and vb is not None:
-            asserted[kind.value] = va + vb
+            asserted[kind] = va + vb
     if not asserted:
         raise InsufficientData(
             f"connected_sum({a.name}, {b.name}): no genus computable on both sides"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .elliptic import DEFAULT_Q_TRUNC, EllKind, _divisor_sum, elliptic_genus
+from .elliptic import DEFAULT_Q_TRUNC, _divisor_sum, elliptic_genus
 from .errors import ConvergenceRisk, FitError, FloatRangeError, Record, choice, real
 from .manifolds import ManifoldData, _check_manifolds
 from .qseries import QSeries
@@ -79,7 +79,7 @@ def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
         raise FitError(
             f"{m.name}: no E4^i E6^j monomials of weight {weight}"
         )
-    witten = elliptic_genus(m, EllKind.WITTEN, q_trunc).series
+    witten = elliptic_genus(m, "witten", q_trunc).series
     # the square system takes q^0 .. q^(n-1), and the residual starts at q^n
     n = len(monomials)
     if (q_trunc - 1) // 2 < n:
@@ -188,8 +188,8 @@ def modular_relation_check(
             f"tau_im = {tau_im} must exceed 1 for a trustworthy truncation"
         )
     mm = m.real_dim // 4
-    ell1 = elliptic_genus(m, EllKind.ELL1, q_trunc).series
-    ell2 = elliptic_genus(m, EllKind.ELL2, q_trunc).series
+    ell1 = elliptic_genus(m, "ell1", q_trunc).series
+    ell2 = elliptic_genus(m, "ell2", q_trunc).series
     q = math.exp(-2.0 * math.pi * tau_im)
     q_prime = math.exp(-2.0 * math.pi / tau_im)
     tau = complex(0.0, tau_im)

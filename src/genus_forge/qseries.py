@@ -96,11 +96,15 @@ class QSeries:
     def __eq__(self, other) -> bool:
         if isinstance(other, QSeries):
             return self.den == other.den and self.nums == other.nums
+        if isinstance(other, complex) and other.imag == 0:
+            other = other.real
+        if isinstance(other, float) and math.isfinite(other):  # exactly, as 1 == 1.0 == 1+0j
+            other = Fraction(other)
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)  # True == 1, as for an int
             return (self.nums[0] == other.numerator and self.den == other.denominator
                     and not any(self.nums[1:]))
-        return NotImplemented
+        return False if isinstance(other, (float, complex)) else NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 

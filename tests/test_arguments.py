@@ -186,7 +186,6 @@ INTERNAL = {
     "covering.TowerLevel": RESULT,
     "covering.Tower": RESULT,
     "covering.CoverDiameter": RESULT,
-    "elliptic.EllKind": "the names of elliptic_genus's kind choice",
     "elliptic.GenusSeries": RESULT,
     "errors.shown": "formats any value for a message",
     "errors.size_of": "formats an int for shown and real",
@@ -200,7 +199,6 @@ INTERNAL = {
     "manifolds.s_numbers": "the power-sum table of the pairing and of product, on numbers "
                            "that ManifoldData checked",
     "manifolds.numbers_from_s": "solves product's power-sum numbers back to numbers",
-    "manifolds.GenusKind": "the names of genus_value's kind choice",
     "manifolds.ManifoldData": "checks every field itself, raising InconsistentData "
                               "(tests/test_manifolds.py)",
     "manifolds.k3": "takes no argument",

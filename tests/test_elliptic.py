@@ -8,25 +8,27 @@ product pieces (CharSeries, the twist-bundle characters) are checked
 here too.
 """
 
+from enum import Enum
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from genus_forge.elliptic import (
-    EllKind,
     _divisor_sum,
     elliptic_genus,
     elliptic_logs,
     twisted_indices,
 )
 from genus_forge.errors import (
+    ELLIPTIC,
+    GENERA,
     DimensionError,
     InsufficientData,
     NonIntegralIndexWarning,
     TruncMismatch,
 )
-from genus_forge.genera import GenusKind, genus_value, log_coeffs
+from genus_forge.genera import genus_source, genus_value, log_coeffs
 from genus_forge.manifolds import ManifoldData, hp2, k3, product, torus
 from genus_forge.qseries import QSeries
 from theta_oracle import (
@@ -58,31 +60,31 @@ def test_factor_equals_theta_route():
     weight = Y_CAP // 2
     theta = theta_ratio(ThetaKind.THETA, Y_CAP, TRUNC)
     # Witten: the plain derivative quotient
-    assert agrees(elliptic_logs(EllKind.WITTEN, weight, TRUNC), _log_of(theta, weight))
+    assert agrees(elliptic_logs("witten", weight, TRUNC), _log_of(theta, weight))
     # Ell2: derivative quotient times the half-step quotient
-    assert agrees(elliptic_logs(EllKind.ELL2, weight, TRUNC), _log_of(
+    assert agrees(elliptic_logs("ell2", weight, TRUNC), _log_of(
         theta * theta_ratio(ThetaKind.THETA2, Y_CAP, TRUNC), weight
     ))
     # Ell1: doubled product of the derivative and cosine quotients, a
     # factor in y/2 whose logs are rescaled to y by 4^k
     halved = _log_of(theta * theta_ratio(ThetaKind.THETA1, Y_CAP, TRUNC) * 2, weight)
-    assert agrees(elliptic_logs(EllKind.ELL1, weight, TRUNC), [
+    assert agrees(elliptic_logs("ell1", weight, TRUNC), [
         log * 4**k for k, log in enumerate(halved, start=1)])
 
 
 def test_factor_q0_specializations():
     weight = Y_CAP // 2
-    ahat = log_coeffs(GenusKind.AHAT, weight)
-    for kind in (EllKind.WITTEN, EllKind.ELL2):
+    ahat = log_coeffs("ahat", weight)
+    for kind in ("witten", "ell2"):
         logs = elliptic_logs(kind, weight, TRUNC)
         assert [c.coeff(0) for c in logs] == ahat
-    lhat = log_coeffs(GenusKind.LHAT, weight)
-    assert [c.coeff(0) for c in elliptic_logs(EllKind.ELL1, weight, TRUNC)] == lhat
+    lhat = log_coeffs("lhat", weight)
+    assert [c.coeff(0) for c in elliptic_logs("ell1", weight, TRUNC)] == lhat
 
 
 def test_witten_logs_are_eisenstein():
     # l_k = 2 G_2k / (2k)!, G_2k = -B_2k/(4k) + sum sigma_(2k-1)(n) q^n
-    for k, log in enumerate(elliptic_logs(EllKind.WITTEN, 4, 13), start=1):
+    for k, log in enumerate(elliptic_logs("witten", 4, 13), start=1):
         for n in range(1, 7):
             sigma = sum(d ** (2 * k - 1) for d in range(1, n + 1) if n % d == 0)
             assert log.coeff(2 * n) == Fraction(2 * sigma, factorial(2 * k))
@@ -90,18 +92,18 @@ def test_witten_logs_are_eisenstein():
 
 
 def test_k3_series_goldens():
-    ell1 = elliptic_genus(k3(), EllKind.ELL1, TRUNC).series
+    ell1 = elliptic_genus(k3(), "ell1", TRUNC).series
     assert dict(ell1.terms()) == {
         0: Fraction(-16), 2: Fraction(-384), 4: Fraction(-384),
         6: Fraction(-1536), 8: Fraction(-384),
     }
-    ell2 = elliptic_genus(k3(), EllKind.ELL2, TRUNC).series
+    ell2 = elliptic_genus(k3(), "ell2", TRUNC).series
     assert dict(ell2.terms()) == {
         0: Fraction(2), 1: Fraction(48), 2: Fraction(48), 3: Fraction(192),
         4: Fraction(48), 5: Fraction(288), 6: Fraction(192), 7: Fraction(384),
         8: Fraction(48),
     }
-    witten = elliptic_genus(k3(), EllKind.WITTEN, TRUNC).series
+    witten = elliptic_genus(k3(), "witten", TRUNC).series
     assert dict(witten.terms()) == {
         0: Fraction(2), 2: Fraction(-48), 4: Fraction(-144),
         6: Fraction(-192), 8: Fraction(-336),
@@ -111,20 +113,20 @@ def test_k3_series_goldens():
 
 
 def test_hp2_series_goldens():
-    ell1 = elliptic_genus(hp2(), EllKind.ELL1, 5).series
+    ell1 = elliptic_genus(hp2(), "ell1", 5).series
     assert dict(ell1.terms()) == {0: Fraction(1), 2: Fraction(-16), 4: Fraction(112)}
-    witten = elliptic_genus(hp2(), EllKind.WITTEN, 5).series
+    witten = elliptic_genus(hp2(), "witten", 5).series
     assert dict(witten.terms()) == {2: Fraction(-1), 4: Fraction(-6)}
 
 
 def test_leading_terms_match_classical_genera():
     for entry in (k3(), hp2(), product(k3(), k3())):
-        assert elliptic_genus(entry, EllKind.ELL1, 3).series.coeff(0) == genus_value(
-            entry, GenusKind.SIGNATURE
+        assert elliptic_genus(entry, "ell1", 3).series.coeff(0) == genus_value(
+            entry, "signature"
         )
-        for kind in (EllKind.ELL2, EllKind.WITTEN):
+        for kind in ("ell2", "witten"):
             assert elliptic_genus(entry, kind, 3).series.coeff(0) == genus_value(
-                entry, GenusKind.AHAT
+                entry, "ahat"
             )
 
 
@@ -137,9 +139,9 @@ def test_formulation_equivalence():
     # Ell2 is the index series of the B family, Witten of the W family; the
     # right side is the oracle's bundle route, Ahat times the bundle characters.
     for entry in (k3(), hp2()):
-        assert agrees(elliptic_genus(entry, EllKind.ELL2, TRUNC).series,
+        assert agrees(elliptic_genus(entry, "ell2", TRUNC).series,
                       twisted_index_series(entry, "B", TRUNC))
-        assert agrees(elliptic_genus(entry, EllKind.WITTEN, TRUNC).series,
+        assert agrees(elliptic_genus(entry, "witten", TRUNC).series,
                       twisted_index_series(entry, "W", TRUNC))
 
 
@@ -198,8 +200,8 @@ def test_non_integral_index_warns():
 
 
 def test_truncation_stability():
-    long = elliptic_genus(k3(), EllKind.ELL2, 17).series
-    short = elliptic_genus(k3(), EllKind.ELL2, 9).series
+    long = elliptic_genus(k3(), "ell2", 17).series
+    short = elliptic_genus(k3(), "ell2", 9).series
     assert [(n, c) for n, c in long.terms() if n < 9] == list(short.terms())
     # W_0 .. W_8 come from q_trunc 17, W_0 .. W_4 from q_trunc 9
     assert twisted_indices(k3(), "W", 8)[:5] == twisted_indices(k3(), "W", 4)
@@ -207,20 +209,59 @@ def test_truncation_stability():
 
 def test_torus_genera_vanish():
     t4 = torus(4)
-    for kind in EllKind:
+    for kind in ELLIPTIC:
         assert not elliptic_genus(t4, kind, TRUNC).series
     assert twisted_indices(t4, "B", 3) == [0, 0, 0, 0]
 
 
 def test_dimension_and_data_requirements():
     with pytest.raises(DimensionError):
-        elliptic_genus(torus(2), EllKind.WITTEN, 5)
+        elliptic_genus(torus(2), "witten", 5)
     asserted_only = ManifoldData(name="B8", real_dim=8, spin=True,
                                  asserted_genera={"ahat": Fraction(1)})
     with pytest.raises(InsufficientData):
-        elliptic_genus(asserted_only, EllKind.WITTEN, 5)
+        elliptic_genus(asserted_only, "witten", 5)
     with pytest.raises(InsufficientData):
         twisted_indices(asserted_only, "B", 1)
+
+
+class _Names(str, Enum):
+    """A caller's own spelling of the named choices: each member hashes and
+    compares as its value, but formats as `_Names.AHAT` from Python 3.11 on."""
+
+    TODD = "todd"
+    AHAT = "ahat"
+    LHAT = "lhat"
+    SIGNATURE = "signature"
+    ELL1 = "ell1"
+    ELL2 = "ell2"
+    WITTEN = "witten"
+    B = "B"
+    W = "W"
+
+
+def test_a_str_enum_member_is_taken_as_its_name():
+    m = k3()
+    for member in _Names:
+        name = member.value
+        if name in GENERA:
+            assert genus_value(m, member) == genus_value(m, name)
+            assert genus_source(m, member) == genus_source(m, name)
+            assert log_coeffs(member, 4) == log_coeffs(name, 4)
+        elif name in ELLIPTIC:
+            assert elliptic_genus(m, member, 9) == elliptic_genus(m, name, 9)
+            assert elliptic_logs(member, 2, 9) == elliptic_logs(name, 2, 9)
+        else:
+            assert twisted_indices(m, member, 3) == twisted_indices(m, name, 3)
+    # the library's own str comes back, so no member reaches output or messages
+    kind = elliptic_genus(m, _Names.WITTEN, 9).kind
+    assert kind == "witten" and type(kind) is str
+    asserted_only = ManifoldData(name="B8", real_dim=8, spin=True,
+                                 asserted_genera={_Names.AHAT: Fraction(1)})
+    assert genus_value(asserted_only, _Names.AHAT) == genus_value(asserted_only, "ahat") == 1
+    assert [type(key) for key in asserted_only.asserted_genera] == [str]
+    with pytest.raises(InsufficientData, match="^B8: no data to evaluate the signature genus$"):
+        genus_value(asserted_only, _Names.SIGNATURE)
 
 
 def test_char_series_contracts():

@@ -17,7 +17,7 @@ from genus_forge.genera import (
     pair_logs,
     s_numbers,
 )
-from genus_forge.manifolds import MAX_REAL_DIM, GenusKind, ManifoldData, cp, hp2, k3, product
+from genus_forge.manifolds import MAX_REAL_DIM, ManifoldData, cp, hp2, k3, product
 import theta_oracle
 from theta_oracle import (
     NonUnitLog,
@@ -167,19 +167,19 @@ def _pontryagin_coeff(kind, partition):
 def _chern_coeff(partition):
     n = sum(partition)
     unit = ManifoldData(name="unit", real_dim=2 * n, chern_numbers={partition: 1})
-    return genus_value(unit, GenusKind.TODD)
+    return genus_value(unit, "todd")
 
 
 def test_ahat_class_weight_two():
-    assert _pontryagin_coeff(GenusKind.AHAT, (1,)) == Fraction(-1, 24)
-    assert _pontryagin_coeff(GenusKind.AHAT, (1, 1)) == Fraction(7, 5760)
-    assert _pontryagin_coeff(GenusKind.AHAT, (2,)) == Fraction(-4, 5760)
+    assert _pontryagin_coeff("ahat", (1,)) == Fraction(-1, 24)
+    assert _pontryagin_coeff("ahat", (1, 1)) == Fraction(7, 5760)
+    assert _pontryagin_coeff("ahat", (2,)) == Fraction(-4, 5760)
 
 
 def test_signature_class_weight_two():
-    assert _pontryagin_coeff(GenusKind.SIGNATURE, (1,)) == Fraction(1, 3)
-    assert _pontryagin_coeff(GenusKind.SIGNATURE, (2,)) == Fraction(7, 45)
-    assert _pontryagin_coeff(GenusKind.SIGNATURE, (1, 1)) == Fraction(-1, 45)
+    assert _pontryagin_coeff("signature", (1,)) == Fraction(1, 3)
+    assert _pontryagin_coeff("signature", (2,)) == Fraction(7, 45)
+    assert _pontryagin_coeff("signature", (1, 1)) == Fraction(-1, 45)
 
 
 def test_todd_class_weights():
@@ -194,13 +194,13 @@ def test_lhat_factor_constant_two():
     assert lhat_factor(6).coeff(0) == 2
     # logs are written in y: 4^k times those of the halved factor, whose
     # y^2 coefficient is 1/12, so the 2 of each root is taken up
-    assert log_coeffs(GenusKind.LHAT, 1) == [4 * Fraction(1, 12)]
-    assert _pontryagin_coeff(GenusKind.LHAT, (1,)) == 4 * Fraction(1, 12)
+    assert log_coeffs("lhat", 1) == [4 * Fraction(1, 12)]
+    assert _pontryagin_coeff("lhat", (1,)) == 4 * Fraction(1, 12)
 
 
 def test_lhat_logs_are_signature_logs():
     for weight in range(MAX_REAL_DIM // 2 + 1):
-        assert log_coeffs(GenusKind.LHAT, weight) == log_coeffs(GenusKind.SIGNATURE, weight)
+        assert log_coeffs("lhat", weight) == log_coeffs("signature", weight)
 
 
 def test_todd_factor_leading_terms():
@@ -209,15 +209,15 @@ def test_todd_factor_leading_terms():
     assert factor.coeff(1) == Fraction(1, 2)
     assert factor.coeff(2) == Fraction(1, 12)
     assert factor.coeff(3) == 0
-    assert log_coeffs(GenusKind.TODD, 4) == [
+    assert log_coeffs("todd", 4) == [
         Fraction(1, 2), Fraction(-1, 24), 0, Fraction(1, 2880)
     ]
 
 
 @pytest.mark.parametrize("kind, factor", [
-    (GenusKind.AHAT, ahat_factor),
-    (GenusKind.SIGNATURE, signature_factor),
-    (GenusKind.LHAT, lhat_factor),
+    ("ahat", ahat_factor),
+    ("signature", signature_factor),
+    ("lhat", lhat_factor),
 ])
 def test_log_coeffs_match_factor_logs(kind, factor):
     # big-L's factor is twice a factor in y/2: halved to constant term 1,
@@ -235,7 +235,7 @@ def test_todd_log_coeffs_match_factor_log():
     weight = 9
     series = todd_factor(weight)
     logs = _graded_log({n: c for n, c in series.terms() if n}, weight)
-    assert log_coeffs(GenusKind.TODD, weight) == [logs.get(k, 0) for k in range(1, weight + 1)]
+    assert log_coeffs("todd", weight) == [logs.get(k, 0) for k in range(1, weight + 1)]
 
 
 # -- genus values ------------------------------------------------------------------
@@ -243,29 +243,29 @@ def test_todd_log_coeffs_match_factor_log():
 
 def test_todd_of_projective_spaces():
     for n in range(1, 7):
-        assert genus_value(cp(n), GenusKind.TODD) == 1
+        assert genus_value(cp(n), "todd") == 1
 
 
 def test_k3_values():
     entry = k3()
-    assert genus_value(entry, GenusKind.AHAT) == 2
-    assert genus_value(entry, GenusKind.SIGNATURE) == -16
-    assert genus_value(entry, GenusKind.LHAT) == -16
-    assert genus_value(entry, GenusKind.TODD) == 2
+    assert genus_value(entry, "ahat") == 2
+    assert genus_value(entry, "signature") == -16
+    assert genus_value(entry, "lhat") == -16
+    assert genus_value(entry, "todd") == 2
 
 
 def test_lhat_equals_signature():
     for entry in (k3(), hp2()):
-        assert genus_value(entry, GenusKind.LHAT) == genus_value(entry, GenusKind.SIGNATURE)
-    assert genus_value(hp2(), GenusKind.SIGNATURE) == 1
-    assert genus_value(hp2(), GenusKind.AHAT) == 0
+        assert genus_value(entry, "lhat") == genus_value(entry, "signature")
+    assert genus_value(hp2(), "signature") == 1
+    assert genus_value(hp2(), "ahat") == 0
 
 
 def test_paired_value_spot_check():
     # s_(1) = p1; s_(2) = p1^2 - 2 p2 and s_(1,1) = p1^2 on HP2
     assert s_numbers({(1,): -48}, [(1,)]) == {(1,): -48}
     assert s_numbers(hp2().pontryagin_numbers, [(2,), (1, 1)]) == {(2,): -10, (1, 1): 4}
-    ahat = log_coeffs(GenusKind.AHAT, 1)
+    ahat = log_coeffs("ahat", 1)
     assert pair_logs({(1,): -48}, 1, ahat, 1) == 2
 
 
@@ -273,11 +273,11 @@ def test_genus_source_and_asserted_fallback():
     asserted = ManifoldData(
         name="X", real_dim=8, spin=True, asserted_genera={"ahat": Fraction(1)}
     )
-    assert genus_value(asserted, GenusKind.AHAT) == 1
-    assert genus_source(asserted, GenusKind.AHAT) == "asserted"
-    assert genus_source(k3(), GenusKind.AHAT) == "computed"
+    assert genus_value(asserted, "ahat") == 1
+    assert genus_source(asserted, "ahat") == "asserted"
+    assert genus_source(k3(), "ahat") == "computed"
     with pytest.raises(InsufficientData):
-        genus_value(asserted, GenusKind.SIGNATURE)
+        genus_value(asserted, "signature")
 
 
 def test_genus_source_refuses_where_genus_value_does():
@@ -285,8 +285,8 @@ def test_genus_source_refuses_where_genus_value_does():
     y6 = ManifoldData(name="Y6", real_dim=6, pontryagin_numbers={}, spin=True)
     for call in (genus_value, genus_source):
         with pytest.raises(DimensionError):
-            call(y6, GenusKind.AHAT)
-    assert genus_source(cp(3), GenusKind.TODD) == "computed"
+            call(y6, "ahat")
+    assert genus_source(cp(3), "todd") == "computed"
 
 
 def test_value_and_source_read_chern_data():
@@ -294,20 +294,20 @@ def test_value_and_source_read_chern_data():
     # doubled partitions, and its source reports the computed route
     entry = product(cp(1), cp(3))
     assert entry.pontryagin_numbers is None
-    assert genus_numbers(entry, GenusKind.AHAT) == (entry.chern_numbers, 2, 2)
-    assert genus_numbers(entry, GenusKind.TODD) == (entry.chern_numbers, 4, 1)
-    assert genus_value(entry, GenusKind.AHAT) == 0
-    assert genus_source(entry, GenusKind.AHAT) == "computed"
+    assert genus_numbers(entry, "ahat") == (entry.chern_numbers, 2, 2)
+    assert genus_numbers(entry, "todd") == (entry.chern_numbers, 4, 1)
+    assert genus_value(entry, "ahat") == 0
+    assert genus_source(entry, "ahat") == "computed"
 
 
 def test_dimension_contracts():
     s6 = ManifoldData(name="Y6", real_dim=6, pontryagin_numbers={}, spin=True)
     with pytest.raises(DimensionError):
-        genus_value(s6, GenusKind.AHAT)
+        genus_value(s6, "ahat")
     with pytest.raises(InsufficientData):
         genus_value(k3().__class__(  # pontryagin-only entry cannot do Todd
             name="P", real_dim=4, pontryagin_numbers={(1,): -48}, spin=True
-        ), GenusKind.TODD)
+        ), "todd")
 
 
 def test_hypersurface_todd_closed_form():

@@ -211,6 +211,19 @@ def test_structural_equality():
     b = QSeries({0: Fraction(1)}, 5)
     assert a != b  # same coefficients, different truncation
     assert a == 1 and b == 1  # scalar comparison ignores truncation
+    # a float or a complex with no imaginary part compares by its exact value,
+    # as 1 == 1.0 == 1+0j do for Python's numbers, from either side
+    assert a == 1.0 and a == 1 + 0j and 1.0 == a and 1 + 0j == a and not a != 1.0
+    half = QSeries({0: Fraction(1, 2)}, 4)
+    assert half == 0.5 and half == 0.5 + 0j and half == complex(0.5, -0.0)
+    assert QSeries({0: Fraction(1, 10)}, 4) != 0.1  # 0.1 is not exactly 1/10
+    assert QSeries({0: Fraction(3602879701896397, 36028797018963968)}, 4) == 0.1
+    assert QSeries({0: 1, 2: 1}, 4) != 1.0 and QSeries({}, 4) == 0.0 == -0.0
+    for other in (math.nan, math.inf, -math.inf, 1 + 1j, complex(1, math.nan),
+                  complex(math.nan, 0), 2.0):
+        assert a.__eq__(other) is False and (other == a) is False, other
+    for other in ("1", None, [1], (1,)):
+        assert a.__eq__(other) is NotImplemented and a != other, other
 
 
 def test_eval_at():

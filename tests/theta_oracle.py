@@ -36,7 +36,7 @@ from math import factorial
 from typing import Iterator, Mapping
 
 from genus_forge.errors import DataError, TruncMismatch
-from genus_forge.manifolds import GenusKind, ManifoldData, Partition
+from genus_forge.manifolds import ManifoldData, Partition
 
 Scalar = int | Fraction
 
@@ -942,19 +942,19 @@ def todd_factor(z_cap: int) -> Series:
     return truncate(div(1, _one_minus_exp_over_arg(trunc)), z_cap + 1)
 
 
-def genus_class(kind: GenusKind, weight_cap: int) -> tuple[CharClassPoly, Fraction]:
+def genus_class(kind: str, weight_cap: int) -> tuple[CharClassPoly, Fraction]:
     """The multiplicative class of a genus and its per-root constant.
 
     The genus of a 4m-manifold is const^(2m) times the pairing of the
     class with the Pontryagin numbers (const is 1 except for the big-L
     factor, whose constant term 2 is divided out before expanding).
     """
-    if kind == GenusKind.TODD:
+    if kind == "todd":
         return multiplicative_class(todd_factor(weight_cap), "chern", weight_cap), Fraction(1)
     builders = {
-        GenusKind.AHAT: ahat_factor,
-        GenusKind.LHAT: lhat_factor,
-        GenusKind.SIGNATURE: signature_factor,
+        "ahat": ahat_factor,
+        "lhat": lhat_factor,
+        "signature": signature_factor,
     }
     factor = builders[kind](2 * weight_cap)
     const = factor.coeff(0)
@@ -1052,10 +1052,9 @@ def _pontryagin_numbers(m: ManifoldData) -> Mapping[Partition, int]:
 # -- genera of manifolds -----------------------------------------------------------
 
 
-def genus_value(m: ManifoldData, kind: GenusKind) -> Fraction:
+def genus_value(m: ManifoldData, kind: str) -> Fraction:
     """A classical genus by the Newton-route class and its pairing."""
-    kind = GenusKind(kind)
-    if kind == GenusKind.TODD:
+    if kind == "todd":
         poly, _ = genus_class(kind, m.complex_dim)
         return paired_value(poly, m.chern_numbers, m.complex_dim, Fraction(0))
     mm = m.real_dim // 4
