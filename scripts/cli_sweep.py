@@ -4,11 +4,11 @@ print every command's exit code and the sha256 of its stdout and stderr.
 
 The list covers `compute` (four genera), `elliptic` (three kinds),
 `indices` (B and W), `modular fit` and `modular check`, in text and with
-`--json`, on every catalog entry and five builtins; the `catalog`, `bound`
-and `cover` commands; `--help` pages; the exit-1, exit-2 and exit-3 paths;
-and command-line syntax edge cases (bare groups, `--opt=value`, a repeated
-option, option values that start with '-').  Run from the root of a
-checkout:
+`--json`, on every catalog entry and five builtins, and on CP24 at order
+and max 100, the caps; the `catalog`, `bound` and `cover` commands; `--help`
+pages; the exit-1, exit-2 and exit-3 paths; and command-line syntax edge
+cases (bare groups, `--opt=value`, a repeated option, option values that
+start with '-').  Run from the root of a checkout:
 
     python scripts/cli_sweep.py                       # this checkout
     python scripts/cli_sweep.py --against ../parent   # compare two checkouts
@@ -19,7 +19,7 @@ Each line of the listing reads `exit stdout-sha256 stderr-sha256 argv`.
 byte shows up as a diff against it.  With `--against`, both trees run
 every command and only the commands that differ are printed, naming
 which of exit code, stdout and stderr differ; the exit status is 1 if
-any differ.  Each tree's program is imported from its own `src/`.  575
+any differ.  Each tree's program is imported from its own `src/`.  619
 commands; with two jobs at a time a tree takes about a minute on a 2-core
 x86 host.
 """
@@ -69,6 +69,10 @@ FIXED = [
     ("cover", "tower", "--k", "2", "--depth", "5", "--json"),
     ("cover", "l2", "--k", "2", "--p", "1", "--depth", "3"),
     ("cover", "l2", "--k", "3", "--p", "2", "--depth", "4", "--json"),
+    # unit moduli: the quotient graph is one vertex, of diameter 0
+    ("cover", "diam", "--k", "2", "--base", "1,1", "--factor", "2"),
+    # a long outer path: the BFS adds the levels that repeat in one step
+    ("cover", "diam", "--k", "2", "--base", "2,40", "--factor", "2"),
     # the `cli` benchmark workload's commands that the per-manifold lines miss
     ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "4"),
     ("indices", "--manifold", "K3", "--family", "B", "--max", "3"),
@@ -80,6 +84,9 @@ FIXED = [
     ("elliptic", "--manifold", "K3", "--kind", "ell3"),
     ("frobnicate",),
     ("cover", "diam", "--k", "2", "--base", "3,x", "--factor", "2"),
+    ("catalog", "list", "--json=1"),
+    ("compute", "--manifold"),
+    ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "abc"),
     # command-line syntax: bare groups print their help on stderr (exit 1),
     # options are not abbreviated, `--opt=value`, the last repeat wins, and an
     # option value may start with '-'
@@ -94,6 +101,7 @@ FIXED = [
     ("elliptic", "--manifold", "K3", "--kind", "witten", "--order", "-1"),
     ("catalog", "show"),
     ("catalog", "show", "K3", "extra"),
+    ("catalog", "show", "--json", "--", "K3"),
     # exit 2: data, including the size caps
     ("compute", "--manifold", "NOPE", "--genus", "todd"),
     ("elliptic", "--manifold", "T2", "--kind", "witten"),
@@ -105,6 +113,22 @@ FIXED = [
     ("catalog", "show", "T50"),
     ("catalog", "show", "CP25"),
     ("compute", "--manifold", "S52", "--genus", "ahat"),
+    ("compute", "--manifold", "CP0", "--genus", "todd"),
+    ("compute", "--manifold", "S3", "--genus", "ahat"),
+    ("compute", "--manifold", "T3", "--genus", "ahat"),
+    ("compute", "--manifold", "CP10000000000", "--genus", "todd"),
+    ("cover", "diam", "--k", "2", "--base", "0,3", "--factor", "2"),
+    ("cover", "diam", "--k", "2", "--base", "3", "--factor", "2"),
+    ("cover", "tower", "--k", "65", "--depth", "1"),
+    ("cover", "l2", "--k", "2", "--p", "3", "--depth", "1"),
+    ("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1",
+     "--v", "1.5"),
+    ("bound", "cb", "--m", "301", "--b", "1.0"),
+    # mu (p - 1) - p rounds to 0 just above p = m/2
+    ("bound", "index", "--m", "7", "--p", "3.5000000000000004", "--lambda", "1", "--diam", "1",
+     "--b", "1"),
+    # a fit too short to check: CP24 has three monomials and order 1 no q^3
+    ("modular", "fit", "--manifold", "CP24", "--order", "1"),
     # builtin suffixes are ASCII digits only
     ("compute", "--manifold", "CP²", "--genus", "todd"),
     ("catalog", "show", "T²"),
@@ -124,17 +148,32 @@ FIXED = [
     ("modular", "check", "--manifold", "HP2", "--tau-im", "1e80"),
     ("modular", "check", "--manifold", "CP24", "--tau-im", "1e13", "--order", "4"),
     ("bound", "cb", "--m", "2", "--b", "710"),
+    # a root above 2^80
+    ("bound", "cb", "--m", "2", "--b", "1e-300"),
+    # a power in B overflows, mu = v/(v-1) rounds to 1, and B overflows to inf
+    ("bound", "index", "--m", "2", "--p", "5", "--lambda", "0", "--diam", "1", "--b", "700"),
+    ("bound", "index", "--m", "2", "--p", "1e17", "--lambda", "1", "--diam", "1", "--b", "1"),
+    ("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1",
+     "--cmp", "1e308"),
     # the dimension bound l * L_sup past binary64
     ("bound", "index", "--m", "4", "--p", "5", "--lambda", "0", "--diam", "1", "--b", "1",
      "--l", str(10**308)),
 ]
+
+# the slowest accepted inputs, CP24 at the q^100 cap: scripts/caps.py runs
+# these under time and memory budgets, and their fit solves for three monomials
+FRONTIER = [("compute", "--manifold", "CP24", "--genus", g) for g in GENERA]
+FRONTIER += [("elliptic", "--manifold", "CP24", "--kind", k, "--order", "100") for k in ELLIPTIC]
+FRONTIER += [("indices", "--manifold", "CP24", "--family", f, "--max", "100") for f in ("B", "W")]
+FRONTIER += [("modular", "fit", "--manifold", "CP24", "--order", "100"),
+             ("modular", "check", "--manifold", "CP24", "--tau-im", "1.5", "--order", "100")]
 
 
 def commands(root: Path) -> list[tuple[str, ...]]:
     catalog = json.loads((root / "src" / "genus_forge" / "data" / "default_catalog.json")
                          .read_text())
     names = [entry["name"] for entry in catalog["entries"]] + list(BUILTINS)
-    out = list(FIXED)
+    out = list(FIXED) + [argv + extra for argv in FRONTIER for extra in ((), ("--json",))]
     for name in names:
         per_manifold = [("compute", "--manifold", name, "--genus", g) for g in GENERA]
         per_manifold += [("elliptic", "--manifold", name, "--kind", k, "--order", "8")

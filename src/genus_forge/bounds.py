@@ -213,20 +213,17 @@ def _roots(m, b):
     search, then the halving replayed on its bracket.  A refusal raises and
     is not kept."""
     rhs = _sin_power_integral(m)
-    try:
-        lhs = _lhs_polynomial(m, b)
-        # g = lhs - rhs at both ends; lhs(0) is exactly 0
-        lo, hi, glo = 0.0, 1.0, -rhs
-        for _ in range(80):
-            ghi = lhs(hi) - rhs
-            if ghi >= 0:
-                break
-            lo, hi, glo = hi, hi * 2.0, ghi
-        else:
-            raise RootNotBracketed(f"no bracket for c_of_b(m={m}, b={b}) below x = {hi}")
-        root, low, high = _illinois_root(lhs, rhs, lo, hi, glo, ghi)
-    except OverflowError as exc:
-        raise RootNotBracketed(f"overflow while bracketing c_of_b(m={m}, b={b})") from exc
+    lhs = _lhs_polynomial(m, b)
+    # g = lhs - rhs at both ends; lhs(0) is exactly 0
+    lo, hi, glo = 0.0, 1.0, -rhs
+    for _ in range(80):
+        ghi = lhs(hi) - rhs
+        if ghi >= 0:
+            break
+        lo, hi, glo = hi, hi * 2.0, ghi
+    else:
+        raise RootNotBracketed(f"no bracket for c_of_b(m={m}, b={b}) below x = {hi}")
+    root, low, high = _illinois_root(lhs, rhs, lo, hi, glo, ghi)
     steps, lo, hi = _replay_start(lo, hi, low, high)
     # lhs is non-decreasing in binary64 and lhs(low) < rhs <= lhs(high), so
     # a midpoint outside (low, high) goes the way an evaluation would send it

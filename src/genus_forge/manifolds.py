@@ -32,8 +32,8 @@ Partition = tuple[int, ...]
 # Largest real dimension accepted.  The genus engine enumerates partitions
 # of real_dim/4 (and a CPn builds its Chern numbers over partitions of n),
 # whose count grows like exp(pi sqrt(2n/3)): in one fresh process (Python
-# 3.11, x86-64 Xeon), Todd of CP24 takes 0.6-0.8 s, and of CP28, past the
-# cap, 3.9 s.
+# 3.11, 2-core x86-64), Todd of CP24 takes 0.5-1.0 s of CPU (scripts/caps.py,
+# which budgets 5 s), and of CP28, past the cap, 3.9 s.
 MAX_REAL_DIM = 48
 
 

@@ -110,6 +110,13 @@ def test_entry_validation_messages():
         entry_from_dict(_base_entry(real_dim=True))  # int field, bool given
     with pytest.raises(CatalogError, match="partition"):
         entry_from_dict(_base_entry(pontryagin_numbers={"zero": 1}))
+    # key characters that int() still refuses, and a key that is not a str
+    with pytest.raises(CatalogError, match="^entry 'E': malformed partition key '1 0'$"):
+        entry_from_dict(_base_entry(pontryagin_numbers={"1 0": 1}))
+    with pytest.raises(CatalogError, match="^entry 'E': malformed partition key 1$"):
+        entry_from_dict(_base_entry(pontryagin_numbers={1: 1}))
+    with pytest.raises(CatalogError, match="field 'pontryagin_numbers' has wrong type list"):
+        entry_from_dict(_base_entry(pontryagin_numbers=[["1", 1]]))
     with pytest.raises(CatalogError, match=r"\(2, 1\) sums to 3"):
         # partition weight 3 > available weight, named in the message
         entry_from_dict(_base_entry(pontryagin_numbers={"2,1": 5}))

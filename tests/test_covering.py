@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from genus_forge import covering
 from genus_forge.covering import (
     DEFAULT_VERTEX_CAP,
     MAX_TOWER_DEPTH,
@@ -184,6 +185,13 @@ def test_vertex_count_and_cap():
     with pytest.raises(TooLarge, match="^at least an integer of 16610 bits vertices exceeds"):
         TorusQuotientGraph((vast, vast, vast))
     assert TorusQuotientGraph((1000, 1000)).vertex_count == DEFAULT_VERTEX_CAP
+
+
+def test_bfs_that_never_settles_is_a_fault(monkeypatch):
+    # all-ones masks send the frontier past the end mask, so no level empties
+    monkeypatch.setattr(covering, "_tile", lambda pattern, period, copies: -1)
+    with pytest.raises(RuntimeError, match=r"^BFS on \(3, 3\) did not settle within 4 levels$"):
+        TorusQuotientGraph((3, 3)).diameter()
 
 
 def test_moduli_validation():

@@ -280,6 +280,11 @@ def test_connected_sum_asserted_path():
     with_hp2 = connected_sum(t2xs6, hp2())
     assert genus_value(with_hp2, "signature") == 1
     assert genus_value(with_hp2, "ahat") == 0
+    # Ahat known on one side only and the signature on the other
+    s8 = ManifoldData(name="S8", real_dim=8, asserted_genera={"signature": Fraction(0)})
+    with pytest.raises(InsufficientData,
+                       match=r"^connected_sum\(B8, S8\): no genus computable on both sides$"):
+        connected_sum(b8, s8)
 
 
 def test_normalization_of_numbers():
