@@ -3,12 +3,12 @@
 each as a cold process under a memory and a CPU-time budget, and print each
 command's CPU time, wall time and peak RSS.
 
-    python scripts/caps.py                    # this checkout
-    python scripts/caps.py --root ../parent   # another checkout
+    python scripts/caps.py
 
-The commands are `cli_sweep.FRONTIER`, whose output bytes the golden pins.
-Each child runs with RLIMIT_AS at 512 MiB and RLIMIT_CPU at its command's
-budget in whole seconds, both set in the child only (`preexec_fn`): past the
+The commands and their CPU budgets in whole seconds are `cli_sweep.FRONTIER`,
+whose output bytes the golden pins.  Each child runs the `src/` of the
+checkout that holds this script, with RLIMIT_AS at 512 MiB and RLIMIT_CPU at
+its command's budget, both set in the child only (`preexec_fn`): past the
 CPU budget the kernel stops the child with SIGXCPU, past the memory budget an
 allocation fails.  Any exit other than 0 fails the run (exit status 1).
 
@@ -18,13 +18,13 @@ host with Python 3.11, whose speed moves by up to 1.7x between phases
 ten times for Ell2 and `modular check`, which spend most of their time in
 q-series products: a `QSeries.__mul__` ten times slower makes those two
 about 8 and 6 times slower (Ell2 4.2 s, `modular check` 5.2 s), and must
-exceed the budget.
+exceed the budget.  Their margin on other hosts, CI runners among them, is
+not measured.
 Each line reads `cpu-s wall-s peak-rss-MiB budget-s exit argv`.  POSIX only.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import resource
 import signal
@@ -33,38 +33,24 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
 from cli_sweep import ENTRY, FRONTIER  # noqa: E402
 
 MEMORY_BYTES = 512 * 2**20
-# CPU seconds per command, in whole seconds as RLIMIT_CPU takes them
-BUDGET_S = {
-    "compute --manifold CP24 --genus todd": 5,
-    "compute --manifold CP24 --genus ahat": 1,
-    "compute --manifold CP24 --genus lhat": 1,
-    "compute --manifold CP24 --genus signature": 1,
-    "elliptic --manifold CP24 --kind ell1 --order 100": 2,
-    "elliptic --manifold CP24 --kind ell2 --order 100": 3,
-    "elliptic --manifold CP24 --kind witten --order 100": 2,
-    "indices --manifold CP24 --family B --max 100": 2,
-    "indices --manifold CP24 --family W --max 100": 2,
-    "modular fit --manifold CP24 --order 100": 2,
-    "modular check --manifold CP24 --tau-im 1.5 --order 100": 4,
-}
 
 
-def run(root: Path, argv) -> tuple[float, float, float, int, bytes]:
+def run(argv, seconds: int) -> tuple[float, float, float, int, bytes]:
     """(CPU s, wall s, peak RSS MiB, exit code, stderr) of one cold process."""
-    seconds = BUDGET_S[" ".join(argv)]
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
         resource.setrlimit(resource.RLIMIT_CPU, (seconds, seconds + 1))
 
-    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("GENUS_FORGE_CATALOG", None)
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv], cwd=root, env=env,
+    proc = subprocess.Popen([sys.executable, "-c", ENTRY, *argv], cwd=ROOT, env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=limit)
     err = proc.stderr.read()
     proc.stderr.close()
@@ -75,16 +61,12 @@ def run(root: Path, argv) -> tuple[float, float, float, int, bytes]:
     return usage.ru_utime + usage.ru_stime, wall, usage.ru_maxrss / 1024, proc.returncode, err
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=Path.cwd(),
-                        help="checkout to run (default: the current directory)")
-    args = parser.parse_args(argv)
+def main() -> int:
     print(f"# Python {sys.version.split()[0]}, RLIMIT_AS {MEMORY_BYTES // 2**20} MiB", flush=True)
     failed = 0
-    for command in FRONTIER:
-        cpu, wall, rss, code, err = run(args.root, command)
-        print(f"{cpu:6.2f} {wall:6.2f} {rss:6.1f} {BUDGET_S[' '.join(command)]:3d} {code:3d}  "
+    for command, seconds in FRONTIER.items():
+        cpu, wall, rss, code, err = run(command, seconds)
+        print(f"{cpu:6.2f} {wall:6.2f} {rss:6.1f} {seconds:3d} {code:3d}  "
               f"{' '.join(command)}", flush=True)
         if code != 0:
             failed += 1

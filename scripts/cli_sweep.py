@@ -160,13 +160,22 @@ FIXED = [
      "--l", str(10**308)),
 ]
 
-# the slowest accepted inputs, CP24 at the q^100 cap: scripts/caps.py runs
-# these under time and memory budgets, and their fit solves for three monomials
-FRONTIER = [("compute", "--manifold", "CP24", "--genus", g) for g in GENERA]
-FRONTIER += [("elliptic", "--manifold", "CP24", "--kind", k, "--order", "100") for k in ELLIPTIC]
-FRONTIER += [("indices", "--manifold", "CP24", "--family", f, "--max", "100") for f in ("B", "W")]
-FRONTIER += [("modular", "fit", "--manifold", "CP24", "--order", "100"),
-             ("modular", "check", "--manifold", "CP24", "--tau-im", "1.5", "--order", "100")]
+# the slowest accepted inputs, CP24 at the q^100 cap, each with its CPU budget
+# in whole seconds: scripts/caps.py runs these under that budget and 512 MiB,
+# and their fit solves for three monomials
+FRONTIER = {
+    ("compute", "--manifold", "CP24", "--genus", "todd"): 5,
+    ("compute", "--manifold", "CP24", "--genus", "ahat"): 1,
+    ("compute", "--manifold", "CP24", "--genus", "lhat"): 1,
+    ("compute", "--manifold", "CP24", "--genus", "signature"): 1,
+    ("elliptic", "--manifold", "CP24", "--kind", "ell1", "--order", "100"): 2,
+    ("elliptic", "--manifold", "CP24", "--kind", "ell2", "--order", "100"): 3,
+    ("elliptic", "--manifold", "CP24", "--kind", "witten", "--order", "100"): 2,
+    ("indices", "--manifold", "CP24", "--family", "B", "--max", "100"): 2,
+    ("indices", "--manifold", "CP24", "--family", "W", "--max", "100"): 2,
+    ("modular", "fit", "--manifold", "CP24", "--order", "100"): 2,
+    ("modular", "check", "--manifold", "CP24", "--tau-im", "1.5", "--order", "100"): 4,
+}
 
 
 def commands(root: Path) -> list[tuple[str, ...]]:

@@ -16,15 +16,18 @@ gates nothing.
 
 Executable lines are the line numbers of the compiled modules' code objects
 (`co_lines`), docstrings left out.  Lines are collected with `sys.settrace`
-on Python 3.10 and 3.11, and with `sys.monitoring` LINE events on 3.12 and
-later; the tracer also stops tracing a code object once all its lines are
-reached.  Code run in a child process is not seen: tests that start the CLI
-as a subprocess count for nothing here.  The collector slows traced code
-and holds memory, so a test with a time or memory bound may fail under it
-and pass in a plain run: the 1-s bound of `test_truncation_cap` and the
-`tracemalloc` bound of `test_c_of_b_search_cache_is_bounded` are two.
-Under `sys.settrace`, `--tests` takes about 70 s on a 2-core x86-64 host
-and `--cli` about 3 s.  Run from the root of a checkout.
+on every Python version, and a code object stops being traced once all its
+lines are reached.  `--tests` runs hypothesis with `--hypothesis-seed=0`, so
+the examples its property tests draw, and with them the lines they reach,
+are the same on every run.  Code run in a child process is not seen: tests
+that start the CLI as a subprocess count for nothing here.  The collector
+slows traced code and holds memory, so a test with a time or memory bound
+may fail under it and pass in a plain run: the 1-s bound of
+`test_truncation_cap` and the `tracemalloc` bound of
+`test_c_of_b_search_cache_is_bounded` are two.  On a 2-core x86-64 host
+`--tests` takes about 75 s under Python 3.11 and 95-125 s under 3.12 and
+3.13; `--cli` takes about 70 s under 3.11 and 140-170 s under 3.10, 3.12
+and 3.13.
 """
 
 from __future__ import annotations
@@ -99,30 +102,13 @@ class Collector:
             return self._line
         return None
 
-    def _monitor(self, code, line):
-        if code.co_filename in self.reached:
-            self.reached[code.co_filename].add(line)
-        return sys.monitoring.DISABLE
-
     def start(self):
-        if hasattr(sys, "monitoring"):
-            tool = sys.monitoring.COVERAGE_ID
-            sys.monitoring.use_tool_id(tool, "reach")
-            sys.monitoring.register_callback(tool, sys.monitoring.events.LINE, self._monitor)
-            sys.monitoring.set_events(tool, sys.monitoring.events.LINE)
-        else:
-            threading.settrace(self._call)
-            sys.settrace(self._call)
+        threading.settrace(self._call)
+        sys.settrace(self._call)
 
     def stop(self):
-        if hasattr(sys, "monitoring"):
-            tool = sys.monitoring.COVERAGE_ID
-            sys.monitoring.set_events(tool, 0)
-            sys.monitoring.register_callback(tool, sys.monitoring.events.LINE, None)
-            sys.monitoring.free_tool_id(tool)
-        else:
-            sys.settrace(None)
-            threading.settrace(None)
+        sys.settrace(None)
+        threading.settrace(None)
 
 
 def run_cli(collector) -> None:
@@ -152,7 +138,7 @@ def run_tests(collector) -> None:
     collector.start()
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                            str(ROOT / "tests")])
+                            "--hypothesis-seed=0", str(ROOT / "tests")])
     finally:
         collector.stop()
     print(f"# tier-1 in process: pytest exit {int(code)} (reach is judged, not outcomes)")
@@ -187,8 +173,7 @@ def main(argv=None) -> int:
 
     sources = {path.name: path.read_text().splitlines() for path in paths}
     kept, stale = kept_lines(sources)
-    counter = "sys.monitoring" if hasattr(sys, "monitoring") else "sys.settrace"
-    print(f"# Python {sys.version.split()[0]}, lines collected with {counter}")
+    print(f"# Python {sys.version.split()[0]}")
     print(f"{'module':<14} {'lines':>6} {'reached':>8}")
     missed, total, hit = [], 0, 0
     for path in paths:
