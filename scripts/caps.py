@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Run the slowest accepted `genus-forge` commands, CP24 at the q^100 cap,
-each as a cold process under a memory and a CPU-time budget, and print each
-command's CPU time, wall time and peak RSS.
+"""Run the slowest accepted `genus-forge` commands, CP24 at the q^100 cap and
+`cover diam` at 10^6 vertices, each as a cold process under a memory and a
+CPU-time budget, and print each command's CPU time, wall time and peak RSS.
 
     python scripts/caps.py
 
@@ -14,7 +14,7 @@ allocation fails.  Any exit other than 0 fails the run (exit status 1).
 
 The budgets are 3 to 10 times each command's CPU time on a 2-core x86-64
 host with Python 3.11, whose speed moves by up to 1.7x between phases
-(0.1 to 1.1 s a command; all eleven 3 to 6 s).  They are tighter than
+(0.1 to 1.1 s a command; all seventeen 4 to 7 s).  They are tighter than
 ten times for Ell2 and `modular check`, which spend most of their time in
 q-series products: a `QSeries.__mul__` ten times slower makes those two
 about 8 and 6 times slower (Ell2 4.2 s, `modular check` 5.2 s), and must

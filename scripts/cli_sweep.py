@@ -5,7 +5,8 @@ print every command's exit code and the sha256 of its stdout and stderr.
 The list covers `compute` (four genera), `elliptic` (three kinds),
 `indices` (B and W), `modular fit` and `modular check`, in text and with
 `--json`, on every catalog entry and five builtins, and on CP24 at order
-and max 100, the caps; the `catalog`, `bound` and `cover` commands; `--help`
+and max 100, the caps; the `catalog`, `bound` and `cover` commands, with
+`cover diam` at its cap of 10^6 vertices; `--help`
 pages; the exit-1, exit-2 and exit-3 paths; and command-line syntax edge
 cases (bare groups, `--opt=value`, a repeated option, option values that
 start with '-').  Run from the root of a checkout:
@@ -19,7 +20,7 @@ Each line of the listing reads `exit stdout-sha256 stderr-sha256 argv`.
 byte shows up as a diff against it.  With `--against`, both trees run
 every command and only the commands that differ are printed, naming
 which of exit code, stdout and stderr differ; the exit status is 1 if
-any differ.  Each tree's program is imported from its own `src/`.  619
+any differ.  Each tree's program is imported from its own `src/`.  631
 commands; with two jobs at a time a tree takes about a minute on a 2-core
 x86 host.
 """
@@ -160,9 +161,11 @@ FIXED = [
      "--l", str(10**308)),
 ]
 
-# the slowest accepted inputs, CP24 at the q^100 cap, each with its CPU budget
-# in whole seconds: scripts/caps.py runs these under that budget and 512 MiB,
-# and their fit solves for three monomials
+# the slowest accepted inputs, each with its CPU budget in whole seconds:
+# scripts/caps.py runs these under that budget and 512 MiB.  CP24 at the q^100
+# cap, whose fit solves for three monomials, and `cover diam` on covers of 10^6
+# vertices, whose cover diameter is sum(base): the square and cube shapes, and
+# the long outer paths that run the BFS level skip into the end of the path
 FRONTIER = {
     ("compute", "--manifold", "CP24", "--genus", "todd"): 5,
     ("compute", "--manifold", "CP24", "--genus", "ahat"): 1,
@@ -175,6 +178,12 @@ FRONTIER = {
     ("indices", "--manifold", "CP24", "--family", "W", "--max", "100"): 2,
     ("modular", "fit", "--manifold", "CP24", "--order", "100"): 2,
     ("modular", "check", "--manifold", "CP24", "--tau-im", "1.5", "--order", "100"): 4,
+    ("cover", "diam", "--k", "1", "--base", "500000", "--factor", "2"): 1,
+    ("cover", "diam", "--k", "2", "--base", "500,500", "--factor", "2"): 1,
+    ("cover", "diam", "--k", "2", "--base", "2500,100", "--factor", "2"): 1,
+    ("cover", "diam", "--k", "3", "--base", "50,50,50", "--factor", "2"): 1,
+    ("cover", "diam", "--k", "3", "--base", "2,2,31250", "--factor", "2"): 1,
+    ("cover", "diam", "--k", "4", "--base", "2,2,2,7812", "--factor", "2"): 1,
 }
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import (GENERA, CatalogError, DomainError, GenusForgeError, InconsistentData,
-                     UnknownManifold, shown)
+from .errors import GENERA, CatalogError, DomainError, GenusForgeError, InconsistentData, shown
 from .manifolds import ManifoldData, _check_manifolds, builtin, partitions_of, s_numbers
 
 SCHEMA_VERSION = 1
@@ -31,8 +30,6 @@ _ENTRY_FIELDS = (
     "asserted",
 )
 _REQUIRED_FIELDS = ("name", "real_dim", "spin", "string")
-# a partition key is ASCII digits, commas and spaces: int() alone also reads "1_0", "+10", "١٠"
-_KEY_CHARS = frozenset("0123456789, \t\n\r\v\f")
 
 
 def _by_name(entries: list) -> dict[str, ManifoldData]:
@@ -50,13 +47,17 @@ def _by_name(entries: list) -> dict[str, ManifoldData]:
 
 
 def _partition_key(partition) -> str:
-    return ",".join(str(part) for part in partition)
+    return ",".join(map(str, partition))
 
 
 def _parse_partition(key, entry_name):
+    """The partition of a key in the form `_partition_key` writes: int() alone
+    also reads " 9", "01", "1_0", "+10" and "١٠", so one partition would have
+    many keys."""
     try:
-        if _KEY_CHARS.issuperset(key):
-            return tuple(int(piece) for piece in key.split(","))
+        partition = tuple(map(int, key.split(",")))
+        if _partition_key(partition) == key:
+            return partition
     except (AttributeError, TypeError, ValueError):  # not a str; "1 0"; past 4,300 digits
         pass
     raise CatalogError(f"entry {entry_name!r}: malformed partition key {key!r}")
@@ -96,14 +97,8 @@ def _object(raw, entry_name, fld) -> dict:
 
 
 def _parse_numbers(raw, entry_name, fld):
-    numbers = {}
-    for key, value in _object(raw, entry_name, fld).items():
-        partition = _parse_partition(key, entry_name)
-        # "2,1" and "2, 1" both decode to (2, 1); the constructor sees only one
-        if partition in numbers:
-            raise CatalogError(f"entry {entry_name!r}: duplicate partition {key!r} in {fld}")
-        numbers[partition] = value
-    return numbers
+    return {_parse_partition(key, entry_name): value
+            for key, value in _object(raw, entry_name, fld).items()}
 
 
 def _agreeing(entry: ManifoldData) -> ManifoldData:
@@ -221,10 +216,4 @@ def resolve(name: str, catalog: dict[str, ManifoldData] | None = None) -> Manifo
         raise DomainError(f"catalog must be a dict of entries by name, got {shown(catalog)}")
     if isinstance(name, str) and name in catalog:  # builtin refuses a name that is not a str
         return catalog[name]
-    try:
-        return builtin(name)
-    except UnknownManifold:
-        raise UnknownManifold(
-            f"{name!r} is neither a catalog entry nor a builtin "
-            "(builtins: CPn, Sn, Tn, K3, HP2)"
-        ) from None
+    return builtin(name)

@@ -20,7 +20,7 @@ import sys
 import warnings
 from collections import namedtuple
 
-from .errors import ELLIPTIC, GENERA, DataError, NonIntegralIndexWarning, NumericalError, TooLarge
+from .errors import ELLIPTIC, FAMILIES, GENERA, DataError, NonIntegralIndexWarning, NumericalError, TooLarge
 
 # Each command imports the modules it runs inside its body, so a process
 # loads only what its command needs: `cover tower` never loads the genus
@@ -265,19 +265,20 @@ def elliptic(manifold, kind, order):
             [f"{kind}({entry.name}) = {series}", f"(coefficients through q^{order})"])
 
 
-@_command(("indices",), MANIFOLD, Opt("--family", "family", ("B", "W"), required=True),
+@_command(("indices",), MANIFOLD, Opt("--family", "family", FAMILIES, required=True),
           Opt("--max", "max_k", int, default=8, minimum=0, help="largest bundle step k"))
 def indices(manifold, family, max_k):
     """Twisted Dirac indices for bundle steps 0..max."""
     from .catalog import resolve
-    from .elliptic import twisted_indices
+    from .elliptic import _FAMILIES, twisted_indices
 
     _check_order(max_k, "--max")
     entry = resolve(manifold)
     values = twisted_indices(entry, family, max_k)
+    _, step = _FAMILIES[family]
     return ({"manifold": entry.name, "family": family, "max": max_k,
              "indices": {str(k): str(v) for k, v in enumerate(values)}},
-            [f"k={k:<3d} q^{_half_key(k if family == 'B' else 2 * k):<5s} ind = {value}"
+            [f"k={k:<3d} q^{_half_key(step * k):<5s} ind = {value}"
              for k, value in enumerate(values)])
 
 

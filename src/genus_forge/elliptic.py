@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import ELLIPTIC, InsufficientData, NonIntegralIndexWarning, choice, whole
+from .errors import ELLIPTIC, FAMILIES, InsufficientData, NonIntegralIndexWarning, choice, whole
 from .genera import genus_numbers, log_coeffs, pair_logs
 from .manifolds import ManifoldData
 from .qseries import QSeries
@@ -110,7 +110,7 @@ def elliptic_genus(m: ManifoldData, kind: str, q_trunc: int = DEFAULT_Q_TRUNC) -
 
 
 # family -> (the kind whose per-root factor its bundle has, half-exponents per step)
-_FAMILIES = {"B": ("ell2", 1), "W": ("witten", 2)}
+_FAMILIES = dict(zip(FAMILIES, (("ell2", 1), ("witten", 2))))
 
 
 def twisted_indices(m: ManifoldData, family: str, k_max: int) -> list[Fraction]:

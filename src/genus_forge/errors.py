@@ -10,7 +10,8 @@ defect: it exits with code 4 and one `internal error: ...` line on stderr.
 The entry points check a count with `whole`, a binary64 real with `real` and a
 named choice with `choice`; each returns a value or raises DomainError, a ValueError.
 Every named choice is a plain string; GENERA and ELLIPTIC spell the genus
-names once, in the order of the CLI's help.
+names once, and FAMILIES the twisted-index families, in the order of the
+CLI's help.
 """
 
 from __future__ import annotations
@@ -153,6 +154,7 @@ def real(name: str, value, low: float | None = None) -> float:
 
 GENERA = ("todd", "ahat", "lhat", "signature")
 ELLIPTIC = ("ell1", "ell2", "witten")
+FAMILIES = ("B", "W")
 
 
 def choice(name: str, value, names):

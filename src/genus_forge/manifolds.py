@@ -437,7 +437,9 @@ def hp2() -> ManifoldData:
 
 
 def builtin(name: str) -> ManifoldData:
-    """Resolve a builtin manifold by name (CPn, Sn, Tn, K3, HP2)."""
+    """Resolve a builtin manifold by name (CPn, Sn, Tn, K3, HP2).  Each factory
+    says why it refuses its n; `catalog.resolve` tries the builtins last, so
+    an unknown name is refused as neither a catalog entry nor a builtin."""
     if not isinstance(name, str):
         raise DomainError(f"a manifold name must be a str, got {shown(name)}")
     if name == "K3":
@@ -454,4 +456,5 @@ def builtin(name: str) -> ManifoldData:
                 raise TooLarge(f"{prefix}n with n of {len(digits)} digits: real dimension "
                                f"exceeds the cap of {MAX_REAL_DIM}")
             return factory(int(digits))
-    raise UnknownManifold(f"no builtin manifold named {name!r}")
+    raise UnknownManifold(f"{name!r} is neither a catalog entry nor a builtin "
+                          "(builtins: CPn, Sn, Tn, K3, HP2)")

@@ -21,6 +21,7 @@ import genus_forge
 from genus_forge import elliptic
 from genus_forge.catalog import ENV_CATALOG_PATH, SCHEMA_VERSION, dumps_catalog
 from genus_forge.cli import COMMANDS, main
+from genus_forge.covering import cover_diameter
 from genus_forge.errors import GenusForgeError
 from genus_forge.manifolds import ManifoldData, cp, hp2, product
 from genus_forge.qseries import QSeries
@@ -580,6 +581,16 @@ def test_golden_lists_the_sweep_without_internal_errors():
     assert [tuple(row[3:]) for row in rows] == cli_sweep.commands(ROOT)
     assert all(row[0] in {"0", "1", "2", "3"} for row in rows)  # no exit 4, no timeout
     assert all(len(row[1]) == len(row[2]) == 64 for row in rows)
+
+
+def test_frontier_covers_reach_the_closed_form():
+    # the golden pins these commands' bytes and caps.py their time: here each
+    # cover, of moduli 2 * base at the vertex cap, has the closed-form diameter
+    shapes = [(int(argv[3]), tuple(map(int, argv[5].split(","))), int(argv[7]))
+              for argv in cli_sweep.FRONTIER if argv[:2] == ("cover", "diam")]
+    assert len(shapes) == 6
+    for k, base, factor in shapes:
+        assert cover_diameter(k, base, factor).cover_diam == sum(base), base
 
 
 @pytest.mark.parametrize("path", sorted(SAMPLES), ids=" ".join)

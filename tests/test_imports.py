@@ -104,6 +104,8 @@ def test_cli_choices_are_the_library_names():
     types = {opt.flag: opt.type for _, options in cli.COMMANDS.values() for opt in options}
     assert types["--genus"] is errors.GENERA
     assert types["--kind"] is errors.ELLIPTIC
+    assert types["--family"] is errors.FAMILIES
+    assert tuple(elliptic._FAMILIES) == errors.FAMILIES
 
 
 def test_cli_default_order_is_the_library_truncation():

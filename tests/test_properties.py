@@ -3,10 +3,11 @@
 - Random Pontryagin data of dimension 4 to 12: multiplicativity under
   products, additivity under connected sums, and equality with the
   product-route test oracle.
-- Random Chern data of complex dimension 1 to 4 per factor: products
-  against the oracle's Kuenneth walk, and every genus of the squared roots
-  read from Chern data alone against the same genus of the Pontryagin
-  numbers from the oracle's class-polynomial conversion.
+- Random Chern data of complex dimension 1 to 4 per factor: Todd against
+  the oracle's Todd class, products against the oracle's Kuenneth walk,
+  and every genus of the squared roots read from Chern data alone against
+  the same genus of the Pontryagin numbers from the oracle's
+  class-polynomial conversion.
 - Modularity: the Witten genus of random data of dimension 8 to 24 fits
   E4^i E6^j exactly once every number containing p_1 is zero, from the
   first truncation that holds q^n for n monomials (dimensions 24 and 48),
@@ -110,6 +111,7 @@ def test_chern_routes_match_oracle(n_a, data):
     for m in (a, b):
         n = m.complex_dim
         assert numbers_from_s(s_numbers(m.chern_numbers, partitions_of(n)), n) == m.chern_numbers
+        assert genus_value(m, "todd") == theta_oracle.genus_value(m, "todd")
         if n % 2 == 0:
             # Chern data alone, read at doubled partitions, against the oracle's numbers
             chern_only = ManifoldData(name="C", real_dim=2 * n, chern_numbers=m.chern_numbers)

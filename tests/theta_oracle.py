@@ -518,37 +518,6 @@ class CharSeries:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def __add__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, Series)):
-            other = CharSeries.const(other, self.y_cap, self.q_trunc)
-        if not isinstance(other, CharSeries):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            s = out.get(n)
-            s = c if s is None else s + c
-            if s:
-                out[n] = s
-            else:
-                out.pop(n, None)
-        return CharSeries(out, self.y_cap, self.q_trunc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CharSeries":
-        return CharSeries({n: -c for n, c in self.coeffs.items()}, self.y_cap, self.q_trunc)
-
-    def __sub__(self, other) -> "CharSeries":
-        if isinstance(other, (int, Fraction, Series)):
-            other = CharSeries.const(other, self.y_cap, self.q_trunc)
-        if not isinstance(other, CharSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "CharSeries":
-        return (-self) + other
-
     def __mul__(self, other) -> "CharSeries":
         if isinstance(other, (int, Fraction, Series)):
             if not other:
@@ -770,14 +739,6 @@ def _lift_to_qseries(poly: CharClassPoly, q_trunc: int) -> CharClassPoly:
 # -- Newton route: log, power sums, graded exponential -------------------------------
 
 
-def _series_coeffs(factor) -> Mapping[int, object]:
-    if isinstance(factor, (Series, CharSeries)):
-        return dict(factor.terms())
-    if not isinstance(factor, Mapping):
-        raise TypeError("factor must be a series object or a power->coeff mapping")
-    return factor
-
-
 def _graded_log(coeffs: Mapping[int, object], cap: int) -> dict[int, object]:
     """log of 1 + sum a_n u^n through u^cap, over any exact coefficient ring.
 
@@ -834,13 +795,12 @@ def multiplicative_class(
     """prod over roots of Q(root), expanded in Pontryagin or Chern classes.
 
     `factor` is a one-variable series with constant term 1: a Series on
-    the integer power grid, a CharSeries, or a plain power->coefficient
-    mapping.  For the Pontryagin kind the factor must be even in its
+    the integer power grid or a CharSeries.  For the Pontryagin kind the factor must be even in its
     variable, and powers are halved so u = y^2 carries weight 1.
     """
     if kind not in _LABELS:
         raise ValueError(f"kind must be one of {sorted(_LABELS)}, got {kind!r}")
-    coeffs = _series_coeffs(factor)
+    coeffs = dict(factor.terms())
     c0 = coeffs.get(0)
     if c0 is None or c0 != 1:
         raise NonUnitLog("factor series must have constant term 1")
