@@ -37,10 +37,6 @@ class TruncMismatch(DataError):
     """Binary operation on series with different truncation orders."""
 
 
-class DivergentEvaluation(NumericalError):
-    """Numeric evaluation of a q-series at |q| >= 1."""
-
-
 # -- characteristic class calculus -------------------------------------------
 
 class InsufficientData(DataError):
@@ -67,6 +63,10 @@ class FitError(DataError):
 
 class ConvergenceRisk(NumericalError):
     """Numeric modular check requested at a point of slow convergence."""
+
+
+class DivergentEvaluation(NumericalError):
+    """Modular check at a q' that rounds to 1."""
 
 
 # -- analytic bounds ----------------------------------------------------------

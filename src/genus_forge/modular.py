@@ -13,11 +13,13 @@ announce themselves), so it is reported on the result rather than raised.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
 from .elliptic import DEFAULT_Q_TRUNC, _divisor_sum, elliptic_genus
-from .errors import ConvergenceRisk, FitError, FloatRangeError, Record, choice, real
+from .errors import (ConvergenceRisk, DivergentEvaluation, FitError, FloatRangeError, Record,
+                     choice, real)
 from .manifolds import ManifoldData, _check_manifolds
 from .qseries import QSeries
 
@@ -120,15 +122,6 @@ class ModularCheck(Record):
 
 # A verdict needs the estimated truncation error this many times below tol.
 _TAIL_MARGIN = 10.0
-
-
-def _tail(series: QSeries, q: float) -> float:
-    """Estimated truncation error of series.eval_at(q): the stored terms of
-    its last two powers of q, continued as a geometric series in q^(1/2)."""
-    last = sum(abs(float(c)) * q ** (n / 2) for n, c in series.terms() if n >= series.trunc - 4)
-    return last / (1.0 - math.sqrt(q))
-
-
 _UNIT = 2.0 ** -53  # unit roundoff of binary64
 
 
@@ -137,29 +130,49 @@ def _gamma(k: int) -> float:
     return k * _UNIT / (1.0 - k * _UNIT)
 
 
-def _rounding(series: QSeries, q: float, scaled: int = 0) -> float:
-    """Bound on the rounding error of series.eval_at(q) times a factor that
+def _evaluate(series: QSeries, q: float, scaled: int = 0) -> tuple[complex, float, float]:
+    """The truncated series summed at q in [0, 1), its estimated truncation
+    error, and a bound on the rounding error of the sum times a factor that
     carries `scaled` roundings of its own, where q = e^x is x = -2 pi tau_im
     or -2 pi / tau_im rounded, then exponentiated and rounded.
 
-    Term n is float(c) times the n-th power of sqrt(q): the rounding of the
-    root raised to the n-th power, at most n - 1 products for the power, the
-    conversion and the product make 2n + 1 roundings, and the recursive sum
-    of N terms adds N - 1 (Higham, Accuracy and Stability of Numerical
+    The sum runs from the top key down over c_n s^n, c_n = nums[n] / den
+    rounded once and s the principal complex root of q; FloatRangeError
+    refuses a c_n past binary64.  The truncation error is the stored terms
+    of the last two powers of q, continued as a geometric series in q^(1/2).
+
+    Term n is c_n times s^n: the rounding of the root raised to the n-th
+    power, at most n - 1 products for the power, the conversion and the
+    product make 2n + 1 roundings, and the recursive sum of the N nonzero
+    terms adds N - 1 (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, sections 3.1 and 4.2), so with the factor's roundings
-    gamma_(N + 2n + scaled) of its size.
+    gamma_(N + 2n + scaled) of its size.  CPython forms s^n by repeated
+    products only up to n = 100; past it, for real s, s^n is the C
+    library's pow of the root, one rounding, well inside the n - 1 counted.
     x is off by gamma_2 |x| (pi and one product or quotient) and e^x by one
     more rounding, so q^(n/2) is off by a factor of at most
     e^((n/2) (gamma_2 |x| + gamma_1)).
     """
-    size, root = sum(1 for _ in series.terms()), math.sqrt(q)
+    nums, den, trunc = series.nums, series.den, series.trunc
+    s, value = cmath.sqrt(complex(q)), 0j
+    try:
+        for n in range(trunc - 1, -1, -1):
+            if nums[n]:
+                value += nums[n] / den * s**n
+    except OverflowError:  # nums[n] / den alone can raise: |s| < 1
+        raise FloatRangeError(f"the coefficient at half-exponent {n} lies past binary64; "
+                              "the series cannot be evaluated in floats") from None
+    keys = [n for n in range(trunc) if nums[n]]
+    size, root = len(keys), math.sqrt(q)
+    # the last two powers of q hold at most the last four keys
+    tail = sum(abs(nums[n] / den) * q ** (n / 2) for n in keys[-4:] if n >= trunc - 4)
     # q = 0 (tau_im past about 118): only the q^0 term is left, and q^0 is exact
     point = _gamma(2) * -math.log(q) + _gamma(1) if q else 0.0
-    bound = 0.0
-    for n, c in series.terms():
+    rounding = 0.0
+    for n in keys:
         term, off = _gamma(size + 2 * n + scaled), math.expm1(n / 2 * point)
-        bound += (term + (1.0 + term) * off) * abs(float(c)) * root ** n
-    return bound
+        rounding += (term + (1.0 + term) * off) * abs(nums[n] / den) * root ** n
+    return value, tail / (1.0 - root), rounding
 
 
 def modular_relation_check(
@@ -173,13 +186,13 @@ def modular_relation_check(
     tau_im must exceed 1, and tol must be a finite positive real (a NaN or
     nonpositive tol is a check that can never pass).  The lhs is summed at
     q' = e^(-2 pi / tau_im), which nears 1 as tau_im grows, and the rhs at
-    q = e^(-2 pi tau_im).  When the estimated truncation error of the two
-    sides (`_tail`, the rhs scaled by |2 tau|^(2m)) is not at least
-    _TAIL_MARGIN times below tol, a FAIL would say nothing about the
-    relation, so ConvergenceRisk is raised instead.  The same holds for the
-    bound on the rounding error of the two sums (`_rounding`, with the error
-    of |2 tau|^(2m)): large sides, as for CP16 at tau_im = 3, can differ by
-    more than tol from rounding alone.
+    q = e^(-2 pi tau_im); a q' that rounds to 1 raises DivergentEvaluation.
+    When the estimated truncation error of the two sides (`_evaluate`, the
+    rhs scaled by |2 tau|^(2m)) is not at least _TAIL_MARGIN times below
+    tol, a FAIL would say nothing about the relation, so ConvergenceRisk is
+    raised instead.  The same holds for the bound on the rounding error of
+    the two sums (with the error of |2 tau|^(2m)): large sides, as for CP16
+    at tau_im = 3, can differ by more than tol from rounding alone.
     """
     _check_manifolds(m)
     tau_im, tol = real("tau_im", tau_im, -math.inf), real("tol", tol)
@@ -198,18 +211,21 @@ def modular_relation_check(
     except OverflowError:
         raise FloatRangeError(f"{m.name}: the scale (2 tau)^{2 * mm} overflows binary64 at "
                               f"tau_im = {tau_im}; bring tau_im nearer 1") from None
-    lhs = ell1.eval_at(q_prime)
-    rhs = scale * ell2.eval_at(q)
-    tail = _tail(ell1, q_prime) + abs(scale) * _tail(ell2, q)
+    if q_prime == 1.0:
+        raise DivergentEvaluation(f"{m.name}: q' = e^(-2 pi / tau_im) rounds to 1 at "
+                                  f"tau_im = {tau_im}; bring tau_im nearer 1")
+    # (2 tau)^(2m) multiplies 2m factors of the exact 2 tau, and scaling the
+    # sum rounds once more: 2m roundings
+    lhs, lhs_tail, lhs_rounding = _evaluate(ell1, q_prime)
+    rhs, rhs_tail, rhs_rounding = _evaluate(ell2, q, 2 * mm)
+    rhs, tail = scale * rhs, lhs_tail + abs(scale) * rhs_tail
     if not tail < tol / _TAIL_MARGIN:  # a NaN estimate is refused too
         raise ConvergenceRisk(
             f"{m.name}: estimated truncation error {tail:.1e} at tau_im = {tau_im} and "
             f"q_trunc = {q_trunc} is not well below tol = {tol:.1e}; keep more terms "
             "or bring tau_im nearer 1"
         )
-    # (2 tau)^(2m) multiplies 2m factors of the exact 2 tau, and scaling the
-    # sum rounds once more: 2m roundings
-    rounding = _rounding(ell1, q_prime) + abs(scale) * _rounding(ell2, q, 2 * mm)
+    rounding = lhs_rounding + abs(scale) * rhs_rounding
     if not rounding < tol / _TAIL_MARGIN:
         raise ConvergenceRisk(
             f"{m.name}: the sums' rounding error may reach {rounding:.1e} at tau_im = "

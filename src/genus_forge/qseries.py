@@ -11,22 +11,21 @@ A series is trunc int numerators over one positive denominator,
 c_n = nums[n] / den, reduced by one gcd: zero is all 0 over 1, and equal
 series store equal lists.
 
-The class holds only what the genus engine calls: the sum of two series,
-the product with a series or a scalar, coefficient access and numeric
-evaluation.  A difference is a sum with a product by -1.  Series division,
-log, exp, powers and shifts serve only the product-route test oracle,
-which keeps them on a series class of its own (tests/theta_oracle.py).
+The class holds only the exact ring the genus engine calls: the sum of two
+series, the product with a series or a scalar, and coefficient access; the
+S-check sums a series in floats itself (`modular._evaluate`).  A difference
+is a sum with a product by -1.  Series division, log, exp, powers and shifts
+serve only the product-route test oracle, which keeps them on a series
+class of its own (tests/theta_oracle.py).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
-from .errors import (DivergentEvaluation, DomainError, FloatRangeError, TooLarge, TruncMismatch,
-                     is_int, shown, whole)
+from .errors import DomainError, TooLarge, TruncMismatch, is_int, shown, whole
 
 Scalar = int | Fraction
 # through q^100, where Ell2 of CP24 takes 0.5-0.9 s of CPU in one fresh process
@@ -159,28 +158,3 @@ class QSeries:
         return QSeries._of(out, self.den * other.den)
 
     __rmul__ = __mul__
-
-    # -- numeric evaluation ------------------------------------------------------
-
-    def eval_at(self, q: complex) -> complex:
-        """Evaluate the truncated series at a numeric q with |q| < 1.
-
-        Half powers use the principal branch of the square root.  DomainError
-        refuses a q that is no int, float or complex, DivergentEvaluation one
-        with |q| not below 1, and FloatRangeError a coefficient past binary64.
-        """
-        if isinstance(q, bool) or not isinstance(q, (int, float, complex)):
-            raise DomainError(f"q must be an int, float or complex, got {shown(q)}")
-        if not abs(q) < 1.0:  # NaN too, and an int past binary64
-            raise DivergentEvaluation(f"|q| = {shown(abs(q))} is not below 1")
-        q = complex(q)
-        s = cmath.sqrt(q)
-        total = 0j
-        try:
-            for n in range(self.trunc - 1, -1, -1):
-                if self.nums[n]:
-                    total += float(Fraction(self.nums[n], self.den)) * s**n
-        except OverflowError:  # float(c) alone can raise: |s| < 1
-            raise FloatRangeError(f"the coefficient at half-exponent {n} lies past binary64; "
-                                  "the series cannot be evaluated in floats") from None
-        return total

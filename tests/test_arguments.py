@@ -11,10 +11,8 @@ GenusForgeError, within a per-call time bound, and a value of the wrong kind
 a real that is not finite.  A choice argument outside its set of names, and
 a value that is not the record an argument takes, are refused with
 `DomainError` too (`errors.choice` and the record checks).  A q-series
-truncation past `qseries.MAX_TRUNC` is refused with `TooLarge`, a point of
-evaluation outside the unit disc (nan, an infinity, 10^400) with
-`DivergentEvaluation`, and catalog text or a catalog path that cannot be
-read with `CatalogError`.
+truncation past `qseries.MAX_TRUNC` is refused with `TooLarge`, and catalog
+text or a catalog path that cannot be read with `CatalogError`.
 
 Every public callable of every module is either an entry here or named in
 `INTERNAL` with the reason it is not one.
@@ -38,8 +36,8 @@ from genus_forge.catalog import (_PACKAGED, dumps_catalog, entry_to_dict, load_c
                                  loads_catalog, resolve)
 from genus_forge.covering import TorusQuotientGraph, cover_diameter, l2_betti_ratio, tower
 from genus_forge.elliptic import elliptic_genus, elliptic_logs, twisted_indices
-from genus_forge.errors import (CatalogError, DivergentEvaluation, DomainError, GenusForgeError,
-                                TooLarge, is_int, real, whole)
+from genus_forge.errors import (CatalogError, DomainError, GenusForgeError, TooLarge, is_int,
+                                real, whole)
 from genus_forge.genera import (genus_numbers, genus_source, genus_value, hypersurface_todd,
                                 log_coeffs)
 from genus_forge.manifolds import (MAX_REAL_DIM, builtin, connected_sum, cp, hp2, k3,
@@ -74,10 +72,6 @@ POOLS = {
 POOLS["optional real"] = POOLS["real"]  # None is the default: v of BoundParams
 POOLS["optional record"] = POOLS["record"]  # None is the default: the catalog of resolve
 POOLS["rational"] = POOLS["count"]  # a q-series coefficient: every int is one, no float
-# a point q to evaluate a q-series at: an int, float or complex, not a bool;
-# one with |q| not below 1 is refused with DivergentEvaluation
-POOLS["point"] = (0, -1, 1.0, -2.0, 1j, complex(math.nan, 0.0), complex(0.0, math.inf),
-                  "0.5", "x", *HUGE, *NON_FINITE, *WRONG_KIND)
 
 
 class _Small(enum.IntEnum):  # an int subclass other than bool
@@ -91,8 +85,6 @@ class _Real(float):  # a float subclass
 def _wrong_kind(kind, value):
     if value is None and kind.startswith("optional "):
         return False
-    if kind == "point":
-        return isinstance(value, bool) or not isinstance(value, (int, float, complex))
     if kind.endswith(("choice", "record", "records")):
         return True
     if kind == "name":
@@ -148,8 +140,6 @@ ENTRIES = {
     "QSeries coefficient": (lambda c: QSeries({0: c}, 5), dict(c=Fraction(3, 2)),
                             dict(c="rational")),
     "QSeries coeff": (lambda n: QSeries({0: 1}, 5).coeff(n), dict(n=4), dict(n="count")),
-    "QSeries eval_at": (lambda q: QSeries({0: 1, 2: 3}, 5).eval_at(q), dict(q=0.5),
-                        dict(q="point")),
     "genus_value": (genus_value, dict(m=K3, kind="signature"),
                     dict(m="record", kind="choice")),
     "genus_source": (genus_source, dict(m=K3, kind="ahat"), dict(m="record", kind="choice")),
@@ -281,13 +271,6 @@ def test_valid_arguments_compute():
 @example(("QSeries key", "n", True))
 @example(("QSeries coeff", "n", -3))
 @example(("QSeries coeff", "n", 7))
-# a point of evaluation: nan evaluated to nan, a string parsed as a number,
-# and a bare ValueError, TypeError and OverflowError from complex()
-@example(("QSeries eval_at", "q", math.nan))
-@example(("QSeries eval_at", "q", "0.5"))
-@example(("QSeries eval_at", "q", "x"))
-@example(("QSeries eval_at", "q", None))
-@example(("QSeries eval_at", "q", 10**400))
 # an unhashable choice, and one past str()'s 4,300-digit limit
 @example(("c_of_b", "method", ["todd"]))
 @example(("eisenstein", "kind", 10**5000))
@@ -341,8 +324,6 @@ def test_hostile_argument_is_refused_typed(case):
         assert isinstance(refused, DomainError), (case, refused)
     if kinds[arg] == "work" and is_int(value) and value > MAX_TRUNC:
         assert isinstance(refused, TooLarge), (case, refused)
-    if kinds[arg] == "point" and not _wrong_kind("point", value) and not abs(value) < 1:
-        assert isinstance(refused, DivergentEvaluation), (case, refused)
 
 
 @pytest.mark.parametrize("value, low, expected", [

@@ -4,8 +4,9 @@ classes, every exported name imports its module on first use, and a cold
 framework (click) among them and, outside the q-series commands, neither
 `dataclasses` nor the `inspect` module it imports.  Without the site
 module, which may preload them, the catalog commands load none of the
-stdlib that only packaged-resource reading or type hints would need.  The
-test oracle imports from the package only its data types and error
+stdlib that only packaged-resource reading or type hints would need, and
+of the q-series commands only `modular`, whose check sums series in
+floats, loads `cmath`.  The test oracle imports from the package only its data types and error
 classes."""
 
 import ast
@@ -81,6 +82,21 @@ def test_catalog_commands_skip_unused_stdlib(argv):
                          text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().splitlines()[-1] == "MODULES"
+
+
+@pytest.mark.parametrize("argv, loads_cmath", [
+    (("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "4"), False),
+    (("indices", "--manifold", "K3", "--family", "B", "--max", "3"), False),
+    (("modular", "check", "--manifold", "HP2", "--tau-im", "2.0"), True),
+])
+def test_only_the_s_check_loads_cmath(argv, loads_cmath):
+    # the exact q-series commands sum no series in floats
+    probe = ("import sys\nfrom genus_forge.cli import main\nmain(sys.argv[1:])\n"
+             "print('CMATH', 'cmath' in sys.modules)")
+    run = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == f"CMATH {loads_cmath}"
 
 
 def test_package_import_loads_only_errors():

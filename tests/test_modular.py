@@ -1,5 +1,6 @@
 """Eisenstein expansions, exact Witten-genus fits, and the numeric check
-of the S-transformation between the two level-2 genera."""
+of the S-transformation between the two level-2 genera, with the float sum
+of a q-series that it makes."""
 
 import math
 from fractions import Fraction
@@ -8,15 +9,9 @@ import pytest
 
 from genus_forge.catalog import resolve
 from genus_forge.elliptic import elliptic_genus
-from genus_forge.errors import ConvergenceRisk, FitError, FloatRangeError
+from genus_forge.errors import ConvergenceRisk, DivergentEvaluation, FitError, FloatRangeError
 from genus_forge.manifolds import ManifoldData, cp, k3, hp2, product, torus
-from genus_forge.modular import (
-    _rounding,
-    _tail,
-    eisenstein,
-    modular_relation_check,
-    witten_fit,
-)
+from genus_forge.modular import _evaluate, eisenstein, modular_relation_check, witten_fit
 from genus_forge.qseries import QSeries
 
 
@@ -103,8 +98,37 @@ def test_fit_rejects_empty_monomial_basis():
         witten_fit(k3(), 17)
 
 
+def _tail(series, q):
+    return _evaluate(series, q)[1]
+
+
+def _rounding(series, q, scaled=0):
+    return _evaluate(series, q, scaled)[2]
+
+
+def test_evaluate():
+    geom = QSeries({2 * n: 1 for n in range(20)}, 40)
+    val = _evaluate(geom, 0.1)[0]
+    assert abs(val - 1 / 0.9) < 1e-15
+    half = QSeries({1: 1}, 4)
+    assert abs(_evaluate(half, 0.25)[0] - 0.5) < 1e-15
+
+
+def test_evaluate_refuses_a_coefficient_past_binary64():
+    for series, n in ((QSeries({0: 10**400}, 3), 0),
+                      (QSeries({0: 1, 3: Fraction(-(10**400), 3)}, 5), 3)):
+        with pytest.raises(FloatRangeError, match=rf"^the coefficient at half-exponent {n} "
+                                                  "lies past binary64; the series cannot "
+                                                  "be evaluated in floats$"):
+            _evaluate(series, 0.1)
+    # the largest coefficients that convert keep their bits
+    assert _evaluate(QSeries({0: 10**308}, 3), 0.1)[0] == complex(1e308)
+    assert _evaluate(QSeries({2: Fraction(-(10**308), 7)}, 3), 0.25)[0] == (
+        -(10**308 / 7) * 0.25)
+
+
 def test_tail_window_is_the_last_two_powers():
-    # _tail reads the half-exponents trunc - 4 .. trunc - 1, the last two powers of q
+    # the tail reads the half-exponents trunc - 4 .. trunc - 1, the last two powers of q
     trunc, q = 21, 0.25
     window = {trunc - 4: Fraction(3), trunc - 1: Fraction(1)}
     assert _tail(QSeries({**window, trunc - 5: Fraction(7)}, trunc), q) == _tail(
@@ -161,9 +185,19 @@ def test_modular_relation_refuses_large_tau():
 @pytest.mark.parametrize("name, tau_im", [("HP2", 2.0), ("K3xK3", 1.5), ("CP12", 3.0),
                                           ("CP16", 1.5), ("CP16", 3.0)])
 def test_rounding_bound_holds_against_exact_sums(name, tau_im):
+    _check_rounding_bound(name, tau_im, 81)
+
+
+@pytest.mark.parametrize("name, tau_im", [("HP2", 1.5), ("K3", 1.2)])
+def test_rounding_bound_holds_past_key_100(name, tau_im):
+    # past key 100, s**n is one pow of the root, not repeated products
+    _check_rounding_bound(name, tau_im, 201)
+
+
+def _check_rounding_bound(name, tau_im, trunc):
     # each computed side against its sum at the exact point, to 40 digits
     mp = pytest.importorskip("mpmath")
-    entry, trunc = resolve(name), 81
+    entry = resolve(name)
     chk = modular_relation_check(entry, tau_im=tau_im, q_trunc=trunc, tol=1.0)
     ell1 = elliptic_genus(entry, "ell1", trunc).series
     ell2 = elliptic_genus(entry, "ell2", trunc).series
@@ -193,6 +227,33 @@ def test_rounding_guard_refuses_a_verdict_it_cannot_give():
     assert modular_relation_check(resolve("CP16"), tau_im=3.0, q_trunc=81, tol=1e-5).passed
     # past tau_im = 118, q = e^(-2 pi tau_im) underflows to 0
     assert modular_relation_check(hp2(), tau_im=200.0, tol=1e300).passed
+
+
+@pytest.mark.parametrize("name, tau_im, trunc, lhs, rhs, abs_error", [
+    # keys past 100, where CPython forms s**n with its general complex power
+    ("HP2", 1.5, 201, "(0.7816184075575963+0j)", "(0.7816184075575964+0j)",
+     "1.1102230246251565e-16"),
+    ("K3", 1.2, 201, "(-18.05458745824891+0j)", "(-18.054587458248914+0j)",
+     "3.552713678800501e-15"),
+    ("K3xK3", 1.5, 49, "(480.3504875283419+0j)", "(480.3504875283417+0j)",
+     "1.7053025658242404e-13"),
+    ("CP16", 1.5, 81, "(246.3439290717128+0j)", "(246.34392907171244+0j)",
+     "3.694822225952521e-13"),
+])
+def test_relation_check_keeps_its_bits(name, tau_im, trunc, lhs, rhs, abs_error):
+    chk = modular_relation_check(resolve(name), tau_im=tau_im, q_trunc=trunc)
+    assert chk.passed
+    assert (repr(chk.lhs), repr(chk.rhs), repr(chk.abs_error)) == (lhs, rhs, abs_error)
+
+
+def test_relation_check_refuses_a_q_prime_of_1():
+    # q' = e^(-2 pi / tau_im) rounds to 1 past tau_im about 1.1e17: no sum
+    # converges there, and the user gave tau_im, not q'
+    for tau_im in (1e18, 1e20, 1e70):
+        with pytest.raises(DivergentEvaluation) as refusal:
+            modular_relation_check(k3(), tau_im=tau_im)
+        assert str(refusal.value) == (f"K3: q' = e^(-2 pi / tau_im) rounds to 1 at "
+                                      f"tau_im = {tau_im}; bring tau_im nearer 1")
 
 
 def test_relation_check_refuses_a_scale_past_binary64():

@@ -1,6 +1,6 @@
-"""Ring axioms, canonical form and evaluation for the truncated q-series,
-its operations against the test oracle's own series, and the inverse pairs
-(division, log and exp) that the oracle adds to its series."""
+"""Ring axioms and canonical form for the truncated q-series, its operations
+against the test oracle's own series, and the inverse pairs (division, log
+and exp) that the oracle adds to its series."""
 
 import math
 import random
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus_forge.errors import DivergentEvaluation, DomainError, FloatRangeError, TruncMismatch
+from genus_forge.errors import DomainError, TruncMismatch
 from genus_forge.qseries import MAX_TRUNC, QSeries
 from theta_oracle import (
     NonNilpotentExp,
@@ -215,32 +215,6 @@ def test_structural_equality():
     # and == falls back to identity, from either side
     for other in (1, True, Fraction(1), 1.0, 1 + 0j, math.nan, "1", None, [1], (1,)):
         assert a.__eq__(other) is NotImplemented and a != other and other != a, other
-
-
-def test_eval_at():
-    geom = QSeries({2 * n: 1 for n in range(20)}, 40)
-    val = geom.eval_at(0.1)
-    assert abs(val - 1 / 0.9) < 1e-15
-    half = QSeries({1: 1}, 4)
-    assert abs(half.eval_at(0.25) - 0.5) < 1e-15
-    with pytest.raises(DivergentEvaluation):
-        geom.eval_at(1.0)
-    with pytest.raises(DivergentEvaluation):
-        geom.eval_at(-2.0)
-    with pytest.raises(DivergentEvaluation, match=r"^\|q\| = nan is not below 1$"):
-        geom.eval_at(math.nan)
-
-
-def test_eval_at_refuses_a_coefficient_past_binary64():
-    for series, n in ((QSeries({0: 10**400}, 3), 0),
-                      (QSeries({0: 1, 3: Fraction(-(10**400), 3)}, 5), 3)):
-        with pytest.raises(FloatRangeError, match=rf"^the coefficient at half-exponent {n} "
-                                                  "lies past binary64; the series cannot "
-                                                  "be evaluated in floats$"):
-            series.eval_at(0.1)
-    # the largest coefficients that convert keep their bits
-    assert QSeries({0: 10**308}, 3).eval_at(0.1) == complex(1e308)
-    assert QSeries({2: Fraction(-(10**308), 7)}, 3).eval_at(0.25) == -(10**308 / 7) * 0.25
 
 
 def test_str_rendering():
