@@ -2,6 +2,10 @@
 """Build the shipped default catalog from builtins and closure operations
 and write it to `src/genus_forge/data/default_catalog.json`.
 
+`connected_sum` adds Pontryagin numbers, so it cannot form T2xS6 # B8,
+whose summand B8 carries only an asserted Ahat.  That entry is written
+here with the one genus the sum determines: Ahat(T2xS6) + Ahat(B8).
+
 Run from the repository root after changing build_default_catalog(); the
 serializer is canonical, so an unchanged builder reproduces the file byte
 for byte:
@@ -16,6 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from genus_forge.catalog import dumps_catalog
+from genus_forge.genera import genus_value
 from genus_forge.manifolds import ManifoldData, connected_sum, cp, hp2, k3, product, sphere, torus
 
 TARGET = Path(__file__).resolve().parent.parent / "src" / "genus_forge" / "data" / "default_catalog.json"
@@ -48,7 +53,10 @@ def build_default_catalog() -> list[ManifoldData]:
         b8,
         w24,
         t2xs6,
-        connected_sum(t2xs6, b8, name="T2xS6_sharp_B8"),
+        ManifoldData(
+            name="T2xS6_sharp_B8", real_dim=8, spin=True,
+            asserted_genera={"ahat": genus_value(t2xs6, "ahat") + b8.asserted_genera["ahat"]},
+        ),
         connected_sum(t2xs6, hp2_, name="T2xS6_sharp_HP2"),
         product(k3_, k3_, name="K3xK3"),
         product(t4, k3_, name="T4xK3"),

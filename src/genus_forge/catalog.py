@@ -129,7 +129,7 @@ def entry_from_dict(raw) -> ManifoldData:
         if fld not in raw:
             raise CatalogError(f"entry {entry_name!r}: missing required field {fld!r}")
 
-    fields = {fld: raw[fld] for fld in ("name", "real_dim", "spin", "string") if fld in raw}
+    fields = {fld: raw[fld] for fld in _REQUIRED_FIELDS}
     for fld in ("chern_numbers", "pontryagin_numbers"):
         if fld in raw:
             fields[fld] = _parse_numbers(raw, entry_name, fld)

@@ -37,8 +37,8 @@ from .qseries import QSeries
 
 
 def _divisor_sum(h_first: int, eps: int, power: int, q_trunc: int) -> QSeries:
-    """sum over h = h_first, h_first + 2, ... and r >= 1 of eps^r r^power q^(rh/2)."""
-    QSeries({}, q_trunc)  # refuses a q_trunc past the cap before the sums
+    """sum over h = h_first, h_first + 2, ... and r >= 1 of eps^r r^power q^(rh/2).
+    Each caller has built a series of q_trunc first, which checked it."""
     coeffs: dict[int, int] = {}
     for h in range(h_first, q_trunc, 2):
         for r in range(1, (q_trunc - 1) // h + 1):
@@ -59,6 +59,7 @@ _KINDS = dict(zip(ELLIPTIC, ELLIPTIC))
 def elliptic_logs(kind: str, weight: int, q_trunc: int) -> list[QSeries]:
     """l_1 .. l_weight of the per-root factor."""
     base, scale, twists = _FACTORS[choice("kind", kind, _KINDS)]
+    QSeries({}, q_trunc)  # refuses a q_trunc past the cap, at weight 0 too
     logs = []
     for k, classical in enumerate(log_coeffs(base, weight), start=1):
         series = QSeries({0: classical}, q_trunc)

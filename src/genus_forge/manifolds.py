@@ -308,54 +308,28 @@ def product(a: ManifoldData, b: ManifoldData, name: str | None = None) -> Manifo
     )
 
 
-def _genus_if_available(m: ManifoldData, kind: str) -> Fraction | None:
-    from .genera import genus_value  # local import to avoid a cycle
-
-    try:
-        return genus_value(m, kind)
-    except (InsufficientData, DimensionError):
-        return None
-
-
 def connected_sum(a: ManifoldData, b: ManifoldData, name: str | None = None) -> ManifoldData:
-    """Connected sum: Pontryagin numbers and genus values add."""
+    """Connected sum; needs Pontryagin numbers on both summands, of one dimension.
+    M # N is oriented-cobordant to the disjoint union of M and N, so its numbers
+    are the sums (Milnor-Stasheff, Characteristic Classes, 1974)."""
     _check_manifolds(a, b)
     if a.real_dim != b.real_dim:
         raise DimensionError(
             f"connected sum of dimensions {a.real_dim} and {b.real_dim}"
         )
-    name = name or f"{a.name}_sharp_{b.name}"
-    spin = a.spin and b.spin
-    string = a.string and b.string
-
-    if a.pontryagin_numbers is not None and b.pontryagin_numbers is not None:
-        summed: dict[Partition, int] = dict(a.pontryagin_numbers)
-        for key, value in b.pontryagin_numbers.items():
-            summed[key] = summed.get(key, 0) + value
-        return ManifoldData(
-            name=name,
-            real_dim=a.real_dim,
-            pontryagin_numbers=summed,
-            spin=spin,
-            string=string,
-        )
-
-    asserted: dict[str, Fraction] = {}
-    for kind in ("ahat", "lhat", "signature"):
-        va = _genus_if_available(a, kind)
-        vb = _genus_if_available(b, kind)
-        if va is not None and vb is not None:
-            asserted[kind] = va + vb
-    if not asserted:
+    if a.pontryagin_numbers is None or b.pontryagin_numbers is None:
         raise InsufficientData(
-            f"connected_sum({a.name}, {b.name}): no genus computable on both sides"
+            f"connected_sum({a.name}, {b.name}) needs Pontryagin numbers on both summands"
         )
+    summed: dict[Partition, int] = dict(a.pontryagin_numbers)
+    for key, value in b.pontryagin_numbers.items():
+        summed[key] = summed.get(key, 0) + value
     return ManifoldData(
-        name=name,
+        name=name or f"{a.name}_sharp_{b.name}",
         real_dim=a.real_dim,
-        spin=spin,
-        string=string,
-        asserted_genera=asserted,
+        pontryagin_numbers=summed,
+        spin=a.spin and b.spin,
+        string=a.string and b.string,
     )
 
 

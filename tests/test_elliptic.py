@@ -24,8 +24,10 @@ from genus_forge.errors import (
     ELLIPTIC,
     GENERA,
     DimensionError,
+    DomainError,
     InsufficientData,
     NonIntegralIndexWarning,
+    TooLarge,
     TruncMismatch,
 )
 from genus_forge.genera import genus_source, genus_value, log_coeffs
@@ -89,6 +91,16 @@ def test_witten_logs_are_eisenstein():
             sigma = sum(d ** (2 * k - 1) for d in range(1, n + 1) if n % d == 0)
             assert log.coeff(2 * n) == Fraction(2 * sigma, factorial(2 * k))
     assert _divisor_sum(1, -1, 1, 7) == QSeries({1: -1, 2: 2, 3: -4, 4: 4, 5: -6, 6: 8}, 7)
+
+
+@pytest.mark.parametrize("kind", ELLIPTIC)
+def test_logs_check_q_trunc_at_weight_0(kind):
+    # no log coefficient is formed at weight 0, and q_trunc is checked all the same
+    assert elliptic_logs(kind, 0, 9) == []
+    with pytest.raises(DomainError):
+        elliptic_logs(kind, 0, None)
+    with pytest.raises(TooLarge):
+        elliptic_logs(kind, 0, 202)
 
 
 def test_k3_series_goldens():

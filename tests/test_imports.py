@@ -7,7 +7,8 @@ module, which may preload them, the catalog commands load none of the
 stdlib that only packaged-resource reading or type hints would need, and
 of the q-series commands only `modular`, whose check sums series in
 floats, loads `cmath`.  The test oracle imports from the package only its data types and error
-classes."""
+classes.  Every relative import in the package, function-local ones
+included, names a lower layer, so its module graph has no cycle."""
 
 import ast
 import os
@@ -97,6 +98,27 @@ def test_only_the_s_check_loads_cmath(argv, loads_cmath):
                          text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().splitlines()[-1] == f"CMATH {loads_cmath}"
+
+
+# the package's layers, lowest first; `__init__` sits above them all
+LAYERS = ("errors", "charpoly", "qseries", "bounds", "covering", "manifolds", "catalog",
+          "genera", "elliptic", "modular", "cli")
+
+
+def test_modules_import_only_lower_layers():
+    # every relative import, function-local ones included, names a lower
+    # layer, so the module graph has no cycle and no lazy import hides one
+    package = Path(genus_forge.__file__).parent
+    modules = {path.stem: path for path in package.glob("*.py")}
+    assert set(modules) == {*LAYERS, "__init__"}  # a new module takes its place here
+    rank = {name: i for i, name in enumerate((*LAYERS, "__init__"))}
+    upward = []
+    for name, path in modules.items():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [(name, t) for t in targets if rank[t.split(".")[0]] >= rank[name]]
+    assert upward == []
 
 
 def test_package_import_loads_only_errors():

@@ -268,23 +268,20 @@ def test_connected_sum_dimension_mismatch():
         connected_sum(k3(), hp2())
 
 
-def test_connected_sum_asserted_path():
+def test_connected_sum_needs_pontryagin_numbers():
     t2xs6 = product(torus(2), sphere(6))
-    b8 = ManifoldData(name="B8", real_dim=8, spin=True,
-                      asserted_genera={"ahat": Fraction(1)})
-    total = connected_sum(t2xs6, b8)
-    assert genus_value(total, "ahat") == 1
-    with pytest.raises(InsufficientData):
-        genus_value(total, "signature")
-
     with_hp2 = connected_sum(t2xs6, hp2())
     assert genus_value(with_hp2, "signature") == 1
     assert genus_value(with_hp2, "ahat") == 0
-    # Ahat known on one side only and the signature on the other
-    s8 = ManifoldData(name="S8", real_dim=8, asserted_genera={"signature": Fraction(0)})
-    with pytest.raises(InsufficientData,
-                       match=r"^connected_sum\(B8, S8\): no genus computable on both sides$"):
-        connected_sum(b8, s8)
+    # asserted only, and Chern only in dimension 8
+    b8 = ManifoldData(name="B8", real_dim=8, spin=True,
+                      asserted_genera={"ahat": Fraction(1)})
+    with pytest.raises(InsufficientData, match=r"^connected_sum\(T2xS6, B8\) needs "
+                                               r"Pontryagin numbers on both summands$"):
+        connected_sum(t2xs6, b8)
+    with pytest.raises(InsufficientData, match=r"^connected_sum\(CP1xCP3, HP2\) needs "
+                                               r"Pontryagin numbers on both summands$"):
+        connected_sum(product(cp(1), cp(3)), hp2())
 
 
 def test_normalization_of_numbers():
