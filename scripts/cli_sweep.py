@@ -21,8 +21,12 @@ byte shows up as a diff against it.  With `--against`, both trees run
 every command and only the commands that differ are printed, naming
 which of exit code, stdout and stderr differ; the exit status is 1 if
 any differ.  Each tree's program is imported from its own `src/`.  631
-commands; with two jobs at a time a tree takes about a minute on a 2-core
-x86 host.
+commands; with two jobs at a time a tree takes about 30 s on a 2-core
+x86-64 host.  Each command runs under 512 MiB of address space and its
+`FRONTIER` budget of CPU seconds, else `DEFAULT_CPU_S`, set in the child
+before `genus_forge` is imported: a kill changes its exit code, and past
+120 s of wall time it is listed as `timeout`.  Stderr gets each frontier
+row as `cpu-s wall-s peak-rss-MiB budget-s exit argv`.  POSIX only.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ import json
 import os
 import subprocess
 import sys
+import signal
+import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -41,7 +48,12 @@ BUILTINS = ("CP1", "CP5", "S2", "S8", "T6")
 GENERA = ("todd", "ahat", "lhat", "signature")
 ELLIPTIC = ("ell1", "ell2", "witten")
 JOBS = 2            # processes at a time
-TIMEOUT_S = 120.0   # seconds before one command counts as hung
+TIMEOUT_S = 120     # seconds before one command counts as hung
+MEMORY_BYTES = 512 * 2**20  # RLIMIT_AS of every command
+DEFAULT_CPU_S = 2   # RLIMIT_CPU outside FRONTIER: over 10x the slowest such command, 0.14 s
+# set in the child, SIGALRM for a hang too: a preexec_fn is unsafe with threads
+LIMITED = ("import resource as r, signal; r.setrlimit(r.RLIMIT_AS, ({0}, {0})); "
+           "r.setrlimit(r.RLIMIT_CPU, ({1}, {1} + 1)); signal.alarm({2}); " + ENTRY)
 
 FIXED = [
     ("--help",),
@@ -161,11 +173,9 @@ FIXED = [
      "--l", str(10**308)),
 ]
 
-# the slowest accepted inputs, each with its CPU budget in whole seconds:
-# scripts/caps.py runs these under that budget and 512 MiB.  CP24 at the q^100
-# cap, whose fit solves for three monomials, and `cover diam` on covers of 10^6
-# vertices, whose cover diameter is sum(base): the square and cube shapes, and
-# the long outer paths that run the BFS level skip into the end of the path
+# the slowest accepted inputs, CP24 at the caps and covers of 10^6 vertices of
+# diameter sum(base), with CPU budgets 3 to 10 times their CPU time on a 2-core
+# host: a ten times slower `QSeries.__mul__` exceeds Ell2's and `modular check`'s
 FRONTIER = {
     ("compute", "--manifold", "CP24", "--genus", "todd"): 5,
     ("compute", "--manifold", "CP24", "--genus", "ahat"): 1,
@@ -185,13 +195,14 @@ FRONTIER = {
     ("cover", "diam", "--k", "3", "--base", "2,2,31250", "--factor", "2"): 1,
     ("cover", "diam", "--k", "4", "--base", "2,2,2,7812", "--factor", "2"): 1,
 }
+BUDGETS = {argv + extra: s for argv, s in FRONTIER.items() for extra in ((), ("--json",))}
 
 
 def commands(root: Path) -> list[tuple[str, ...]]:
     catalog = json.loads((root / "src" / "genus_forge" / "data" / "default_catalog.json")
                          .read_text())
     names = [entry["name"] for entry in catalog["entries"]] + list(BUILTINS)
-    out = list(FIXED) + [argv + extra for argv in FRONTIER for extra in ((), ("--json",))]
+    out = list(FIXED) + list(BUDGETS)
     for name in names:
         per_manifold = [("compute", "--manifold", name, "--genus", g) for g in GENERA]
         per_manifold += [("elliptic", "--manifold", name, "--kind", k, "--order", "8")
@@ -205,22 +216,38 @@ def commands(root: Path) -> list[tuple[str, ...]]:
     return out
 
 
-def run_one(root: Path, argv) -> tuple[str, str, str]:
-    """(exit code, sha256 of stdout, sha256 of stderr) of one cold process."""
+def run_one(root: Path, argv) -> tuple:
+    """(exit code, sha256 of stdout, sha256 of stderr, CPU s, wall s, peak RSS
+    MiB) of one cold process under its budgets."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("GENUS_FORGE_CATALOG", None)
-    try:
-        proc = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=root, env=env,
-                              capture_output=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return "timeout", "-", "-"
-    return (str(proc.returncode), hashlib.sha256(proc.stdout).hexdigest(),
-            hashlib.sha256(proc.stderr).hexdigest())
+    entry = LIMITED.format(MEMORY_BYTES, BUDGETS.get(argv, DEFAULT_CPU_S), TIMEOUT_S)
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", entry, *argv], cwd=root, env=env,
+                                stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)  # this child's own resource usage
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        row = [str(proc.returncode)]
+        for stream in (out, err):
+            stream.seek(0)
+            row.append(hashlib.sha256(stream.read()).hexdigest())
+    if proc.returncode == -signal.SIGALRM:
+        row = ["timeout", "-", "-"]
+    # ru_maxrss is in KiB on Linux, and starts at this process's own RSS
+    return (*row, usage.ru_utime + usage.ru_stime, wall, usage.ru_maxrss / 1024)
 
 
 def sweep(root: Path, argvs) -> list[tuple[str, str, str]]:
     with ThreadPoolExecutor(max_workers=JOBS) as pool:
-        return list(pool.map(lambda argv: run_one(root, argv), argvs))
+        runs = list(pool.map(lambda argv: run_one(root, argv), argvs))
+    print(f"# {root}: cpu-s wall-s peak-rss-MiB budget-s exit argv", file=sys.stderr)
+    for argv, (code, _, _, cpu, wall, rss) in zip(argvs, runs):
+        if argv in BUDGETS:
+            print(f"{cpu:6.2f} {wall:6.2f} {rss:6.1f} {BUDGETS[argv]:3d} {code:>4}  "
+                  f"{' '.join(argv)}", file=sys.stderr)
+    return [run[:3] for run in runs]
 
 
 def main(argv=None) -> int:

@@ -50,6 +50,7 @@ KEPT = [
     ("cli.py", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", 2,
      "the broken-pipe exit needs a real closed pipe on stdout; "
      "test_closed_stdout_exits_1_quietly reaches it in a child process"),
+    ("cli.py", "sys.exit(main())", 1, "the module form runs only in a child process"),
 ]
 
 

@@ -425,3 +425,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # a defect, not bad input: one line, no traceback
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -87,20 +87,15 @@ class GenusSeries:
 DEFAULT_Q_TRUNC = 49  # keeps every coefficient through q^24
 
 
-def _series(m: ManifoldData, kind: str, q_trunc: int) -> QSeries:
-    whole("q_trunc", q_trunc)
-    base = _FACTORS[kind][0]
-    route = genus_numbers(m, base)
-    if route is None:
-        raise InsufficientData(f"{m.name}: no Pontryagin or Chern data")
-    numbers, weight, scale = route
-    return pair_logs(numbers, weight, elliptic_logs(kind, weight, q_trunc), scale)
-
-
 def elliptic_genus(m: ManifoldData, kind: str, q_trunc: int = DEFAULT_Q_TRUNC) -> GenusSeries:
     """Evaluate Ell1, Ell2 or the Witten genus as an exact q-series."""
     kind = choice("kind", kind, _KINDS)
-    series = _series(m, kind, q_trunc)
+    whole("q_trunc", q_trunc)
+    route = genus_numbers(m, _FACTORS[kind][0])
+    if route is None:
+        raise InsufficientData(f"{m.name}: no Pontryagin or Chern data")
+    numbers, weight, scale = route
+    series = pair_logs(numbers, weight, elliptic_logs(kind, weight, q_trunc), scale)
     if kind in ("ell1", "witten") and not series.integer_powers_only():
         # a fault of this module, not of the data: the CLI reports it as exit 4
         raise RuntimeError(f"{kind} series left the integer power grid; this is a bug")
@@ -131,7 +126,7 @@ def twisted_indices(m: ManifoldData, family: str, k_max: int) -> list[Fraction]:
     """
     kind, step = choice("family", family, _FAMILIES)
     whole("k_max", k_max, 0)
-    series = _series(m, kind, step * k_max + 1)
+    series = elliptic_genus(m, kind, step * k_max + 1).series
     out = []
     for k in range(k_max + 1):
         value = series.coeff(step * k)

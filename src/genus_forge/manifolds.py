@@ -32,7 +32,7 @@ Partition = tuple[int, ...]
 # Largest real dimension accepted.  The genus engine enumerates partitions
 # of real_dim/4 (and a CPn builds its Chern numbers over partitions of n),
 # whose count grows like exp(pi sqrt(2n/3)): in one fresh process (Python
-# 3.11, 2-core x86-64), Todd of CP24 takes 0.5-1.0 s of CPU (scripts/caps.py,
+# 3.11, 2-core x86-64), Todd of CP24 takes 0.5-1.0 s of CPU (scripts/cli_sweep.py,
 # which budgets 5 s), and of CP28, past the cap, 3.9 s.
 MAX_REAL_DIM = 48
 

@@ -29,7 +29,7 @@ from .errors import DomainError, TooLarge, TruncMismatch, is_int, shown, whole
 
 Scalar = int | Fraction
 # through q^100, where Ell2 of CP24 takes 0.5-0.9 s of CPU in one fresh process
-# (scripts/caps.py); a product's work grows at least quadratically in trunc
+# (scripts/cli_sweep.py); a product's work grows at least quadratically in trunc
 MAX_TRUNC = 201
 
 

@@ -574,8 +574,10 @@ def test_samples_cover_every_command():
 
 
 def test_golden_lists_the_sweep_without_internal_errors():
-    # CI diffs the sweep against the golden; here only its rows are checked:
-    # `exit stdout-sha256 stderr-sha256 argv`, one per sweep command
+    # CI's golden step diffs the sweep, which also holds every command to its
+    # budgets, against the golden; here only its rows are checked:
+    # `exit stdout-sha256 stderr-sha256 argv`, one per sweep command.  A kill
+    # past a budget lists a negative exit, which is refused as exit 4 is
     rows = [line.split() for line in
             (ROOT / "scripts" / "cli_golden.txt").read_text(encoding="utf-8").splitlines()]
     assert [tuple(row[3:]) for row in rows] == cli_sweep.commands(ROOT)
@@ -584,13 +586,80 @@ def test_golden_lists_the_sweep_without_internal_errors():
 
 
 def test_frontier_covers_reach_the_closed_form():
-    # the golden pins these commands' bytes and caps.py their time: here each
+    # the golden step pins these commands' bytes and their time: here each
     # cover, of moduli 2 * base at the vertex cap, has the closed-form diameter
     shapes = [(int(argv[3]), tuple(map(int, argv[5].split(","))), int(argv[7]))
               for argv in cli_sweep.FRONTIER if argv[:2] == ("cover", "diam")]
     assert len(shapes) == 6
     for k, base, factor in shapes:
         assert cover_diameter(k, base, factor).cover_diam == sum(base), base
+
+
+def test_sweep_runner_limits_are_live(monkeypatch):
+    argv = ("catalog", "show", "K3")
+    assert cli_sweep.run_one(ROOT, argv)[0] == "0"
+    # an address space the interpreter already fills: the command cannot run
+    monkeypatch.setattr(cli_sweep, "MEMORY_BYTES", 2**20)
+    assert cli_sweep.run_one(ROOT, argv)[0] not in {"0", "timeout"}
+
+
+def test_sweep_prints_the_frontier_rows_on_stderr(capsys):
+    cover = next(argv for argv in cli_sweep.FRONTIER if argv[:2] == ("cover", "diam"))
+    argvs = [cover, cover + ("--json",), ("catalog", "show", "K3")]
+    rows = cli_sweep.sweep(ROOT, argvs)
+    assert [row[0] for row in rows] == ["0", "0", "0"]
+    header, *lines = capsys.readouterr().err.splitlines()
+    assert header.endswith("cpu-s wall-s peak-rss-MiB budget-s exit argv")
+    # CPU s, wall s, peak RSS MiB, budget s, exit, then the argv: the frontier rows only
+    assert [tuple(line.split()[5:]) for line in lines] == argvs[:2]
+    assert [line.split()[3:5] for line in lines] == [[str(cli_sweep.FRONTIER[cover]), "0"]] * 2
+
+
+def test_module_form_runs_the_cli(run):
+    env = {key: value for key, value in os.environ.items() if key != ENV_CATALOG_PATH}
+    proc = subprocess.run([sys.executable, "-m", "genus_forge.cli", "catalog", "show", "K3"],
+                          capture_output=True, env=dict(env, PYTHONPATH=SRC), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    code, out, _ = run("catalog", "show", "K3")
+    assert code == 0 and proc.stdout.decode() == out != ""
+
+
+def _catalog_entry(**fields):
+    return {"name": "X", "real_dim": 4, "spin": False, "string": False, **fields}
+
+
+# CP2's Chern numbers (c2 = 3, c1^2 = 9) give p1 = c1^2 - 2 c2 = 3
+MALFORMED_CATALOGS = {
+    "invalid-json": ("{", "invalid JSON"),
+    "top-level-list": ("[]", "top level must be an object"),
+    "unknown-field": ([_catalog_entry(colour="red")], "unknown field(s) ['colour']"),
+    "missing-field": ([{"name": "X", "real_dim": 4, "spin": False}],
+                      "missing required field 'string'"),
+    "partition-key": ([_catalog_entry(pontryagin_numbers={"01": 3})],
+                      "malformed partition key '01'"),
+    "schema-version": ({"schema_version": SCHEMA_VERSION + 1, "entries": []},
+                       "unsupported schema_version"),
+    "unreadable": (None, "cannot read catalog"),
+    "numbers-disagree": ([_catalog_entry(chern_numbers={"2": 3, "1,1": 9},
+                                         pontryagin_numbers={"1": 4})],
+                         "Chern and Pontryagin numbers disagree"),
+    "complex-dim": ([_catalog_entry(complex_dim=3, chern_numbers={"2": 3, "1,1": 9})],
+                    "complex_dim 3 must be real_dim/2 = 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CATALOGS))
+def test_malformed_user_catalog_exits_2(run, tmp_path, monkeypatch, case):
+    content, reason = MALFORMED_CATALOGS[case]
+    path = tmp_path / "catalog.json"
+    if content is not None:  # "unreadable" names a file that does not exist
+        if isinstance(content, list):
+            content = {"schema_version": SCHEMA_VERSION, "entries": content}
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    code, out, err = run("catalog", "list")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
 
 
 @pytest.mark.parametrize("path", sorted(SAMPLES), ids=" ".join)
