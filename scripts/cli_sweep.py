@@ -11,22 +11,22 @@ pages; the exit-1, exit-2 and exit-3 paths; and command-line syntax edge
 cases (bare groups, `--opt=value`, a repeated option, option values that
 start with '-').  Run from the root of a checkout:
 
-    python scripts/cli_sweep.py                       # this checkout
-    python scripts/cli_sweep.py --against ../parent   # compare two checkouts
+    python scripts/cli_sweep.py                   # this checkout
+    python scripts/cli_sweep.py --root ../other   # another checkout
     python scripts/cli_sweep.py | diff -u scripts/cli_golden.txt -
 
 Each line of the listing reads `exit stdout-sha256 stderr-sha256 argv`.
 `scripts/cli_golden.txt` is the committed listing: a change of any CLI
-byte shows up as a diff against it.  With `--against`, both trees run
-every command and only the commands that differ are printed, naming
-which of exit code, stdout and stderr differ; the exit status is 1 if
-any differ.  Each tree's program is imported from its own `src/`.  631
-commands; with two jobs at a time a tree takes about 30 s on a 2-core
-x86-64 host.  Each command runs under 512 MiB of address space and its
+byte shows up as a diff against it, and so does the listing of another
+checkout, whose program is imported from its own `src/`.  631 commands;
+with two jobs at a time a checkout takes about 30 s on a 2-core x86-64
+host.  Each command runs under 512 MiB of address space and its
 `FRONTIER` budget of CPU seconds, else `DEFAULT_CPU_S`, set in the child
 before `genus_forge` is imported: a kill changes its exit code, and past
 120 s of wall time it is listed as `timeout`.  Stderr gets each frontier
-row as `cpu-s wall-s peak-rss-MiB budget-s exit argv`.  POSIX only.
+row as `cpu-s wall-s peak-rss-MiB budget-s exit argv`, the peak RSS being
+the child's own VmHWM, or `-` without `/proc` or for a killed child.
+POSIX only.
 """
 
 from __future__ import annotations
@@ -51,9 +51,22 @@ JOBS = 2            # processes at a time
 TIMEOUT_S = 120     # seconds before one command counts as hung
 MEMORY_BYTES = 512 * 2**20  # RLIMIT_AS of every command
 DEFAULT_CPU_S = 2   # RLIMIT_CPU outside FRONTIER: over 10x the slowest such command, 0.14 s
-# set in the child, SIGALRM for a hang too: a preexec_fn is unsafe with threads
-LIMITED = ("import resource as r, signal; r.setrlimit(r.RLIMIT_AS, ({0}, {0})); "
-           "r.setrlimit(r.RLIMIT_CPU, ({1}, {1} + 1)); signal.alarm({2}); " + ENTRY)
+# set in the child, SIGALRM for a hang too: a preexec_fn is unsafe with threads.
+# At exit the child copies its /proc/self/status to a file run_one names: exec
+# starts VmHWM afresh, while ru_maxrss starts at the sweep's own RSS
+LIMITED = """\
+import atexit, resource as r, signal
+r.setrlimit(r.RLIMIT_AS, ({0}, {0}))
+r.setrlimit(r.RLIMIT_CPU, ({1}, {1} + 1))
+signal.alarm({2})
+def status(path={3!r}):
+    try:
+        with open("/proc/self/status") as src, open(path, "w") as dst:
+            dst.write(src.read())
+    except OSError:
+        pass
+atexit.register(status)
+""" + ENTRY
 
 FIXED = [
     ("--help",),
@@ -218,11 +231,13 @@ def commands(root: Path) -> list[tuple[str, ...]]:
 
 def run_one(root: Path, argv) -> tuple:
     """(exit code, sha256 of stdout, sha256 of stderr, CPU s, wall s, peak RSS
-    MiB) of one cold process under its budgets."""
+    MiB or None) of one cold process under its budgets."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.pop("GENUS_FORGE_CATALOG", None)
-    entry = LIMITED.format(MEMORY_BYTES, BUDGETS.get(argv, DEFAULT_CPU_S), TIMEOUT_S)
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+    with (tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err,
+          tempfile.NamedTemporaryFile("r") as report):
+        entry = LIMITED.format(MEMORY_BYTES, BUDGETS.get(argv, DEFAULT_CPU_S), TIMEOUT_S,
+                               report.name)
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-c", entry, *argv], cwd=root, env=env,
                                 stdout=out, stderr=err)
@@ -233,10 +248,11 @@ def run_one(root: Path, argv) -> tuple:
         for stream in (out, err):
             stream.seek(0)
             row.append(hashlib.sha256(stream.read()).hexdigest())
+        # "VmHWM:  20480 kB"; a killed child wrote nothing
+        peak = [line.split()[1] for line in report if line.startswith("VmHWM:")]
     if proc.returncode == -signal.SIGALRM:
         row = ["timeout", "-", "-"]
-    # ru_maxrss is in KiB on Linux, and starts at this process's own RSS
-    return (*row, usage.ru_utime + usage.ru_stime, wall, usage.ru_maxrss / 1024)
+    return (*row, usage.ru_utime + usage.ru_stime, wall, int(peak[0]) / 1024 if peak else None)
 
 
 def sweep(root: Path, argvs) -> list[tuple[str, str, str]]:
@@ -245,7 +261,8 @@ def sweep(root: Path, argvs) -> list[tuple[str, str, str]]:
     print(f"# {root}: cpu-s wall-s peak-rss-MiB budget-s exit argv", file=sys.stderr)
     for argv, (code, _, _, cpu, wall, rss) in zip(argvs, runs):
         if argv in BUDGETS:
-            print(f"{cpu:6.2f} {wall:6.2f} {rss:6.1f} {BUDGETS[argv]:3d} {code:>4}  "
+            rss = "-" if rss is None else f"{rss:.1f}"
+            print(f"{cpu:6.2f} {wall:6.2f} {rss:>6} {BUDGETS[argv]:3d} {code:>4}  "
                   f"{' '.join(argv)}", file=sys.stderr)
     return [run[:3] for run in runs]
 
@@ -254,26 +271,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path.cwd(),
                         help="checkout to run (default: the current directory)")
-    parser.add_argument("--against", type=Path, default=None,
-                        help="second checkout; print only the commands that differ")
     args = parser.parse_args(argv)
 
     argvs = commands(args.root)
-    mine = sweep(args.root, argvs)
-    if args.against is None:
-        for cmd, (code, out, err) in zip(argvs, mine):
-            print(" ".join((f"{code:>7}", out, err, *cmd)))
-        return 0
-    theirs = sweep(args.against, argvs)
-    differ = 0
-    for cmd, a, b in zip(argvs, mine, theirs):
-        if a != b:
-            differ += 1
-            streams = [name for name, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
-            print(f"DIFF {' '.join(cmd)}: {', '.join(streams)} differ (exit {b[0]} -> {a[0]})")
-    print(f"{len(argvs) - differ} of {len(argvs)} commands identical "
-          f"({args.against} -> {args.root})")
-    return 1 if differ else 0
+    for cmd, (code, out, err) in zip(argvs, sweep(args.root, argvs)):
+        print(" ".join((f"{code:>7}", out, err, *cmd)))
+    return 0
 
 
 if __name__ == "__main__":

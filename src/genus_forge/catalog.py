@@ -161,59 +161,37 @@ def dumps_catalog(entries: list) -> str:
     return json.dumps(document(_by_name(entries)), indent=2) + "\n"
 
 
-def loads_catalog(text: str, source: str = "<string>") -> dict[str, ManifoldData]:
-    if not isinstance(source, str):  # only named in messages
-        source = shown(source)
-    if not isinstance(text, (str, bytes, bytearray)):  # what json.loads decodes
-        raise CatalogError(f"{source}: catalog text must be a str or bytes, got {shown(text)}")
+def load_default_catalog() -> dict[str, ManifoldData]:
+    """Catalog from GENUS_FORGE_CATALOG if set, else the packaged file."""
+    path = os.environ.get(ENV_CATALOG_PATH) or _PACKAGED
     try:
-        raw = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:  # before the ValueError clause below
+        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(
-            f"invalid JSON in {source} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
-        raise CatalogError(f"invalid JSON in {source}: {exc}") from None
+        raise CatalogError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(raw, dict):
-        raise CatalogError(f"{source}: top level must be an object")
+        raise CatalogError(f"{path}: top level must be an object")
     unknown = set(raw) - {"schema_version", "entries"}
     if unknown:
-        raise CatalogError(f"{source}: unknown top-level field(s) {sorted(unknown)}")
+        raise CatalogError(f"{path}: unknown top-level field(s) {sorted(unknown)}")
     version = raw.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1
-        raise CatalogError(f"{source}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+        raise CatalogError(f"{path}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     entries_raw = raw.get("entries")
     if not isinstance(entries_raw, list):
-        raise CatalogError(f"{source}: 'entries' must be a list")
+        raise CatalogError(f"{path}: 'entries' must be a list")
     return _by_name([entry_from_dict(item) for item in entries_raw])
 
 
-def _fspath(path):
-    if not isinstance(path, (str, bytes, os.PathLike)):  # what os.fspath takes
-        raise CatalogError(f"a catalog path must be a str or a path, got {shown(path)}")
-    return os.fspath(path)  # open() would take an int as a file descriptor
-
-
-def load_catalog(path) -> dict[str, ManifoldData]:
-    try:
-        with open(_fspath(path), encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-    return loads_catalog(text, source=str(path))
-
-
-def load_default_catalog() -> dict[str, ManifoldData]:
-    """Catalog from GENUS_FORGE_CATALOG if set, else the packaged file."""
-    return load_catalog(os.environ.get(ENV_CATALOG_PATH) or _PACKAGED)
-
-
-def resolve(name: str, catalog: dict[str, ManifoldData] | None = None) -> ManifoldData:
-    """Entry by name, falling back to the always-available builtins."""
-    if catalog is None:
-        catalog = load_default_catalog()
-    elif not isinstance(catalog, dict):
-        raise DomainError(f"catalog must be a dict of entries by name, got {shown(catalog)}")
+def resolve(name: str) -> ManifoldData:
+    """Default-catalog entry by name, falling back to the always-available builtins."""
+    catalog = load_default_catalog()
     if isinstance(name, str) and name in catalog:  # builtin refuses a name that is not a str
         return catalog[name]
     return builtin(name)

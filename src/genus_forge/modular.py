@@ -20,7 +20,7 @@ from fractions import Fraction
 from .elliptic import DEFAULT_Q_TRUNC, _divisor_sum, elliptic_genus
 from .errors import (ConvergenceRisk, DivergentEvaluation, FitError, FloatRangeError, Record,
                      choice, real)
-from .manifolds import ManifoldData, _check_manifolds
+from .manifolds import ManifoldData, _check_manifolds, _check_real_dim
 from .qseries import QSeries
 
 
@@ -70,6 +70,7 @@ def _powers(base: QSeries, top: int) -> list[QSeries]:
 def witten_fit(m: ManifoldData, q_trunc: int = DEFAULT_Q_TRUNC) -> ModularFit:
     """Fit the Witten genus of a 4m-manifold against E4^i E6^j, 4i+6j=2m."""
     _check_manifolds(m)
+    _check_real_dim(m.real_dim, m.name)  # an asserted-only entry skips the cap
     weight = m.real_dim // 2
     monomials = [
         (i, j)

@@ -11,8 +11,7 @@ GenusForgeError, within a per-call time bound, and a value of the wrong kind
 a real that is not finite.  A choice argument outside its set of names, and
 a value that is not the record an argument takes, are refused with
 `DomainError` too (`errors.choice` and the record checks).  A q-series
-truncation past `qseries.MAX_TRUNC` is refused with `TooLarge`, and catalog
-text or a catalog path that cannot be read with `CatalogError`.
+truncation past `qseries.MAX_TRUNC` is refused with `TooLarge`.
 
 Every public callable of every module is either an entry here or named in
 `INTERNAL` with the reason it is not one.
@@ -32,12 +31,10 @@ from hypothesis import strategies as st
 
 import genus_forge
 from genus_forge.bounds import BoundParams, c_of_b, index_bound_report
-from genus_forge.catalog import (_PACKAGED, dumps_catalog, entry_to_dict, load_catalog,
-                                 loads_catalog, resolve)
+from genus_forge.catalog import dumps_catalog, entry_to_dict, resolve
 from genus_forge.covering import TorusQuotientGraph, cover_diameter, l2_betti_ratio, tower
 from genus_forge.elliptic import elliptic_genus, elliptic_logs, twisted_indices
-from genus_forge.errors import (CatalogError, DomainError, GenusForgeError, TooLarge, is_int,
-                                real, whole)
+from genus_forge.errors import DomainError, GenusForgeError, TooLarge, is_int, real, whole
 from genus_forge.genera import (genus_numbers, genus_source, genus_value, hypersurface_todd,
                                 log_coeffs)
 from genus_forge.manifolds import (MAX_REAL_DIM, builtin, connected_sum, cp, hp2, k3,
@@ -54,10 +51,8 @@ HUGE = (10**400, -(10**400), 10**5000, -(10**5000))
 # argument kind -> hostile values.  A count whose size sets the work of a
 # q-series (q_trunc, k_max) gets 202 too: a positive int past the cap of 201
 # must raise TooLarge.  A choice takes one of a few names, a record one
-# ManifoldData or BoundParams, or the dict of a loaded catalog, and records a
-# list of ManifoldData: every value in their pools is of the wrong kind, but
-# for the None of an optional one.  Catalog text and catalog paths are
-# refused with CatalogError, whether of the wrong type or unreadable.
+# ManifoldData or BoundParams, and records a list of ManifoldData: every
+# value in their pools is of the wrong kind.
 POOLS = {
     "count": (0, -1, *HUGE, 2.0, 0.5, 1e300, *NON_FINITE, *WRONG_KIND),
     "work": (0, -1, MAX_TRUNC + 1, *HUGE, 2.0, 0.5, *NON_FINITE, *WRONG_KIND),
@@ -66,11 +61,8 @@ POOLS = {
     "choice": ("x", "", "TODD", 10**5000, 2.5, ["todd"], *WRONG_KIND[:2], None),
     "record": (None, 5, "K3", True, 2.5, 10**5000, ["K3"]),
     "records": (None, 5, "K3", True, 2.5, 10**5000, ["K3"], [None], (k3(),), {"K3": k3()}),
-    "text": (None, 123, 10**5000, 2.5, True, ["{}"], "", "{", "[]"),
-    "path": (None, 123, 10**5000, 2.5, True, ["catalog.json"], ""),
 }
 POOLS["optional real"] = POOLS["real"]  # None is the default: v of BoundParams
-POOLS["optional record"] = POOLS["record"]  # None is the default: the catalog of resolve
 POOLS["rational"] = POOLS["count"]  # a q-series coefficient: every int is one, no float
 
 
@@ -153,13 +145,10 @@ ENTRIES = {
     "cp": (cp, dict(n=2), dict(n="count")),
     "sphere": (sphere, dict(n=4), dict(n="count")),
     "torus": (torus, dict(k=4), dict(k="count")),
-    "resolve": (resolve, dict(name="K3", catalog=None),
-                dict(name="name", catalog="optional record")),
+    "resolve": (resolve, dict(name="K3"), dict(name="name")),
     "builtin": (builtin, dict(name="CP2"), dict(name="name")),
     "entry_to_dict": (entry_to_dict, dict(entry=K3), dict(entry="record")),
     "dumps_catalog": (dumps_catalog, dict(entries=[K3, HP2]), dict(entries="records")),
-    "loads_catalog": (loads_catalog, dict(text=dumps_catalog([K3])), dict(text="text")),
-    "load_catalog": (load_catalog, dict(path=_PACKAGED), dict(path="path")),
 }
 
 RESULT = "a result record the library builds; callers read it"
@@ -278,20 +267,15 @@ def test_valid_arguments_compute():
 # product of every modulus before the cap check
 @example(("eisenstein", "q_trunc", 10**400))
 @example(("TorusQuotientGraph", "n", 10**5000))
-# AttributeErrors from a manifold's fields, and TypeErrors from json and open
+# AttributeErrors from a manifold's fields
 @example(("genus_value", "m", None))
 @example(("witten_fit", "m", "K3"))
 @example(("modular_relation_check", "m", 5))
-@example(("loads_catalog", "text", None))
-@example(("load_catalog", "path", None))
 @example(("entry_to_dict", "entry", None))
 @example(("dumps_catalog", "entries", None))
-# a TypeError from iterating the entries, AttributeErrors from an entry and
-# from the catalog of resolve, and a list of entries in place of its dict
+# a TypeError from iterating the entries, and an AttributeError from an entry
 @example(("dumps_catalog", "entries", 5))
 @example(("dumps_catalog", "entries", [None]))
-@example(("resolve", "catalog", 5))
-@example(("resolve", "catalog", [K3]))
 # the edges of the exact-int and exact-float checks that come first in
 # whole and real: a signed zero at low 0, -inf at low -inf, nan, a bool, an
 # int and a float subclass, and an int past binary64
@@ -316,9 +300,7 @@ def test_hostile_argument_is_refused_typed(case):
         refused = None
     elapsed = time.perf_counter() - start
     assert elapsed < TIME_BOUND_S, (case, elapsed)
-    if kinds[arg] in ("text", "path"):
-        assert isinstance(refused, CatalogError), (case, refused)
-    elif _wrong_kind(kinds[arg], value):
+    if _wrong_kind(kinds[arg], value):
         assert isinstance(refused, DomainError), (case, refused)
     if kinds[arg].endswith("real") and isinstance(value, float) and not math.isfinite(value):
         assert isinstance(refused, DomainError), (case, refused)

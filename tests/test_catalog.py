@@ -2,6 +2,7 @@
 named entries in every message, environment override, and name resolution."""
 
 import json
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -16,9 +17,7 @@ from genus_forge.catalog import (
     dumps_catalog,
     entry_from_dict,
     entry_to_dict,
-    load_catalog,
     load_default_catalog,
-    loads_catalog,
     resolve,
 )
 from genus_forge.cli import main
@@ -43,9 +42,22 @@ def _packaged_text() -> str:
     )
 
 
+@pytest.fixture
+def user_catalog(tmp_path, monkeypatch):
+    """The file GENUS_FORGE_CATALOG names: `_load` writes it and reads it back."""
+    path = tmp_path / "cat.json"
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    return path
+
+
+def _load(path, text):
+    path.write_text(text)
+    return load_default_catalog()
+
+
 def test_shipped_catalog_round_trips_byte_identical():
     text = _packaged_text()
-    catalog = loads_catalog(text)
+    catalog = load_default_catalog()
     assert dumps_catalog(list(catalog.values())) == text
     assert json.dumps(document(catalog), indent=2) + "\n" == text
 
@@ -67,12 +79,12 @@ def test_shipped_catalog_matches_builder():
     assert dumps_catalog(build_default_catalog()) == _packaged_text()
 
 
-def test_entry_round_trip():
+def test_entry_round_trip(user_catalog):
     # an empty asserted map is no asserted genus, which the file omits
     for entry in (k3(), ManifoldData("X", 4, pontryagin_numbers={(1,): 3}, asserted_genera={})):
         redone = entry_from_dict(json.loads(json.dumps(entry_to_dict(entry))))
         assert redone == entry
-        assert loads_catalog(dumps_catalog([entry]))[entry.name] == entry
+        assert _load(user_catalog, dumps_catalog([entry]))[entry.name] == entry
 
 
 def test_entry_to_dict_canonical_order():
@@ -205,45 +217,36 @@ def test_entry_messages_name_the_entry():
     assert entry_from_dict(_base_entry(complex_dim=None)) == entry_from_dict(_base_entry())
 
 
-def test_loads_validation():
+def test_loads_validation(user_catalog):
     good = dumps_catalog([k3()])
-    assert loads_catalog(good) == {"K3": k3()}
-    with pytest.raises(CatalogError, match="line 1, column"):
-        loads_catalog("{ not json")
-    # a source past str()'s 4,300-digit limit is shown by its size
-    with pytest.raises(CatalogError, match="^invalid JSON in an integer of 16610 bits at line 1"):
-        loads_catalog("{", source=10**5000)
-    with pytest.raises(CatalogError, match="line 3"):
-        loads_catalog('{\n "entries": [\n  { bad\n ]\n}')
-    with pytest.raises(CatalogError, match="top level"):
-        loads_catalog("[]")
-    with pytest.raises(CatalogError, match="top-level"):
-        loads_catalog('{"schema_version": 1, "entries": [], "extra": 0}')
-    with pytest.raises(CatalogError, match="schema_version"):
-        loads_catalog('{"schema_version": 99, "entries": []}')
-    with pytest.raises(CatalogError, match="schema_version"):
-        loads_catalog('{"entries": []}')
-    with pytest.raises(CatalogError, match="list"):
-        loads_catalog('{"schema_version": 1, "entries": {}}')
+    assert _load(user_catalog, good) == {"K3": k3()}
+    path = re.escape(str(user_catalog))
+    for text, match in (
+        ("{ not json", f"^invalid JSON in {path} at line 1, column"),
+        ('{\n "entries": [\n  { bad\n ]\n}', "line 3"),
+        ("[]", f"^{path}: top level"),
+        ('{"schema_version": 1, "entries": [], "extra": 0}', "top-level"),
+        ('{"schema_version": 99, "entries": []}', "schema_version"),
+        ('{"entries": []}', "schema_version"),
+        ('{"schema_version": 1, "entries": {}}', "list"),
+    ):
+        with pytest.raises(CatalogError, match=match):
+            _load(user_catalog, text)
     payload = json.loads(good)
     payload["entries"].append(payload["entries"][0])
     with pytest.raises(CatalogError, match="duplicate"):
-        loads_catalog(json.dumps(payload))
+        _load(user_catalog, json.dumps(payload))
 
 
-def test_save_and_load_file(tmp_path):
-    path = tmp_path / "cat.json"
-    path.write_text(dumps_catalog([k3()]))
-    again = load_catalog(path)
+def test_save_and_load_file(user_catalog, tmp_path, monkeypatch):
+    again = _load(user_catalog, dumps_catalog([k3()]))
     assert list(again) == ["K3"] and again["K3"] == k3()
-    assert load_catalog(str(path)) == again
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(tmp_path / "absent.json"))
     with pytest.raises(CatalogError, match="cannot read"):
-        load_catalog(tmp_path / "absent.json")
+        load_default_catalog()
+    monkeypatch.setenv(ENV_CATALOG_PATH, str(tmp_path))  # a directory
     with pytest.raises(CatalogError, match="^cannot read catalog"):
-        load_catalog(tmp_path)  # a directory
-    # an int is no path: it must not be opened as a file descriptor
-    with pytest.raises(CatalogError, match="^a catalog path must be a str or a path, got 0$"):
-        load_catalog(0)
+        load_default_catalog()
 
 
 @pytest.mark.parametrize("content", [
@@ -254,9 +257,9 @@ def test_save_and_load_file(tmp_path):
 def test_undecodable_catalog_files(tmp_path, monkeypatch, capsys, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
-    with pytest.raises(CatalogError, match="bad.json"):
-        load_catalog(path)
     monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    with pytest.raises(CatalogError, match="bad.json"):
+        load_default_catalog()
     assert main(["catalog", "list"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -265,9 +268,9 @@ def test_asserted_exponent_refused_from_file(tmp_path, monkeypatch, capsys):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"schema_version": SCHEMA_VERSION,
                                 "entries": [_base_entry(asserted={"ahat": "1e1000000000"})]}))
-    with pytest.raises(CatalogError, match="bad rational '1e1000000000'"):
-        load_catalog(path)
     monkeypatch.setenv(ENV_CATALOG_PATH, str(path))
+    with pytest.raises(CatalogError, match="bad rational '1e1000000000'"):
+        load_default_catalog()
     assert main(["catalog", "list"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -283,68 +286,64 @@ def test_env_override(tmp_path, monkeypatch):
     assert list(load_default_catalog()) == ALL_NAMES
 
 
-def test_resolve():
+def test_resolve(user_catalog):
+    user_catalog.write_text(dumps_catalog([k3()]))
     assert resolve("K3").name == "K3"
     # builtins stay reachable even when the catalog lacks them
-    small = {"K3": k3()}
-    assert resolve("CP3", small).complex_dim == 3
-    assert resolve("T6", small).real_dim == 6
+    assert resolve("CP3").complex_dim == 3
+    assert resolve("T6").real_dim == 6
     with pytest.raises(UnknownManifold, match=r"^'E8' is neither a catalog entry nor a builtin "
                        r"\(builtins: CPn, Sn, Tn, K3, HP2\)$"):
-        resolve("E8", small)
+        resolve("E8")
     # a builtin name whose n its factory refuses is told why
     with pytest.raises(UnknownManifold, match=r"^S3 is not available \(need even n >= 2\)$"):
-        resolve("S3", small)
+        resolve("S3")
     with pytest.raises(UnknownManifold, match=r"^T3 is not available \(need even k >= 2\)$"):
-        resolve("T3", small)
-    assert resolve("K3", {}) == k3()
-    with pytest.raises(DomainError, match="^catalog must be a dict of entries by name, got 5$"):
-        resolve("K3", catalog=5)
-    # a list of entries is not the catalog a loader returns
-    with pytest.raises(DomainError, match=r"^catalog must be a dict of entries by name, got \[Man"):
-        resolve("K3", [k3()])
+        resolve("T3")
     # a name that is not a str is refused by the builtins, hashable or not
     for name in (["K3"], 3):
         with pytest.raises(DomainError, match="^a manifold name must be a str"):
-            resolve(name, small)
+            resolve(name)
+    user_catalog.write_text(dumps_catalog([]))
+    assert resolve("K3") == k3()
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: dumps_catalog(5), DomainError, "entries must be a list of ManifoldData, got 5"),
-    (lambda: dumps_catalog((k3(),)), DomainError,
+    (lambda path: dumps_catalog(5), DomainError, "entries must be a list of ManifoldData, got 5"),
+    (lambda path: dumps_catalog((k3(),)), DomainError,
      "entries must be a list of ManifoldData, got (ManifoldData("),
-    (lambda: dumps_catalog([k3(), None]), DomainError, "expected ManifoldData, got None"),
-    (lambda: loads_catalog('{"schema_version": 2, "entries": []}'), CatalogError,
-     "<string>: unsupported schema_version 2 (expected 1)"),
-    (lambda: loads_catalog('{"schema_version": true, "entries": []}'), CatalogError,
-     "<string>: unsupported schema_version True (expected 1)"),
-    (lambda: loads_catalog('{"schema_version": 1.0, "entries": []}'), CatalogError,
-     "<string>: unsupported schema_version 1.0 (expected 1)"),
+    (lambda path: dumps_catalog([k3(), None]), DomainError, "expected ManifoldData, got None"),
+    (lambda path: _load(path, '{"schema_version": 2, "entries": []}'), CatalogError,
+     "<path>: unsupported schema_version 2 (expected 1)"),
+    (lambda path: _load(path, '{"schema_version": true, "entries": []}'), CatalogError,
+     "<path>: unsupported schema_version True (expected 1)"),
+    (lambda path: _load(path, '{"schema_version": 1.0, "entries": []}'), CatalogError,
+     "<path>: unsupported schema_version 1.0 (expected 1)"),
 ], ids=["int", "tuple", "None-entry", "version-2", "version-True", "version-float"])
-def test_catalog_file_checks_its_fields(call, error, message):
+def test_catalog_file_checks_its_fields(user_catalog, call, error, message):
     # a file's two fields: its entries are checked by the writer, and its
     # schema version, a constant, by the reader alone
     with pytest.raises(error) as err:
-        call()
-    assert str(err.value).startswith(message)
+        call(user_catalog)
+    assert str(err.value).startswith(message.replace("<path>", str(user_catalog)))
     assert dumps_catalog([]) == json.dumps({"schema_version": SCHEMA_VERSION, "entries": []},
                                            indent=2) + "\n"
 
 
-def test_catalog_file_refuses_a_repeated_name():
+def test_catalog_file_refuses_a_repeated_name(user_catalog):
     # the writer refuses what the reader would: one check, in _by_name
     with pytest.raises(CatalogError, match="^duplicate entry name 'K3'$"):
         dumps_catalog([k3(), k3()])
     payload = json.loads(dumps_catalog([k3(), hp2()]))
     payload["entries"][1]["name"] = "K3"
     with pytest.raises(CatalogError, match="^duplicate entry name 'K3'$"):
-        loads_catalog(json.dumps(payload))
+        _load(user_catalog, json.dumps(payload))
 
 
 @pytest.mark.parametrize("key", ["1_0", "+10", "\u0661\u0660", " 9, 1", "01", "1, 1"],
                          ids=["underscore", "plus", "arabic-indic", "spaces", "leading-zero",
                               "space-after-comma"])
-def test_partition_keys_are_ascii_digits(key):
+def test_partition_keys_are_ascii_digits(user_catalog, key):
     # int() reads each piece of these; a key is read only in the form the writer gives it
     def entry(key):
         return {"name": "E40", "real_dim": 40, "spin": False, "string": False,
@@ -354,7 +353,7 @@ def test_partition_keys_are_ascii_digits(key):
     assert entry_from_dict(entry("9,1")).pontryagin_numbers == {(9, 1): 1}
     text = json.dumps({"schema_version": SCHEMA_VERSION, "entries": [entry(key)]})
     with pytest.raises(CatalogError) as err:
-        loads_catalog(text)
+        _load(user_catalog, text)
     assert str(err.value) == f"entry 'E40': malformed partition key {key!r}"
 
 
@@ -362,7 +361,8 @@ def test_resolved_numbers_are_read_only():
     catalog = load_default_catalog()
     for name, field in (("HP2", "pontryagin_numbers"), ("CP3", "chern_numbers"),
                         ("B8", "asserted_genera")):
-        entry = resolve(name, catalog)
+        entry = catalog[name]
+        assert resolve(name) == entry
         numbers = getattr(entry, field)
         key = next(iter(numbers))
         before = numbers[key]
@@ -370,8 +370,7 @@ def test_resolved_numbers_are_read_only():
             numbers[key] = before + 1
         with pytest.raises(TypeError):
             del numbers[key]
-        assert getattr(resolve(name, catalog), field)[key] == before
+        assert getattr(catalog[name], field)[key] == before
     # the read-only mappings still serialize, sum and multiply
-    hp2 = resolve("HP2", catalog)
-    assert entry_to_dict(hp2)["pontryagin_numbers"] == {"2": 7, "1,1": 4}
-    assert dumps_catalog(list(loads_catalog(_packaged_text()).values())) == _packaged_text()
+    assert entry_to_dict(catalog["HP2"])["pontryagin_numbers"] == {"2": 7, "1,1": 4}
+    assert dumps_catalog(list(catalog.values())) == _packaged_text()

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -601,6 +602,17 @@ def test_sweep_runner_limits_are_live(monkeypatch):
     # an address space the interpreter already fills: the command cannot run
     monkeypatch.setattr(cli_sweep, "MEMORY_BYTES", 2**20)
     assert cli_sweep.run_one(ROOT, argv)[0] not in {"0", "timeout"}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc")
+def test_sweep_reads_the_commands_own_peak_rss():
+    # a child's ru_maxrss starts at its parent's RSS at the spawn, which this
+    # ballast raises; the child's own VmHWM starts afresh at exec
+    ballast = b"x" * (64 * 2**20)
+    rss = cli_sweep.run_one(ROOT, ("catalog", "show", "K3"))[5]
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    del ballast
+    assert 0 < rss < min(own, 64), (rss, own)
 
 
 def test_sweep_prints_the_frontier_rows_on_stderr(capsys):

@@ -3,13 +3,15 @@ of the S-transformation between the two level-2 genera, with the float sum
 of a q-series that it makes."""
 
 import math
+import signal
 from fractions import Fraction
 
 import pytest
 
 from genus_forge.catalog import resolve
 from genus_forge.elliptic import elliptic_genus
-from genus_forge.errors import ConvergenceRisk, DivergentEvaluation, FitError, FloatRangeError
+from genus_forge.errors import (ConvergenceRisk, DataError, DivergentEvaluation, FitError,
+                                FloatRangeError)
 from genus_forge.manifolds import ManifoldData, cp, k3, hp2, product, torus
 from genus_forge.modular import _evaluate, eisenstein, modular_relation_check, witten_fit
 from genus_forge.qseries import QSeries
@@ -96,6 +98,24 @@ def test_fit_rejects_empty_monomial_basis():
     # weight 2 has no E4^i E6^j representation
     with pytest.raises(FitError):
         witten_fit(k3(), 17)
+
+
+def test_fit_refuses_a_dimension_past_the_cap_at_once():
+    # asserted genera alone skip ManifoldData's cap, and the E4^i E6^j search
+    # over weight/4 x weight/6 pairs would never end at this dimension
+    big = ManifoldData("BIG", 10**12, spin=True, asserted_genera={"ahat": "0"})
+
+    def hung(signum, frame):
+        raise TimeoutError("witten_fit ran past 1 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(DataError, match="^BIG: real dimension 1000000000000 exceeds the cap"):
+            witten_fit(big)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def _tail(series, q):
