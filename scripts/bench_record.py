@@ -122,6 +122,8 @@ def counts(checkout: Path) -> dict:
                          capture_output=True, text=True, check=True).stdout.splitlines()
     commands = {}
     for line in out[1:]:
+        if line.startswith("#"):  # a command's opcodes by layer
+            continue
         ops, modules, size, code, *argv = line.split()
         commands[" ".join(argv)] = {"opcodes": int(ops), "modules": int(modules),
                                     "source_bytes": int(size), "exit": int(code)}

@@ -19,16 +19,26 @@ workload that exits 0 (`CLI_FIXED` in `perfbench/workloads.py`), with its
 secant `bound cb`.
 
 A first line, starting with `#`, names the Python version and the counter;
-then each line reads `opcodes modules source-bytes exit argv`.  The child
-runs with PYTHONHASHSEED=0 and counts every bytecode instruction, the
-imports included: with `sys.monitoring` INSTRUCTION events on Python 3.12
-and later, where `sys.settrace` sends no opcode events under 3.12.1, and
-with `sys.settrace` (`f_trace_opcodes`) before.  It reads and writes no
+then each command's line reads `opcodes modules source-bytes exit argv`.
+The child runs with PYTHONHASHSEED=0 and counts every bytecode instruction,
+the imports included: with `sys.monitoring` INSTRUCTION events on Python
+3.12 and later, where `sys.settrace` sends no opcode events under 3.12.1,
+and with `sys.settrace` (`f_trace_opcodes`) before.  It reads and writes no
 bytecode cache, so every module it imports is compiled from source, and the
 source bytes are the sizes of the `genus_forge` modules it imported.  The
 program is imported from the checkout's `src/`.  Where the counter receives
 no instruction events, a command would count 0 opcodes: the script raises
 instead of printing that count.
+
+A second line after each command's, starting with `#`, splits its opcodes
+by the source file of the code that ran them (`frame.f_code.co_filename`
+under `sys.settrace`, `code.co_filename` under `sys.monitoring`): one layer
+per `genus_forge` module, `import` (the frozen importlib frames), `re` (the
+pure-Python regex compiler: `re/_parser.py` and `re/_compiler.py`, or
+`sre_parse.py` and `sre_compile.py` before 3.11) and `stdlib` (the rest).
+The layers sum to the command's opcodes.  They say where Python-level work
+goes, not where the time goes: C work, such as big-integer products or
+`json` decoding, is not seen.
 """
 
 from __future__ import annotations
@@ -63,27 +73,29 @@ COUNTER = "sys.monitoring" if hasattr(sys, "monitoring") else "sys.settrace"
 
 # argv: counts file, package directory, then the command.  The trace starts
 # after this script's own setup, and the counts are taken before anything
-# else is imported.
+# else is imported.  The counts file's first line is the four counts, and
+# each further line the opcodes of one source file and its name.
 CHILD = """\
 import sys
 counts_path, package, *argv = sys.argv[1:]
-ops = [0]
+ops = {}
 monitoring = getattr(sys, "monitoring", None)
 
 if monitoring:
     def count(code, offset):
-        ops[0] += 1
+        ops[code.co_filename] = ops.get(code.co_filename, 0) + 1
 
     monitoring.use_tool_id(monitoring.PROFILER_ID, "count_ops")
     monitoring.register_callback(monitoring.PROFILER_ID, monitoring.events.INSTRUCTION, count)
 else:
-    def step(frame, event, arg):
-        if event == "opcode":
-            ops[0] += 1
-        return step
-
     def enter(frame, event, arg):
         frame.f_trace_opcodes = True
+        cell = ops.setdefault(frame.f_code.co_filename, [0])
+
+        def step(frame, event, arg):
+            if event == "opcode":
+                cell[0] += 1
+            return step
         return step
 
 before = set(sys.modules)
@@ -101,29 +113,50 @@ new = set(sys.modules) - before
 import os
 size = sum(os.path.getsize(sys.modules[name].__file__) for name in new
            if (getattr(sys.modules[name], "__file__", None) or "").startswith(package))
+ops = {file: n if monitoring else n[0] for file, n in ops.items()}
 with open(counts_path, "w") as out:
-    out.write(f"{ops[0]} {len(new)} {size} {code}")
+    out.write(f"{sum(ops.values())} {len(new)} {size} {code}")
+    out.writelines(f"\\n{n} {file}" for file, n in ops.items() if n)
 """
+RE_FILES = ("/re/_parser.py", "/re/_compiler.py", "/sre_parse.py", "/sre_compile.py")
+SHARED = ("import", "re", "stdlib")  # the layers outside genus_forge, printed last
 
 
-def count(root: Path, argv, cache: str) -> tuple[int, int, int, int]:
-    """(opcodes, modules imported, genus_forge source bytes, exit code) of
-    one command; `cache` is an empty directory that stands in for the
-    bytecode cache."""
+def layer(file: str, package: str) -> str:
+    """The layer that a code object's source file belongs to."""
+    if file.startswith(package):
+        return os.path.splitext(file[len(package):])[0]
+    if file.startswith("<frozen importlib"):
+        return "import"
+    if file.replace(os.sep, "/").endswith(RE_FILES):
+        return "re"
+    return "stdlib"
+
+
+def count(root: Path, argv, cache: str) -> tuple[int, int, int, int, dict]:
+    """(opcodes, modules imported, genus_forge source bytes, exit code,
+    opcodes by layer) of one command; `cache` is an empty directory that
+    stands in for the bytecode cache."""
     src = root.resolve() / "src"
+    package = str(src / "genus_forge") + os.sep
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONPYCACHEPREFIX=cache)
     env.pop("GENUS_FORGE_CATALOG", None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "counts")
-        subprocess.run([sys.executable, "-S", "-B", "-c", CHILD, path,
-                        str(src / "genus_forge") + os.sep, *argv],
+        subprocess.run([sys.executable, "-S", "-B", "-c", CHILD, path, package, *argv],
                        cwd=root, env=env, capture_output=True, timeout=TIMEOUT_S)
         with open(path) as fh:
-            counts = tuple(int(word) for word in fh.read().split())
+            first, *files = fh.read().split("\n")
+    counts = tuple(int(word) for word in first.split())
     if counts[0] == 0:
         raise RuntimeError(f"the tracer counted no opcodes under Python {VERSION}: "
                            "count within another version")
-    return counts
+    layers = {}
+    for line in files:
+        n, file = line.split(" ", 1)
+        name = layer(file, package)
+        layers[name] = layers.get(name, 0) + int(n)
+    return (*counts, layers)
 
 
 def main(argv=None) -> int:
@@ -136,8 +169,10 @@ def main(argv=None) -> int:
     print(f"# Python {VERSION}, opcodes counted with {COUNTER}", flush=True)
     with tempfile.TemporaryDirectory() as cache:
         for command in [tuple(args.command)] if args.command else DEFAULT:
-            ops, modules, size, code = count(args.root, command, cache)
+            ops, modules, size, code, layers = count(args.root, command, cache)
             print(f"{ops:>9} {modules:>3} {size:>7} {code:>2}  {' '.join(command)}", flush=True)
+            names = (*sorted(set(layers) - set(SHARED)), *SHARED)
+            print("#", *(f"{name}={layers.get(name, 0)}" for name in names), flush=True)
     return 0
 
 

@@ -28,8 +28,6 @@ c_of_b's range on m before it reads the kept bisection root, and the rank
 bound's range.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import sys

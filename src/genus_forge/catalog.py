@@ -7,8 +7,6 @@ serialize as descending comma-joined integers ("2,1,1"); rationals as
 reproduces the file byte for byte.
 """
 
-from __future__ import annotations
-
 import json
 import os
 

@@ -13,8 +13,6 @@ error (`python -W error`), a NonIntegralIndexWarning exits 2, since it
 signals corrupt data.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 import warnings

@@ -10,8 +10,6 @@ only moves one step up the outer path per level, the kernel skips those
 levels at once, so a long outer path costs about as much as a short one.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import DomainError, Record, TooLarge, is_int, shown, whole

@@ -23,8 +23,6 @@ the signature and it satisfies the (2 tau)^(2m) transformation.  The
 theta products these logs replace are kept as an independent test oracle.
 """
 
-from __future__ import annotations
-
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction

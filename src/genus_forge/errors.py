@@ -14,8 +14,6 @@ names once, and FAMILIES the twisted-index families, in the order of the
 CLI's help.
 """
 
-from __future__ import annotations
-
 import math
 
 

@@ -39,8 +39,6 @@ halved route is kept in the test oracle.
 genera here and the elliptic ones alike.
 """
 
-from __future__ import annotations
-
 from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, factorial, prod

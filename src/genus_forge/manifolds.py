@@ -15,8 +15,6 @@ key.  complex_dim is worked out: real_dim/2 when Chern numbers are given,
 else None.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 from functools import lru_cache

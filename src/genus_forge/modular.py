@@ -11,9 +11,6 @@ A failed residual is a meaningful outcome (it is how non-string manifolds
 announce themselves), so it is reported on the result rather than raised.
 """
 
-from __future__ import annotations
-
-import cmath
 import math
 from fractions import Fraction
 
@@ -154,6 +151,8 @@ def _evaluate(series: QSeries, q: float, scaled: int = 0) -> tuple[complex, floa
     more rounding, so q^(n/2) is off by a factor of at most
     e^((n/2) (gamma_2 |x| + gamma_1)).
     """
+    import cmath  # local: keeps cmath out of every process but `modular check`
+
     nums, den, trunc = series.nums, series.den, series.trunc
     s, value = cmath.sqrt(complex(q)), 0j
     try:

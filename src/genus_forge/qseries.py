@@ -19,8 +19,6 @@ serve only the product-route test oracle, which keeps them on a series
 class of its own (tests/theta_oracle.py).
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator, Mapping
 from fractions import Fraction

@@ -155,12 +155,25 @@ def test_count_ops_counts_repeat_exactly(tmp_path):
     argv = ("bound", "cb", "--m", "2", "--b", "1.0")
     first = count_ops.count(ROOT, argv, str(tmp_path))
     assert count_ops.count(ROOT, argv, str(tmp_path)) == first
-    opcodes, modules, size, code = first
+    opcodes, modules, size, code, layers = first
     # `bound cb` loads the package, the CLI, the error taxonomy and bounds
     loaded = sum((Path(SRC) / "genus_forge" / f"{name}.py").stat().st_size
                  for name in ("__init__", "cli", "errors", "bounds"))
     assert code == 0 and opcodes > 0 and modules > 0 and size == loaded
+    assert layers["bounds"] > 0
     assert list(tmp_path.iterdir()) == []  # no bytecode cache was written
+
+
+def test_count_ops_layers_sum_to_the_count(capsys):
+    # a # line after the command's, whose layers add up to its opcodes
+    argv = ("cover", "tower", "--k", "3", "--depth", "3")
+    assert count_ops.main(["--root", str(ROOT), *argv]) == 0
+    _, line, split = capsys.readouterr().out.splitlines()
+    assert split.startswith("# ")
+    layers = {name: int(n) for name, n in (field.split("=") for field in split[2:].split())}
+    assert sum(layers.values()) == int(line.split()[0])
+    assert layers["covering"] > 0 and layers["import"] > 0
+    assert list(layers) == ["__init__", "cli", "covering", "errors", *count_ops.SHARED]
 
 
 def test_count_ops_refuses_a_zero_count(tmp_path, monkeypatch):

@@ -4,11 +4,12 @@ classes, every exported name imports its module on first use, and a cold
 framework (click) among them and, outside the q-series commands, neither
 `dataclasses` nor the `inspect` module it imports.  Without the site
 module, which may preload them, the catalog commands load none of the
-stdlib that only packaged-resource reading or type hints would need, and
-of the q-series commands only `modular`, whose check sums series in
-floats, loads `cmath`.  The test oracle imports from the package only its data types and error
-classes.  Every relative import in the package, function-local ones
-included, names a lower layer, so its module graph has no cycle."""
+stdlib that only packaged-resource reading or type hints would need, no
+command loads `__future__`, and of the q-series commands only `modular
+check`, whose S-check sums series in floats, loads `cmath`.  The test
+oracle imports from the package only its data types and error classes.
+Every relative import in the package, function-local ones included, names
+a lower layer, so its module graph has no cycle."""
 
 import ast
 import os
@@ -25,14 +26,15 @@ SRC = str(Path(genus_forge.__file__).resolve().parents[1])
 
 
 def _loaded_after(code: str, *args: str) -> set:
-    """The genus_forge, scipy, numpy, click, dataclasses and inspect modules
-    in sys.modules once `code` has run in a fresh interpreter (with `args` as
-    sys.argv[1:])."""
+    """The genus_forge, scipy, numpy, click, dataclasses, inspect and
+    __future__ modules in sys.modules once `code` has run, with `args` as
+    sys.argv[1:], in a fresh interpreter without the site module, which may
+    preload some of them."""
     probe = code + (
         "\nprint('MODULES', *sorted(m for m in sys.modules if m.split('.')[0] in"
-        " ('genus_forge', 'scipy', 'numpy', 'click', 'dataclasses', 'inspect')))"
+        " ('genus_forge', 'scipy', 'numpy', 'click', 'dataclasses', 'inspect', '__future__')))"
     )
-    out = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+    out = subprocess.run([sys.executable, "-S", "-c", probe, *args], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
     return set(out.strip().splitlines()[-1].split()[1:])
 
@@ -65,6 +67,7 @@ def test_command_loads_only_its_modules(argv, expected):
     assert loaded == expected
     assert "genus_forge.charpoly" not in loaded  # the class-polynomial ring serves tests only
     assert "click" not in loaded  # the command table is stdlib only
+    assert "__future__" not in loaded  # the annotations need no future import
 
 
 # importlib.resources pulls in pathlib, typing, zipfile and tempfile
@@ -89,9 +92,11 @@ def test_catalog_commands_skip_unused_stdlib(argv):
     (("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "4"), False),
     (("indices", "--manifold", "K3", "--family", "B", "--max", "3"), False),
     (("modular", "check", "--manifold", "HP2", "--tau-im", "2.0"), True),
+    (("modular", "fit", "--manifold", "K3xK3", "--order", "24"), False),
 ])
 def test_only_the_s_check_loads_cmath(argv, loads_cmath):
-    # the exact q-series commands sum no series in floats
+    # the exact q-series commands, the Eisenstein fit among them, sum no
+    # series in floats
     probe = ("import sys\nfrom genus_forge.cli import main\nmain(sys.argv[1:])\n"
              "print('CMATH', 'cmath' in sys.modules)")
     run = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
