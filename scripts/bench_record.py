@@ -13,8 +13,9 @@ the checkout's own harness and program.  It holds, per workload, the
 median, quartiles and n of every gated metric, with the values in run
 order, and the header line, `correct` and `failed` of every run; the SHA
 that the header names and the `src/` digest of the harness's run record;
-the host, with `python -c pass` at its best of 9; and the counts of
-`scripts/count_ops.py` for its default commands, with the Python version.
+the host, with `python -c pass` at its best of 9; and the counts that
+`count_ops.count` takes of `scripts/count_ops.py`'s default commands, with
+the Python version and the counter.
 A checkout with uncommitted changes still names its HEAD, so `src_sha256`
 is what identifies the program measured.  Records, the parent's too, go
 to the root of the checkout that `--root` names.
@@ -52,8 +53,6 @@ Only the standard library is used.  The driving process's Python runs the
 harness, the counts and `python -c pass` of both sides.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -63,11 +62,12 @@ import secrets
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-COUNT_OPS = ROOT / "scripts" / "count_ops.py"
+import count_ops
+
 FORMAT = 1
 HOST_TOLERANCE = 0.10  # relative difference of `python -c pass` that draws a warning
 RUN_TIMEOUT_S = 600.0
@@ -117,17 +117,16 @@ def python_pass_s() -> float:
 
 
 def counts(checkout: Path) -> dict:
-    """scripts/count_ops.py's default commands, counted on a checkout."""
-    out = subprocess.run([sys.executable, str(COUNT_OPS), "--root", str(checkout)],
-                         capture_output=True, text=True, check=True).stdout.splitlines()
+    """`count_ops.count` of each default command of scripts/count_ops.py,
+    on a checkout."""
     commands = {}
-    for line in out[1:]:
-        if line.startswith("#"):  # a command's opcodes by layer
-            continue
-        ops, modules, size, code, *argv = line.split()
-        commands[" ".join(argv)] = {"opcodes": int(ops), "modules": int(modules),
-                                    "source_bytes": int(size), "exit": int(code)}
-    return {"counter": out[0].lstrip("# "), "commands": commands}
+    with tempfile.TemporaryDirectory() as cache:
+        for argv in count_ops.DEFAULT:
+            ops, modules, size, code, _ = count_ops.count(checkout, argv, cache)
+            commands[" ".join(argv)] = {"opcodes": ops, "modules": modules,
+                                        "source_bytes": size, "exit": code}
+    return {"counter": f"Python {count_ops.VERSION}, opcodes counted with {count_ops.COUNTER}",
+            "commands": commands}
 
 
 def build(number: int, runs: list[dict], units: dict, harness: str, host: dict,

@@ -29,8 +29,6 @@ the child's own VmHWM, or `-` without `/proc` or for a killed child.
 POSIX only.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import json

@@ -41,8 +41,6 @@ goes, not where the time goes: C work, such as big-integer products or
 `json` decoding, is not seen.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import subprocess

@@ -30,8 +30,6 @@ may fail under it and pass in a plain run: the 1-s bound of
 and 3.13.
 """
 
-from __future__ import annotations
-
 import argparse
 import ast
 import contextlib

@@ -1,7 +1,9 @@
 """Puts this directory on sys.path so that test modules can import the
-shared product-route oracle (`theta_oracle`) under any pytest import mode."""
+shared product-route oracle (`theta_oracle`) under any pytest import mode,
+and `scripts/` beside it for the tests of the scripts."""
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "scripts")]

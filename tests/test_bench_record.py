@@ -4,14 +4,13 @@
 No test looks a SHA up in git: a shallow checkout holds only its head."""
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+import bench_record
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "scripts"))
-import bench_record  # noqa: E402
 
 RECORDS = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
 

@@ -10,17 +10,13 @@ are checked against plain arithmetic.
 import hashlib
 import itertools
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import genus_forge
 import genus_forge.bounds as bounds
 from genus_forge.bounds import (
     BoundParams,
@@ -36,6 +32,7 @@ from genus_forge.errors import (
     FloatRangeError,
     RootNotBracketed,
 )
+from test_imports import BOUND_CB, cold_modules
 
 METHODS = ("bisection", "secant")
 
@@ -578,11 +575,8 @@ def test_c_of_b_subnormal_b_refuses():
 
 
 def test_cli_import_skips_scipy_and_numpy():
-    probe = "import sys, genus_forge.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"
-    src = str(Path(genus_forge.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    # c(b) is solved in pure Python: a cold `bound` command loads neither
+    assert {"scipy", "numpy"} & cold_modules(BOUND_CB) == set()
 
 
 def test_exponent_sums():

@@ -3,10 +3,8 @@ named entries in every message, environment override, and name resolution."""
 
 import json
 import re
-import sys
 from fractions import Fraction
 from importlib import resources
-from pathlib import Path
 
 import pytest
 
@@ -26,8 +24,7 @@ from genus_forge.genera import genus_value
 from genus_forge.manifolds import ManifoldData, cp, hp2, k3
 
 # the builder serves only the regeneration script, so it lives there
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-from regen_catalog import build_default_catalog  # noqa: E402
+from regen_catalog import build_default_catalog
 
 ALL_NAMES = [
     "T2", "T4", "S4", "S6", "K3", "HP2", "CP2", "CP3", "CP4", "B8", "W24",

@@ -27,12 +27,11 @@ from genus_forge.errors import GenusForgeError
 from genus_forge.manifolds import ManifoldData, cp, hp2, product
 from genus_forge.qseries import QSeries
 
+import cli_sweep
+import count_ops
+
 SRC = str(Path(genus_forge.__file__).resolve().parents[1])
 ROOT = Path(__file__).resolve().parents[1]
-
-sys.path.insert(0, str(ROOT / "scripts"))
-import cli_sweep  # noqa: E402
-import count_ops  # noqa: E402
 
 
 @pytest.fixture()

@@ -1,18 +1,23 @@
 """Import-on-demand guards: `import genus_forge` loads only the error
 classes, every exported name imports its module on first use, and a cold
-`genus-forge` process loads only the modules its command runs, with no CLI
-framework (click) among them and, outside the q-series commands, neither
-`dataclasses` nor the `inspect` module it imports.  Without the site
-module, which may preload them, the catalog commands load none of the
-stdlib that only packaged-resource reading or type hints would need, no
-command loads `__future__`, and of the q-series commands only `modular
-check`, whose S-check sums series in floats, loads `cmath`.  The test
-oracle imports from the package only its data types and error classes.
-Every relative import in the package, function-local ones included, names
-a lower layer, so its module graph has no cycle."""
+`genus-forge` process loads only the modules its command runs.  One table
+holds every command, `--help` and a usage error, and every row holds every
+rule: its exact set of `genus_forge` modules; no CLI framework (click),
+scipy or numpy, no `__future__`, and none of the stdlib that only
+packaged-resource reading or type hints would need; `dataclasses` and the
+`inspect` module it imports only with the q-series engine
+(`genus_forge.elliptic`); and `cmath` only for `modular check`, whose
+S-check sums series in floats.  Each cold process runs once: the named
+rule tests, and `test_bounds.py`'s scipy and numpy check, read the cached
+module set of a table row.  The test oracle imports from the package
+only its data types and error classes.  Every relative import in the
+package, function-local ones included, names a lower layer, so its module
+graph has no cycle."""
 
 import ast
+import functools
 import os
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -25,84 +30,88 @@ from genus_forge import cli, elliptic, errors
 SRC = str(Path(genus_forge.__file__).resolve().parents[1])
 
 
-def _loaded_after(code: str, *args: str) -> set:
-    """The genus_forge, scipy, numpy, click, dataclasses, inspect and
-    __future__ modules in sys.modules once `code` has run, with `args` as
-    sys.argv[1:], in a fresh interpreter without the site module, which may
-    preload some of them."""
-    probe = code + (
-        "\nprint('MODULES', *sorted(m for m in sys.modules if m.split('.')[0] in"
-        " ('genus_forge', 'scipy', 'numpy', 'click', 'dataclasses', 'inspect', '__future__')))"
-    )
-    out = subprocess.run([sys.executable, "-S", "-c", probe, *args], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": SRC}).stdout
-    return set(out.strip().splitlines()[-1].split()[1:])
+@functools.cache
+def cold_modules(argv=None) -> frozenset:
+    """sys.modules once `main(argv)` has run, or once `genus_forge` is
+    imported if `argv` is None, in a fresh interpreter without the site
+    module, which may preload some of them.  The installed packages go on
+    the path after the stdlib, so that an optional import of one shows.
+    Cached: a rule test that names a row's argv reuses that row's child."""
+    run = ("import genus_forge" if argv is None
+           else "from genus_forge.cli import main\nmain(sys.argv[1:])")
+    probe = f"import sys\nsys.path += {site.getsitepackages()!r}\n{run}\nprint(*sys.modules)"
+    child = subprocess.run([sys.executable, "-S", "-c", probe, *(argv or ())], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert child.returncode == 0, child.stderr
+    return frozenset(child.stdout.splitlines()[-1].split())
 
 
 BASE = {"genus_forge", "genus_forge.cli", "genus_forge.errors"}
 CATALOG = BASE | {"genus_forge.catalog", "genus_forge.manifolds"}
+ELLIPTIC = CATALOG | {"genus_forge.genera", "genus_forge.qseries", "genus_forge.elliptic"}
+# importlib.resources pulls in pathlib, typing, zipfile and tempfile
+UNUSED_STDLIB = ("importlib.resources", "pathlib", "typing", "zipfile", "tempfile")
+NEVER = ("click", "scipy", "numpy", "__future__", *UNUSED_STDLIB)
 # elliptic.GenusSeries is still a dataclass
-ELLIPTIC = CATALOG | {"genus_forge.genera", "genus_forge.qseries", "genus_forge.elliptic",
-                      "dataclasses", "inspect"}
+DATACLASSES = {"dataclasses", "inspect"}
 
+# the rows that the rule tests also name, here and in test_bounds.py
+BOUND_CB = ("bound", "cb", "--m", "2", "--b", "1.0")
+CATALOG_LIST = ("catalog", "list")
+COMPUTE_TODD = ("compute", "--manifold", "CP3", "--genus", "todd")
+INDICES = ("indices", "--manifold", "K3", "--family", "B", "--max", "3")
+MODULAR_CHECK = ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0")
+ELLIPTIC_ELL1 = ("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "4")
+MODULAR_FIT = ("modular", "fit", "--manifold", "K3xK3", "--order", "24")
 
-@pytest.mark.parametrize("argv, expected", [
+ROWS = [
     (("--help",), BASE),
     (("compute", "--manifold", "K3"), BASE),  # usage error, exit 1
     (("cover", "tower", "--k", "3", "--depth", "3"), BASE | {"genus_forge.covering"}),
     (("cover", "l2", "--k", "2", "--p", "1", "--depth", "3"), BASE | {"genus_forge.covering"}),
-    (("bound", "cb", "--m", "2", "--b", "1.0"), BASE | {"genus_forge.bounds"}),
-    (("catalog", "list"), CATALOG),
-    (("compute", "--manifold", "CP3", "--genus", "todd"), CATALOG | {"genus_forge.genera"}),
-    (("indices", "--manifold", "K3", "--family", "B", "--max", "3"), ELLIPTIC),
-    (("modular", "check", "--manifold", "HP2", "--tau-im", "2.0"),
-     ELLIPTIC | {"genus_forge.modular"}),
+    (BOUND_CB, BASE | {"genus_forge.bounds"}),
+    (CATALOG_LIST, CATALOG),
+    (COMPUTE_TODD, CATALOG | {"genus_forge.genera"}),
+    (INDICES, ELLIPTIC),
+    (MODULAR_CHECK, ELLIPTIC | {"genus_forge.modular"}),
     (("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),
      BASE | {"genus_forge.bounds"}),
     (("catalog", "show", "K3"), CATALOG),
-])
+    (ELLIPTIC_ELL1, ELLIPTIC),
+    (MODULAR_FIT, ELLIPTIC | {"genus_forge.modular"}),
+    (("cover", "diam", "--k", "2", "--base", "3,3", "--factor", "2"),
+     BASE | {"genus_forge.covering"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ROWS)
 def test_command_loads_only_its_modules(argv, expected):
-    code = "import sys\nfrom genus_forge.cli import main\nmain(sys.argv[1:])"
-    loaded = _loaded_after(code, *argv)
-    assert loaded == expected
-    assert "genus_forge.charpoly" not in loaded  # the class-polynomial ring serves tests only
-    assert "click" not in loaded  # the command table is stdlib only
-    assert "__future__" not in loaded  # the annotations need no future import
+    loaded = cold_modules(argv)
+    # the class-polynomial ring serves tests only, so genus_forge.charpoly is never here
+    assert {m for m in loaded if m.split(".")[0] == "genus_forge"} == expected
+    assert [m for m in NEVER if m in loaded] == []
+    assert DATACLASSES & loaded == (DATACLASSES if "genus_forge.elliptic" in loaded else set())
+    # the exact q-series commands, the Eisenstein fit among them, sum no series in floats
+    assert ("cmath" in loaded) == (argv[:2] == ("modular", "check"))
 
 
-# importlib.resources pulls in pathlib, typing, zipfile and tempfile
-UNUSED_STDLIB = ("importlib.resources", "pathlib", "typing", "zipfile", "tempfile")
-
-
-@pytest.mark.parametrize("argv", [
-    ("catalog", "list"),
-    ("compute", "--manifold", "CP3", "--genus", "todd"),
-])
+@pytest.mark.parametrize("argv", [CATALOG_LIST, COMPUTE_TODD])
 def test_catalog_commands_skip_unused_stdlib(argv):
     # -S: a site .pth file may import these before genus_forge runs
-    probe = ("import sys\nfrom genus_forge.cli import main\nmain(sys.argv[1:])\n"
-             f"print('MODULES', *[m for m in {UNUSED_STDLIB!r} if m in sys.modules])")
-    run = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().splitlines()[-1] == "MODULES"
+    loaded = cold_modules(argv)
+    assert [m for m in UNUSED_STDLIB if m in loaded] == []
 
 
 @pytest.mark.parametrize("argv, loads_cmath", [
-    (("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "4"), False),
-    (("indices", "--manifold", "K3", "--family", "B", "--max", "3"), False),
-    (("modular", "check", "--manifold", "HP2", "--tau-im", "2.0"), True),
-    (("modular", "fit", "--manifold", "K3xK3", "--order", "24"), False),
+    (ELLIPTIC_ELL1, False), (INDICES, False), (MODULAR_CHECK, True), (MODULAR_FIT, False),
 ])
 def test_only_the_s_check_loads_cmath(argv, loads_cmath):
-    # the exact q-series commands, the Eisenstein fit among them, sum no
-    # series in floats
-    probe = ("import sys\nfrom genus_forge.cli import main\nmain(sys.argv[1:])\n"
-             "print('CMATH', 'cmath' in sys.modules)")
-    run = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().splitlines()[-1] == f"CMATH {loads_cmath}"
+    assert ("cmath" in cold_modules(argv)) is loads_cmath
+
+
+def test_table_covers_every_command():
+    covered = {path for path in cli.COMMANDS for argv, _ in ROWS if argv[:len(path)] == path}
+    assert covered == set(cli.COMMANDS)
 
 
 # the package's layers, lowest first; `__init__` sits above them all
@@ -127,7 +136,10 @@ def test_modules_import_only_lower_layers():
 
 
 def test_package_import_loads_only_errors():
-    assert _loaded_after("import sys, genus_forge") == {"genus_forge", "genus_forge.errors"}
+    loaded = cold_modules()
+    assert {m for m in loaded if m.split(".")[0] == "genus_forge"} == {"genus_forge",
+                                                                       "genus_forge.errors"}
+    assert [m for m in (*NEVER, *DATACLASSES, "cmath") if m in loaded] == []
 
 
 def test_exported_names_resolve_to_their_modules():
