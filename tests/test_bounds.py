@@ -32,7 +32,6 @@ from genus_forge.errors import (
     FloatRangeError,
     RootNotBracketed,
 )
-from test_imports import BOUND_CB, cold_modules
 
 METHODS = ("bisection", "secant")
 
@@ -572,11 +571,6 @@ def test_c_of_b_subnormal_b_refuses():
         for method in ("bisection", "secant"):
             with pytest.raises(RootNotBracketed):
                 c_of_b(2, b, method=method)
-
-
-def test_cli_import_skips_scipy_and_numpy():
-    # c(b) is solved in pure Python: a cold `bound` command loads neither
-    assert {"scipy", "numpy"} & cold_modules(BOUND_CB) == set()
 
 
 def test_exponent_sums():

@@ -598,6 +598,19 @@ def test_golden_lists_the_sweep_without_internal_errors():
     assert all(len(row[1]) == len(row[2]) == 64 for row in rows)
 
 
+def test_golden_agrees_with_the_benchmark_pins():
+    # the `cli` benchmark workload checks each command it runs against an exit
+    # code and the first 24 hex digits of its stdout sha256
+    golden = {tuple(row[3:]): f"{row[0]}:{row[1][:24]}" for row in
+              map(str.split, (ROOT / "scripts" / "cli_golden.txt").read_text().splitlines())}
+    pins = json.loads((ROOT / "perfbench" / "data" / "expected.json").read_text())
+    pins = {tuple(key.split("|")[1:]): pin for key, pin in pins.items() if key.startswith("cli|")}
+    assert pins
+    moved = {argv: (golden.get(argv), pin) for argv, pin in pins.items() if golden.get(argv) != pin}
+    assert moved == {}, ("perfbench/data/expected.json pins these golden lines (golden, pin): "
+                         "changing one changes the benchmark")
+
+
 def test_frontier_covers_reach_the_closed_form():
     # the golden step pins these commands' bytes and their time: here each
     # cover, of moduli 2 * base at the vertex cap, has the closed-form diameter

@@ -1,21 +1,19 @@
 """Import-on-demand guards: `import genus_forge` loads only the error
 classes, every exported name imports its module on first use, and a cold
 `genus-forge` process loads only the modules its command runs.  One table
-holds every command, `--help` and a usage error, and every row holds every
-rule: its exact set of `genus_forge` modules; no CLI framework (click),
-scipy or numpy, no `__future__`, and none of the stdlib that only
-packaged-resource reading or type hints would need; `dataclasses` and the
-`inspect` module it imports only with the q-series engine
-(`genus_forge.elliptic`); and `cmath` only for `modular check`, whose
-S-check sums series in floats.  Each cold process runs once: the named
-rule tests, and `test_bounds.py`'s scipy and numpy check, read the cached
-module set of a table row.  The test oracle imports from the package
-only its data types and error classes.  Every relative import in the
-package, function-local ones included, names a lower layer, so its module
-graph has no cycle."""
+holds every command, `--help` and a usage error.  Each row, run once in a
+cold `python -S` child, and `import genus_forge` hold one rule: the exact
+set of `genus_forge` modules, and past the interpreter's start-up only the
+top-level packages those modules allow (`STDLIB`, and `HANDLER` for a
+handler's own import), each of them used but the few that only some
+Pythons from 3.10 to 3.13 load.  An allow-list of top-level names cannot
+see a submodule of the allowed `importlib`, so one check stays apart: no
+`importlib.resources`, which pulls in `pathlib`, `typing`, `zipfile` and
+`tempfile`.  The test oracle imports from the package only its data types
+and error classes.  Every relative import in the package, function-local
+ones included, names a lower layer, so its module graph has no cycle."""
 
 import ast
-import functools
 import os
 import site
 import subprocess
@@ -30,83 +28,92 @@ from genus_forge import cli, elliptic, errors
 SRC = str(Path(genus_forge.__file__).resolve().parents[1])
 
 
-@functools.cache
-def cold_modules(argv=None) -> frozenset:
-    """sys.modules once `main(argv)` has run, or once `genus_forge` is
-    imported if `argv` is None, in a fresh interpreter without the site
-    module, which may preload some of them.  The installed packages go on
-    the path after the stdlib, so that an optional import of one shows.
-    Cached: a rule test that names a row's argv reuses that row's child."""
+def cold_modules(argv=None) -> set:
+    """The modules that `main(argv)` loads, or `import genus_forge` if `argv`
+    is None, in a fresh interpreter without the site module, which may
+    preload some of them; those loaded at start-up are left out.  The
+    installed packages go on the path after the stdlib, so that an optional
+    import of one shows."""
     run = ("import genus_forge" if argv is None
            else "from genus_forge.cli import main\nmain(sys.argv[1:])")
-    probe = f"import sys\nsys.path += {site.getsitepackages()!r}\n{run}\nprint(*sys.modules)"
+    probe = (f"import sys\nstart = set(sys.modules)\nsys.path += {site.getsitepackages()!r}\n"
+             f"{run}\nprint(*(m for m in sys.modules if m not in start))")
     child = subprocess.run([sys.executable, "-S", "-c", probe, *(argv or ())], capture_output=True,
                            text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert child.returncode == 0, child.stderr
-    return frozenset(child.stdout.splitlines()[-1].split())
+    return set(child.stdout.splitlines()[-1].split())
 
 
 BASE = {"genus_forge", "genus_forge.cli", "genus_forge.errors"}
 CATALOG = BASE | {"genus_forge.catalog", "genus_forge.manifolds"}
 ELLIPTIC = CATALOG | {"genus_forge.genera", "genus_forge.qseries", "genus_forge.elliptic"}
-# importlib.resources pulls in pathlib, typing, zipfile and tempfile
-UNUSED_STDLIB = ("importlib.resources", "pathlib", "typing", "zipfile", "tempfile")
-NEVER = ("click", "scipy", "numpy", "__future__", *UNUSED_STDLIB)
-# elliptic.GenusSeries is still a dataclass
-DATACLASSES = {"dataclasses", "inspect"}
+BOUNDS, COVERING = BASE | {"genus_forge.bounds"}, BASE | {"genus_forge.covering"}
+MODULAR = ELLIPTIC | {"genus_forge.modular"}
 
-# the rows that the rule tests also name, here and in test_bounds.py
-BOUND_CB = ("bound", "cb", "--m", "2", "--b", "1.0")
-CATALOG_LIST = ("catalog", "list")
-COMPUTE_TODD = ("compute", "--manifold", "CP3", "--genus", "todd")
-INDICES = ("indices", "--manifold", "K3", "--family", "B", "--max", "3")
-MODULAR_CHECK = ("modular", "check", "--manifold", "HP2", "--tau-im", "2.0")
-ELLIPTIC_ELL1 = ("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "4")
-MODULAR_FIT = ("modular", "fit", "--manifold", "K3xK3", "--order", "24")
+# a stdlib package and the top-level packages it loads, as probed on Python
+# 3.10.13, 3.11.7, 3.12.1 and 3.13.0
+OS = {"os", "stat", "_stat", "posixpath", "genericpath", "_collections_abc"}
+COLLECTIONS = {"collections", "_collections", "_collections_abc", "itertools", "keyword",
+               "operator", "_operator", "reprlib"}
+FUNCTOOLS = COLLECTIONS | {"functools", "_functools", "types"}
+RE = FUNCTOOLS | {"re", "_sre", "copyreg", "enum", "_locale", "sre_compile", "sre_constants",
+                  "sre_parse"}
+FRACTIONS = RE | {"fractions", "decimal", "_decimal", "numbers", "math"}
+DATACLASSES = RE | OS | {"dataclasses", "inspect", "importlib", "warnings", "linecache", "ast",
+                         "_ast", "dis", "opcode", "_opcode", "_opcode_metadata", "contextlib",
+                         "copy", "token", "tokenize", "_tokenize", "weakref", "_weakrefset"}
+# loaded by some of them only: re's `_locale` and `sre_*` on 3.10, tokenize's
+# `_tokenize` from 3.12, dis's `_opcode_metadata` on 3.13; before 3.13, inspect's
+# `linecache` (3.13 loads it at start-up), functools' `types`, importlib's `warnings`
+VERSION_ONLY = {"_locale", "sre_compile", "sre_constants", "sre_parse", "_tokenize",
+                "_opcode_metadata", "linecache", "types", "warnings"}
+
+# what each module may bring into a cold process; the others add nothing
+STDLIB = {
+    "genus_forge": {"importlib", "warnings"},
+    "genus_forge.errors": {"math"},
+    "genus_forge.cli": OS | COLLECTIONS | {"warnings"},
+    "genus_forge.bounds": FUNCTOOLS,
+    "genus_forge.manifolds": FRACTIONS,
+    "genus_forge.catalog": RE | {"json", "_json"},
+    "genus_forge.elliptic": DATACLASSES,
+}
+# a handler's own import: the Fraction ratios of `cover l2`, and the S-check's
+# float sums of `modular check`
+HANDLER = {("cover", "l2"): FRACTIONS, ("modular", "check"): {"cmath"}}
 
 ROWS = [
     (("--help",), BASE),
     (("compute", "--manifold", "K3"), BASE),  # usage error, exit 1
-    (("cover", "tower", "--k", "3", "--depth", "3"), BASE | {"genus_forge.covering"}),
-    (("cover", "l2", "--k", "2", "--p", "1", "--depth", "3"), BASE | {"genus_forge.covering"}),
-    (BOUND_CB, BASE | {"genus_forge.bounds"}),
-    (CATALOG_LIST, CATALOG),
-    (COMPUTE_TODD, CATALOG | {"genus_forge.genera"}),
-    (INDICES, ELLIPTIC),
-    (MODULAR_CHECK, ELLIPTIC | {"genus_forge.modular"}),
+    (("cover", "tower", "--k", "3", "--depth", "3"), COVERING),
+    (("cover", "l2", "--k", "2", "--p", "1", "--depth", "3"), COVERING),
+    (("bound", "cb", "--m", "2", "--b", "1.0"), BOUNDS),
+    (("catalog", "list"), CATALOG),
+    (("compute", "--manifold", "CP3", "--genus", "todd"), CATALOG | {"genus_forge.genera"}),
+    (("indices", "--manifold", "K3", "--family", "B", "--max", "3"), ELLIPTIC),
+    (("modular", "check", "--manifold", "HP2", "--tau-im", "2.0"), MODULAR),
     (("bound", "index", "--m", "4", "--p", "5", "--lambda", "1", "--diam", "1", "--b", "1"),
-     BASE | {"genus_forge.bounds"}),
+     BOUNDS),
     (("catalog", "show", "K3"), CATALOG),
-    (ELLIPTIC_ELL1, ELLIPTIC),
-    (MODULAR_FIT, ELLIPTIC | {"genus_forge.modular"}),
-    (("cover", "diam", "--k", "2", "--base", "3,3", "--factor", "2"),
-     BASE | {"genus_forge.covering"}),
+    (("elliptic", "--manifold", "K3", "--kind", "ell1", "--order", "4"), ELLIPTIC),
+    (("modular", "fit", "--manifold", "K3xK3", "--order", "24"), MODULAR),
+    (("cover", "diam", "--k", "2", "--base", "3,3", "--factor", "2"), COVERING),
 ]
+
+
+def assert_loads_only(loaded, modules, handler=()):
+    # the class-polynomial ring serves tests only, so genus_forge.charpoly is never here
+    assert {m for m in loaded if m.split(".")[0] == "genus_forge"} == modules
+    top = {m.split(".")[0] for m in loaded} - {"genus_forge"}
+    allowed = set(handler).union(*(STDLIB.get(m, ()) for m in modules))
+    assert top - allowed == set()  # click, scipy, numpy, typing, ... are nowhere
+    assert allowed - top <= VERSION_ONLY  # an import that goes takes its allowance along
+    assert "importlib.resources" not in loaded
 
 
 @pytest.mark.parametrize("argv, expected", ROWS)
 def test_command_loads_only_its_modules(argv, expected):
-    loaded = cold_modules(argv)
-    # the class-polynomial ring serves tests only, so genus_forge.charpoly is never here
-    assert {m for m in loaded if m.split(".")[0] == "genus_forge"} == expected
-    assert [m for m in NEVER if m in loaded] == []
-    assert DATACLASSES & loaded == (DATACLASSES if "genus_forge.elliptic" in loaded else set())
-    # the exact q-series commands, the Eisenstein fit among them, sum no series in floats
-    assert ("cmath" in loaded) == (argv[:2] == ("modular", "check"))
-
-
-@pytest.mark.parametrize("argv", [CATALOG_LIST, COMPUTE_TODD])
-def test_catalog_commands_skip_unused_stdlib(argv):
-    # -S: a site .pth file may import these before genus_forge runs
-    loaded = cold_modules(argv)
-    assert [m for m in UNUSED_STDLIB if m in loaded] == []
-
-
-@pytest.mark.parametrize("argv, loads_cmath", [
-    (ELLIPTIC_ELL1, False), (INDICES, False), (MODULAR_CHECK, True), (MODULAR_FIT, False),
-])
-def test_only_the_s_check_loads_cmath(argv, loads_cmath):
-    assert ("cmath" in cold_modules(argv)) is loads_cmath
+    assert_loads_only(cold_modules(argv), expected, HANDLER.get(argv[:2], ()))
 
 
 def test_table_covers_every_command():
@@ -136,10 +143,7 @@ def test_modules_import_only_lower_layers():
 
 
 def test_package_import_loads_only_errors():
-    loaded = cold_modules()
-    assert {m for m in loaded if m.split(".")[0] == "genus_forge"} == {"genus_forge",
-                                                                       "genus_forge.errors"}
-    assert [m for m in (*NEVER, *DATACLASSES, "cmath") if m in loaded] == []
+    assert_loads_only(cold_modules(), {"genus_forge", "genus_forge.errors"})
 
 
 def test_exported_names_resolve_to_their_modules():
